@@ -35,7 +35,6 @@ var (
 	flagRuns         = flag.Int("runs", 0, "measurement repetitions per point (0 = experiment default)")
 	flagSeed         = flag.Uint64("seed", 0, "data-generation seed (0 = experiment default)")
 	flagShared       = flag.Bool("shared-scan", true, "serve non-mergeable QED batches from one shared heap pass (sharedscan experiment; false = control arm)")
-	flagColumnar     = flag.Bool("columnar", true, "run the treated arm of the columnar experiment through the columnar fast paths (false = control arm: both arms row-at-a-time)")
 	flagParallel     = flag.Bool("parallel-agg", true, "run the treated arm of the parallelagg experiment with worker goroutines (false = control arm: both arms serial)")
 	flagParallelSort = flag.Bool("parallel-sort", true, "run the treated arms of the parallelsort experiment with worker goroutines (false = control arm: every arm serial)")
 	flagZoneMaps     = flag.Bool("zone-maps", true, "enable zone-map page pruning in the compression experiment's treated arm")
@@ -108,7 +107,6 @@ experiments:
   capvsuc   ablation: FSB underclocking vs multiplier capping
   mechanisms ablation: decompose setting A's savings by mechanism
   sharedscan ablation: QED shared-scan flush vs sequential (see -shared-scan)
-  columnar  ablation: row-at-a-time vs columnar execution wall-clock (see -columnar)
   parallelagg ablation: serial vs morsel-parallel aggregation wall-clock (see -parallel-agg)
   parallelsort ablation: serial vs morsel-parallel sort wall-clock and
             registry joules per query at 1/2/4 workers (see -parallel-sort)
@@ -172,8 +170,6 @@ func runOne(name string) error {
 		out = experiments.Mechanisms(override(experiments.DefaultCommercialConfig()))
 	case "sharedscan":
 		out = experiments.SharedScans(override(experiments.DefaultCommercialConfig()), *flagShared)
-	case "columnar":
-		out = experiments.ColumnarScan(override(experiments.DefaultCommercialConfig()), *flagColumnar)
 	case "parallelagg":
 		out = experiments.ParallelAgg(override(experiments.DefaultCommercialConfig()), *flagParallel)
 	case "parallelsort":
@@ -185,7 +181,7 @@ func runOne(name string) error {
 	case "server":
 		out = experiments.Server(override(experiments.DefaultServerConfig()))
 	default:
-		return fmt.Errorf("unknown experiment %q (try: table1 fig1 fig2 fig3 fig4 fig5 fig6 fig6hash warmcold capvsuc mechanisms sharedscan columnar parallelagg parallelsort compression optimizer server all; flags go before the experiment name)", name)
+		return fmt.Errorf("unknown experiment %q (try: table1 fig1 fig2 fig3 fig4 fig5 fig6 fig6hash warmcold capvsuc mechanisms sharedscan parallelagg parallelsort compression optimizer server all; flags go before the experiment name)", name)
 	}
 	fmt.Println(out)
 	fmt.Printf("[%s regenerated in %v]\n\n", name, time.Since(start).Round(time.Millisecond))

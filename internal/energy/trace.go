@@ -110,5 +110,20 @@ func (tr *Trace) Last() Watts {
 	return tr.steps[len(tr.steps)-1].w
 }
 
+// DiscardBefore drops the history before instant t, keeping the step in
+// force at t: At and Energy answer exactly as before for instants from t
+// onward, while earlier instants now read 0 W. A long-running owner calls
+// it once nothing will ask about the past again, so the trace's footprint
+// follows the window still of interest, not the component's lifetime. The
+// backing array is kept for the steps to come.
+func (tr *Trace) DiscardBefore(t sim.Time) {
+	i := sort.Search(len(tr.steps), func(i int) bool { return tr.steps[i].at > t })
+	if i <= 1 {
+		return // nothing recorded before the step in force at t
+	}
+	n := copy(tr.steps, tr.steps[i-1:])
+	tr.steps = tr.steps[:n]
+}
+
 // Reset discards all recorded steps.
 func (tr *Trace) Reset() { tr.steps = tr.steps[:0] }

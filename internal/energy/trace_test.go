@@ -120,3 +120,45 @@ func TestTraceSetAfterDedupOpensNewStep(t *testing.T) {
 		t.Fatalf("Energy(0,10) = %v, want 545 (5s*10W + 5s*99W)", got)
 	}
 }
+
+func TestTraceDiscardBeforeKeepsTheFuture(t *testing.T) {
+	build := func() *Trace {
+		var tr Trace
+		for i := 0; i < 10; i++ {
+			tr.Set(sim.Time(0).Add(sim.Duration(i)*sim.Second), Watts(10+i))
+		}
+		return &tr
+	}
+	at := func(s float64) sim.Time { return sim.Time(0).Add(sim.Duration(s * float64(sim.Second))) }
+
+	for _, cut := range []float64{0, 0.5, 3, 3.5, 9, 12} {
+		full, cutTr := build(), build()
+		cutTr.DiscardBefore(at(cut))
+		for _, from := range []float64{cut, cut + 0.25, cut + 2} {
+			if got, want := cutTr.At(at(from)), full.At(at(from)); got != want {
+				t.Fatalf("cut %v: At(%v) = %v, want %v", cut, from, got, want)
+			}
+			if got, want := cutTr.Energy(at(from), at(from+4.5)), full.Energy(at(from), at(from+4.5)); got != want {
+				t.Fatalf("cut %v: Energy(%v, +4.5s) = %v, want %v", cut, from, got, want)
+			}
+		}
+		if cutTr.Last() != full.Last() {
+			t.Fatalf("cut %v: Last = %v, want %v", cut, cutTr.Last(), full.Last())
+		}
+		// Appending continues exactly as on the full trace.
+		full.Set(at(20), 99)
+		cutTr.Set(at(20), 99)
+		if got, want := cutTr.Energy(at(cut), at(25)), full.Energy(at(cut), at(25)); got != want {
+			t.Fatalf("cut %v: Energy after a further step = %v, want %v", cut, got, want)
+		}
+	}
+
+	tr := build()
+	tr.DiscardBefore(at(7.5))
+	if tr.Steps() != 3 { // the step in force at 7.5 s, then 8 s and 9 s
+		t.Fatalf("Steps after DiscardBefore(7.5s) = %d, want 3", tr.Steps())
+	}
+	if tr.At(at(2)) != 0 {
+		t.Fatalf("discarded history reads %v, want 0", tr.At(at(2)))
+	}
+}

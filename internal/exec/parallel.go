@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -257,12 +258,20 @@ type morselResult struct {
 	batch     expr.Batch
 }
 
+// fragScratch is the state one worker reuses across the pages of a run:
+// the selection vector every filter of the fragment narrows.
+type fragScratch struct {
+	sel []int32
+}
+
 // run executes the fragment over one page in worker context: real
 // computation and private cost metering only, no simulated-machine access.
 // The batch starts as a zero-copy view of the page's column vectors;
 // filters narrow its selection vector, projections replace it with fresh
-// vectors owned by the result.
-func (f *fragment) run(idx int, page *storage.Page) *morselResult {
+// vectors owned by the result. A surviving selection lives in ws and is
+// valid only until ws is next used: callers that hand the batch to another
+// goroutine must copy it first.
+func (f *fragment) run(idx int, page *storage.Page, ws *fragScratch) *morselResult {
 	if f.pruner != nil && len(page.Zones) > 0 && expr.ZonePrunes(f.pruner, page.Zones) {
 		// Worker context decides the skip (pure zone-map reads); the
 		// coordinator charges the zone check when it merges the item.
@@ -274,13 +283,16 @@ func (f *fragment) run(idx int, page *storage.Page) *morselResult {
 	}
 	res.batch.Alias(&page.Data, nil)
 	if f.scanFilter != nil {
-		res.batch.Sel = expr.FilterBatch(f.scanFilter, &res.batch, nil, &res.meters[0])
+		ws.sel = expr.FilterBatch(f.scanFilter, &res.batch, ws.sel, &res.meters[0])
+		res.batch.Sel = ws.sel
 	}
 	for i := range f.stages {
 		st := &f.stages[i]
 		m := &res.meters[1+i]
 		if st.pred != nil {
-			res.batch.Sel = expr.FilterBatch(st.pred, &res.batch, nil, m)
+			// ws.sel may be the batch's own selection: it narrows in place.
+			ws.sel = expr.FilterBatch(st.pred, &res.batch, ws.sel, m)
+			res.batch.Sel = ws.sel
 			continue
 		}
 		out := expr.NewBatch(len(st.exprs))
@@ -486,8 +498,13 @@ func (m *morselExec) Open(*Ctx) error {
 	m.pump = morselPump{
 		workers: m.workers,
 		work: func(run storage.MorselRun, src *storage.MorselSource, emit func(morselItem) bool) {
+			var ws fragScratch
 			for idx := run.Start; idx < run.End; idx++ {
-				if !emit(m.frag.run(idx, src.Page(idx))) {
+				// The batch crosses to the coordinator: give it a selection
+				// of its own, sized to the survivors.
+				res := m.frag.run(idx, src.Page(idx), &ws)
+				res.batch.Sel = slices.Clone(res.batch.Sel)
+				if !emit(res) {
 					return
 				}
 			}

@@ -142,8 +142,9 @@ func (a *parallelAggOp) work(run storage.MorselRun, src *storage.MorselSource, e
 	buffered := 0
 	items := make([]*morselAggResult, 0, run.Len())
 
+	var ws fragScratch
 	for idx := run.Start; idx < run.End; idx++ {
-		res := a.frag.run(idx, src.Page(idx))
+		res := a.frag.run(idx, src.Page(idx), &ws)
 		it := &morselAggResult{res: res, n: res.batch.Len()}
 		items = append(items, it)
 		if it.n == 0 {

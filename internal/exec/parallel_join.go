@@ -58,8 +58,9 @@ func (j *hashJoinOp) openMergedProbe(ctx *Ctx) {
 // access.
 func (j *hashJoinOp) probeWork(run storage.MorselRun, src *storage.MorselSource, emit func(morselItem) bool) {
 	var ps probeScratch
+	var ws fragScratch
 	for idx := run.Start; idx < run.End; idx++ {
-		res := j.probeFrag.run(idx, src.Page(idx))
+		res := j.probeFrag.run(idx, src.Page(idx), &ws)
 		it := &morselProbeResult{res: res, n: res.batch.Len()}
 		if it.n > 0 {
 			ps.out = expr.NewBatch(j.schema.NumCols())

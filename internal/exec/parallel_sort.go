@@ -91,8 +91,9 @@ func (s *parallelSortOp) Open(*Ctx) error {
 func (s *parallelSortOp) work(run storage.MorselRun, src *storage.MorselSource, emit func(morselItem) bool) {
 	sr := &sortedRun{buf: *expr.NewBatch(s.frag.schema.NumCols())}
 	items := make([]*morselSortResult, 0, run.End-run.Start)
+	var ws fragScratch
 	for idx := run.Start; idx < run.End; idx++ {
-		res := s.frag.run(idx, src.Page(idx))
+		res := s.frag.run(idx, src.Page(idx), &ws)
 		items = append(items, &morselSortResult{res: res})
 		if n := res.batch.Len(); n > 0 {
 			for li := 0; li < n; li++ {

@@ -21,8 +21,8 @@ const CompressionBands = 8
 
 // CompressionResult is the compressed-storage ablation: the mixed
 // range-plus-string workload replayed on plain storage versus with zone-map
-// pruning and dictionary-encoded strings enabled. Unlike the columnar
-// ablation this one is NOT charging-neutral — skipping a page really does
+// pruning and dictionary-encoded strings enabled. Unlike the parallel
+// ablations this one is NOT charging-neutral — skipping a page really does
 // avoid its buffer-pool, streaming, and per-tuple charges (replacing them
 // with one zone-map consult), so the simulated joules and durations drop.
 // Query results must still be bit-identical: compression changes where

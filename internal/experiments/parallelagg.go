@@ -50,7 +50,7 @@ var ParallelAggWorkloadSizes = []int{1, 4, 16}
 // ParallelAgg replays an aggregation-dominated TPC-H workload (grouped
 // revenue per quantity over lineitem — Agg directly on a scan fragment) on
 // the commercial profile, serial versus morsel-parallel with per-worker
-// partial aggregation tables. Like the columnar ablation this measures
+// partial aggregation tables. Unlike the paper's experiments this measures
 // REAL wall-clock: the paper's energy-proportionality argument rewards
 // finishing the same work in fewer core-seconds, and worker count is
 // exactly such a software choice — simulated-era joules per query stay

@@ -1,6 +1,9 @@
 package expr
 
-import "sync/atomic"
+import (
+	"fmt"
+	"sync"
+)
 
 // DefaultBatchCapacity is the default number of rows one execution batch
 // targets. It is large enough to amortize per-batch bookkeeping (cost
@@ -145,484 +148,511 @@ func (b *Batch) RowBytes(li int) int64 {
 	return n
 }
 
-// rowAtATime disables the columnar fast paths, forcing FilterBatch and
-// EvalBatch through the per-row gather + interpreted-Eval fallback — the
-// row-at-a-time execution model over the same storage. Charged cycles are
-// identical either way (the fast paths charge exactly what Eval charges),
-// so toggling changes real wall-clock only; the `ecodb columnar` ablation
-// uses it as its row-major control arm.
-var rowAtATime atomic.Bool
+// scratch is the working memory of one FilterBatch or EvalBatch call: the
+// intermediate selections a composite predicate's cascade needs, the
+// temporary float vectors of an arithmetic tree, and the gather row of the
+// per-leaf interpreter fallback. Calls take one from scratchPool and return
+// it, so a steady stream of pages — on any goroutine — reuses the same
+// buffers and allocates nothing.
+type scratch struct {
+	sels   [][]int32   // stack of intermediate selections; sels[:nSel] are live
+	floats [][]float64 // stack of temporary float vectors; floats[:nFloat] are live
+	nSel   int
+	nFloat int
+	row    Row    // fallback gather row, one slot per batch column
+	cols   []int  // columns the current fallback expression references
+	keep   []bool // filterInHashCol: set membership per dictionary word
+	nulls  []bool // evalArith: the result's NULL bitmap once one is needed
+}
 
-// SetRowAtATime toggles the row-at-a-time fallback. Toggle only while no
-// queries are executing.
-func SetRowAtATime(on bool) { rowAtATime.Store(on) }
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// RowAtATime reports whether the columnar fast paths are disabled.
-func RowAtATime() bool { return rowAtATime.Load() }
-
-// EvalBatch evaluates e over every logical row of in, writing one value
-// per row into dst (which is Reset first). Plain column references copy
-// the source vector payload instead of walking the interpreter per row,
-// and literals replicate the constant; cycle accounting is identical to
-// row-at-a-time Eval.
-func EvalBatch(e Expr, in *Batch, dst *ColVec, cost *Cost) {
-	dst.Reset()
-	if !rowAtATime.Load() {
-		switch e := e.(type) {
-		case Col:
-			cost.Add(float64(in.Len()) * CyclesColRef)
-			dst.AppendFrom(&in.Cols[e.Idx], in.Sel)
-			return
-		case Const:
-			cost.Add(float64(in.Len()) * CyclesConst)
-			for li, n := 0, in.Len(); li < n; li++ {
-				dst.Append(e.V)
-			}
-			return
-		}
+// pushSel returns an empty, non-nil selection buffer with room for n rows,
+// live until the matching popSel.
+func (sc *scratch) pushSel(n int) []int32 {
+	if sc.nSel == len(sc.sels) {
+		sc.sels = append(sc.sels, nil)
 	}
-	scratch := make(Row, len(in.Cols))
-	if in.Sel == nil {
-		for i := 0; i < in.N; i++ {
-			dst.Append(e.Eval(in.gatherInto(scratch, i), cost))
-		}
-	} else {
-		for _, i := range in.Sel {
-			dst.Append(e.Eval(in.gatherInto(scratch, int(i)), cost))
-		}
+	if b := sc.sels[sc.nSel]; b == nil || cap(b) < n {
+		sc.sels[sc.nSel] = make([]int32, 0, max(n, 1)) // non-nil even for n = 0
 	}
+	sc.nSel++
+	return sc.sels[sc.nSel-1]
+}
+
+func (sc *scratch) popSel() { sc.nSel-- }
+
+// pushFloats returns a float buffer of length n with undefined contents,
+// live until the matching popFloats.
+func (sc *scratch) pushFloats(n int) []float64 {
+	if sc.nFloat == len(sc.floats) {
+		sc.floats = append(sc.floats, nil)
+	}
+	if cap(sc.floats[sc.nFloat]) < n {
+		sc.floats[sc.nFloat] = make([]float64, n)
+	}
+	sc.nFloat++
+	return sc.floats[sc.nFloat-1][:n]
+}
+
+func (sc *scratch) popFloats() { sc.nFloat-- }
+
+// candLen is the number of candidate rows a nil-or-explicit candidate
+// selection names: nil means every physical row of in.
+func candLen(in *Batch, cand []int32) int {
+	if cand == nil {
+		return in.N
+	}
+	return len(cand)
 }
 
 // FilterBatch evaluates pred over every logical row of in and returns the
-// surviving physical indices appended to sel[:0] — a selection vector the
-// caller threads back into a batch, so filtering never copies rows. The
-// common single-column predicate shapes (col ⋈ const, col BETWEEN, col IN
-// hash-set) run in tight loops over the contiguous typed payload slices;
-// everything else gathers a scratch row and falls back to Eval. Charged
-// cycles are identical to evaluating pred row by row.
+// surviving physical indices in sel's storage — a selection vector the
+// caller threads back into a batch, so filtering never copies rows. sel is
+// reallocated only when it cannot hold in.Len() indices; it may be in.Sel
+// itself, which then narrows in place.
+//
+// Whole predicate trees evaluate as cascades of selection vectors: an AND
+// runs each term over the survivors of the terms before it, an OR over the
+// rows every earlier term rejected, a NOT flips which side of its operand
+// is kept, and the column-vs-constant leaves (Cmp, Between, InHash) run
+// typed loops over the payload slices, indexed through the candidate
+// selection. That is short-circuit evaluation batch-wise: each term charges
+// for exactly the rows per-row Eval would have reached it with, so charged
+// cycles are identical to evaluating pred row by row (every charge is a
+// whole number of cycles, so the sums are exact). Leaves no kernel covers
+// are interpreted per candidate row (see filterFallback).
 //
 // The returned selection is always non-nil: an empty selection means "no
 // rows", whereas a nil Batch.Sel means "all rows".
 func FilterBatch(pred Expr, in *Batch, sel []int32, cost *Cost) []int32 {
-	if sel == nil {
-		sel = make([]int32, 0, 16)
-	} else {
-		sel = sel[:0]
+	if n := in.Len(); sel == nil || cap(sel) < n {
+		sel = make([]int32, 0, n)
 	}
-	if !rowAtATime.Load() {
-		switch p := pred.(type) {
-		case Cmp:
-			if col, ok := p.L.(Col); ok {
-				if c, ok := p.R.(Const); ok {
-					return filterCmpColConst(p.Op, col.Idx, c.V, in, sel, cost)
+	sc := scratchPool.Get().(*scratch)
+	sel = sc.filter(pred, in, in.Sel, sel[:0], true, cost)
+	scratchPool.Put(sc)
+	return sel
+}
+
+// filter writes to out the candidates (cand; nil = every physical row) on
+// which pred's truthiness equals want, in ascending order. out is empty
+// with capacity for every candidate and may share cand's backing array:
+// every step only ever compacts, so narrowing in place is safe.
+func (sc *scratch) filter(pred Expr, in *Batch, cand, out []int32, want bool, cost *Cost) []int32 {
+	switch p := pred.(type) {
+	case And:
+		return sc.cascade(p.Terms, true, in, cand, out, want, cost)
+	case Or:
+		return sc.cascade(p.Terms, false, in, cand, out, want, cost)
+	case Not:
+		cost.Add(float64(candLen(in, cand)) * CyclesLogic)
+		return sc.filter(p.E, in, cand, out, !want, cost)
+	case Cmp:
+		if col, ok := p.L.(Col); ok {
+			if c, ok := p.R.(Const); ok {
+				if res, ok := filterCmpColConst(p.Op, col.Idx, c.V, in, cand, out, want, cost); ok {
+					return res
 				}
 			}
-		case Between:
-			if col, ok := p.E.(Col); ok {
-				return filterBetweenCol(col.Idx, p.Lo, p.Hi, in, sel, cost)
-			}
-		case *InHash:
-			if col, ok := p.E.(Col); ok {
-				return filterInHashCol(col.Idx, p.Set, in, sel, cost)
+		}
+	case Between:
+		if col, ok := p.E.(Col); ok {
+			if res, ok := sc.filterBetweenCol(col.Idx, p.Lo, p.Hi, in, cand, out, want, cost); ok {
+				return res
 			}
 		}
-	}
-	return filterGeneric(pred, in, sel, cost)
-}
-
-// filterGeneric is the fallback: gather each logical row and interpret the
-// predicate — exactly the work a row-at-a-time engine does per tuple.
-func filterGeneric(pred Expr, in *Batch, sel []int32, cost *Cost) []int32 {
-	scratch := make(Row, len(in.Cols))
-	if in.Sel == nil {
-		for i := 0; i < in.N; i++ {
-			if pred.Eval(in.gatherInto(scratch, i), cost).Truthy() {
-				sel = append(sel, int32(i))
-			}
-		}
-		return sel
-	}
-	for _, i := range in.Sel {
-		if pred.Eval(in.gatherInto(scratch, int(i)), cost).Truthy() {
-			sel = append(sel, int32(i))
+	case *InHash:
+		if col, ok := p.E.(Col); ok {
+			return sc.filterInHashCol(col.Idx, p.Set, in, cand, out, want, cost)
 		}
 	}
-	return sel
+	return sc.filterFallback(pred, in, cand, out, want, cost)
 }
 
-// numericKind reports whether k orders numerically under Compare — the
-// single definition of the numeric class, shared by Compare and the dense
-// filter fast paths so the two can never diverge.
-func numericKind(k Kind) bool {
-	return k == KindInt || k == KindFloat || k == KindDate || k == KindBool
-}
-
-// cmpKeep maps a Compare result through a comparison operator.
-func cmpKeep(op CmpOp, rel int) bool {
-	switch op {
-	case EQ:
-		return rel == 0
-	case NE:
-		return rel != 0
-	case LT:
-		return rel < 0
-	case LE:
-		return rel <= 0
-	case GT:
-		return rel > 0
-	case GE:
-		return rel >= 0
+// cascade evaluates an And (pass=true) or an Or (pass=false). The rows that
+// get through the whole short-circuit chain are the And's accepts or the
+// Or's rejects; when the caller wants the other side, the chain runs in a
+// scratch buffer and the result is its complement within cand.
+func (sc *scratch) cascade(terms []Expr, pass bool, in *Batch, cand, out []int32, want bool, cost *Cost) []int32 {
+	if pass == want {
+		return sc.chain(terms, pass, in, cand, out, cost)
 	}
-	return false
+	through := sc.chain(terms, pass, in, cand, sc.pushSel(in.N), cost)
+	out = subtractSel(cand, in.N, through, out)
+	sc.popSel()
+	return out
 }
 
-// filterCmpColConst is the vectorized loop for Cmp{Col, Const}, charging
-// exactly what Cmp.Eval charges per row. Dense homogeneous vectors run the
-// typed payload loops; NULLs, input selections, heterogeneous vectors, and
-// incomparable kinds take the per-element slow path.
-func filterCmpColConst(op CmpOp, idx int, k Value, in *Batch, sel []int32, cost *Cost) []int32 {
+// chain writes to out the candidates on which every term's truthiness is
+// pass — a row moves on to the next term while terms hold (And) or while
+// they fail (Or). Each term runs over the rows that got through every
+// earlier term, narrowing out in place, and is charged CyclesLogic plus its
+// own cost for exactly those rows — what And.Eval / Or.Eval charge row by
+// row.
+func (sc *scratch) chain(terms []Expr, pass bool, in *Batch, cand, out []int32, cost *Cost) []int32 {
+	cur, ran := cand, false
+	for _, t := range terms {
+		n := candLen(in, cur)
+		if n == 0 {
+			break
+		}
+		cost.Add(float64(n) * CyclesLogic)
+		cur, ran = sc.filter(t, in, cur, out[:0], pass, cost), true
+	}
+	if !ran {
+		return copyCand(cand, in.N, out)
+	}
+	return cur
+}
+
+// filterCmpColConst is the kernel for Cmp{Col, Const} over a NULL-free
+// homogeneous vector, charging exactly what Cmp.Eval charges per row. With
+// no NULLs in play a comparison is false exactly when the negated operator
+// holds, so want=false runs the same loops. It reports false — having
+// charged nothing — for vectors and constants the typed loops do not cover.
+func filterCmpColConst(op CmpOp, idx int, k Value, in *Batch, cand, out []int32, want bool, cost *Cost) ([]int32, bool) {
 	vec := &in.Cols[idx]
-	n := in.Len()
-	if n == 0 {
-		return sel
+	if !typedComparable(vec, k) {
+		return nil, false
 	}
-	dense := in.Sel == nil && vec.Any == nil && !vec.HasNulls() && !k.IsNull() &&
-		((vec.Kind == KindString && k.Kind == KindString) ||
-			(numericKind(vec.Kind) && numericKind(k.Kind)))
-	if !dense {
-		var cycles float64
-		for li := 0; li < n; li++ {
-			i := in.RowIdx(li)
-			v := vec.Get(i)
-			cycles += CyclesColRef + CyclesConst
-			if v.IsNull() || k.IsNull() {
-				cycles += CyclesCompare
-				continue
-			}
-			if v.Kind == KindString {
-				cycles += CyclesStringCmp
-			} else {
-				cycles += CyclesCompare
-			}
-			if cmpKeep(op, Compare(v, k)) {
-				sel = append(sel, int32(i))
-			}
-		}
-		cost.Add(cycles)
-		return sel
+	cmpCycles := float64(CyclesCompare)
+	if vec.Kind == KindString {
+		cmpCycles = CyclesStringCmp
+	}
+	cost.Add(float64(candLen(in, cand)) * (CyclesColRef + CyclesConst + cmpCycles))
+	if !want {
+		op = op.negate()
+	}
+	return selCmpColConst(op, vec, k, cand, out), true
+}
+
+// typedComparable reports whether vec's payload can be compared with k by
+// the typed loops: no NULLs, one kind, and both sides in the same Compare
+// class (string, or numeric — see numericKind).
+func typedComparable(vec *ColVec, k Value) bool {
+	if vec.Any != nil || vec.Nulls != nil {
+		return false
 	}
 	if vec.Kind == KindString {
-		cost.Add(float64(n) * (CyclesColRef + CyclesConst + CyclesStringCmp))
-		if vec.Dict != nil {
-			return selCmpCodes(op, vec.Codes, vec.Dict, k.S, sel)
-		}
-		return selCmpStrings(op, vec.S, k.S, sel)
+		return k.Kind == KindString
 	}
-	cost.Add(float64(n) * (CyclesColRef + CyclesConst + CyclesCompare))
-	if vec.Kind == KindFloat {
-		return selCmpFloats(op, vec.F, k.AsFloat(), sel)
-	}
-	return selCmpInts(op, vec.I, k.AsFloat(), sel)
+	return numericKind(vec.Kind) && numericKind(k.Kind)
 }
 
-// selCmpInts selects the int/date/bool payload elements standing in the
-// given relation to k. Comparisons go through float64 exactly as
-// Compare does, so ordering (including 2⁵³-scale rounding) is identical.
-func selCmpInts(op CmpOp, vals []int64, k float64, sel []int32) []int32 {
-	switch op {
-	case EQ:
-		for i, v := range vals {
-			if x := float64(v); !(x < k) && !(x > k) {
-				sel = append(sel, int32(i))
-			}
-		}
-	case NE:
-		for i, v := range vals {
-			if x := float64(v); x < k || x > k {
-				sel = append(sel, int32(i))
-			}
-		}
-	case LT:
-		for i, v := range vals {
-			if float64(v) < k {
-				sel = append(sel, int32(i))
-			}
-		}
-	case LE:
-		for i, v := range vals {
-			if !(float64(v) > k) {
-				sel = append(sel, int32(i))
-			}
-		}
-	case GT:
-		for i, v := range vals {
-			if float64(v) > k {
-				sel = append(sel, int32(i))
-			}
-		}
-	case GE:
-		for i, v := range vals {
-			if !(float64(v) < k) {
-				sel = append(sel, int32(i))
-			}
-		}
+// selCmpColConst dispatches one typed comparison loop by payload
+// representation. It charges nothing. Numeric comparisons go through
+// float64 exactly as Compare does, so ordering (including 2⁵³-scale
+// rounding) is identical; dictionary vectors compare codes (selCmpCodes).
+func selCmpColConst(op CmpOp, vec *ColVec, k Value, cand, out []int32) []int32 {
+	switch {
+	case vec.Dict != nil:
+		return selCmpCodes(op, vec.Codes, vec.Dict, k.S, cand, out)
+	case vec.Kind == KindString:
+		return selCmpOrd(op, vec.S, k.S, cand, out)
+	case vec.Kind == KindFloat:
+		return selCmpNum(op, vec.F, k.AsFloat(), cand, out)
+	default:
+		return selCmpNum(op, vec.I, k.AsFloat(), cand, out)
 	}
-	return sel
 }
 
-// selCmpFloats is selCmpInts over the float payload.
-func selCmpFloats(op CmpOp, vals []float64, k float64, sel []int32) []int32 {
-	switch op {
-	case EQ:
-		for i, v := range vals {
-			if !(v < k) && !(v > k) {
-				sel = append(sel, int32(i))
-			}
-		}
-	case NE:
-		for i, v := range vals {
-			if v < k || v > k {
-				sel = append(sel, int32(i))
-			}
-		}
-	case LT:
-		for i, v := range vals {
-			if v < k {
-				sel = append(sel, int32(i))
-			}
-		}
-	case LE:
-		for i, v := range vals {
-			if !(v > k) {
-				sel = append(sel, int32(i))
-			}
-		}
-	case GT:
-		for i, v := range vals {
-			if v > k {
-				sel = append(sel, int32(i))
-			}
-		}
-	case GE:
-		for i, v := range vals {
-			if !(v < k) {
-				sel = append(sel, int32(i))
-			}
-		}
-	}
-	return sel
-}
-
-// selCmpStrings is selCmpInts over the string payload.
-func selCmpStrings(op CmpOp, vals []string, k string, sel []int32) []int32 {
-	switch op {
-	case EQ:
-		for i, v := range vals {
-			if v == k {
-				sel = append(sel, int32(i))
-			}
-		}
-	case NE:
-		for i, v := range vals {
-			if v != k {
-				sel = append(sel, int32(i))
-			}
-		}
-	case LT:
-		for i, v := range vals {
-			if v < k {
-				sel = append(sel, int32(i))
-			}
-		}
-	case LE:
-		for i, v := range vals {
-			if v <= k {
-				sel = append(sel, int32(i))
-			}
-		}
-	case GT:
-		for i, v := range vals {
-			if v > k {
-				sel = append(sel, int32(i))
-			}
-		}
-	case GE:
-		for i, v := range vals {
-			if v >= k {
-				sel = append(sel, int32(i))
-			}
-		}
-	}
-	return sel
-}
-
-// selCmpCodes is selCmpStrings over a dictionary-encoded payload: the
-// constant maps to a code (equality) or a code bound (ordering — legal
-// because the dictionary is sorted, so code order is string order), and the
-// loop compares int32 codes instead of strings. Selections are identical to
-// selCmpStrings on the decoded values; charging is done by the caller.
-func selCmpCodes(op CmpOp, codes []int32, d *Dict, k string, sel []int32) []int32 {
-	switch op {
-	case EQ:
-		c, ok := d.Code(k)
-		if !ok {
-			return sel
-		}
-		for i, v := range codes {
-			if v == c {
-				sel = append(sel, int32(i))
-			}
-		}
-	case NE:
-		c, ok := d.Code(k)
-		if !ok {
-			for i := range codes {
-				sel = append(sel, int32(i))
-			}
-			return sel
-		}
-		for i, v := range codes {
-			if v != c {
-				sel = append(sel, int32(i))
-			}
-		}
-	case LT:
-		bound := d.LowerBound(k)
-		for i, v := range codes {
-			if v < bound {
-				sel = append(sel, int32(i))
-			}
-		}
-	case LE:
-		bound := d.UpperBound(k)
-		for i, v := range codes {
-			if v < bound {
-				sel = append(sel, int32(i))
-			}
-		}
-	case GT:
-		bound := d.UpperBound(k)
-		for i, v := range codes {
-			if v >= bound {
-				sel = append(sel, int32(i))
-			}
-		}
-	case GE:
-		bound := d.LowerBound(k)
-		for i, v := range codes {
-			if v >= bound {
-				sel = append(sel, int32(i))
-			}
-		}
-	}
-	return sel
-}
-
-// filterBetweenCol is the vectorized loop for Between{Col}, the TPC-H
-// date-range shape: lo <= v < hi.
-func filterBetweenCol(idx int, lo, hi Value, in *Batch, sel []int32, cost *Cost) []int32 {
+// filterBetweenCol is the kernel for Between{Col}, the TPC-H date-range
+// shape lo <= v < hi, as two typed comparison passes — the second over the
+// first's survivors — under the single charge Between.Eval makes per row.
+func (sc *scratch) filterBetweenCol(idx int, lo, hi Value, in *Batch, cand, out []int32, want bool, cost *Cost) ([]int32, bool) {
 	vec := &in.Cols[idx]
-	n := in.Len()
-	if n == 0 {
-		return sel
+	if !typedComparable(vec, lo) || !typedComparable(vec, hi) {
+		return nil, false
 	}
-	dense := in.Sel == nil && vec.Any == nil && !vec.HasNulls() &&
-		((vec.Kind == KindString && lo.Kind == KindString && hi.Kind == KindString) ||
-			(numericKind(vec.Kind) && numericKind(lo.Kind) && numericKind(hi.Kind)))
-	if !dense {
-		var cycles float64
-		for li := 0; li < n; li++ {
-			i := in.RowIdx(li)
-			v := vec.Get(i)
-			cycles += CyclesColRef + 2*CyclesCompare
-			if v.IsNull() {
-				continue
-			}
-			if Compare(v, lo) >= 0 && Compare(v, hi) < 0 {
-				sel = append(sel, int32(i))
-			}
-		}
-		cost.Add(cycles)
-		return sel
+	cost.Add(float64(candLen(in, cand)) * (CyclesColRef + 2*CyclesCompare))
+	if want {
+		res := selCmpColConst(GE, vec, lo, cand, out)
+		return selCmpColConst(LT, vec, hi, res, out), true
 	}
-	cost.Add(float64(n) * (CyclesColRef + 2*CyclesCompare))
-	if vec.Kind == KindString {
-		if vec.Dict != nil {
-			loc, hic := vec.Dict.LowerBound(lo.S), vec.Dict.LowerBound(hi.S)
-			for i, v := range vec.Codes {
-				if v >= loc && v < hic {
-					sel = append(sel, int32(i))
-				}
-			}
-			return sel
-		}
-		los, his := lo.S, hi.S
-		for i, v := range vec.S {
-			if !(v < los) && v < his {
-				sel = append(sel, int32(i))
-			}
-		}
-		return sel
-	}
-	lof, hif := lo.AsFloat(), hi.AsFloat()
-	if vec.Kind == KindFloat {
-		for i, v := range vec.F {
-			if !(v < lof) && v < hif {
-				sel = append(sel, int32(i))
-			}
-		}
-		return sel
-	}
-	for i, v := range vec.I {
-		if x := float64(v); !(x < lof) && x < hif {
-			sel = append(sel, int32(i))
-		}
-	}
-	return sel
+	buf := sc.pushSel(in.N)
+	res := selCmpColConst(GE, vec, lo, cand, buf)
+	res = selCmpColConst(LT, vec, hi, res, buf)
+	out = subtractSel(cand, in.N, res, out)
+	sc.popSel()
+	return out, true
 }
 
-// filterInHashCol is the vectorized loop for InHash{Col}, the merged-QED
-// hash-set membership shape. The probe itself dominates, so one loop over
-// canonical element values serves every vector representation.
-func filterInHashCol(idx int, set map[Value]struct{}, in *Batch, sel []int32, cost *Cost) []int32 {
+// filterInHashCol is the kernel for InHash{Col}, the merged-QED hash-set
+// membership shape. The probe itself dominates, so outside the dictionary
+// case one loop over canonical element values serves every vector
+// representation. Membership is Go map equality on canonical Values, so a
+// NULL set element matches NULL rows.
+func (sc *scratch) filterInHashCol(idx int, set map[Value]struct{}, in *Batch, cand, out []int32, want bool, cost *Cost) []int32 {
 	vec := &in.Cols[idx]
-	n := in.Len()
+	n := candLen(in, cand)
 	cost.Add(float64(n) * (CyclesColRef + CyclesHashProbe))
-	if vec.Dict != nil && in.Sel == nil {
+	out = out[:n]
+	kept := 0
+	if d := vec.Dict; d != nil {
 		// Probe the set once per dictionary word, then test codes against
-		// the resulting bitmap. Membership is Go map equality on canonical
-		// Values, so a NULL set element matches NULL rows.
-		d := vec.Dict
-		keep := make([]bool, d.Len())
+		// the resulting bitmap.
+		if cap(sc.keep) < d.Len() {
+			sc.keep = make([]bool, d.Len())
+		}
+		keep := sc.keep[:d.Len()]
 		for c := range keep {
 			_, keep[c] = set[Value{Kind: KindString, S: d.words[c]}]
 		}
 		_, nullIn := set[Value{}]
-		for i, c := range vec.Codes {
+		for li := 0; li < n; li++ {
+			i := li
+			if cand != nil {
+				i = int(cand[li])
+			}
+			hit := keep[vec.Codes[i]]
 			if vec.Nulls != nil && vec.Nulls[i] {
-				if nullIn {
-					sel = append(sel, int32(i))
+				hit = nullIn
+			}
+			if hit == want {
+				out[kept] = int32(i)
+				kept++
+			}
+		}
+		return out[:kept]
+	}
+	for li := 0; li < n; li++ {
+		i := li
+		if cand != nil {
+			i = int(cand[li])
+		}
+		if _, hit := set[vec.Get(i)]; hit == want {
+			out[kept] = int32(i)
+			kept++
+		}
+	}
+	return out[:kept]
+}
+
+// filterFallback interprets one leaf the kernels do not cover — column
+// against column, a comparison over arithmetic, NULL-bearing or
+// heterogeneous vectors — per candidate row: gather the columns the leaf
+// references and Eval it, exactly the work a row-at-a-time engine does per
+// tuple, charges included.
+func (sc *scratch) filterFallback(pred Expr, in *Batch, cand, out []int32, want bool, cost *Cost) []int32 {
+	sc.prepareGather(pred, in)
+	n := candLen(in, cand)
+	out = out[:n]
+	kept := 0
+	for li := 0; li < n; li++ {
+		i := li
+		if cand != nil {
+			i = int(cand[li])
+		}
+		if pred.Eval(sc.gather(in, i), cost).Truthy() == want {
+			out[kept] = int32(i)
+			kept++
+		}
+	}
+	return out[:kept]
+}
+
+// prepareGather sizes the gather row for in and records which columns e
+// reads, so gather fills only those slots; the rest are never read by e.
+func (sc *scratch) prepareGather(e Expr, in *Batch) {
+	if cap(sc.row) < len(in.Cols) {
+		sc.row = make(Row, len(in.Cols))
+	}
+	sc.row = sc.row[:len(in.Cols)]
+	sc.cols = appendColRefs(sc.cols[:0], e)
+}
+
+// gather returns the shared gather row holding physical row i's values in
+// the prepared columns.
+func (sc *scratch) gather(in *Batch, i int) Row {
+	for _, c := range sc.cols {
+		sc.row[c] = in.Cols[c].Get(i)
+	}
+	return sc.row
+}
+
+// appendColRefs appends the index of every column e references.
+func appendColRefs(dst []int, e Expr) []int {
+	switch e := e.(type) {
+	case Col:
+		dst = append(dst, e.Idx)
+	case Cmp:
+		dst = appendColRefs(appendColRefs(dst, e.L), e.R)
+	case Arith:
+		dst = appendColRefs(appendColRefs(dst, e.L), e.R)
+	case Between:
+		dst = appendColRefs(dst, e.E)
+	case *InHash:
+		dst = appendColRefs(dst, e.E)
+	case Not:
+		dst = appendColRefs(dst, e.E)
+	case And:
+		for _, t := range e.Terms {
+			dst = appendColRefs(dst, t)
+		}
+	case Or:
+		for _, t := range e.Terms {
+			dst = appendColRefs(dst, t)
+		}
+	}
+	return dst
+}
+
+// EvalBatch evaluates e over every logical row of in, writing one value
+// per row into dst (which is Reset first). Plain column references copy
+// the source vector payload, literals replicate the constant, and
+// arithmetic over numeric columns and constants runs typed float loops;
+// anything else is interpreted per row. Cycle accounting is identical to
+// row-at-a-time Eval.
+func EvalBatch(e Expr, in *Batch, dst *ColVec, cost *Cost) {
+	dst.Reset()
+	n := in.Len()
+	switch e := e.(type) {
+	case Col:
+		cost.Add(float64(n) * CyclesColRef)
+		dst.AppendFrom(&in.Cols[e.Idx], in.Sel)
+		return
+	case Const:
+		cost.Add(float64(n) * CyclesConst)
+		for li := 0; li < n; li++ {
+			dst.Append(e.V)
+		}
+		return
+	}
+	sc := scratchPool.Get().(*scratch)
+	if a, ok := e.(Arith); ok && arithTyped(a, in) {
+		sc.evalArith(a, in, dst, cost)
+	} else {
+		sc.prepareGather(e, in)
+		for li := 0; li < n; li++ {
+			dst.Append(e.Eval(sc.gather(in, in.RowIdx(li)), cost))
+		}
+	}
+	scratchPool.Put(sc)
+}
+
+// arithTyped reports whether e is a tree of Arith nodes over numeric
+// constants and homogeneous numeric columns — what evalArith's float loops
+// cover.
+func arithTyped(e Expr, in *Batch) bool {
+	switch e := e.(type) {
+	case Arith:
+		return arithTyped(e.L, in) && arithTyped(e.R, in)
+	case Const:
+		return numericKind(e.V.Kind)
+	case Col:
+		vec := &in.Cols[e.Idx]
+		return vec.Any == nil && numericKind(vec.Kind)
+	}
+	return false
+}
+
+// evalArith evaluates an arithmetic tree accepted by arithTyped into dst
+// as a float vector. NULL is absorbing in Arith.Eval — a NULL operand or a
+// zero divisor makes the node, and so every ancestor, NULL — so one bitmap
+// shared by the whole tree collects the NULL positions, and the float
+// payload under them is don't-care until it is zeroed at the end.
+func (sc *scratch) evalArith(e Arith, in *Batch, dst *ColVec, cost *Cost) {
+	n := in.Len()
+	if n == 0 {
+		return
+	}
+	if cap(dst.F) < n {
+		dst.F = make([]float64, n)
+	}
+	dst.F = dst.F[:n]
+	dst.n = n
+	sc.arithInto(e, in, dst.F, cost)
+	if sc.nulls == nil {
+		dst.Kind = KindFloat
+		return
+	}
+	nulls := sc.nulls
+	dst.Nulls, sc.nulls = nulls, nil
+	live := 0
+	for i, null := range nulls {
+		if null {
+			dst.F[i] = 0
+		} else {
+			live++
+		}
+	}
+	if live == 0 {
+		dst.F = dst.F[:0] // an all-NULL vector has no kind and no payload
+		return
+	}
+	dst.Kind = KindFloat
+}
+
+// arithInto computes e over in's logical rows into buf, one typed loop per
+// node, charging per node what Eval charges per row. A node's result lands
+// in the buffer its left operand was computed into; only right operands
+// take a temporary. Every node's result is stored — rounded to float64 —
+// before its parent reads it, so no multiply-add is ever fused and each
+// element carries exactly the bits Arith.Eval produces.
+func (sc *scratch) arithInto(e Expr, in *Batch, buf []float64, cost *Cost) {
+	n := float64(len(buf))
+	switch e := e.(type) {
+	case Const:
+		cost.Add(n * CyclesConst)
+		k := e.V.AsFloat()
+		for i := range buf {
+			buf[i] = k
+		}
+	case Col:
+		cost.Add(n * CyclesColRef)
+		vec := &in.Cols[e.Idx]
+		if vec.Kind == KindFloat {
+			gatherFloats(buf, vec.F, in.Sel)
+		} else {
+			gatherFloats(buf, vec.I, in.Sel)
+		}
+		if vec.Nulls != nil {
+			for li := range buf {
+				if vec.Nulls[in.RowIdx(li)] {
+					sc.markNull(len(buf), li)
 				}
-				continue
-			}
-			if keep[c] {
-				sel = append(sel, int32(i))
 			}
 		}
-		return sel
-	}
-	if in.Sel == nil {
-		for i := 0; i < n; i++ {
-			if _, ok := set[vec.Get(i)]; ok {
-				sel = append(sel, int32(i))
+	case Arith:
+		sc.arithInto(e.L, in, buf, cost)
+		r := sc.pushFloats(len(buf))
+		sc.arithInto(e.R, in, r, cost)
+		cost.Add(n * CyclesArith)
+		switch e.Op {
+		case Add:
+			for i, y := range r {
+				buf[i] = float64(buf[i] + y)
 			}
+		case Sub:
+			for i, y := range r {
+				buf[i] = float64(buf[i] - y)
+			}
+		case Mul:
+			for i, y := range r {
+				buf[i] = float64(buf[i] * y)
+			}
+		case Div:
+			for i, y := range r {
+				if y == 0 {
+					sc.markNull(len(buf), i)
+				} else {
+					buf[i] = float64(buf[i] / y)
+				}
+			}
+		default:
+			panic(fmt.Sprintf("expr: unknown ArithOp %d", int(e.Op)))
 		}
-		return sel
+		sc.popFloats()
 	}
-	for _, i := range in.Sel {
-		if _, ok := set[vec.Get(int(i))]; ok {
-			sel = append(sel, int32(i))
-		}
+}
+
+// markNull records logical row li of evalArith's n-row result as NULL,
+// allocating the bitmap on first use: evalArith hands it to the destination
+// vector as its Nulls, so it is never reused.
+func (sc *scratch) markNull(n, li int) {
+	if sc.nulls == nil {
+		sc.nulls = make([]bool, n)
 	}
-	return sel
+	sc.nulls[li] = true
 }

@@ -1,16 +1,19 @@
 package expr
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// Property test for the columnar rewrite: every FilterBatch fast path
-// (filterCmpColConst, filterBetweenCol, filterInHashCol) and the generic
-// Eval fallback must agree EXACTLY — selected physical indices and charged
-// cycles — with row-at-a-time evaluation of the same predicate, across
-// random batches covering dense, NULL-bearing, heterogeneous (mixed-kind)
-// and selection-carrying inputs.
+// Property tests for batch-wise evaluation: every FilterBatch kernel
+// (filterCmpColConst, filterBetweenCol, filterInHashCol), the And/Or/Not
+// cascades over them and the per-leaf Eval fallback must agree EXACTLY —
+// selected physical indices and charged cycles — with row-at-a-time
+// evaluation of the same predicate, across random batches covering dense,
+// NULL-bearing, heterogeneous (mixed-kind), dictionary-encoded and
+// selection-carrying inputs. The row interpreter is the oracle.
 
 // randValue draws a value from the given class: numeric classes mix
 // Int/Float/Date/Bool kinds (driving vectors heterogeneous), string
@@ -53,31 +56,38 @@ func randHomValue(rng *rand.Rand, kind Kind) Value {
 	}
 }
 
-// randBatch builds a random one-column batch plus its row-major mirror.
-// Shapes rotate through dense-homogeneous, NULL-bearing, heterogeneous,
-// and half rotate again with an input selection vector.
-func randBatch(rng *rand.Rand, numeric bool) *Batch {
-	b := NewBatch(1)
-	n := rng.Intn(60) + 1
+// randColumn draws n values of one random shape — dense homogeneous,
+// homogeneous with NULLs, or heterogeneous (numeric mixes kinds) with NULLs.
+func randColumn(rng *rand.Rand, numeric bool, n int) []Value {
 	shape := rng.Intn(3)
 	homKind := KindString
 	if numeric {
 		homKind = []Kind{KindInt, KindFloat, KindDate, KindBool}[rng.Intn(4)]
 	}
-	for i := 0; i < n; i++ {
-		var v Value
+	vals := make([]Value, n)
+	for i := range vals {
 		switch shape {
-		case 0: // dense homogeneous: the typed fast-path loops
-			v = randHomValue(rng, homKind)
+		case 0: // dense homogeneous: the typed kernel loops
+			vals[i] = randHomValue(rng, homKind)
 		case 1: // homogeneous with NULLs
 			if rng.Float64() < 0.3 {
-				v = Null()
+				vals[i] = Null()
 			} else {
-				v = randHomValue(rng, homKind)
+				vals[i] = randHomValue(rng, homKind)
 			}
 		default: // heterogeneous (numeric mixes kinds) with NULLs
-			v = randValue(rng, numeric, 0.2)
+			vals[i] = randValue(rng, numeric, 0.2)
 		}
+	}
+	return vals
+}
+
+// randBatch builds a random one-column batch of a randColumn shape; half
+// carry an input selection vector.
+func randBatch(rng *rand.Rand, numeric bool) *Batch {
+	b := NewBatch(1)
+	n := rng.Intn(60) + 1
+	for _, v := range randColumn(rng, numeric, n) {
 		b.AppendRow(Row{v})
 	}
 	if rng.Intn(2) == 0 { // carry an input selection: every other row
@@ -114,50 +124,199 @@ func randPred(rng *rand.Rand, numeric bool) Expr {
 	}
 }
 
+// randSel draws an input selection over n rows: nil (all rows) half the
+// time, otherwise a random ascending subset, possibly empty.
+func randSel(rng *rand.Rand, n int) []int32 {
+	if rng.Intn(2) == 0 {
+		return nil
+	}
+	sel := make([]int32, 0, n)
+	for i := 0; i < n; i++ {
+		if rng.Intn(3) > 0 {
+			sel = append(sel, int32(i))
+		}
+	}
+	return sel
+}
+
+// randTreeBatch builds a random four-column batch for the predicate-tree
+// tests: two numeric columns and two string columns, each of its own
+// randColumn shape, the second string column dictionary-encoded half the
+// time, under a randSel input selection.
+func randTreeBatch(rng *rand.Rand) *Batch {
+	n := rng.Intn(60) + 1
+	b := &Batch{Cols: make([]ColVec, 4), N: n}
+	for c := range b.Cols {
+		for _, v := range randColumn(rng, c < 2, n) {
+			b.Cols[c].Append(v)
+		}
+	}
+	if vec := &b.Cols[3]; rng.Intn(2) == 0 && vec.Any == nil && vec.Kind == KindString {
+		var words []string
+		for i := 0; i < n; i++ {
+			if v := vec.Get(i); v.Kind == KindString {
+				words = append(words, v.S)
+			}
+		}
+		vec.EncodeDict(NewDict(words))
+	}
+	b.Sel = randSel(rng, n)
+	return b
+}
+
+// randLeaf draws a leaf over randTreeBatch's columns: one of the three
+// kernel shapes on a random column, or a column-vs-column comparison, which
+// no kernel covers. Constants match the column's class so Compare never
+// sees incomparable kinds.
+func randLeaf(rng *rand.Rand) Expr {
+	c := rng.Intn(4)
+	numeric := c < 2
+	col := Col{Idx: c}
+	konst := func() Value { return randValue(rng, numeric, 0.1) }
+	switch rng.Intn(4) {
+	case 0:
+		return Cmp{Op: CmpOp(rng.Intn(6)), L: col, R: Const{V: konst()}}
+	case 1:
+		return Between{E: col, Lo: konst(), Hi: konst()}
+	case 2:
+		vals := make([]Value, rng.Intn(5)+1)
+		for i := range vals {
+			vals[i] = konst()
+		}
+		return NewInHash(col, vals)
+	default:
+		return Cmp{Op: CmpOp(rng.Intn(6)), L: col, R: Col{Idx: c ^ 1}}
+	}
+}
+
+// randTree draws a predicate tree of And/Or/Not over randLeaf leaves, at
+// most depth composite levels deep with 1–4 terms per And/Or.
+func randTree(rng *rand.Rand, depth int) Expr {
+	if depth == 0 || rng.Intn(4) == 0 {
+		return randLeaf(rng)
+	}
+	if rng.Intn(5) == 0 {
+		return Not{E: randTree(rng, depth-1)}
+	}
+	terms := make([]Expr, rng.Intn(4)+1)
+	for i := range terms {
+		terms[i] = randTree(rng, depth-1)
+	}
+	if rng.Intn(2) == 0 {
+		return And{Terms: terms}
+	}
+	return Or{Terms: terms}
+}
+
+// rowReference interprets pred per materialized logical row, exactly as the
+// pre-columnar engine did: the oracle for selections and charged cycles.
+func rowReference(pred Expr, in *Batch) (want []int32, cycles float64) {
+	var cost Cost
+	for li, r := range in.Rows() {
+		if pred.Eval(r, &cost).Truthy() {
+			want = append(want, int32(in.RowIdx(li)))
+		}
+	}
+	return want, cost.Cycles
+}
+
+// checkFilterAgainstRows requires FilterBatch — with a fresh selection,
+// with a reused one, and narrowing in.Sel in place — and the per-row
+// fallback run over the whole predicate to select exactly the reference
+// rows for exactly the reference cycles.
+func checkFilterAgainstRows(t *testing.T, caseNo int, pred Expr, in *Batch) {
+	t.Helper()
+	want, wantCycles := rowReference(pred, in)
+	check := func(how string, got []int32, cycles float64) {
+		t.Helper()
+		if got == nil {
+			t.Fatalf("case %d (%s): %s returned a nil selection", caseNo, pred, how)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("case %d (%s): %s selected %v, row reference %v", caseNo, pred, how, got, want)
+		}
+		if cycles != wantCycles {
+			t.Fatalf("case %d (%s): %s charged %v cycles, row reference %v", caseNo, pred, how, cycles, wantCycles)
+		}
+	}
+
+	var fresh, reused, fallback, inPlace Cost
+	check("FilterBatch", FilterBatch(pred, in, nil, &fresh), fresh.Cycles)
+	stale := make([]int32, 3, 200) // a caller's selection from an earlier page
+	check("FilterBatch into a reused selection", FilterBatch(pred, in, stale, &reused), reused.Cycles)
+
+	var sc scratch
+	check("the per-row fallback", sc.filterFallback(pred, in, in.Sel, make([]int32, 0, in.Len()), true, &fallback), fallback.Cycles)
+
+	if in.Sel != nil {
+		narrowed := *in
+		narrowed.Sel = append(make([]int32, 0, len(in.Sel)), in.Sel...)
+		check("FilterBatch narrowing in.Sel in place", FilterBatch(pred, &narrowed, narrowed.Sel, &inPlace), inPlace.Cycles)
+	}
+}
+
+// TestFilterBatchMatchesRowAtATimeExactly draws single leaves over
+// one-column batches — every kernel against every vector shape.
 func TestFilterBatchMatchesRowAtATimeExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xc01a))
 	for caseNo := 0; caseNo < 2000; caseNo++ {
 		numeric := rng.Intn(2) == 0
 		in := randBatch(rng, numeric)
-		pred := randPred(rng, numeric)
+		checkFilterAgainstRows(t, caseNo, randPred(rng, numeric), in)
+	}
+}
 
-		// Row-at-a-time reference: materialize the logical rows and
-		// interpret the predicate per row, exactly as the pre-columnar
-		// engine did.
-		var refCost Cost
-		rows := in.Rows()
-		var want []int32
-		for li, r := range rows {
-			if pred.Eval(r, &refCost).Truthy() {
-				want = append(want, int32(in.RowIdx(li)))
-			}
+// TestFilterBatchTreesMatchRowAtATimeExactly draws what the binder really
+// emits: trees of And/Or/Not (depth <= 3, 1–4 terms) over multi-column
+// batches, leaves from all three kernels plus the column-vs-column
+// fallback, still demanding identical selected indices and identical
+// cycles against per-row Eval.
+func TestFilterBatchTreesMatchRowAtATimeExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x7ee5))
+	composite := 0
+	for caseNo := 0; caseNo < 3000; caseNo++ {
+		in := randTreeBatch(rng)
+		pred := randTree(rng, 3)
+		switch pred.(type) {
+		case And, Or, Not:
+			composite++
 		}
+		checkFilterAgainstRows(t, caseNo, pred, in)
+	}
+	if composite < 2000 {
+		t.Fatalf("only %d/3000 cases were composite — generator shape drifted", composite)
+	}
+}
 
-		// Columnar fast path.
-		var fastCost Cost
-		got := FilterBatch(pred, in, nil, &fastCost)
-
-		// Generic fallback over the same columnar batch.
-		var genCost Cost
-		gen := filterGeneric(pred, in, nil, &genCost)
-
-		if len(got) != len(want) || len(gen) != len(want) {
-			t.Fatalf("case %d (%s): fast selected %d, generic %d, row reference %d",
-				caseNo, pred, len(got), len(gen), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] || gen[i] != want[i] {
-				t.Fatalf("case %d (%s): selection %d differs: fast %d generic %d want %d",
-					caseNo, pred, i, got[i], gen[i], want[i])
-			}
-		}
-		if fastCost.Cycles != refCost.Cycles {
-			t.Fatalf("case %d (%s): fast path charged %v cycles, row reference %v",
-				caseNo, pred, fastCost.Cycles, refCost.Cycles)
-		}
-		if genCost.Cycles != refCost.Cycles {
-			t.Fatalf("case %d (%s): generic fallback charged %v cycles, row reference %v",
-				caseNo, pred, genCost.Cycles, refCost.Cycles)
+// TestFilterBatchSteadyStateAllocatesNothing pins the per-page allocation
+// fix: with a caller-supplied selection, a 3-term AND — and an OR and a
+// fallback leaf, which need scratch — allocate nothing once warm.
+func TestFilterBatchSteadyStateAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	in := NewBatch(3)
+	for i := 0; i < 500; i++ {
+		in.AppendRow(Row{Int(int64(i % 50)), Float(float64(i) * 1.5), Float(float64(i%11) / 100)})
+	}
+	lit := func(v Value) Expr { return Const{V: v} }
+	preds := map[string]Expr{
+		"3-term AND": And{Terms: []Expr{
+			Cmp{Op: LT, L: Col{Idx: 0}, R: lit(Int(45))},
+			Cmp{Op: GE, L: Col{Idx: 1}, R: lit(Float(100))},
+			Cmp{Op: GT, L: Col{Idx: 2}, R: lit(Float(0.01))},
+		}},
+		"OR": Or{Terms: []Expr{
+			Cmp{Op: EQ, L: Col{Idx: 0}, R: lit(Int(7))},
+			Between{E: Col{Idx: 1}, Lo: Float(10), Hi: Float(90)},
+		}},
+		"col-vs-col fallback": Cmp{Op: LT, L: Col{Idx: 2}, R: Col{Idx: 1}},
+	}
+	for name, pred := range preds {
+		var cost Cost
+		sel := make([]int32, 0, in.N)
+		if allocs := testing.AllocsPerRun(100, func() { sel = FilterBatch(pred, in, sel, &cost) }); allocs != 0 {
+			t.Errorf("%s: FilterBatch allocates %v times per call with a caller-supplied selection, want 0", name, allocs)
 		}
 	}
 }
@@ -302,5 +461,134 @@ func TestEvalBatchColFastPathMatchesEval(t *testing.T) {
 			t.Fatalf("case %d: Col fast path charged %v cycles, row reference %v",
 				caseNo, fastCost.Cycles, refCost.Cycles)
 		}
+	}
+}
+
+// randArithBatch builds a random batch of numeric columns for the
+// arithmetic tests: each column holds one of Int/Float/Date/Bool (zeros
+// included, so divisions hit x/0), NULL-free or NULL-bearing — the last
+// column sometimes all-NULL or heterogeneous, which the typed loops must
+// refuse — under a randSel input selection.
+func randArithBatch(rng *rand.Rand) *Batch {
+	n := rng.Intn(60) + 1
+	b := &Batch{Cols: make([]ColVec, 4), N: n}
+	for c := range b.Cols {
+		kind := []Kind{KindInt, KindFloat, KindDate, KindBool}[rng.Intn(4)]
+		nullFrac := []float64{0, 0, 0.3}[rng.Intn(3)]
+		mixed := false
+		if c == 3 {
+			nullFrac = []float64{0, 0.3, 1}[rng.Intn(3)]
+			mixed = rng.Intn(3) == 0
+		}
+		for i := 0; i < n; i++ {
+			switch {
+			case rng.Float64() < nullFrac:
+				b.Cols[c].Append(Null())
+			case mixed:
+				b.Cols[c].Append(randValue(rng, true, 0))
+			default:
+				b.Cols[c].Append(randHomValue(rng, kind))
+			}
+		}
+	}
+	b.Sel = randSel(rng, n)
+	return b
+}
+
+// randArith draws an arithmetic tree over randArithBatch's columns and
+// numeric (occasionally NULL or zero) constants.
+func randArith(rng *rand.Rand, depth int) Expr {
+	if depth == 0 || rng.Intn(4) == 0 {
+		if rng.Intn(3) == 0 {
+			return Const{V: randValue(rng, true, 0.1)}
+		}
+		return Col{Idx: rng.Intn(4)}
+	}
+	return Arith{Op: ArithOp(rng.Intn(4)), L: randArith(rng, depth-1), R: randArith(rng, depth-1)}
+}
+
+// TestEvalBatchArithMatchesEvalExactly is the EvalBatch twin of the filter
+// tree test: random Arith trees must produce, value for value, the bits
+// per-row Eval produces — float payload, NULL positions (NULL operands and
+// division by zero included) and charged cycles — and leave dst a
+// well-formed vector.
+func TestEvalBatchArithMatchesEvalExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(0xa217))
+	var dst ColVec // reused across cases, as operators reuse theirs
+	typed, nulls := 0, 0
+	for caseNo := 0; caseNo < 3000; caseNo++ {
+		in := randArithBatch(rng)
+		e := Arith{Op: ArithOp(rng.Intn(4)), L: randArith(rng, 2), R: randArith(rng, 2)}
+		if arithTyped(e, in) {
+			typed++
+		}
+
+		var refCost Cost
+		rows := in.Rows()
+		want := make([]Value, len(rows))
+		for i, r := range rows {
+			want[i] = e.Eval(r, &refCost)
+		}
+
+		var cost Cost
+		EvalBatch(e, in, &dst, &cost)
+
+		if dst.Len() != len(want) {
+			t.Fatalf("case %d (%s): EvalBatch produced %d values, want %d", caseNo, e, dst.Len(), len(want))
+		}
+		live := 0
+		for i, w := range want {
+			got := dst.Get(i)
+			if got.Kind != w.Kind || math.Float64bits(got.F) != math.Float64bits(w.F) {
+				t.Fatalf("case %d (%s): value %d = %v (%#x), row reference %v (%#x)",
+					caseNo, e, i, got, math.Float64bits(got.F), w, math.Float64bits(w.F))
+			}
+			if w.IsNull() {
+				nulls++
+			} else {
+				live++
+			}
+		}
+		if cost.Cycles != refCost.Cycles {
+			t.Fatalf("case %d (%s): EvalBatch charged %v cycles, row reference %v", caseNo, e, cost.Cycles, refCost.Cycles)
+		}
+		// Representation invariants (see ColVec): kind only once a non-NULL
+		// element exists, full-length payload exactly then, zero under NULLs.
+		if (dst.Kind == KindFloat) != (live > 0) || (dst.Kind != KindFloat && dst.Kind != KindNull) {
+			t.Fatalf("case %d (%s): dst.Kind = %v with %d non-NULL values", caseNo, e, dst.Kind, live)
+		}
+		if live > 0 && len(dst.F) != dst.Len() {
+			t.Fatalf("case %d (%s): payload holds %d of %d elements", caseNo, e, len(dst.F), dst.Len())
+		}
+		for i := range dst.F {
+			if dst.IsNull(i) && dst.F[i] != 0 {
+				t.Fatalf("case %d (%s): payload under NULL %d is %v, want 0", caseNo, e, i, dst.F[i])
+			}
+		}
+	}
+	if typed < 1000 || nulls < 1000 {
+		t.Fatalf("%d/3000 cases ran the typed loops and %d values were NULL — generator shape drifted", typed, nulls)
+	}
+}
+
+// TestEvalBatchArithSteadyStateAllocatesNothing pins the scratch reuse on
+// the projection path: NULL-free arithmetic into a reused vector allocates
+// nothing once warm.
+func TestEvalBatchArithSteadyStateAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	in := NewBatch(2)
+	for i := 0; i < 500; i++ {
+		in.AppendRow(Row{Float(float64(i) * 1.5), Float(float64(i%11) / 100)})
+	}
+	// Boxed once here: converting an Arith to Expr per call would allocate.
+	var revenue Expr = Arith{Op: Mul, L: Col{Idx: 0}, R: Arith{Op: Sub, L: Const{V: Float(1)}, R: Col{Idx: 1}}}
+	var (
+		cost Cost
+		dst  ColVec
+	)
+	if allocs := testing.AllocsPerRun(100, func() { EvalBatch(revenue, in, &dst, &cost) }); allocs != 0 {
+		t.Errorf("EvalBatch allocates %v times per call into a reused vector, want 0", allocs)
 	}
 }

@@ -1,0 +1,328 @@
+package expr
+
+// The typed selection and arithmetic loops behind FilterBatch and
+// EvalBatch. Nothing in this file charges: callers in batch.go charge per
+// node, these loops only compute.
+//
+// Every selection loop takes the candidate rows as cand (nil = every
+// element of the payload) and writes the physical indices that pass into
+// out, which must have capacity for every candidate and may share cand's
+// backing array: a loop reads candidate j before it writes slot n <= j, so
+// narrowing in place is safe. Each loop stores the index unconditionally
+// and advances the output cursor only when the test holds, which keeps the
+// loop body free of a data-dependent branch around the store.
+
+// negate returns the operator that holds exactly when op does not, for
+// comparisons between non-NULL values.
+func (o CmpOp) negate() CmpOp {
+	return [...]CmpOp{EQ: NE, NE: EQ, LT: GE, LE: GT, GT: LE, GE: LT}[o]
+}
+
+// copyCand writes the candidate set itself — cand, or 0..n-1 when cand is
+// nil — into out.
+func copyCand(cand []int32, n int, out []int32) []int32 {
+	if cand != nil {
+		return append(out[:0], cand...)
+	}
+	out = out[:n]
+	for i := range out {
+		out[i] = int32(i)
+	}
+	return out
+}
+
+// subtractSel writes to out the candidates (cand, or 0..n-1 when cand is
+// nil) that are not in drop, an ascending subset of the candidates held in
+// storage of its own.
+func subtractSel(cand []int32, n int, drop, out []int32) []int32 {
+	kept, d := 0, 0
+	if cand == nil {
+		out = out[:n]
+		for i := int32(0); i < int32(n); i++ {
+			if d < len(drop) && drop[d] == i {
+				d++
+				continue
+			}
+			out[kept] = i
+			kept++
+		}
+		return out[:kept]
+	}
+	out = out[:len(cand)]
+	for _, i := range cand {
+		if d < len(drop) && drop[d] == i {
+			d++
+			continue
+		}
+		out[kept] = i
+		kept++
+	}
+	return out[:kept]
+}
+
+// numeric is the payload element type of the numeric Compare class: I for
+// Bool/Int/Date, F for Float.
+type numeric interface{ int64 | float64 }
+
+// selCmpNum selects the numeric payload elements standing in relation op
+// to k. Comparisons go through float64 exactly as Compare does — equality
+// is "neither less nor greater" — so the result is Compare's on every
+// input.
+func selCmpNum[T numeric](op CmpOp, vals []T, k float64, cand, out []int32) []int32 {
+	n := 0
+	if cand == nil {
+		out = out[:len(vals)]
+		switch op {
+		case EQ:
+			for i, v := range vals {
+				x := float64(v)
+				out[n] = int32(i)
+				if !(x < k) && !(x > k) {
+					n++
+				}
+			}
+		case NE:
+			for i, v := range vals {
+				x := float64(v)
+				out[n] = int32(i)
+				if x < k || x > k {
+					n++
+				}
+			}
+		case LT:
+			for i, v := range vals {
+				x := float64(v)
+				out[n] = int32(i)
+				if x < k {
+					n++
+				}
+			}
+		case LE:
+			for i, v := range vals {
+				x := float64(v)
+				out[n] = int32(i)
+				if !(x > k) {
+					n++
+				}
+			}
+		case GT:
+			for i, v := range vals {
+				x := float64(v)
+				out[n] = int32(i)
+				if x > k {
+					n++
+				}
+			}
+		case GE:
+			for i, v := range vals {
+				x := float64(v)
+				out[n] = int32(i)
+				if !(x < k) {
+					n++
+				}
+			}
+		}
+		return out[:n]
+	}
+	out = out[:len(cand)]
+	switch op {
+	case EQ:
+		for _, i := range cand {
+			x := float64(vals[i])
+			out[n] = i
+			if !(x < k) && !(x > k) {
+				n++
+			}
+		}
+	case NE:
+		for _, i := range cand {
+			x := float64(vals[i])
+			out[n] = i
+			if x < k || x > k {
+				n++
+			}
+		}
+	case LT:
+		for _, i := range cand {
+			x := float64(vals[i])
+			out[n] = i
+			if x < k {
+				n++
+			}
+		}
+	case LE:
+		for _, i := range cand {
+			x := float64(vals[i])
+			out[n] = i
+			if !(x > k) {
+				n++
+			}
+		}
+	case GT:
+		for _, i := range cand {
+			x := float64(vals[i])
+			out[n] = i
+			if x > k {
+				n++
+			}
+		}
+	case GE:
+		for _, i := range cand {
+			x := float64(vals[i])
+			out[n] = i
+			if !(x < k) {
+				n++
+			}
+		}
+	}
+	return out[:n]
+}
+
+// selCmpOrd is selCmpNum over the payloads compared directly: strings and
+// dictionary codes.
+func selCmpOrd[T string | int32](op CmpOp, vals []T, k T, cand, out []int32) []int32 {
+	n := 0
+	if cand == nil {
+		out = out[:len(vals)]
+		switch op {
+		case EQ:
+			for i, v := range vals {
+				out[n] = int32(i)
+				if v == k {
+					n++
+				}
+			}
+		case NE:
+			for i, v := range vals {
+				out[n] = int32(i)
+				if v != k {
+					n++
+				}
+			}
+		case LT:
+			for i, v := range vals {
+				out[n] = int32(i)
+				if v < k {
+					n++
+				}
+			}
+		case LE:
+			for i, v := range vals {
+				out[n] = int32(i)
+				if v <= k {
+					n++
+				}
+			}
+		case GT:
+			for i, v := range vals {
+				out[n] = int32(i)
+				if v > k {
+					n++
+				}
+			}
+		case GE:
+			for i, v := range vals {
+				out[n] = int32(i)
+				if v >= k {
+					n++
+				}
+			}
+		}
+		return out[:n]
+	}
+	out = out[:len(cand)]
+	switch op {
+	case EQ:
+		for _, i := range cand {
+			v := vals[i]
+			out[n] = i
+			if v == k {
+				n++
+			}
+		}
+	case NE:
+		for _, i := range cand {
+			v := vals[i]
+			out[n] = i
+			if v != k {
+				n++
+			}
+		}
+	case LT:
+		for _, i := range cand {
+			v := vals[i]
+			out[n] = i
+			if v < k {
+				n++
+			}
+		}
+	case LE:
+		for _, i := range cand {
+			v := vals[i]
+			out[n] = i
+			if v <= k {
+				n++
+			}
+		}
+	case GT:
+		for _, i := range cand {
+			v := vals[i]
+			out[n] = i
+			if v > k {
+				n++
+			}
+		}
+	case GE:
+		for _, i := range cand {
+			v := vals[i]
+			out[n] = i
+			if v >= k {
+				n++
+			}
+		}
+	}
+	return out[:n]
+}
+
+// selCmpCodes is selCmpOrd's string comparison over a dictionary-encoded
+// payload: the constant maps to a code (equality) or a code bound
+// (ordering — legal because the dictionary is sorted, so code order is
+// string order), and the loop compares int32 codes instead of strings.
+// Selections are identical to selCmpOrd on the decoded values.
+func selCmpCodes(op CmpOp, codes []int32, d *Dict, k string, cand, out []int32) []int32 {
+	switch op {
+	case EQ, NE:
+		c, ok := d.Code(k)
+		if ok {
+			return selCmpOrd(op, codes, c, cand, out)
+		}
+		if op == EQ {
+			return out[:0]
+		}
+		return copyCand(cand, len(codes), out)
+	case LT:
+		return selCmpOrd(LT, codes, d.LowerBound(k), cand, out)
+	case LE:
+		return selCmpOrd(LT, codes, d.UpperBound(k), cand, out)
+	case GT:
+		return selCmpOrd(GE, codes, d.UpperBound(k), cand, out)
+	default: // GE
+		return selCmpOrd(GE, codes, d.LowerBound(k), cand, out)
+	}
+}
+
+// gatherFloats writes the payload elements at sel (nil = all of them) into
+// dst as float64 — AsFloat over a whole vector.
+func gatherFloats[T numeric](dst []float64, vals []T, sel []int32) {
+	if sel == nil {
+		vals = vals[:len(dst)]
+		for i := range dst {
+			dst[i] = float64(vals[i])
+		}
+		return
+	}
+	sel = sel[:len(dst)]
+	for li := range dst {
+		dst[li] = float64(vals[sel[li]])
+	}
+}

@@ -137,6 +137,13 @@ func (v Value) String() string {
 	}
 }
 
+// numericKind reports whether k orders numerically under Compare — the
+// single definition of the numeric class, shared by Compare and the typed
+// filter kernels so the two can never diverge.
+func numericKind(k Kind) bool {
+	return k == KindInt || k == KindFloat || k == KindDate || k == KindBool
+}
+
 // Compare orders two values of the same kind: -1, 0, or +1. Mixed numeric
 // kinds (int vs float) compare numerically. NULL sorts before everything.
 // Incomparable kinds panic: schema errors are programming bugs here.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -393,6 +394,89 @@ func TestHTTPServerSmoke(t *testing.T) {
 	qresp.Body.Close()
 	if qresp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("query after drain = %d, want 503", qresp.StatusCode)
+	}
+}
+
+// TestIllTypedStatementIsRejectedAndServingContinues: a comparison between
+// a numeric column and a string literal used to reach expr.Compare and
+// panic the scheduler goroutine, taking the process down. It must be a 400
+// carrying the bind error, and the next statement on the same Core must be
+// answered.
+func TestIllTypedStatementIsRejectedAndServingContinues(t *testing.T) {
+	sys, _ := newTestSystem(t)
+	c := NewCore(DefaultConfig(), sys)
+	ts := httptest.NewServer(NewServer(c, "unused").Handler())
+	defer ts.Close()
+	c.Start()
+	defer func() {
+		if err := c.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+
+	post := func(q string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/query", "text/plain", strings.NewReader(q))
+		if err != nil {
+			t.Fatalf("POST %q: %v", q, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("POST %q: reading the response: %v", q, err)
+		}
+		return resp.StatusCode, string(body)
+	}
+
+	for _, q := range []string{
+		"SELECT COUNT(*) FROM lineitem WHERE l_quantity = 'abc'",
+		"EXPLAIN SELECT COUNT(*) FROM lineitem WHERE l_quantity IN (1, 'abc')",
+	} {
+		status, body := post(q)
+		if status != http.StatusBadRequest {
+			t.Fatalf("%q: status %d, want 400; body %s", q, status, body)
+		}
+		for _, want := range []string{"sql: cannot compare", "l_quantity", "'abc'"} {
+			if !strings.Contains(body, want) {
+				t.Fatalf("%q: error body %s does not mention %s", q, body, want)
+			}
+		}
+	}
+	if status, body := post("SELECT COUNT(*) FROM lineitem WHERE l_quantity = 3"); status != http.StatusOK {
+		t.Fatalf("statement after the rejected ones: status %d, body %s", status, body)
+	}
+}
+
+// TestLiveServingKeepsPowerTraceBounded: the CPU power trace gains a few
+// steps per page a statement scans; a serving process must not keep them
+// once the statement is answered, or its footprint grows with every
+// statement served.
+func TestLiveServingKeepsPowerTraceBounded(t *testing.T) {
+	sys, plans := newTestSystem(t)
+	c := NewCore(DefaultConfig(), sys)
+	c.Start()
+	trace := sys.Machine.CPU.Trace()
+	var joules []float64
+	for i := 0; i < 30; i++ {
+		resp := c.Do(Request{ID: fmt.Sprintf("q%d", i), Plan: plans[0]})
+		if resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+		joules = append(joules, resp.Joules)
+	}
+	if err := c.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if trace.Steps() > 2 {
+		t.Fatalf("power trace holds %d steps after 30 answered statements, want only the current draw", trace.Steps())
+	}
+	// The same plan costs the same energy every time (to the rounding of
+	// integrating at different absolute instants): no statement's window
+	// lost steps to the trimming.
+	for i, j := range joules {
+		if j <= 0 || math.Abs(j-joules[0]) > 1e-9*joules[0] {
+			t.Fatalf("statement %d reported %v J, statement 0 %v J", i, j, joules[0])
+		}
 	}
 }
 

@@ -364,6 +364,9 @@ func bindExpr(n Node, sc *scope) (expr.Expr, error) {
 		if !lok || !hok {
 			return nil, fmt.Errorf("sql: BETWEEN bounds must be literals")
 		}
+		if err := checkComparable(sc, n.E, lo, hi); err != nil {
+			return nil, err
+		}
 		loV, err := litValue(lo)
 		if err != nil {
 			return nil, err
@@ -389,6 +392,9 @@ func bindExpr(n Node, sc *scope) (expr.Expr, error) {
 			if !ok {
 				return nil, fmt.Errorf("sql: IN list items must be literals")
 			}
+			if err := checkComparable(sc, n.E, lit); err != nil {
+				return nil, err
+			}
 			v, err := litValue(lit)
 			if err != nil {
 				return nil, err
@@ -405,6 +411,12 @@ func bindExpr(n Node, sc *scope) (expr.Expr, error) {
 		r, err := bindExpr(n.R, sc)
 		if err != nil {
 			return nil, err
+		}
+		switch n.Op {
+		case "=", "<>", "<", "<=", ">", ">=":
+			if err := checkComparable(sc, n.L, n.R); err != nil {
+				return nil, err
+			}
 		}
 		switch n.Op {
 		case "AND":
@@ -437,6 +449,22 @@ func bindExpr(n Node, sc *scope) (expr.Expr, error) {
 	default:
 		return nil, fmt.Errorf("sql: cannot bind %T", n)
 	}
+}
+
+// checkComparable rejects comparing l with any of rs when one side is a
+// string and the other numeric (int, float, date, bool): expr.Compare
+// orders values within one of those two classes only, and a statement
+// that mixes them must fail here, as a bind error, not in the executor.
+// NULL compares with everything.
+func checkComparable(sc *scope, l Node, rs ...Node) error {
+	lk := kindOf(l, sc)
+	for _, r := range rs {
+		rk := kindOf(r, sc)
+		if lk != expr.KindNull && rk != expr.KindNull && (lk == expr.KindString) != (rk == expr.KindString) {
+			return fmt.Errorf("sql: cannot compare %s (%s) with %s (%s)", l, lk, r, rk)
+		}
+	}
+	return nil
 }
 
 func litValue(l Lit) (expr.Value, error) {

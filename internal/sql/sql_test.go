@@ -294,6 +294,57 @@ func TestBindErrors(t *testing.T) {
 	}
 }
 
+// Ill-typed comparisons die at bind time, naming both operands: the
+// executor's Compare panics on a string against a number, and a served
+// statement must never get that far.
+func TestBindRejectsStringVersusNumericComparisons(t *testing.T) {
+	cat := catalog.NewCatalog()
+	tpch.NewGenerator(0.001, 42).Load(cat, tpch.Lineitem, tpch.Customer)
+
+	bad := map[string][]string{
+		"SELECT COUNT(*) FROM lineitem WHERE l_quantity = 'abc'":                  {"l_quantity", "'abc'"},
+		"SELECT COUNT(*) FROM lineitem WHERE 'abc' < l_extendedprice":             {"l_extendedprice", "'abc'"},
+		"SELECT COUNT(*) FROM lineitem WHERE l_shipdate >= '1994-01-01'":          {"l_shipdate", "'1994-01-01'"},
+		"SELECT COUNT(*) FROM lineitem WHERE l_quantity BETWEEN 1 AND 'z'":        {"l_quantity", "'z'"},
+		"SELECT COUNT(*) FROM lineitem WHERE l_quantity IN (1, 'two', 3)":         {"l_quantity", "'two'"},
+		"SELECT COUNT(*) FROM customer WHERE c_mktsegment = 7":                    {"c_mktsegment", "7"},
+		"SELECT COUNT(*) FROM customer WHERE c_mktsegment IN ('AIR', 2)":          {"c_mktsegment", "2"},
+		"SELECT COUNT(*) FROM customer WHERE c_mktsegment < c_nationkey":          {"c_mktsegment", "c_nationkey"},
+		"SELECT COUNT(*) FROM lineitem WHERE NOT (l_quantity * 2 = 'x')":          {"l_quantity", "'x'"},
+		"SELECT l_quantity = 'abc' AS b FROM lineitem":                            {"l_quantity", "'abc'"},
+		"SELECT SUM(l_quantity) FROM lineitem WHERE l_discount <> 'none'":         {"l_discount", "'none'"},
+		"SELECT COUNT(*) FROM lineitem WHERE l_quantity < 5 OR l_discount > 'hi'": {"l_discount", "'hi'"},
+	}
+	for q, mentions := range bad {
+		_, err := Plan(cat, q)
+		if err == nil {
+			t.Errorf("Plan(%q) should fail", q)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), "sql: cannot compare ") {
+			t.Errorf("Plan(%q): %v, want a sql: cannot compare error", q, err)
+		}
+		for _, m := range mentions {
+			if !strings.Contains(err.Error(), m) {
+				t.Errorf("Plan(%q): error %q does not name %s", q, err, m)
+			}
+		}
+	}
+
+	good := []string{
+		"SELECT COUNT(*) FROM lineitem WHERE l_quantity = 3.5",
+		"SELECT COUNT(*) FROM lineitem WHERE l_shipdate >= DATE '1994-01-01' AND l_shipdate < 9000",
+		"SELECT COUNT(*) FROM customer WHERE c_mktsegment IN ('AIR', 'RAIL') OR c_mktsegment > 'M'",
+		"SELECT COUNT(*) FROM customer WHERE c_nationkey = NULL OR c_mktsegment <> NULL",
+		"SELECT COUNT(*) FROM lineitem WHERE l_quantity < l_extendedprice",
+	}
+	for _, q := range good {
+		if _, err := Plan(cat, q); err != nil {
+			t.Errorf("Plan(%q): %v", q, err)
+		}
+	}
+}
+
 func TestWherePushdownIntoScan(t *testing.T) {
 	cat := catalog.NewCatalog()
 	tpch.NewGenerator(0.001, 42).Load(cat, tpch.Lineitem)
