@@ -8,6 +8,7 @@ import (
 	"ecodb/internal/expr"
 	"ecodb/internal/obsv"
 	"ecodb/internal/opt"
+	"ecodb/internal/plan"
 	"ecodb/internal/tpch"
 )
 
@@ -222,5 +223,59 @@ func TestProfileAvailability(t *testing.T) {
 	}
 	if p.Root.Kind != obsv.KindStatement {
 		t.Fatalf("root kind = %v, want statement", p.Root.Kind)
+	}
+}
+
+// Under a Limit the sort keeps only the rows the limit will take, and its
+// span says so: Rows is what it served. Everything the simulation charges
+// is unchanged — the sort still consumes its whole input, so its cycles,
+// its joules and exec_sort_rows_total are those of the unlimited sort, on
+// the morsel-parallel lowering and the serial one alike.
+func TestSortSpanUnderLimitServesNButChargesForEveryRowConsumed(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		prof := ProfileCommercial()
+		prof.Workers = workers
+		prof.BGIOProbPerPage = 0
+		e, _ := newEngine(t, prof, 0.01)
+		e.WarmAll()
+
+		sorted := tpch.OrderedRevenueQuery(e.Catalog(), 30)
+		sortSpan := func(p plan.Node) (*obsv.Span, int64) {
+			before := e.MetricsSnapshot().Counter(obsv.MetricSortRows)
+			profile, err := e.AnalyzeQuery(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var span *obsv.Span
+			obsv.Walk(profile.Root, func(s *obsv.Span, _ int) {
+				if s.Kind == obsv.KindSort {
+					span = s
+				}
+			})
+			if span == nil {
+				t.Fatalf("workers=%d: no sort span in the profile", workers)
+			}
+			return span, e.MetricsSnapshot().Counter(obsv.MetricSortRows) - before
+		}
+		const n = 100
+		all, consumed := sortSpan(sorted)
+		top, consumedUnderLimit := sortSpan(plan.NewLimit(sorted, n))
+
+		if all.Rows != consumed || consumed <= n {
+			t.Fatalf("workers=%d: unlimited sort served %d rows of %d consumed; the fixture needs more than %d",
+				workers, all.Rows, consumed, n)
+		}
+		if top.Rows != n {
+			t.Errorf("workers=%d: sort span under LIMIT %d reports %d rows served", workers, n, top.Rows)
+		}
+		if consumedUnderLimit != consumed {
+			t.Errorf("workers=%d: exec_sort_rows_total moved by %d under the limit, %d without", workers, consumedUnderLimit, consumed)
+		}
+		if top.Cycles != all.Cycles {
+			t.Errorf("workers=%d: sort span cycles %v under the limit, %v without", workers, top.Cycles, all.Cycles)
+		}
+		if !relClose(top.Joules, all.Joules, 1e-12) {
+			t.Errorf("workers=%d: sort span joules %v under the limit, %v without", workers, top.Joules, all.Joules)
+		}
 	}
 }

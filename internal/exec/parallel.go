@@ -102,24 +102,37 @@ func compile(n plan.Node, workers int, leaf ScanLeaf) Operator {
 		a := &aggOp{input: compile(n.Input, workers, leaf), groupBy: n.GroupBy, aggs: n.Aggs, schema: n.Schema()}
 		return wrapSpan(a, obsv.KindAgg, label, "")
 	case *plan.Sort:
-		if leaf == nil && workers > 1 {
-			if f, ok := planFragment(n.Input); ok {
-				// The sort boundary joins the fragment: workers generate
-				// sorted runs over their morsels and the coordinator merges
-				// them (parallel_sort.go), instead of serializing every
-				// surviving row through a downstream serial sort.
-				return wrapSpan(newParallelSort(f, n.Keys, workers), obsv.KindSort,
-					fmt.Sprintf("ParallelSort(%s x%d)", f.table.Name, workers), f.table.Name)
-			}
-		}
-		return wrapSpan(&sortOp{input: compile(n.Input, workers, leaf), keys: n.Keys},
-			obsv.KindSort, fmt.Sprintf("Sort(keys=%d)", len(n.Keys)), "")
+		return compileSort(n, -1, workers, leaf)
 	case *plan.Limit:
-		return wrapSpan(&limitOp{input: compile(n.Input, workers, leaf), n: n.N},
+		var input Operator
+		if srt, ok := n.Input.(*plan.Sort); ok {
+			// The sort directly beneath need only keep what the limit takes.
+			input = compileSort(srt, n.N, workers, leaf)
+		} else {
+			input = compile(n.Input, workers, leaf)
+		}
+		return wrapSpan(&limitOp{input: input, n: n.N},
 			obsv.KindLimit, fmt.Sprintf("Limit(%d)", n.N), "")
 	default:
 		panic(fmt.Sprintf("exec: cannot compile %T", n))
 	}
+}
+
+// compileSort lowers a Sort whose consumer takes only the first limit rows
+// (negative = all of them).
+func compileSort(n *plan.Sort, limit, workers int, leaf ScanLeaf) Operator {
+	if leaf == nil && workers > 1 {
+		if f, ok := planFragment(n.Input); ok {
+			// The sort boundary joins the fragment: workers generate sorted
+			// runs over their morsels and the coordinator merges them
+			// (parallel_sort.go), instead of serializing every surviving
+			// row through a downstream serial sort.
+			return wrapSpan(&parallelSortOp{frag: f, keys: n.Keys, limit: limit, workers: workers}, obsv.KindSort,
+				fmt.Sprintf("ParallelSort(%s x%d)", f.table.Name, workers), f.table.Name)
+		}
+	}
+	return wrapSpan(&sortOp{input: compile(n.Input, workers, leaf), keys: n.Keys, limit: limit},
+		obsv.KindSort, fmt.Sprintf("Sort(keys=%d)", len(n.Keys)), "")
 }
 
 // compileFused folds the maximal chain of adjacent Filter/Project nodes
@@ -259,18 +272,20 @@ type morselResult struct {
 }
 
 // fragScratch is the state one worker reuses across the pages of a run:
-// the selection vector every filter of the fragment narrows.
+// the selection vector every filter of the fragment narrows, and the output
+// vectors of its projection stages.
 type fragScratch struct {
-	sel []int32
+	sel  []int32
+	proj []*expr.Batch // per stage; nil until the stage first projects
 }
 
 // run executes the fragment over one page in worker context: real
 // computation and private cost metering only, no simulated-machine access.
 // The batch starts as a zero-copy view of the page's column vectors;
-// filters narrow its selection vector, projections replace it with fresh
-// vectors owned by the result. A surviving selection lives in ws and is
-// valid only until ws is next used: callers that hand the batch to another
-// goroutine must copy it first.
+// filters narrow its selection vector, projections replace it with vectors
+// of their own. A surviving selection and projected vectors live in ws and
+// are valid only until ws is next used: callers that hand the batch to
+// another goroutine must take them out of ws first.
 func (f *fragment) run(idx int, page *storage.Page, ws *fragScratch) *morselResult {
 	if f.pruner != nil && len(page.Zones) > 0 && expr.ZonePrunes(f.pruner, page.Zones) {
 		// Worker context decides the skip (pure zone-map reads); the
@@ -295,11 +310,17 @@ func (f *fragment) run(idx int, page *storage.Page, ws *fragScratch) *morselResu
 			res.batch.Sel = ws.sel
 			continue
 		}
-		out := expr.NewBatch(len(st.exprs))
+		if ws.proj == nil {
+			ws.proj = make([]*expr.Batch, len(f.stages))
+		}
+		if ws.proj[i] == nil {
+			ws.proj[i] = expr.NewBatch(len(st.exprs))
+		}
+		out := ws.proj[i]
 		for c := range st.exprs {
 			expr.EvalBatch(st.exprs[c], &res.batch, &out.Cols[c], m)
 		}
-		out.N = res.batch.Len()
+		out.N, out.Sel = res.batch.Len(), nil
 		res.batch = *out
 	}
 	return res
@@ -450,6 +471,35 @@ func (p *morselPump) close() {
 	p.src, p.results, p.tickets, p.stop, p.pending = nil, nil, nil, nil, nil
 }
 
+// freeList parks the buffers of merged items for workers to fill again, so
+// a steady stream of pages allocates none. The zero value is ready to use.
+// It belongs to one operator execution and is garbage with it — a sync.Pool
+// would keep every finished statement's buffers reachable until the
+// collector's next cycles.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []*T
+}
+
+// get returns a parked buffer, or nil when there is none.
+func (f *freeList[T]) get() *T {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.items)
+	if n == 0 {
+		return nil
+	}
+	x := f.items[n-1]
+	f.items = f.items[:n-1]
+	return x
+}
+
+func (f *freeList[T]) put(x *T) {
+	f.mu.Lock()
+	f.items = append(f.items, x)
+	f.mu.Unlock()
+}
+
 // replayMorselPage replays one finished morsel's simulated page accounting
 // exactly as the serial scan pipeline produces it: flush the previous
 // page's cost window, charge the zone check when pruning is active, then —
@@ -501,9 +551,11 @@ func (m *morselExec) Open(*Ctx) error {
 			var ws fragScratch
 			for idx := run.Start; idx < run.End; idx++ {
 				// The batch crosses to the coordinator: give it a selection
-				// of its own, sized to the survivors.
+				// of its own, sized to the survivors, and leave it the
+				// projected vectors.
 				res := m.frag.run(idx, src.Page(idx), &ws)
 				res.batch.Sel = slices.Clone(res.batch.Sel)
+				ws.proj = nil
 				if !emit(res) {
 					return
 				}

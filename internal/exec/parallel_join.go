@@ -9,12 +9,12 @@ import (
 
 // Merged parallel hash-join probe.
 //
-// Once Open finishes, the build partitions are immutable, so probing them
-// is embarrassingly parallel: each morsel worker runs the probe-side
-// fragment over its claimed pages and probes the surviving rows against
-// the shared read-only partitions with its own probeScratch — real
-// hashing, lookups, residual evaluation, and output assembly all happen in
-// worker context. The coordinator merges finished pages back in page order
+// Once Open finishes, the build rows and their table are immutable, so
+// probing them is embarrassingly parallel: each morsel worker runs the
+// probe-side fragment over its claimed pages and probes the surviving rows
+// against the shared read-only table with its own probeScratch — real
+// lookups, output assembly, and residual evaluation all happen in worker
+// context. The coordinator merges finished pages back in page order
 // through the same ticket window as every other morsel operator and
 // replays the serial probe's exact charge sequence: the page's scan
 // charges inside the (emulated) probe-leaf scan span, then the per-batch
@@ -23,15 +23,15 @@ import (
 // serial morsel-scan-under-join lowering at any worker count.
 
 // morselProbeResult is one probe-side page's finished worker output: the
-// fragment's page accounting plus the assembled join output, the raw match
-// count, and the residual-predicate meter — everything the coordinator
-// needs to replay the serial probe's charges without redoing its work.
+// fragment's page accounting plus the probe's scratch — the assembled join
+// output and the residual-predicate meter — and the raw match count:
+// everything the coordinator needs to replay the serial probe's charges
+// without redoing its work.
 type morselProbeResult struct {
 	res     *morselResult
-	n       int         // probe rows surviving the fragment
-	out     *expr.Batch // assembled join output (nil when n == 0)
+	n       int           // probe rows surviving the fragment
+	ps      *probeScratch // nil when n == 0
 	matches int
-	meter   expr.Cost
 }
 
 func (r *morselProbeResult) pageIndex() int { return r.res.idx }
@@ -54,20 +54,20 @@ func (j *hashJoinOp) openMergedProbe(ctx *Ctx) {
 
 // probeWork is the worker function: run the probe fragment over each page
 // of the claimed run, then probe the survivors against the completed
-// partitions. Private scratch per worker invocation; no simulated-machine
-// access.
+// table. The scratch a page is probed with crosses to the coordinator with
+// the output in it, and comes back through j.spare once the coordinator's
+// consumer is done with that output, so a steady probe allocates no output
+// vectors. No simulated-machine access.
 func (j *hashJoinOp) probeWork(run storage.MorselRun, src *storage.MorselSource, emit func(morselItem) bool) {
-	var ps probeScratch
 	var ws fragScratch
 	for idx := run.Start; idx < run.End; idx++ {
 		res := j.probeFrag.run(idx, src.Page(idx), &ws)
 		it := &morselProbeResult{res: res, n: res.batch.Len()}
 		if it.n > 0 {
-			ps.out = expr.NewBatch(j.schema.NumCols())
-			it.matches = j.probeBatch(&res.batch, &ps)
-			it.out = ps.out
-			it.meter = ps.meter
-			ps.meter = expr.Cost{}
+			if it.ps = j.spare.get(); it.ps == nil {
+				it.ps = &probeScratch{out: expr.NewBatch(j.schema.NumCols())}
+			}
+			it.matches = j.probeBatch(&res.batch, it.ps)
 		}
 		res.batch = expr.Batch{} // drop the page view; accounting remains
 		if !emit(it) {
@@ -82,6 +82,11 @@ func (j *hashJoinOp) probeWork(run storage.MorselRun, src *storage.MorselSource,
 // rows — the probe, match, and residual charges the serial Next makes per
 // batch, attributed to the join span the caller's spanOp already pushed.
 func (j *hashJoinOp) mergedNext(ctx *Ctx) (*expr.Batch, error) {
+	if j.lent != nil {
+		// The batch handed out last time was valid until this call.
+		j.spare.put(j.lent)
+		j.lent = nil
+	}
 	for {
 		it := j.pump.next()
 		if it == nil {
@@ -111,10 +116,12 @@ func (j *hashJoinOp) mergedNext(ctx *Ctx) (*expr.Batch, error) {
 		ctx.Charge(cpu.Compute, ctx.Cost.ProbeCycles*n)
 		ctx.Charge(cpu.MemStall, ctx.Cost.ProbeStallCycles*n)
 		ctx.Charge(cpu.Compute, ctx.Cost.MatchCycles*float64(r.matches))
-		ctx.ChargeExpr(&r.meter)
-		if r.out.Len() > 0 {
-			return r.out, nil
+		ctx.ChargeExpr(&r.ps.meter)
+		if r.ps.out.Len() > 0 {
+			j.lent = r.ps
+			return r.ps.out, nil
 		}
+		j.spare.put(r.ps)
 	}
 }
 

@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"sort"
+	"sync/atomic"
 
 	"ecodb/internal/catalog"
 	"ecodb/internal/expr"
@@ -13,35 +13,27 @@ import (
 // Parallel sort: morsel-driven run generation + loser-tree multiway merge.
 //
 // Each worker runs the scan→filter→project fragment over its claimed run
-// of adjacent pages, copies the survivors columnar into a run-local sort
-// buffer, and sorts a permutation of that buffer by the sort keys with
-// ties broken on the global row ordinal (page index × row index) — real
+// of adjacent pages and feeds the survivors to a sortedRun — the same
+// accumulator the serial sort uses — ordered by the sort keys with ties
+// broken on the global row ordinal (page index × row index): real
 // comparison work, done in worker context. The coordinator replays every
 // page's simulated accounting in page order (identical to the serial
 // scan), charges the serial sort's single n·log₂n formula on the total
 // surviving row count, and then merges the sorted runs with a tournament
 // tree of losers, streaming the globally ordered output in columnar
-// batches.
+// batches. Under a limit every run keeps only its limit smallest rows and
+// the merge stops after limit rows; the charge is still on the rows
+// consumed.
 //
 // Determinism: runs are fixed contiguous page windows independent of
 // worker count (storage.MorselSource), so run contents — and therefore
 // merge decisions — depend only on the data. The (keys, global ordinal)
-// order the merge produces is exactly the order the serial stable sort
-// produces, because arrival order at the serial sort IS ascending global
-// ordinal; ordinals are unique, so the total order has no residual
-// nondeterminism. Results are byte-identical to sortOp at any worker
-// count, and simulated durations and joules are bit-identical because the
-// coordinator's charge sequence is the serial one.
-
-// sortedRun is one morsel run's sorted output: the columnar copy of its
-// surviving rows, each row's global ordinal, and the permutation ordering
-// them by (keys, ordinal). pos is the merge cursor.
-type sortedRun struct {
-	buf  expr.Batch
-	ord  []int64 // pageIdx<<32 | physRowIdx, per physical buffer row
-	perm []int32
-	pos  int
-}
+// order the merge produces is exactly the order the serial sort produces,
+// because arrival order at the serial sort IS ascending global ordinal;
+// ordinals are unique, so the total order has no residual nondeterminism.
+// Results are byte-identical to sortOp at any worker count, and simulated
+// durations and joules are bit-identical because the coordinator's charge
+// sequence is the serial one.
 
 // morselSortResult is one page's item flowing back to the coordinator: the
 // page accounting to replay, plus — on the run's final page only — the
@@ -58,25 +50,29 @@ func (r *morselSortResult) pageIndex() int { return r.res.idx }
 type parallelSortOp struct {
 	frag    *fragment
 	keys    []plan.SortKey
+	limit   int // handed down by a Limit directly above; negative = none
 	workers int
 
-	pump    morselPump
-	runs    []*sortedRun
-	lt      *loserTree
-	total   int
-	started bool
-	out     expr.Batch
-}
-
-func newParallelSort(f *fragment, keys []plan.SortKey, workers int) *parallelSortOp {
-	return &parallelSortOp{frag: f, keys: keys, workers: workers}
+	pump morselPump
+	// bound is the tightest cutoff any sealed run has offered (see
+	// sortedRun.bound): the limit-th row of a run that kept limit rows.
+	// Which rows a run keeps therefore depends on which runs sealed before
+	// it started, but the first limit rows of the merge do not — no row
+	// among them ever sorts after a bound.
+	bound  atomic.Pointer[sortBound]
+	runs   []*sortedRun
+	lt     *loserTree
+	total  int // rows consumed, over all runs
+	served int
+	out    expr.Batch
 }
 
 func (s *parallelSortOp) Schema() *catalog.Schema { return s.frag.schema }
 
 func (s *parallelSortOp) Open(*Ctx) error {
 	s.frag.initPrune()
-	s.runs, s.lt, s.total, s.started = nil, nil, 0, false
+	s.runs, s.lt, s.total, s.served = nil, nil, 0, 0
+	s.bound.Store(nil)
 	s.out = *expr.NewBatch(s.frag.schema.NumCols())
 	s.pump = morselPump{workers: s.workers, work: s.work}
 	s.pump.open(s.frag.table.Heap)
@@ -84,39 +80,41 @@ func (s *parallelSortOp) Open(*Ctx) error {
 }
 
 // work generates one sorted run in worker context: fragment over each
-// page, survivors copied columnar into the run buffer with their global
-// ordinals recorded, then one permutation sort over the whole run. The
-// run's sorted output rides the final page's item so the coordinator sees
-// it exactly when the run's last page merges.
+// page, survivors fed to the run under their global ordinals, then one sort
+// of what the run kept. The run rides the final page's item so the
+// coordinator sees it exactly when the run's last page merges.
 func (s *parallelSortOp) work(run storage.MorselRun, src *storage.MorselSource, emit func(morselItem) bool) {
-	sr := &sortedRun{buf: *expr.NewBatch(s.frag.schema.NumCols())}
-	items := make([]*morselSortResult, 0, run.End-run.Start)
+	sr := newSortedRun(s.keys, s.limit, s.frag.schema.NumCols())
+	sr.bound = s.bound.Load()
+	items := make([]*morselSortResult, 0, run.Len())
 	var ws fragScratch
 	for idx := run.Start; idx < run.End; idx++ {
 		res := s.frag.run(idx, src.Page(idx), &ws)
 		items = append(items, &morselSortResult{res: res})
-		if n := res.batch.Len(); n > 0 {
-			for li := 0; li < n; li++ {
-				sr.ord = append(sr.ord, int64(idx)<<32|int64(res.batch.RowIdx(li)))
-			}
-			sr.buf.AppendBatch(&res.batch, n)
-		}
+		sr.add(&res.batch, int64(idx)<<32)
 		res.batch = expr.Batch{} // drop the page view; accounting remains
 	}
-	sr.perm = make([]int32, len(sr.ord))
-	for i := range sr.perm {
-		sr.perm[i] = int32(i)
+	sr.seal()
+	if s.limit > 0 && len(sr.perm) == s.limit {
+		s.tighten(&sortBound{run: sr, row: sr.perm[s.limit-1]})
 	}
-	sort.Slice(sr.perm, func(i, j int) bool {
-		a, b := sr.perm[i], sr.perm[j]
-		if c := sortCmp(s.keys, &sr.buf, a, &sr.buf, b); c != 0 {
-			return c < 0
-		}
-		return sr.ord[a] < sr.ord[b] // unique: no stability needed
-	})
 	items[len(items)-1].run = sr
 	for _, it := range items {
 		if !emit(it) {
+			return
+		}
+	}
+}
+
+// tighten offers b as the bound for runs yet to start, keeping whichever of
+// it and the current bound sorts first.
+func (s *parallelSortOp) tighten(b *sortBound) {
+	for {
+		cur := s.bound.Load()
+		if cur != nil && cur.after(&b.run.buf, b.row, b.run.ord[b.row]) {
+			return
+		}
+		if s.bound.CompareAndSwap(cur, b) {
 			return
 		}
 	}
@@ -135,8 +133,8 @@ func (s *parallelSortOp) consume(ctx *Ctx) {
 		r := it.(*morselSortResult)
 		replayMorselPage(ctx, s.frag.table.Name, r.res, s.frag.pruner != nil)
 		if r.run != nil {
-			s.total += r.run.buf.Len()
-			if r.run.buf.Len() > 0 {
+			s.total += r.run.rows
+			if len(r.run.perm) > 0 {
 				s.runs = append(s.runs, r.run)
 			}
 		}
@@ -148,29 +146,32 @@ func (s *parallelSortOp) consume(ctx *Ctx) {
 	if len(s.runs) > 0 {
 		obsv.MergePasses.Inc() // single-level merge: one pass over the runs
 	}
-	s.lt = newLoserTree(s.runs, s.keys)
+	s.lt = newLoserTree(s.runs)
 }
 
 func (s *parallelSortOp) Next(ctx *Ctx) (*expr.Batch, error) {
-	if !s.started {
-		s.started = true
+	if s.lt == nil {
 		s.consume(ctx)
 	}
 	s.out.Reset()
 	target := ctx.BatchTarget()
+	if s.limit >= 0 {
+		target = min(target, s.limit-s.served)
+	}
 	for s.out.N < target {
 		run, idx := s.lt.pop()
 		if run == nil {
 			break
 		}
 		for c := range s.out.Cols {
-			s.out.Cols[c].Append(run.buf.Cols[c].Get(int(idx)))
+			s.out.Cols[c].AppendElem(&run.buf.Cols[c], idx)
 		}
 		s.out.N++
 	}
 	if s.out.N == 0 {
 		return nil, nil
 	}
+	s.served += s.out.N
 	return &s.out, nil
 }
 
@@ -186,14 +187,13 @@ func (s *parallelSortOp) Close(*Ctx) error {
 // against O(K) for a naive scan, which matters when a big table yields
 // hundreds of runs.
 type loserTree struct {
-	keys []plan.SortKey
 	runs []*sortedRun
 	node []int // loser run index per internal node; -1 = empty slot
 	win  int
 }
 
-func newLoserTree(runs []*sortedRun, keys []plan.SortKey) *loserTree {
-	lt := &loserTree{keys: keys, runs: runs, win: -1}
+func newLoserTree(runs []*sortedRun) *loserTree {
+	lt := &loserTree{runs: runs, win: -1}
 	k := len(runs)
 	lt.node = make([]int, k)
 	for i := range lt.node {
@@ -257,7 +257,7 @@ func (lt *loserTree) beats(a, b int) bool {
 		return true
 	}
 	ia, ib := ra.perm[ra.pos], rb.perm[rb.pos]
-	if c := sortCmp(lt.keys, &ra.buf, ia, &rb.buf, ib); c != 0 {
+	if c := expr.CompareRows(ra.keys, &ra.buf, ia, &rb.buf, ib); c != 0 {
 		return c < 0
 	}
 	return ra.ord[ia] < rb.ord[ib]

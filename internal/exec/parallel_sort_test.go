@@ -1,9 +1,6 @@
 package exec
 
 import (
-	"fmt"
-	"math/rand"
-	"sort"
 	"testing"
 
 	"ecodb/internal/expr"
@@ -72,68 +69,6 @@ func TestCompileParallelProbeLowering(t *testing.T) {
 	}
 }
 
-// TestLoserTreeMatchesNaiveMerge drives the tournament tree over randomly
-// generated sorted runs and checks the popped sequence against a naive
-// sort of all rows by (key, ordinal) — duplicate keys everywhere, so the
-// ordinal tie-break and the tree's construction both have to be right.
-func TestLoserTreeMatchesNaiveMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	keys := []plan.SortKey{{Col: 0}}
-	for trial := 0; trial < 300; trial++ {
-		nRuns := 1 + rng.Intn(13)
-		type rec struct {
-			key int64
-			ord int64
-		}
-		var all []rec
-		runs := make([]*sortedRun, nRuns)
-		ord := int64(0)
-		for r := range runs {
-			sr := &sortedRun{buf: *expr.NewBatch(1)}
-			n := 1 + rng.Intn(7)
-			for i := 0; i < n; i++ {
-				key := int64(rng.Intn(5)) // heavy duplication
-				sr.buf.Cols[0].Append(expr.Int(key))
-				sr.buf.N++
-				sr.ord = append(sr.ord, ord)
-				all = append(all, rec{key, ord})
-				ord++
-			}
-			sr.perm = make([]int32, n)
-			for i := range sr.perm {
-				sr.perm[i] = int32(i)
-			}
-			sort.Slice(sr.perm, func(i, j int) bool {
-				a, b := sr.perm[i], sr.perm[j]
-				if c := sortCmp(keys, &sr.buf, a, &sr.buf, b); c != 0 {
-					return c < 0
-				}
-				return sr.ord[a] < sr.ord[b]
-			})
-			runs[r] = sr
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].key != all[j].key {
-				return all[i].key < all[j].key
-			}
-			return all[i].ord < all[j].ord
-		})
-		lt := newLoserTree(runs, keys)
-		for i, want := range all {
-			run, idx := lt.pop()
-			if run == nil {
-				t.Fatalf("trial %d: tree exhausted after %d of %d rows", trial, i, len(all))
-			}
-			if got := run.ord[idx]; got != want.ord {
-				t.Fatalf("trial %d row %d: popped ordinal %d, want %d", trial, i, got, want.ord)
-			}
-		}
-		if run, _ := lt.pop(); run != nil {
-			t.Fatalf("trial %d: tree yielded rows past the end", trial)
-		}
-	}
-}
-
 func TestParallelSortEarlyCloseStopsWorkers(t *testing.T) {
 	ctx, _ := testCtx()
 	tb := numbersTable(t, "t", 20000)
@@ -183,26 +118,40 @@ func TestParallelSortEmptyHeap(t *testing.T) {
 	}
 }
 
-// TestParallelAggValueBudgetSealsRuns shrinks the SUM/AVG value-list
-// budget far enough that every run seals partial tables at page
-// boundaries, and requires the outcome to remain bit-identical to the
-// serial path at every worker count.
-func TestParallelAggValueBudgetSealsRuns(t *testing.T) {
-	gt := groupedTable(t, "g", 4000)
-	gk, gx := gt.Schema.Col("k"), gt.Schema.Col("x")
-	p := plan.NewAgg(
-		plan.NewScan(gt, expr.Cmp{Op: expr.GE, L: gk, R: expr.Const{V: expr.Int(10)}}),
-		[]int{gt.Schema.MustIndex("g")}, fullAggSpecs(gx))
-	serial := runWorkers(t, p, 1, false)
-	if len(serial.rows) == 0 {
-		t.Fatal("serial run produced no rows; the test would not bite")
+// A run's bound comes from whichever runs sealed before it started, and
+// nothing orders that against page order: a run of earlier pages may start
+// under the bound of a later one. Rows tying with the bound on the keys but
+// arriving before it still belong to the first rows overall and must be
+// kept; only rows sorting after it under (keys, ordinal) may go.
+func TestSortedRunBoundKeepsEarlierTies(t *testing.T) {
+	keys := []plan.SortKey{{Col: 0}}
+	batch := func(ks ...int64) *expr.Batch {
+		b := expr.NewBatch(1)
+		for _, k := range ks {
+			b.AppendRow(expr.Row{expr.Int(k)})
+		}
+		return b
 	}
-	for _, budget := range []int{1, 7, 64} {
-		for _, w := range []int{2, 4, 8} {
-			got := runWorkersTuned(t, p, w, false, func(op Operator) {
-				unwrapSpan(op).(*parallelAggOp).valueBudget = budget
-			})
-			assertOutcomesIdentical(t, serial, got, fmt.Sprintf("budget=%d workers=%d", budget, w))
+	later := newSortedRun(keys, 2, 1)
+	later.add(batch(1, 1, 1, 1), 1000)
+	later.seal()
+
+	earlier := newSortedRun(keys, 2, 1)
+	earlier.bound = &sortBound{run: later, row: later.perm[1]}
+	earlier.add(batch(2, 1, 1, 0, 2, 1), 0) // ordinals 0..5
+	if earlier.rows != 6 {
+		t.Fatalf("consumed %d rows, want all 6 counted", earlier.rows)
+	}
+	if earlier.buf.N != 3 {
+		t.Fatalf("copied %d rows, want 3: the two 2s sort after the bound, and the heap is full of better rows by the last 1", earlier.buf.N)
+	}
+	earlier.seal()
+
+	lt := newLoserTree([]*sortedRun{later, earlier})
+	for i, want := range []int64{3, 1} { // key 0 at ordinal 3, then the earliest 1
+		run, row := lt.pop()
+		if run != earlier || run.ord[row] != want {
+			t.Fatalf("merged row %d has ordinal %d, want %d from the earlier run", i, run.ord[row], want)
 		}
 	}
 }

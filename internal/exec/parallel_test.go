@@ -155,16 +155,15 @@ func fullAggSpecs(x expr.Expr) []plan.AggSpec {
 // reproduce bit-identically: bare and filtered scans (fast-path and
 // interpreted predicates), filter→project chains folded into the
 // fragment, parallel pre-aggregation (grouped, global, empty-input,
-// all-NULL-key), partitioned-build joins with merged parallel probes
-// (NULL/duplicate probe keys, empty probe side), and parallel sorts
+// all-NULL-key), joins with merged parallel probes (NULL/duplicate
+// probe keys, empty probe side, large and small builds), and parallel sorts
 // (ASC/DESC, NULL keys at either end, duplicate keys, projected
 // fragments, empty input, single page).
 func parallelPlans(t *testing.T) map[string]plan.Node {
 	t.Helper()
 	tb := numbersTable(t, "t", 5000)
-	// Above minPartitionBuildRows: "join-of-parallel-scans" exercises the
-	// radix-partitioned build, while the grouped-table join below stays
-	// under the threshold and covers the small-build single-map fallback.
+	// "join-of-parallel-scans" builds on ten thousand rows; the
+	// grouped-table join below on a few thousand with NULL and duplicate keys.
 	other := numbersTable(t, "o", 10000)
 	gt := groupedTable(t, "g", 4000)
 	nk := allNullKeyTable(t, "nk", 900)

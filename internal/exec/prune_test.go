@@ -42,8 +42,8 @@ func clusteredTable(t *testing.T, name string, n int) *catalog.Table {
 // prunePlans builds the plan-shape matrix against fresh fixture tables:
 // pruned range scans, string-equality scans (dictionary fodder), pushdown
 // through fused filter chains, parallel aggregation over a pruned
-// fragment, and a partitioned-build string join whose probe side prunes
-// (the vectorized HashVec probe path under dictionary encoding).
+// fragment, and a string-keyed join whose probe side prunes (the probe reads
+// words through dictionary codes when encoding is on).
 func prunePlans(t *testing.T) map[string]plan.Node {
 	t.Helper()
 	tb := clusteredTable(t, "c", 6000)
@@ -71,9 +71,8 @@ func prunePlans(t *testing.T) map[string]plan.Node {
 				{Func: plan.Sum, Arg: x, Name: "sx"},
 				{Func: plan.Count, Name: "c"},
 			}),
-		// big (10000 rows ≥ minPartitionBuildRows) builds partitioned under
-		// parallel compilation, so the probe side hashes through HashVec —
-		// over dictionary codes when encoding is on — while its scan prunes.
+		// The probe side looks its string keys up — through dictionary codes
+		// when encoding is on — while its scan prunes.
 		"string-join-pruned-probe": plan.NewHashJoin(
 			plan.NewScan(big, nil),
 			plan.NewScan(tb, expr.Between{E: k, Lo: expr.Int(100), Hi: expr.Int(700)}),

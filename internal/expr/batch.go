@@ -82,22 +82,27 @@ func (b *Batch) AppendRow(r Row) {
 }
 
 // AppendBatch appends the first limit logical rows of src to an owned
-// batch, columnar-wise.
+// batch, column by column.
 func (b *Batch) AppendBatch(src *Batch, limit int) {
-	if src.Sel == nil && limit == src.N && b.N == 0 {
-		for c := range b.Cols {
-			b.Cols[c].AppendFrom(&src.Cols[c], nil)
+	if src.Sel == nil && limit < src.N {
+		// A prefix of a dense batch (a LIMIT's last batch) has no selection
+		// to gather through.
+		for li := 0; li < limit; li++ {
+			for c := range b.Cols {
+				b.Cols[c].Append(src.Cols[c].Get(li))
+			}
 		}
-		b.N = src.N
+		b.N += limit
 		return
 	}
-	for li := 0; li < limit; li++ {
-		i := src.RowIdx(li)
-		for c := range b.Cols {
-			b.Cols[c].Append(src.Cols[c].Get(i))
-		}
-		b.N++
+	var sel []int32
+	if src.Sel != nil {
+		sel = src.Sel[:limit]
 	}
+	for c := range b.Cols {
+		b.Cols[c].AppendFrom(&src.Cols[c], sel)
+	}
+	b.N += limit
 }
 
 // gatherInto fills dst with physical row i's values. dst must have one
@@ -107,16 +112,6 @@ func (b *Batch) gatherInto(dst Row, i int) Row {
 		dst[c] = b.Cols[c].Get(i)
 	}
 	return dst
-}
-
-// Row materializes logical row li into dst (grown as needed) and returns
-// it.
-func (b *Batch) Row(li int, dst Row) Row {
-	if cap(dst) < len(b.Cols) {
-		dst = make(Row, len(b.Cols))
-	}
-	dst = dst[:len(b.Cols)]
-	return b.gatherInto(dst, b.RowIdx(li))
 }
 
 // AppendRowsTo materializes every logical row into dst and returns the

@@ -191,12 +191,11 @@ const (
 
 // HashValue returns a 64-bit hash of v consistent with Go's == on Value —
 // the equality the executor's hash tables key on — so values that are equal
-// map keys always hash identically. It drives radix partitioning of
-// parallel hash-join builds: a key's partition must be a pure function of
-// the key. The hash is FNV-1a over the bytes of the injective group-key
-// encoding, folded into the state directly (no intermediate buffer — this
-// runs once per probe row on partitioned joins), with negative zero
-// normalized first (-0.0 == 0.0 under ==, but their float bits differ).
+// map keys always hash identically; table statistics count distinct values
+// with it. The hash is FNV-1a over the bytes of the injective group-key
+// encoding, folded into the state directly (no intermediate buffer), with
+// negative zero normalized first (-0.0 == 0.0 under ==, but their float
+// bits differ).
 func HashValue(v Value) uint64 {
 	h := fnvByte(fnvOffset64, byte(v.Kind))
 	switch v.Kind {
@@ -216,84 +215,6 @@ func HashValue(v Value) uint64 {
 		}
 	default:
 		panic(fmt.Sprintf("expr: cannot hash %v", v.Kind))
-	}
-	return h
-}
-
-// HashVec appends HashValue of every logical element of vec to dst and
-// returns the extended slice — the vectorized mirror of hashing per row,
-// used by the hash-join probe side. With sel nil all elements hash in one
-// typed payload loop (dictionary vectors hash each distinct word once and
-// gather through the codes); with a selection the selected elements hash
-// via Get. Hashes are bit-identical to HashValue either way.
-func HashVec(vec *ColVec, sel []int32, dst []uint64) []uint64 {
-	if sel != nil {
-		for _, i := range sel {
-			dst = append(dst, HashValue(vec.Get(int(i))))
-		}
-		return dst
-	}
-	n := vec.Len()
-	if vec.Any != nil || vec.Kind == KindNull {
-		for i := 0; i < n; i++ {
-			dst = append(dst, HashValue(vec.Get(i)))
-		}
-		return dst
-	}
-	seed := fnvByte(fnvOffset64, byte(vec.Kind))
-	nullHash := fnvByte(fnvOffset64, byte(KindNull))
-	switch vec.Kind {
-	case KindFloat:
-		for i, v := range vec.F[:n] {
-			if vec.Nulls != nil && vec.Nulls[i] {
-				dst = append(dst, nullHash)
-				continue
-			}
-			if v == 0 {
-				v = 0 // collapse -0.0 onto +0.0
-			}
-			dst = append(dst, fnvUint64(seed, math.Float64bits(v)))
-		}
-	case KindString:
-		if vec.Dict != nil {
-			wordHash := make([]uint64, vec.Dict.Len())
-			for c, w := range vec.Dict.words {
-				wordHash[c] = fnvString(seed, w)
-			}
-			for i, c := range vec.Codes[:n] {
-				if vec.Nulls != nil && vec.Nulls[i] {
-					dst = append(dst, nullHash)
-					continue
-				}
-				dst = append(dst, wordHash[c])
-			}
-			return dst
-		}
-		for i, s := range vec.S[:n] {
-			if vec.Nulls != nil && vec.Nulls[i] {
-				dst = append(dst, nullHash)
-				continue
-			}
-			dst = append(dst, fnvString(seed, s))
-		}
-	default: // Bool, Int, Date
-		for i, v := range vec.I[:n] {
-			if vec.Nulls != nil && vec.Nulls[i] {
-				dst = append(dst, nullHash)
-				continue
-			}
-			dst = append(dst, fnvUint64(seed, uint64(v)))
-		}
-	}
-	return dst
-}
-
-// fnvString folds a length-prefixed string into the FNV state, matching
-// HashValue's string branch.
-func fnvString(h uint64, s string) uint64 {
-	h = fnvUint64(h, uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		h = fnvByte(h, s[i])
 	}
 	return h
 }

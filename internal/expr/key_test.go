@@ -80,10 +80,10 @@ func assertKeysMatchRowPath(t *testing.T, b *Batch, cols []int) {
 	if g.Len() != b.Len() {
 		t.Fatalf("built %d keys for %d logical rows", g.Len(), b.Len())
 	}
-	var scratch Row
+	scratch := make(Row, b.Width())
 	var want []byte
 	for li := 0; li < b.Len(); li++ {
-		scratch = b.Row(li, scratch)
+		b.gatherInto(scratch, b.RowIdx(li))
 		want = want[:0]
 		for _, c := range cols {
 			want = AppendGroupKey(want, scratch[c])

@@ -1,0 +1,213 @@
+package expr
+
+import (
+	"cmp"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// randVec builds a column of a randColumn shape (typed, typed with NULLs,
+// heterogeneous, or all NULL), string columns dictionary-encoded against
+// dict half the time, with the edge values the blocking operators care
+// about mixed in: -0, NaN, and ints above 2⁵³ that tie as floats.
+func randVec(rng *rand.Rand, numeric bool, n int, dict *Dict) *ColVec {
+	vals := randColumn(rng, numeric, n)
+	allNull := rng.Intn(8) == 0
+	v := &ColVec{}
+	for _, val := range vals {
+		switch {
+		case allNull:
+			val = Null()
+		case val.Kind == KindFloat && rng.Intn(6) == 0:
+			val.F = []float64{math.Copysign(0, -1), 0, math.NaN()}[rng.Intn(3)]
+		case val.Kind == KindInt && rng.Intn(6) == 0:
+			val.I = 1<<53 + int64(rng.Intn(3))
+		}
+		v.Append(val)
+	}
+	if !numeric && rng.Intn(2) == 0 {
+		v.EncodeDict(dict)
+	}
+	return v
+}
+
+var testDict = NewDict([]string{"", "a", "ab", "abc", "b", "ba", "zz", "\x00x"})
+
+func sameBits(a, b Value) bool {
+	return a.Kind == b.Kind && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
+}
+
+// AppendFrom's payload-to-payload gather must build the vector appending
+// value by value builds — the same elements, and the representation
+// invariants intact: no NULL bitmap without a NULL, no kind without a
+// non-NULL element.
+func TestAppendFromMatchesAppendingValueByValue(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for c := 0; c < 3000; c++ {
+		numeric := rng.Intn(2) == 0
+		dst, want := &ColVec{}, &ColVec{}
+		for part := 0; part < 1+rng.Intn(3); part++ {
+			src := randVec(rng, numeric, rng.Intn(20), testDict)
+			sel := randSel(rng, src.Len())
+			if sel != nil && rng.Intn(2) == 0 {
+				rng.Shuffle(len(sel), func(i, j int) { sel[i], sel[j] = sel[j], sel[i] }) // a gather, not a filter
+			}
+			dst.AppendFrom(src, sel)
+			if sel == nil {
+				for i := 0; i < src.Len(); i++ {
+					want.Append(src.Get(i))
+				}
+			}
+			for _, i := range sel {
+				want.Append(src.Get(int(i)))
+			}
+			if len(sel) > 0 {
+				last := sel[len(sel)-1]
+				dst.AppendElem(src, last)
+				want.Append(src.Get(int(last)))
+			}
+		}
+		if dst.Len() != want.Len() {
+			t.Fatalf("case %d: %d elements, want %d", c, dst.Len(), want.Len())
+		}
+		nulls := 0
+		for i := 0; i < dst.Len(); i++ {
+			if !sameBits(dst.Get(i), want.Get(i)) {
+				t.Fatalf("case %d: element %d is %v, want %v", c, i, dst.Get(i), want.Get(i))
+			}
+			if dst.IsNull(i) {
+				nulls++
+			}
+		}
+		if dst.Any == nil {
+			if (dst.Nulls != nil) != (nulls > 0) {
+				t.Fatalf("case %d: NULL bitmap present=%v with %d NULLs", c, dst.Nulls != nil, nulls)
+			}
+			if (dst.Kind == KindNull) != (nulls == dst.Len()) {
+				t.Fatalf("case %d: kind %v with %d NULLs of %d elements", c, dst.Kind, nulls, dst.Len())
+			}
+		}
+	}
+}
+
+// CompareRows reads Compare's order off the payloads, across
+// representations (a dictionary vector against a dense one, an all-NULL
+// page against a typed one), and KeyOrder is CompareRows specialised. Only
+// the sign of either is defined.
+func TestCompareRowsAndKeyOrderMatchCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for c := 0; c < 2000; c++ {
+		numeric := rng.Intn(2) == 0
+		n := 1 + rng.Intn(12)
+		a, b := NewBatch(2), NewBatch(2)
+		for col := 0; col < 2; col++ {
+			a.Cols[col], b.Cols[col] = *randVec(rng, numeric, n, testDict), *randVec(rng, numeric, n, testDict)
+		}
+		a.N, b.N = n, n
+		keys := []SortKey{{Col: rng.Intn(2), Desc: rng.Intn(2) == 0}, {Col: rng.Intn(2), Desc: rng.Intn(2) == 0}}[:1+rng.Intn(2)]
+		want := func(x *Batch, i int, y *Batch, j int) int {
+			for _, k := range keys {
+				if c := Compare(x.Cols[k.Col].Get(i), y.Cols[k.Col].Get(j)); c != 0 {
+					if k.Desc {
+						return -c
+					}
+					return c
+				}
+			}
+			return 0
+		}
+		within := KeyOrder(keys, a)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if got := cmp.Compare(CompareRows(keys, a, int32(i), b, int32(j)), 0); got != want(a, i, b, j) {
+					t.Fatalf("case %d: CompareRows(a[%d], b[%d]) = %d, want %d", c, i, j, got, want(a, i, b, j))
+				}
+				if got := cmp.Compare(within(int32(i), int32(j)), 0); got != want(a, i, a, j) {
+					t.Fatalf("case %d: KeyOrder(a)(%d, %d) = %d, want %d", c, i, j, got, want(a, i, a, j))
+				}
+			}
+		}
+	}
+}
+
+// FoldExtremes keeps what folding Compare row by row keeps — strictly, so
+// the earliest of equal values stays — and AsFloats/NullMask are AsFloat
+// and IsNull over a whole vector.
+func TestFoldExtremesAndAsFloatsMatchBoxedValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for c := 0; c < 2000; c++ {
+		numeric := rng.Intn(2) == 0
+		n := rng.Intn(30)
+		vec := randVec(rng, numeric, n, testDict)
+		gid := make([]int32, n)
+		for i := range gid {
+			gid[i] = int32(rng.Intn(3))
+		}
+		hasNaN := false
+		for i := 0; i < n; i++ {
+			if v := vec.Get(i); v.Kind == KindFloat && v.F != v.F {
+				hasNaN = true
+			}
+		}
+		for _, sign := range []int{-1, +1} {
+			if hasNaN {
+				break // Compare ties NaN with everything: no extreme to agree on
+			}
+			got, want := make([]Value, 3), make([]Value, 3)
+			FoldExtremes(got, gid, vec, sign)
+			for i, g := range gid {
+				FoldExtreme(&want[g], vec.Get(i), sign)
+			}
+			for g := range got {
+				if !sameBits(got[g], want[g]) {
+					t.Fatalf("case %d sign %d group %d: %v, want %v", c, sign, g, got[g], want[g])
+				}
+			}
+		}
+		floats, nulls := vec.AsFloats(nil), vec.NullMask()
+		for i := 0; i < n; i++ {
+			v := vec.Get(i)
+			if math.Float64bits(floats[i]) != math.Float64bits(v.AsFloat()) || (nulls != nil && nulls[i]) != v.IsNull() {
+				t.Fatalf("case %d element %d (%v): float %v null %v", c, i, v, floats[i], nulls != nil && nulls[i])
+			}
+		}
+	}
+}
+
+// A JoinTable probe yields the pairs a nested loop over canonical Values
+// compared with == yields, in its order.
+func TestJoinTableMatchesNestedLoopOnValueEquality(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for c := 0; c < 2000; c++ {
+		numeric := rng.Intn(4) > 0
+		build := randVec(rng, numeric, rng.Intn(25), testDict)
+		probe := randVec(rng, numeric, rng.Intn(25), testDict)
+		sel := randSel(rng, probe.Len())
+		var wantB, wantP []int32
+		each := func(i int) {
+			for r := 0; r < build.Len(); r++ {
+				if k := build.Get(r); !k.IsNull() && k == probe.Get(i) {
+					wantB, wantP = append(wantB, int32(r)), append(wantP, int32(i))
+				}
+			}
+		}
+		if sel == nil {
+			for i := 0; i < probe.Len(); i++ {
+				each(i)
+			}
+		}
+		for _, i := range sel {
+			each(int(i))
+		}
+		gotB, gotP := BuildJoinTable(build).Probe(probe, sel, nil, nil)
+		if len(gotB) != len(wantB) {
+			t.Fatalf("case %d: %d matches, want %d", c, len(gotB), len(wantB))
+		}
+		for m := range gotB {
+			if gotB[m] != wantB[m] || gotP[m] != wantP[m] {
+				t.Fatalf("case %d match %d: (build %d, probe %d), want (%d, %d)", c, m, gotB[m], gotP[m], wantB[m], wantP[m])
+			}
+		}
+	}
+}

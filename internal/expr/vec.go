@@ -1,5 +1,7 @@
 package expr
 
+import "slices"
+
 // ColVec is one column of an execution batch in columnar layout: a single
 // kind tag, the values packed into one contiguous typed payload slice, and
 // an optional NULL bitmap. Predicate and projection loops run over the
@@ -95,7 +97,11 @@ func (v *ColVec) payloadAppendZero() {
 	case KindFloat:
 		v.F = append(v.F, 0)
 	case KindString:
-		v.S = append(v.S, "")
+		if v.Dict != nil {
+			v.Codes = append(v.Codes, 0)
+		} else {
+			v.S = append(v.S, "")
+		}
 	default:
 		v.I = append(v.I, 0)
 	}
@@ -161,28 +167,17 @@ func (v *ColVec) Append(val Value) {
 }
 
 // AppendFrom appends src's elements — all of them when sel is nil,
-// otherwise the elements at the selected physical indices. The common dense
-// copy into an empty vector is a bulk payload copy.
+// otherwise the elements at the selected physical indices, in selection
+// order: the gather every blocking operator assembles its buffers and
+// outputs with. Vectors of one kind (and, for dictionary strings, one
+// dictionary) append payload to payload; anything else — a heterogeneous
+// vector on either side, a second kind or dictionary arriving — appends
+// value by value.
 func (v *ColVec) AppendFrom(src *ColVec, sel []int32) {
+	if v.appendTyped(src, sel) {
+		return
+	}
 	if sel == nil {
-		if v.n == 0 {
-			v.Kind = src.Kind
-			v.I = append(v.I[:0], src.I...)
-			v.F = append(v.F[:0], src.F...)
-			v.S = append(v.S[:0], src.S...)
-			v.Nulls = nil
-			if src.Nulls != nil {
-				v.Nulls = append([]bool(nil), src.Nulls...)
-			}
-			v.Any = nil
-			if src.Any != nil {
-				v.Any = append([]Value(nil), src.Any...)
-			}
-			v.Dict = src.Dict
-			v.Codes = append(v.Codes[:0], src.Codes...)
-			v.n = src.n
-			return
-		}
 		for i := 0; i < src.n; i++ {
 			v.Append(src.Get(i))
 		}
@@ -191,4 +186,115 @@ func (v *ColVec) AppendFrom(src *ColVec, sel []int32) {
 	for _, i := range sel {
 		v.Append(src.Get(int(i)))
 	}
+}
+
+// appendTyped is AppendFrom's payload-to-payload path. It reports false,
+// having changed nothing, when the two vectors cannot share a payload.
+func (v *ColVec) appendTyped(src *ColVec, sel []int32) bool {
+	if v.Any != nil || src.Any != nil {
+		return false
+	}
+	m := len(sel)
+	if sel == nil {
+		m = src.n
+	}
+	nulls := 0
+	switch {
+	case src.Kind == KindNull:
+		nulls = m
+	case src.Nulls != nil && sel == nil:
+		for _, null := range src.Nulls {
+			if null {
+				nulls++
+			}
+		}
+	case src.Nulls != nil:
+		for _, i := range sel {
+			if src.Nulls[i] {
+				nulls++
+			}
+		}
+	}
+	switch {
+	case nulls == m:
+		// Nothing but NULLs: no kind to establish or to clash with.
+		if m > 0 && v.Nulls == nil {
+			v.Nulls = make([]bool, v.n, v.n+m)
+		}
+		for i := 0; i < m; i++ {
+			v.Nulls = append(v.Nulls, true)
+			v.payloadAppendZero()
+		}
+		v.n += m
+		return true
+	case v.Kind == KindNull:
+		// Empty or all-NULL so far: take src's kind (and dictionary),
+		// backfilling zeros under the NULLs already held.
+		v.Kind, v.Dict = src.Kind, src.Dict
+		for i := 0; i < v.n; i++ {
+			v.payloadAppendZero()
+		}
+	case v.Kind != src.Kind || v.Dict != src.Dict:
+		return false
+	}
+	if nulls > 0 && v.Nulls == nil {
+		v.Nulls = make([]bool, v.n, v.n+m)
+	}
+	if v.Nulls != nil {
+		if nulls == 0 {
+			v.Nulls = append(v.Nulls, make([]bool, m)...)
+		} else {
+			v.Nulls = gather(v.Nulls, src.Nulls, sel)
+		}
+	}
+	switch {
+	case v.Kind == KindFloat:
+		v.F = gather(v.F, src.F, sel)
+	case v.Kind != KindString:
+		v.I = gather(v.I, src.I, sel)
+	case v.Dict != nil:
+		v.Codes = gather(v.Codes, src.Codes, sel)
+	default:
+		v.S = gather(v.S, src.S, sel)
+	}
+	v.n += m
+	return true
+}
+
+// AppendElem appends element i of src: AppendFrom for the consumer that
+// interleaves rows from several sources (a sorted-run merge), with the
+// same-kind non-NULL case inlined.
+func (v *ColVec) AppendElem(src *ColVec, i int32) {
+	if v.n > 0 && v.Kind == src.Kind && v.Kind != KindNull && v.Any == nil && src.Any == nil &&
+		v.Dict == src.Dict && (src.Nulls == nil || !src.Nulls[i]) {
+		if v.Nulls != nil {
+			v.Nulls = append(v.Nulls, false)
+		}
+		switch {
+		case v.Kind == KindFloat:
+			v.F = append(v.F, src.F[i])
+		case v.Kind != KindString:
+			v.I = append(v.I, src.I[i])
+		case v.Dict != nil:
+			v.Codes = append(v.Codes, src.Codes[i])
+		default:
+			v.S = append(v.S, src.S[i])
+		}
+		v.n++
+		return
+	}
+	one := [1]int32{i}
+	v.AppendFrom(src, one[:])
+}
+
+// gather appends src's elements at sel (nil = all of them) to dst.
+func gather[T any](dst, src []T, sel []int32) []T {
+	if sel == nil {
+		return append(dst, src...)
+	}
+	dst = slices.Grow(dst, len(sel))
+	for _, i := range sel {
+		dst = append(dst, src[i])
+	}
+	return dst
 }

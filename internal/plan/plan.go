@@ -224,10 +224,7 @@ func (a *Agg) Describe() string {
 }
 
 // SortKey orders by one output column.
-type SortKey struct {
-	Col  int
-	Desc bool
-}
+type SortKey = expr.SortKey
 
 // Sort orders its input. Keys compare with expr.Compare semantics (NULLs
 // smallest, so ASC puts them first and DESC last); ties keep input order.
@@ -265,7 +262,9 @@ func (s *Sort) Describe() string {
 }
 
 // Limit passes through at most N rows. The executor completes the scan
-// (realistic without indices) but emits only the first N.
+// (realistic without indices) but emits only the first N; a Sort directly
+// beneath is told N and keeps only its first N rows, still consuming — and
+// charging for — its whole input.
 type Limit struct {
 	Input Node
 	N     int

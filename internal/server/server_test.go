@@ -399,11 +399,13 @@ func TestHTTPServerSmoke(t *testing.T) {
 
 // TestIllTypedStatementIsRejectedAndServingContinues: a comparison between
 // a numeric column and a string literal used to reach expr.Compare and
-// panic the scheduler goroutine, taking the process down. It must be a 400
-// carrying the bind error, and the next statement on the same Core must be
-// answered.
+// panic the scheduler goroutine, taking the process down; arithmetic or a
+// SUM over a string column used to answer 200 with zeros, and an int key
+// joined to a float key 200 with no matches. Each must be a 400 carrying
+// the bind error, and the next statement on the same Core must be answered.
 func TestIllTypedStatementIsRejectedAndServingContinues(t *testing.T) {
 	sys, _ := newTestSystem(t)
+	tpch.NewGenerator(0.0005, 42).Load(sys.Engine.Catalog(), tpch.Orders)
 	c := NewCore(DefaultConfig(), sys)
 	ts := httptest.NewServer(NewServer(c, "unused").Handler())
 	defer ts.Close()
@@ -428,15 +430,18 @@ func TestIllTypedStatementIsRejectedAndServingContinues(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
-	for _, q := range []string{
-		"SELECT COUNT(*) FROM lineitem WHERE l_quantity = 'abc'",
-		"EXPLAIN SELECT COUNT(*) FROM lineitem WHERE l_quantity IN (1, 'abc')",
+	for q, wants := range map[string][]string{
+		"SELECT COUNT(*) FROM lineitem WHERE l_quantity = 'abc'":                 {"sql: cannot compare", "l_quantity", "'abc'"},
+		"EXPLAIN SELECT COUNT(*) FROM lineitem WHERE l_quantity IN (1, 'abc')":   {"sql: cannot compare", "l_quantity", "'abc'"},
+		"SELECT SUM(o_orderstatus) FROM orders":                                  {"sql: SUM needs a numeric argument", "o_orderstatus", "string"},
+		"SELECT o_orderstatus * 2 FROM orders LIMIT 2":                           {"sql: operator * needs numeric operands", "o_orderstatus", "string"},
+		"SELECT COUNT(*) FROM orders JOIN lineitem ON l_quantity = o_totalprice": {"sql: cannot join", "l_quantity", "int", "o_totalprice", "float"},
 	} {
 		status, body := post(q)
 		if status != http.StatusBadRequest {
 			t.Fatalf("%q: status %d, want 400; body %s", q, status, body)
 		}
-		for _, want := range []string{"sql: cannot compare", "l_quantity", "'abc'"} {
+		for _, want := range wants {
 			if !strings.Contains(body, want) {
 				t.Fatalf("%q: error body %s does not mention %s", q, body, want)
 			}

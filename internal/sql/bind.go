@@ -86,6 +86,9 @@ func BindLogical(cat *catalog.Catalog, stmt *SelectStmt) (*plan.Logical, error) 
 			if err != nil {
 				return err
 			}
+			if err := checkJoinKey(lg, bound); err != nil {
+				return err
+			}
 			if err := lg.AddPredicate(bound); err != nil {
 				return err
 			}
@@ -219,6 +222,9 @@ func bindAgg(stmt *SelectStmt, lg *plan.Logical, sc *scope) error {
 				arg, err := bindExpr(it.Expr, sc)
 				if err != nil {
 					return err
+				}
+				if k := kindOf(it.Expr, sc); k == expr.KindString && (spec.Func == plan.Sum || spec.Func == plan.Avg) {
+					return fmt.Errorf("sql: %s needs a numeric argument, got %s (%s)", it.Agg, it.Expr, k)
 				}
 				spec.Arg = arg
 			} else if spec.Func != plan.Count {
@@ -417,6 +423,12 @@ func bindExpr(n Node, sc *scope) (expr.Expr, error) {
 			if err := checkComparable(sc, n.L, n.R); err != nil {
 				return nil, err
 			}
+		case "+", "-", "*", "/":
+			for _, operand := range []Node{n.L, n.R} {
+				if k := kindOf(operand, sc); k == expr.KindString {
+					return nil, fmt.Errorf("sql: operator %s needs numeric operands, got %s (%s)", n.Op, operand, k)
+				}
+			}
 		}
 		switch n.Op {
 		case "AND":
@@ -463,6 +475,28 @@ func checkComparable(sc *scope, l Node, rs ...Node) error {
 		if lk != expr.KindNull && rk != expr.KindNull && (lk == expr.KindString) != (rk == expr.KindString) {
 			return fmt.Errorf("sql: cannot compare %s (%s) with %s (%s)", l, lk, r, rk)
 		}
+	}
+	return nil
+}
+
+// checkJoinKey rejects a conjunct that equates columns of two tables whose
+// kinds differ. Such a conjunct is a hash-join edge, and a join matches keys
+// of one kind only — an int key never meets a float key, where the same
+// comparison in a filter is numeric — so the statement would run and
+// silently match nothing.
+func checkJoinKey(lg *plan.Logical, pred expr.Expr) error {
+	cmp, ok := pred.(expr.Cmp)
+	if !ok || cmp.Op != expr.EQ {
+		return nil
+	}
+	l, lok := cmp.L.(expr.Col)
+	r, rok := cmp.R.(expr.Col)
+	if !lok || !rok || lg.TableOf(l.Idx) == lg.TableOf(r.Idx) {
+		return nil
+	}
+	if lk, rk := lg.ColKind(l.Idx), lg.ColKind(r.Idx); lk != rk {
+		return fmt.Errorf("sql: cannot join %s (%s) with %s (%s): join keys must be of one kind",
+			lg.ColName(l.Idx), lk, lg.ColName(r.Idx), rk)
 	}
 	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"ecodb/internal/engine"
 	"ecodb/internal/expr"
 	"ecodb/internal/hw/system"
+	"ecodb/internal/tpch"
 )
 
 func dupNameEngine(t *testing.T) *engine.Engine {
@@ -89,5 +90,47 @@ func TestBindJoinOnScopeLeftToRight(t *testing.T) {
 		`SELECT * FROM nation JOIN supplier ON s_nationkey = n_nationkey AND c_nationkey = n_nationkey JOIN customer ON c_nationkey = n_nationkey`)
 	if err == nil {
 		t.Fatal("ON referencing a later table should fail to bind")
+	}
+}
+
+// A join matches keys of one kind only, so an equality between columns of
+// two tables with different kinds — numeric in a filter — used to bind, run
+// and silently match nothing. It is a bind error naming both columns and
+// kinds, wherever the equality is written.
+func TestBindRejectsMixedKindJoinKeys(t *testing.T) {
+	cat := catalog.NewCatalog()
+	tpch.NewGenerator(0.001, 42).Load(cat, tpch.Orders, tpch.Lineitem)
+
+	for _, q := range []string{
+		"SELECT COUNT(*) FROM orders JOIN lineitem ON l_quantity = o_totalprice",
+		"SELECT COUNT(*) FROM orders JOIN lineitem ON o_orderkey = l_orderkey WHERE l_quantity = o_totalprice",
+		"SELECT COUNT(*) FROM orders JOIN lineitem ON o_orderkey = l_orderkey AND o_totalprice = l_quantity",
+	} {
+		_, err := Plan(cat, q)
+		if err == nil {
+			t.Errorf("Plan(%q) should fail", q)
+			continue
+		}
+		for _, want := range []string{"sql: cannot join ", "l_quantity", "(int)", "o_totalprice", "(float)"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("Plan(%q): error %q does not mention %q", q, err, want)
+			}
+		}
+	}
+	if _, err := Plan(cat, "SELECT COUNT(*) FROM orders JOIN lineitem ON o_orderdate = l_quantity"); err == nil ||
+		!strings.Contains(err.Error(), "(date)") {
+		t.Errorf("date key against int key: %v, want a cannot-join error naming the kinds", err)
+	}
+
+	for _, q := range []string{
+		"SELECT COUNT(*) FROM orders JOIN lineitem ON o_orderkey = l_orderkey",
+		// Not join edges: an inequality, and an equality inside an OR, compare numerically.
+		"SELECT COUNT(*) FROM orders JOIN lineitem ON o_orderkey = l_orderkey AND l_quantity < o_totalprice",
+		"SELECT COUNT(*) FROM orders JOIN lineitem ON o_orderkey = l_orderkey WHERE l_quantity = o_totalprice OR l_quantity = 1",
+		"SELECT COUNT(*) FROM lineitem WHERE l_quantity = l_extendedprice",
+	} {
+		if _, err := Plan(cat, q); err != nil {
+			t.Errorf("Plan(%q): %v", q, err)
+		}
 	}
 }

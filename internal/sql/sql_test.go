@@ -345,6 +345,58 @@ func TestBindRejectsStringVersusNumericComparisons(t *testing.T) {
 	}
 }
 
+// Arithmetic and SUM/AVG over a string read it as zero (Value.AsFloat), so
+// the statement would answer, wrongly. They die at bind time, naming the
+// operand and its kind; MIN, MAX and COUNT order or count any kind.
+func TestBindRejectsNonNumericArithmeticAndAggregates(t *testing.T) {
+	cat := catalog.NewCatalog()
+	tpch.NewGenerator(0.001, 42).Load(cat, tpch.Nation, tpch.Orders)
+
+	bad := []struct {
+		q, prefix string
+		mentions  []string
+	}{
+		{"SELECT SUM(n_name) FROM nation", "sql: SUM needs a numeric argument", []string{"n_name", "string"}},
+		{"SELECT AVG(n_name) AS a FROM nation", "sql: AVG needs a numeric argument", []string{"n_name", "string"}},
+		{"SELECT n_regionkey, SUM(n_name) FROM nation GROUP BY n_regionkey", "sql: SUM needs a numeric argument", []string{"n_name", "string"}},
+		{"SELECT SUM('x') FROM nation", "sql: SUM needs a numeric argument", []string{"'x'", "string"}},
+		{"SELECT n_name * 2 FROM nation LIMIT 2", "sql: operator * needs numeric operands", []string{"n_name", "string"}},
+		{"SELECT 1 + n_name FROM nation", "sql: operator + needs numeric operands", []string{"n_name", "string"}},
+		{"SELECT n_nationkey / 'two' FROM nation", "sql: operator / needs numeric operands", []string{"'two'", "string"}},
+		{"SELECT COUNT(*) FROM nation WHERE n_nationkey - n_name > 3", "sql: operator - needs numeric operands", []string{"n_name", "string"}},
+		{"SELECT SUM(n_nationkey * n_name) FROM nation", "sql: operator * needs numeric operands", []string{"n_name", "string"}},
+		{"SELECT SUM(o_totalprice + o_orderstatus) FROM orders", "sql: operator + needs numeric operands", []string{"o_orderstatus", "string"}},
+	}
+	for _, c := range bad {
+		_, err := Plan(cat, c.q)
+		if err == nil {
+			t.Errorf("Plan(%q) should fail", c.q)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), c.prefix) {
+			t.Errorf("Plan(%q): %v, want a %q error", c.q, err, c.prefix)
+		}
+		for _, m := range c.mentions {
+			if !strings.Contains(err.Error(), m) {
+				t.Errorf("Plan(%q): error %q does not name %s", c.q, err, m)
+			}
+		}
+	}
+
+	good := []string{
+		"SELECT MIN(n_name), MAX(n_name), COUNT(n_name) FROM nation",
+		"SELECT MIN(o_orderdate), MAX(o_orderdate), COUNT(o_orderdate) FROM orders",
+		"SELECT SUM(o_totalprice), AVG(o_custkey), SUM(o_orderkey * 2) FROM orders",
+		"SELECT o_totalprice * (1 - 0.5) AS half, o_orderkey + NULL FROM orders",
+		"SELECT SUM(o_orderdate) FROM orders",
+	}
+	for _, q := range good {
+		if _, err := Plan(cat, q); err != nil {
+			t.Errorf("Plan(%q): %v", q, err)
+		}
+	}
+}
+
 func TestWherePushdownIntoScan(t *testing.T) {
 	cat := catalog.NewCatalog()
 	tpch.NewGenerator(0.001, 42).Load(cat, tpch.Lineitem)

@@ -106,12 +106,13 @@ func benchJoinTables(b *testing.B) (build, probe *catalog.Table) {
 	return cat.MustTable(tpch.Lineitem), cat.MustTable(tpch.Supplier)
 }
 
-// BenchmarkJoinBuild measures the radix-partitioned hash-join build: the
-// whole lineitem table on the build side (morsel-parallel scan, then
-// parallel row materialization, key hashing, and per-partition table
-// construction — one partition per worker) against a deliberately tiny
-// probe, so build cost dominates. Expect ≥1.5× at 4 workers on a ≥4-core
-// host; simulated accounting is worker-count invariant.
+// BenchmarkJoinBuild measures the hash-join build: the whole lineitem
+// table on the build side — a morsel-parallel scan copied columnar into the
+// join's one owned batch, then one typed index over its key column —
+// against a deliberately tiny probe, so build cost dominates. The index is
+// built on one goroutine (the partitioned build did not beat it once the
+// table was typed), so workers change only the scan feeding it; simulated
+// accounting is worker-count invariant.
 func BenchmarkJoinBuild(b *testing.B) {
 	li, supp := benchJoinTables(b)
 	probe := plan.NewScan(supp, expr.Cmp{
@@ -183,9 +184,8 @@ func BenchmarkParallelSort(b *testing.B) {
 }
 
 // BenchmarkJoinProbe measures the morsel-parallel hash-join probe: a tiny
-// supplier build (single-map path) probed by the whole lineitem table on
-// l_suppkey, so worker-side probe hashing, matching, and output assembly
-// dominate. The coordinator only replays accounting and merges output
+// supplier build probed by the whole lineitem table on l_suppkey, so
+// worker-side key lookups and column-wise output assembly dominate. The coordinator only replays accounting and merges output
 // batches in morsel order. Expect ≥1.5× at 4 workers on a ≥4-core host;
 // simulated accounting is worker-count invariant.
 func BenchmarkJoinProbe(b *testing.B) {
@@ -193,6 +193,41 @@ func BenchmarkJoinProbe(b *testing.B) {
 	p := plan.NewHashJoin(
 		plan.NewScan(supp, nil), plan.NewScan(li, nil),
 		supp.Schema.MustIndex("s_suppkey"), li.Schema.MustIndex("l_suppkey"), nil)
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			var rows int64
+			for i := 0; i < b.N; i++ {
+				ctx := benchCtx()
+				rows = 0
+				op := exec.CompileParallel(p, workers)
+				if err := exec.Drain(ctx, op, func(batch *expr.Batch) error {
+					rows += int64(batch.Len())
+					return nil
+				}); err != nil {
+					b.Fatal(err)
+				}
+				ctx.Flush()
+			}
+			b.ReportMetric(float64(rows), "rows")
+		})
+	}
+}
+
+// BenchmarkSortLimit runs the served top-100 shape — ORDER BY
+// l_extendedprice LIMIT 100 over a filtered, projected lineitem — where the
+// Limit hands its bound down to the sort: every run keeps a 100-row heap
+// and tests each row's key against its worst before copying anything, and
+// the merge stops after 100 rows. The sort still consumes, and charges
+// for, every surviving row.
+func BenchmarkSortLimit(b *testing.B) {
+	tb := benchTable(b)
+	p := plan.NewLimit(plan.NewSort(
+		plan.NewProject(
+			plan.NewFilter(plan.NewScan(tb, nil), expr.Cmp{
+				Op: expr.GE, L: tb.Schema.Col("l_quantity"), R: expr.Const{V: expr.Int(5)}}),
+			[]expr.Expr{tb.Schema.Col("l_orderkey"), tb.Schema.Col("l_extendedprice")},
+			[]string{"l_orderkey", "l_extendedprice"}, []expr.Kind{expr.KindInt, expr.KindFloat}),
+		plan.SortKey{Col: 1}), 100)
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var rows int64
