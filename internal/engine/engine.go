@@ -190,10 +190,9 @@ func (e *Engine) Query(p plan.Node) *Rows {
 	if lowered, ch, pi, ok := e.optimize(p, 0); ok {
 		return e.startQueryPar(exec.CompileParallel(lowered, e.prof.Workers), ch.Parallelism, pi)
 	}
-	// Eligible scan→filter→project fragments run morsel-parallel across
-	// the profile's worker goroutines; CompileParallel falls back to the
-	// serial operators for Workers <= 1. Simulated accounting is
-	// worker-count invariant either way.
+	// Scan→filter→project fragments run through the morsel pump: inline for
+	// Workers <= 1, across the profile's worker goroutines above. The
+	// operators, and all simulated accounting, are the same either way.
 	return e.startQuery(exec.CompileParallel(p, e.prof.Workers))
 }
 

@@ -25,13 +25,14 @@ type Profile struct {
 	MemoryEngine bool
 	// Parallelism is how many cores a query's operators use.
 	Parallelism int
-	// Workers is how many OS goroutines execute morsel-eligible plan
-	// fragments (scan→filter→project chains) concurrently; 0 or 1 keeps
-	// the serial executor. Workers changes real wall-clock behaviour
-	// only — simulated results, durations, and joules are worker-count
-	// invariant, because the morsel coordinator replays all simulated
-	// accounting in deterministic page order and multi-core simulated
-	// time is charged via Parallelism as before.
+	// Workers is how many goroutines produce pages for each plan fragment
+	// over a heap (a scan→filter→project chain and the aggregation, sort
+	// or join probe directly above it); at 0 or 1 the one producer runs
+	// inline on the statement's goroutine. Workers never selects an
+	// operator and changes real wall-clock behaviour only — simulated
+	// results, durations, and joules are worker-count invariant, because
+	// the coordinator replays all simulated accounting in deterministic
+	// page order and multi-core simulated time is charged via Parallelism.
 	Workers int
 	// PoolBytes is the buffer pool size for disk-backed engines.
 	PoolBytes int64

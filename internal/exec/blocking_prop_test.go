@@ -454,7 +454,7 @@ func TestBlockingOperatorsMatchRowReference(t *testing.T) {
 		ref := refExec{cost: ctx.Cost, sortRows: -1}
 		want := ref.eval(p)
 		wantCycles := ref.total()
-		for _, workers := range []int{1, 2, 4} {
+		for _, workers := range []int{0, 1, 2, 4} {
 			ctx, _ := testCtx()
 			sorted := obsv.SortRows.Load()
 			var got []expr.Row

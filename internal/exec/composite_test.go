@@ -13,9 +13,9 @@ import (
 // Composite predicates — what the SQL binder emits for every WHERE clause
 // beyond a single comparison — evaluate as selection-vector cascades. The
 // cascade must be invisible to the simulation: the same rows, Stats,
-// simulated duration and joules on every scan leaf (serial scanOp, morsel
-// fragments at 2 and 4 workers, sharedScanOp), and the answer per-row Eval
-// gives.
+// simulated duration and joules on every scan leaf (heap fragments under an
+// inline pump and under pools of 2 and 4, sharedScanOp), and the answer
+// per-row Eval gives.
 
 // lineitemLike builds a multi-page table with lineitem's filter columns:
 // quantity 1..50, an irregular float price, discount 0.00..0.10 and a ship
@@ -164,7 +164,7 @@ func TestCompositePredicatesBitIdenticalOnEveryScanPath(t *testing.T) {
 			t.Fatalf("%s: serial answer %v, row interpreter %v", name, serial.rows, want)
 		}
 
-		for _, w := range []int{2, 4} {
+		for _, w := range []int{0, 2, 4} {
 			assertOutcomesIdentical(t, serial, runWorkers(t, shape.plan, w, false), name)
 		}
 

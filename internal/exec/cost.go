@@ -76,6 +76,18 @@ func (c CostModel) ClientRowFactor(equivRows float64) float64 {
 	return 1 + c.ClientGCPerMRow*r/1e6
 }
 
+// SortCycles is the comparison-model cost of sorting n rows:
+// SortCmpCycles·n·log₂n compute plus a quarter of that in memory stalls.
+// It is the one definition of the charge: the executor charges it
+// (Ctx.chargeSort) and the optimizer estimates with it (opt's sortCost), so
+// the two can differ only by the cardinality guess.
+func (c CostModel) SortCycles(n float64) (compute, stall float64) {
+	if n <= 1 {
+		return 0, 0
+	}
+	return c.SortCmpCycles * n * math.Log2(n), 0.25 * c.SortCmpCycles * n * math.Log2(n)
+}
+
 // Ctx is the execution context shared by all operators of one query: the
 // CPU that charges work, the optional buffer pool, cost constants, and
 // per-kind cycle accumulators flushed at page granularity (so the power
@@ -151,9 +163,9 @@ func (c *Ctx) ChargeExpr(m *expr.Cost) {
 // chargePageStream charges the physical-read side of surfacing one heap
 // page: the background-I/O page hook and the memory stream that moves the
 // page's bytes. Scan paths must route this through exactly one call per
-// physical page read — once per page for private scans, once per PASS for
-// shared scans — so the three scan implementations (scanOp, morselExec,
-// sharedScanOp) stay simulation-identical by construction.
+// physical page read — once per page for a heap fragment (morselPump.next),
+// once per PASS for shared scans (sharedScanOp) — so a shared scan driven
+// alone stays simulation-identical to a private one by construction.
 func (c *Ctx) chargePageStream(bytes int64) {
 	if c.PageHook != nil {
 		c.PageHook()
@@ -172,18 +184,15 @@ func (c *Ctx) chargeZoneCheck() {
 	c.Charge(cpu.Compute, c.Cost.ZoneCheckCycles)
 }
 
-// chargeSort charges the comparison-model cost of sorting n rows:
-// SortCmpCycles·n·log₂n compute plus a quarter of that in memory stalls.
-// This is the single formula shared by the serial sort and the parallel
-// sort's coordinator (and mirrored by opt's sortCost estimate): the
-// parallel sort charges it once on the total row count, never per run,
-// because the simulated cost models the algorithm, not the schedule.
+// chargeSort charges the cost of sorting n rows (CostModel.SortCycles). A
+// sort over a heap fragment charges it once on the total row count, never
+// per run, because the simulated cost models the algorithm, not the
+// schedule.
 func (c *Ctx) chargeSort(n float64) {
-	if n <= 1 {
-		return
+	if compute, stall := c.Cost.SortCycles(n); compute > 0 {
+		c.Charge(cpu.Compute, compute)
+		c.Charge(cpu.MemStall, stall)
 	}
-	c.Charge(cpu.Compute, c.Cost.SortCmpCycles*n*math.Log2(n))
-	c.Charge(cpu.MemStall, 0.25*c.Cost.SortCmpCycles*n*math.Log2(n))
 }
 
 // chargePageTuples charges the per-consumer interpretation of one page's

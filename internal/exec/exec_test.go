@@ -531,21 +531,31 @@ func TestScanBatchesArePageGranular(t *testing.T) {
 	}
 }
 
+// An inline pump refills one page record, so the fragment leaf hands out
+// the same batch on every Next: nothing is allocated per page.
 func TestScanReusesBatch(t *testing.T) {
 	ctx, _ := testCtx()
 	tb := numbersTable(t, "t", 1000)
-	op := Compile(plan.NewScan(tb, nil))
-	if err := op.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	defer op.Close(ctx)
-	b1, _ := op.Next(ctx)
-	b2, _ := op.Next(ctx)
-	if b1 == nil || b2 == nil {
-		t.Fatal("expected at least two batches")
-	}
-	if b1 != b2 {
-		t.Fatal("scan should recycle its output batch across Next calls")
+	k := tb.Schema.Col("k")
+	for name, p := range map[string]plan.Node{
+		"scan": plan.NewScan(tb, nil),
+		"filter-project": plan.NewProject(
+			plan.NewFilter(plan.NewScan(tb, nil), expr.Cmp{Op: expr.GE, L: k, R: expr.Const{V: expr.Int(3)}}),
+			[]expr.Expr{k}, []string{"k"}, []expr.Kind{expr.KindInt}),
+	} {
+		op := CompileParallel(p, 1)
+		if err := op.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		b1, _ := op.Next(ctx)
+		b2, _ := op.Next(ctx)
+		if b1 == nil || b2 == nil {
+			t.Fatalf("%s: expected at least two batches", name)
+		}
+		if b1 != b2 {
+			t.Fatalf("%s: an inline fragment leaf should recycle its output batch across Next calls", name)
+		}
+		op.Close(ctx)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"ecodb/internal/hw/cpu"
 	"ecodb/internal/obsv"
 	"ecodb/internal/plan"
-	"ecodb/internal/storage"
 )
 
 // Operator is a compiled physical operator in the vectorized pull pipeline.
@@ -57,123 +56,29 @@ func Drain(ctx *Ctx, op Operator, fn func(*expr.Batch) error) error {
 	return op.Close(ctx)
 }
 
-// Compile lowers a logical plan to serial physical operators. Unknown
-// node types panic: the operator set is closed. It is the workers=1 case
-// of CompileParallel; the single lowering switch lives in compile (see
-// parallel.go).
+// Compile is CompileParallel with one worker: every pump runs inline, on
+// the caller's goroutine.
 func Compile(n plan.Node) Operator { return CompileParallel(n, 1) }
 
-// scanOp reads a heap page by page through the buffer pool (misses become
-// simulated disk reads), charging stream work for page bytes and per-tuple
-// interpretation costs once per page, and filtering each page's column
-// vectors with the batch-wise evaluator. Output batches are zero-copy
-// views of the page's vectors, narrowed by a selection vector when a
-// filter is present; they are page-granular (see Next).
-type scanOp struct {
-	table  *catalog.Table
-	filter expr.Expr
-	// prune, when non-nil, is the conjunction of filter and downstream
-	// filter predicates pushed down for the zone-map skip decision only
-	// (compileFused sets it); filtering itself is unchanged. When nil the
-	// scan prunes on filter alone.
-	prune expr.Expr
-
-	scan   *storage.PageScan
-	pruner expr.Expr  // active prune predicate for this execution, or nil
-	view   expr.Batch // current page view; Sel points into sel
-	sel    []int32
-	meter  expr.Cost
-}
-
-func (s *scanOp) Schema() *catalog.Schema { return s.table.Schema }
-
-func (s *scanOp) Open(ctx *Ctx) error {
-	s.scan = storage.NewPageScan(s.table.Heap, s.table.Name, ctx.Pool)
-	p := s.prune
-	if p == nil {
-		p = s.filter
-	}
-	s.pruner = prunePredicate(p)
-	return nil
-}
-
-// Next surfaces pages until one survives the filter, charging page costs
-// as it goes. Batches are page-granular (a batch never spans a page
-// boundary) and the accumulated work is flushed to the CPU at the top of
-// each page step — by which point downstream operators have charged their
-// work for the previous batch — so every flushed power-trace window holds
-// one page's worth of whole-pipeline work, exactly as the row-at-a-time
-// engine's page loop produced it. The 1 Hz GUI-sampled energies of the
-// paper's methodology depend on that microstructure; batch sizes above a
-// page's row count would change it. Pages hold ~10²–10³ rows, plenty to
-// amortize per-batch overhead.
-func (s *scanOp) Next(ctx *Ctx) (*expr.Batch, error) {
-	for {
-		ctx.Flush() // close the previous page's pipeline-wide cost window
-		if s.pruner != nil {
-			if zones, ok := s.scan.PeekZones(); ok {
-				ctx.chargeZoneCheck()
-				if len(zones) > 0 && expr.ZonePrunes(s.pruner, zones) {
-					s.scan.Skip()
-					obsv.PagesPruned.Inc()
-					if ctx.Obs != nil {
-						ctx.Obs.PagePruned()
-					}
-					continue
-				}
-			}
-		}
-		bytes, nRows, ok := s.scan.ReadInto(&s.view)
-		if !ok {
-			return nil, nil
-		}
-		ctx.chargePageStream(bytes)
-		ctx.chargePageTuples(nRows)
-		if s.filter != nil {
-			s.sel = expr.FilterBatch(s.filter, &s.view, s.sel, &s.meter)
-			ctx.ChargeExpr(&s.meter)
-			if len(s.sel) == 0 {
-				continue
-			}
-			s.view.Sel = s.sel
-		}
-		return &s.view, nil
-	}
-}
-
-func (s *scanOp) Close(*Ctx) error {
-	s.scan, s.sel, s.pruner = nil, nil, nil
-	s.view = expr.Batch{}
-	return nil
-}
-
-// fusedOp runs a chain of adjacent filter/project stages as one operator —
-// operator fusion: every stage of a batch runs back to back over the same
-// column vectors with no per-stage operator dispatch, filters narrowing
-// the selection vector in place of copying rows and projections writing
-// fresh vectors. Cycle charging is per stage, in pipeline order, exactly
-// as the unfused filter/project operators charged.
+// fusedOp runs a chain of adjacent filter/project stages as one operator
+// over an input that is not a heap scan — operator fusion: every stage of a
+// batch runs back to back over the same column vectors with no per-stage
+// operator dispatch, through the stage loop the heap fragments run
+// (stageScratch.apply). Cycle charging is per stage, in pipeline order.
 type fusedOp struct {
 	input  Operator
 	stages []fragStage
 	schema *catalog.Schema
 
-	views  []expr.Batch // per stage: filter view or owned project output
-	sels   [][]int32    // per filter stage: reused selection buffer
+	view   expr.Batch // the input batch as narrowed and projected so far
+	ws     stageScratch
 	meters []expr.Cost
 }
 
 func (f *fusedOp) Schema() *catalog.Schema { return f.schema }
 
 func (f *fusedOp) Open(ctx *Ctx) error {
-	f.views = make([]expr.Batch, len(f.stages))
-	f.sels = make([][]int32, len(f.stages))
 	f.meters = make([]expr.Cost, len(f.stages))
-	for i, st := range f.stages {
-		if st.exprs != nil {
-			f.views[i] = *expr.NewBatch(len(st.exprs))
-		}
-	}
 	return f.input.Open(ctx)
 }
 
@@ -183,37 +88,19 @@ func (f *fusedOp) Next(ctx *Ctx) (*expr.Batch, error) {
 		if err != nil || in == nil {
 			return nil, err
 		}
-		cur := in
-		for i := range f.stages {
-			st := &f.stages[i]
-			m := &f.meters[i]
-			if st.pred != nil {
-				f.sels[i] = expr.FilterBatch(st.pred, cur, f.sels[i], m)
-				ctx.ChargeExpr(m)
-				v := &f.views[i]
-				v.Alias(cur, f.sels[i])
-				cur = v
-			} else {
-				out := &f.views[i]
-				for c := range st.exprs {
-					expr.EvalBatch(st.exprs[c], cur, &out.Cols[c], m)
-				}
-				out.N, out.Sel = cur.Len(), nil
-				ctx.ChargeExpr(m)
-				cur = out
-			}
-			if cur.Len() == 0 {
-				break
-			}
+		f.view.Alias(in, in.Sel)
+		f.ws.apply(f.stages, &f.view, f.meters)
+		for i := range f.meters {
+			ctx.ChargeExpr(&f.meters[i])
 		}
-		if cur.Len() > 0 {
-			return cur, nil
+		if f.view.Len() > 0 {
+			return &f.view, nil
 		}
 	}
 }
 
 func (f *fusedOp) Close(ctx *Ctx) error {
-	f.views, f.sels, f.meters = nil, nil, nil
+	f.view, f.ws, f.meters = expr.Batch{}, stageScratch{}, nil
 	return f.input.Close(ctx)
 }
 
@@ -222,31 +109,23 @@ func (f *fusedOp) Close(ctx *Ctx) error {
 // side batch by batch: a typed loop over the probe key's payload collects
 // (build row, probe row) index pairs, and the output — buildRow ++ probeRow
 // — is assembled column by column by gathering through them. An optional
-// residual predicate then filters the assembled batch. When the probe side
-// is itself a pure scan→filter→project fragment and workers > 1, the probe
-// parallelizes: probe-side morsels stream through per-worker probe
-// fragments against the completed read-only table and merge back in page
-// order (parallel_join.go).
+// residual predicate then filters the assembled batch. A probe side that is
+// a scan→filter→project chain over a heap has no operator: the join's own
+// pump runs the fragment and probes each page where it was produced
+// (parallel_join.go).
 type hashJoinOp struct {
-	build, probe       Operator // probe is nil when probeFrag is set
+	build, probe       Operator // probe is nil when the pump probes
 	buildKey, probeKey int
 	residual           expr.Expr
 	schema             *catalog.Schema
-	workers            int
 
-	// probeFrag, when non-nil, is the probe side lowered as a morsel
-	// fragment for the merged parallel probe; probeLabel is the span label
-	// the equivalent serial probe leaf would have carried.
-	probeFrag  *fragment
-	probeLabel string
-	pump       morselPump
-	probeSpan  *obsv.Span
-	spare      freeList[probeScratch] // worker scratch between pages
-	lent       *probeScratch          // owns the batch the last Next returned
+	pump  morselPump
+	spare freeList[probeScratch] // producer scratch between pages
+	lent  *probeScratch          // owns the batch the last Next returned
 
 	// rows is the build side in arrival order and table the index over its
 	// key column. Both are read-only once Open returns, which is what lets
-	// probe workers share them without locks.
+	// pump producers share them without locks.
 	rows    expr.Batch
 	table   *expr.JoinTable
 	scratch probeScratch
@@ -254,9 +133,9 @@ type hashJoinOp struct {
 
 // probeScratch is one probe consumer's private state: the output batch
 // under assembly, the matched index pairs and residual selection behind it,
-// and the residual-predicate meter. The serial probe owns one; each
-// merged-probe morsel worker owns its own, so workers never share mutable
-// state.
+// and the residual-predicate meter. The operator-input probe owns one; the
+// pump's probe takes one per page in flight, so producers never share
+// mutable state.
 type probeScratch struct {
 	out      *expr.Batch
 	buildIdx []int32 // matched pairs, probe rows in order,
@@ -274,7 +153,6 @@ func (j *hashJoinOp) Schema() *catalog.Schema { return j.schema }
 // never equals NULL under join semantics (Cmp.Eval returns false on NULL),
 // so they could never meet a NULL probe key.
 func (j *hashJoinOp) Open(ctx *Ctx) error {
-	j.scratch.out = expr.NewBatch(j.schema.NumCols())
 	j.rows = *expr.NewBatch(j.build.Schema().NumCols())
 	if err := j.build.Open(ctx); err != nil {
 		return err
@@ -298,16 +176,17 @@ func (j *hashJoinOp) Open(ctx *Ctx) error {
 	}
 	ctx.Flush()
 	j.table = expr.BuildJoinTable(&j.rows.Cols[j.buildKey])
-	if j.probeFrag != nil {
-		j.openMergedProbe(ctx)
+	if j.probe == nil {
+		j.pump.open(ctx)
 		return nil
 	}
+	j.scratch.out = expr.NewBatch(j.schema.NumCols())
 	return j.probe.Open(ctx)
 }
 
 func (j *hashJoinOp) Next(ctx *Ctx) (*expr.Batch, error) {
-	if j.probeFrag != nil {
-		return j.mergedNext(ctx)
+	if j.probe == nil {
+		return j.pumpNext(ctx)
 	}
 	for {
 		in, err := j.probe.Next(ctx)
@@ -330,8 +209,8 @@ func (j *hashJoinOp) Next(ctx *Ctx) (*expr.Batch, error) {
 // rows that pass the residual — and returns the raw match count. It charges
 // nothing: the residual meters into ps.meter (FilterBatch charges what
 // evaluating it match by match would) and the caller charges probe/match
-// work, so the serial Next and the merged probe's workers share one probe
-// implementation while only the coordinator touches the simulated machine.
+// work, so Next and the pump's producers share one probe implementation
+// while only the coordinator touches the simulated machine.
 func (j *hashJoinOp) probeBatch(in *expr.Batch, ps *probeScratch) int {
 	ps.out.Reset()
 	ps.buildIdx, ps.probeIdx = j.table.Probe(&in.Cols[j.probeKey], in.Sel, ps.buildIdx[:0], ps.probeIdx[:0])
@@ -356,11 +235,11 @@ func (j *hashJoinOp) probeBatch(in *expr.Batch, ps *probeScratch) int {
 }
 
 func (j *hashJoinOp) Close(ctx *Ctx) error {
-	if j.probeFrag != nil {
-		j.pump.close() // stop the probe workers before releasing what they read
+	if j.probe == nil {
+		j.pump.close() // stop the producers before releasing what they read
 	}
 	j.rows, j.table, j.scratch, j.lent = expr.Batch{}, nil, probeScratch{}, nil
-	if j.probeFrag != nil {
+	if j.probe == nil {
 		return nil
 	}
 	return j.probe.Close(ctx)

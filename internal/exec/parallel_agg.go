@@ -5,19 +5,18 @@ import (
 	"ecodb/internal/expr"
 	"ecodb/internal/hw/cpu"
 	"ecodb/internal/plan"
-	"ecodb/internal/storage"
 )
 
-// Parallel vectorized aggregation.
+// Aggregation over a heap fragment.
 //
-// An Agg whose input is a morsel-eligible scan→filter→project fragment no
-// longer serializes at the aggregation boundary: each worker runs the
-// fragment over its morsel AND folds the surviving rows into a private,
-// morsel-local partial table, fed straight from the batch's column
-// payloads (group keys encoded column-wise by expr.GroupKeys, aggregate
-// arguments evaluated batch-wise into vectors). The coordinator merges
-// partial tables in ascending page order and emits groups in sorted
-// group-key order — the same order the serial aggOp emits.
+// An Agg whose input is a scan→filter→project chain over a heap does not
+// serialize at the aggregation boundary: each pump producer runs the
+// fragment over its pages AND folds the surviving rows into a private,
+// run-local partial table, fed straight from the batch's column payloads
+// (group keys encoded column-wise by expr.GroupKeys, aggregate arguments
+// evaluated batch-wise into vectors). The coordinator merges partial tables
+// in ascending page order and emits groups in sorted group-key order — the
+// same order aggOp emits.
 //
 // Determinism is the design constraint, and it dictates what a partial may
 // pre-reduce:
@@ -25,103 +24,73 @@ import (
 //   - COUNT is an integer and MIN/MAX keep a strict-inequality "earliest
 //     wins" rule, so per-run partials merge losslessly in page order.
 //   - SUM and AVG add floats, and float addition is not associative: a
-//     sum-of-partial-sums would drift from the serial row-order sum in the
-//     last bits. A partial therefore carries, per run, one flat vector of
+//     sum-of-partial-sums would drift from the row-order sum in the last
+//     bits. A partial therefore carries, per run, one flat vector of
 //     argument values in row order and one of group ids beside it, and only
 //     the coordinator adds them into the running sums — run order × row
-//     order = global row order, so the bits match the serial path exactly,
-//     independent of worker count. A run is a fixed window of adjacent
-//     pages, which bounds both vectors.
+//     order = global row order, so the bits are those of one fold over the
+//     whole heap, independent of worker count. A run is a fixed window of
+//     adjacent pages, which bounds both vectors.
 //
-// Simulated accounting replays in the coordinator exactly as the serial
-// aggOp-over-scan pipeline charges it: per page, the scan/filter/project
-// charges (replayMorselPage), then the aggregation's per-row cycles and
-// the argument-evaluation meter. Results, durations, and joules are
-// bit-identical across worker counts by construction.
+// Simulated accounting replays in the coordinator: per page, the
+// scan/filter/project charges (morselPump.next), then the aggregation's
+// per-row cycles and the argument-evaluation meter — what aggOp over a scan
+// leaf charges. Results, durations, and joules are bit-identical across
+// worker counts by construction.
 
-// morselAggResult is one page's finished worker output on the parallel
-// aggregation path: the fragment's page accounting plus the page's share
-// of the aggregation charges. Workers aggregate at run granularity — one
-// partial table per claimed run of adjacent pages, amortizing table and
-// scratch allocations across the run — so only the run's last page carries
-// the partial (nil elsewhere). Per-page charges stay exactly where the
-// serial pipeline charges them.
-type morselAggResult struct {
-	res      *morselResult
-	n        int       // surviving (post-fragment) row count
-	aggMeter expr.Cost // argument-evaluation cycles for this page
-	part     *aggTable
-}
-
-func (r *morselAggResult) pageIndex() int { return r.res.idx }
-
-// parallelAggOp is the morsel-driven parallel aggregation operator: a
-// morselPump whose workers run the fragment and pre-aggregate each run, and
-// a coordinator that merges partials in page order and serves the grouped
+// parallelAggOp is the pump-driven aggregation operator: producers run the
+// fragment and pre-aggregate each run — one partial table per claimed run of
+// adjacent pages, amortizing table and scratch allocations across the run —
+// and the coordinator merges partials in page order and serves the grouped
 // output in batches.
 type parallelAggOp struct {
-	frag    *fragment
 	groupBy []int
 	aggs    []plan.AggSpec
 	schema  *catalog.Schema
-	workers int
 
 	pump    morselPump
 	table   *aggTable
-	spare   freeList[aggTable] // merged partials, for the workers' next runs
+	spare   freeList[aggTable] // merged partials, for the producers' next runs
 	started bool
 	out     aggOutput
 }
 
 // newParallelAgg builds the operator for Agg(fragment) plans.
 func newParallelAgg(f *fragment, n *plan.Agg, workers int) *parallelAggOp {
-	return &parallelAggOp{
-		frag: f, groupBy: n.GroupBy, aggs: n.Aggs,
-		schema: n.Schema(), workers: workers,
-	}
+	a := &parallelAggOp{groupBy: n.GroupBy, aggs: n.Aggs, schema: n.Schema()}
+	a.pump = morselPump{frag: f, workers: workers, sink: a.sink}
+	return a
 }
 
 func (a *parallelAggOp) Schema() *catalog.Schema { return a.schema }
 
-func (a *parallelAggOp) Open(*Ctx) error {
-	a.frag.initPrune()
+func (a *parallelAggOp) Open(ctx *Ctx) error {
 	a.table = newAggTable(a.groupBy, a.aggs, false)
 	a.started = false
 	a.out = aggOutput{res: *expr.NewBatch(a.schema.NumCols())}
-	a.pump = morselPump{workers: a.workers, work: a.work}
-	a.pump.open(a.frag.table.Heap)
+	a.pump.open(ctx)
 	return nil
 }
 
-// work runs in worker context: the fragment over each of the run's pages,
-// folding every page's surviving rows into one run-local partial table —
-// real computation and private metering only, no simulated-machine access.
-// Pages fold in page order, so the partial's row vectors preserve the run's
-// global row order. The table rides on the run's last page's item; per-page
-// accounting (fragment meters, row counts, argument-evaluation cycles)
-// stays on each page's own item.
-func (a *parallelAggOp) work(run storage.MorselRun, src *storage.MorselSource, emit func(morselItem) bool) {
-	part := a.spare.get()
-	if part == nil {
-		part = newAggTable(a.groupBy, a.aggs, true)
-	}
-	items := make([]*morselAggResult, 0, run.Len())
-	var ws fragScratch
-	for idx := run.Start; idx < run.End; idx++ {
-		res := a.frag.run(idx, src.Page(idx), &ws)
-		it := &morselAggResult{res: res, n: res.batch.Len()}
-		items = append(items, it)
-		if it.n > 0 {
-			part.fold(&res.batch, &it.aggMeter)
+// sink makes one producer's page function: fold every page's surviving
+// rows into one run-local partial table — real computation and private
+// metering only, no simulated-machine access. Pages fold in page order, so
+// the partial's row vectors preserve the run's global row order. The table
+// rides on the run's last page; per-page accounting (fragment meters, row
+// counts, argument-evaluation cycles) stays on each page's own record.
+func (a *parallelAggOp) sink() func(*morselResult, bool) {
+	var part *aggTable
+	return func(res *morselResult, last bool) {
+		if part == nil {
+			if part = a.spare.get(); part == nil {
+				part = newAggTable(a.groupBy, a.aggs, true)
+			}
 		}
-		// Only the charges and the run partial travel to the coordinator;
-		// drop the page view so the batch's vectors are collectable.
-		res.batch = expr.Batch{}
-	}
-	items[len(items)-1].part = part
-	for _, it := range items {
-		if !emit(it) {
-			return
+		if res.rows > 0 {
+			part.fold(&res.batch, &res.argMeter)
+		}
+		if last {
+			res.part, part = part, nil
 		}
 	}
 }
@@ -134,45 +103,29 @@ func (a *parallelAggOp) Next(ctx *Ctx) (*expr.Batch, error) {
 	return a.out.next(ctx), nil
 }
 
-// consume drains the pump in page order, replaying each morsel's simulated
-// accounting and merging its partials, then emits the grouped output —
-// charge for charge the sequence the serial aggOp-over-scan pipeline
-// produces.
+// consume drains the pump in page order — after each page's scan
+// accounting, the aggregation's per-row cycles and argument meter, and on a
+// run's last page the merge of the run's partial into the global group
+// table — then emits the grouped output. Run partials arrive in run order
+// (runs are contiguous and pages are taken in ascending order), which is
+// the order aggTable.merge needs.
 func (a *parallelAggOp) consume(ctx *Ctx) {
-	for {
-		it := a.pump.next()
-		if it == nil {
-			break
+	for res := a.pump.next(ctx); res != nil; res = a.pump.next(ctx) {
+		if res.rows > 0 {
+			n := float64(res.rows)
+			ctx.Charge(cpu.Compute, ctx.Cost.AggCycles*n)
+			ctx.Charge(cpu.MemStall, ctx.Cost.AggStallCycles*n)
+			ctx.ChargeExpr(&res.argMeter)
 		}
-		a.mergeMorsel(ctx, it.(*morselAggResult))
+		if res.part != nil {
+			a.table.merge(res.part)
+			res.part.reset()
+			a.spare.put(res.part)
+		}
 	}
-	// End of heap: flush the final page's window, as the serial scan does
-	// when it discovers the heap is exhausted.
-	ctx.Flush()
 	a.table.emit(&a.out.res)
 	ctx.Charge(cpu.Compute, ctx.Cost.AggCycles*float64(a.out.res.N))
 	ctx.Flush()
-}
-
-// mergeMorsel replays one page's accounting (scan charges, then the
-// aggregation's per-row cycles and argument meter, exactly as the serial
-// path interleaves them) and, on a run's last page, merges the run's
-// partial into the global group table. Run partials arrive in run order
-// (runs are contiguous and items merge in ascending page order), which is
-// the order aggTable.merge needs.
-func (a *parallelAggOp) mergeMorsel(ctx *Ctx, r *morselAggResult) {
-	replayMorselPage(ctx, a.frag.table.Name, r.res, a.frag.pruner != nil)
-	if r.n > 0 {
-		n := float64(r.n)
-		ctx.Charge(cpu.Compute, ctx.Cost.AggCycles*n)
-		ctx.Charge(cpu.MemStall, ctx.Cost.AggStallCycles*n)
-		ctx.ChargeExpr(&r.aggMeter)
-	}
-	if r.part != nil {
-		a.table.merge(r.part)
-		r.part.reset()
-		a.spare.put(r.part)
-	}
 }
 
 func (a *parallelAggOp) Close(*Ctx) error {

@@ -7,18 +7,17 @@ import (
 	"ecodb/internal/expr"
 	"ecodb/internal/obsv"
 	"ecodb/internal/plan"
-	"ecodb/internal/storage"
 )
 
-// Parallel sort: morsel-driven run generation + loser-tree multiway merge.
+// Sort over a heap fragment: run generation in the pump + loser-tree
+// multiway merge.
 //
-// Each worker runs the scan→filter→project fragment over its claimed run
-// of adjacent pages and feeds the survivors to a sortedRun — the same
-// accumulator the serial sort uses — ordered by the sort keys with ties
-// broken on the global row ordinal (page index × row index): real
-// comparison work, done in worker context. The coordinator replays every
-// page's simulated accounting in page order (identical to the serial
-// scan), charges the serial sort's single n·log₂n formula on the total
+// Each pump producer runs the scan→filter→project fragment over its claimed
+// run of adjacent pages and feeds the survivors to a sortedRun — the
+// accumulator sortOp uses — ordered by the sort keys with ties broken on
+// the global row ordinal (page index × row index): real comparison work,
+// done in producer context. The coordinator replays every page's simulated
+// accounting in page order, charges the single n·log₂n formula on the total
 // surviving row count, and then merges the sorted runs with a tournament
 // tree of losers, streaming the globally ordered output in columnar
 // batches. Under a limit every run keeps only its limit smallest rows and
@@ -28,30 +27,18 @@ import (
 // Determinism: runs are fixed contiguous page windows independent of
 // worker count (storage.MorselSource), so run contents — and therefore
 // merge decisions — depend only on the data. The (keys, global ordinal)
-// order the merge produces is exactly the order the serial sort produces,
-// because arrival order at the serial sort IS ascending global ordinal;
-// ordinals are unique, so the total order has no residual nondeterminism.
-// Results are byte-identical to sortOp at any worker count, and simulated
-// durations and joules are bit-identical because the coordinator's charge
-// sequence is the serial one.
+// order the merge produces is exactly the order one stable sort over the
+// whole heap produces, because arrival order there IS ascending global
+// ordinal; ordinals are unique, so the total order has no residual
+// nondeterminism. Results are byte-identical to sortOp over a scan leaf at
+// any worker count, and simulated durations and joules are bit-identical
+// because the coordinator's charge sequence is the same.
 
-// morselSortResult is one page's item flowing back to the coordinator: the
-// page accounting to replay, plus — on the run's final page only — the
-// whole run's sorted output.
-type morselSortResult struct {
-	res *morselResult
-	run *sortedRun // non-nil on the run's last page
-}
-
-func (r *morselSortResult) pageIndex() int { return r.res.idx }
-
-// parallelSortOp is the fragment-folded sort: morselPump workers generate
+// parallelSortOp is the fragment-folded sort: pump producers generate
 // sorted runs, the coordinator replays charges and merges.
 type parallelSortOp struct {
-	frag    *fragment
-	keys    []plan.SortKey
-	limit   int // handed down by a Limit directly above; negative = none
-	workers int
+	keys  []plan.SortKey
+	limit int // handed down by a Limit directly above; negative = none
 
 	pump morselPump
 	// bound is the tightest cutoff any sealed run has offered (see
@@ -67,42 +54,42 @@ type parallelSortOp struct {
 	out    expr.Batch
 }
 
-func (s *parallelSortOp) Schema() *catalog.Schema { return s.frag.schema }
+func newParallelSort(f *fragment, keys []plan.SortKey, limit, workers int) *parallelSortOp {
+	s := &parallelSortOp{keys: keys, limit: limit}
+	s.pump = morselPump{frag: f, workers: workers, sink: s.sink}
+	return s
+}
 
-func (s *parallelSortOp) Open(*Ctx) error {
-	s.frag.initPrune()
+func (s *parallelSortOp) Schema() *catalog.Schema { return s.pump.frag.schema }
+
+func (s *parallelSortOp) Open(ctx *Ctx) error {
 	s.runs, s.lt, s.total, s.served = nil, nil, 0, 0
 	s.bound.Store(nil)
-	s.out = *expr.NewBatch(s.frag.schema.NumCols())
-	s.pump = morselPump{workers: s.workers, work: s.work}
-	s.pump.open(s.frag.table.Heap)
+	s.out = *expr.NewBatch(s.Schema().NumCols())
+	s.pump.open(ctx)
 	return nil
 }
 
-// work generates one sorted run in worker context: fragment over each
-// page, survivors fed to the run under their global ordinals, then one sort
-// of what the run kept. The run rides the final page's item so the
-// coordinator sees it exactly when the run's last page merges.
-func (s *parallelSortOp) work(run storage.MorselRun, src *storage.MorselSource, emit func(morselItem) bool) {
-	sr := newSortedRun(s.keys, s.limit, s.frag.schema.NumCols())
-	sr.bound = s.bound.Load()
-	items := make([]*morselSortResult, 0, run.Len())
-	var ws fragScratch
-	for idx := run.Start; idx < run.End; idx++ {
-		res := s.frag.run(idx, src.Page(idx), &ws)
-		items = append(items, &morselSortResult{res: res})
-		sr.add(&res.batch, int64(idx)<<32)
-		res.batch = expr.Batch{} // drop the page view; accounting remains
-	}
-	sr.seal()
-	if s.limit > 0 && len(sr.perm) == s.limit {
-		s.tighten(&sortBound{run: sr, row: sr.perm[s.limit-1]})
-	}
-	items[len(items)-1].run = sr
-	for _, it := range items {
-		if !emit(it) {
+// sink makes one producer's page function: feed each page's survivors to
+// the run under their global ordinals, then — on the run's last page — one
+// sort of what the run kept. The sealed run rides that page's record, so
+// the coordinator sees it exactly when the run's last page is taken.
+func (s *parallelSortOp) sink() func(*morselResult, bool) {
+	var sr *sortedRun
+	return func(res *morselResult, last bool) {
+		if sr == nil {
+			sr = newSortedRun(s.keys, s.limit, s.Schema().NumCols())
+			sr.bound = s.bound.Load()
+		}
+		sr.add(&res.batch, int64(res.idx)<<32)
+		if !last {
 			return
 		}
+		sr.seal()
+		if s.limit > 0 && len(sr.perm) == s.limit {
+			s.tighten(&sortBound{run: sr, row: sr.perm[s.limit-1]})
+		}
+		res.run, sr = sr, nil
 	}
 }
 
@@ -120,26 +107,18 @@ func (s *parallelSortOp) tighten(b *sortBound) {
 	}
 }
 
-// consume drains the pump, replaying every page's simulated accounting in
-// page order and collecting the sorted runs, then charges the sort formula
-// on the total surviving row count — the exact charge sequence of a serial
-// morsel scan feeding sortOp — and seats the merge tree.
+// consume drains the pump in page order, collecting the sorted runs, then
+// charges the sort formula on the total surviving row count — the charge
+// sequence of sortOp over a scan leaf — and seats the merge tree.
 func (s *parallelSortOp) consume(ctx *Ctx) {
-	for {
-		it := s.pump.next()
-		if it == nil {
-			break
-		}
-		r := it.(*morselSortResult)
-		replayMorselPage(ctx, s.frag.table.Name, r.res, s.frag.pruner != nil)
-		if r.run != nil {
-			s.total += r.run.rows
-			if len(r.run.perm) > 0 {
-				s.runs = append(s.runs, r.run)
+	for res := s.pump.next(ctx); res != nil; res = s.pump.next(ctx) {
+		if res.run != nil {
+			s.total += res.run.rows
+			if len(res.run.perm) > 0 {
+				s.runs = append(s.runs, res.run)
 			}
 		}
 	}
-	ctx.Flush() // end of heap, as the serial scan flushes on exhaustion
 	obsv.SortRows.Add(int64(s.total))
 	ctx.chargeSort(float64(s.total))
 	ctx.Flush()

@@ -20,13 +20,9 @@ func TestCompileParallelSortLowering(t *testing.T) {
 		t.Fatalf("sort over fragment compiled to %T, want parallel sort",
 			unwrapSpan(CompileParallel(srt, 4)))
 	}
-	if _, ok := unwrapSpan(CompileParallel(srt, 1)).(*sortOp); !ok {
-		t.Fatalf("workers=1 sort compiled to %T, want the serial operator",
-			unwrapSpan(CompileParallel(srt, 1)))
-	}
 
-	// A sort over a blocking input stays serial; the fragment below the
-	// blocking input still folds into a morsel leaf.
+	// A sort over a blocking input takes an operator; the fragment below
+	// the blocking input still folds into a morsel leaf.
 	overLimit := plan.NewSort(plan.NewLimit(chain, 5), plan.SortKey{Col: 0})
 	root, ok := unwrapSpan(CompileParallel(overLimit, 4)).(*sortOp)
 	if !ok {
@@ -51,21 +47,17 @@ func TestCompileParallelProbeLowering(t *testing.T) {
 		build.Schema.MustIndex("k"), probe.Schema.MustIndex("k"), nil)
 
 	hj := unwrapSpan(CompileParallel(j, 4)).(*hashJoinOp)
-	if hj.probeFrag == nil || hj.probe != nil {
-		t.Fatalf("fragment probe at workers=4: probeFrag=%v probe=%T, want merged probe",
-			hj.probeFrag, hj.probe)
-	}
-	hj1 := unwrapSpan(CompileParallel(j, 1)).(*hashJoinOp)
-	if hj1.probeFrag != nil || hj1.probe == nil {
-		t.Fatal("workers=1 must keep the serial probe operator")
+	if hj.pump.frag == nil || hj.probe != nil {
+		t.Fatalf("fragment probe: pump fragment=%v probe=%T, want the join's own pump probing",
+			hj.pump.frag, hj.probe)
 	}
 
 	// A blocking probe side cannot fold: the probe stays an operator tree.
 	jb := plan.NewHashJoin(plan.NewScan(build, nil), plan.NewLimit(probeChain, 5),
 		build.Schema.MustIndex("k"), probe.Schema.MustIndex("k"), nil)
 	hjb := unwrapSpan(CompileParallel(jb, 4)).(*hashJoinOp)
-	if hjb.probeFrag != nil || hjb.probe == nil {
-		t.Fatal("probe over limit must not fold into a merged probe")
+	if hjb.pump.frag != nil || hjb.probe == nil {
+		t.Fatal("probe over limit must not fold into the join's pump")
 	}
 }
 

@@ -1,7 +1,10 @@
 package exec
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"ecodb/internal/catalog"
 	"ecodb/internal/energy"
@@ -25,7 +28,7 @@ type outcome struct {
 
 // runWorkers executes the plan with the given worker count on a fresh
 // simulated machine (optionally disk-backed) and returns the outcome.
-// workers <= 1 exercises the serial Compile path.
+// workers <= 1 runs every pump inline.
 func runWorkers(t *testing.T, p plan.Node, workers int, withPool bool) outcome {
 	t.Helper()
 	return runWorkersTuned(t, p, workers, withPool, nil)
@@ -151,14 +154,14 @@ func fullAggSpecs(x expr.Expr) []plan.AggSpec {
 	}
 }
 
-// parallelPlans is the matrix of plan shapes the morsel executor must
-// reproduce bit-identically: bare and filtered scans (fast-path and
-// interpreted predicates), filter→project chains folded into the
-// fragment, parallel pre-aggregation (grouped, global, empty-input,
-// all-NULL-key), joins with merged parallel probes (NULL/duplicate
-// probe keys, empty probe side, large and small builds), and parallel sorts
-// (ASC/DESC, NULL keys at either end, duplicate keys, projected
-// fragments, empty input, single page).
+// parallelPlans is the matrix of plan shapes the pump must run
+// bit-identically at every worker count: bare and filtered scans
+// (fast-path and interpreted predicates), filter→project chains folded
+// into the fragment, pre-aggregation (grouped, global, empty-input,
+// all-NULL-key), joins probed by their own pump (NULL/duplicate probe keys,
+// empty probe side, large and small builds), and fragment sorts (ASC/DESC,
+// NULL keys at either end, duplicate keys, projected fragments, empty
+// input, single page).
 func parallelPlans(t *testing.T) map[string]plan.Node {
 	t.Helper()
 	tb := numbersTable(t, "t", 5000)
@@ -269,7 +272,7 @@ func TestParallelMatchesSerialBitIdentically(t *testing.T) {
 				// every other shape must produce rows for the test to bite
 				t.Fatalf("%s: serial run produced no rows", name)
 			}
-			for _, w := range []int{2, 3, 4, 8} {
+			for _, w := range []int{0, 2, 3, 4, 8} {
 				got := runWorkers(t, p, w, withPool)
 				assertOutcomesIdentical(t, serial, got, name)
 			}
@@ -344,20 +347,14 @@ func TestCompileParallelFoldsFragments(t *testing.T) {
 	if _, ok := unwrapSpan(CompileParallel(chain, 4)).(*morselExec); !ok {
 		t.Fatal("scan→filter→project chain should fold into one morsel operator")
 	}
-	if _, ok := unwrapSpan(CompileParallel(chain, 1)).(*morselExec); ok {
-		t.Fatal("workers=1 must fall back to the serial operators")
-	}
-	// An agg over a fragment absorbs it: workers pre-aggregate morsels.
+	// An agg over a fragment absorbs it: producers pre-aggregate their runs.
 	agg := plan.NewAgg(chain, nil, []plan.AggSpec{{Func: plan.Count, Name: "c"}})
 	if _, ok := unwrapSpan(CompileParallel(agg, 4)).(*parallelAggOp); !ok {
 		t.Fatalf("agg over fragment compiled to %T, want parallel agg", unwrapSpan(CompileParallel(agg, 4)))
 	}
-	if _, ok := unwrapSpan(CompileParallel(agg, 1)).(*aggOp); !ok {
-		t.Fatalf("workers=1 agg compiled to %T, want the serial operator", unwrapSpan(CompileParallel(agg, 1)))
-	}
 
-	// An agg over a non-fragment input stays serial; the chain below the
-	// blocking input still folds into a morsel leaf.
+	// An agg over a non-fragment input takes an operator; the chain below
+	// the blocking input still folds into a morsel leaf.
 	overLimit := plan.NewAgg(plan.NewLimit(chain, 5), nil,
 		[]plan.AggSpec{{Func: plan.Count, Name: "c"}})
 	root, ok := unwrapSpan(CompileParallel(overLimit, 4)).(*aggOp)
@@ -370,6 +367,160 @@ func TestCompileParallelFoldsFragments(t *testing.T) {
 	}
 	if _, ok := unwrapSpan(lim.input).(*morselExec); !ok {
 		t.Fatalf("limit input compiled to %T, want morsel fragment", unwrapSpan(lim.input))
+	}
+}
+
+// unwrapSpan returns the operator beneath a span wrapper, for tests that
+// look at what a plan lowered to.
+func unwrapSpan(op Operator) Operator {
+	if w, ok := op.(*spanOp); ok {
+		return w.inner
+	}
+	return op
+}
+
+// opTree renders the operator-type tree under op, span wrappers elided.
+func opTree(op Operator) string {
+	switch o := unwrapSpan(op).(type) {
+	case *fusedOp:
+		return "fused(" + opTree(o.input) + ")"
+	case *hashJoinOp:
+		if o.probe == nil {
+			return "join(" + opTree(o.build) + ", pump)"
+		}
+		return "join(" + opTree(o.build) + ", " + opTree(o.probe) + ")"
+	case *aggOp:
+		return "agg(" + opTree(o.input) + ")"
+	case *sortOp:
+		return "sort(" + opTree(o.input) + ")"
+	case *limitOp:
+		return "limit(" + opTree(o.input) + ")"
+	default: // leaves: the pump-driven operators
+		return fmt.Sprintf("%T", o)
+	}
+}
+
+// lowerings is every plan shape the lowering tests cover, with the operator
+// tree each must become.
+func lowerings(t *testing.T) map[string]struct {
+	plan plan.Node
+	tree string
+} {
+	tb := numbersTable(t, "t", 300)
+	build := numbersTable(t, "b", 100)
+	k := tb.Schema.Col("k")
+	chain := plan.NewProject(
+		plan.NewFilter(plan.NewScan(tb, nil), expr.Cmp{Op: expr.LT, L: k, R: expr.Const{V: expr.Int(250)}}),
+		[]expr.Expr{k}, []string{"k"}, []expr.Kind{expr.KindInt})
+	count := []plan.AggSpec{{Func: plan.Count, Name: "c"}}
+	join := func(probe plan.Node) plan.Node {
+		return plan.NewHashJoin(plan.NewScan(build, nil), probe, build.Schema.MustIndex("k"), 0, nil)
+	}
+	return map[string]struct {
+		plan plan.Node
+		tree string
+	}{
+		"scan":              {plan.NewScan(tb, nil), "*exec.morselExec"},
+		"chain":             {chain, "*exec.morselExec"},
+		"agg(chain)":        {plan.NewAgg(chain, nil, count), "*exec.parallelAggOp"},
+		"agg(limit(chain))": {plan.NewAgg(plan.NewLimit(chain, 5), nil, count), "agg(limit(*exec.morselExec))"},
+		"sort(chain)":       {plan.NewSort(chain, plan.SortKey{Col: 0}), "*exec.parallelSortOp"},
+		"limit(sort(chain))": {plan.NewLimit(plan.NewSort(chain, plan.SortKey{Col: 0}), 7),
+			"limit(*exec.parallelSortOp)"},
+		"sort(limit(chain))": {plan.NewSort(plan.NewLimit(chain, 5), plan.SortKey{Col: 0}),
+			"sort(limit(*exec.morselExec))"},
+		"join(scan, chain)":        {join(chain), "join(*exec.morselExec, pump)"},
+		"join(scan, limit(chain))": {join(plan.NewLimit(chain, 5)), "join(*exec.morselExec, limit(*exec.morselExec))"},
+		"filter(join)": {plan.NewFilter(join(chain), expr.Cmp{Op: expr.LT, L: expr.Col{Idx: 0}, R: expr.Const{V: expr.Int(50)}}),
+			"fused(join(*exec.morselExec, pump))"},
+		"agg(join)": {plan.NewAgg(join(chain), nil, count), "agg(join(*exec.morselExec, pump))"},
+		"sort(agg)": {plan.NewSort(plan.NewAgg(chain, []int{0}, count), plan.SortKey{Col: 1}), "sort(*exec.parallelAggOp)"},
+		"join(join)": {plan.NewHashJoin(
+			plan.NewProject(plan.NewScan(build, nil), []expr.Expr{build.Schema.Col("k")}, []string{"outer"}, []expr.Kind{expr.KindInt}),
+			join(chain), 0, 0, nil), "join(*exec.morselExec, join(*exec.morselExec, pump))"},
+	}
+}
+
+// Which operator a plan node becomes depends on the plan's shape alone: the
+// worker count only sizes the pumps.
+func TestLoweringIsAFunctionOfPlanShapeAlone(t *testing.T) {
+	for name, l := range lowerings(t) {
+		for _, w := range []int{0, 1, 2, 4} {
+			if got := opTree(CompileParallel(l.plan, w)); got != l.tree {
+				t.Errorf("%s at workers=%d lowered to %s, want %s", name, w, got, l.tree)
+			}
+		}
+	}
+	for name, p := range parallelPlans(t) {
+		want := opTree(CompileParallel(p, 4))
+		for _, w := range []int{0, 1, 2} {
+			if got := opTree(CompileParallel(p, w)); got != want {
+				t.Errorf("%s at workers=%d lowered to %s, at workers=4 to %s", name, w, got, want)
+			}
+		}
+	}
+}
+
+// One producer runs on the caller's goroutine: at one worker, and on a
+// one-page table at any worker count, a statement starts no goroutine.
+func TestInlinePumpStartsNoGoroutine(t *testing.T) {
+	// More pages than a pool's claim window, so pooled producers cannot
+	// finish — and exit — before the coordinator takes a page.
+	big, onePage := numbersTable(t, "big", 60000), numbersTable(t, "p1", 50)
+	if onePage.Heap.NumPages() != 1 || big.Heap.NumPages() <= 4*4*storage.DefaultMorselRunLength {
+		t.Fatalf("tables span %d and %d pages", onePage.Heap.NumPages(), big.Heap.NumPages())
+	}
+	shapes := func(tb *catalog.Table) map[string]plan.Node {
+		scan := plan.NewScan(tb, expr.Cmp{Op: expr.GE, L: tb.Schema.Col("k"), R: expr.Const{V: expr.Int(1)}})
+		return map[string]plan.Node{
+			"scan": scan,
+			"agg":  plan.NewAgg(scan, nil, []plan.AggSpec{{Func: plan.Count, Name: "c"}}),
+			"sort": plan.NewSort(scan, plan.SortKey{Col: 0, Desc: true}),
+			"join": plan.NewHashJoin(plan.NewScan(onePage, nil), scan, 0, 0, nil),
+		}
+	}
+	before := runtime.NumGoroutine()
+	// run reports the most goroutines seen between Open and Close.
+	run := func(p plan.Node, workers int) (during int) {
+		ctx, _ := testCtx()
+		op := CompileParallel(p, workers)
+		if err := op.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		during = runtime.NumGoroutine()
+		if b, err := op.Next(ctx); err != nil || b == nil {
+			t.Fatalf("first batch: %v, %v", b, err)
+		}
+		during = max(during, runtime.NumGoroutine())
+		if err := op.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		// Close has waited for every producer's wg.Done; give the ones past
+		// it a moment to finish exiting.
+		after := runtime.NumGoroutine()
+		for i := 0; i < 10000 && after != before; i++ {
+			time.Sleep(100 * time.Microsecond)
+			after = runtime.NumGoroutine()
+		}
+		if after != before {
+			t.Fatalf("workers=%d: %d goroutines after Close, %d before Open", workers, after, before)
+		}
+		return during
+	}
+	for name, p := range shapes(big) {
+		for _, w := range []int{0, 1} {
+			if during := run(p, w); during != before {
+				t.Errorf("%s at workers=%d: %d goroutines while open, %d before", name, w, during, before)
+			}
+		}
+		if during := run(p, 4); during == before {
+			t.Errorf("%s at workers=4 ran no pool: the inline checks would pin nothing", name)
+		}
+	}
+	for name, p := range shapes(onePage) {
+		if during := run(p, 4); during != before {
+			t.Errorf("%s over one page at workers=4: %d goroutines while open, %d before", name, during, before)
+		}
 	}
 }
 

@@ -4,8 +4,8 @@ import (
 	"ecodb/internal/expr"
 )
 
-// Scan-time zone-map pruning, shared by the three access paths (private
-// scanOp, morsel fragments, shared-scan consumers).
+// Scan-time zone-map pruning, shared by the two access paths (heap
+// fragments under the morsel pump, shared-scan consumers).
 //
 // Pruning is a pure skip decision: the predicate a page is checked against
 // is only ever used to prove "no row here can pass", never to drop the
@@ -27,8 +27,8 @@ func prunePredicate(pred expr.Expr) expr.Expr {
 
 // conjoinPrune combines a scan's own filter with downstream filter
 // predicates pushed down for the prune decision only. Terms must all
-// reference the scan's schema (callers stop collecting at the first
-// projection).
+// reference the scan's schema (fragment.initPrune stops collecting at the
+// first projection).
 func conjoinPrune(terms []expr.Expr) expr.Expr {
 	switch len(terms) {
 	case 0:
@@ -42,7 +42,5 @@ func conjoinPrune(terms []expr.Expr) expr.Expr {
 
 // Pages skipped by zone-map pruning are counted in the process-wide
 // metrics registry (obsv.PagesPruned) — once per physical skip: per page
-// for private scans and morsel fragments, once per pass step for shared
-// scans regardless of how many consumers observe the skip. Callers that
-// used the old PrunedPages/ResetPrunedPages pair read snapshot deltas of
-// obsv.PagesPruned instead.
+// for heap fragments, once per pass step for shared scans regardless of how
+// many consumers observe the skip.

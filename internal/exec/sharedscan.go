@@ -15,8 +15,8 @@ import (
 // surfaces, on whichever consumer's pull advanced it, while per-tuple
 // interpretation and predicate work are charged here, per consumer, for
 // every page this query processes. Output batches are page-granular and
-// the per-page cost-window flush mirrors scanOp exactly, so a shared scan
-// driven alone is simulation-identical to a private one.
+// the per-page cost-window flush mirrors morselPump.next exactly, so a
+// shared scan driven alone is simulation-identical to a private one.
 type sharedScanOp struct {
 	coord  *scanshare.Coordinator
 	table  *catalog.Table
@@ -113,15 +113,14 @@ func (s *sharedScanOp) Close(ctx *Ctx) error {
 }
 
 // ScanLeaf builds the physical leaf for one plan.Scan during lowering —
-// the hook CompileLeaf uses to swap private page scans for shared-scan
-// consumers.
+// the hook CompileLeaf uses to make every scan a shared-scan consumer.
 type ScanLeaf func(*plan.Scan) Operator
 
 // CompileLeaf lowers a plan through the single compile switch (see
-// parallel.go) but produces every scan leaf through leaf instead of the
-// private scanOp. Morsel parallelization is disabled: the leaves
-// coordinate through external machinery (a shared pass) that owns their
-// page order.
+// parallel.go) but produces every scan leaf through leaf, and no heap
+// fragment: the leaves coordinate through external machinery (a shared
+// pass) that owns their page order, so no pump can drive them, and every
+// operator above them takes its Operator-input form.
 func CompileLeaf(n plan.Node, leaf ScanLeaf) Operator {
 	return compile(n, 1, leaf)
 }

@@ -26,15 +26,6 @@ func wrapSpan(op Operator, kind obsv.Kind, label, table string) Operator {
 	return &spanOp{inner: op, kind: kind, label: label, table: table}
 }
 
-// unwrapSpan returns the operator beneath a span wrapper, for the compile
-// steps that sniff concrete operator types (scan prune pushdown).
-func unwrapSpan(op Operator) Operator {
-	if w, ok := op.(*spanOp); ok {
-		return w.inner
-	}
-	return op
-}
-
 func (w *spanOp) Schema() *catalog.Schema { return w.inner.Schema() }
 
 func (w *spanOp) Open(ctx *Ctx) error {

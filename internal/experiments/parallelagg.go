@@ -16,8 +16,10 @@ import (
 // ParallelAggWorkers is the treated arm's worker count.
 const ParallelAggWorkers = 4
 
-// ParallelAggPoint is one workload size's serial-vs-parallel comparison on
-// the aggregation-heavy pricing-summary workload.
+// ParallelAggPoint is one workload size's inline-vs-pooled comparison on
+// the aggregation-heavy pricing-summary workload: the same operators with
+// one producer on the caller's goroutine (the Serial* fields) and with a
+// pool of worker goroutines (the Par* fields).
 type ParallelAggPoint struct {
 	N int
 
@@ -36,7 +38,7 @@ type ParallelAggPoint struct {
 
 // ParallelAggResult is the parallel-aggregation ablation: the Q1-shaped
 // grouped-revenue workload replayed with Workers=1 versus Workers=4, per
-// workload size. With enabled=false the treated arm also runs serial and
+// workload size. With enabled=false the treated arm also runs inline and
 // the wall-clock deltas collapse — the control arm.
 type ParallelAggResult struct {
 	Config  Config
@@ -49,8 +51,8 @@ var ParallelAggWorkloadSizes = []int{1, 4, 16}
 
 // ParallelAgg replays an aggregation-dominated TPC-H workload (grouped
 // revenue per quantity over lineitem — Agg directly on a scan fragment) on
-// the commercial profile, serial versus morsel-parallel with per-worker
-// partial aggregation tables. Unlike the paper's experiments this measures
+// the commercial profile, one inline producer versus a pool of four, each
+// folding its runs into partial aggregation tables. Unlike the paper's experiments this measures
 // REAL wall-clock: the paper's energy-proportionality argument rewards
 // finishing the same work in fewer core-seconds, and worker count is
 // exactly such a software choice — simulated-era joules per query stay
@@ -122,12 +124,12 @@ func (r ParallelAggResult) String() string {
 	var b strings.Builder
 	mode := fmt.Sprintf("parallel pre-aggregation, %d workers", ParallelAggWorkers)
 	if !r.Enabled {
-		mode = "DISABLED (control arm: both arms serial)"
+		mode = "DISABLED (control arm: both arms inline)"
 	}
 	fmt.Fprintf(&b, "Parallel aggregation ablation (%s)\n", r.Config)
 	fmt.Fprintf(&b, "  grouped-revenue workload on lineitem, treated arm: %s\n\n", mode)
 	fmt.Fprintf(&b, "  %3s %14s %14s %9s %14s %14s %10s\n",
-		"N", "serial wall", "parallel wall", "speedup", "ser J/query", "par J/query", "sim equal")
+		"N", "inline wall", "pooled wall", "speedup", "inl J/query", "pool J/query", "sim equal")
 	for _, p := range r.Points {
 		equal := "yes"
 		if !p.SimulatedJoulesIdentical || !p.SimulatedDurationIdentical {
@@ -138,9 +140,10 @@ func (r ParallelAggResult) String() string {
 			p.Speedup, p.SerialPerQuery, p.ParPerQuery, equal)
 	}
 	b.WriteString("\n  Simulated durations and joules per query are bit-identical across worker\n")
-	b.WriteString("  counts by construction (the coordinator merges per-worker partial tables\n")
+	b.WriteString("  counts by construction (the coordinator merges per-run partial tables\n")
 	b.WriteString("  in page order and folds floating-point sums in global row order); the\n")
 	b.WriteString("  wall-clock column is the real saving on multi-core hosts. Single-core\n")
-	b.WriteString("  hosts see speedup ≈ 1.0 — the treated arm differs only in goroutines.\n")
+	b.WriteString("  hosts see speedup ≈ 1.0 — the arms run the same operators and differ only\n")
+	b.WriteString("  in goroutines.\n")
 	return b.String()
 }

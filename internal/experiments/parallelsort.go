@@ -15,7 +15,8 @@ import (
 )
 
 // ParallelSortWorkers are the worker counts the ablation sweeps; the first
-// entry is the serial baseline every other arm is compared against.
+// entry — one producer, inline on the caller's goroutine — is the baseline
+// every pooled arm is compared against.
 var ParallelSortWorkers = []int{1, 2, 4}
 
 // ParallelSortQueries is the workload size: distinct ordered-revenue sort
@@ -37,9 +38,9 @@ type ParallelSortArm struct {
 	// would read off `ecodb -metrics`.
 	PerQuery energy.Joules
 	// SortRows and MergePasses are registry counter deltas across the
-	// batch: rows through a sort operator (identical in every arm) and
-	// loser-tree merge passes (zero in the serial arm — the counter proves
-	// which path ran).
+	// batch: rows through a sort operator and loser-tree merge passes. Both
+	// are identical in every arm — inline and pooled arms run the same sort
+	// — and a zero would mean the fragment sort never engaged.
 	SortRows, MergePasses int64
 
 	// batch is the arm's trace-measured batch energy: unlike the registry
@@ -50,20 +51,21 @@ type ParallelSortArm struct {
 
 // ParallelSortResult is the parallel-sort ablation: the ordered-revenue
 // workload replayed at increasing worker counts. With enabled=false every
-// arm runs serial and the wall-clock deltas collapse — the control arm.
+// arm runs inline and the wall-clock deltas collapse — the control arm.
 type ParallelSortResult struct {
 	Config  Config
 	Enabled bool
 	Arms    []ParallelSortArm
 	// SimulatedIdentical reports that every arm's simulated duration and
-	// registry joules matched the serial arm bit for bit.
+	// registry joules matched the inline arm bit for bit.
 	SimulatedIdentical bool
 }
 
 // ParallelSort replays a sort-dominated TPC-H workload (ordered revenue
 // over lineitem — Sort directly on a scan→filter→project fragment) on the
-// commercial profile at worker counts 1, 2, and 4. Workers generate
-// sorted runs and the coordinator merges them with a loser tree; as with
+// commercial profile at worker counts 1 (inline), 2, and 4 (pooled).
+// Producers generate sorted runs and the coordinator merges them with a
+// loser tree; as with
 // the aggregation ablation, the measured quantity is REAL wall-clock —
 // simulated durations and joules per query stay bit-identical while the
 // modern host finishes sooner, which is the paper's energy argument.
@@ -133,9 +135,9 @@ func ParallelSort(cfg Config, enabled bool) ParallelSortResult {
 
 func (r ParallelSortResult) String() string {
 	var b strings.Builder
-	mode := "morsel-parallel sort: worker run generation + loser-tree merge"
+	mode := "fragment sort: run generation (inline at 1 worker, pooled above) + loser-tree merge"
 	if !r.Enabled {
-		mode = "DISABLED (control arm: every worker count runs serial)"
+		mode = "DISABLED (control arm: every worker count runs inline)"
 	}
 	fmt.Fprintf(&b, "Parallel sort ablation (%s)\n", r.Config)
 	fmt.Fprintf(&b, "  ordered-revenue workload on lineitem (%d queries), treated arms: %s\n\n",
@@ -156,8 +158,8 @@ func (r ParallelSortResult) String() string {
 	fmt.Fprintf(&b, "\n  Simulated durations and trace-measured batch joules: %s.\n", status)
 	b.WriteString("  J/query is read from the engine metrics registry (per-objective query\n")
 	b.WriteString("  energy counter deltas), so the observability surface is the thing under\n")
-	b.WriteString("  test; the merge-passes counter proves which arms took the parallel path.\n")
-	b.WriteString("  Wall-clock is the real saving on multi-core hosts; single-core hosts see\n")
-	b.WriteString("  speedup ≈ 1.0 — the arms differ only in goroutines.\n")
+	b.WriteString("  test; the merge-passes counter is equal in every arm because every arm\n")
+	b.WriteString("  runs the same sort. Wall-clock is the real saving on multi-core hosts;\n")
+	b.WriteString("  single-core hosts see speedup ≈ 1.0 — the arms differ only in goroutines.\n")
 	return b.String()
 }

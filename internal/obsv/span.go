@@ -9,7 +9,7 @@ type Kind uint8
 
 const (
 	KindStatement Kind = iota // the root: whole-statement overhead + residue
-	KindScan                  // any scan leaf: serial, morsel-parallel, or shared
+	KindScan                  // any scan leaf: a heap fragment or a shared-pass consumer
 	KindFused                 // fused filter/project pipeline stages
 	KindJoin
 	KindAgg

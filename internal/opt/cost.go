@@ -1,8 +1,6 @@
 package opt
 
 import (
-	"math"
-
 	"ecodb/internal/expr"
 	"ecodb/internal/hw/cpu"
 )
@@ -155,18 +153,16 @@ func (e *est) aggCost(inRows, groups float64) cycles {
 	return c
 }
 
-// sortCost estimates an n·log₂n comparison sort — the same formula
-// exec.Ctx.chargeSort charges at runtime, so the estimate is exact up to
-// the cardinality guess. Parallel sort lowering never changes it: workers
-// only move real comparison work, and the coordinator charges the serial
-// formula on the total surviving row count.
+// sortCost estimates a sort of rows rows with the function the executor
+// charges one with (exec.CostModel.SortCycles), so the estimate is exact up
+// to the cardinality guess. The worker count never changes it: producers
+// only move real comparison work, and the coordinator charges the formula
+// once on the total surviving row count.
 func (e *est) sortCost(rows float64) cycles {
 	var c cycles
-	if rows > 1 {
-		n := rows * math.Log2(rows)
-		c.add(cpu.Compute, e.env.Cost.SortCmpCycles*n)
-		c.add(cpu.MemStall, 0.25*e.env.Cost.SortCmpCycles*n)
-	}
+	compute, stall := e.env.Cost.SortCycles(rows)
+	c.add(cpu.Compute, compute)
+	c.add(cpu.MemStall, stall)
 	return c
 }
 

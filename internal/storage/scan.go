@@ -6,71 +6,14 @@ import (
 	"ecodb/internal/expr"
 )
 
-// PageScan is a stateful cursor over a heap's pages — the storage half of
-// the executor's batch pipeline. Each step surfaces one page through the
-// buffer pool (misses become simulated disk reads) and hands its rows to a
-// batch, so the executor charges work at page granularity while flowing
-// rows downstream in larger chunks.
-type PageScan struct {
-	heap  *Heap
-	table string
-	pool  *BufferPool // nil for an all-in-memory engine
-	next  int
-}
-
-// NewPageScan returns a cursor over heap's pages. table names the heap in
-// buffer-pool page IDs; pool may be nil when no pool is attached.
-func NewPageScan(heap *Heap, table string, pool *BufferPool) *PageScan {
-	return &PageScan{heap: heap, table: table, pool: pool}
-}
-
-// ReadInto advances to the next page, touching the buffer pool when one is
-// attached, and turns dst into a zero-copy view of the page's column
-// vectors (full selection). It reports the page's byte size and row count;
-// ok is false when the heap is exhausted (dst is then untouched).
-func (s *PageScan) ReadInto(dst *expr.Batch) (bytes int64, rows int, ok bool) {
-	if s.next >= s.heap.NumPages() {
-		return 0, 0, false
-	}
-	page := s.heap.Page(s.next)
-	if s.pool != nil {
-		s.pool.Access(PageID{Table: s.table, Index: s.next}, page.Bytes)
-	}
-	s.next++
-	dst.Alias(&page.Data, nil)
-	return page.Bytes, page.NumRows(), true
-}
-
-// PeekZones returns the zone maps of the page the next ReadInto would
-// surface, without advancing and without touching the buffer pool — the
-// pruning check a scan runs before deciding to read or Skip. ok is false
-// when the heap is exhausted.
-func (s *PageScan) PeekZones() (zones []expr.Zone, ok bool) {
-	if s.next >= s.heap.NumPages() {
-		return nil, false
-	}
-	return s.heap.Page(s.next).Zones, true
-}
-
-// Skip advances past the next page without touching the buffer pool — a
-// pruned page is never physically read, so no disk or pool state changes.
-func (s *PageScan) Skip() {
-	if s.next < s.heap.NumPages() {
-		s.next++
-	}
-}
-
-// Reset rewinds the cursor to the first page.
-func (s *PageScan) Reset() { s.next = 0 }
-
 // CircularScan is a wrap-aware cursor over a heap's pages — the storage
 // half of the shared-scan subsystem and the circular cousin of
 // MorselSource. The cursor can start at any page and wraps past the last
 // page back to the first, so a pass has no intrinsic end: consumers that
 // join mid-pass (remembering their entry page) bound their own reading at
-// one full lap. Like PageScan, each surfaced page touches the buffer pool
-// when one is attached, so misses become simulated disk reads exactly
-// where the pass physically reads.
+// one full lap. Each surfaced page touches the buffer pool when one is
+// attached, so misses become simulated disk reads exactly where the pass
+// physically reads.
 type CircularScan struct {
 	heap  *Heap
 	table string
@@ -121,7 +64,8 @@ func (s *CircularScan) PeekZones() (zones []expr.Zone, ok bool) {
 }
 
 // Skip advances past the page under the cursor without touching the buffer
-// pool — the circular cousin of PageScan.Skip for pruned pages.
+// pool: a pruned page is never physically read, so no disk or pool state
+// changes.
 func (s *CircularScan) Skip() (idx int, ok bool) {
 	n := s.heap.NumPages()
 	if n == 0 {
@@ -150,7 +94,6 @@ const DefaultMorselRunLength = 8
 // worker count.
 type MorselSource struct {
 	heap    *Heap
-	runLen  int
 	nextRun atomic.Int64
 }
 
@@ -159,46 +102,27 @@ type MorselRun struct {
 	Start, End int
 }
 
-// Len returns how many pages the run covers.
-func (r MorselRun) Len() int { return r.End - r.Start }
-
-// NewMorselSource returns a concurrent run-granular cursor over heap's
-// pages with the default run length.
+// NewMorselSource returns a concurrent cursor handing out heap's pages in
+// runs of DefaultMorselRunLength adjacent pages.
 func NewMorselSource(heap *Heap) *MorselSource {
-	return NewMorselSourceRunLength(heap, DefaultMorselRunLength)
-}
-
-// NewMorselSourceRunLength returns a concurrent cursor handing out runs of
-// runLen adjacent pages; non-positive lengths select the default.
-func NewMorselSourceRunLength(heap *Heap, runLen int) *MorselSource {
-	if runLen <= 0 {
-		runLen = DefaultMorselRunLength
-	}
-	return &MorselSource{heap: heap, runLen: runLen}
+	return &MorselSource{heap: heap}
 }
 
 // NumMorsels returns how many morsels (pages) the source serves in total.
 func (s *MorselSource) NumMorsels() int { return s.heap.NumPages() }
 
-// RunLength returns the configured pages-per-handout run length.
-func (s *MorselSource) RunLength() int { return s.runLen }
-
 // NextRun claims the next unclaimed run of adjacent pages; ok is false
 // once the heap is exhausted. Runs are claimed in ascending page order
-// (run k covers pages [k·runLen, (k+1)·runLen) clipped to the heap).
-// Safe for concurrent use.
+// (run k covers pages [k·L, (k+1)·L) for L = DefaultMorselRunLength,
+// clipped to the heap). Safe for concurrent use.
 func (s *MorselSource) NextRun() (run MorselRun, ok bool) {
 	r := int(s.nextRun.Add(1)) - 1
-	start := r * s.runLen
+	start := r * DefaultMorselRunLength
 	n := s.heap.NumPages()
 	if start >= n {
 		return MorselRun{}, false
 	}
-	end := start + s.runLen
-	if end > n {
-		end = n
-	}
-	return MorselRun{Start: start, End: end}, true
+	return MorselRun{Start: start, End: min(start+DefaultMorselRunLength, n)}, true
 }
 
 // Page returns page i of the underlying heap, for workers walking a

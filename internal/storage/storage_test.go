@@ -281,57 +281,36 @@ func TestMorselSourceHandsOutEveryPageOnce(t *testing.T) {
 	}
 }
 
-// The NUMA-affinity contract: every handout is a run of adjacent pages of
-// exactly the configured length (the tail run may be shorter), runs are
-// claimed in ascending order, and together they tile the heap.
+// The NUMA-affinity contract: every handout is a run of exactly
+// DefaultMorselRunLength adjacent pages (the tail run is shorter when the
+// page count is not a multiple of it), runs are claimed in ascending order,
+// and together they tile the heap.
 func TestMorselSourceRunLengthContiguous(t *testing.T) {
 	h := NewHeap(256)
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < 1100; i++ {
 		h.Append(expr.Row{expr.Int(int64(i))})
 	}
 	n := h.NumPages()
-	if n < 10 {
-		t.Fatalf("need a multi-page heap, got %d pages", n)
+	if n < 2*DefaultMorselRunLength || n%DefaultMorselRunLength == 0 {
+		t.Fatalf("need several runs and a short tail, got %d pages", n)
 	}
-	const runLen = 3
-	src := NewMorselSourceRunLength(h, runLen)
-	if src.RunLength() != runLen {
-		t.Fatalf("RunLength = %d, want %d", src.RunLength(), runLen)
-	}
-	var runs []MorselRun
-	for {
+	src := NewMorselSource(h)
+	next := 0
+	for i := 0; ; i++ {
 		run, ok := src.NextRun()
 		if !ok {
 			break
 		}
-		runs = append(runs, run)
-	}
-	next := 0
-	for i, run := range runs {
 		if run.Start != next {
 			t.Fatalf("run %d starts at %d, want %d (runs must tile the heap in order)", i, run.Start, next)
 		}
-		want := runLen
-		if run.Start+want > n {
-			want = n - run.Start
-		}
-		if run.Len() != want {
-			t.Fatalf("run %d covers %d pages, want %d", i, run.Len(), want)
+		if got, want := run.End-run.Start, min(DefaultMorselRunLength, n-run.Start); got != want {
+			t.Fatalf("run %d covers %d pages, want %d", i, got, want)
 		}
 		next = run.End
 	}
 	if next != n {
 		t.Fatalf("runs end at page %d, want %d", next, n)
-	}
-}
-
-func TestMorselSourceDefaultRunLength(t *testing.T) {
-	src := NewMorselSource(NewHeap(0))
-	if src.RunLength() != DefaultMorselRunLength {
-		t.Fatalf("default run length = %d, want %d", src.RunLength(), DefaultMorselRunLength)
-	}
-	if s2 := NewMorselSourceRunLength(NewHeap(0), -3); s2.RunLength() != DefaultMorselRunLength {
-		t.Fatal("non-positive run length should select the default")
 	}
 }
 
