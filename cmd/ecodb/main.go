@@ -30,16 +30,14 @@ import (
 )
 
 var (
-	flagSF           = flag.Float64("sf", 0, "generated TPC-H scale factor override (0 = experiment default)")
-	flagAmp          = flag.Float64("amp", 0, "work amplification override (0 = experiment default)")
-	flagRuns         = flag.Int("runs", 0, "measurement repetitions per point (0 = experiment default)")
-	flagSeed         = flag.Uint64("seed", 0, "data-generation seed (0 = experiment default)")
-	flagShared       = flag.Bool("shared-scan", true, "serve non-mergeable QED batches from one shared heap pass (sharedscan experiment; false = control arm)")
-	flagParallel     = flag.Bool("parallel-agg", true, "run the treated arm of the parallelagg experiment with worker goroutines (false = control arm: both arms serial)")
-	flagParallelSort = flag.Bool("parallel-sort", true, "run the treated arms of the parallelsort experiment with worker goroutines (false = control arm: every arm serial)")
-	flagZoneMaps     = flag.Bool("zone-maps", true, "enable zone-map page pruning in the compression experiment's treated arm")
-	flagDict         = flag.Bool("dict-strings", true, "enable dictionary-encoded string columns in the compression experiment's treated arm")
-	flagMetrics      = flag.String("metrics", "", "dump the engine metrics registry after all experiments: text or json")
+	flagSF       = flag.Float64("sf", 0, "generated TPC-H scale factor override (0 = experiment default)")
+	flagAmp      = flag.Float64("amp", 0, "work amplification override (0 = experiment default)")
+	flagRuns     = flag.Int("runs", 0, "measurement repetitions per point (0 = experiment default)")
+	flagSeed     = flag.Uint64("seed", 0, "data-generation seed (0 = experiment default)")
+	flagShared   = flag.Bool("shared-scan", true, "serve non-mergeable QED batches from one shared heap pass (sharedscan experiment; false = control arm)")
+	flagZoneMaps = flag.Bool("zone-maps", true, "enable zone-map page pruning in the compression experiment's treated arm")
+	flagDict     = flag.Bool("dict-strings", true, "enable dictionary-encoded string columns in the compression experiment's treated arm")
+	flagMetrics  = flag.String("metrics", "", "dump the engine metrics registry after all experiments: text or json")
 )
 
 func main() {
@@ -107,9 +105,6 @@ experiments:
   capvsuc   ablation: FSB underclocking vs multiplier capping
   mechanisms ablation: decompose setting A's savings by mechanism
   sharedscan ablation: QED shared-scan flush vs sequential (see -shared-scan)
-  parallelagg ablation: serial vs morsel-parallel aggregation wall-clock (see -parallel-agg)
-  parallelsort ablation: serial vs morsel-parallel sort wall-clock and
-            registry joules per query at 1/2/4 workers (see -parallel-sort)
   compression ablation: plain vs compressed columnar storage — zone-map
             pruning + dictionary strings (see -zone-maps, -dict-strings)
   optimizer ablation: cost-and-energy optimizer objectives on a TPC-H Q5
@@ -170,10 +165,6 @@ func runOne(name string) error {
 		out = experiments.Mechanisms(override(experiments.DefaultCommercialConfig()))
 	case "sharedscan":
 		out = experiments.SharedScans(override(experiments.DefaultCommercialConfig()), *flagShared)
-	case "parallelagg":
-		out = experiments.ParallelAgg(override(experiments.DefaultCommercialConfig()), *flagParallel)
-	case "parallelsort":
-		out = experiments.ParallelSort(override(experiments.DefaultCommercialConfig()), *flagParallelSort)
 	case "compression":
 		out = experiments.Compression(override(experiments.DefaultCommercialConfig()), *flagZoneMaps, *flagDict)
 	case "optimizer":
@@ -181,7 +172,7 @@ func runOne(name string) error {
 	case "server":
 		out = experiments.Server(override(experiments.DefaultServerConfig()))
 	default:
-		return fmt.Errorf("unknown experiment %q (try: table1 fig1 fig2 fig3 fig4 fig5 fig6 fig6hash warmcold capvsuc mechanisms sharedscan parallelagg parallelsort compression optimizer server all; flags go before the experiment name)", name)
+		return fmt.Errorf("unknown experiment %q (try: table1 fig1 fig2 fig3 fig4 fig5 fig6 fig6hash warmcold capvsuc mechanisms sharedscan compression optimizer server all; flags go before the experiment name)", name)
 	}
 	fmt.Println(out)
 	fmt.Printf("[%s regenerated in %v]\n\n", name, time.Since(start).Round(time.Millisecond))

@@ -15,11 +15,12 @@ import (
 	"ecodb/internal/tpch"
 )
 
-// drainCount runs a fresh compile of p to exhaustion and returns the row
-// count.
-func drainCount(b *testing.B, p plan.Node) int64 {
+// drainCount runs a fresh compile of p to exhaustion, with zone-map pruning
+// as given, and returns the row count.
+func drainCount(b *testing.B, p plan.Node, pruning bool) int64 {
 	b.Helper()
 	ctx := benchCtx()
+	ctx.ZoneMapPruning = pruning
 	var rows int64
 	op := exec.Compile(p)
 	if err := exec.Drain(ctx, op, func(batch *expr.Batch) error {
@@ -38,7 +39,6 @@ func drainCount(b *testing.B, p plan.Node) int64 {
 // bar for the zone-map subsystem is ≥2× wall-clock on this path; with ~99%
 // of pages skipped, observed is far above it.
 func BenchmarkZoneMapPrune(b *testing.B) {
-	defer expr.SetZoneMapPruning(expr.ZoneMapPruning())
 	cat := catalog.NewCatalog()
 	tpch.NewGenerator(0.02, 42).Load(cat, tpch.Lineitem)
 	t := cat.MustTable(tpch.Lineitem)
@@ -53,10 +53,9 @@ func BenchmarkZoneMapPrune(b *testing.B) {
 		pruning bool
 	}{{"unpruned", false}, {"pruned", true}} {
 		b.Run(arm.name, func(b *testing.B) {
-			expr.SetZoneMapPruning(arm.pruning)
 			var rows int64
 			for i := 0; i < b.N; i++ {
-				rows = drainCount(b, band)
+				rows = drainCount(b, band, arm.pruning)
 			}
 			b.ReportMetric(float64(rows), "rows")
 		})
@@ -71,11 +70,13 @@ func BenchmarkZoneMapPrune(b *testing.B) {
 // delta is the host-side cost of string compares the codes avoid.
 func BenchmarkDictFilter(b *testing.B) {
 	load := func(dict bool) *catalog.Table {
-		defer expr.SetDictStrings(expr.DictStrings())
-		expr.SetDictStrings(dict)
 		cat := catalog.NewCatalog()
 		tpch.NewGenerator(0.05, 42).Load(cat, tpch.Orders)
-		return cat.MustTable(tpch.Orders)
+		t := cat.MustTable(tpch.Orders)
+		if dict {
+			t.Heap.CompressStrings()
+		}
+		return t
 	}
 	pred := func(t *catalog.Table) expr.Expr {
 		return expr.Cmp{
@@ -95,7 +96,7 @@ func BenchmarkDictFilter(b *testing.B) {
 			b.ResetTimer()
 			var rows int64
 			for i := 0; i < b.N; i++ {
-				rows = drainCount(b, scan)
+				rows = drainCount(b, scan, false)
 			}
 			b.ReportMetric(float64(rows), "rows")
 		})

@@ -174,19 +174,18 @@ func TestGoldenFig1(t *testing.T) {
 // the mixed range-plus-string workload run with zone-map pruning and
 // dictionary strings ENABLED — result rows of one pruned range query, every
 // query's cardinality and simulated timings, total joules, and the pages
-// pruned. Together with the four legacy goldens (which run with the toggles
-// off) this pins both sides of the compression switch.
+// pruned. Together with the four legacy goldens (plain tables, stock
+// profiles) this pins both sides of the compression choice.
 func TestGoldenCompression(t *testing.T) {
-	defer expr.SetZoneMapPruning(expr.ZoneMapPruning())
-	defer expr.SetDictStrings(expr.DictStrings())
-	expr.SetZoneMapPruning(true)
-	expr.SetDictStrings(true)
-
 	prof := engine.ProfileCommercial()
 	prof.WorkAmplification = 50
+	prof.ZoneMapPruning = true
 	sys := core.NewSystem(prof)
-	tpch.NewGenerator(0.02, 42).Load(sys.Engine.Catalog(),
-		tpch.Customer, tpch.Orders, tpch.Lineitem)
+	tables := []string{tpch.Customer, tpch.Orders, tpch.Lineitem}
+	tpch.NewGenerator(0.02, 42).Load(sys.Engine.Catalog(), tables...)
+	for _, name := range tables {
+		sys.Engine.MustTable(name).Heap.CompressStrings()
+	}
 	sys.Engine.WarmAll()
 
 	var b strings.Builder

@@ -263,7 +263,8 @@ func (e *Engine) startQueryPar(op exec.Operator, par int, pi *obsv.PlanInfo) *Ro
 	// Statement overhead: parse, optimize, round trip.
 	c.Run(e.prof.QueryOverheadCycles, cpu.Compute)
 
-	ctx := &exec.Ctx{CPU: c, Pool: e.pool, Cost: e.prof.Cost, Amplify: e.prof.Amplification(), BatchSize: e.prof.BatchSize, Obs: r.obs}
+	ctx := &exec.Ctx{CPU: c, Pool: e.pool, Cost: e.prof.Cost, Amplify: e.prof.Amplification(), BatchSize: e.prof.BatchSize,
+		ZoneMapPruning: e.prof.ZoneMapPruning, Obs: r.obs}
 	if e.prof.BGIOProbPerPage > 0 && !e.prof.MemoryEngine {
 		// Amplified page counts mean amplified background traffic.
 		prob := e.prof.BGIOProbPerPage * e.prof.Amplification()
@@ -337,10 +338,8 @@ func (r *Rows) Stats() ExecStats {
 	return r.stats
 }
 
-// finish charges the result path — server-side materialization/wire cost,
-// then the client (hosted on the same machine, as the paper's JDBC client
-// was) receives the rows, paying collector pressure that grows with the
-// result size — and freezes the statistics.
+// finish charges the result path (exec.CostModel.Result) and freezes the
+// statistics.
 func (r *Rows) finish() {
 	if r.finished {
 		return
@@ -355,11 +354,7 @@ func (r *Rows) finish() {
 		// the statement root undifferentiated.
 		r.obs.OpenSpan(obsv.KindResult, "Result", "", c.Clock().Now())
 	}
-	n := float64(r.rowsOut)
-	ctx.Charge(cpu.Stream, e.prof.Cost.ResultRowCycles*n)
-	ctx.Charge(cpu.Stream, e.prof.Cost.ResultKBCycles*float64(r.bytesOut)/1024)
-	gc := e.prof.Cost.ClientRowFactor(n * e.prof.Amplification())
-	ctx.Charge(cpu.MemStall, e.prof.Cost.ClientRowCycles*n*gc)
+	e.prof.Cost.Result(ctx, float64(r.rowsOut), float64(r.bytesOut), e.prof.Amplification())
 	ctx.Flush()
 
 	end := c.Clock().Now()

@@ -230,7 +230,8 @@ func TestProfileAvailability(t *testing.T) {
 // span says so: Rows is what it served. Everything the simulation charges
 // is unchanged — the sort still consumes its whole input, so its cycles,
 // its joules and exec_sort_rows_total are those of the unlimited sort, on
-// the morsel-parallel lowering and the serial one alike.
+// the morsel-parallel lowering and the serial one alike. Inline or pooled it
+// is the same fragment sort, so each statement is exactly one merge pass.
 func TestSortSpanUnderLimitServesNButChargesForEveryRowConsumed(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		prof := ProfileCommercial()
@@ -242,6 +243,7 @@ func TestSortSpanUnderLimitServesNButChargesForEveryRowConsumed(t *testing.T) {
 		sorted := tpch.OrderedRevenueQuery(e.Catalog(), 30)
 		sortSpan := func(p plan.Node) (*obsv.Span, int64) {
 			before := e.MetricsSnapshot().Counter(obsv.MetricSortRows)
+			merges := e.MetricsSnapshot().Counter(obsv.MetricMergePasses)
 			profile, err := e.AnalyzeQuery(p)
 			if err != nil {
 				t.Fatal(err)
@@ -254,6 +256,9 @@ func TestSortSpanUnderLimitServesNButChargesForEveryRowConsumed(t *testing.T) {
 			})
 			if span == nil {
 				t.Fatalf("workers=%d: no sort span in the profile", workers)
+			}
+			if got := e.MetricsSnapshot().Counter(obsv.MetricMergePasses) - merges; got != 1 {
+				t.Errorf("workers=%d: exec_sort_merge_passes_total moved by %d, want 1", workers, got)
 			}
 			return span, e.MetricsSnapshot().Counter(obsv.MetricSortRows) - before
 		}

@@ -61,6 +61,14 @@ type Profile struct {
 	// with amplification 1/s emulates the paper's full-scale absolute
 	// runtimes and joules while generating only s of the data.
 	WorkAmplification float64
+	// ZoneMapPruning lets scans skip pages whose zone maps prove no row can
+	// pass the pushed-down predicate, at one zone-check charge per examined
+	// page. Results never change; simulated charges do (a pruned page costs
+	// the check alone), so both stock profiles leave it off and the golden
+	// suites pin every page read. Dictionary-encoded strings, the other
+	// storage choice, are a property of the tables an engine is loaded with
+	// (storage.Heap.CompressStrings), not of the profile.
+	ZoneMapPruning bool
 	// Seed drives the engine's internal randomness (background I/O).
 	Seed uint64
 	// Objective, when enabled, routes Query and SharedSession.Query
@@ -73,13 +81,8 @@ type Profile struct {
 	Objective opt.Objective
 }
 
-// Amplification returns the effective work amplification (≥ 1 by default).
-func (p Profile) Amplification() float64 {
-	if p.WorkAmplification <= 0 {
-		return 1
-	}
-	return p.WorkAmplification
-}
+// Amplification returns the effective work amplification (1 when unset).
+func (p Profile) Amplification() float64 { return exec.Amplification(p.WorkAmplification) }
 
 // ProfileCommercial models the paper's commercial DBMS. Cost constants are
 // calibrated (see internal/experiments) so a 10-query TPC-H Q5 workload at

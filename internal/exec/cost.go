@@ -63,29 +63,126 @@ type CostModel struct {
 	ExprCycleMultiple      float64 // scales expr-tree costs (interpreter weight)
 }
 
+// Charger accumulates the addends of a charge, by kind: *Ctx on the simulated
+// machine, the optimizer's per-plan cycle record in an estimate.
+type Charger interface {
+	Charge(kind cpu.WorkKind, cycles float64)
+}
+
+// The functions below are the one definition of each charge. Each hands its
+// addends, in a fixed order, to whatever accumulates them: the executor
+// passes its *Ctx with the rows and bytes it counted, the optimizer its
+// estimate with the rows and bytes it predicts — so an estimate and the
+// bill it predicts can differ by cardinality alone. No other file reads a
+// cycle constant (CI's "Charges defined once" step). Every addend is its
+// own Charge call, never pre-summed with another of its kind: float
+// addition is not associative, and the goldens pin the sums' bits. The
+// receivers are pointers because the optimizer calls these in its
+// enumeration's inner loop and the model is twenty-odd words.
+
+// PageStream charges moving one physically read page's bytes (or, in an
+// estimate, a whole heap's) through memory. A shared pass fires it once per
+// page surfaced, however many consumers are attached.
+func (m *CostModel) PageStream(to Charger, bytes float64) {
+	to.Charge(cpu.Stream, m.PageStreamCyclesPerKB*bytes/1024)
+}
+
+// ZoneCheck charges consulting the zone maps of pages pages. A scan with
+// pruning active charges it for every page it looks at — pruned or read —
+// so pruning on an unprunable workload costs a little, exactly like a real
+// engine's min/max check.
+func (m *CostModel) ZoneCheck(to Charger, pages float64) {
+	to.Charge(cpu.Compute, m.ZoneCheckCycles*pages)
+}
+
+// ScanTuples charges interpreting rows scanned tuples — work every query
+// pays for every page it processes, shared pass or not.
+func (m *CostModel) ScanTuples(to Charger, rows float64) {
+	to.Charge(cpu.Compute, m.ScanTupleCycles*rows)
+	to.Charge(cpu.MemStall, m.ScanTupleStallCycles*rows)
+}
+
+// Expr charges cycles of metered expression evaluation (an expr.Cost drain,
+// or expr.EvalCycles × rows in an estimate), scaled by the profile's
+// interpreter weight.
+func (m *CostModel) Expr(to Charger, cycles float64) {
+	mult := m.ExprCycleMultiple
+	if mult == 0 {
+		mult = 1
+	}
+	to.Charge(cpu.Compute, cycles*mult)
+}
+
+// JoinBuild charges inserting rows build-side rows into the hash table.
+func (m *CostModel) JoinBuild(to Charger, rows float64) {
+	to.Charge(cpu.Compute, m.BuildCycles*rows)
+	to.Charge(cpu.MemStall, m.BuildStallCycles*rows)
+}
+
+// JoinProbe charges looking up rows probe-side rows and emitting the
+// matches they found (counted before the residual predicate, which is
+// charged through Expr).
+func (m *CostModel) JoinProbe(to Charger, rows, matches float64) {
+	to.Charge(cpu.Compute, m.ProbeCycles*rows)
+	to.Charge(cpu.MemStall, m.ProbeStallCycles*rows)
+	to.Charge(cpu.Compute, m.MatchCycles*matches)
+}
+
+// AggFold charges folding rows input rows into the group table.
+func (m *CostModel) AggFold(to Charger, rows float64) {
+	to.Charge(cpu.Compute, m.AggCycles*rows)
+	to.Charge(cpu.MemStall, m.AggStallCycles*rows)
+}
+
+// AggEmit charges emitting one output row per group.
+func (m *CostModel) AggEmit(to Charger, groups float64) {
+	to.Charge(cpu.Compute, m.AggCycles*groups)
+}
+
+// Sort charges the comparison-model cost of sorting n rows:
+// SortCmpCycles·n·log₂n compute plus a quarter of that in memory stalls. A
+// sort over a heap fragment charges it once on the total row count, never
+// per run, because the simulated cost models the algorithm, not the
+// schedule.
+func (m *CostModel) Sort(to Charger, n float64) {
+	if n <= 1 {
+		return
+	}
+	to.Charge(cpu.Compute, m.SortCmpCycles*n*math.Log2(n))
+	to.Charge(cpu.MemStall, 0.25*m.SortCmpCycles*n*math.Log2(n))
+}
+
+// Result charges the result path for rows rows of bytes wire bytes:
+// server-side materialization and streaming, then the client — hosted on
+// the same machine, as the paper's JDBC client was — receiving the rows
+// under collector pressure that grows with the full-scale result size
+// (rows × amplify).
+func (m *CostModel) Result(to Charger, rows, bytes, amplify float64) {
+	to.Charge(cpu.Stream, m.ResultRowCycles*rows)
+	to.Charge(cpu.Stream, m.ResultKBCycles*bytes/1024)
+	to.Charge(cpu.MemStall, m.ClientRowCycles*rows*m.ClientRowFactor(rows*amplify))
+}
+
 // ClientRowFactor returns the GC-pressure multiplier for a result of
 // equivRows rows.
-func (c CostModel) ClientRowFactor(equivRows float64) float64 {
-	if c.ClientGCPerMRow <= 0 {
+func (m *CostModel) ClientRowFactor(equivRows float64) float64 {
+	if m.ClientGCPerMRow <= 0 {
 		return 1
 	}
 	r := equivRows
-	if c.ClientGCSaturationRows > 0 && r > c.ClientGCSaturationRows {
-		r = c.ClientGCSaturationRows
+	if m.ClientGCSaturationRows > 0 && r > m.ClientGCSaturationRows {
+		r = m.ClientGCSaturationRows
 	}
-	return 1 + c.ClientGCPerMRow*r/1e6
+	return 1 + m.ClientGCPerMRow*r/1e6
 }
 
-// SortCycles is the comparison-model cost of sorting n rows:
-// SortCmpCycles·n·log₂n compute plus a quarter of that in memory stalls.
-// It is the one definition of the charge: the executor charges it
-// (Ctx.chargeSort) and the optimizer estimates with it (opt's sortCost), so
-// the two can differ only by the cardinality guess.
-func (c CostModel) SortCycles(n float64) (compute, stall float64) {
-	if n <= 1 {
-		return 0, 0
+// Amplification is the effective work amplification for a configured value:
+// unset (zero or negative) scales nothing.
+func Amplification(configured float64) float64 {
+	if configured <= 0 {
+		return 1
 	}
-	return c.SortCmpCycles * n * math.Log2(n), 0.25 * c.SortCmpCycles * n * math.Log2(n)
+	return configured
 }
 
 // Ctx is the execution context shared by all operators of one query: the
@@ -112,6 +209,11 @@ type Ctx struct {
 	// expr.DefaultBatchCapacity.
 	BatchSize int
 
+	// ZoneMapPruning lets this statement's scans skip pages whose zone maps
+	// prove no row can pass the pushed-down predicate (prune.go). Results
+	// are identical either way; the charge stream is not.
+	ZoneMapPruning bool
+
 	// Obs, when non-nil, receives a copy of every charge tagged with the
 	// operator span that made it — the per-query profile collector. All
 	// observation sites are guarded by a nil check, so a disabled profile
@@ -130,35 +232,18 @@ func (c *Ctx) BatchTarget() int {
 	return expr.DefaultBatchCapacity
 }
 
-func (c *Ctx) amp() float64 {
-	if c.Amplify <= 0 {
-		return 1
-	}
-	return c.Amplify
-}
-
 // Charge accumulates cycles of the given kind.
 func (c *Ctx) Charge(kind cpu.WorkKind, cycles float64) {
-	a := cycles * c.amp()
+	a := cycles * Amplification(c.Amplify)
 	c.acc[kind] += a
 	if c.Obs != nil {
 		c.Obs.Charge(int(kind), a)
 	}
 }
 
-// ChargeExpr drains an expression cost meter into compute work, scaled by
-// the profile's interpreter weight.
-func (c *Ctx) ChargeExpr(m *expr.Cost) {
-	mult := c.Cost.ExprCycleMultiple
-	if mult == 0 {
-		mult = 1
-	}
-	a := m.Drain() * mult * c.amp()
-	c.acc[cpu.Compute] += a
-	if c.Obs != nil {
-		c.Obs.Charge(int(cpu.Compute), a)
-	}
-}
+// ChargeExpr drains an expression cost meter into compute work
+// (CostModel.Expr).
+func (c *Ctx) ChargeExpr(m *expr.Cost) { c.Cost.Expr(c, m.Drain()) }
 
 // chargePageStream charges the physical-read side of surfacing one heap
 // page: the background-I/O page hook and the memory stream that moves the
@@ -173,34 +258,7 @@ func (c *Ctx) chargePageStream(bytes int64) {
 	if c.Obs != nil {
 		c.Obs.PageRead(bytes)
 	}
-	c.Charge(cpu.Stream, c.Cost.PageStreamCyclesPerKB*float64(bytes)/1024)
-}
-
-// chargeZoneCheck charges the zone-map consult for one examined page.
-// Scans with pruning active charge it for every page they look at —
-// pruned or read — so enabling pruning on an unprunable workload costs a
-// little, exactly like a real engine's min/max check.
-func (c *Ctx) chargeZoneCheck() {
-	c.Charge(cpu.Compute, c.Cost.ZoneCheckCycles)
-}
-
-// chargeSort charges the cost of sorting n rows (CostModel.SortCycles). A
-// sort over a heap fragment charges it once on the total row count, never
-// per run, because the simulated cost models the algorithm, not the
-// schedule.
-func (c *Ctx) chargeSort(n float64) {
-	if compute, stall := c.Cost.SortCycles(n); compute > 0 {
-		c.Charge(cpu.Compute, compute)
-		c.Charge(cpu.MemStall, stall)
-	}
-}
-
-// chargePageTuples charges the per-consumer interpretation of one page's
-// rows — work every query pays for every page it processes, shared pass
-// or not.
-func (c *Ctx) chargePageTuples(nRows int) {
-	c.Charge(cpu.Compute, c.Cost.ScanTupleCycles*float64(nRows))
-	c.Charge(cpu.MemStall, c.Cost.ScanTupleStallCycles*float64(nRows))
+	c.Cost.PageStream(c, float64(bytes))
 }
 
 // Flush runs all accumulated work on the CPU, in kind order.

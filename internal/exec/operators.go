@@ -8,7 +8,6 @@ import (
 
 	"ecodb/internal/catalog"
 	"ecodb/internal/expr"
-	"ecodb/internal/hw/cpu"
 	"ecodb/internal/obsv"
 	"ecodb/internal/plan"
 )
@@ -167,9 +166,7 @@ func (j *hashJoinOp) Open(ctx *Ctx) error {
 			break
 		}
 		j.rows.AppendBatch(b, b.Len())
-		n := float64(b.Len())
-		ctx.Charge(cpu.Compute, ctx.Cost.BuildCycles*n)
-		ctx.Charge(cpu.MemStall, ctx.Cost.BuildStallCycles*n)
+		ctx.Cost.JoinBuild(ctx, float64(b.Len()))
 	}
 	if err := j.build.Close(ctx); err != nil {
 		return err
@@ -193,10 +190,8 @@ func (j *hashJoinOp) Next(ctx *Ctx) (*expr.Batch, error) {
 		if err != nil || in == nil {
 			return nil, err
 		}
-		ctx.Charge(cpu.Compute, ctx.Cost.ProbeCycles*float64(in.Len()))
-		ctx.Charge(cpu.MemStall, ctx.Cost.ProbeStallCycles*float64(in.Len()))
 		matches := j.probeBatch(in, &j.scratch)
-		ctx.Charge(cpu.Compute, ctx.Cost.MatchCycles*float64(matches))
+		ctx.Cost.JoinProbe(ctx, float64(in.Len()), float64(matches))
 		ctx.ChargeExpr(&j.scratch.meter)
 		if j.scratch.out.Len() > 0 {
 			return j.scratch.out, nil
@@ -589,14 +584,12 @@ func (a *aggOp) consume(ctx *Ctx) error {
 		if in == nil {
 			break
 		}
-		n := float64(in.Len())
-		ctx.Charge(cpu.Compute, ctx.Cost.AggCycles*n)
-		ctx.Charge(cpu.MemStall, ctx.Cost.AggStallCycles*n)
+		ctx.Cost.AggFold(ctx, float64(in.Len()))
 		table.fold(in, &meter)
 		ctx.ChargeExpr(&meter)
 	}
 	table.emit(&a.out.res)
-	ctx.Charge(cpu.Compute, ctx.Cost.AggCycles*float64(a.out.res.N))
+	ctx.Cost.AggEmit(ctx, float64(a.out.res.N))
 	ctx.Flush()
 	return nil
 }
@@ -816,7 +809,7 @@ func (s *sortOp) Next(ctx *Ctx) (*expr.Batch, error) {
 		}
 		s.run.seal()
 		obsv.SortRows.Add(int64(s.run.rows))
-		ctx.chargeSort(float64(s.run.rows))
+		ctx.Cost.Sort(ctx, float64(s.run.rows))
 		ctx.Flush()
 	}
 	return s.serve(ctx), nil

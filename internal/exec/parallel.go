@@ -209,9 +209,8 @@ type fragment struct {
 	pruner expr.Expr
 }
 
-// initPrune resolves the fragment's prune predicate against the global
-// pruning toggle.
-func (f *fragment) initPrune() {
+// initPrune resolves the fragment's prune predicate for this execution.
+func (f *fragment) initPrune(ctx *Ctx) {
 	var terms []expr.Expr
 	if f.scanFilter != nil {
 		terms = append(terms, f.scanFilter)
@@ -222,7 +221,7 @@ func (f *fragment) initPrune() {
 		}
 		terms = append(terms, st.pred)
 	}
-	f.pruner = prunePredicate(conjoinPrune(terms))
+	f.pruner = prunePredicate(ctx, conjoinPrune(terms))
 }
 
 // label is the span label of the fragment's scan leaf.
@@ -380,7 +379,7 @@ func (p *morselPump) produce(w *producer, res *morselResult, idx int, last bool)
 // page in the claimed run ever blocks and the pool can always drain on its
 // own.
 func (p *morselPump) open(ctx *Ctx) {
-	p.frag.initPrune()
+	p.frag.initPrune(ctx)
 	if p.leafLabel != "" && ctx.Obs != nil {
 		p.span = ctx.Obs.OpenSpan(obsv.KindScan, p.leafLabel, p.frag.table.Name, ctx.CPU.Clock().Now())
 		ctx.Obs.Pop(ctx.CPU.Clock().Now())
@@ -509,7 +508,7 @@ func (p *morselPump) next(ctx *Ctx) *morselResult {
 		return nil
 	}
 	if p.frag.pruner != nil {
-		ctx.chargeZoneCheck()
+		ctx.Cost.ZoneCheck(ctx, 1)
 	}
 	if res.pruned {
 		obsv.PagesPruned.Inc()
@@ -522,7 +521,7 @@ func (p *morselPump) next(ctx *Ctx) *morselResult {
 		ctx.Pool.Access(storage.PageID{Table: p.frag.table.Name, Index: res.idx}, res.pageBytes)
 	}
 	ctx.chargePageStream(res.pageBytes)
-	ctx.chargePageTuples(res.pageRows)
+	ctx.Cost.ScanTuples(ctx, float64(res.pageRows))
 	for i := range res.meters {
 		ctx.ChargeExpr(&res.meters[i])
 	}

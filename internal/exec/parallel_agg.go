@@ -3,7 +3,6 @@ package exec
 import (
 	"ecodb/internal/catalog"
 	"ecodb/internal/expr"
-	"ecodb/internal/hw/cpu"
 	"ecodb/internal/plan"
 )
 
@@ -112,9 +111,7 @@ func (a *parallelAggOp) Next(ctx *Ctx) (*expr.Batch, error) {
 func (a *parallelAggOp) consume(ctx *Ctx) {
 	for res := a.pump.next(ctx); res != nil; res = a.pump.next(ctx) {
 		if res.rows > 0 {
-			n := float64(res.rows)
-			ctx.Charge(cpu.Compute, ctx.Cost.AggCycles*n)
-			ctx.Charge(cpu.MemStall, ctx.Cost.AggStallCycles*n)
+			ctx.Cost.AggFold(ctx, float64(res.rows))
 			ctx.ChargeExpr(&res.argMeter)
 		}
 		if res.part != nil {
@@ -124,7 +121,7 @@ func (a *parallelAggOp) consume(ctx *Ctx) {
 		}
 	}
 	a.table.emit(&a.out.res)
-	ctx.Charge(cpu.Compute, ctx.Cost.AggCycles*float64(a.out.res.N))
+	ctx.Cost.AggEmit(ctx, float64(a.out.res.N))
 	ctx.Flush()
 }
 

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"ecodb/internal/expr"
-	"ecodb/internal/hw/cpu"
 	"ecodb/internal/obsv"
 )
 
@@ -56,10 +55,7 @@ func (j *hashJoinOp) pumpNext(ctx *Ctx) (*expr.Batch, error) {
 		if res.rows == 0 {
 			continue
 		}
-		n := float64(res.rows)
-		ctx.Charge(cpu.Compute, ctx.Cost.ProbeCycles*n)
-		ctx.Charge(cpu.MemStall, ctx.Cost.ProbeStallCycles*n)
-		ctx.Charge(cpu.Compute, ctx.Cost.MatchCycles*float64(res.matches))
+		ctx.Cost.JoinProbe(ctx, float64(res.rows), float64(res.matches))
 		ctx.ChargeExpr(&res.ps.meter)
 		if res.ps.out.Len() > 0 {
 			j.lent = res.ps

@@ -120,7 +120,7 @@ func (s *parallelSortOp) consume(ctx *Ctx) {
 		}
 	}
 	obsv.SortRows.Add(int64(s.total))
-	ctx.chargeSort(float64(s.total))
+	ctx.Cost.Sort(ctx, float64(s.total))
 	ctx.Flush()
 	if len(s.runs) > 0 {
 		obsv.MergePasses.Inc() // single-level merge: one pass over the runs

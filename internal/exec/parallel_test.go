@@ -31,15 +31,14 @@ type outcome struct {
 // workers <= 1 runs every pump inline.
 func runWorkers(t *testing.T, p plan.Node, workers int, withPool bool) outcome {
 	t.Helper()
-	return runWorkersTuned(t, p, workers, withPool, nil)
+	return runWorkersPruning(t, p, workers, withPool, false)
 }
 
-// runWorkersTuned is runWorkers with a hook to adjust the compiled
-// operator tree before execution (e.g. shrink the parallel agg's value
-// budget).
-func runWorkersTuned(t *testing.T, p plan.Node, workers int, withPool bool, mut func(Operator)) outcome {
+// runWorkersPruning is runWorkers with zone-map pruning as given.
+func runWorkersPruning(t *testing.T, p plan.Node, workers int, withPool, pruning bool) outcome {
 	t.Helper()
 	ctx, clock := testCtx()
+	ctx.ZoneMapPruning = pruning
 	var out outcome
 	if withPool {
 		ctx.Pool = storage.NewBufferPool(1<<20, readerFunc(func(n int64, seq bool) {
@@ -47,11 +46,7 @@ func runWorkersTuned(t *testing.T, p plan.Node, workers int, withPool bool, mut 
 		}))
 	}
 	ctx.PageHook = func() { out.hooks++ }
-	op := CompileParallel(p, workers)
-	if mut != nil {
-		mut(op)
-	}
-	if err := Drain(ctx, op, func(b *expr.Batch) error {
+	if err := Drain(ctx, CompileParallel(p, workers), func(b *expr.Batch) error {
 		out.rows = b.AppendRowsTo(out.rows)
 		return nil
 	}); err != nil {

@@ -15,11 +15,11 @@ import (
 // page streaming, and per-tuple interpretation.
 
 // prunePredicate decides whether a scan runs with pruning active and
-// returns the predicate pages are checked against: pred when the global
-// toggle is on and pred has a prunable shape, nil otherwise. A nil return
-// means "never check, never charge".
-func prunePredicate(pred expr.Expr) expr.Expr {
-	if pred == nil || !expr.ZoneMapPruning() || !expr.Prunable(pred) {
+// returns the predicate pages are checked against: pred when the
+// statement's engine prunes (Ctx.ZoneMapPruning) and pred has a prunable
+// shape, nil otherwise. A nil return means "never check, never charge".
+func prunePredicate(ctx *Ctx, pred expr.Expr) expr.Expr {
+	if pred == nil || !ctx.ZoneMapPruning || !expr.Prunable(pred) {
 		return nil
 	}
 	return pred

@@ -44,11 +44,11 @@ func clusteredTable(t *testing.T, name string, n int) *catalog.Table {
 // through fused filter chains, parallel aggregation over a pruned
 // fragment, and a string-keyed join whose probe side prunes (the probe reads
 // words through dictionary codes when encoding is on).
-func prunePlans(t *testing.T) map[string]plan.Node {
+func prunePlans(t *testing.T, dict bool) map[string]plan.Node {
 	t.Helper()
 	tb := clusteredTable(t, "c", 6000)
 	big := clusteredTable(t, "b", 10000)
-	if expr.DictStrings() {
+	if dict {
 		tb.Heap.CompressStrings()
 		big.Heap.CompressStrings()
 	}
@@ -82,15 +82,12 @@ func prunePlans(t *testing.T) map[string]plan.Node {
 
 // TestPruningAndDictResultsIdentical is the compression tentpole's
 // correctness gate: for every plan shape, query results are bit-identical
-// across all four {zone-maps × dict-strings} toggle combinations, and
+// across all four {zone-maps × dict-strings} combinations, and
 // within each combination the full simulated outcome — rows, clock, cycles
 // by kind, joules, pool traffic, page hooks — is bit-identical across
 // worker counts. (Joules legitimately differ BETWEEN combinations: pruning
 // skips work. Results never do.)
 func TestPruningAndDictResultsIdentical(t *testing.T) {
-	defer expr.SetZoneMapPruning(expr.ZoneMapPruning())
-	defer expr.SetDictStrings(expr.DictStrings())
-
 	combos := []struct {
 		name     string
 		zm, dict bool
@@ -102,11 +99,9 @@ func TestPruningAndDictResultsIdentical(t *testing.T) {
 	}
 	refRows := map[string][]expr.Row{}
 	for _, combo := range combos {
-		expr.SetZoneMapPruning(combo.zm)
-		expr.SetDictStrings(combo.dict)
-		for name, p := range prunePlans(t) {
+		for name, p := range prunePlans(t, combo.dict) {
 			label := name + "/" + combo.name
-			serial := runWorkers(t, p, 1, true)
+			serial := runWorkersPruning(t, p, 1, true, combo.zm)
 			if len(serial.rows) == 0 {
 				t.Fatalf("%s: serial run produced no rows — fixture no longer bites", label)
 			}
@@ -126,7 +121,7 @@ func TestPruningAndDictResultsIdentical(t *testing.T) {
 				}
 			}
 			for _, w := range []int{2, 4} {
-				assertOutcomesIdentical(t, serial, runWorkers(t, p, w, true), label)
+				assertOutcomesIdentical(t, serial, runWorkersPruning(t, p, w, true, combo.zm), label)
 			}
 		}
 	}
@@ -136,20 +131,17 @@ func TestPruningAndDictResultsIdentical(t *testing.T) {
 // skips pages only when pruning is on, and skipped pages never reach the
 // buffer pool.
 func TestScanPrunesPages(t *testing.T) {
-	defer expr.SetZoneMapPruning(expr.ZoneMapPruning())
 	tb := clusteredTable(t, "c", 6000)
 	p := plan.NewScan(tb, expr.Between{E: tb.Schema.Col("k"), Lo: expr.Int(800), Hi: expr.Int(1100)})
 
-	expr.SetZoneMapPruning(false)
 	before := obsv.PagesPruned.Load()
 	off := runWorkers(t, p, 1, true)
 	if got := obsv.PagesPruned.Load() - before; got != 0 {
 		t.Fatalf("pruning off: counter delta = %d, want 0", got)
 	}
 
-	expr.SetZoneMapPruning(true)
 	before = obsv.PagesPruned.Load()
-	on := runWorkers(t, p, 1, true)
+	on := runWorkersPruning(t, p, 1, true, true)
 	pruned := obsv.PagesPruned.Load() - before
 	if pruned == 0 {
 		t.Fatal("pruning on: no pages pruned on a clustered range scan")
@@ -167,18 +159,17 @@ func TestScanPrunesPages(t *testing.T) {
 // simulation identity to the pruning path: one consumer on a coordinator,
 // zone maps on, versus a private scan of the same predicate.
 func TestSharedScanPruningMatchesPrivate(t *testing.T) {
-	defer expr.SetZoneMapPruning(expr.ZoneMapPruning())
-	expr.SetZoneMapPruning(true)
-
 	tb := clusteredTable(t, "c", 6000)
 	pred := expr.Between{E: tb.Schema.Col("k"), Lo: expr.Int(800), Hi: expr.Int(1100)}
 
 	ctxPriv, clockPriv := testCtx()
+	ctxPriv.ZoneMapPruning = true
 	want := collect(t, Compile(plan.NewScan(tb, pred)), ctxPriv)
 	ctxPriv.Flush()
 
 	coord := scanshare.NewCoordinator(tb.Heap, tb.Name, nil)
 	ctxShared, clockShared := testCtx()
+	ctxShared.ZoneMapPruning = true
 	got := collect(t, NewSharedScan(coord, tb, pred), ctxShared)
 	ctxShared.Flush()
 

@@ -45,7 +45,7 @@ func NewSharedScanWith(coord *scanshare.Coordinator, table *catalog.Table, filte
 func (s *sharedScanOp) Schema() *catalog.Schema { return s.table.Schema }
 
 func (s *sharedScanOp) Open(ctx *Ctx) error {
-	if pruner := prunePredicate(s.filter); pruner != nil {
+	if pruner := prunePredicate(ctx, s.filter); pruner != nil {
 		s.pruning = true
 		s.cons = s.coord.AttachWith(func(zones []expr.Zone) bool {
 			return expr.ZonePrunes(pruner, zones)
@@ -69,7 +69,7 @@ func (s *sharedScanOp) Next(ctx *Ctx) (*expr.Batch, error) {
 		}
 		if s.pruning {
 			// The zone-map consult runs per examined step, pruned or not.
-			ctx.chargeZoneCheck()
+			ctx.Cost.ZoneCheck(ctx, 1)
 		}
 		if pruned {
 			// Not counted in the global pruned-pages metric: the pass's
@@ -79,7 +79,7 @@ func (s *sharedScanOp) Next(ctx *Ctx) (*expr.Batch, error) {
 			continue
 		}
 		// Per-consumer charges: every query interprets the tuples itself.
-		ctx.chargePageTuples(page.NumRows())
+		ctx.Cost.ScanTuples(ctx, float64(page.NumRows()))
 		s.view.Alias(&page.Data, nil)
 		if s.filter != nil {
 			s.sel = expr.FilterBatch(s.filter, &s.view, s.sel, &s.meter)

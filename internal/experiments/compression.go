@@ -8,7 +8,6 @@ import (
 	"ecodb/internal/core"
 	"ecodb/internal/energy"
 	"ecodb/internal/engine"
-	"ecodb/internal/expr"
 	"ecodb/internal/obsv"
 	"ecodb/internal/sim"
 	"ecodb/internal/tpch"
@@ -21,8 +20,8 @@ const CompressionBands = 8
 
 // CompressionResult is the compressed-storage ablation: the mixed
 // range-plus-string workload replayed on plain storage versus with zone-map
-// pruning and dictionary-encoded strings enabled. Unlike the parallel
-// ablations this one is NOT charging-neutral — skipping a page really does
+// pruning and dictionary-encoded strings enabled. It is NOT
+// charging-neutral — skipping a page really does
 // avoid its buffer-pool, streaming, and per-tuple charges (replacing them
 // with one zone-map consult), so the simulated joules and durations drop.
 // Query results must still be bit-identical: compression changes where
@@ -59,23 +58,23 @@ func Compression(cfg Config, zoneMaps, dictStrings bool) CompressionResult {
 	if runs < 1 {
 		runs = 1
 	}
-	defer expr.SetZoneMapPruning(expr.ZoneMapPruning())
-	defer expr.SetDictStrings(expr.DictStrings())
 
 	res := CompressionResult{Config: cfg, ZoneMaps: zoneMaps, DictStrings: dictStrings}
 
 	arm := func(compressed bool) (wall time.Duration, simT sim.Duration, perQ energy.Joules, rows []int64, pruned int64) {
-		// The toggles gate behaviour at two sites: DictStrings at Load time
-		// (string columns are encoded as the heap is built) and
-		// ZoneMapPruning at operator Open. Both must be set before the
-		// system is assembled.
-		expr.SetZoneMapPruning(compressed && zoneMaps)
-		expr.SetDictStrings(compressed && dictStrings)
+		// Pruning is the engine's choice (its profile); dictionary encoding
+		// is a property of the tables it is loaded with.
 		prof := engine.ProfileCommercial()
 		prof.WorkAmplification = cfg.Amplification
+		prof.ZoneMapPruning = compressed && zoneMaps
 		sys := core.NewSystem(prof)
-		tpch.NewGenerator(cfg.SF, cfg.Seed).Load(sys.Engine.Catalog(),
-			tpch.Customer, tpch.Orders, tpch.Lineitem)
+		tables := []string{tpch.Customer, tpch.Orders, tpch.Lineitem}
+		tpch.NewGenerator(cfg.SF, cfg.Seed).Load(sys.Engine.Catalog(), tables...)
+		if compressed && dictStrings {
+			for _, name := range tables {
+				sys.Engine.MustTable(name).Heap.CompressStrings()
+			}
+		}
 		sys.Engine.WarmAll()
 		clock := sys.Machine.Clock
 		trace := sys.Machine.CPU.Trace()

@@ -418,67 +418,6 @@ func TestSharedScanAblation(t *testing.T) {
 	}
 }
 
-func TestParallelAggAblationChargingNeutral(t *testing.T) {
-	cfg := shorten(lightCommercial(), 0.01)
-	r := ParallelAgg(cfg, true)
-	if len(r.Points) != len(ParallelAggWorkloadSizes) {
-		t.Fatalf("points = %d", len(r.Points))
-	}
-	for _, p := range r.Points {
-		// The load-bearing property: worker count must not move a single
-		// simulated joule or second. Wall-clock speedup is host-dependent
-		// (single-core runners see none), so it is reported, not asserted.
-		if !p.SimulatedJoulesIdentical {
-			t.Errorf("N=%d: serial %v vs parallel %v J/query — workers leaked into charging", p.N, p.SerialPerQuery, p.ParPerQuery)
-		}
-		if !p.SimulatedDurationIdentical {
-			t.Errorf("N=%d: serial %v vs parallel %v simulated time — workers leaked into charging", p.N, p.SerialTime, p.ParTime)
-		}
-	}
-	if !strings.Contains(r.String(), "parallel pre-aggregation") {
-		t.Fatal("report should name the mode")
-	}
-	if !strings.Contains(ParallelAgg(cfg, false).String(), "control arm") {
-		t.Fatal("control report should name the mode")
-	}
-}
-
-func TestParallelSortAblationChargingNeutral(t *testing.T) {
-	cfg := shorten(lightCommercial(), 0.01)
-	r := ParallelSort(cfg, true)
-	if len(r.Arms) != len(ParallelSortWorkers) {
-		t.Fatalf("arms = %d", len(r.Arms))
-	}
-	// The load-bearing property: worker count must not move a single
-	// simulated joule or second. Wall-clock speedup is host-dependent
-	// (single-core runners see none), so it is reported, not asserted.
-	if !r.SimulatedIdentical {
-		t.Error("worker count leaked into charging: simulated numbers differ across arms")
-	}
-	// Every arm runs the same fragment sort — inline at one worker, pooled
-	// above — so the path counters agree too.
-	if r.Arms[0].MergePasses == 0 {
-		t.Error("inline arm recorded no merge passes — the fragment sort never engaged")
-	}
-	for _, a := range r.Arms[1:] {
-		if a.MergePasses != r.Arms[0].MergePasses {
-			t.Errorf("workers=%d arm recorded %d merge passes vs inline %d", a.Workers, a.MergePasses, r.Arms[0].MergePasses)
-		}
-		if a.SortRows != r.Arms[0].SortRows {
-			t.Errorf("workers=%d arm sorted %d rows vs inline %d", a.Workers, a.SortRows, r.Arms[0].SortRows)
-		}
-	}
-	if r.Arms[0].PerQuery <= 0 {
-		t.Error("registry joules delta should be positive")
-	}
-	if !strings.Contains(r.String(), "loser-tree merge") {
-		t.Fatal("report should name the mode")
-	}
-	if !strings.Contains(ParallelSort(cfg, false).String(), "control arm") {
-		t.Fatal("control report should name the mode")
-	}
-}
-
 func TestOptimizerAblation(t *testing.T) {
 	cfg := Config{SF: 0.05, Amplification: 20, Seed: 42, ProtocolRuns: 1}
 	if testing.Short() {

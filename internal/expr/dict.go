@@ -1,9 +1,6 @@
 package expr
 
-import (
-	"sort"
-	"sync/atomic"
-)
+import "sort"
 
 // Dict is an order-preserving string dictionary: the distinct words of a
 // column sorted ascending, so code order equals string order. That ordering
@@ -97,16 +94,3 @@ func (v *ColVec) undict() {
 	v.Dict = nil
 	v.Codes = nil
 }
-
-// dictStrings gates dictionary encoding of generated string columns.
-// Default off: existing golden workloads pin charges over dense pages, and
-// encoding is a storage-build-time choice, not a per-query one.
-var dictStrings atomic.Bool
-
-// SetDictStrings toggles dictionary encoding of string columns at table
-// generation time. Toggle only while no tables are being built.
-func SetDictStrings(on bool) { dictStrings.Store(on) }
-
-// DictStrings reports whether generated string columns are
-// dictionary-encoded.
-func DictStrings() bool { return dictStrings.Load() }

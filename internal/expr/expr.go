@@ -39,6 +39,51 @@ func (c *Cost) Drain() float64 {
 	return v
 }
 
+// EvalCycles is what evaluating e charges per input row when every
+// operand is present — the per-node constants Eval and the batch kernels
+// add, summed over the tree, for estimating a predicate or projection
+// before it runs. Two shapes are priced by their common case: a
+// comparison against a string constant as a string compare, and the tested
+// operand of Between and InHash as a bare column reference.
+func EvalCycles(e Expr) float64 {
+	switch n := e.(type) {
+	case Col:
+		return CyclesColRef
+	case Const:
+		return CyclesConst
+	case Cmp:
+		cmp := float64(CyclesCompare)
+		if k, ok := n.R.(Const); ok && k.V.Kind == KindString {
+			cmp = CyclesStringCmp
+		}
+		return EvalCycles(n.L) + EvalCycles(n.R) + cmp
+	case Between:
+		return CyclesColRef + 2*CyclesCompare
+	case And:
+		return logicEvalCycles(n.Terms)
+	case Or:
+		return logicEvalCycles(n.Terms)
+	case Not:
+		return EvalCycles(n.E) + CyclesLogic
+	case *InHash:
+		return CyclesColRef + CyclesHashProbe
+	case Arith:
+		return EvalCycles(n.L) + EvalCycles(n.R) + CyclesArith
+	default:
+		return 20
+	}
+}
+
+// logicEvalCycles prices an AND or OR with no short circuit: every term
+// and its logic step.
+func logicEvalCycles(terms []Expr) float64 {
+	var s float64
+	for _, t := range terms {
+		s += EvalCycles(t) + CyclesLogic
+	}
+	return s
+}
+
 // Expr is a typed expression over a row.
 type Expr interface {
 	// Eval computes the expression on row, charging cycles to cost.

@@ -325,3 +325,36 @@ func TestBetweenEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// EvalCycles restates what Eval meters, for estimating before running: on a
+// row that short-circuits nothing (every AND term true, every OR term
+// false) the two must agree node for node.
+func TestEvalCyclesIsWhatEvalMeters(t *testing.T) {
+	row := Row{Int(7), String("ship"), Float(2.5)}
+	i, s, f := Col{Idx: 0}, Col{Idx: 1}, Col{Idx: 2}
+	for _, e := range []Expr{
+		i,
+		Const{V: Int(1)},
+		Cmp{Op: LT, L: i, R: Const{V: Int(9)}},
+		Cmp{Op: EQ, L: s, R: Const{V: String("ship")}},
+		Cmp{Op: GT, L: Arith{Op: Mul, L: f, R: Const{V: Float(2)}}, R: f},
+		Between{E: i, Lo: Int(0), Hi: Int(10)},
+		NewInHash(i, []Value{Int(7), Int(8)}),
+		Not{E: Cmp{Op: EQ, L: i, R: Const{V: Int(8)}}},
+		And{Terms: []Expr{
+			Cmp{Op: GE, L: i, R: Const{V: Int(7)}},
+			Between{E: f, Lo: Float(0), Hi: Float(3)},
+			Cmp{Op: NE, L: s, R: Const{V: String("rail")}},
+		}},
+		Or{Terms: []Expr{
+			Cmp{Op: EQ, L: i, R: Const{V: Int(1)}},
+			And{Terms: []Expr{Cmp{Op: EQ, L: i, R: Const{V: Int(7)}}, Cmp{Op: LT, L: f, R: Const{V: Float(1)}}}},
+		}},
+	} {
+		var cost Cost
+		e.Eval(row, &cost)
+		if got := EvalCycles(e); got != cost.Cycles {
+			t.Errorf("%s: EvalCycles = %v, Eval metered %v", e, got, cost.Cycles)
+		}
+	}
+}

@@ -1,7 +1,5 @@
 package expr
 
-import "sync/atomic"
-
 // Zone is a per-page, per-column zone map entry: the min/max of the
 // column's non-NULL values on that page plus null presence. A scan consults
 // zones before reading a page; when the pushed-down predicate cannot hold
@@ -253,16 +251,3 @@ func inHashPrunes(z *Zone, set map[Value]struct{}) bool {
 	}
 	return true
 }
-
-// zoneMapPruning gates scan-time page pruning. Default off: the existing
-// golden workloads pin charges with every page read, and pruning changes
-// the charge stream (a zone-check constant instead of a read) even though
-// results are bit-identical either way.
-var zoneMapPruning atomic.Bool
-
-// SetZoneMapPruning toggles scan-time zone-map page pruning. Toggle only
-// while no queries are executing.
-func SetZoneMapPruning(on bool) { zoneMapPruning.Store(on) }
-
-// ZoneMapPruning reports whether scans consult zone maps to skip pages.
-func ZoneMapPruning() bool { return zoneMapPruning.Load() }

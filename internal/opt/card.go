@@ -2,14 +2,16 @@
 // per-operator cardinalities from catalog statistics, costs candidate
 // physical plans in simulated seconds AND joules using the engine's own
 // cycle constants and CPU power model, and picks the plan a configurable
-// objective prefers — minimum latency, minimum joules, or a blend. The
-// same cycle accounting that the executor charges at run time (see
-// internal/exec) is what the optimizer predicts at plan time, so "the
-// cost model is the energy model" holds on both sides of the planner.
+// objective prefers — minimum latency, minimum joules, or a blend. Every
+// estimated cycle comes from the exec.CostModel function the executor
+// charges the same event with (cost.go), so "the cost model is the energy
+// model" holds on both sides of the planner and an estimate can be wrong
+// only about cardinality.
 package opt
 
 import (
 	"ecodb/internal/catalog"
+	"ecodb/internal/exec"
 	"ecodb/internal/expr"
 	"ecodb/internal/plan"
 )
@@ -35,9 +37,12 @@ type est struct {
 	conjSel   []float64
 	conjLeft  []int // TableOf(LeftCol), -1 for non-equi conjuncts
 	conjRight []int
+
+	acc cycles // the accumulator every cost function fills (fresh)
 }
 
 func newEst(lg *plan.Logical, env Env) *est {
+	env.Amplify = exec.Amplification(env.Amplify)
 	e := &est{lg: lg, env: env, stats: make([]*catalog.TableStats, len(lg.Tables))}
 	for i, t := range lg.Tables {
 		e.stats[i] = t.Stats()

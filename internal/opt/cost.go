@@ -5,18 +5,23 @@ import (
 	"ecodb/internal/hw/cpu"
 )
 
-// cycles accumulates a candidate plan's estimated work by kind, mirroring
-// the executor's Charge sites. passStream and passZone are the subsets of
-// Stream and Compute cycles that a shared circular scan fires once per
-// PASS rather than once per query — the portion that amortizes across
-// co-attached queries when the shared access path is chosen.
+// cycles accumulates a candidate plan's estimated work by kind. It is the
+// estimate's exec.Charger: every addend comes from the exec.CostModel
+// function the executor charges the same event with, fed predicted rows
+// and bytes where the executor feeds counted ones. passStream and passZone
+// are the subsets of Stream and Compute cycles that a shared circular scan
+// fires once per PASS rather than once per query — the portion that
+// amortizes across co-attached queries when the shared access path is
+// chosen.
 type cycles struct {
 	k          [3]float64 // indexed by cpu.WorkKind
 	passStream float64
 	passZone   float64
 }
 
-func (c *cycles) add(kind cpu.WorkKind, v float64) { c.k[kind] += v }
+// Charge implements exec.Charger. Amplification is not applied here: it
+// scales whole per-kind sums at conversion (timeEnergy).
+func (c *cycles) Charge(kind cpu.WorkKind, v float64) { c.k[kind] += v }
 
 func (c *cycles) addAll(o cycles) {
 	for i := range c.k {
@@ -45,50 +50,21 @@ func (c cycles) dominatedBy(o cycles) bool {
 	return o.passStream <= c.passStream*(1+eps)+eps && o.passZone <= c.passZone*(1+eps)+eps
 }
 
-// exprCyclesPerRow mirrors the vectorized evaluator's per-row cost accrual
-// (internal/expr/batch.go) for one predicate or projection expression.
-func exprCyclesPerRow(e expr.Expr) float64 {
-	switch n := e.(type) {
-	case expr.Col:
-		return expr.CyclesColRef
-	case expr.Const:
-		return expr.CyclesConst
-	case expr.Cmp:
-		cmp := float64(expr.CyclesCompare)
-		if k, ok := n.R.(expr.Const); ok && k.V.Kind == expr.KindString {
-			cmp = expr.CyclesStringCmp
-		}
-		return exprCyclesPerRow(n.L) + exprCyclesPerRow(n.R) + cmp
-	case expr.Between:
-		return expr.CyclesColRef + 2*expr.CyclesCompare
-	case expr.And:
-		var s float64
-		for _, t := range n.Terms {
-			s += exprCyclesPerRow(t) + expr.CyclesLogic
-		}
-		return s
-	case expr.Or:
-		var s float64
-		for _, t := range n.Terms {
-			s += exprCyclesPerRow(t) + expr.CyclesLogic
-		}
-		return s
-	case expr.Not:
-		return exprCyclesPerRow(n.E) + expr.CyclesLogic
-	case *expr.InHash:
-		return expr.CyclesColRef + expr.CyclesHashProbe
-	case expr.Arith:
-		return exprCyclesPerRow(n.L) + exprCyclesPerRow(n.R) + expr.CyclesArith
-	default:
-		return 20
-	}
+// fresh returns the estimate's one accumulator, zeroed. The charge
+// functions take their accumulator as an interface, which would move a local
+// cycles to the heap on every call of the enumeration's inner loop; this one
+// already lives there. Each cost function fills it and returns a copy, so
+// one is in use at a time.
+func (e *est) fresh() *cycles {
+	e.acc = cycles{}
+	return &e.acc
 }
 
-func (e *est) exprMult() float64 {
-	if m := e.env.Cost.ExprCycleMultiple; m > 0 {
-		return m
+// exprCost estimates evaluating each of exprs over rows input rows.
+func (e *est) exprCost(c *cycles, rows float64, exprs ...expr.Expr) {
+	for _, ex := range exprs {
+		e.env.Cost.Expr(c, expr.EvalCycles(ex)*rows)
 	}
-	return 1
 }
 
 // scanCost estimates one table scan: page streaming (pass-amortizable),
@@ -96,105 +72,79 @@ func (e *est) exprMult() float64 {
 // predicate evaluation over every input row. Page pruning is not assumed
 // (a conservative upper bound: stats cannot tell how clustered a predicate
 // is), so estimates are comparable across candidates rather than absolute.
-func (e *est) scanCost(t int, pushed []expr.Expr) (outRows float64, c cycles) {
+func (e *est) scanCost(t int, pushed []expr.Expr) (outRows float64, _ cycles) {
 	st := e.stats[t]
 	rows := float64(st.Rows)
+	c := e.fresh()
 
-	stream := e.env.Cost.PageStreamCyclesPerKB * float64(st.Bytes) / 1024
-	c.add(cpu.Stream, stream)
-	c.passStream = stream
-
+	// The pass-fired charges come first, so each is still alone in its bucket
+	// when it is copied out.
+	e.env.Cost.PageStream(c, float64(st.Bytes))
+	c.passStream = c.k[cpu.Stream]
 	if len(pushed) > 0 {
-		zone := e.env.Cost.ZoneCheckCycles * float64(st.Pages)
-		c.add(cpu.Compute, zone)
-		c.passZone = zone
+		e.env.Cost.ZoneCheck(c, float64(st.Pages))
+		c.passZone = c.k[cpu.Compute]
 	}
 
-	c.add(cpu.Compute, e.env.Cost.ScanTupleCycles*rows)
-	c.add(cpu.MemStall, e.env.Cost.ScanTupleStallCycles*rows)
+	e.env.Cost.ScanTuples(c, rows)
+	e.exprCost(c, rows, pushed...)
 
 	outRows = rows
 	for _, p := range pushed {
-		c.add(cpu.Compute, exprCyclesPerRow(p)*e.exprMult()*rows)
 		outRows *= e.sel(p)
 	}
-	return max(outRows, minRows), c
+	return max(outRows, minRows), *c
 }
 
 // joinCost estimates one hash join: build-side insertion, probe-side
 // lookups, match emission, and residual evaluation over candidate matches.
 func (e *est) joinCost(buildRows, probeRows, matches float64, residuals []expr.Expr) cycles {
-	var c cycles
-	c.add(cpu.Compute, e.env.Cost.BuildCycles*buildRows)
-	c.add(cpu.MemStall, e.env.Cost.BuildStallCycles*buildRows)
-	c.add(cpu.Compute, e.env.Cost.ProbeCycles*probeRows)
-	c.add(cpu.MemStall, e.env.Cost.ProbeStallCycles*probeRows)
-	c.add(cpu.Compute, e.env.Cost.MatchCycles*matches)
-	for _, r := range residuals {
-		c.add(cpu.Compute, exprCyclesPerRow(r)*e.exprMult()*matches)
-	}
-	return c
+	c := e.fresh()
+	e.env.Cost.JoinBuild(c, buildRows)
+	e.env.Cost.JoinProbe(c, probeRows, matches)
+	e.exprCost(c, matches, residuals...)
+	return *c
 }
 
 // aggCost estimates hash aggregation over inRows input rows emitting
 // groups results.
 func (e *est) aggCost(inRows, groups float64) cycles {
-	var c cycles
-	c.add(cpu.Compute, e.env.Cost.AggCycles*inRows)
-	c.add(cpu.MemStall, e.env.Cost.AggStallCycles*inRows)
+	c := e.fresh()
+	e.env.Cost.AggFold(c, inRows)
 	if e.lg.Agg != nil {
 		for _, s := range e.lg.Agg.Specs {
 			if s.Arg != nil {
-				c.add(cpu.Compute, exprCyclesPerRow(s.Arg)*e.exprMult()*inRows)
+				e.exprCost(c, inRows, s.Arg)
 			}
 		}
 	}
-	c.add(cpu.Compute, e.env.Cost.AggCycles*groups)
-	return c
+	e.env.Cost.AggEmit(c, groups)
+	return *c
 }
 
-// sortCost estimates a sort of rows rows with the function the executor
-// charges one with (exec.CostModel.SortCycles), so the estimate is exact up
-// to the cardinality guess. The worker count never changes it: producers
-// only move real comparison work, and the coordinator charges the formula
-// once on the total surviving row count.
+// evalCost estimates an operator that only evaluates exprs over rows: a
+// standalone filter, a projection.
+func (e *est) evalCost(rows float64, exprs ...expr.Expr) cycles {
+	c := e.fresh()
+	e.exprCost(c, rows, exprs...)
+	return *c
+}
+
+// sortCost estimates a sort of rows rows. The worker count never changes
+// it: producers only move real comparison work, and the coordinator charges
+// the formula once on the total surviving row count.
 func (e *est) sortCost(rows float64) cycles {
-	var c cycles
-	compute, stall := e.env.Cost.SortCycles(rows)
-	c.add(cpu.Compute, compute)
-	c.add(cpu.MemStall, stall)
-	return c
+	c := e.fresh()
+	e.env.Cost.Sort(c, rows)
+	return *c
 }
 
-// projectCost estimates the projection expressions over rows.
-func (e *est) projectCost(rows float64) cycles {
-	var c cycles
-	if e.lg.Project == nil {
-		return c
-	}
-	for _, ex := range e.lg.Project.Exprs {
-		c.add(cpu.Compute, exprCyclesPerRow(ex)*e.exprMult()*rows)
-	}
-	return c
-}
-
-// resultCost estimates the result path: server-side materialization and
-// wire streaming plus the client-side per-row receive with its collector
-// pressure, exactly as Rows.finish charges them.
+// resultCost estimates the result path (what Rows.finish charges) for rows
+// rows of the output schema's estimated wire width.
 func (e *est) resultCost(rows float64) cycles {
-	var c cycles
-	c.add(cpu.Stream, e.env.Cost.ResultRowCycles*rows)
-	c.add(cpu.Stream, e.env.Cost.ResultKBCycles*rows*e.outRowBytes()/1024)
-	gc := e.env.Cost.ClientRowFactor(rows * e.amp())
-	c.add(cpu.MemStall, e.env.Cost.ClientRowCycles*rows*gc)
-	return c
-}
-
-func (e *est) amp() float64 {
-	if e.env.Amplify <= 0 {
-		return 1
-	}
-	return e.env.Amplify
+	c := e.fresh()
+	e.env.Cost.Result(c, rows, rows*e.outRowBytes(), e.env.Amplify)
+	return *c
 }
 
 // timeEnergy converts estimated cycles into simulated (seconds, joules)
@@ -207,7 +157,7 @@ func (e *est) amp() float64 {
 // non-amortized work by Q while the pass streams once. Statement overhead
 // is charged unamplified, as the engine runs it.
 func (e *est) timeEnergy(c cycles, par int, shared bool) (secs, joules float64) {
-	amp := e.amp()
+	amp := e.env.Amplify
 	q := 1.0
 	if shared && e.env.SharedConcurrency > 1 {
 		q = float64(e.env.SharedConcurrency)

@@ -19,15 +19,7 @@ func Explain(lg *plan.Logical, env Env, ch *Choice) (string, error) {
 		return "", fmt.Errorf("opt: explain needs a CPU model")
 	}
 	e := newEst(lg, env)
-	order := ch.Phys.JoinOrder
-	builds := ch.Phys.BuildLeft
-	if order == nil {
-		order = lg.DefaultChoices().JoinOrder
-	}
-	if builds == nil {
-		builds = lg.DefaultChoices().BuildLeft
-	}
-	_, _, ops, ok := e.planCycles(order, builds, ch.Phys.Pushdown, true)
+	order, builds, ops, ok := e.choiceOps(ch)
 	if !ok {
 		return "", fmt.Errorf("opt: choice does not lower against %s", lg.Describe())
 	}
@@ -66,6 +58,20 @@ func Explain(lg *plan.Logical, env Env, ch *Choice) (string, error) {
 	return b.String(), nil
 }
 
+// choiceOps costs ch's shape operator by operator (planCycles with collect),
+// filling in the default join order and build sides a choice may leave nil.
+func (e *est) choiceOps(ch *Choice) (order []int, builds []bool, ops []opEst, ok bool) {
+	order, builds = ch.Phys.JoinOrder, ch.Phys.BuildLeft
+	if order == nil {
+		order = e.lg.DefaultChoices().JoinOrder
+	}
+	if builds == nil {
+		builds = e.lg.DefaultChoices().BuildLeft
+	}
+	_, _, ops, ok = e.planCycles(order, builds, ch.Phys.Pushdown, true)
+	return order, builds, ops, ok
+}
+
 // OperatorEstimates returns the per-operator estimates of a choice in the
 // profiler's join-up form: one record per operator planCycles costs, in the
 // executor's post-order (scan leaves and joins bottom-up, then filters,
@@ -78,15 +84,7 @@ func OperatorEstimates(lg *plan.Logical, env Env, ch *Choice) []obsv.OpEstimate 
 		return nil
 	}
 	e := newEst(lg, env)
-	order := ch.Phys.JoinOrder
-	builds := ch.Phys.BuildLeft
-	if order == nil {
-		order = lg.DefaultChoices().JoinOrder
-	}
-	if builds == nil {
-		builds = lg.DefaultChoices().BuildLeft
-	}
-	_, _, ops, ok := e.planCycles(order, builds, ch.Phys.Pushdown, true)
+	_, _, ops, ok := e.choiceOps(ch)
 	if !ok {
 		return nil
 	}
@@ -113,7 +111,7 @@ func OperatorEstimates(lg *plan.Logical, env Env, ch *Choice) []obsv.OpEstimate 
 // execution time-shares the machine (own work stretches by Q) while the
 // pass streams once.
 func (e *est) opSeconds(op opEst, par int, shared bool) float64 {
-	amp := e.amp()
+	amp := e.env.Amplify
 	q := 1.0
 	if shared && e.env.SharedConcurrency > 1 {
 		q = float64(e.env.SharedConcurrency)
@@ -133,7 +131,7 @@ func (e *est) opSeconds(op opEst, par int, shared bool) float64 {
 // the shared pass when the shared access path was chosen, matching the
 // whole-plan accounting in timeEnergy.
 func (e *est) opJoules(op opEst, par int, shared bool) float64 {
-	amp := e.amp()
+	amp := e.env.Amplify
 	q := 1.0
 	if shared && op.scanTable >= 0 && e.env.SharedConcurrency > 1 {
 		q = float64(e.env.SharedConcurrency)

@@ -577,8 +577,7 @@ func (e *est) planCycles(order []int, builds []bool, pd plan.Pushdown, collect b
 		if placed[i] {
 			continue
 		}
-		var fc cycles
-		fc.add(cpu.Compute, exprCyclesPerRow(c.Pred)*e.exprMult()*curRows)
+		fc := e.evalCost(curRows, c.Pred)
 		total.addAll(fc)
 		curRows = max(curRows*e.sel(c.Pred), minRows)
 		if collect {
@@ -597,7 +596,7 @@ func (e *est) planCycles(order []int, builds []bool, pd plan.Pushdown, collect b
 		curRows = groups
 	}
 	if lg.Project != nil {
-		pc := e.projectCost(curRows)
+		pc := e.evalCost(curRows, lg.Project.Exprs...)
 		total.addAll(pc)
 		if collect {
 			record(obsv.KindProject, fmt.Sprintf("Project(%d exprs)", len(lg.Project.Exprs)), curRows, pc, -1)

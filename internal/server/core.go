@@ -282,7 +282,10 @@ func (c *Core) Config() Config { return c.cfg }
 // System returns the simulated system the scheduler drives.
 func (c *Core) System() *core.System { return c.sys }
 
-// AdmissionLog returns every flush batch admitted so far, in order.
+// AdmissionLog returns every flush batch RunOpenLoop has admitted so far,
+// in order — what its replay tests read. Live serving (Start/Do) keeps no
+// log: nothing reads one there, and a server's footprint must not grow with
+// the number of statements it has served.
 func (c *Core) AdmissionLog() []AdmittedBatch { return c.log }
 
 // enqueue accepts or rejects one statement against the admission bound.
@@ -408,17 +411,28 @@ func (c *Core) takeBatch() []*pending {
 
 // flush admits and executes one batch, replying to every statement in it.
 // Scheduler goroutine only.
-func (c *Core) flush() {
+//
+// A live server's footprint must not grow with the number of statements it
+// has served, so live keeps neither of the two per-window histories
+// RunOpenLoop's callers read afterwards: the batch stays out of the
+// admission log (they replay it), and the CPU's power trace before now is
+// dropped (they integrate it) — response joules and profile attribution
+// were read as the window ran, and nothing asks about that draw again. Both
+// happen before the first reply: once a client has its answer the scheduler
+// touches the machine no more until the next statement arrives.
+func (c *Core) flush(live bool) {
 	batch := c.takeBatch()
 	if len(batch) == 0 {
 		return
 	}
 	c.mBatches.Inc()
-	ids := make([]string, len(batch))
-	for i, p := range batch {
-		ids[i] = p.id
+	if !live {
+		ids := make([]string, len(batch))
+		for i, p := range batch {
+			ids[i] = p.id
+		}
+		c.log = append(c.log, AdmittedBatch{At: c.clock.Now(), Policy: c.cfg.Policy, IDs: ids})
 	}
-	c.log = append(c.log, AdmittedBatch{At: c.clock.Now(), Policy: c.cfg.Policy, IDs: ids})
 
 	if c.cfg.Policy == PolicyPrivate {
 		for _, p := range batch {
@@ -427,10 +441,13 @@ func (c *Core) flush() {
 	} else {
 		c.executeShared(batch)
 	}
+	if live {
+		c.sys.Machine.CPU.Trace().DiscardBefore(c.clock.Now())
+	}
+	c.refreshGauges()
 	for _, p := range batch {
 		c.finishStmt(p)
 	}
-	c.refreshGauges()
 }
 
 // finishStmt finalizes one executed statement: deadline accounting,

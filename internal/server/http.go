@@ -83,7 +83,7 @@ func (c *Core) loop() {
 		case p := <-c.submit:
 			c.enqueue(p)
 			for c.shouldFlushLive() {
-				c.flushLive()
+				c.flush(true)
 			}
 			if len(c.queue) > 0 && !armed {
 				timer.Reset(flushWait)
@@ -97,29 +97,18 @@ func (c *Core) loop() {
 		case <-timer.C:
 			armed = false
 			for len(c.queue) > 0 {
-				c.flushLive()
+				c.flush(true)
 			}
 		case <-c.stopc:
 			// Drain: everything accepted gets executed and answered. A
 			// sender blocked on the unbuffered submit channel has not been
 			// accepted and unblocks via the stopped channel in Do.
 			for len(c.queue) > 0 {
-				c.flushLive()
+				c.flush(true)
 			}
 			return
 		}
 	}
-}
-
-// flushLive is flush on the serving path. Once a window's statements are
-// answered nothing asks about the CPU's power draw before now again —
-// response joules and profile attribution were read as the window ran — so
-// that history is dropped: a server's footprint must not grow with the
-// number of statements it has served. RunOpenLoop keeps the whole trace;
-// its callers integrate it over the run.
-func (c *Core) flushLive() {
-	c.flush()
-	c.sys.Machine.CPU.Trace().DiscardBefore(c.clock.Now())
 }
 
 // shouldFlushLive is the live loop's immediate-flush test: the private

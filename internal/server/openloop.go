@@ -105,7 +105,7 @@ func (c *Core) RunOpenLoop(arrivals []Arrival) OpenLoopResult {
 			continue
 		}
 		if c.shouldFlush(i < len(arr)) {
-			c.flush()
+			c.flush(false)
 			continue
 		}
 		// Neither full nor timed out: sleep to whichever comes first, the
@@ -118,7 +118,7 @@ func (c *Core) RunOpenLoop(arrivals []Arrival) OpenLoopResult {
 			next = arr[i].At
 		}
 		if next <= now {
-			c.flush()
+			c.flush(false)
 			continue
 		}
 		c.clock.AdvanceTo(next)

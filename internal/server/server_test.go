@@ -485,6 +485,28 @@ func TestLiveServingKeepsPowerTraceBounded(t *testing.T) {
 	}
 }
 
+// TestLiveServingKeepsNoAdmissionLog: the log exists for RunOpenLoop's
+// replay tests; a live core that appended a record per flush would grow
+// with every statement it ever served.
+func TestLiveServingKeepsNoAdmissionLog(t *testing.T) {
+	sys, plans := newTestSystem(t)
+	cfg := DefaultConfig()
+	cfg.FlushThreshold = 1 // flush on arrival: no real-time window to wait out
+	c := NewCore(cfg, sys)
+	c.Start()
+	for i := 0; i < 2000; i++ {
+		if resp := c.Do(Request{Plan: plans[i%len(plans)]}); resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+	}
+	if err := c.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(c.AdmissionLog()); n != 0 {
+		t.Fatalf("admission log holds %d batches after 2000 statements served live, want none", n)
+	}
+}
+
 // TestProfilingIsBitNeutral: the same open-loop run with and without
 // per-statement profiling lands on identical clocks and joules —
 // observation never charges.

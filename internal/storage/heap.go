@@ -23,7 +23,7 @@ type Page struct {
 	Bytes int64
 	// Zones holds one min/max/null-presence entry per column, maintained
 	// incrementally on append. Always present; whether scans consult it is
-	// the executor's choice (expr.ZoneMapPruning).
+	// the statement's choice (exec.Ctx.ZoneMapPruning).
 	Zones []expr.Zone
 }
 

@@ -61,14 +61,6 @@ func (g *Generator) Load(cat *catalog.Catalog, tables ...string) {
 	if want[PartSupp] {
 		g.loadPartSupp(cat)
 	}
-	if expr.DictStrings() {
-		// Dictionary-encode string columns after loading: a build-time
-		// physical-layout choice, invisible to queries (results, page
-		// boundaries, and simulated charges are unchanged by encoding).
-		for _, name := range tables {
-			cat.MustTable(name).Heap.CompressStrings()
-		}
-	}
 }
 
 func (g *Generator) loadRegion(cat *catalog.Catalog) {
