@@ -37,17 +37,11 @@ type Engine struct {
 	cat  *catalog.Catalog
 	pool *storage.BufferPool
 	rng  *sim.RNG
-	// profiling enables per-query execution profiles (see Rows.Profile).
+	// profiling is the engine default for per-query execution profiles (see
+	// Rows.Profile); Stmt.Profile turns one on for a single statement.
 	// Simulated results, durations, and joules are byte-identical either
 	// way: the profiler only observes the charges the engine already makes.
 	profiling bool
-	// queuedAt/queued carry one statement's admission-queue wait from
-	// QueryQueued (or SharedSession.Admit) into startQueryPar, which
-	// consumes them. Like the rest of the engine this follows the
-	// cooperative single-threaded execution model — the fields are only
-	// ever set and cleared around one statement start.
-	queuedAt sim.Time
-	queued   bool
 }
 
 // Machine is the slice of the simulated system an engine needs: a CPU to
@@ -117,9 +111,6 @@ func (e *Engine) Profile() Profile { return e.prof }
 // what the simulation computes; it only watches it.
 func (e *Engine) SetProfiling(on bool) { e.profiling = on }
 
-// Profiling reports whether per-query profiles are being collected.
-func (e *Engine) Profiling() bool { return e.profiling }
-
 // Catalog returns the table registry; loaders insert data through it.
 func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
 
@@ -165,61 +156,80 @@ type Rows struct {
 	stats      ExecStats
 	finished   bool
 
-	// obs collects this statement's execution profile when the engine has
-	// profiling enabled; profile is the finalized result (see Profile).
+	// obs collects this statement's execution profile when it is profiled;
+	// profile is the finalized result (see Profile).
 	obs     *obsv.Collector
 	profile *obsv.Profile
 }
 
 // Profile returns the statement's execution profile, draining the stream
-// first if the consumer has not. It returns nil when the engine was not
-// profiling at statement start.
+// first if the consumer has not. It returns nil when the statement was not
+// profiled (see Stmt.Profile).
 func (r *Rows) Profile() *obsv.Profile {
 	r.Close()
 	return r.profile
+}
+
+// Stmt is one statement as the engine's one entry (start) takes it: the
+// plan plus what only the caller knows. Stmt{Plan: p} is a plain Query.
+type Stmt struct {
+	// Plan is what runs. In a RunWindow a nil Plan rides the window without
+	// executing (a server's EXPLAIN): counted in its size, never started.
+	Plan plan.Node
+	// QueuedAt, with Queued true, is when the statement entered an admission
+	// queue (a server-side delay, not new simulated work): a profiled
+	// statement gains a leading QueueWait span covering [QueuedAt, start],
+	// so EXPLAIN ANALYZE shows where response time went before execution
+	// began. The wait is observation only — no cycles, no joules — because
+	// the machine spent it running other statements, whose profiles own
+	// that energy.
+	QueuedAt sim.Time
+	Queued   bool
+	// Profile profiles this statement even when the engine default
+	// (SetProfiling) is off.
+	Profile bool
+	// Pulls is how many batches RunWindow takes per round; below 1 means 1.
+	Pulls int
 }
 
 // Query starts executing a plan and returns a streaming result iterator.
 // Statement overhead is charged up front; per-batch work is charged as the
 // consumer pulls. The old fully-materialized Exec is a thin wrapper over
 // this.
-func (e *Engine) Query(p plan.Node) *Rows {
+func (e *Engine) Query(p plan.Node) *Rows { return e.start(nil, Stmt{Plan: p}) }
+
+// start is the one statement entry — Query, SharedSession.Query,
+// AnalyzeQuery and every member of a RunWindow begin here: it chooses the
+// plan and its scan leaves (sess nil means private scans), charges statement
+// overhead, builds the execution context, and opens the operator tree as a
+// streaming result.
+func (e *Engine) start(sess *SharedSession, st Stmt) *Rows {
+	profiling := e.profiling || st.Profile
 	// With an objective enabled, re-derive the plan through the optimizer
 	// (join order, build sides, pushdown, parallelism); plans the extractor
-	// does not recognize fall back to executing as given.
-	if lowered, ch, pi, ok := e.optimize(p, 0); ok {
-		return e.startQueryPar(exec.CompileParallel(lowered, e.prof.Workers), ch.Parallelism, pi)
+	// does not recognize fall back to executing as given. On a session the
+	// optimizer also weighs the shared attach against a private scan:
+	// sharing amortizes page streaming across the expected concurrency
+	// (energy down) while stretching per-query response as the queries
+	// time-share the machine.
+	p, par, shared := st.Plan, e.prof.Parallelism, sess != nil
+	sharedQ := 0
+	if shared {
+		sharedQ = max(2, sess.expected)
 	}
-	// Scan→filter→project fragments run through the morsel pump: inline for
-	// Workers <= 1, across the profile's worker goroutines above. The
-	// operators, and all simulated accounting, are the same either way.
-	return e.startQuery(exec.CompileParallel(p, e.prof.Workers))
-}
-
-// QueryQueued is Query for a statement that waited in an admission queue
-// since queuedAt (a server-side delay, not new simulated work): when
-// profiling is on, the statement's profile gains a leading queue span
-// covering [queuedAt, start], so EXPLAIN ANALYZE shows where response time
-// went before execution began. The wait is observation only — no cycles,
-// no joules — because the machine spent that window running other
-// statements, whose profiles own its energy.
-func (e *Engine) QueryQueued(p plan.Node, queuedAt sim.Time) *Rows {
-	e.queuedAt, e.queued = queuedAt, true
-	return e.Query(p)
-}
-
-// startQuery charges statement overhead, builds the execution context, and
-// opens op as a streaming result — the shared tail of Query and the
-// shared-scan admission path (see SharedSession).
-func (e *Engine) startQuery(op exec.Operator) *Rows {
-	return e.startQueryPar(op, e.prof.Parallelism, nil)
-}
-
-// startQueryPar is startQuery at an explicit parallelism degree — the
-// optimizer's chosen degree when a statement routes through it. pi is the
-// optimizer's estimate record for the profile, nil when the statement did
-// not route through the optimizer or profiling is off.
-func (e *Engine) startQueryPar(op exec.Operator, par int, pi *obsv.PlanInfo) *Rows {
+	var pi *obsv.PlanInfo // the estimate record, for a profiled statement
+	if lowered, ch, info, ok := e.optimize(p, sharedQ, profiling); ok {
+		p, par, pi, shared = lowered, ch.Parallelism, info, ch.Shared
+	}
+	// Private scan→filter→project fragments run through the morsel pump:
+	// inline for Workers <= 1, across the profile's worker goroutines above.
+	// The operators, and all simulated accounting, are the same either way.
+	var op exec.Operator
+	if shared {
+		op = exec.CompileLeaf(p, sess.sharedLeaf)
+	} else {
+		op = exec.CompileParallel(p, e.prof.Workers)
+	}
 	if par < 1 {
 		par = 1
 	}
@@ -231,25 +241,22 @@ func (e *Engine) startQueryPar(op exec.Operator, par int, pi *obsv.PlanInfo) *Ro
 	// abandoned iterator can never leave the shared CPU misconfigured.
 	defer c.SetParallelism(1)
 
-	queuedAt, queued := e.queuedAt, e.queued
-	e.queuedAt, e.queued = 0, false
-
-	r := &Rows{e: e, par: par, start: c.Clock().Now()}
+	r := &Rows{e: e, op: op, par: par, start: c.Clock().Now()}
 	if e.pool != nil {
 		r.poolBefore = e.pool.Stats()
 	}
-	if e.profiling {
+	if profiling {
 		r.obs = obsv.NewCollector("statement", r.start)
 		if pi != nil {
 			r.obs.SetPlan(pi)
 		}
-		if queued && queuedAt <= r.start {
+		if st.Queued && st.QueuedAt <= r.start {
 			// The admission-queue wait renders as the statement's first
 			// child span. Its Seconds are set directly — no charge backs
 			// them, because queue time is other statements' execution time
 			// and their profiles already own that energy.
-			qs := r.obs.OpenSpan(obsv.KindQueue, "QueueWait", "", queuedAt)
-			qs.Seconds = r.start.Sub(queuedAt).Seconds()
+			qs := r.obs.OpenSpan(obsv.KindQueue, "QueueWait", "", st.QueuedAt)
+			qs.Seconds = r.start.Sub(st.QueuedAt).Seconds()
 			r.obs.Pop(r.start)
 		}
 		// The observer is installed only while this statement's work runs
@@ -275,7 +282,6 @@ func (e *Engine) startQueryPar(op exec.Operator, par int, pi *obsv.PlanInfo) *Ro
 		}
 	}
 	r.ctx = ctx
-	r.op = op
 	if err := r.op.Open(ctx); err != nil {
 		// No operator errors today; finalize so the iterator is inert.
 		r.finish()
@@ -285,6 +291,10 @@ func (e *Engine) startQueryPar(op exec.Operator, par int, pi *obsv.PlanInfo) *Ro
 
 // Schema describes the result rows.
 func (r *Rows) Schema() *catalog.Schema { return r.op.Schema() }
+
+// Start returns the simulated instant the statement started (a scheduler's
+// queue wait ends there).
+func (r *Rows) Start() sim.Time { return r.start }
 
 // Next returns the next result batch — columnar, read-only — or nil when
 // the stream is exhausted. The batch is owned by the executor and valid

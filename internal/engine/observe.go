@@ -9,17 +9,12 @@ import (
 // execution profile (the SQL front end's EXPLAIN ANALYZE) and snapshotting
 // the process-wide metrics registry.
 
-// AnalyzeQuery runs p to completion with profiling enabled and returns its
+// AnalyzeQuery runs p to completion as a profiled statement and returns its
 // execution profile. The statement really executes — every simulated
 // charge, disk read, and clock advance happens exactly as Query would make
 // them — because the profile is an observation of the run, not an estimate.
-// The engine's profiling setting is restored afterwards.
 func (e *Engine) AnalyzeQuery(p plan.Node) (*obsv.Profile, error) {
-	prev := e.profiling
-	e.profiling = true
-	defer func() { e.profiling = prev }()
-
-	rows := e.Query(p)
+	rows := e.start(nil, Stmt{Plan: p, Profile: true})
 	if err := rows.Close(); err != nil {
 		return nil, err
 	}

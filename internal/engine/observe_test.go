@@ -82,36 +82,19 @@ func TestProfileJoulesSumToMeterShared(t *testing.T) {
 	e.SetProfiling(true)
 
 	plans := tpch.Q5Workload(e.Catalog())[:3]
-	sess := e.NewSharedSession()
-	sess.SetExpectedConcurrency(len(plans))
 	t0 := m.Clock.Now()
-	streams := make([]*Rows, len(plans))
-	for i, p := range plans {
-		streams[i] = sess.Query(p)
-	}
-	done := make([]bool, len(streams))
-	remaining := len(streams)
-	for remaining > 0 {
-		for i, r := range streams {
-			if done[i] {
-				continue
-			}
-			b, err := r.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b == nil {
-				done[i] = true
-				remaining--
-			}
+	profiles := make([]*obsv.Profile, len(plans))
+	e.RunWindow(e.NewSharedSession(), stmtsOf(plans), nil, func(i int, r *Rows, err error) {
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		profiles[i] = r.Profile()
+	})
 	end := m.Clock.Now()
 
 	var sum float64
 	sharedSpans := 0
-	for i, r := range streams {
-		p := r.Profile()
+	for i, p := range profiles {
 		checkProfileSums(t, fmt.Sprintf("shared query %d", i), p)
 		if anyShared(p.Root) {
 			sharedSpans++

@@ -35,11 +35,11 @@ func (e *Engine) optEnv(sharedQ int) opt.Env {
 // optimize re-plans p under the profile's objective. ok is false when the
 // objective is disabled or the plan cannot be optimized (unrecognized
 // shape, no statistics, no admissible lowering) — callers then execute p
-// exactly as handed in, so optimization can never lose a query. With
-// profiling enabled the returned PlanInfo carries the winning choice's
+// exactly as handed in, so optimization can never lose a query. For a
+// profiled statement the returned PlanInfo carries the winning choice's
 // whole-plan and per-operator estimates for the profile's
 // estimate-vs-actual join-up; it is nil otherwise.
-func (e *Engine) optimize(p plan.Node, sharedQ int) (plan.Node, *opt.Choice, *obsv.PlanInfo, bool) {
+func (e *Engine) optimize(p plan.Node, sharedQ int, profiling bool) (plan.Node, *opt.Choice, *obsv.PlanInfo, bool) {
 	if !e.prof.Objective.Enabled {
 		return nil, nil, nil, false
 	}
@@ -59,7 +59,7 @@ func (e *Engine) optimize(p plan.Node, sharedQ int) (plan.Node, *opt.Choice, *ob
 		return nil, nil, nil, false
 	}
 	var pi *obsv.PlanInfo
-	if e.profiling {
+	if profiling {
 		access := "private-scan"
 		if ch.Shared {
 			access = "shared-scan"

@@ -5,7 +5,6 @@ import (
 	"ecodb/internal/exec"
 	"ecodb/internal/plan"
 	"ecodb/internal/scanshare"
-	"ecodb/internal/sim"
 )
 
 // SharedSession is the shared-scan admission path: streaming queries
@@ -16,37 +15,19 @@ import (
 // per-tuple CPU. Plain Engine.Query and Exec are unchanged (private scans).
 //
 // The session follows the engine's cooperative single-threaded execution
-// model: interleave pulls on the returned Rows iterators from one
-// goroutine (e.g. round-robin, as workload.RunShared does). Queries
-// admitted while a pass is mid-lap simply join at its current page and
-// wrap, so results can arrive in rotated page order for late arrivals;
-// queries admitted together (before any pulls) start at the same page and
-// produce exactly the rows a private scan produces, in the same order.
+// model: interleave pulls on the returned Rows iterators from one goroutine
+// (round-robin, as RunWindow does). Queries admitted while a pass is mid-lap
+// simply join at its current page and wrap, so results can arrive in rotated
+// page order for late arrivals; queries admitted together (before any pulls)
+// start at the same page and produce exactly the rows a private scan
+// produces, in the same order.
 type SharedSession struct {
 	e      *Engine
 	coords map[string]*scanshare.Coordinator
 	// expected is the admission-time concurrency hint the optimizer costs
-	// the shared access path with; see SetExpectedConcurrency.
+	// the shared access path with: RunWindow's window size, or
+	// SetExpectedConcurrency.
 	expected int
-	// prio is the attach priority of the statement currently being
-	// admitted (consumed by sharedLeaf during compilation; see Admit).
-	prio int
-}
-
-// AdmitOpts carries per-statement admission metadata from a query server
-// into the shared-scan path. The zero value is a plain Query.
-type AdmitOpts struct {
-	// Priority is the statement's attach priority, recorded on its
-	// shared-pass consumers (scanshare.Consumer.Priority). The pass itself
-	// is demand-driven and symmetric; priority informs the admission
-	// order and the drain schedule of whoever pulls the streams (the
-	// server drains higher-priority statements more often per round).
-	Priority int
-	// QueuedAt, with Queued true, is when the statement entered the
-	// admission queue; see Engine.QueryQueued for what it does to the
-	// statement's profile.
-	QueuedAt sim.Time
-	Queued   bool
 }
 
 // NewSharedSession returns a shared-scan session over the engine's tables.
@@ -74,56 +55,22 @@ func (s *SharedSession) Coordinator(t *catalog.Table) *scanshare.Coordinator {
 // followed by interleaved pulls gives every member the same entry page.
 // Caveat: blocking operators run their blocking phase at admission too —
 // a hash join's Open drains the whole build side, advancing the shared
-// pass before the rest of the batch is admitted (extra laps, see
-// workload.RunShared).
-func (s *SharedSession) Query(p plan.Node) *Rows {
-	return s.Admit(p, AdmitOpts{})
-}
-
-// Admit is Query with admission metadata: the statement's shared-pass
-// consumers attach with opts.Priority, and a queue wait (opts.Queued) is
-// recorded on the statement's profile exactly as Engine.QueryQueued does.
-// Simulated results, durations, and joules are identical to Query for any
-// opts — admission metadata is policy and observation, never physics.
-func (s *SharedSession) Admit(p plan.Node, opts AdmitOpts) *Rows {
-	s.prio = opts.Priority
-	defer func() { s.prio = 0 }()
-	if opts.Queued {
-		s.e.queuedAt, s.e.queued = opts.QueuedAt, true
-	}
-	// With an objective enabled, the optimizer weighs the shared attach
-	// against a private scan for this plan: sharing amortizes page
-	// streaming across the expected concurrency (energy down) while
-	// stretching per-query response as the queries time-share the machine.
-	// Choice.Shared selects which leaf compilation the statement gets.
-	if lowered, ch, pi, ok := s.e.optimize(p, s.ExpectedConcurrency()); ok {
-		if ch.Shared {
-			return s.e.startQueryPar(exec.CompileLeaf(lowered, s.sharedLeaf), ch.Parallelism, pi)
-		}
-		return s.e.startQueryPar(exec.CompileParallel(lowered, s.e.prof.Workers), ch.Parallelism, pi)
-	}
-	return s.e.startQuery(exec.CompileLeaf(p, s.sharedLeaf))
-}
+// pass before the rest of the batch is admitted (extra laps: results stay
+// correct, only the amortization shrinks).
+func (s *SharedSession) Query(p plan.Node) *Rows { return s.e.start(s, Stmt{Plan: p}) }
 
 // sharedLeaf compiles one scan leaf as an attach to the session's shared
-// pass over that table, at the priority of the statement being admitted.
+// pass over that table.
 func (s *SharedSession) sharedLeaf(scan *plan.Scan) exec.Operator {
-	return exec.NewSharedScanWith(s.Coordinator(scan.Table), scan.Table, scan.Filter, s.prio)
+	return exec.NewSharedScan(s.Coordinator(scan.Table), scan.Table, scan.Filter)
 }
 
 // SetExpectedConcurrency tells the optimizer how many queries the caller
 // intends to co-attach to this session's passes — the Q that pass-fired
-// work amortizes over. Values below 2 reset to the default.
+// work amortizes over. Values below 2 mean 2: a shared session exists
+// because at least two queries are expected to ride the pass. RunWindow sets
+// it to the window's size, so only callers starting statements one by one
+// with Query need it.
 func (s *SharedSession) SetExpectedConcurrency(n int) {
 	s.expected = n
-}
-
-// ExpectedConcurrency returns the admission-time concurrency hint;
-// defaults to 2 (a shared session exists because at least two queries are
-// expected to ride the pass).
-func (s *SharedSession) ExpectedConcurrency() int {
-	if s.expected < 2 {
-		return 2
-	}
-	return s.expected
 }

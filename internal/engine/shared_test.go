@@ -15,34 +15,27 @@ func bandPlans(e *Engine, n int) []plan.Node {
 	return tpch.QuantityBandWorkload(e.Catalog(), n)
 }
 
-// driveShared admits all plans into one shared session and round-robins
-// the streams to completion, returning each query's materialized rows.
+// stmtsOf wraps plans as plain window statements.
+func stmtsOf(plans []plan.Node) []Stmt {
+	stmts := make([]Stmt, len(plans))
+	for i, p := range plans {
+		stmts[i] = Stmt{Plan: p}
+	}
+	return stmts
+}
+
+// driveShared runs all plans as one window on a fresh shared session,
+// returning each query's materialized rows.
 func driveShared(t *testing.T, e *Engine, plans []plan.Node) [][]expr.Row {
 	t.Helper()
-	sess := e.NewSharedSession()
-	streams := make([]*Rows, len(plans))
-	for i, p := range plans {
-		streams[i] = sess.Query(p)
-	}
 	out := make([][]expr.Row, len(plans))
-	remaining := len(streams)
-	for remaining > 0 {
-		for i, r := range streams {
-			if r == nil {
-				continue
-			}
-			b, err := r.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b == nil {
-				streams[i] = nil
-				remaining--
-				continue
-			}
-			out[i] = b.AppendRowsTo(out[i])
+	e.RunWindow(e.NewSharedSession(), stmtsOf(plans), func(i int, b *expr.Batch) {
+		out[i] = b.AppendRowsTo(out[i])
+	}, func(i int, _ *Rows, err error) {
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+	})
 	return out
 }
 

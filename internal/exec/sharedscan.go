@@ -21,7 +21,6 @@ type sharedScanOp struct {
 	coord  *scanshare.Coordinator
 	table  *catalog.Table
 	filter expr.Expr
-	prio   int
 
 	cons    *scanshare.Consumer
 	pruning bool       // zone-map pruning active for this execution
@@ -33,13 +32,7 @@ type sharedScanOp struct {
 // NewSharedScan returns a shared-scan leaf operator over table, attached
 // to coord on Open. filter may be nil for a full scan.
 func NewSharedScan(coord *scanshare.Coordinator, table *catalog.Table, filter expr.Expr) Operator {
-	return NewSharedScanWith(coord, table, filter, 0)
-}
-
-// NewSharedScanWith is NewSharedScan with an attach priority, recorded on
-// the consumer for the drain policy (see scanshare.Coordinator.AttachWith).
-func NewSharedScanWith(coord *scanshare.Coordinator, table *catalog.Table, filter expr.Expr, priority int) Operator {
-	return &sharedScanOp{coord: coord, table: table, filter: filter, prio: priority}
+	return &sharedScanOp{coord: coord, table: table, filter: filter}
 }
 
 func (s *sharedScanOp) Schema() *catalog.Schema { return s.table.Schema }
@@ -47,13 +40,13 @@ func (s *sharedScanOp) Schema() *catalog.Schema { return s.table.Schema }
 func (s *sharedScanOp) Open(ctx *Ctx) error {
 	if pruner := prunePredicate(ctx, s.filter); pruner != nil {
 		s.pruning = true
-		s.cons = s.coord.AttachWith(func(zones []expr.Zone) bool {
+		s.cons = s.coord.AttachPruned(func(zones []expr.Zone) bool {
 			return expr.ZonePrunes(pruner, zones)
-		}, s.prio)
+		})
 		return nil
 	}
 	s.pruning = false
-	s.cons = s.coord.AttachWith(nil, s.prio)
+	s.cons = s.coord.Attach()
 	return nil
 }
 

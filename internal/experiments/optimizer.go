@@ -100,7 +100,7 @@ func Optimizer(cfg Config) OptimizerResult {
 			j0 := obsv.QueryJoules(obj.String()).Load()
 			t0 := clock.Now()
 			w0 := time.Now()
-			got := runCoAdmitted(sys.Engine, plans, len(plans))
+			got := runCoAdmitted(sys.Engine, plans)
 			w := time.Since(w0)
 			if rep == 0 || w < a.Wall {
 				a.Wall = w
@@ -140,36 +140,23 @@ func Optimizer(cfg Config) OptimizerResult {
 	return res
 }
 
-// runCoAdmitted admits every plan to one shared session before any pulls
-// (so shared attaches all enter at the same pass position), then
-// interleaves pulls round-robin, materializing each query's rows.
-func runCoAdmitted(e *engine.Engine, plans []plan.Node, expected int) [][]expr.Row {
-	sess := e.NewSharedSession()
-	sess.SetExpectedConcurrency(expected)
-	streams := make([]*engine.Rows, len(plans))
+// runCoAdmitted runs the plans as one co-admission window on a fresh shared
+// session (so shared attaches all enter at the same pass position, and the
+// optimizer costs them at the batch's size), materializing each query's
+// rows.
+func runCoAdmitted(e *engine.Engine, plans []plan.Node) [][]expr.Row {
+	stmts := make([]engine.Stmt, len(plans))
 	for i, p := range plans {
-		streams[i] = sess.Query(p)
+		stmts[i] = engine.Stmt{Plan: p}
 	}
 	out := make([][]expr.Row, len(plans))
-	remaining := len(plans)
-	for remaining > 0 {
-		for i, r := range streams {
-			if r == nil {
-				continue
-			}
-			b, err := r.Next()
-			if err != nil {
-				panic(fmt.Sprintf("experiments: optimizer batch query %d failed: %v", i, err))
-			}
-			if b == nil {
-				r.Close()
-				streams[i] = nil
-				remaining--
-				continue
-			}
-			out[i] = b.AppendRowsTo(out[i])
+	e.RunWindow(e.NewSharedSession(), stmts, func(i int, b *expr.Batch) {
+		out[i] = b.AppendRowsTo(out[i])
+	}, func(i int, _ *engine.Rows, err error) {
+		if err != nil {
+			panic(fmt.Sprintf("experiments: optimizer batch query %d failed: %v", i, err))
 		}
-	}
+	})
 	return out
 }
 

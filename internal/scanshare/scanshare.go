@@ -32,6 +32,8 @@
 // Like the rest of the simulated machine, a Coordinator is single-threaded:
 // consumers interleave pulls cooperatively on one goroutine, so simulated
 // durations and joules are deterministic for a fixed attach and pull order.
+// That order is also all a scheduler's priorities are (internal/server): the
+// pass is symmetric and knows none.
 package scanshare
 
 import (
@@ -158,22 +160,10 @@ func (c *Coordinator) Attach() *Consumer { return c.AttachPruned(nil) }
 // every needy consumer prunes the page skips it physically — no buffer
 // pool, no surface charge. prune nil never prunes, making Attach the
 // degenerate case.
-func (c *Coordinator) AttachPruned(prune Prune) *Consumer { return c.AttachWith(prune, 0) }
-
-// AttachWith is AttachPruned with an attach priority. The pass itself is
-// symmetric — it advances on whichever consumer pulls, and every attached
-// consumer sees every page once — so priority does not change what the
-// coordinator delivers; it is admission metadata the drain policy consumes:
-// a server admitting a batch attaches its statements in priority order
-// (earlier entry on the circular pass) and pulls higher-priority consumers
-// more often per round, so they complete their lap sooner. Simulated
-// charging is unchanged for any priorities given a fixed attach-and-pull
-// order.
-func (c *Coordinator) AttachWith(prune Prune, priority int) *Consumer {
+func (c *Coordinator) AttachPruned(prune Prune) *Consumer {
 	k := &Consumer{
 		coord:     c,
 		prune:     prune,
-		priority:  priority,
 		entry:     c.scan.Pos(),
 		remaining: c.heap.NumPages(),
 	}
@@ -255,7 +245,6 @@ type queuedPage struct {
 type Consumer struct {
 	coord     *Coordinator
 	prune     Prune // nil: never prunes
-	priority  int   // attach priority (advisory; see AttachWith)
 	entry     int
 	queue     []queuedPage // delivered, unconsumed steps, in pass order
 	remaining int          // pages the pass has yet to deliver to this consumer
@@ -273,9 +262,6 @@ func (k *Consumer) prunes(zones []expr.Zone) bool {
 // Entry returns the page index at which the consumer joined the pass —
 // the first page it receives.
 func (k *Consumer) Entry() int { return k.entry }
-
-// Priority returns the attach priority the consumer was admitted with.
-func (k *Consumer) Priority() int { return k.priority }
 
 // PagesSeen returns how many pass steps the consumer has consumed so far,
 // pruned steps included.

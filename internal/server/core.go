@@ -9,18 +9,19 @@
 // Admission is the energy lever. Instead of running each statement the
 // moment it arrives (the private-scan baseline), the scheduler holds
 // best-effort statements in a bounded queue until a co-admission window
-// fills, then admits the batch through engine.SharedSession so all of its
-// scans ride each table's circular pass: page I/O and page streaming are
-// charged once per pass no matter how many statements consume it. Three
-// policies are provided — see Policy. Deadline-urgent statements bypass
-// the window; everything else waits for the next flush batch.
+// fills, then runs the batch as one engine.RunWindow on a SharedSession so
+// all of its scans ride each table's circular pass: page I/O and page
+// streaming are charged once per pass no matter how many statements consume
+// it. Three policies are provided — see Policy. Deadline-urgent statements
+// bypass the window; everything else waits for the next flush batch.
 //
-// The charging-model invariant carries through: for a fixed admission and
-// pull order, simulated results, durations, and joules are bit-identical
-// to the embedded SharedSession path (workload.RunShared). Admission
-// metadata — priorities, queue timestamps, profiling — is policy and
-// observation, never physics. The serial-replay test in this package and
-// the invariants section of docs/ARCHITECTURE.md pin this down.
+// The charging-model invariant carries through: a flush is the same
+// engine.RunWindow an embedded caller (workload.RunShared) runs, so for a
+// fixed admission and pull order, simulated results, durations, and joules
+// are bit-identical to it. Admission metadata — priorities, queue
+// timestamps, profiling — is policy and observation, never physics. The
+// serial-replay test in this package and the invariants section of
+// docs/ARCHITECTURE.md pin this down.
 package server
 
 import (
@@ -43,7 +44,7 @@ type Policy int
 
 const (
 	// PolicyPrivate is the baseline: statements execute one at a time in
-	// arrival order through Engine.Query — private scans, no sharing.
+	// arrival order, each a window of one on private scans — no sharing.
 	PolicyPrivate Policy = iota
 	// PolicyShared gathers statements into co-admission windows (flush
 	// batches) and admits each batch through the shared-scan session,
@@ -435,11 +436,12 @@ func (c *Core) flush(live bool) {
 	}
 
 	if c.cfg.Policy == PolicyPrivate {
-		for _, p := range batch {
-			c.executePrivate(p)
+		// The private policy is windows of one on private scans.
+		for i := range batch {
+			c.execute(batch[i:i+1], nil)
 		}
 	} else {
-		c.executeShared(batch)
+		c.execute(batch, c.sess)
 	}
 	if live {
 		c.sys.Machine.CPU.Trace().DiscardBefore(c.clock.Now())
@@ -471,154 +473,78 @@ func (c *Core) finishStmt(p *pending) {
 	p.reply()
 }
 
-// executePrivate runs one statement through the plain (private-scan)
-// engine path, charging it an exact per-statement trace window.
-func (c *Core) executePrivate(p *pending) {
-	if p.req.Kind == StmtExplain {
-		c.executeExplain(p)
-		return
-	}
-	t0 := c.clock.Now()
-	prev := c.eng.Profiling()
-	c.eng.SetProfiling(c.cfg.Profiling || p.req.Kind == StmtAnalyze)
-	rows := c.eng.QueryQueued(p.req.Plan, p.arrive)
-	c.eng.SetProfiling(prev)
-	c.drainOne(p, rows)
-	t1 := c.clock.Now()
-	p.resp.Joules = float64(c.sys.Machine.CPU.Trace().Energy(t0, t1))
-	p.resp.QueueWait = t0.Sub(p.arrive)
-	p.resp.Response = t1.Sub(p.arrive)
-	obsv.Default().FloatCounter(obsv.MetricServerPolicyJoules + c.cfg.Policy.String()).Add(p.resp.Joules)
-}
-
-// executeShared co-admits a batch through the shared-scan session and
-// drains the result streams priority-weighted round-robin. With all
-// priorities zero the drain is exactly workload.RunShared's one pull per
+// execute runs one co-admission window through engine.RunWindow — on the
+// shared-scan session, or on private scans when sess is nil — and fills
+// every member's response. Statements start in window order with their
+// queue-entry instant on their profile; a statement at priority p gets
+// 1+max(0,p) pulls per round, so it finishes its lap sooner without changing
+// what anything is charged. With all priorities zero that is one pull per
 // live stream per round — the order the bit-identity contract pins.
-func (c *Core) executeShared(batch []*pending) {
+func (c *Core) execute(window []*pending, sess *engine.SharedSession) {
 	t0 := c.clock.Now()
-	c.sess.SetExpectedConcurrency(len(batch))
-	streams := make([]*engine.Rows, len(batch))
-	starts := make([]sim.Time, len(batch))
-	for i, p := range batch {
+	stmts := make([]engine.Stmt, len(window))
+	executed := 0
+	for i, p := range window {
 		if p.req.Kind == StmtExplain {
-			c.executeExplain(p)
+			// Rendering the optimizer's plan is no simulated work, so it
+			// rides the window unexecuted (a nil Plan) and where it renders
+			// relative to the starts cannot show.
+			p.resp.Explain, p.resp.Err = sql.Explain(c.eng, p.req.SQL)
 			continue
 		}
-		starts[i] = c.clock.Now()
-		prev := c.eng.Profiling()
-		c.eng.SetProfiling(c.cfg.Profiling || p.req.Kind == StmtAnalyze)
-		streams[i] = c.sess.Admit(p.req.Plan, engine.AdmitOpts{
-			Priority: p.req.Priority,
+		executed++
+		stmts[i] = engine.Stmt{
+			Plan:     p.req.Plan,
 			QueuedAt: p.arrive,
 			Queued:   true,
-		})
-		c.eng.SetProfiling(prev)
-	}
-	remaining := 0
-	for _, r := range streams {
-		if r != nil {
-			remaining++
+			Profile:  c.cfg.Profiling || p.req.Kind == StmtAnalyze,
+			Pulls:    1 + max(0, p.req.Priority),
 		}
 	}
-	executed := remaining
-	for remaining > 0 {
-		for i, r := range streams {
-			if r == nil {
-				continue
-			}
-			pulls := 1
-			if p := batch[i].req.Priority; p > 0 {
-				pulls += p
-			}
-			for k := 0; k < pulls && streams[i] != nil; k++ {
-				b, err := r.Next()
-				if err != nil {
-					batch[i].resp.Err = err
-					streams[i] = nil
-					remaining--
-					break
-				}
-				if b == nil {
-					c.finalizeShared(batch[i], r, starts[i])
-					streams[i] = nil
-					remaining--
-					break
-				}
-				if batch[i].req.CollectRows {
-					batch[i].resp.Rows = b.AppendRowsTo(batch[i].resp.Rows)
-				}
+	if executed == 0 {
+		return
+	}
+	c.eng.RunWindow(sess, stmts, func(i int, b *expr.Batch) {
+		if p := window[i]; p.req.CollectRows {
+			p.resp.Rows = b.AppendRowsTo(p.resp.Rows)
+		}
+	}, func(i int, r *engine.Rows, err error) {
+		// Fires on the pull that ended the stream: the clock is the
+		// statement's completion instant.
+		p := window[i]
+		p.resp.QueueWait = r.Start().Sub(p.arrive)
+		p.resp.Response = c.clock.Now().Sub(p.arrive)
+		if p.resp.Err = err; err != nil {
+			return
+		}
+		st := r.Stats()
+		p.resp.RowsOut = st.RowsOut
+		p.resp.Columns = columnNames(r)
+		p.resp.Duration = st.Duration
+		if prof := r.Profile(); prof != nil {
+			p.resp.Joules = prof.Joules
+			if p.req.Kind == StmtAnalyze {
+				p.resp.Explain = prof.Render()
 			}
 		}
-	}
-	t1 := c.clock.Now()
-	window := float64(c.sys.Machine.CPU.Trace().Energy(t0, t1))
-	obsv.Default().FloatCounter(obsv.MetricServerPolicyJoules + c.cfg.Policy.String()).Add(window)
-	if !c.cfg.Profiling && executed > 0 {
+	})
+	joules := float64(c.sys.Machine.CPU.Trace().Energy(t0, c.clock.Now()))
+	obsv.Default().FloatCounter(obsv.MetricServerPolicyJoules + c.cfg.Policy.String()).Add(joules)
+	switch {
+	case sess == nil:
+		// A private statement owns its trace window: exact, profiled or not.
+		window[0].resp.Joules = joules
+	case !c.cfg.Profiling:
 		// Without profiles the window's energy cannot be attributed per
 		// statement; split it evenly (documented approximation — turn
 		// Config.Profiling on for the exact partition).
-		share := window / float64(executed)
-		for i, p := range batch {
-			if p.req.Kind != StmtExplain && p.resp.Err == nil && streams[i] == nil {
-				if p.resp.Joules == 0 {
-					p.resp.Joules = share
-				}
+		share := joules / float64(executed)
+		for _, p := range window {
+			if p.req.Kind != StmtExplain && p.resp.Err == nil && p.resp.Joules == 0 {
+				p.resp.Joules = share
 			}
 		}
 	}
-}
-
-// finalizeShared records one co-admitted statement's outcome at stream
-// exhaustion.
-func (c *Core) finalizeShared(p *pending, r *engine.Rows, start sim.Time) {
-	end := c.clock.Now()
-	st := r.Stats()
-	p.resp.RowsOut = st.RowsOut
-	p.resp.Columns = columnNames(r)
-	p.resp.QueueWait = start.Sub(p.arrive)
-	p.resp.Duration = st.Duration
-	p.resp.Response = end.Sub(p.arrive)
-	if prof := r.Profile(); prof != nil {
-		p.resp.Joules = prof.Joules
-		if p.req.Kind == StmtAnalyze {
-			p.resp.Explain = prof.Render()
-		}
-	}
-}
-
-// drainOne pulls a private statement's stream to completion, collecting
-// rows when asked.
-func (c *Core) drainOne(p *pending, rows *engine.Rows) {
-	for {
-		b, err := rows.Next()
-		if err != nil {
-			p.resp.Err = err
-			return
-		}
-		if b == nil {
-			break
-		}
-		if p.req.CollectRows {
-			p.resp.Rows = b.AppendRowsTo(p.resp.Rows)
-		}
-	}
-	st := rows.Stats()
-	p.resp.RowsOut = st.RowsOut
-	p.resp.Columns = columnNames(rows)
-	p.resp.Duration = st.Duration
-	// Joules stay the exact trace window executePrivate measures; the
-	// profile is only needed here for ANALYZE rendering.
-	if prof := rows.Profile(); prof != nil && p.req.Kind == StmtAnalyze {
-		p.resp.Explain = prof.Render()
-	}
-}
-
-// executeExplain renders the optimizer's plan — no simulated work, so it
-// can ride any batch without charging anything.
-func (c *Core) executeExplain(p *pending) {
-	out, err := sql.Explain(c.eng, p.req.SQL)
-	p.resp.Explain, p.resp.Err = out, err
 }
 
 // columnNames extracts the result schema's column names.

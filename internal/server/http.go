@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -71,9 +72,6 @@ func (c *Core) Do(req Request) Response {
 func (c *Core) loop() {
 	defer close(c.stopped)
 	flushWait := time.Duration(c.cfg.FlushWait.Seconds() * float64(time.Second))
-	if flushWait <= 0 {
-		flushWait = time.Millisecond
-	}
 	timer := time.NewTimer(time.Hour)
 	timer.Stop()
 	defer timer.Stop()
@@ -82,7 +80,10 @@ func (c *Core) loop() {
 		select {
 		case p := <-c.submit:
 			c.enqueue(p)
-			for c.shouldFlushLive() {
+			// The simulated clock stands still while a statement waits, so
+			// shouldFlush's wait clause is false here unless FlushWait is
+			// not positive; a waiting window's timeout is the timer's job.
+			for c.shouldFlush(true) {
 				c.flush(true)
 			}
 			if len(c.queue) > 0 && !armed {
@@ -109,18 +110,6 @@ func (c *Core) loop() {
 			return
 		}
 	}
-}
-
-// shouldFlushLive is the live loop's immediate-flush test: the private
-// policy never batches, a full window flushes, and deadline-urgent
-// statements bypass the window. The FlushWait timeout is the timer's job.
-func (c *Core) shouldFlushLive() bool {
-	if len(c.queue) == 0 {
-		return false
-	}
-	return c.cfg.Policy == PolicyPrivate ||
-		len(c.queue) >= c.cfg.FlushThreshold ||
-		c.urgent()
 }
 
 // Server is the HTTP front end.
@@ -192,9 +181,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST a SQL statement", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	// A statement cut off at the cap is a different statement, so a body
+	// over it is refused rather than parsed as far as it fits.
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, queryResponse{Error: err.Error()})
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, queryResponse{Error: err.Error()})
 		return
 	}
 	query := strings.TrimSpace(string(body))
@@ -237,16 +233,44 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, out)
 }
 
+// The two bounds on what a client may send: the statement's size, and the
+// tenant label's — it becomes part of a metric name that lives as long as
+// the process, so it is held to the exposition format's name characters.
+const (
+	maxBodyBytes   = 1 << 20
+	maxTenantBytes = 64
+)
+
+// validTenant reports whether an X-Tenant value can name a metric: at most
+// maxTenantBytes of [A-Za-z0-9_.-]. Empty is valid — it means "default".
+func validTenant(s string) bool {
+	if len(s) > maxTenantBytes {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		switch b := s[i]; {
+		case 'a' <= b && b <= 'z', 'A' <= b && b <= 'Z', '0' <= b && b <= '9', b == '_', b == '.', b == '-':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 // buildRequest parses one statement on the connection goroutine — binding
 // only reads the catalog, which is immutable after load — so the scheduler
 // never pays for malformed SQL.
 func buildRequest(c *Core, query string, h http.Header) (Request, error) {
+	tenant := h.Get("X-Tenant")
+	if !validTenant(tenant) {
+		return Request{}, fmt.Errorf("bad X-Tenant %q: want at most %d bytes of [A-Za-z0-9_.-]", tenant, maxTenantBytes)
+	}
 	stmt, err := sql.Parse(query)
 	if err != nil {
 		return Request{}, err
 	}
 	req := Request{
-		Tenant:      h.Get("X-Tenant"),
+		Tenant:      tenant,
 		SQL:         query,
 		CollectRows: true,
 	}

@@ -199,6 +199,64 @@ func TestBitIdentityWithRunShared(t *testing.T) {
 	}
 }
 
+// TestPrivatePolicyIsWindowsOfOne: under the private policy every response
+// field the scheduler measures equals what Engine.Query, a drain and the
+// statement's own trace window give on a twin system, bit for bit — the
+// private policy is the one window runner at size one with no session, not a
+// second path. Profiled or not: private joules are the trace window either
+// way.
+func TestPrivatePolicyIsWindowsOfOne(t *testing.T) {
+	const n = 6
+	for _, profiling := range []bool{false, true} {
+		sysA, plansA := newTestSystem(t)
+		cfg := DefaultConfig()
+		cfg.Policy = PolicyPrivate
+		cfg.Profiling = profiling
+		c := NewCore(cfg, sysA)
+		// One wave: every statement after the first really waits in the queue.
+		res := c.RunOpenLoop(wave(sysA.Machine.Clock.Now(), queryRequests(plansA, n)))
+		if res.Completed != n {
+			t.Fatalf("profiling %v: completed %d of %d", profiling, res.Completed, n)
+		}
+
+		sysB, plansB := newTestSystem(t)
+		clock, trace := sysB.Machine.Clock, sysB.Machine.CPU.Trace()
+		arrive := clock.Now()
+		for i, p := range plansB[:n] {
+			t0 := clock.Now()
+			rows := sysB.Engine.Query(p)
+			for {
+				b, err := rows.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b == nil {
+					break
+				}
+			}
+			t1 := clock.Now()
+			st := rows.Stats()
+			want := Response{
+				RowsOut:   st.RowsOut,
+				QueueWait: t0.Sub(arrive),
+				Duration:  st.Duration,
+				Response:  t1.Sub(arrive),
+				Joules:    float64(trace.Energy(t0, t1)),
+			}
+			got := res.Responses[i]
+			if got.RowsOut != want.RowsOut || got.QueueWait != want.QueueWait || got.Duration != want.Duration ||
+				got.Response != want.Response || got.Joules != want.Joules {
+				t.Fatalf("profiling %v, statement %d: server {rows %d, wait %v, duration %v, response %v, %v J}, embedded {rows %d, wait %v, duration %v, response %v, %v J}",
+					profiling, i, got.RowsOut, got.QueueWait, got.Duration, got.Response, got.Joules,
+					want.RowsOut, want.QueueWait, want.Duration, want.Response, want.Joules)
+			}
+		}
+		if endA, endB := sysA.Machine.Clock.Now(), clock.Now(); endA != endB {
+			t.Fatalf("profiling %v: clocks diverge: server %v vs embedded %v", profiling, endA, endB)
+		}
+	}
+}
+
 // TestSerialReplayBitIdentity: replaying a multi-batch open-loop run's
 // admission log — advance the clock to each batch instant, co-admit its
 // IDs' plans through a persistent shared session, drain round-robin —
@@ -449,6 +507,85 @@ func TestIllTypedStatementIsRejectedAndServingContinues(t *testing.T) {
 	}
 	if status, body := post("SELECT COUNT(*) FROM lineitem WHERE l_quantity = 3"); status != http.StatusOK {
 		t.Fatalf("statement after the rejected ones: status %d, body %s", status, body)
+	}
+}
+
+// TestRequestBoundsAreEnforcedAtTheHandler: what a client sends is bounded
+// before it reaches the parser or the metrics registry. A statement over the
+// body cap used to be parsed as far as it fit — answering 200 with the count
+// of a different statement — and an X-Tenant value used to be spliced raw
+// into a metric name, so one with spaces broke the "name value" exposition
+// format. Each is refused at the handler, and serving continues.
+func TestRequestBoundsAreEnforcedAtTheHandler(t *testing.T) {
+	sys, _ := newTestSystem(t)
+	c := NewCore(DefaultConfig(), sys)
+	ts := httptest.NewServer(NewServer(c, "unused").Handler())
+	defer ts.Close()
+	c.Start()
+	defer func() {
+		if err := c.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+
+	post := func(q, tenant string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest("POST", ts.URL+"/query", strings.NewReader(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tenant != "" {
+			req.Header.Set("X-Tenant", tenant)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("POST (%d bytes, tenant %q): %v", len(q), tenant, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("POST (%d bytes, tenant %q): reading the response: %v", len(q), tenant, err)
+		}
+		return resp.StatusCode, string(body)
+	}
+
+	// Cut at the cap this is a valid statement matching every row; whole, it
+	// matches none.
+	const head = "SELECT COUNT(*) FROM lineitem WHERE l_quantity < 100"
+	oversized := head + strings.Repeat(" ", maxBodyBytes-len(head)) + " AND l_quantity < 0"
+	if status, body := post(oversized, ""); status != http.StatusRequestEntityTooLarge || !strings.Contains(body, `"error"`) {
+		t.Fatalf("statement of %d bytes: status %d, want 413 with a JSON error; body %s", len(oversized), status, body)
+	}
+	atCap := head + strings.Repeat(" ", maxBodyBytes-len(head))
+	if status, body := post(atCap, ""); status != http.StatusOK {
+		t.Fatalf("statement of exactly %d bytes: status %d, want 200; body %s", len(atCap), status, body)
+	}
+
+	const q = "SELECT COUNT(*) FROM lineitem WHERE l_quantity = 3"
+	for _, tenant := range []string{"a b 7", "caf\u00e9", "a/b", strings.Repeat("x", maxTenantBytes+1)} {
+		if status, body := post(q, tenant); status != http.StatusBadRequest || !strings.Contains(body, "X-Tenant") {
+			t.Fatalf("X-Tenant %q: status %d, want 400 naming the header; body %s", tenant, status, body)
+		}
+	}
+	for _, tenant := range []string{"", "Team-7_eu.west", strings.Repeat("x", maxTenantBytes)} {
+		if status, body := post(q, tenant); status != http.StatusOK {
+			t.Fatalf("X-Tenant %q: status %d, want 200; body %s", tenant, status, body)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("metrics: %v", err)
+	}
+	metrics, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(metrics), obsv.MetricServerTenantQueries+"Team-7_eu.west ") {
+		t.Fatalf("metrics missing the accepted tenant's counter:\n%s", metrics)
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(string(metrics), "\n"), "\n") {
+		if len(strings.Fields(line)) != 2 {
+			t.Fatalf("metrics line %q is not \"name value\"", line)
+		}
 	}
 }
 

@@ -103,55 +103,35 @@ func RunSequential(e *engine.Engine, clock *sim.Clock, queries []Query) RunResul
 	return out
 }
 
-// RunShared executes the queries concurrently through a shared-scan
-// session: every query is admitted up front (attaching its scan leaves to
-// per-table circular passes at the same entry page), then the result
-// streams are drained round-robin, one batch per query per round, until
-// all complete. For batches of streaming scans — the shared-scan target
-// workload — heap pages are read and streamed once per table pass no
-// matter how many queries consume them, while each query pays its own
-// per-tuple CPU and result path: the shared-work generalization of QED's
-// predicate merging. Plans containing blocking operators weaken that
-// guarantee: a hash join drains its whole build side inside Open, i.e. at
-// admission, advancing the shared pass a full lap before later queries
-// attach, so those batches pay extra laps (results stay correct; only the
-// amortization shrinks). The round-robin pull order is fixed, so simulated
-// durations and joules are deterministic. All queries are issued together
-// (Start 0) and each finishes when its own stream is exhausted.
+// RunShared executes the queries as one co-admission window on a fresh
+// shared-scan session (engine.RunWindow): every query starts up front,
+// attaching its scan leaves to per-table circular passes at the same entry
+// page, then the result streams are pulled round-robin, one batch per query
+// per round, until all complete. For batches of streaming scans — the
+// shared-scan target workload — heap pages are read and streamed once per
+// table pass no matter how many queries consume them, while each query pays
+// its own per-tuple CPU and result path: the shared-work generalization of
+// QED's predicate merging. The window's size is the concurrency the
+// optimizer (when the profile enables one) costs shared attaches with. All
+// queries are issued together (Start 0) and each finishes when its own
+// stream is exhausted.
 func RunShared(e *engine.Engine, clock *sim.Clock, queries []Query) RunResult {
 	issue := clock.Now()
-	sess := e.NewSharedSession()
-	// The whole batch is co-admitted, so that is the concurrency the
-	// optimizer (when the profile enables one) costs shared attaches with.
-	sess.SetExpectedConcurrency(len(queries))
-	streams := make([]*engine.Rows, len(queries))
-	for i, q := range queries {
-		streams[i] = sess.Query(q.Plan)
-	}
+	stmts := make([]engine.Stmt, len(queries))
 	out := RunResult{Queries: make([]QueryResult, len(queries))}
 	for i, q := range queries {
+		stmts[i] = engine.Stmt{Plan: q.Plan}
 		out.Queries[i] = QueryResult{ID: q.ID, Start: 0}
 	}
-	remaining := len(queries)
-	for remaining > 0 {
-		for i, r := range streams {
-			if r == nil {
-				continue
-			}
-			b, err := r.Next()
-			if err != nil {
-				// No operator errors exist today; a partial shared batch
-				// would silently corrupt the measurement, so fail loudly.
-				panic(fmt.Sprintf("workload: shared query %s failed mid-stream: %v", queries[i].ID, err))
-			}
-			if b == nil {
-				out.Queries[i].End = clock.Now().Sub(issue)
-				out.Queries[i].Rows = r.Stats().RowsOut
-				streams[i] = nil
-				remaining--
-			}
+	e.RunWindow(e.NewSharedSession(), stmts, nil, func(i int, r *engine.Rows, err error) {
+		if err != nil {
+			// No operator errors exist today; a partial shared batch
+			// would silently corrupt the measurement, so fail loudly.
+			panic(fmt.Sprintf("workload: shared query %s failed mid-stream: %v", queries[i].ID, err))
 		}
-	}
+		out.Queries[i].End = clock.Now().Sub(issue)
+		out.Queries[i].Rows = r.Stats().RowsOut
+	})
 	out.Total = clock.Now().Sub(issue)
 	return out
 }
