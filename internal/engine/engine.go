@@ -298,8 +298,10 @@ func (r *Rows) Start() sim.Time { return r.start }
 
 // Next returns the next result batch — columnar, read-only — or nil when
 // the stream is exhausted. The batch is owned by the executor and valid
-// until the following call; materialize rows that must outlive it with
-// Batch.Rows or Batch.AppendRowsTo.
+// until the following call. To keep its rows, gather them into a batch of
+// your own (expr.NewBatch, then Batch.AppendBatch), which copies payload to
+// payload and keeps dictionary codes; materialize them as expr.Rows
+// (Batch.AppendRowsTo) only where row-at-a-time values are what is wanted.
 func (r *Rows) Next() (*expr.Batch, error) {
 	if r.finished {
 		return nil, nil

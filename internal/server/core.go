@@ -166,8 +166,8 @@ type Request struct {
 	// and lets urgent statements bypass the flush window; every policy
 	// reports misses.
 	Deadline sim.Duration
-	// CollectRows materializes result rows into the response (the HTTP
-	// path); measurement harnesses leave it false and keep cardinalities.
+	// CollectRows gathers the result into Response.Result (the HTTP path);
+	// measurement harnesses leave it false and keep cardinalities.
 	CollectRows bool
 }
 
@@ -175,6 +175,13 @@ type Request struct {
 type Response struct {
 	ID      string
 	Columns []string
+	// Result is the answer of a CollectRows request, gathered payload to
+	// payload into one owned columnar batch (dictionary columns keep their
+	// codes); nil when no row came back. The handler encodes it as is.
+	// RunOpenLoop hands out Rows instead and leaves it nil.
+	Result *expr.Batch
+	// Rows is Result materialized as rows, for in-process callers of
+	// RunOpenLoop. Live Do leaves it nil.
 	Rows    []expr.Row
 	RowsOut int64
 	// Explain carries the rendered plan or execution profile for
@@ -505,9 +512,14 @@ func (c *Core) execute(window []*pending, sess *engine.SharedSession) {
 		return
 	}
 	c.eng.RunWindow(sess, stmts, func(i int, b *expr.Batch) {
-		if p := window[i]; p.req.CollectRows {
-			p.resp.Rows = b.AppendRowsTo(p.resp.Rows)
+		p := window[i]
+		if !p.req.CollectRows || b.Len() == 0 {
+			return
 		}
+		if p.resp.Result == nil {
+			p.resp.Result = expr.NewBatch(b.Width())
+		}
+		p.resp.Result.AppendBatch(b, b.Len())
 	}, func(i int, r *engine.Rows, err error) {
 		// Fires on the pull that ended the stream: the clock is the
 		// statement's completion instant.

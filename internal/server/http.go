@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ecodb/internal/expr"
 	"ecodb/internal/obsv"
 	"ecodb/internal/sim"
 	"ecodb/internal/sql"
@@ -160,22 +159,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return coreErr
 }
 
-// queryResponse is the /query JSON wire format. Times are simulated
-// seconds; joules are simulated CPU energy.
-type queryResponse struct {
-	ID           string   `json:"id,omitempty"`
-	Columns      []string `json:"columns,omitempty"`
-	Rows         [][]any  `json:"rows,omitempty"`
-	RowsOut      int64    `json:"rows_out"`
-	Explain      string   `json:"explain,omitempty"`
-	QueueWaitSec float64  `json:"queue_wait_seconds"`
-	DurationSec  float64  `json:"duration_seconds"`
-	ResponseSec  float64  `json:"response_seconds"`
-	Joules       float64  `json:"joules"`
-	DeadlineMiss bool     `json:"deadline_miss,omitempty"`
-	Error        string   `json:"error,omitempty"`
-}
-
+// handleQuery answers POST /query. Everything but a wrong method is
+// answered with writeResponse's JSON (wire.go): times are simulated
+// seconds, joules simulated CPU energy.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST a SQL statement", http.StatusMethodNotAllowed)
@@ -190,13 +176,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &tooLarge) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		writeJSON(w, status, queryResponse{Error: err.Error()})
+		writeResponse(w, status, &Response{Err: err})
 		return
 	}
 	query := strings.TrimSpace(string(body))
 	req, err := buildRequest(s.core, query, r.Header)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, queryResponse{Error: err.Error()})
+		writeResponse(w, http.StatusBadRequest, &Response{Err: err})
 		return
 	}
 	resp := s.core.Do(req)
@@ -210,27 +196,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	default:
 		status = http.StatusBadRequest
 	}
-	out := queryResponse{
-		ID:           resp.ID,
-		Columns:      resp.Columns,
-		RowsOut:      resp.RowsOut,
-		Explain:      resp.Explain,
-		QueueWaitSec: resp.QueueWait.Seconds(),
-		DurationSec:  resp.Duration.Seconds(),
-		ResponseSec:  resp.Response.Seconds(),
-		Joules:       resp.Joules,
-		DeadlineMiss: resp.DeadlineMiss,
-	}
-	if resp.Err != nil {
-		out.Error = resp.Err.Error()
-	}
-	if len(resp.Rows) > 0 {
-		out.Rows = make([][]any, len(resp.Rows))
-		for i, row := range resp.Rows {
-			out.Rows[i] = rowJSON(row)
-		}
-	}
-	writeJSON(w, status, out)
+	writeResponse(w, status, &resp)
 }
 
 // The two bounds on what a client may send: the statement's size, and the
@@ -346,37 +312,17 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 			get(t).Joules = v
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, out)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-// rowJSON converts one result row to JSON-friendly values.
-func rowJSON(row expr.Row) []any {
-	out := make([]any, len(row))
-	for i, v := range row {
-		switch v.Kind {
-		case expr.KindNull:
-			out[i] = nil
-		case expr.KindBool:
-			out[i] = v.I != 0
-		case expr.KindInt:
-			out[i] = v.I
-		case expr.KindFloat:
-			out[i] = v.F
-		case expr.KindString:
-			out[i] = v.S
-		case expr.KindDate:
-			out[i] = v.DateString()
-		default:
-			out[i] = v.String()
-		}
+// writeJSON writes v as an indented JSON body. It marshals before writing,
+// so a value JSON cannot carry is a 500, not a 200 with an empty body.
+func writeJSON(w http.ResponseWriter, v any) {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
-	return out
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(append(b, '\n'))
 }

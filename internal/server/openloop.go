@@ -129,6 +129,9 @@ func (c *Core) RunOpenLoop(arrivals []Arrival) OpenLoopResult {
 	out.Joules = float64(trace.Energy(out.Start, out.End))
 	out.Responses = make([]Response, len(pend))
 	for j, p := range pend {
+		if p.resp.Result != nil {
+			p.resp.Rows, p.resp.Result = p.resp.Result.Rows(), nil
+		}
 		out.Responses[j] = p.resp
 		if p.resp.Err != nil {
 			continue

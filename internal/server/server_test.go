@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -14,9 +15,11 @@ import (
 
 	"ecodb/internal/core"
 	"ecodb/internal/engine"
+	"ecodb/internal/expr"
 	"ecodb/internal/obsv"
 	"ecodb/internal/plan"
 	"ecodb/internal/sim"
+	"ecodb/internal/sql"
 	"ecodb/internal/tpch"
 	"ecodb/internal/workload"
 )
@@ -585,6 +588,156 @@ func TestRequestBoundsAreEnforcedAtTheHandler(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSuffix(string(metrics), "\n"), "\n") {
 		if len(strings.Fields(line)) != 2 {
 			t.Fatalf("metrics line %q is not \"name value\"", line)
+		}
+	}
+}
+
+// TestNonFiniteResultIsA500: JSON has no ±Inf or NaN. A result holding one
+// used to answer 200 with an empty body — the status went out before the
+// encoder failed, and its error was dropped. It must be a 500 whose error
+// names the cell, and the next statement must be answered.
+func TestNonFiniteResultIsA500(t *testing.T) {
+	sys, _ := newTestSystem(t)
+	c := NewCore(DefaultConfig(), sys)
+	ts := httptest.NewServer(NewServer(c, "unused").Handler())
+	defer ts.Close()
+	c.Start()
+	defer func() {
+		if err := c.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+
+	post := func(q string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/query", "text/plain", strings.NewReader(q))
+		if err != nil {
+			t.Fatalf("POST %.60q: %v", q, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("POST %.60q: reading the response: %v", q, err)
+		}
+		return resp.StatusCode, body
+	}
+
+	huge := "1" + strings.Repeat("0", 300) + ".0" // 1e300: squared, +Inf
+	for _, q := range []string{
+		"SELECT l_extendedprice * " + huge + " * " + huge + " AS x FROM lineitem WHERE l_orderkey = 1",
+		"SELECT SUM(l_extendedprice * " + huge + " * " + huge + ") AS x FROM lineitem WHERE l_orderkey = 1",
+	} {
+		status, body := post(q)
+		var out struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatalf("%.60q: status %d, body %q is not JSON: %v", q, status, body, err)
+		}
+		if status != http.StatusInternalServerError || !strings.Contains(out.Error, "row 0") || !strings.Contains(out.Error, `"x"`) {
+			t.Fatalf("%.60q: status %d, error %q; want 500 naming row 0, column \"x\"", q, status, out.Error)
+		}
+	}
+	if status, body := post("SELECT l_extendedprice * 2.0 AS x FROM lineitem WHERE l_orderkey = 1"); status != http.StatusOK {
+		t.Fatalf("statement after the 500s: status %d, body %s", status, body)
+	}
+}
+
+// TestOpenLoopRowsMatchEngineQuery: the rows RunOpenLoop hands in-process
+// callers — materialized from the columnar Result the scheduler gathered —
+// equal Engine.Query drained through AppendRowsTo on a twin system, value
+// for value: a wide scan, a projection of dictionary-encoded strings, and a
+// top-N. RunOpenLoop drops the columnar copy; live Do keeps only that one.
+func TestOpenLoopRowsMatchEngineQuery(t *testing.T) {
+	queries := []string{
+		"SELECT * FROM lineitem WHERE l_quantity BETWEEN 3 AND 4",
+		"SELECT o_orderstatus, o_orderkey FROM orders WHERE o_orderdate < DATE '1994-01-01'",
+		"SELECT l_orderkey, l_extendedprice, l_shipdate FROM lineitem ORDER BY l_extendedprice DESC LIMIT 50",
+	}
+	twin := func() *core.System {
+		sys, _ := newTestSystem(t)
+		tpch.NewGenerator(0.0005, 42).Load(sys.Engine.Catalog(), tpch.Orders)
+		if sys.Engine.MustTable(tpch.Orders).Heap.CompressStrings() == 0 {
+			t.Fatal("orders has no dictionary-encoded column")
+		}
+		return sys
+	}
+
+	sysA := twin()
+	cfg := DefaultConfig()
+	cfg.Policy = PolicyPrivate
+	c := NewCore(cfg, sysA)
+	reqs := make([]Request, len(queries))
+	for i, q := range queries {
+		req, err := buildRequest(c, q, http.Header{})
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		reqs[i] = req
+	}
+	res := c.RunOpenLoop(wave(sysA.Machine.Clock.Now(), reqs))
+	if res.Completed != len(queries) {
+		t.Fatalf("completed %d of %d", res.Completed, len(queries))
+	}
+	for i, r := range res.Responses {
+		if r.Result != nil {
+			t.Fatalf("%q: RunOpenLoop kept the columnar result beside its rows", queries[i])
+		}
+	}
+
+	// Live Do hands the handler the gathered batch itself, codes and all.
+	live := NewCore(cfg, twin())
+	req, err := buildRequest(live, queries[1], http.Header{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live.Start()
+	resp := live.Do(req)
+	if err := live.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	if resp.Rows != nil || resp.Result == nil || resp.Result.Cols[0].Dict == nil {
+		t.Fatal("live Do: want no Rows and a Result whose o_orderstatus column kept its dictionary codes")
+	}
+	if got := resp.Result.Rows(); len(got) != len(res.Responses[1].Rows) {
+		t.Fatalf("live Do gathered %d rows, RunOpenLoop %d", len(got), len(res.Responses[1].Rows))
+	}
+
+	sysB := twin()
+	for i, q := range queries {
+		stmt, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := sql.Bind(sysB.Engine.Catalog(), stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := sysB.Engine.Query(p)
+		var want []expr.Row
+		for {
+			b, err := rows.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			want = b.AppendRowsTo(want)
+		}
+		got := res.Responses[i].Rows
+		if len(want) == 0 || len(got) != len(want) {
+			t.Fatalf("%q: %d rows through the scheduler, %d from the engine", q, len(got), len(want))
+		}
+		for r := range want {
+			for col := range want[r] {
+				if got[r][col] != want[r][col] {
+					t.Fatalf("%q: row %d column %d: %v through the scheduler, %v from the engine", q, r, col, got[r][col], want[r][col])
+				}
+			}
 		}
 	}
 }
