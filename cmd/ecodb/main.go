@@ -34,7 +34,6 @@ var (
 	flagAmp      = flag.Float64("amp", 0, "work amplification override (0 = experiment default)")
 	flagRuns     = flag.Int("runs", 0, "measurement repetitions per point (0 = experiment default)")
 	flagSeed     = flag.Uint64("seed", 0, "data-generation seed (0 = experiment default)")
-	flagShared   = flag.Bool("shared-scan", true, "serve non-mergeable QED batches from one shared heap pass (sharedscan experiment; false = control arm)")
 	flagZoneMaps = flag.Bool("zone-maps", true, "enable zone-map page pruning in the compression experiment's treated arm")
 	flagDict     = flag.Bool("dict-strings", true, "enable dictionary-encoded string columns in the compression experiment's treated arm")
 	flagMetrics  = flag.String("metrics", "", "dump the engine metrics registry after all experiments: text or json")
@@ -104,7 +103,7 @@ experiments:
   warmcold  §3.5 warm vs cold buffer pool
   capvsuc   ablation: FSB underclocking vs multiplier capping
   mechanisms ablation: decompose setting A's savings by mechanism
-  sharedscan ablation: QED shared-scan flush vs sequential (see -shared-scan)
+  sharedscan ablation: non-mergeable QED batches from one shared pass vs sequential
   compression ablation: plain vs compressed columnar storage — zone-map
             pruning + dictionary strings (see -zone-maps, -dict-strings)
   optimizer ablation: cost-and-energy optimizer objectives on a TPC-H Q5
@@ -164,7 +163,7 @@ func runOne(name string) error {
 	case "mechanisms":
 		out = experiments.Mechanisms(override(experiments.DefaultCommercialConfig()))
 	case "sharedscan":
-		out = experiments.SharedScans(override(experiments.DefaultCommercialConfig()), *flagShared)
+		out = experiments.SharedScans(override(experiments.DefaultCommercialConfig()))
 	case "compression":
 		out = experiments.Compression(override(experiments.DefaultCommercialConfig()), *flagZoneMaps, *flagDict)
 	case "optimizer":

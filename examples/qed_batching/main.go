@@ -1,7 +1,6 @@
-// QED batching: submit a stream of 2%-selectivity selection queries to the
-// QED controller, which delays them in a queue, merges each full batch into
-// one disjunctive query, runs it, splits the results in application logic,
-// and reports the energy/response-time tradeoff against sequential
+// QED batching: hold a batch of 2%-selectivity selection queries, merge it
+// into one disjunctive query, run it, split the results in application
+// logic, and report the energy/response-time tradeoff against sequential
 // execution.
 package main
 
@@ -31,20 +30,12 @@ func main() {
 	seq := workload.RunSequential(sys.Engine, clock, queries)
 	seqEnergy := trace.Energy(t0, clock.Now())
 
-	// QED: queries queue up; the batch flushes at the threshold.
-	qed := core.NewQED(sys, batchSize, mqo.OrChain)
+	// QED: the held batch runs as one merged query.
 	t1 := clock.Now()
-	var batch *workload.RunResult
-	for _, q := range queries {
-		if done := qed.Submit(q); done != nil {
-			batch = done
-		} else {
-			fmt.Printf("  queued %s (%d/%d waiting)\n", q.ID, qed.QueueLen(), batchSize)
-		}
-	}
+	batch := core.RunQED(sys, queries, mqo.OrChain)
 	qedEnergy := trace.Energy(t1, clock.Now())
 
-	fmt.Printf("\nsequential: mean response %v, energy %v\n", seq.MeanResponse(), seqEnergy)
+	fmt.Printf("sequential: mean response %v, energy %v\n", seq.MeanResponse(), seqEnergy)
 	fmt.Printf("QED:        mean response %v, energy %v\n", batch.MeanResponse(), qedEnergy)
 
 	eR := float64(qedEnergy) / float64(seqEnergy)
@@ -55,6 +46,6 @@ func main() {
 	// The per-query view: first query waits longest (§4).
 	single := seq.Queries[0].End - seq.Queries[0].Start
 	fmt.Printf("first-query degradation: %v; last-query: %v\n",
-		core.FirstQueryDegradation(*batch, single),
-		core.LastQueryDegradation(*batch, single))
+		core.FirstQueryDegradation(batch, single),
+		core.LastQueryDegradation(batch, single))
 }

@@ -1,10 +1,11 @@
 // Golden tests pinning the simulated outputs — result rows, durations, and
-// joules — of four end-to-end scenarios (the quickstart example, QED
-// batching, the Figure 1 PVC sweep, and the shared-scan ablation) byte for
-// byte. The files under testdata/golden were generated on the row-major
-// []Row executor; the columnar refactor must reproduce them exactly,
-// because floats are rendered in shortest-round-trip form (byte equality ⟺
-// bit equality). Regenerate deliberately with:
+// joules — of the end-to-end scenarios (the quickstart example, QED
+// batching, the Figure 1 PVC sweep, the Figure 6 QED study, compressed
+// storage, and the shared-scan ablation) byte for byte. The older files
+// under testdata/golden were generated on the row-major []Row executor; the
+// columnar refactor must reproduce them exactly, because floats are
+// rendered in shortest-round-trip form (byte equality ⟺ bit equality).
+// Regenerate deliberately with:
 //
 //	go test -run TestGolden -update-golden
 package main
@@ -144,16 +145,10 @@ func TestGoldenQEDBatching(t *testing.T) {
 	fmt.Fprintf(&b, "seqEnergy=%s\n", fexact(float64(trace.Energy(t0, clock.Now()))))
 	fmtRunResult(&b, "sequential", seq)
 
-	qed := core.NewQED(sys, batchSize, mqo.OrChain)
 	t1 := clock.Now()
-	var batch *workload.RunResult
-	for _, q := range queries {
-		if done := qed.Submit(q); done != nil {
-			batch = done
-		}
-	}
+	batch := core.RunQED(sys, queries, mqo.OrChain)
 	fmt.Fprintf(&b, "qedEnergy=%s\n", fexact(float64(trace.Energy(t1, clock.Now()))))
-	fmtRunResult(&b, "qed", *batch)
+	fmtRunResult(&b, "qed", batch)
 
 	checkGolden(t, "qed_batching", b.String())
 }
@@ -168,6 +163,22 @@ func TestGoldenFig1(t *testing.T) {
 		fmtMeasurement(&b, m.Setting.String(), m)
 	}
 	checkGolden(t, "fig1", b.String())
+}
+
+// TestGoldenFig6 pins the Figure 6 QED study under both merge strategies:
+// every batch size's sequential and QED mean response and energy.
+func TestGoldenFig6(t *testing.T) {
+	cfg := experiments.Config{SF: 0.0125, Amplification: 40, Seed: 42, ProtocolRuns: 1}
+	var b strings.Builder
+	for _, r := range []experiments.Figure6Result{experiments.Figure6(cfg), experiments.Figure6HashSet(cfg)} {
+		fmt.Fprintf(&b, "%s single=%s\n", r.Strategy, fexact(float64(r.SingleTime)))
+		for _, p := range r.Points {
+			fmt.Fprintf(&b, "  batch=%d seqMean=%s seqEnergy=%s qedMean=%s qedEnergy=%s\n",
+				p.BatchSize, fexact(float64(p.SeqMeanResponse)), fexact(float64(p.SeqEnergy)),
+				fexact(float64(p.QEDMeanResponse)), fexact(float64(p.QEDEnergy)))
+		}
+	}
+	checkGolden(t, "fig6", b.String())
 }
 
 // TestGoldenCompression pins the compressed-storage path byte for byte:
@@ -211,7 +222,7 @@ func TestGoldenCompression(t *testing.T) {
 // shared-pass energies, times, and pool touches at N=1/4/16.
 func TestGoldenSharedScan(t *testing.T) {
 	cfg := experiments.Config{SF: 0.02, Amplification: 50, Seed: 42, ProtocolRuns: 1}
-	r := experiments.SharedScans(cfg, true)
+	r := experiments.SharedScans(cfg)
 	var b strings.Builder
 	for _, p := range r.Points {
 		fmt.Fprintf(&b, "N=%d seqTime=%s sharedTime=%s seqEnergy=%s sharedEnergy=%s seqPerQuery=%s sharedPerQuery=%s poolSeq=%d poolShared=%d\n",

@@ -6,6 +6,7 @@ import (
 
 	"ecodb/internal/energy"
 	"ecodb/internal/engine"
+	"ecodb/internal/expr"
 	"ecodb/internal/hw/cpu"
 	"ecodb/internal/mqo"
 	"ecodb/internal/plan"
@@ -141,41 +142,11 @@ func TestRelativeRequiresStock(t *testing.T) {
 	Relative([]Measurement{{Setting: PVCSetting(0.05, cpu.DowngradeSmall)}})
 }
 
-func TestQEDSubmitQueueFlush(t *testing.T) {
-	sys, queries := testSystem(t)
-	qed := NewQED(sys, 4, mqo.OrChain)
-	for i := 0; i < 3; i++ {
-		if res := qed.Submit(queries[i]); res != nil {
-			t.Fatalf("batch flushed early at %d", i)
-		}
-	}
-	if qed.QueueLen() != 3 {
-		t.Fatalf("queue length = %d", qed.QueueLen())
-	}
-	res := qed.Submit(queries[3])
-	if res == nil {
-		t.Fatal("batch did not flush at threshold")
-	}
-	if qed.QueueLen() != 0 {
-		t.Fatal("queue not drained")
-	}
-	if len(res.Queries) != 4 {
-		t.Fatalf("batch result has %d queries", len(res.Queries))
-	}
-	// Every query completes at the batch end.
-	for _, q := range res.Queries {
-		if q.End != res.Total {
-			t.Fatalf("query %s finished at %v, want batch end %v", q.ID, q.End, res.Total)
-		}
-	}
-}
-
 func TestQEDPreservesResultCardinalities(t *testing.T) {
 	sys, queries := testSystem(t)
 
 	seq := workload.RunSequential(sys.Engine, sys.Machine.Clock, queries)
-	qed := NewQED(sys, len(queries), mqo.OrChain)
-	batch := qed.RunBatch(queries)
+	batch := RunQED(sys, queries, mqo.OrChain)
 
 	if seq.TotalRows() != batch.TotalRows() {
 		t.Fatalf("QED changed result sizes: %d vs %d", batch.TotalRows(), seq.TotalRows())
@@ -185,7 +156,44 @@ func TestQEDPreservesResultCardinalities(t *testing.T) {
 			t.Fatalf("query %d rows differ: seq %d vs qed %d",
 				i, seq.Queries[i].Rows, batch.Queries[i].Rows)
 		}
+		// Every query is issued with the batch and completes at its end.
+		if q := batch.Queries[i]; q.ID != queries[i].ID || q.Start != 0 || q.End != batch.Total {
+			t.Fatalf("query %d: %+v, want %s over [0, %v]", i, q, queries[i].ID, batch.Total)
+		}
 	}
+}
+
+// runRouting runs one QED batch of l_quantity equality selections, one per
+// constant, and fails unless every query returns its sequential
+// cardinality.
+func runRouting(t *testing.T, strategy mqo.MergeStrategy, consts ...expr.Value) {
+	t.Helper()
+	sys, _ := testSystem(t)
+	li := sys.Engine.MustTable(tpch.Lineitem)
+	plans := make([]plan.Node, len(consts))
+	for i, v := range consts {
+		plans[i] = plan.NewScan(li, expr.Cmp{Op: expr.EQ, L: li.Schema.Col("l_quantity"), R: expr.Const{V: v}})
+	}
+	queries := workload.NewQueries("q", plans)
+	want := workload.RunSequential(sys.Engine, sys.Machine.Clock, queries)
+	got := RunQED(sys, queries, strategy)
+	for i := range queries {
+		if got.Queries[i].Rows != want.Queries[i].Rows || want.Queries[i].Rows == 0 {
+			t.Errorf("query %d (= %v): QED %d rows, sequential %d", i, consts[i], got.Queries[i].Rows, want.Queries[i].Rows)
+		}
+	}
+}
+
+// Two queries sharing a constant each receive every matching row.
+func TestQEDRoutesDuplicateConstants(t *testing.T) {
+	runRouting(t, mqo.OrChain, expr.Int(5), expr.Int(7), expr.Int(5))
+}
+
+// A Float constant on the Int column matches numerically in the filter, so
+// its query must get its rows under either strategy.
+func TestQEDRoutesMixedKindConstants(t *testing.T) {
+	runRouting(t, mqo.HashSet, expr.Float(5), expr.Int(7))
+	runRouting(t, mqo.OrChain, expr.Float(5), expr.Int(7))
 }
 
 func TestQEDSavesEnergy(t *testing.T) {
@@ -198,7 +206,7 @@ func TestQEDSavesEnergy(t *testing.T) {
 	seqE := trace.Energy(t0, clock.Now())
 
 	t1 := clock.Now()
-	NewQED(sys, len(queries), mqo.OrChain).RunBatch(queries)
+	RunQED(sys, queries, mqo.OrChain)
 	qedE := trace.Energy(t1, clock.Now())
 
 	if qedE >= seqE {
@@ -211,11 +219,11 @@ func TestQEDHashSetBeatsOrChain(t *testing.T) {
 	clock := sys.Machine.Clock
 
 	t0 := clock.Now()
-	NewQED(sys, len(queries), mqo.OrChain).RunBatch(queries)
+	RunQED(sys, queries, mqo.OrChain)
 	orTime := clock.Now().Sub(t0)
 
 	t1 := clock.Now()
-	NewQED(sys, len(queries), mqo.HashSet).RunBatch(queries)
+	RunQED(sys, queries, mqo.HashSet)
 	hashTime := clock.Now().Sub(t1)
 
 	if hashTime >= orTime {
@@ -230,13 +238,21 @@ func TestQEDFallsBackWhenUnmergeable(t *testing.T) {
 	tpch.NewGenerator(0.01, 5).Load(sys.Engine.Catalog(),
 		tpch.Region, tpch.Nation, tpch.Supplier, tpch.Customer, tpch.Orders)
 	queries := workload.NewQueries("q5", tpch.Q5Workload(sys.Engine.Catalog())[:2])
-	res := NewQED(sys, 2, mqo.OrChain).RunBatch(queries)
+	want := workload.RunSequential(sys.Engine, sys.Machine.Clock, queries)
+	res := RunQED(sys, queries, mqo.OrChain)
 	if len(res.Queries) != 2 {
 		t.Fatalf("fallback produced %d results", len(res.Queries))
 	}
-	// Sequential fallback: the first query finishes before the second.
-	if res.Queries[0].End >= res.Queries[1].End {
-		t.Fatal("fallback should execute sequentially")
+	// Shared fallback: both queries are issued together, each finishes on
+	// its own stream, and the answers are the sequential ones.
+	for i, q := range res.Queries {
+		if q.Start != 0 || q.End <= 0 || q.Rows != want.Queries[i].Rows {
+			t.Fatalf("query %d: %+v, want issued at 0 with %d rows", i, q, want.Queries[i].Rows)
+		}
+	}
+	// A lone unmergeable query just runs.
+	if one := RunQED(sys, queries[:1], mqo.OrChain); len(one.Queries) != 1 || one.Queries[0].Rows != want.Queries[0].Rows {
+		t.Fatalf("lone query: %+v", one)
 	}
 }
 
@@ -252,16 +268,11 @@ func TestQEDSharedScanFlushSavesJoulesPerQuery(t *testing.T) {
 		return sys
 	}
 
-	// Cardinalities: shared flush must match the sequential fallback.
+	// Cardinalities: the shared flush must match sequential execution.
 	sysA := bandSystem()
 	bands := workload.NewQueries("band", tpch.QuantityBandWorkload(sysA.Engine.Catalog(), 6))
-	seq := NewQED(sysA, 6, mqo.OrChain).RunBatch(bands) // SharedScan off: sequential fallback
-	shared := func(sys *System, qs []workload.Query) workload.RunResult {
-		qed := NewQED(sys, 2, mqo.OrChain)
-		qed.SharedScan = true
-		return qed.RunBatch(qs)
-	}
-	sh := shared(sysA, bands)
+	seq := workload.RunSequential(sysA.Engine, sysA.Machine.Clock, bands)
+	sh := RunQED(sysA, bands, mqo.OrChain)
 	for i := range bands {
 		if sh.Queries[i].Rows != seq.Queries[i].Rows {
 			t.Fatalf("query %d: shared %d rows vs sequential %d", i, sh.Queries[i].Rows, seq.Queries[i].Rows)
@@ -286,13 +297,8 @@ func TestQEDSharedScanFlushSavesJoulesPerQuery(t *testing.T) {
 		qs := workload.NewQueries("full", plans)
 		clock := sys.Machine.Clock
 		t0 := clock.Now()
-		if n == 1 {
-			// A QED batch of one has nothing to share; the sequential
-			// fallback is the baseline point.
-			workload.RunSequential(sys.Engine, clock, qs)
-		} else {
-			shared(sys, qs)
-		}
+		// A batch of one has nothing to share and runs alone: the baseline.
+		RunQED(sys, qs, mqo.OrChain)
 		perQuery = append(perQuery, energy.PerQuery(sys.Machine.CPU.Trace().Energy(t0, clock.Now()), n))
 	}
 	for i := 1; i < len(perQuery); i++ {
@@ -304,9 +310,8 @@ func TestQEDSharedScanFlushSavesJoulesPerQuery(t *testing.T) {
 
 // A batch that is only PARTIALLY mergeable — some identical-shape equality
 // selections plus one range selection — defeats mqo.Merge entirely (merge
-// is all-or-nothing), so QED serves the whole batch sequentially, or from
-// one shared pass when SharedScan is on; either way every query's
-// cardinality is preserved.
+// is all-or-nothing), so QED serves the whole batch from one shared pass:
+// all queries issued together and every cardinality preserved.
 func TestQEDFlushPartiallyMergeableBatch(t *testing.T) {
 	sys, _ := testSystem(t)
 	cat := sys.Engine.Catalog()
@@ -315,73 +320,15 @@ func TestQEDFlushPartiallyMergeableBatch(t *testing.T) {
 	queries := workload.NewQueries("mix", plans)
 
 	want := workload.RunSequential(sys.Engine, sys.Machine.Clock, queries)
-
-	// SharedScan off: sequential fallback (queries finish one after another).
-	qed := NewQED(sys, len(queries), mqo.OrChain)
-	for i, q := range queries[:3] {
-		if res := qed.Submit(q); res != nil {
-			t.Fatalf("flush fired early at %d", i)
-		}
-	}
-	res := qed.Submit(queries[3])
-	if res == nil {
-		t.Fatal("flush did not fire at the batch threshold")
-	}
+	res := RunQED(sys, queries, mqo.OrChain)
 	for i := range queries {
 		if res.Queries[i].Rows != want.Queries[i].Rows {
-			t.Fatalf("query %d: %d rows vs sequential %d", i, res.Queries[i].Rows, want.Queries[i].Rows)
+			t.Fatalf("shared query %d: %d rows vs sequential %d", i, res.Queries[i].Rows, want.Queries[i].Rows)
+		}
+		if res.Queries[i].Start != 0 {
+			t.Fatalf("shared query %d started at %v, want batch issue", i, res.Queries[i].Start)
 		}
 	}
-	for i := 1; i < len(res.Queries); i++ {
-		if res.Queries[i-1].End >= res.Queries[i].End {
-			t.Fatal("partially mergeable batch should fall back to sequential execution")
-		}
-	}
-
-	// SharedScan on: the same mixed batch rides one pass — all queries
-	// issued together and cardinalities unchanged.
-	qedSh := NewQED(sys, len(queries), mqo.OrChain)
-	qedSh.SharedScan = true
-	resSh := qedSh.RunBatch(queries)
-	for i := range queries {
-		if resSh.Queries[i].Rows != want.Queries[i].Rows {
-			t.Fatalf("shared query %d: %d rows vs sequential %d", i, resSh.Queries[i].Rows, want.Queries[i].Rows)
-		}
-		if resSh.Queries[i].Start != 0 {
-			t.Fatalf("shared query %d started at %v, want batch issue", i, resSh.Queries[i].Start)
-		}
-	}
-}
-
-// Fully mergeable batches must keep taking the merged path even with
-// SharedScan on — predicate merging subsumes scan sharing.
-func TestQEDSharedScanKeepsMergedPathWhenMergeable(t *testing.T) {
-	// Two identical fresh systems so the durations are bit-comparable.
-	sysA, queriesA := testSystem(t)
-	t0 := sysA.Machine.Clock.Now()
-	NewQED(sysA, len(queriesA), mqo.OrChain).RunBatch(queriesA)
-	mergedTime := sysA.Machine.Clock.Now().Sub(t0)
-
-	sysB, queriesB := testSystem(t)
-	qed := NewQED(sysB, len(queriesB), mqo.OrChain)
-	qed.SharedScan = true
-	t1 := sysB.Machine.Clock.Now()
-	qed.RunBatch(queriesB)
-	sharedTime := sysB.Machine.Clock.Now().Sub(t1)
-
-	if sharedTime != mergedTime {
-		t.Fatalf("SharedScan changed the mergeable path: %v vs %v", sharedTime, mergedTime)
-	}
-}
-
-func TestQEDBatchSizePanics(t *testing.T) {
-	sys, _ := testSystem(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("batch size 1 did not panic")
-		}
-	}()
-	NewQED(sys, 1, mqo.OrChain)
 }
 
 func TestFirstLastQueryDegradation(t *testing.T) {
@@ -502,7 +449,7 @@ func TestQEDModelMatchesSimulator(t *testing.T) {
 	runMerged := func(n int) sim.Duration {
 		queries := workload.NewQueries("m", tpch.QuantityWorkload(sys.Engine.Catalog(), n))
 		start := clock.Now()
-		NewQED(sys, n, mqo.OrChain).RunBatch(queries)
+		RunQED(sys, queries, mqo.OrChain)
 		return clock.Now().Sub(start)
 	}
 	m := FitQEDModel(t1, 5, runMerged(5), 15, runMerged(15))

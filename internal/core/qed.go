@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 
+	"ecodb/internal/engine"
+	"ecodb/internal/expr"
 	"ecodb/internal/hw/cpu"
 	"ecodb/internal/mqo"
 	"ecodb/internal/plan"
@@ -10,124 +12,63 @@ import (
 	"ecodb/internal/workload"
 )
 
-// QED — "improved Query Energy-efficiency by introducing explicit Delays"
-// (§4) — holds arriving queries in a queue; when the queue reaches the
-// batch threshold, mergeable queries are aggregated into one disjunctive
-// query, executed once, and their results split back in application logic
-// (whose cost is charged to the same machine, as the paper does).
-type QED struct {
-	Sys *System
-	// BatchSize is the queue threshold that triggers a flush.
-	BatchSize int
-	// Strategy selects the merged-predicate implementation; the paper's
-	// engines evaluate an OR chain.
-	Strategy mqo.MergeStrategy
-	// SharedScan enables the shared-scan flush mode: a batch the merger
-	// rejects (heterogeneous predicates, mixed tables — anything beyond
-	// mqo's identical-selection shape) is served by one circular heap
-	// pass per table via engine.SharedSession instead of running
-	// sequentially, extending QED's energy amortization to arbitrary
-	// concurrent scans. Mergeable batches still take the merged path,
-	// which subsumes sharing (one scan and one predicate pass).
-	SharedScan bool
-
-	queue []workload.Query
-}
-
-// NewQED returns a QED controller. Batch sizes below 2 panic — QED with a
-// single query is just a delay.
-func NewQED(sys *System, batchSize int, strategy mqo.MergeStrategy) *QED {
-	if batchSize < 2 {
-		panic(fmt.Sprintf("core: QED batch size %d must be at least 2", batchSize))
-	}
-	return &QED{Sys: sys, BatchSize: batchSize, Strategy: strategy}
-}
-
-// QueueLen returns the number of queries waiting.
-func (q *QED) QueueLen() int { return len(q.queue) }
-
-// Submit enqueues a query. When the queue reaches the batch size it is
-// flushed and the batch's results are returned; otherwise Submit returns
-// nil (the query waits — the "explicit delay").
+// RunQED executes one held batch the QED way — "improved Query
+// Energy-efficiency by introducing explicit Delays" (§4): the mergeable
+// queries are aggregated into one disjunctive query, executed once, and
+// their results split back in application logic, whose cost is charged to
+// the same machine as the paper does. Every member returns when the batch
+// completes; response times are measured from batch issue.
+//
+// A batch mqo.Merge rejects (the paper's queue examination finds no common
+// components) still shares work: more than one query rides one shared heap
+// pass per table (workload.RunShared), a lone query runs by itself.
 //
 // Per the paper's accounting, queue-building time is not counted: "the
 // queue of queries builds up in a master system that is always on... and
 // the DBMS machine goes to sleep when there is no work".
-func (q *QED) Submit(query workload.Query) *workload.RunResult {
-	q.queue = append(q.queue, query)
-	if len(q.queue) < q.BatchSize {
-		return nil
-	}
-	res := q.Flush()
-	return &res
-}
-
-// Flush executes everything in the queue now: mergeable queries as one
-// aggregated query, the rest sequentially. It returns the batch outcome
-// with response times measured from flush (batch issue).
-func (q *QED) Flush() workload.RunResult {
-	queries := q.queue
-	q.queue = nil
-	return q.RunBatch(queries)
-}
-
-// RunBatch executes one batch the QED way. If the whole batch cannot be
-// merged (the paper's queue examination step finds no common components),
-// it falls back to a shared-scan flush when SharedScan is set — the
-// non-mergeable queries still share one heap pass per table — and to
-// sequential execution otherwise.
-func (q *QED) RunBatch(queries []workload.Query) workload.RunResult {
+func RunQED(sys *System, queries []workload.Query, strategy mqo.MergeStrategy) workload.RunResult {
 	plans := make([]plan.Node, len(queries))
 	for i := range queries {
 		plans[i] = queries[i].Plan
 	}
-	merged, err := mqo.Merge(plans, q.Strategy)
+	merged, err := mqo.Merge(plans, strategy)
 	if err != nil {
-		if q.SharedScan && len(queries) > 1 {
-			return workload.RunShared(q.Sys.Engine, q.Sys.Machine.Clock, queries)
+		if len(queries) > 1 {
+			return workload.RunShared(sys.Engine, sys.Machine.Clock, queries)
 		}
-		return workload.RunSequential(q.Sys.Engine, q.Sys.Machine.Clock, queries)
+		return workload.RunSequential(sys.Engine, sys.Machine.Clock, queries)
 	}
 
-	clock := q.Sys.Machine.Clock
+	clock := sys.Machine.Clock
 	issue := clock.Now()
 
-	// One aggregated query against the DBMS, streamed batch by batch into
-	// the application-side splitter — the merged mega-result is routed as
-	// it arrives instead of being materialized twice.
-	rows := q.Sys.Engine.Query(merged.Plan)
+	// One aggregated query against the DBMS, a window of one, each result
+	// batch routed by the application-side splitter as it arrives.
 	split := merged.NewSplitter()
-	for {
-		b, err := rows.Next()
-		if err != nil {
-			// No operator errors exist today; a partial split would
-			// silently corrupt the measurement, so fail loudly.
-			panic(fmt.Sprintf("core: merged query failed mid-stream: %v", err))
-		}
-		if b == nil {
-			break
-		}
-		split.Add(b.Rows())
-	}
+	sys.Engine.RunWindow(nil, []engine.Stmt{{Plan: merged.Plan}},
+		func(_ int, b *expr.Batch) { split.Add(b) },
+		func(_ int, _ *engine.Rows, err error) {
+			if err != nil {
+				// No operator errors exist today; a partial split would
+				// silently corrupt the measurement, so fail loudly.
+				panic(fmt.Sprintf("core: merged query failed mid-stream: %v", err))
+			}
+		})
 
 	// Application-side split cost, charged to the same machine's CPU (the
 	// paper's client runs on the SUT): routing result rows is
 	// single-threaded, cache-missing object traversal, amplified like all
 	// per-row work.
-	perQuery, clientCycles := split.Finish()
-	cpuModel := q.Sys.Machine.CPU
+	counts, clientCycles := split.Finish()
+	cpuModel := sys.Machine.CPU
 	cpuModel.SetParallelism(1)
-	cpuModel.Run(clientCycles*q.Sys.Engine.Profile().Amplification(), cpu.MemStall)
+	cpuModel.Run(clientCycles*sys.Engine.Profile().Amplification(), cpu.MemStall)
 
 	end := clock.Now().Sub(issue)
-	out := workload.RunResult{Total: end}
+	out := workload.RunResult{Total: end, Queries: make([]workload.QueryResult, len(queries))}
 	for i, query := range queries {
-		out.Queries = append(out.Queries, workload.QueryResult{
-			ID:    query.ID,
-			Start: 0,
-			End:   end, // every query returns when the batch completes
-			Rows:  int64(len(perQuery[i])),
-		})
+		// Every query returns when the batch completes.
+		out.Queries[i] = workload.QueryResult{ID: query.ID, End: end, Rows: counts[i]}
 	}
 	return out
 }

@@ -4,7 +4,8 @@
 //   - operating-point Settings (PVC: FSB underclocking × voltage downgrade),
 //   - measured tradeoff curves between response time and energy (the
 //     machinery that generates the paper's Figure 1),
-//   - the QED workload controller (explicit delays + multi-query merge),
+//   - RunQED, which runs one held batch the QED way (multi-query merge
+//     and client-side split, or a shared pass when the batch won't merge),
 //   - an SLA-constrained operating-point Advisor and a mid-flight adaptive
 //     controller (future-work items §1 sketches),
 //   - the analytic QED response-time model (§4's "simple analytical

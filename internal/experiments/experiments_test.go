@@ -370,7 +370,7 @@ func TestMechanismDecomposition(t *testing.T) {
 
 func TestSharedScanAblation(t *testing.T) {
 	cfg := shorten(lightCommercial(), 0.005)
-	r := SharedScans(cfg, true)
+	r := SharedScans(cfg)
 	if len(r.Points) != len(SharedScanConcurrencies) {
 		t.Fatalf("%d points, want %d", len(r.Points), len(SharedScanConcurrencies))
 	}
@@ -400,21 +400,6 @@ func TestSharedScanAblation(t *testing.T) {
 		if p.SharedPerQuery >= p.SeqPerQuery {
 			t.Errorf("N=%d: shared J/query %v not below sequential %v", p.N, p.SharedPerQuery, p.SeqPerQuery)
 		}
-	}
-	if !strings.Contains(r.String(), "sharing on") {
-		t.Fatal("report should name the mode")
-	}
-
-	// Control arm: sharing disabled, the "shared" run is sequential too,
-	// so pool traffic matches N passes.
-	off := SharedScans(cfg, false)
-	for _, p := range off.Points {
-		if p.PoolShared != p.PoolSeq {
-			t.Errorf("control N=%d: pool %d vs %d, want equal (sharing off)", p.N, p.PoolShared, p.PoolSeq)
-		}
-	}
-	if !strings.Contains(off.String(), "off (control)") {
-		t.Fatal("control report should name the mode")
 	}
 }
 

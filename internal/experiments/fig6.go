@@ -93,9 +93,8 @@ func figure6(cfg Config, strategy mqo.MergeStrategy) Figure6Result {
 			seqReadings = append(seqReadings, meter.Reading{
 				Energy: sys.Sampler.Measure(trace, t0, clock.Now()), Time: seq.MeanResponse()})
 
-			qed := core.NewQED(sys, n, strategy)
 			t1 := clock.Now()
-			batch := qed.RunBatch(queries)
+			batch := core.RunQED(sys, queries, strategy)
 			qedReadings = append(qedReadings, meter.Reading{
 				Energy: sys.Sampler.Measure(trace, t1, clock.Now()), Time: batch.MeanResponse()})
 		}

@@ -23,9 +23,8 @@ type SharedScanPoint struct {
 	SeqTime    sim.Duration
 	SharedTime sim.Duration
 	SeqEnergy  energy.Joules
-	// SharedEnergy is the batch's energy when QED flushes it through the
-	// shared-scan subsystem (equal to a second sequential run when the
-	// ablation disables sharing).
+	// SharedEnergy is the batch's energy when QED serves it from one
+	// shared heap pass.
 	SharedEnergy energy.Joules
 	// SeqPerQuery and SharedPerQuery are the joules-per-query the two
 	// strategies pay at this concurrency.
@@ -42,25 +41,23 @@ type SharedScanPoint struct {
 }
 
 // SharedScanResult is the shared-scan ablation: the QED band workload
-// (range selections mqo.Merge rejects) replayed with scan sharing on or
-// off, per concurrency level.
+// (range selections mqo.Merge rejects) replayed sequentially and from one
+// shared pass, per concurrency level.
 type SharedScanResult struct {
-	Config  Config
-	Enabled bool
-	Points  []SharedScanPoint
+	Config Config
+	Points []SharedScanPoint
 }
 
 // SharedScanConcurrencies are the batch sizes the ablation sweeps.
 var SharedScanConcurrencies = []int{1, 4, 16}
 
 // SharedScans replays a non-mergeable selection workload on the commercial
-// profile, sequentially versus through QED's shared-scan flush, at
-// increasing concurrency. With enabled=false the QED controller falls back
-// to sequential execution and the deltas collapse — the ablation's control
-// arm. Energies are exact trace integrals (what a better instrument than
-// the paper's 1 Hz GUI sampler would read): the shared windows are short
+// profile, sequentially versus through QED (core.RunQED), which serves a
+// batch mqo.Merge rejects from one shared pass, at increasing concurrency.
+// Energies are exact trace integrals (what a better instrument than the
+// paper's 1 Hz GUI sampler would read): the shared windows are short
 // enough that sampling noise would otherwise drown the per-pass delta.
-func SharedScans(cfg Config, enabled bool) SharedScanResult {
+func SharedScans(cfg Config) SharedScanResult {
 	prof := engine.ProfileCommercial()
 	prof.WorkAmplification = cfg.Amplification
 	sys := core.NewSystem(prof)
@@ -74,7 +71,7 @@ func SharedScans(cfg Config, enabled bool) SharedScanResult {
 		runs = 1
 	}
 
-	res := SharedScanResult{Config: cfg, Enabled: enabled}
+	res := SharedScanResult{Config: cfg}
 	for _, n := range SharedScanConcurrencies {
 		queries := workload.NewQueries("band", tpch.QuantityBandWorkload(sys.Engine.Catalog(), n))
 
@@ -92,10 +89,8 @@ func SharedScans(cfg Config, enabled bool) SharedScanResult {
 			p1 := obsv.PoolReads.Load()
 			poolSeq = p1 - p0
 
-			qed := core.NewQED(sys, 2, mqo.OrChain)
-			qed.SharedScan = enabled
 			t1 := clock.Now()
-			qed.RunBatch(queries)
+			core.RunQED(sys, queries, mqo.OrChain)
 			sharedReadings = append(sharedReadings, meter.Reading{
 				Energy: trace.Energy(t1, clock.Now()), Time: clock.Now().Sub(t1)})
 			poolShared = obsv.PoolReads.Load() - p1
@@ -122,11 +117,7 @@ func SharedScans(cfg Config, enabled bool) SharedScanResult {
 
 func (r SharedScanResult) String() string {
 	var b strings.Builder
-	mode := "on"
-	if !r.Enabled {
-		mode = "off (control)"
-	}
-	fmt.Fprintf(&b, "Shared scans: non-mergeable band selections, sharing %s (%s)\n", mode, r.Config)
+	fmt.Fprintf(&b, "Shared scans: non-mergeable band selections, sharing vs sequential (%s)\n", r.Config)
 	fmt.Fprintf(&b, "  %-4s %12s %12s %12s %12s %12s %12s %10s %10s %8s\n",
 		"N", "seq time", "shared time", "seq J", "shared J", "seq J/q", "shared J/q",
 		"pool seq", "pool shrd", "ΔJ")

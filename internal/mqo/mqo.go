@@ -74,7 +74,9 @@ type Merged struct {
 
 // Merge combines mergeable queries into a single disjunctive query.
 // It fails if the queries are not all selections on the same table and
-// column, or if fewer than two queries are given.
+// column, if a constant's kind differs from the column's (the split routes
+// on value identity, which a numerically equal constant of another kind
+// does not share), or if fewer than two queries are given.
 func Merge(queries []plan.Node, strategy MergeStrategy) (*Merged, error) {
 	if len(queries) < 2 {
 		return nil, fmt.Errorf("mqo: need at least 2 queries to merge, got %d", len(queries))
@@ -88,6 +90,9 @@ func Merge(queries []plan.Node, strategy MergeStrategy) (*Merged, error) {
 		sels[i] = sel
 		if i > 0 && (sel.Table != sels[0].Table || sel.Col != sels[0].Col) {
 			return nil, fmt.Errorf("mqo: query %d selects a different table or column", i)
+		}
+		if k := sel.Table.Schema.Columns()[sel.Col].Kind; sel.Value.Kind != k {
+			return nil, fmt.Errorf("mqo: query %d compares a %v column with a %v constant", i, k, sel.Value.Kind)
 		}
 	}
 
@@ -120,64 +125,60 @@ func Merge(queries []plan.Node, strategy MergeStrategy) (*Merged, error) {
 // against one query's predicate during result splitting.
 const SplitCostPerRowPerProbe = 9
 
-// Splitter incrementally routes merged-result rows back to their original
-// queries, so a streaming consumer can split batches as they arrive off
-// the engine instead of materializing the merged mega-result twice. The
-// paper performs this in application logic and includes its time and
-// energy cost; the caller charges the accumulated cycles to the machine.
+// Splitter incrementally routes merged-result batches back to their
+// original queries as they arrive off the engine, reading the selection
+// column in place. The paper performs this in application logic and
+// includes its time and energy cost; the caller charges the accumulated
+// cycles to the machine.
 type Splitter struct {
-	m        *Merged
-	index    map[expr.Value]int
-	col      int
-	perQuery [][]expr.Row
-	cycles   float64
+	m *Merged
+	// slot maps each distinct selection constant to its counter in hits:
+	// queries sharing a constant share the slot, so each sees every row.
+	slot   map[expr.Value]int
+	hits   []int64
+	cycles float64
 }
 
 // NewSplitter returns a splitter for the merged batch.
 func (m *Merged) NewSplitter() *Splitter {
+	slot := make(map[expr.Value]int, len(m.Selections))
+	for _, s := range m.Selections {
+		if _, ok := slot[s.Value]; !ok {
+			slot[s.Value] = len(slot)
+		}
+	}
+	return &Splitter{m: m, slot: slot, hits: make([]int64, len(slot))}
+}
+
+// Add routes one batch of merged-result rows.
+func (s *Splitter) Add(b *expr.Batch) {
 	// A real client routes on the selection column's value; with equality
 	// predicates a map gives the destination directly, but the probe cost
 	// still scales with how the client organizes the split. Charge the
 	// map-based cost for HashSet merges and the linear scan cost for
 	// OrChain merges, mirroring the server-side strategy.
-	index := make(map[expr.Value]int, len(m.Selections))
-	for i, s := range m.Selections {
-		index[s.Value] = i
-	}
-	return &Splitter{
-		m:        m,
-		index:    index,
-		col:      m.Selections[0].Col,
-		perQuery: make([][]expr.Row, len(m.Selections)),
-	}
-}
-
-// Add routes one batch of merged-result rows.
-func (s *Splitter) Add(rows []expr.Row) {
+	n := b.Len()
 	switch s.m.Strategy {
 	case HashSet:
-		s.cycles += 2 * SplitCostPerRowPerProbe * float64(len(rows))
+		s.cycles += 2 * SplitCostPerRowPerProbe * float64(n)
 	default:
 		// Linear routing: on average half the predicates are tested.
-		s.cycles += float64(len(s.m.Selections)) / 2 * SplitCostPerRowPerProbe * float64(len(rows))
+		s.cycles += float64(len(s.m.Selections)) / 2 * SplitCostPerRowPerProbe * float64(n)
 	}
-	for _, row := range rows {
-		if qi, ok := s.index[row[s.col]]; ok {
-			s.perQuery[qi] = append(s.perQuery[qi], row)
+	vec := &b.Cols[s.m.Selections[0].Col]
+	for li := 0; li < n; li++ {
+		if k, ok := s.slot[vec.Get(b.RowIdx(li))]; ok {
+			s.hits[k]++
 		}
 	}
 }
 
-// Finish returns one row set per original query (in input order) and the
+// Finish returns each original query's row count (in input order) and the
 // client-side CPU cycles the split consumed.
-func (s *Splitter) Finish() (perQuery [][]expr.Row, clientCycles float64) {
-	return s.perQuery, s.cycles
-}
-
-// Split routes a fully materialized merged result in one call — a
-// convenience wrapper over the streaming Splitter.
-func (m *Merged) Split(rows []expr.Row) (perQuery [][]expr.Row, clientCycles float64) {
-	s := m.NewSplitter()
-	s.Add(rows)
-	return s.Finish()
+func (s *Splitter) Finish() (counts []int64, clientCycles float64) {
+	counts = make([]int64, len(s.m.Selections))
+	for i, sel := range s.m.Selections {
+		counts[i] = s.hits[s.slot[sel.Value]]
+	}
+	return counts, s.cycles
 }

@@ -127,6 +127,12 @@ func TestMergeErrors(t *testing.T) {
 	if _, err := Merge([]plan.Node{selQuery(tb, 1), selQuery(tb, 2), colK}, OrChain); err == nil {
 		t.Fatal("cross-column mismatch in the tail should not merge")
 	}
+	// A constant of another kind than the column compares numerically in
+	// the filter but would never be routed by the split.
+	floatQ := plan.NewScan(tb, expr.Cmp{Op: expr.EQ, L: tb.Schema.Col("qty"), R: expr.Const{V: expr.Float(1)}})
+	if _, err := Merge([]plan.Node{floatQ, selQuery(tb, 2)}, HashSet); err == nil {
+		t.Fatal("a constant whose kind differs from the column's should not merge")
+	}
 	if _, err := Merge([]plan.Node{selQuery(tb, 1), selQuery(tb, 2)}, MergeStrategy(99)); err == nil {
 		t.Fatal("unknown strategy should not merge")
 	}
@@ -149,6 +155,15 @@ func TestExtractSelectionMoreRejects(t *testing.T) {
 	}
 }
 
+// batchOf builds an owned merged-result batch from rows.
+func batchOf(rows ...expr.Row) *expr.Batch {
+	b := expr.NewBatch(2)
+	for _, r := range rows {
+		b.AppendRow(r)
+	}
+	return b
+}
+
 func TestSplitRoutesRows(t *testing.T) {
 	tb := lineitemish()
 	m, err := Merge([]plan.Node{selQuery(tb, 1), selQuery(tb, 2)}, OrChain)
@@ -156,22 +171,42 @@ func TestSplitRoutesRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Build the merged result by hand: rows with qty 1, 2 and an
-	// (impossible in practice) unmatched qty 5.
-	rows := []expr.Row{
-		{expr.Int(0), expr.Int(1)},
-		{expr.Int(1), expr.Int(2)},
-		{expr.Int(2), expr.Int(1)},
-		{expr.Int(3), expr.Int(5)},
-	}
-	perQuery, cycles := m.Split(rows)
-	if len(perQuery) != 2 {
-		t.Fatalf("split produced %d buckets", len(perQuery))
-	}
-	if len(perQuery[0]) != 2 || len(perQuery[1]) != 1 {
-		t.Fatalf("bucket sizes = %d,%d want 2,1", len(perQuery[0]), len(perQuery[1]))
+	// (impossible in practice) unmatched qty 5, plus a row the selection
+	// vector excludes.
+	b := batchOf(
+		expr.Row{expr.Int(0), expr.Int(1)},
+		expr.Row{expr.Int(1), expr.Int(2)},
+		expr.Row{expr.Int(9), expr.Int(2)},
+		expr.Row{expr.Int(2), expr.Int(1)},
+		expr.Row{expr.Int(3), expr.Int(5)},
+	)
+	b.Sel = []int32{0, 1, 3, 4}
+	s := m.NewSplitter()
+	s.Add(b)
+	counts, cycles := s.Finish()
+	if len(counts) != 2 || counts[0] != 2 || counts[1] != 1 {
+		t.Fatalf("counts = %v, want [2 1]", counts)
 	}
 	if cycles <= 0 {
 		t.Fatal("split must report client cycles")
+	}
+}
+
+// Queries sharing a constant each see every matching row.
+func TestSplitterRoutesDuplicateConstants(t *testing.T) {
+	tb := lineitemish()
+	m, err := Merge([]plan.Node{selQuery(tb, 1), selQuery(tb, 2), selQuery(tb, 1)}, HashSet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := m.NewSplitter()
+	s.Add(batchOf(
+		expr.Row{expr.Int(0), expr.Int(1)},
+		expr.Row{expr.Int(1), expr.Int(2)},
+		expr.Row{expr.Int(2), expr.Int(1)},
+	))
+	if counts, _ := s.Finish(); counts[0] != 2 || counts[1] != 1 || counts[2] != 2 {
+		t.Fatalf("counts = %v, want [2 1 2]", counts)
 	}
 }
 
@@ -186,8 +221,9 @@ func TestSplitCostScalesWithBatchForOrChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := []expr.Row{{expr.Int(0), expr.Int(1)}}
-		_, cycles := m.Split(rows)
+		s := m.NewSplitter()
+		s.Add(batchOf(expr.Row{expr.Int(0), expr.Int(1)}))
+		_, cycles := s.Finish()
 		return cycles
 	}
 	if !(mk(10, OrChain) < mk(20, OrChain)) {
@@ -204,7 +240,7 @@ func TestMergeStrategyString(t *testing.T) {
 	}
 }
 
-func TestSplitterStreamingMatchesSplit(t *testing.T) {
+func TestSplitterStreamingMatchesOneBatch(t *testing.T) {
 	lt := lineitemish()
 	qcol := lt.Schema.MustIndex("qty")
 	plans := make([]plan.Node, 5)
@@ -227,26 +263,24 @@ func TestSplitterStreamingMatchesSplit(t *testing.T) {
 		}
 	}
 
-	wantPer, wantCycles := merged.Split(rows)
+	whole := merged.NewSplitter()
+	whole.Add(batchOf(rows...))
+	wantCounts, wantCycles := whole.Finish()
 
 	// Streaming the same rows through in arbitrary chunk sizes must route
 	// identically and charge identical client cycles.
 	s := merged.NewSplitter()
 	for i := 0; i < len(rows); i += 37 {
-		end := i + 37
-		if end > len(rows) {
-			end = len(rows)
-		}
-		s.Add(rows[i:end])
+		s.Add(batchOf(rows[i:min(i+37, len(rows))]...))
 	}
-	gotPer, gotCycles := s.Finish()
+	gotCounts, gotCycles := s.Finish()
 
 	if gotCycles != wantCycles {
 		t.Fatalf("client cycles differ: %v vs %v", gotCycles, wantCycles)
 	}
-	for qi := range wantPer {
-		if len(gotPer[qi]) != len(wantPer[qi]) {
-			t.Fatalf("query %d: %d rows streamed vs %d split", qi, len(gotPer[qi]), len(wantPer[qi]))
+	for qi := range wantCounts {
+		if gotCounts[qi] != wantCounts[qi] || wantCounts[qi] != 10 {
+			t.Fatalf("query %d: %d rows streamed vs %d in one batch, want 10", qi, gotCounts[qi], wantCounts[qi])
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Benchmark for the shared-scan subsystem: N concurrent non-mergeable
-// selections served by one circular heap pass (via QED's shared-scan
-// flush) versus the sequential fallback. ns/op is real Go wall-clock; the
+// selections served by one circular heap pass (core.RunQED on a batch
+// mqo.Merge rejects) versus sequential execution. ns/op is real Go wall-clock; the
 // headline simulated metrics — joules-per-query and buffer-pool touches —
 // are reported via b.ReportMetric, and joules-per-query falls as N grows
 // because the pass's I/O and page streaming are amortized across the
@@ -36,11 +36,9 @@ func BenchmarkSharedScan(b *testing.B) {
 			var perQuery energy.Joules
 			var pool int64
 			for i := 0; i < b.N; i++ {
-				qed := core.NewQED(sys, 2, mqo.OrChain)
-				qed.SharedScan = true
 				p0 := sys.Engine.Pool().Stats()
 				t0 := clock.Now()
-				qed.RunBatch(queries)
+				core.RunQED(sys, queries, mqo.OrChain)
 				perQuery = energy.PerQuery(trace.Energy(t0, clock.Now()), n)
 				p1 := sys.Engine.Pool().Stats()
 				pool = p1.Hits + p1.Misses - p0.Hits - p0.Misses
