@@ -326,9 +326,7 @@ func (r *Rows) Next() (*expr.Batch, error) {
 	n := b.Len()
 	obsv.RowsOut.Add(int64(n))
 	r.rowsOut += int64(n)
-	for li := 0; li < n; li++ {
-		r.bytesOut += b.RowBytes(li)
-	}
+	r.bytesOut += b.Bytes()
 	return b, nil
 }
 

@@ -2,10 +2,12 @@ package exec
 
 import (
 	"testing"
+	"unsafe"
 
 	"ecodb/internal/catalog"
 	"ecodb/internal/expr"
 	"ecodb/internal/plan"
+	"ecodb/internal/storage"
 )
 
 // The blocking operators allocate per page, per group and per kept row —
@@ -16,8 +18,11 @@ import (
 // refills one page record and hands one probe scratch back and forth, so
 // what it allocates is per run of eight pages: a sorted run's buffers
 // growing from empty, a partial table learning its run's group keys. A pool
-// adds a record and a selection per page in flight. An operator that
-// allocated per row would need a thousand.
+// adds the page records in flight, at most one claim window's worth: this
+// table's 67 pages fit in one window at workers=4, so the pool allocates a
+// record for each of them (TestPooledPumpAllocationIsFlatInPageCount covers
+// heaps longer than the window). An operator that allocated per row would
+// need a thousand.
 func TestBlockingOperatorsAllocatePerPageNotPerRow(t *testing.T) {
 	const (
 		rows         = 20000
@@ -74,4 +79,79 @@ func TestBlockingOperatorsAllocatePerPageNotPerRow(t *testing.T) {
 			}
 		}
 	}
+}
+
+// A pooled pump recycles its page records and the buffers a record keeps —
+// selection, projection vectors, meters — so what a statement allocates is
+// bounded by the claim window, not by the heap: past the window, more pages
+// cost no more allocations. Both heaps below are longer than the window at
+// workers=4 (4·4 runs of 8 pages, plus the record the coordinator holds);
+// allocating one record per page would cost at least one allocation per
+// extra page.
+func TestPooledPumpAllocationIsFlatInPageCount(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector: expression scratch then allocates per page")
+	}
+	const (
+		workers    = 4
+		window     = 4 * workers * storage.DefaultMorselRunLength
+		perPageMax = 0.05 // allocations per extra page
+	)
+	// v = k mod 12 and v < 6 keep half of every page: no page needs bigger
+	// buffers than the one before.
+	small, large := pagedTable(t, 300, 12), pagedTable(t, 3000, 12)
+	if small.Heap.NumPages() <= window+1 {
+		t.Fatalf("the small heap's %d pages fit in the %d-page window", small.Heap.NumPages(), window)
+	}
+	// Heaps under the window allocate a record per page still.
+	if size := unsafe.Sizeof(morselResult{}); size > 160 {
+		t.Errorf("a page record takes %d bytes, past the 160-byte size class", size)
+	}
+	shapes := map[string]func(tb *catalog.Table) plan.Node{
+		"scan→filter→count(*)": func(tb *catalog.Table) plan.Node {
+			return plan.NewAgg(plan.NewScan(tb, expr.Cmp{Op: expr.LT, L: tb.Schema.Col("v"), R: expr.Const{V: expr.Int(6)}}),
+				nil, []plan.AggSpec{{Func: plan.Count, Name: "n"}})
+		},
+		"scan→filter→project": func(tb *catalog.Table) plan.Node {
+			k, v := tb.Schema.Col("k"), tb.Schema.Col("v")
+			return plan.NewProject(
+				plan.NewFilter(plan.NewScan(tb, nil), expr.Cmp{Op: expr.LT, L: v, R: expr.Const{V: expr.Int(6)}}),
+				[]expr.Expr{expr.Arith{Op: expr.Add, L: k, R: v}, k},
+				[]string{"kv", "k"}, []expr.Kind{expr.KindFloat, expr.KindInt})
+		},
+	}
+	for name, shape := range shapes {
+		allocs := func(tb *catalog.Table) float64 {
+			p := shape(tb)
+			return testing.AllocsPerRun(10, func() {
+				ctx, _ := testCtx()
+				if err := Drain(ctx, CompileParallel(p, workers), func(*expr.Batch) error { return nil }); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		a, b := allocs(small), allocs(large)
+		extra := float64(large.Heap.NumPages() - small.Heap.NumPages())
+		t.Logf("%s: %.0f allocations over %d pages, %.0f over %d", name, a, small.Heap.NumPages(), b, large.Heap.NumPages())
+		if perPage := (b - a) / extra; perPage > perPageMax {
+			t.Errorf("%s: %.3f more allocations per extra page, want at most %.2f", name, perPage, perPageMax)
+		}
+	}
+}
+
+// pagedTable builds a table of (k, v = k mod m) over the given number of
+// 256-byte pages, 12 rows each: many pages from few rows.
+func pagedTable(t *testing.T, pages, m int) *catalog.Table {
+	t.Helper()
+	tb := &catalog.Table{Name: "paged", Heap: storage.NewHeap(256), Schema: catalog.NewSchema(
+		catalog.Column{Name: "k", Kind: expr.KindInt},
+		catalog.Column{Name: "v", Kind: expr.KindInt},
+	)}
+	for i := 0; i < 12*pages; i++ {
+		tb.Insert(expr.Row{expr.Int(int64(i)), expr.Int(int64(i % m))})
+	}
+	if tb.Heap.NumPages() != pages {
+		t.Fatalf("%d rows filled %d pages, want %d", 12*pages, tb.Heap.NumPages(), pages)
+	}
+	return tb
 }

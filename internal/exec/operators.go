@@ -254,8 +254,9 @@ type aggTable struct {
 	aggs    []plan.AggSpec
 	// deferSums marks a run partial: float addition is not associative, so
 	// only the coordinator may add SUM/AVG arguments up, in global row
-	// order. A partial records each folded row's group id (rowGid) and, per
-	// SUM/AVG aggregate, its argument as a float (rowVals) for merge to add.
+	// order. A partial with a SUM or AVG records each folded row's group id
+	// (rowGid) and, per SUM/AVG aggregate, its argument as a float (rowVals)
+	// for merge to add.
 	deferSums bool
 
 	ids  map[string]int32 // encoded group key → group id
@@ -264,7 +265,7 @@ type aggTable struct {
 	accs []aggAcc         // per aggregate
 
 	rowGid  []int32
-	rowVals [][]float64 // per aggregate; nil unless SUM/AVG on a partial
+	rowVals [][]float64 // per aggregate; nil unless a partial has a SUM or AVG
 
 	// Per-batch scratch.
 	gk      expr.GroupKeys
@@ -294,7 +295,10 @@ func newAggTable(groupBy []int, aggs []plan.AggSpec, deferSums bool) *aggTable {
 			t.argVecs[i] = &expr.ColVec{}
 		}
 	}
-	if deferSums {
+	addsFloats := slices.ContainsFunc(aggs, func(a plan.AggSpec) bool {
+		return a.Func == plan.Sum || a.Func == plan.Avg
+	})
+	if deferSums && addsFloats {
 		t.rowVals = make([][]float64, len(aggs))
 	}
 	return t
@@ -308,6 +312,8 @@ func (t *aggTable) reset() {
 	for i := range t.accs {
 		acc := &t.accs[i]
 		acc.counts, acc.sums, acc.ext = acc.counts[:0], acc.sums[:0], acc.ext[:0]
+	}
+	for i := range t.rowVals {
 		t.rowVals[i] = t.rowVals[i][:0]
 	}
 	t.rowGid = t.rowGid[:0]
@@ -409,7 +415,7 @@ func (t *aggTable) fold(in *expr.Batch, meter *expr.Cost) {
 			}
 		}
 	}
-	if t.deferSums {
+	if t.rowVals != nil {
 		t.rowGid = append(t.rowGid, gid...)
 	}
 }
@@ -441,7 +447,12 @@ func addFloats(sums []float64, gid []int32, vals []float64) {
 // and MIN/MAX keep the strict-inequality "earliest wins" rule, so those
 // merge losslessly group by group.
 func (t *aggTable) merge(p *aggTable) {
-	remap := make([]int32, len(p.keys))
+	// remap (p's group id → t's) lives in t's group-id scratch, which no
+	// merge needs otherwise: one merge per run must not allocate.
+	if cap(t.gid) < len(p.keys) {
+		t.gid = make([]int32, len(p.keys))
+	}
+	remap := t.gid[:len(p.keys)]
 	for pg, key := range p.keys {
 		g, ok := t.ids[key]
 		if !ok {

@@ -259,21 +259,28 @@ func heapFragment(n plan.Node, leaf ScanLeaf) *fragment {
 
 // morselResult is one page's worth of finished producer output: the rows
 // that survive the fragment plus everything the coordinator needs to replay
-// the page's simulated accounting — byte/row counts for the scan charges
-// and one private cost meter per pipeline stage, charged in stage order so
-// the floating-point accumulation is the same whoever produced the page —
-// and whatever the operator's sink made of the rows.
+// the page's simulated accounting — one private cost meter per pipeline
+// stage, charged in stage order so the floating-point accumulation is the
+// same whoever produced the page — and whatever the operator's sink made of
+// the rows. The page's byte and row counts are read off the page itself.
+//
+// A pooled pump recycles its records (morselPump.take), so a record keeps
+// its buffers from page to page: its meters and, once it has carried a
+// batch to the coordinator, buffers of its own for that batch. The record
+// stays within the 160-byte allocation size class.
 type morselResult struct {
-	idx       int
-	pruned    bool // page skipped by zone maps: replay charges the check only
-	pageBytes int64
-	pageRows  int
-	meters    []expr.Cost // scan-filter meter first, then one per stage
-	rows      int         // rows surviving the fragment
+	idx    int
+	pruned bool        // page skipped by zone maps: replay charges the check only
+	meters []expr.Cost // scan-filter meter first, then one per stage
+	rows   int         // rows surviving the fragment
 	// batch is those rows: a selection-narrowed view of the page's column
 	// vectors, or projected vectors. It reaches the sink, or — with no sink
 	// — the pump's consumer.
 	batch expr.Batch
+	// own holds batch's selection and projection vectors once the batch
+	// crosses from a pooled producer to the coordinator (adopt); nil until
+	// the record first carries one.
+	own *stageScratch
 
 	// What a sink leaves for its coordinator.
 	argMeter expr.Cost     // agg: argument-evaluation cycles for this page
@@ -281,6 +288,8 @@ type morselResult struct {
 	run      *sortedRun    // sort: the sealed run, on the run's last page
 	ps       *probeScratch // probe: assembled join output and residual meter; nil when rows == 0
 	matches  int           // probe: raw match count
+
+	next *morselResult // link in the spent list, a ticket, or a producer's free list
 }
 
 // run executes the fragment over one page into res, in producer context:
@@ -289,14 +298,13 @@ type morselResult struct {
 // vectors; see stageScratch.apply for what happens to it and how long it
 // stays valid.
 func (f *fragment) run(res *morselResult, idx int, page *storage.Page, ws *stageScratch) {
-	*res = morselResult{idx: idx, meters: res.meters[:0]}
+	*res = morselResult{idx: idx, meters: res.meters[:0], own: res.own}
 	if f.pruner != nil && len(page.Zones) > 0 && expr.ZonePrunes(f.pruner, page.Zones) {
 		// Producer context decides the skip (pure zone-map reads); the
 		// coordinator charges the zone check when it takes the page.
 		res.pruned = true
 		return
 	}
-	res.pageBytes, res.pageRows = page.Bytes, page.NumRows()
 	res.meters = append(res.meters, make([]expr.Cost, 1+len(f.stages))...)
 	res.batch.Alias(&page.Data, nil)
 	if f.scanFilter != nil {
@@ -305,6 +313,22 @@ func (f *fragment) run(res *morselResult, idx int, page *storage.Page, ws *stage
 	}
 	ws.apply(f.stages, &res.batch, res.meters[1:])
 	res.rows = res.batch.Len()
+}
+
+// adopt moves the non-empty batch res carries out of ws, so that it stays
+// valid while the producer goes on with ws: the selection is copied into
+// res's own buffer, and the projection vectors trade places with the ones
+// res carried last time, which ws fills next.
+func (res *morselResult) adopt(ws *stageScratch) {
+	if res.own == nil {
+		res.own = new(stageScratch)
+	}
+	own := res.own
+	if res.batch.Sel != nil {
+		own.sel = append(own.sel[:0], res.batch.Sel...)
+		res.batch.Sel = own.sel
+	}
+	own.proj, ws.proj = ws.proj, own.proj
 }
 
 // morselPump drives a fragment over its heap for every pump-driven
@@ -341,10 +365,20 @@ type morselPump struct {
 	rec    morselResult
 
 	results chan *morselResult
-	tickets chan struct{} // claim window: bounds runs in flight + reordered
+	// tickets is the claim window, bounding runs in flight + reordered. A
+	// refunded ticket carries back the records taken since the previous
+	// refund, linked through next, for the producer that claims it to fill.
+	tickets chan *morselResult
 	stop    chan struct{}
 	wg      sync.WaitGroup
 	pending map[int]*morselResult // finished out-of-order pages by index
+
+	// spent links the records taken since the last refund. A record joins
+	// it as take returns it, and the refund that hands it back comes in a
+	// later take, so the record stays the coordinator's until the next take
+	// at least. A statement therefore allocates at most window·runLength+1
+	// records, however many pages it reads.
+	spent *morselResult
 }
 
 // producer is the state one producer keeps across pages.
@@ -396,9 +430,9 @@ func (p *morselPump) open(ctx *Ctx) {
 	p.stop = make(chan struct{})
 	window := 4 * pool
 	p.results = make(chan *morselResult, window*storage.DefaultMorselRunLength)
-	p.tickets = make(chan struct{}, window)
+	p.tickets = make(chan *morselResult, window)
 	for i := 0; i < window; i++ {
-		p.tickets <- struct{}{}
+		p.tickets <- nil
 	}
 	for w := 0; w < pool; w++ {
 		p.wg.Add(1)
@@ -409,9 +443,15 @@ func (p *morselPump) open(ctx *Ctx) {
 func (p *morselPump) worker() {
 	defer p.wg.Done()
 	w := p.newProducer()
+	var free *morselResult // records to fill before allocating, linked through next
 	for {
 		select {
-		case <-p.tickets:
+		case recs := <-p.tickets:
+			for recs != nil {
+				res := recs
+				recs, res.next = res.next, free
+				free = res
+			}
 		case <-p.stop:
 			return
 		}
@@ -425,18 +465,20 @@ func (p *morselPump) worker() {
 				return
 			default:
 			}
-			res := new(morselResult)
+			res := free
+			if res != nil {
+				free, res.next = res.next, nil
+			} else {
+				res = new(morselResult)
+			}
 			p.produce(w, res, idx, idx == run.End-1)
-			if w.sink != nil {
-				// The sink has consumed the rows: drop the page view, so
-				// only the accounting travels.
+			if w.sink != nil || res.rows == 0 {
+				// No rows cross — the sink has consumed them, or none
+				// survived: drop the page view, so only the accounting
+				// travels.
 				res.batch = expr.Batch{}
 			} else {
-				// The batch crosses to the coordinator: give it a selection
-				// of its own, sized to the survivors, and leave it the
-				// projected vectors.
-				res.batch.Sel = slices.Clone(res.batch.Sel)
-				w.ws.proj = nil
+				res.adopt(&w.ws)
 			}
 			p.results <- res // never blocks: ticket held
 		}
@@ -444,8 +486,7 @@ func (p *morselPump) worker() {
 }
 
 // take returns the next page's finished record in ascending page order, or
-// nil once the heap is exhausted. An inline record is valid until the next
-// take.
+// nil once the heap is exhausted. The record is valid until the next take.
 func (p *morselPump) take() *morselResult {
 	if p.nextIdx == p.total {
 		return nil
@@ -477,8 +518,10 @@ func (p *morselPump) take() *morselResult {
 		// contiguous order and a claimer needs no further tickets to
 		// finish its whole run, so the next page's result always arrives
 		// even when tickets are scarce.
-		p.tickets <- struct{}{}
+		p.tickets <- p.spent
+		p.spent = nil
 	}
+	res.next, p.spent = p.spent, res
 	return res
 }
 
@@ -517,11 +560,12 @@ func (p *morselPump) next(ctx *Ctx) *morselResult {
 		}
 		return res
 	}
+	page := p.src.Page(res.idx)
 	if ctx.Pool != nil {
-		ctx.Pool.Access(storage.PageID{Table: p.frag.table.Name, Index: res.idx}, res.pageBytes)
+		ctx.Pool.Access(storage.PageID{Table: p.frag.table.Name, Index: res.idx}, page.Bytes)
 	}
-	ctx.chargePageStream(res.pageBytes)
-	ctx.Cost.ScanTuples(ctx, float64(res.pageRows))
+	ctx.chargePageStream(page.Bytes)
+	ctx.Cost.ScanTuples(ctx, float64(page.NumRows()))
 	for i := range res.meters {
 		ctx.ChargeExpr(&res.meters[i])
 	}
@@ -540,6 +584,7 @@ func (p *morselPump) close() {
 		p.wg.Wait()
 	}
 	p.src, p.span, p.inline, p.results, p.tickets, p.stop, p.pending = nil, nil, nil, nil, nil, nil, nil
+	p.spent = nil
 }
 
 // freeList parks the buffers of merged items for producers to fill again,

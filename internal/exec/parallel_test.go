@@ -519,6 +519,62 @@ func TestInlinePumpStartsNoGoroutine(t *testing.T) {
 	}
 }
 
+// A pooled pump hands a page record, with the selection and projection
+// vectors its batch lives in, back to the producers at the next Next. Every
+// batch must therefore read, up to that call, exactly what the inline
+// pump's batch reads — over more pages than the claim window, so records
+// are refilled while later ones are read. Under -race this also checks that
+// the hand-back orders the coordinator's reads before a producer's writes.
+func TestPooledMorselBatchesHoldUntilNextCall(t *testing.T) {
+	// v = k mod 13 against 12-row pages: the survivors per page vary, so
+	// recycled buffers meet batches both smaller and larger than their last.
+	tb := pagedTable(t, 600, 13)
+	k, v := tb.Schema.Col("k"), tb.Schema.Col("v")
+	p := plan.NewFilter(
+		plan.NewProject(
+			plan.NewScan(tb, expr.Cmp{Op: expr.GE, L: v, R: expr.Const{V: expr.Int(3)}}),
+			[]expr.Expr{expr.Arith{Op: expr.Mul, L: k, R: v}, v, k},
+			[]string{"kv", "v", "k"}, []expr.Kind{expr.KindFloat, expr.KindInt, expr.KindInt}),
+		expr.Cmp{Op: expr.LT, L: expr.Col{Idx: 1}, R: expr.Const{V: expr.Int(10)}})
+	batches := func(workers int, each func(i int, b *expr.Batch)) int {
+		ctx, _ := testCtx()
+		op := CompileParallel(p, workers)
+		if _, ok := unwrapSpan(op).(*morselExec); !ok {
+			t.Fatalf("compiled to %T, want a morsel leaf", unwrapSpan(op))
+		}
+		n := 0
+		if err := Drain(ctx, op, func(b *expr.Batch) error {
+			each(n, b)
+			n++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	var want [][]expr.Row
+	batches(1, func(_ int, b *expr.Batch) { want = append(want, b.Rows()) })
+	got := batches(4, func(i int, b *expr.Batch) {
+		if i >= len(want) {
+			t.Fatalf("batch %d: the inline pump returned %d", i, len(want))
+		}
+		rows := b.Rows()
+		if len(rows) != len(want[i]) {
+			t.Fatalf("batch %d: %d rows, want %d", i, len(rows), len(want[i]))
+		}
+		for r := range rows {
+			for c := range rows[r] {
+				if rows[r][c] != want[i][r][c] {
+					t.Fatalf("batch %d row %d col %d: %v, want %v", i, r, c, rows[r][c], want[i][r][c])
+				}
+			}
+		}
+	})
+	if got != len(want) || got <= 4*4*storage.DefaultMorselRunLength {
+		t.Fatalf("%d batches at workers=4, %d inline: want equal and past the claim window", got, len(want))
+	}
+}
+
 func TestMorselExecSchemaTracksFragment(t *testing.T) {
 	tb := numbersTable(t, "t", 50)
 	k := tb.Schema.Col("k")

@@ -132,15 +132,16 @@ func (b *Batch) AppendRowsTo(dst []Row) []Row {
 // Rows materializes every logical row with fresh backing.
 func (b *Batch) Rows() []Row { return b.AppendRowsTo(nil) }
 
-// RowBytes estimates the storage footprint of logical row li, matching
-// Row.Bytes on the materialized tuple.
-func (b *Batch) RowBytes(li int) int64 {
-	i := b.RowIdx(li)
-	var n int64 = 4 // header
+// Bytes estimates the storage footprint of every logical row — the sum of
+// Row.Bytes over the materialized tuples — column by column from the typed
+// payloads, materializing no value.
+func (b *Batch) Bytes() int64 {
+	n := b.Len()
+	total := 4 * int64(n) // row headers
 	for c := range b.Cols {
-		n += b.Cols[c].Get(i).Bytes()
+		total += b.Cols[c].bytes(b.Sel, n)
 	}
-	return n
+	return total
 }
 
 // scratch is the working memory of one FilterBatch or EvalBatch call: the

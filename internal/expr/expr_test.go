@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -89,11 +90,32 @@ func TestTruthy(t *testing.T) {
 	}
 }
 
+// Row.Bytes is 4 header bytes plus each value's Value.Bytes, and
+// Batch.Bytes is Row.Bytes summed over the batch's logical rows, whatever
+// the columns' representation (dense, NULL-bearing, all NULL,
+// dictionary-encoded, heterogeneous) and with or without a selection.
 func TestRowBytes(t *testing.T) {
 	r := Row{Int(1), String("hello"), Null()}
 	// 4 header + 8 + (5+2) + 1 = 20.
 	if got := r.Bytes(); got != 20 {
 		t.Fatalf("Row.Bytes = %d, want 20", got)
+	}
+
+	rng := rand.New(rand.NewSource(59))
+	for c := 0; c < 2000; c++ {
+		n := rng.Intn(25)
+		b := NewBatch(1 + rng.Intn(4))
+		for col := range b.Cols {
+			b.Cols[col] = *randVec(rng, rng.Intn(2) == 0, n, testDict)
+		}
+		b.N, b.Sel = n, randSel(rng, n)
+		var want int64
+		for _, row := range b.Rows() {
+			want += row.Bytes()
+		}
+		if got := b.Bytes(); got != want {
+			t.Fatalf("case %d: Batch.Bytes = %d, want %d over %d rows", c, got, want, b.Len())
+		}
 	}
 }
 

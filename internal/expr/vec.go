@@ -198,23 +198,7 @@ func (v *ColVec) appendTyped(src *ColVec, sel []int32) bool {
 	if sel == nil {
 		m = src.n
 	}
-	nulls := 0
-	switch {
-	case src.Kind == KindNull:
-		nulls = m
-	case src.Nulls != nil && sel == nil:
-		for _, null := range src.Nulls {
-			if null {
-				nulls++
-			}
-		}
-	case src.Nulls != nil:
-		for _, i := range sel {
-			if src.Nulls[i] {
-				nulls++
-			}
-		}
-	}
+	nulls := src.nullCount(sel, m)
 	switch {
 	case nulls == m:
 		// Nothing but NULLs: no kind to establish or to clash with.
@@ -259,6 +243,60 @@ func (v *ColVec) appendTyped(src *ColVec, sel []int32) bool {
 	}
 	v.n += m
 	return true
+}
+
+// nullCount counts the NULLs among the m elements sel selects (nil: the
+// first m) of a vector that is not heterogeneous.
+func (v *ColVec) nullCount(sel []int32, m int) int {
+	switch {
+	case v.Kind == KindNull:
+		return m
+	case v.Nulls == nil:
+		return 0
+	}
+	nulls := 0
+	if sel == nil {
+		for _, null := range v.Nulls[:m] {
+			if null {
+				nulls++
+			}
+		}
+		return nulls
+	}
+	for _, i := range sel {
+		if v.Nulls[i] {
+			nulls++
+		}
+	}
+	return nulls
+}
+
+// bytes sums Value.Bytes over the m elements sel selects (nil: the first
+// m): fixed-width kinds from a NULL count alone, strings by their lengths,
+// dictionary words through their codes.
+func (v *ColVec) bytes(sel []int32, m int) int64 {
+	if v.Any == nil && v.Kind != KindString {
+		nulls := v.nullCount(sel, m)
+		return 8*int64(m-nulls) + int64(nulls)
+	}
+	var n int64
+	for li := 0; li < m; li++ {
+		i := li
+		if sel != nil {
+			i = int(sel[li])
+		}
+		switch {
+		case v.Any != nil:
+			n += v.Any[i].Bytes()
+		case v.Nulls != nil && v.Nulls[i]:
+			n++
+		case v.Dict != nil:
+			n += int64(len(v.Dict.words[v.Codes[i]])) + 2
+		default:
+			n += int64(len(v.S[i])) + 2
+		}
+	}
+	return n
 }
 
 // AppendElem appends element i of src: AppendFrom for the consumer that
