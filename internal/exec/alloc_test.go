@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -15,19 +17,18 @@ import (
 // batch to batch, and what crosses from a producer to the coordinator comes
 // back to be filled again. The budgets are allocations per 1000 input rows
 // on pages of ~300 rows, for a whole compile-and-drain. An inline pump
-// refills one page record and hands one probe scratch back and forth, so
-// what it allocates is per run of eight pages: a sorted run's buffers
-// growing from empty, a partial table learning its run's group keys. A pool
-// adds the page records in flight, at most one claim window's worth: this
-// table's 67 pages fit in one window at workers=4, so the pool allocates a
-// record for each of them (TestPooledPumpAllocationIsFlatInPageCount covers
-// heaps longer than the window). An operator that allocated per row would
-// need a thousand.
+// refills one page record, match pairs included, so what it allocates is
+// per run of eight pages: a sorted run's buffers growing from empty, a
+// partial table learning its run's group keys. A pool adds the page records
+// in flight, at most one claim window's worth: this table's 67 pages fit in
+// one window at workers=4, so the pool allocates a record for each of them
+// (TestPooledPumpAllocationIsFlatInPageCount covers heaps longer than the
+// window). An operator that allocated per row would need a thousand.
 func TestBlockingOperatorsAllocatePerPageNotPerRow(t *testing.T) {
 	const (
 		rows         = 20000
-		inlineBudget = 60.0  // per 1000 input rows at workers=1 (measured 4 probe, 25 sort, 36 agg; 42 under -race)
-		pooledBudget = 120.0 // per 1000 input rows at workers=4 (measured 23 probe, 32 sort, 88 agg)
+		inlineBudget = 60.0  // per 1000 input rows at workers=1 (measured 4 probe, 25 sort, 35 agg; 41 under -race)
+		pooledBudget = 120.0 // per 1000 input rows at workers=4 (measured 17 probe, 32 sort, 83 agg)
 	)
 	big := catalog.NewTable("big", catalog.NewSchema(
 		catalog.Column{Name: "g", Kind: expr.KindInt},
@@ -136,6 +137,96 @@ func TestPooledPumpAllocationIsFlatInPageCount(t *testing.T) {
 		if perPage := (b - a) / extra; perPage > perPageMax {
 			t.Errorf("%s: %.3f more allocations per extra page, want at most %.2f", name, perPage, perPageMax)
 		}
+	}
+}
+
+// A pooled probe ships match pairs, not rows: producers only look keys up,
+// and the coordinator gathers each page's output into the join's one output
+// batch. However wide the output, a page in flight costs its record's pair
+// buffers, once per record, never an output batch of its own — which cost
+// one allocation per output column for every page in flight.
+func TestPooledWideProbeAllocatesNoOutputBatchPerPage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector append(s, make(...)...) allocates its operand: fragment.run's meter reset then allocates per page")
+	}
+	const workers, buildWidth, keys = 4, 19, 3
+	probe := pagedTable(t, 1600, 12) // v = k mod 12: keys of a page's 12 rows match
+	cols := make([]catalog.Column, buildWidth)
+	for c := range cols {
+		cols[c] = catalog.Column{Name: fmt.Sprintf("b%d", c), Kind: expr.KindInt}
+	}
+	build := catalog.NewTable("wide", catalog.NewSchema(cols...))
+	for key := 0; key < keys; key++ {
+		row := make(expr.Row, buildWidth)
+		for c := range row {
+			row[c] = expr.Int(int64(key))
+		}
+		build.Insert(row)
+	}
+	p := plan.NewHashJoin(plan.NewScan(build, nil), plan.NewScan(probe, nil), 0, probe.Schema.MustIndex("v"), nil)
+	pages := probe.Heap.NumPages()
+	out := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		ctx, _ := testCtx()
+		out = 0
+		if err := Drain(ctx, CompileParallel(p, workers), func(b *expr.Batch) error {
+			out += b.Len()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := keys * pages; out != want {
+		t.Fatalf("%d rows out, want %d", out, want)
+	}
+	perPage := allocs / float64(pages)
+	t.Logf("%d-column output over %d probe pages: %.0f allocations, %.2f per page", p.Schema().NumCols(), pages, allocs, perPage)
+	if perPage > 1 {
+		t.Errorf("%.2f allocations per probe page, want at most 1", perPage)
+	}
+}
+
+// A run partial with SUM and AVG sizes its row vectors once, when the first
+// page of its run with survivors folds: the rest of a run that survives
+// whole folds without allocating, where vectors grown from empty would be
+// reallocated page after page.
+func TestRunPartialSizesRowVectorsOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector append(s, make(...)...) allocates its operand: fragment.run's meter reset then allocates per page")
+	}
+	tb := pagedTable(t, storage.DefaultMorselRunLength, 12)
+	k, v := tb.Schema.Col("k"), tb.Schema.Col("v")
+	n := plan.NewAgg(plan.NewScan(tb, nil), []int{1}, []plan.AggSpec{
+		{Func: plan.Sum, Arg: k, Name: "sum_k"},
+		{Func: plan.Avg, Arg: v, Name: "avg_v"},
+		{Func: plan.Count, Name: "n"},
+	})
+	a := newParallelAgg(heapFragment(n.Input, nil), n, 1)
+	ctx, _ := testCtx()
+	if err := a.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close(ctx)
+	run, _ := storage.NewMorselSource(tb.Heap).NextRun()
+	sink := a.sink()
+	var ws stageScratch
+	var res morselResult
+	page := func(idx int) {
+		a.pump.frag.run(&res, idx, a.pump.src.Page(idx), &ws)
+		sink(&res, run)
+	}
+	page(run.Start)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for idx := run.Start + 1; idx < run.End; idx++ {
+		page(idx)
+	}
+	runtime.ReadMemStats(&after)
+	if res.part == nil || len(res.part.rowGid) != tb.Heap.NumPages()*12 {
+		t.Fatalf("the run's last page carries no partial of the run's %d rows", tb.Heap.NumPages()*12)
+	}
+	if mallocs := after.Mallocs - before.Mallocs; mallocs > 0 {
+		t.Errorf("folding the run's pages after its first allocated %d times, want none", mallocs)
 	}
 }
 

@@ -107,40 +107,70 @@ func (f *fusedOp) Close(ctx *Ctx) error {
 // Open and indexes its key column (expr.JoinTable), then streams the probe
 // side batch by batch: a typed loop over the probe key's payload collects
 // (build row, probe row) index pairs, and the output — buildRow ++ probeRow
-// — is assembled column by column by gathering through them. An optional
-// residual predicate then filters the assembled batch. A probe side that is
-// a scan→filter→project chain over a heap has no operator: the join's own
-// pump runs the fragment and probes each page where it was produced
-// (parallel_join.go).
+// — is assembled column by column by gathering through them (assemble). A
+// probe side that is a scan→filter→project chain over a heap has no
+// operator: the join's own pump runs the fragment and probes each page
+// where it was produced, and the coordinator assembles the output from the
+// page's pairs (parallel_join.go).
 type hashJoinOp struct {
 	build, probe       Operator // probe is nil when the pump probes
 	buildKey, probeKey int
-	residual           expr.Expr
-	schema             *catalog.Schema
+	// residual, when non-nil, filters the matches. It reads a batch of just
+	// the output columns residCols lists (narrowResidual), not the output.
+	residual  expr.Expr
+	residCols []int
+	schema    *catalog.Schema
 
-	pump  morselPump
-	spare freeList[probeScratch] // producer scratch between pages
-	lent  *probeScratch          // owns the batch the last Next returned
+	pump morselPump
 
 	// rows is the build side in arrival order and table the index over its
 	// key column. Both are read-only once Open returns, which is what lets
 	// pump producers share them without locks.
-	rows    expr.Batch
-	table   *expr.JoinTable
+	rows  expr.Batch
+	table *expr.JoinTable
+
+	// Coordinator state: the operator-input probe's match pairs, the output
+	// batch every Next returns, and the residual's columns, survivors and
+	// meter.
 	scratch probeScratch
+	out     expr.Batch
+	resid   expr.Batch
+	sel     []int32
+	meter   expr.Cost
 }
 
-// probeScratch is one probe consumer's private state: the output batch
-// under assembly, the matched index pairs and residual selection behind it,
-// and the residual-predicate meter. The operator-input probe owns one; the
-// pump's probe takes one per page in flight, so producers never share
-// mutable state.
+// probeScratch holds one probed batch's matches as (build row, probe row)
+// index pairs: probe rows in order, each one's build rows in build order.
+// The operator-input probe owns one; a pump record keeps one of its own, so
+// producers never share mutable state.
 type probeScratch struct {
-	out      *expr.Batch
-	buildIdx []int32 // matched pairs, probe rows in order,
-	probeIdx []int32 // each one's build rows in build order
-	sel      []int32 // rows of out that pass the residual
-	meter    expr.Cost
+	buildIdx []int32
+	probeIdx []int32
+}
+
+// probe looks in's probe keys up in the completed (read-only) table,
+// replacing the pairs, and returns the match count. It charges nothing.
+func (ps *probeScratch) probe(j *hashJoinOp, in *expr.Batch) int {
+	ps.buildIdx, ps.probeIdx = j.table.Probe(&in.Cols[j.probeKey], in.Sel, ps.buildIdx[:0], ps.probeIdx[:0])
+	return len(ps.buildIdx)
+}
+
+// keep narrows the pairs to the ones at the ascending positions sel names.
+func (ps *probeScratch) keep(sel []int32) {
+	for k, i := range sel {
+		ps.buildIdx[k], ps.probeIdx[k] = ps.buildIdx[i], ps.probeIdx[i]
+	}
+	ps.buildIdx, ps.probeIdx = ps.buildIdx[:len(sel)], ps.probeIdx[:len(sel)]
+}
+
+// narrowResidual rewrites a residual over the join's output row into one
+// over a batch of just the columns it reads, cols, in ascending order.
+func narrowResidual(residual expr.Expr) (expr.Expr, []int) {
+	cols := slices.Compact(slices.Sorted(slices.Values(plan.ExprCols(residual))))
+	return plan.RemapExpr(residual, func(c int) int {
+		k, _ := slices.BinarySearch(cols, c)
+		return k
+	}), cols
 }
 
 func (j *hashJoinOp) Schema() *catalog.Schema { return j.schema }
@@ -173,11 +203,12 @@ func (j *hashJoinOp) Open(ctx *Ctx) error {
 	}
 	ctx.Flush()
 	j.table = expr.BuildJoinTable(&j.rows.Cols[j.buildKey])
+	j.out = *expr.NewBatch(j.schema.NumCols())
+	j.resid = *expr.NewBatch(len(j.residCols))
 	if j.probe == nil {
 		j.pump.open(ctx)
 		return nil
 	}
-	j.scratch.out = expr.NewBatch(j.schema.NumCols())
 	return j.probe.Open(ctx)
 }
 
@@ -190,50 +221,68 @@ func (j *hashJoinOp) Next(ctx *Ctx) (*expr.Batch, error) {
 		if err != nil || in == nil {
 			return nil, err
 		}
-		matches := j.probeBatch(in, &j.scratch)
-		ctx.Cost.JoinProbe(ctx, float64(in.Len()), float64(matches))
-		ctx.ChargeExpr(&j.scratch.meter)
-		if j.scratch.out.Len() > 0 {
-			return j.scratch.out, nil
+		matches := j.scratch.probe(j, in)
+		if out := j.join(ctx, in, in.Len(), matches, &j.scratch); out != nil {
+			return out, nil
 		}
 	}
 }
 
-// probeBatch probes one input batch against the completed (read-only)
-// table, assembling the matches into ps.out — narrowed by ps.sel to the
-// rows that pass the residual — and returns the raw match count. It charges
-// nothing: the residual meters into ps.meter (FilterBatch charges what
-// evaluating it match by match would) and the caller charges probe/match
-// work, so Next and the pump's producers share one probe implementation
-// while only the coordinator touches the simulated machine.
-func (j *hashJoinOp) probeBatch(in *expr.Batch, ps *probeScratch) int {
-	ps.out.Reset()
-	ps.buildIdx, ps.probeIdx = j.table.Probe(&in.Cols[j.probeKey], in.Sel, ps.buildIdx[:0], ps.probeIdx[:0])
-	matches := len(ps.buildIdx)
-	if matches == 0 {
-		return 0
+// join charges one probed batch — probe work for its rows, match work for
+// its matches, then what the residual metered — and returns
+// its output, or nil when no row comes out. Next and the pump's coordinator
+// share it, so only the coordinator touches the simulated machine.
+func (j *hashJoinOp) join(ctx *Ctx, in *expr.Batch, rows, matches int, ps *probeScratch) *expr.Batch {
+	ctx.Cost.JoinProbe(ctx, float64(rows), float64(matches))
+	if matches > 0 {
+		j.assemble(in, ps)
 	}
+	ctx.ChargeExpr(&j.meter)
+	if matches == 0 || j.out.N == 0 {
+		return nil
+	}
+	return &j.out
+}
+
+// assemble gathers the output rows of ps's pairs, which are at least one,
+// into j.out. With a residual, only the columns it reads are gathered over
+// every match; it filters them — metering into j.meter what filtering the
+// whole output would, since the candidates are the same — the pairs narrow
+// to its survivors, and only the survivors are gathered in full.
+func (j *hashJoinOp) assemble(in *expr.Batch, ps *probeScratch) {
+	if j.residual != nil {
+		j.gather(&j.resid, j.residCols, in, ps)
+		j.sel = expr.FilterBatch(j.residual, &j.resid, j.sel, &j.meter)
+		ps.keep(j.sel)
+	}
+	j.gather(&j.out, nil, in, ps)
+}
+
+// gather fills dst with the pairs' rows: column k holds output column
+// cols[k], or output column k when cols is nil.
+func (j *hashJoinOp) gather(dst *expr.Batch, cols []int, in *expr.Batch, ps *probeScratch) {
+	dst.Reset()
 	buildWidth := j.rows.Width()
-	for c := range ps.out.Cols {
+	for k := range dst.Cols {
+		c := k
+		if cols != nil {
+			c = cols[k]
+		}
 		if c < buildWidth {
-			ps.out.Cols[c].AppendFrom(&j.rows.Cols[c], ps.buildIdx)
+			dst.Cols[k].AppendFrom(&j.rows.Cols[c], ps.buildIdx)
 		} else {
-			ps.out.Cols[c].AppendFrom(&in.Cols[c-buildWidth], ps.probeIdx)
+			dst.Cols[k].AppendFrom(&in.Cols[c-buildWidth], ps.probeIdx)
 		}
 	}
-	ps.out.N = matches
-	if j.residual != nil {
-		ps.sel = expr.FilterBatch(j.residual, ps.out, ps.sel, &ps.meter)
-		ps.out.Sel = ps.sel
-	}
-	return matches
+	dst.N = len(ps.buildIdx)
 }
 
 func (j *hashJoinOp) Close(ctx *Ctx) error {
 	if j.probe == nil {
 		j.pump.close() // stop the producers before releasing what they read
 	}
-	j.rows, j.table, j.scratch, j.lent = expr.Batch{}, nil, probeScratch{}, nil
+	j.rows, j.table, j.scratch = expr.Batch{}, nil, probeScratch{}
+	j.out, j.resid, j.sel = expr.Batch{}, expr.Batch{}, nil
 	if j.probe == nil {
 		return nil
 	}
@@ -317,6 +366,20 @@ func (t *aggTable) reset() {
 		t.rowVals[i] = t.rowVals[i][:0]
 	}
 	t.rowGid = t.rowGid[:0]
+}
+
+// reserve makes room in a partial's row vectors for n more folded rows, so
+// that folding them appends without regrowing.
+func (t *aggTable) reserve(n int) {
+	if t.rowVals == nil {
+		return
+	}
+	t.rowGid = slices.Grow(t.rowGid, n)
+	for i, spec := range t.aggs {
+		if spec.Func == plan.Sum || spec.Func == plan.Avg {
+			t.rowVals[i] = slices.Grow(t.rowVals[i], n)
+		}
+	}
 }
 
 // addGroup numbers a new group and gives every accumulator a zero slot for

@@ -61,13 +61,16 @@ func compile(n plan.Node, workers int, leaf ScanLeaf) Operator {
 		j := &hashJoinOp{
 			build:    compile(n.Build, workers, leaf),
 			buildKey: n.BuildKey, probeKey: n.ProbeKey,
-			residual: n.Residual, schema: n.Schema(),
+			schema: n.Schema(),
+		}
+		if n.Residual != nil {
+			j.residual, j.residCols = narrowResidual(n.Residual)
 		}
 		if f := heapFragment(n.Probe, leaf); f != nil {
 			// The probe side folds into the join: the pump's producers run
 			// the fragment and probe the completed read-only table directly
-			// (parallel_join.go), instead of passing every surviving probe
-			// row through the coordinator first.
+			// (parallel_join.go), instead of handing every surviving probe
+			// row to a probe operator first.
 			j.pump = morselPump{frag: f, workers: workers, sink: j.probeSink, leafLabel: f.label(workers)}
 		} else {
 			j.probe = compile(n.Probe, workers, leaf)
@@ -265,17 +268,17 @@ func heapFragment(n plan.Node, leaf ScanLeaf) *fragment {
 // the rows. The page's byte and row counts are read off the page itself.
 //
 // A pooled pump recycles its records (morselPump.take), so a record keeps
-// its buffers from page to page: its meters and, once it has carried a
-// batch to the coordinator, buffers of its own for that batch. The record
-// stays within the 160-byte allocation size class.
+// its buffers from page to page: its meters, its probe scratch and, once it
+// has carried a batch to the coordinator, buffers of its own for that
+// batch. The record stays within the 160-byte allocation size class.
 type morselResult struct {
 	idx    int
 	pruned bool        // page skipped by zone maps: replay charges the check only
 	meters []expr.Cost // scan-filter meter first, then one per stage
 	rows   int         // rows surviving the fragment
 	// batch is those rows: a selection-narrowed view of the page's column
-	// vectors, or projected vectors. It reaches the sink, or — with no sink
-	// — the pump's consumer.
+	// vectors, or projected vectors. It reaches the sink, and — with no
+	// sink, or for a probe with matches — the pump's consumer.
 	batch expr.Batch
 	// own holds batch's selection and projection vectors once the batch
 	// crosses from a pooled producer to the coordinator (adopt); nil until
@@ -286,8 +289,8 @@ type morselResult struct {
 	argMeter expr.Cost     // agg: argument-evaluation cycles for this page
 	part     *aggTable     // agg: the run's partial table, on the run's last page
 	run      *sortedRun    // sort: the sealed run, on the run's last page
-	ps       *probeScratch // probe: assembled join output and residual meter; nil when rows == 0
-	matches  int           // probe: raw match count
+	ps       *probeScratch // probe: the match pairs into batch; nil until the record first probes
+	matches  int           // probe: match count
 
 	next *morselResult // link in the spent list, a ticket, or a producer's free list
 }
@@ -298,7 +301,7 @@ type morselResult struct {
 // vectors; see stageScratch.apply for what happens to it and how long it
 // stays valid.
 func (f *fragment) run(res *morselResult, idx int, page *storage.Page, ws *stageScratch) {
-	*res = morselResult{idx: idx, meters: res.meters[:0], own: res.own}
+	*res = morselResult{idx: idx, meters: res.meters[:0], own: res.own, ps: res.ps}
 	if f.pruner != nil && len(page.Zones) > 0 && expr.ZonePrunes(f.pruner, page.Zones) {
 		// Producer context decides the skip (pure zone-map reads); the
 		// coordinator charges the zone check when it takes the page.
@@ -344,10 +347,11 @@ type morselPump struct {
 	workers int
 	// sink, when non-nil, makes one producer's page function: called on
 	// every page of the producer's runs in page order, after the fragment
-	// ran, with last set on a run's final page. It may keep per-run state
+	// ran, with the run the page belongs to. It may keep per-run state
 	// between calls and attaches what the coordinator needs to res. With no
-	// sink the surviving batch itself is the product.
-	sink func() func(res *morselResult, last bool)
+	// sink the surviving batch itself is the product; a sink that leaves
+	// matches on res has the batch cross with them.
+	sink func() func(res *morselResult, run storage.MorselRun)
 	// leafLabel, when set, gives the pump's scan accounting a profile span
 	// of its own under the operator's, as if a scan leaf had charged it.
 	leafLabel string
@@ -384,7 +388,7 @@ type morselPump struct {
 // producer is the state one producer keeps across pages.
 type producer struct {
 	ws   stageScratch
-	sink func(res *morselResult, last bool)
+	sink func(res *morselResult, run storage.MorselRun)
 }
 
 func (p *morselPump) newProducer() *producer {
@@ -395,10 +399,10 @@ func (p *morselPump) newProducer() *producer {
 	return w
 }
 
-func (p *morselPump) produce(w *producer, res *morselResult, idx int, last bool) {
+func (p *morselPump) produce(w *producer, res *morselResult, idx int, run storage.MorselRun) {
 	p.frag.run(res, idx, p.src.Page(idx), &w.ws)
 	if w.sink != nil {
-		w.sink(res, last)
+		w.sink(res, run)
 	}
 }
 
@@ -471,11 +475,11 @@ func (p *morselPump) worker() {
 			} else {
 				res = new(morselResult)
 			}
-			p.produce(w, res, idx, idx == run.End-1)
-			if w.sink != nil || res.rows == 0 {
-				// No rows cross — the sink has consumed them, or none
-				// survived: drop the page view, so only the accounting
-				// travels.
+			p.produce(w, res, idx, run)
+			if res.rows == 0 || w.sink != nil && res.matches == 0 {
+				// No rows cross — none survived, or the sink has consumed
+				// them: drop the page view, so only the accounting travels.
+				// A probe's matches index into the rows, which cross.
 				res.batch = expr.Batch{}
 			} else {
 				res.adopt(&w.ws)
@@ -495,7 +499,7 @@ func (p *morselPump) take() *morselResult {
 		if p.nextIdx == p.run.End {
 			p.run, _ = p.src.NextRun()
 		}
-		p.produce(p.inline, &p.rec, p.nextIdx, p.nextIdx == p.run.End-1)
+		p.produce(p.inline, &p.rec, p.nextIdx, p.run)
 		p.nextIdx++
 		return &p.rec
 	}

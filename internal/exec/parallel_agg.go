@@ -4,6 +4,7 @@ import (
 	"ecodb/internal/catalog"
 	"ecodb/internal/expr"
 	"ecodb/internal/plan"
+	"ecodb/internal/storage"
 )
 
 // Aggregation over a heap fragment.
@@ -74,24 +75,48 @@ func (a *parallelAggOp) Open(ctx *Ctx) error {
 // sink makes one producer's page function: fold every page's surviving
 // rows into one run-local partial table — real computation and private
 // metering only, no simulated-machine access. Pages fold in page order, so
-// the partial's row vectors preserve the run's global row order. The table
-// rides on the run's last page; per-page accounting (fragment meters, row
-// counts, argument-evaluation cycles) stays on each page's own record.
-func (a *parallelAggOp) sink() func(*morselResult, bool) {
+// the partial's row vectors preserve the run's global row order. A new
+// partial sizes them once, on its run's first page with survivors
+// (runSurvivors); a recycled one keeps what its earlier runs grew, since
+// re-estimating would ratchet it up to the noisiest estimate. The
+// table rides on the run's last page; per-page accounting (fragment meters,
+// row counts, argument-evaluation cycles) stays on each page's own record.
+func (a *parallelAggOp) sink() func(*morselResult, storage.MorselRun) {
 	var part *aggTable
-	return func(res *morselResult, last bool) {
+	fresh := false // part is new and its row vectors not yet sized
+	return func(res *morselResult, run storage.MorselRun) {
 		if part == nil {
-			if part = a.spare.get(); part == nil {
+			part = a.spare.get()
+			if fresh = part == nil; fresh {
 				part = newAggTable(a.groupBy, a.aggs, true)
 			}
 		}
 		if res.rows > 0 {
+			if fresh {
+				part.reserve(runSurvivors(a.pump.src, res, run))
+				fresh = false
+			}
 			part.fold(&res.batch, &res.argMeter)
 		}
-		if last {
+		if res.idx == run.End-1 {
 			res.part, part = part, nil
 		}
 	}
+}
+
+// runSurvivors estimates how many rows of run will survive the fragment,
+// from res, the run's first page with survivors: that page's survival rate
+// over the physical rows from it to the run's end, with an eighth to spare,
+// but never more than those rows. A partial reserving it folds a run with
+// uniform survival without regrowing; reserving the physical rows outright
+// would cost a selective aggregation fifty times what it keeps.
+func runSurvivors(src *storage.MorselSource, res *morselResult, run storage.MorselRun) int {
+	left := 0
+	for i := res.idx; i < run.End; i++ {
+		left += src.Page(i).NumRows()
+	}
+	est := res.rows * left / src.Page(res.idx).NumRows()
+	return min(left, est+est/8)
 }
 
 func (a *parallelAggOp) Next(ctx *Ctx) (*expr.Batch, error) {

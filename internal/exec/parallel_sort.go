@@ -7,6 +7,7 @@ import (
 	"ecodb/internal/expr"
 	"ecodb/internal/obsv"
 	"ecodb/internal/plan"
+	"ecodb/internal/storage"
 )
 
 // Sort over a heap fragment: run generation in the pump + loser-tree
@@ -74,15 +75,15 @@ func (s *parallelSortOp) Open(ctx *Ctx) error {
 // the run under their global ordinals, then — on the run's last page — one
 // sort of what the run kept. The sealed run rides that page's record, so
 // the coordinator sees it exactly when the run's last page is taken.
-func (s *parallelSortOp) sink() func(*morselResult, bool) {
+func (s *parallelSortOp) sink() func(*morselResult, storage.MorselRun) {
 	var sr *sortedRun
-	return func(res *morselResult, last bool) {
+	return func(res *morselResult, run storage.MorselRun) {
 		if sr == nil {
 			sr = newSortedRun(s.keys, s.limit, s.Schema().NumCols())
 			sr.bound = s.bound.Load()
 		}
 		sr.add(&res.batch, int64(res.idx)<<32)
-		if !last {
+		if res.idx != run.End-1 {
 			return
 		}
 		sr.seal()

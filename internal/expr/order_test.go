@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -87,6 +88,34 @@ func TestAppendFromMatchesAppendingValueByValue(t *testing.T) {
 			if (dst.Kind == KindNull) != (nulls == dst.Len()) {
 				t.Fatalf("case %d: kind %v with %d NULLs of %d elements", c, dst.Kind, nulls, dst.Len())
 			}
+		}
+	}
+}
+
+// An owned vector built up batch by batch costs the sum of the capacities
+// it grows through, so AppendFrom must grow geometrically: appending n
+// elements in small batches allocates at most about 4n elements in all.
+// Append's own 1.25× steps past 256 elements would cost about 5n.
+func TestAppendFromGrowsGeometrically(t *testing.T) {
+	const n, batch = 100_000, 64
+	src := &ColVec{}
+	sel := make([]int32, batch)
+	for i := range sel {
+		src.Append(Int(int64(i)))
+		sel[i] = int32(i)
+	}
+	for _, s := range [][]int32{nil, sel} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		dst := &ColVec{}
+		for dst.Len() < n {
+			dst.AppendFrom(src, s)
+		}
+		runtime.ReadMemStats(&after)
+		elems := float64(after.TotalAlloc-before.TotalAlloc) / 8
+		if elems > 4*n {
+			t.Errorf("sel %v: appending %d elements allocated %.0f elements' worth, want at most %d",
+				s != nil, dst.Len(), elems, 4*n)
 		}
 	}
 }

@@ -325,12 +325,22 @@ func (v *ColVec) AppendElem(src *ColVec, i int32) {
 	v.AppendFrom(src, one[:])
 }
 
-// gather appends src's elements at sel (nil = all of them) to dst.
+// gather appends src's elements at sel (nil = all of them) to dst. A dst
+// that must grow at least doubles: an owned vector is garbage once its
+// statement ends, so what it costs is the sum of the capacities it passed
+// through, and append's 1.25× steps past 256 elements would make that
+// several times its final size.
 func gather[T any](dst, src []T, sel []int32) []T {
+	n := len(sel)
+	if sel == nil {
+		n = len(src)
+	}
+	if cap(dst)-len(dst) < n {
+		dst = slices.Grow(dst, max(n, len(dst)))
+	}
 	if sel == nil {
 		return append(dst, src...)
 	}
-	dst = slices.Grow(dst, len(sel))
 	for _, i := range sel {
 		dst = append(dst, src[i])
 	}
