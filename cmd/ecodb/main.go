@@ -30,13 +30,11 @@ import (
 )
 
 var (
-	flagSF       = flag.Float64("sf", 0, "generated TPC-H scale factor override (0 = experiment default)")
-	flagAmp      = flag.Float64("amp", 0, "work amplification override (0 = experiment default)")
-	flagRuns     = flag.Int("runs", 0, "measurement repetitions per point (0 = experiment default)")
-	flagSeed     = flag.Uint64("seed", 0, "data-generation seed (0 = experiment default)")
-	flagZoneMaps = flag.Bool("zone-maps", true, "enable zone-map page pruning in the compression experiment's treated arm")
-	flagDict     = flag.Bool("dict-strings", true, "enable dictionary-encoded string columns in the compression experiment's treated arm")
-	flagMetrics  = flag.String("metrics", "", "dump the engine metrics registry after all experiments: text or json")
+	flagSF      = flag.Float64("sf", 0, "generated TPC-H scale factor override (0 = experiment default)")
+	flagAmp     = flag.Float64("amp", 0, "work amplification override (0 = experiment default)")
+	flagRuns    = flag.Int("runs", 0, "measurement repetitions per point (0 = experiment default)")
+	flagSeed    = flag.Uint64("seed", 0, "data-generation seed (0 = experiment default)")
+	flagMetrics = flag.String("metrics", "", "dump the engine metrics registry after all experiments: text or json")
 )
 
 func main() {
@@ -105,7 +103,7 @@ experiments:
   mechanisms ablation: decompose setting A's savings by mechanism
   sharedscan ablation: non-mergeable QED batches from one shared pass vs sequential
   compression ablation: plain vs compressed columnar storage — zone-map
-            pruning + dictionary strings (see -zone-maps, -dict-strings)
+            pruning + dictionary strings
   optimizer ablation: cost-and-energy optimizer objectives on a TPC-H Q5
             batch — hand-lowered vs latency-optimal vs joules-optimal plans
   server    ablation: query-server admission policies under open-loop load —
@@ -165,7 +163,7 @@ func runOne(name string) error {
 	case "sharedscan":
 		out = experiments.SharedScans(override(experiments.DefaultCommercialConfig()))
 	case "compression":
-		out = experiments.Compression(override(experiments.DefaultCommercialConfig()), *flagZoneMaps, *flagDict)
+		out = experiments.Compression(override(experiments.DefaultCommercialConfig()))
 	case "optimizer":
 		out = experiments.Optimizer(override(experiments.DefaultCommercialConfig()))
 	case "server":

@@ -65,13 +65,13 @@ func runServe(args []string) error {
 		log.Printf("ecodb serve: draining")
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			log.Printf("ecodb serve: drain: %v", err)
-		}
+		srv.Shutdown(ctx) // ListenAndServe returns its result once it finishes
 	}()
 
 	log.Printf("ecodb serve: listening on %s (policy=%s max-inflight=%d flush=%d/%gms)",
 		*addr, pol, *maxInflight, *flushN, *flushMs)
+	// ListenAndServe returns only after the drain: every accepted statement
+	// has been answered by then.
 	err = srv.ListenAndServe()
 	if err == nil {
 		log.Printf("ecodb serve: drained, bye")

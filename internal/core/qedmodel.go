@@ -46,20 +46,6 @@ func (m QEDModel) SequentialMeanResponse(n int) sim.Duration {
 	return m.Single * sim.Duration(n+1) / 2
 }
 
-// QEDMeanResponse predicts the mean per-query response under QED: every
-// query returns when the batch completes.
-func (m QEDModel) QEDMeanResponse(n int) sim.Duration { return m.MergedTime(n) }
-
-// ResponsePenalty predicts QED's mean response time relative to
-// sequential, e.g. 1.52 for "52% higher".
-func (m QEDModel) ResponsePenalty(n int) float64 {
-	seq := m.SequentialMeanResponse(n)
-	if seq <= 0 {
-		return 0
-	}
-	return float64(m.QEDMeanResponse(n)) / float64(seq)
-}
-
 // FirstQueryDegradation predicts how much longer the first query waits
 // versus running alone immediately.
 func (m QEDModel) FirstQueryDegradation(n int) sim.Duration {

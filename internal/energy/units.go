@@ -20,9 +20,6 @@ type Joules float64
 
 func (j Joules) String() string { return fmt.Sprintf("%.1fJ", float64(j)) }
 
-// Amps is electrical current on a supply line.
-type Amps float64
-
 // Volts is electrical potential.
 type Volts float64
 

@@ -201,7 +201,7 @@ func TestRunPartialSizesRowVectorsOnce(t *testing.T) {
 		{Func: plan.Avg, Arg: v, Name: "avg_v"},
 		{Func: plan.Count, Name: "n"},
 	})
-	a := newParallelAgg(heapFragment(n.Input, nil), n, 1)
+	a := unwrapSpan(CompileParallel(n, 1)).(*aggOp)
 	ctx, _ := testCtx()
 	if err := a.Open(ctx); err != nil {
 		t.Fatal(err)

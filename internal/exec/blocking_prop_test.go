@@ -416,7 +416,7 @@ func genPropPlan(rng *rand.Rand) plan.Node {
 	switch rng.Intn(6) {
 	case 0, 1: // Sort and Limit(Sort) over a fragment
 		return genSort(rng, genInput(rng, a), sortableCols(a.cols), rows)
-	case 2: // a join, bare or under a serial sort
+	case 2: // a join, bare or under a sort with the join as its input operator
 		j, cols := genJoin(rng, a, b)
 		if rng.Intn(3) == 0 {
 			return genSort(rng, j, sortableCols(cols), rows)
@@ -428,7 +428,7 @@ func genPropPlan(rng *rand.Rand) plan.Node {
 			return genSort(rng, g, sortableCols(cols), rows)
 		}
 		return g
-	case 4: // a serial aggregation, over a join
+	case 4: // an aggregation with a join as its input operator
 		j, cols := genJoin(rng, a, b)
 		g, _ := genAgg(rng, j, cols)
 		return g

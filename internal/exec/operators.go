@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"ecodb/internal/catalog"
 	"ecodb/internal/expr"
@@ -59,14 +60,17 @@ func Drain(ctx *Ctx, op Operator, fn func(*expr.Batch) error) error {
 // the caller's goroutine.
 func Compile(n plan.Node) Operator { return CompileParallel(n, 1) }
 
-// fusedOp runs a chain of adjacent filter/project stages as one operator
-// over an input that is not a heap scan — operator fusion: every stage of a
-// batch runs back to back over the same column vectors with no per-stage
-// operator dispatch, through the stage loop the heap fragments run
-// (stageScratch.apply). Cycle charging is per stage, in pipeline order.
+// fusedOp runs a chain of adjacent filter/project stages as one operator —
+// operator fusion: every stage of a batch runs back to back over the same
+// column vectors with no per-stage operator dispatch (stageScratch.apply).
+// Cycle charging is per stage, in pipeline order. Over a heap the chain,
+// scan included, is the fragment of the operator's own pump, and the pump's
+// pages with surviving rows are the output; over any other input operator
+// the stages run on the coordinator, batch by batch.
 type fusedOp struct {
-	input  Operator
-	stages []fragStage
+	input  Operator // nil when the pump runs the chain
+	pump   morselPump
+	stages []fragStage // the operator-input chain; the pump's are in its fragment
 	schema *catalog.Schema
 
 	view   expr.Batch // the input batch as narrowed and projected so far
@@ -78,11 +82,23 @@ func (f *fusedOp) Schema() *catalog.Schema { return f.schema }
 
 func (f *fusedOp) Open(ctx *Ctx) error {
 	f.meters = make([]expr.Cost, len(f.stages))
-	return f.input.Open(ctx)
+	return openInput(ctx, f.input, &f.pump)
 }
 
+// Next returns the next batch with surviving rows; batches without are
+// charged and skipped.
 func (f *fusedOp) Next(ctx *Ctx) (*expr.Batch, error) {
 	for {
+		if f.input == nil {
+			res := f.pump.next(ctx)
+			if res == nil {
+				return nil, nil
+			}
+			if res.rows > 0 {
+				return &res.batch, nil
+			}
+			continue
+		}
 		in, err := f.input.Next(ctx)
 		if err != nil || in == nil {
 			return nil, err
@@ -100,7 +116,7 @@ func (f *fusedOp) Next(ctx *Ctx) (*expr.Batch, error) {
 
 func (f *fusedOp) Close(ctx *Ctx) error {
 	f.view, f.ws, f.meters = expr.Batch{}, stageScratch{}, nil
-	return f.input.Close(ctx)
+	return closeInput(ctx, f.input, &f.pump)
 }
 
 // hashJoinOp drains the build side into one owned columnar batch during
@@ -205,11 +221,7 @@ func (j *hashJoinOp) Open(ctx *Ctx) error {
 	j.table = expr.BuildJoinTable(&j.rows.Cols[j.buildKey])
 	j.out = *expr.NewBatch(j.schema.NumCols())
 	j.resid = *expr.NewBatch(len(j.residCols))
-	if j.probe == nil {
-		j.pump.open(ctx)
-		return nil
-	}
-	return j.probe.Open(ctx)
+	return openInput(ctx, j.probe, &j.pump)
 }
 
 func (j *hashJoinOp) Next(ctx *Ctx) (*expr.Batch, error) {
@@ -278,15 +290,10 @@ func (j *hashJoinOp) gather(dst *expr.Batch, cols []int, in *expr.Batch, ps *pro
 }
 
 func (j *hashJoinOp) Close(ctx *Ctx) error {
-	if j.probe == nil {
-		j.pump.close() // stop the producers before releasing what they read
-	}
+	err := closeInput(ctx, j.probe, &j.pump) // stop the producers before releasing what they read
 	j.rows, j.table, j.scratch = expr.Batch{}, nil, probeScratch{}
 	j.out, j.resid, j.sel = expr.Batch{}, expr.Batch{}, nil
-	if j.probe == nil {
-		return nil
-	}
-	return j.probe.Close(ctx)
+	return err
 }
 
 // aggTable is the group table of a hash aggregation, columnar throughout:
@@ -615,13 +622,18 @@ func (o *aggOutput) next(ctx *Ctx) *expr.Batch {
 
 // aggOp is a hash aggregation over single- or multi-column groups. It
 // consumes its whole input on the first Next, then serves the grouped
-// output in batches.
+// output in batches. Over a heap fragment its own pump's producers fold
+// their runs into partial tables (parallel_agg.go); over any other input
+// operator the coordinator folds each batch into the global table itself.
 type aggOp struct {
-	input   Operator
+	input   Operator // nil when the pump feeds the aggregation
+	pump    morselPump
 	groupBy []int
 	aggs    []plan.AggSpec
 	schema  *catalog.Schema
 
+	table   *aggTable
+	spare   freeList[aggTable] // merged partials, for the producers' next runs
 	started bool
 	out     aggOutput
 }
@@ -629,9 +641,10 @@ type aggOp struct {
 func (a *aggOp) Schema() *catalog.Schema { return a.schema }
 
 func (a *aggOp) Open(ctx *Ctx) error {
+	a.table = newAggTable(a.groupBy, a.aggs, false)
 	a.started = false
 	a.out = aggOutput{res: *expr.NewBatch(a.schema.NumCols())}
-	return a.input.Open(ctx)
+	return openInput(ctx, a.input, &a.pump)
 }
 
 func (a *aggOp) Next(ctx *Ctx) (*expr.Batch, error) {
@@ -644,37 +657,56 @@ func (a *aggOp) Next(ctx *Ctx) (*expr.Batch, error) {
 	return a.out.next(ctx), nil
 }
 
-// consume drains the input into the group table, then emits one output row
-// per group. Batches are consumed straight from their column payloads, so
-// the per-tuple work is one hash-table probe and the accumulator folds.
+// consume drains the input into the global group table, then emits one
+// output row per group. Batches are consumed straight from their column
+// payloads, so the per-tuple work is one hash-table probe and the
+// accumulator folds. The pump's pages come in page order — after each
+// page's scan accounting, the aggregation's per-row cycles and argument
+// meter, and on a run's last page the merge of the run's partial — so run
+// partials arrive in run order, the order aggTable.merge needs.
 func (a *aggOp) consume(ctx *Ctx) error {
-	table := newAggTable(a.groupBy, a.aggs, false)
-	var meter expr.Cost
-	for {
-		in, err := a.input.Next(ctx)
-		if err != nil {
-			return err
+	if a.input == nil {
+		for res := a.pump.next(ctx); res != nil; res = a.pump.next(ctx) {
+			if res.rows > 0 {
+				ctx.Cost.AggFold(ctx, float64(res.rows))
+				ctx.ChargeExpr(&res.argMeter)
+			}
+			if res.part != nil {
+				a.table.merge(res.part)
+				res.part.reset()
+				a.spare.put(res.part)
+			}
 		}
-		if in == nil {
-			break
+	} else {
+		var meter expr.Cost
+		for {
+			in, err := a.input.Next(ctx)
+			if err != nil {
+				return err
+			}
+			if in == nil {
+				break
+			}
+			ctx.Cost.AggFold(ctx, float64(in.Len()))
+			a.table.fold(in, &meter)
+			ctx.ChargeExpr(&meter)
 		}
-		ctx.Cost.AggFold(ctx, float64(in.Len()))
-		table.fold(in, &meter)
-		ctx.ChargeExpr(&meter)
 	}
-	table.emit(&a.out.res)
+	a.table.emit(&a.out.res)
 	ctx.Cost.AggEmit(ctx, float64(a.out.res.N))
 	ctx.Flush()
 	return nil
 }
 
 func (a *aggOp) Close(ctx *Ctx) error {
-	a.out = aggOutput{}
-	return a.input.Close(ctx)
+	err := closeInput(ctx, a.input, &a.pump)
+	a.table, a.out = nil, aggOutput{}
+	return err
 }
 
 // sortedRun accumulates rows and orders them by (keys, arrival ordinal): the
-// whole input of the serial sort, or one morsel run of the parallel one.
+// whole input of a sort over an input operator, or one claimed run of pages
+// of a sort over its own pump.
 // Rows are copied columnar into buf as they arrive and ordered through a
 // permutation, so serving gathers typed vectors straight from the buffer.
 // Ordinals rise with arrival, which makes the order total — a stable sort
@@ -845,70 +877,119 @@ func (r *sortedRun) seal() {
 	})
 }
 
-// sortOp materializes its input on the first Next and sorts it, charging
-// n·log₂n compares on the rows consumed, then serves the ordered rows in
-// columnar batches gathered from the run's buffer — downstream consumers
-// keep their columnar fast paths instead of receiving re-rowified batches.
+// sortOp materializes its input into sorted runs on the first Next,
+// charging n·log₂n compares on the rows consumed, then merges the runs and
+// serves the ordered rows in columnar batches gathered from the runs'
+// buffers — downstream consumers keep their columnar fast paths instead of
+// receiving re-rowified batches. Over a heap fragment its own pump's
+// producers generate one sorted run per claimed run of pages
+// (parallel_sort.go); over any other input operator the coordinator sorts
+// the whole input as one run.
 type sortOp struct {
-	input Operator
-	keys  []plan.SortKey
-	limit int // handed down by a Limit directly above; negative = none
+	input  Operator // nil when the pump generates the runs
+	pump   morselPump
+	keys   []plan.SortKey
+	limit  int // handed down by a Limit directly above; negative = none
+	schema *catalog.Schema
 
-	run *sortedRun
-	out expr.Batch
+	// bound is the tightest cutoff any sealed pump run has offered (see
+	// sortedRun.bound): the limit-th row of a run that kept limit rows.
+	// Which rows a run keeps therefore depends on which runs sealed before
+	// it started, but the first limit rows of the merge do not — no row
+	// among them ever sorts after a bound.
+	bound  atomic.Pointer[sortBound]
+	runs   []*sortedRun
+	lt     *loserTree
+	served int
+	out    expr.Batch
 }
 
-func (s *sortOp) Schema() *catalog.Schema { return s.input.Schema() }
+func (s *sortOp) Schema() *catalog.Schema { return s.schema }
 
 func (s *sortOp) Open(ctx *Ctx) error {
-	s.run = nil
-	s.out = *expr.NewBatch(s.input.Schema().NumCols())
-	return s.input.Open(ctx)
+	s.runs, s.lt, s.served = nil, nil, 0
+	s.bound.Store(nil)
+	s.out = *expr.NewBatch(s.schema.NumCols())
+	return openInput(ctx, s.input, &s.pump)
 }
 
-func (s *sortOp) Next(ctx *Ctx) (*expr.Batch, error) {
-	if s.run == nil {
-		s.run = newSortedRun(s.keys, s.limit, s.input.Schema().NumCols())
+// consume collects the sorted runs — the pump's in page order, or the one
+// run of the whole input operator — then charges the sort formula on the
+// rows consumed over all of them and seats the merge tree.
+func (s *sortOp) consume(ctx *Ctx) error {
+	rows := 0
+	if s.input == nil {
+		for res := s.pump.next(ctx); res != nil; res = s.pump.next(ctx) {
+			if res.run != nil {
+				rows += res.run.rows
+				if len(res.run.perm) > 0 {
+					s.runs = append(s.runs, res.run)
+				}
+			}
+		}
+	} else {
+		run := newSortedRun(s.keys, s.limit, s.schema.NumCols())
 		base := int64(0)
 		for {
 			in, err := s.input.Next(ctx)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if in == nil {
 				break
 			}
-			s.run.add(in, base)
+			run.add(in, base)
 			base += int64(in.N)
 		}
-		s.run.seal()
-		obsv.SortRows.Add(int64(s.run.rows))
-		ctx.Cost.Sort(ctx, float64(s.run.rows))
-		ctx.Flush()
+		run.seal()
+		rows = run.rows
+		s.runs = []*sortedRun{run}
 	}
-	return s.serve(ctx), nil
+	obsv.SortRows.Add(int64(rows))
+	ctx.Cost.Sort(ctx, float64(rows))
+	ctx.Flush()
+	if s.input == nil && len(s.runs) > 0 {
+		obsv.MergePasses.Inc() // single-level merge: one pass over the runs
+	}
+	s.lt = newLoserTree(s.runs)
+	return nil
 }
 
-// serve hands out the next batch-sized window of the sorted permutation,
-// gathered columnar from the run's buffer; nil once all rows are served.
-func (s *sortOp) serve(ctx *Ctx) *expr.Batch {
-	r := s.run
-	if r.pos >= len(r.perm) {
-		return nil
+// Next serves the merge's next batch. Each stretch of rows the winning run
+// supplies before another run's head sorts first is gathered with one
+// AppendFrom per column, so a one-run sort gathers each batch at once.
+func (s *sortOp) Next(ctx *Ctx) (*expr.Batch, error) {
+	if s.lt == nil {
+		if err := s.consume(ctx); err != nil {
+			return nil, err
+		}
 	}
-	end := min(r.pos+ctx.BatchTarget(), len(r.perm))
+	target := ctx.BatchTarget()
+	if s.limit >= 0 {
+		target = min(target, s.limit-s.served)
+	}
 	s.out.Reset()
-	for c := range s.out.Cols {
-		s.out.Cols[c].AppendFrom(&r.buf.Cols[c], r.perm[r.pos:end])
+	for s.out.N < target {
+		run, rows := s.lt.popStretch(target - s.out.N)
+		if run == nil {
+			break
+		}
+		for c := range s.out.Cols {
+			s.out.Cols[c].AppendFrom(&run.buf.Cols[c], rows)
+		}
+		s.out.N += len(rows)
 	}
-	s.out.N = end - r.pos
-	r.pos = end
-	return &s.out
+	if s.out.N == 0 {
+		return nil, nil
+	}
+	s.served += s.out.N
+	return &s.out, nil
 }
 
 func (s *sortOp) Close(ctx *Ctx) error {
-	s.run = nil
-	return s.input.Close(ctx)
+	err := closeInput(ctx, s.input, &s.pump)
+	s.runs, s.lt = nil, nil
+	return err
 }
 
 // limitOp serves the first n rows. The input still runs to completion,

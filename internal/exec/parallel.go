@@ -30,14 +30,16 @@ import (
 // interleaving. Multi-core simulated time remains the engine's business:
 // it charges work via cpu.SetParallelism.
 
-// CompileParallel lowers a plan to physical operators. Which operator a
-// node becomes depends on the plan's shape alone: every maximal
-// scan→filter→project chain over a heap becomes one pump-driven fragment,
-// and an Agg, Sort or hash-join probe directly over such a chain absorbs it;
-// the same nodes over any other input (a join, an aggregation, a limit)
-// become the Operator-input forms. workers only sizes the pumps' producer
-// pools (below 2: inline, no goroutine). Unknown node types panic: the
-// operator set is closed.
+// CompileParallel lowers a plan to physical operators, one operator type
+// per algorithm — fused filter/project chain, aggregation, sort, hash join
+// — whose input is either its own morsel pump or an input operator, never
+// both. Which one depends on the plan's shape alone: every maximal
+// scan→filter→project chain over a heap becomes one pump-driven fusedOp,
+// and an Agg, Sort or hash-join probe directly over such a chain absorbs it
+// into a pump of its own; the same nodes over any other input (a join, an
+// aggregation, a limit) take it as an input operator. workers only sizes
+// the pumps' producer pools (below 2: inline, no goroutine). Unknown node
+// types panic: the operator set is closed.
 func CompileParallel(n plan.Node, workers int) Operator {
 	return compile(n, max(workers, 1), nil)
 }
@@ -48,7 +50,7 @@ func CompileParallel(n plan.Node, workers int) Operator {
 // pass) own their page order.
 func compile(n plan.Node, workers int, leaf ScanLeaf) Operator {
 	if f := heapFragment(n, leaf); f != nil {
-		return wrapSpan(&morselExec{pump: morselPump{frag: f, workers: workers}},
+		return wrapSpan(&fusedOp{pump: morselPump{frag: f, workers: workers}, schema: f.schema},
 			obsv.KindScan, f.label(workers), f.table.Name)
 	}
 	switch n := n.(type) {
@@ -79,13 +81,15 @@ func compile(n plan.Node, workers int, leaf ScanLeaf) Operator {
 			n.Build.Schema().Columns()[n.BuildKey].Name,
 			n.Probe.Schema().Columns()[n.ProbeKey].Name), "")
 	case *plan.Agg:
+		a := &aggOp{groupBy: n.GroupBy, aggs: n.Aggs, schema: n.Schema()}
 		if f := heapFragment(n.Input, leaf); f != nil {
 			// The aggregation boundary joins the fragment: producers
 			// pre-aggregate their runs (parallel_agg.go).
-			return wrapSpan(newParallelAgg(f, n, workers), obsv.KindAgg,
+			a.pump = morselPump{frag: f, workers: workers, sink: a.sink}
+			return wrapSpan(a, obsv.KindAgg,
 				fmt.Sprintf("ParallelAgg(%s x%d)", f.table.Name, workers), f.table.Name)
 		}
-		a := &aggOp{input: compile(n.Input, workers, leaf), groupBy: n.GroupBy, aggs: n.Aggs, schema: n.Schema()}
+		a.input = compile(n.Input, workers, leaf)
 		return wrapSpan(a, obsv.KindAgg, fmt.Sprintf("Agg(groups=%d aggs=%d)", len(n.GroupBy), len(n.Aggs)), "")
 	case *plan.Sort:
 		return compileSort(n, -1, workers, leaf)
@@ -107,20 +111,22 @@ func compile(n plan.Node, workers int, leaf ScanLeaf) Operator {
 // compileSort lowers a Sort whose consumer takes only the first limit rows
 // (negative = all of them).
 func compileSort(n *plan.Sort, limit, workers int, leaf ScanLeaf) Operator {
+	s := &sortOp{keys: n.Keys, limit: limit, schema: n.Schema()}
 	if f := heapFragment(n.Input, leaf); f != nil {
 		// The sort boundary joins the fragment: producers generate sorted
 		// runs and the coordinator merges them (parallel_sort.go).
-		return wrapSpan(newParallelSort(f, n.Keys, limit, workers), obsv.KindSort,
+		s.pump = morselPump{frag: f, workers: workers, sink: s.sink}
+		return wrapSpan(s, obsv.KindSort,
 			fmt.Sprintf("ParallelSort(%s x%d)", f.table.Name, workers), f.table.Name)
 	}
-	return wrapSpan(&sortOp{input: compile(n.Input, workers, leaf), keys: n.Keys, limit: limit},
-		obsv.KindSort, fmt.Sprintf("Sort(keys=%d)", len(n.Keys)), "")
+	s.input = compile(n.Input, workers, leaf)
+	return wrapSpan(s, obsv.KindSort, fmt.Sprintf("Sort(keys=%d)", len(n.Keys)), "")
 }
 
 // compileFused folds the maximal chain of adjacent Filter/Project nodes
-// rooted at n into one fused operator over the chain's input, which is not
-// a heap scan (heapFragment took the chain otherwise): a join, an
-// aggregation, a limit, or a shared-pass leaf. Stage order is bottom-up
+// rooted at n into one fused operator over the chain's input operator,
+// which is not a heap scan (heapFragment took the chain otherwise): a join,
+// an aggregation, a limit, or a shared-pass leaf. Stage order is bottom-up
 // (execution order); cycle charging per stage is identical to an unfused
 // operator chain.
 func compileFused(n plan.Node, workers int, leaf ScanLeaf) Operator {
@@ -591,6 +597,25 @@ func (p *morselPump) close() {
 	p.spent = nil
 }
 
+// openInput opens an operator's input: the input operator, or — when there
+// is none — the operator's own pump.
+func openInput(ctx *Ctx, input Operator, pump *morselPump) error {
+	if input == nil {
+		pump.open(ctx)
+		return nil
+	}
+	return input.Open(ctx)
+}
+
+// closeInput closes what openInput opened. It is idempotent.
+func closeInput(ctx *Ctx, input Operator, pump *morselPump) error {
+	if input == nil {
+		pump.close()
+		return nil
+	}
+	return input.Close(ctx)
+}
+
 // freeList parks the buffers of merged items for producers to fill again,
 // so a steady stream of pages allocates none. The zero value is ready to
 // use. It belongs to one operator execution and is garbage with it — a
@@ -618,36 +643,4 @@ func (f *freeList[T]) put(x *T) {
 	f.mu.Lock()
 	f.items = append(f.items, x)
 	f.mu.Unlock()
-}
-
-// morselExec is the scan leaf: a pump with no sink, whose surviving batches
-// are the operator's output, in page order.
-type morselExec struct {
-	pump morselPump
-}
-
-func (m *morselExec) Schema() *catalog.Schema { return m.pump.frag.schema }
-
-func (m *morselExec) Open(ctx *Ctx) error {
-	m.pump.open(ctx)
-	return nil
-}
-
-// Next returns the next page with surviving rows; pages without are charged
-// and skipped.
-func (m *morselExec) Next(ctx *Ctx) (*expr.Batch, error) {
-	for {
-		res := m.pump.next(ctx)
-		if res == nil {
-			return nil, nil
-		}
-		if res.rows > 0 {
-			return &res.batch, nil
-		}
-	}
-}
-
-func (m *morselExec) Close(*Ctx) error {
-	m.pump.close()
-	return nil
 }

@@ -1,11 +1,6 @@
 package exec
 
-import (
-	"ecodb/internal/catalog"
-	"ecodb/internal/expr"
-	"ecodb/internal/plan"
-	"ecodb/internal/storage"
-)
+import "ecodb/internal/storage"
 
 // Aggregation over a heap fragment.
 //
@@ -14,9 +9,10 @@ import (
 // fragment over its pages AND folds the surviving rows into a private,
 // run-local partial table, fed straight from the batch's column payloads
 // (group keys encoded column-wise by expr.GroupKeys, aggregate arguments
-// evaluated batch-wise into vectors). The coordinator merges partial tables
-// in ascending page order and emits groups in sorted group-key order — the
-// same order aggOp emits.
+// evaluated batch-wise into vectors), one partial per claimed run of
+// adjacent pages, amortizing table and scratch allocations across the run.
+// The coordinator merges partial tables in ascending page order and emits
+// groups in sorted group-key order — the order of every aggregation.
 //
 // Determinism is the design constraint, and it dictates what a partial may
 // pre-reduce:
@@ -34,43 +30,9 @@ import (
 //
 // Simulated accounting replays in the coordinator: per page, the
 // scan/filter/project charges (morselPump.next), then the aggregation's
-// per-row cycles and the argument-evaluation meter — what aggOp over a scan
-// leaf charges. Results, durations, and joules are bit-identical across
-// worker counts by construction.
-
-// parallelAggOp is the pump-driven aggregation operator: producers run the
-// fragment and pre-aggregate each run — one partial table per claimed run of
-// adjacent pages, amortizing table and scratch allocations across the run —
-// and the coordinator merges partials in page order and serves the grouped
-// output in batches.
-type parallelAggOp struct {
-	groupBy []int
-	aggs    []plan.AggSpec
-	schema  *catalog.Schema
-
-	pump    morselPump
-	table   *aggTable
-	spare   freeList[aggTable] // merged partials, for the producers' next runs
-	started bool
-	out     aggOutput
-}
-
-// newParallelAgg builds the operator for Agg(fragment) plans.
-func newParallelAgg(f *fragment, n *plan.Agg, workers int) *parallelAggOp {
-	a := &parallelAggOp{groupBy: n.GroupBy, aggs: n.Aggs, schema: n.Schema()}
-	a.pump = morselPump{frag: f, workers: workers, sink: a.sink}
-	return a
-}
-
-func (a *parallelAggOp) Schema() *catalog.Schema { return a.schema }
-
-func (a *parallelAggOp) Open(ctx *Ctx) error {
-	a.table = newAggTable(a.groupBy, a.aggs, false)
-	a.started = false
-	a.out = aggOutput{res: *expr.NewBatch(a.schema.NumCols())}
-	a.pump.open(ctx)
-	return nil
-}
+// per-row cycles and the argument-evaluation meter — what an aggregation
+// over a scan operator charges. Results, durations, and joules are
+// bit-identical across worker counts by construction.
 
 // sink makes one producer's page function: fold every page's surviving
 // rows into one run-local partial table — real computation and private
@@ -81,7 +43,7 @@ func (a *parallelAggOp) Open(ctx *Ctx) error {
 // re-estimating would ratchet it up to the noisiest estimate. The
 // table rides on the run's last page; per-page accounting (fragment meters,
 // row counts, argument-evaluation cycles) stays on each page's own record.
-func (a *parallelAggOp) sink() func(*morselResult, storage.MorselRun) {
+func (a *aggOp) sink() func(*morselResult, storage.MorselRun) {
 	var part *aggTable
 	fresh := false // part is new and its row vectors not yet sized
 	return func(res *morselResult, run storage.MorselRun) {
@@ -117,41 +79,4 @@ func runSurvivors(src *storage.MorselSource, res *morselResult, run storage.Mors
 	}
 	est := res.rows * left / src.Page(res.idx).NumRows()
 	return min(left, est+est/8)
-}
-
-func (a *parallelAggOp) Next(ctx *Ctx) (*expr.Batch, error) {
-	if !a.started {
-		a.started = true
-		a.consume(ctx)
-	}
-	return a.out.next(ctx), nil
-}
-
-// consume drains the pump in page order — after each page's scan
-// accounting, the aggregation's per-row cycles and argument meter, and on a
-// run's last page the merge of the run's partial into the global group
-// table — then emits the grouped output. Run partials arrive in run order
-// (runs are contiguous and pages are taken in ascending order), which is
-// the order aggTable.merge needs.
-func (a *parallelAggOp) consume(ctx *Ctx) {
-	for res := a.pump.next(ctx); res != nil; res = a.pump.next(ctx) {
-		if res.rows > 0 {
-			ctx.Cost.AggFold(ctx, float64(res.rows))
-			ctx.ChargeExpr(&res.argMeter)
-		}
-		if res.part != nil {
-			a.table.merge(res.part)
-			res.part.reset()
-			a.spare.put(res.part)
-		}
-	}
-	a.table.emit(&a.out.res)
-	ctx.Cost.AggEmit(ctx, float64(a.out.res.N))
-	ctx.Flush()
-}
-
-func (a *parallelAggOp) Close(*Ctx) error {
-	a.pump.close()
-	a.table, a.out = nil, aggOutput{}
-	return nil
 }

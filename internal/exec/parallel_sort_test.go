@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"ecodb/internal/expr"
@@ -16,24 +18,15 @@ func TestCompileParallelSortLowering(t *testing.T) {
 		[]expr.Expr{k}, []string{"k"}, []expr.Kind{expr.KindInt})
 	srt := plan.NewSort(chain, plan.SortKey{Col: 0, Desc: true})
 
-	if _, ok := unwrapSpan(CompileParallel(srt, 4)).(*parallelSortOp); !ok {
-		t.Fatalf("sort over fragment compiled to %T, want parallel sort",
-			unwrapSpan(CompileParallel(srt, 4)))
+	if got := opTree(CompileParallel(srt, 4)); got != "sort(pump)" {
+		t.Fatalf("sort over fragment compiled to %s, want sort(pump)", got)
 	}
 
-	// A sort over a blocking input takes an operator; the fragment below
-	// the blocking input still folds into a morsel leaf.
+	// A sort over a blocking input takes an input operator; the fragment
+	// below the blocking input still folds into a pump-driven fused operator.
 	overLimit := plan.NewSort(plan.NewLimit(chain, 5), plan.SortKey{Col: 0})
-	root, ok := unwrapSpan(CompileParallel(overLimit, 4)).(*sortOp)
-	if !ok {
-		t.Fatalf("sort over limit compiled to %T", unwrapSpan(CompileParallel(overLimit, 4)))
-	}
-	lim, ok := unwrapSpan(root.input).(*limitOp)
-	if !ok {
-		t.Fatalf("sort input compiled to %T, want limit", unwrapSpan(root.input))
-	}
-	if _, ok := unwrapSpan(lim.input).(*morselExec); !ok {
-		t.Fatalf("limit input compiled to %T, want morsel fragment", unwrapSpan(lim.input))
+	if got := opTree(CompileParallel(overLimit, 4)); got != "sort(limit(fused(pump)))" {
+		t.Fatalf("sort over limit compiled to %s", got)
 	}
 }
 
@@ -65,8 +58,8 @@ func TestParallelSortEarlyCloseStopsWorkers(t *testing.T) {
 	ctx, _ := testCtx()
 	tb := numbersTable(t, "t", 20000)
 	op := CompileParallel(plan.NewSort(plan.NewScan(tb, nil), plan.SortKey{Col: 0, Desc: true}), 4)
-	if _, ok := unwrapSpan(op).(*parallelSortOp); !ok {
-		t.Fatalf("compiled to %T, want parallel sort", unwrapSpan(op))
+	if got := opTree(op); got != "sort(pump)" {
+		t.Fatalf("compiled to %s, want sort(pump)", got)
 	}
 	if err := op.Open(ctx); err != nil {
 		t.Fatal(err)
@@ -141,9 +134,80 @@ func TestSortedRunBoundKeepsEarlierTies(t *testing.T) {
 
 	lt := newLoserTree([]*sortedRun{later, earlier})
 	for i, want := range []int64{3, 1} { // key 0 at ordinal 3, then the earliest 1
-		run, row := lt.pop()
-		if run != earlier || run.ord[row] != want {
-			t.Fatalf("merged row %d has ordinal %d, want %d from the earlier run", i, run.ord[row], want)
+		run, rows := lt.popStretch(1)
+		if run != earlier || len(rows) != 1 || run.ord[rows[0]] != want {
+			t.Fatalf("merged row %d is %v of run %p, want ordinal %d from the earlier run %p", i, rows, run, want, earlier)
+		}
+	}
+}
+
+// The merge gathers each stretch of rows one run supplies with one
+// AppendFrom per column. What it serves must still be a naive merge of the
+// runs — every row, and every batch boundary at the batch target and the
+// limit — whether the runs interleave row by row or one run supplies whole
+// batches.
+func TestSortMergeServesNaiveMergeBatches(t *testing.T) {
+	const batch, rows = 4, 30
+	keys := []plan.SortKey{{Col: 0}}
+	interleaved, blocks := make([][]int64, 3), make([][]int64, 3)
+	for i := 0; i < rows; i++ {
+		interleaved[i%3] = append(interleaved[i%3], int64(i/2)) // ties across runs
+		blocks[i/10] = append(blocks[i/10], int64(rows-1-i))    // runs in reverse key order
+	}
+	cases := map[string][][]int64{
+		"runs interleave row by row":     interleaved,
+		"one run supplies whole batches": blocks,
+		"one run":                        {interleaved[0]},
+	}
+	for name, lists := range cases {
+		for _, limit := range []int{-1, 0, 1, 5, 13, rows, 2 * rows} {
+			// Each row carries its ordinal in column 1; run r's ordinals
+			// start at r<<32, as a pump run's do at its first page's.
+			var runs []*sortedRun
+			var want [][2]int64
+			for r, ks := range lists {
+				b := expr.NewBatch(2)
+				for i, k := range ks {
+					ord := int64(r)<<32 + int64(i)
+					b.AppendRow(expr.Row{expr.Int(k), expr.Int(ord)})
+					want = append(want, [2]int64{k, ord})
+				}
+				run := newSortedRun(keys, limit, 2)
+				run.add(b, int64(r)<<32)
+				run.seal()
+				if len(run.perm) > 0 {
+					runs = append(runs, run)
+				}
+			}
+			slices.SortFunc(want, func(a, b [2]int64) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+			if limit >= 0 && limit < len(want) {
+				want = want[:limit]
+			}
+			ctx, _ := testCtx()
+			ctx.BatchSize = batch
+			s := &sortOp{keys: keys, limit: limit, out: *expr.NewBatch(2), runs: runs, lt: newLoserTree(runs)}
+			for i := 0; ; i++ {
+				b, err := s.Next(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantBatch := want[min(i*batch, len(want)):min((i+1)*batch, len(want))]
+				if b == nil {
+					if len(wantBatch) > 0 {
+						t.Fatalf("%s, limit %d: batch %d missing, want %v", name, limit, i, wantBatch)
+					}
+					break
+				}
+				got := b.Rows()
+				if len(got) != len(wantBatch) {
+					t.Fatalf("%s, limit %d: batch %d has %d rows, want %d", name, limit, i, len(got), len(wantBatch))
+				}
+				for j, row := range got {
+					if row[0].I != wantBatch[j][0] || row[1].I != wantBatch[j][1] {
+						t.Fatalf("%s, limit %d: batch %d row %d is %v, want %v", name, limit, i, j, row, wantBatch[j])
+					}
+				}
+			}
 		}
 	}
 }

@@ -295,8 +295,8 @@ func TestParallelAggEarlyCloseStopsWorkers(t *testing.T) {
 	p := plan.NewAgg(plan.NewScan(gt, nil), []int{0},
 		[]plan.AggSpec{{Func: plan.Count, Name: "c"}})
 	op := CompileParallel(p, 4)
-	if _, ok := unwrapSpan(op).(*parallelAggOp); !ok {
-		t.Fatalf("compiled to %T, want parallel agg", unwrapSpan(op))
+	if got := opTree(op); got != "agg(pump)" {
+		t.Fatalf("compiled to %s, want agg(pump)", got)
 	}
 	if err := op.Open(ctx); err != nil {
 		t.Fatal(err)
@@ -339,29 +339,21 @@ func TestCompileParallelFoldsFragments(t *testing.T) {
 			expr.Cmp{Op: expr.LT, L: k, R: expr.Const{V: expr.Int(10)}}),
 		[]expr.Expr{k}, []string{"k"}, []expr.Kind{expr.KindInt})
 
-	if _, ok := unwrapSpan(CompileParallel(chain, 4)).(*morselExec); !ok {
-		t.Fatal("scan→filter→project chain should fold into one morsel operator")
+	if got := opTree(CompileParallel(chain, 4)); got != "fused(pump)" {
+		t.Fatalf("scan→filter→project chain compiled to %s, want one pump-driven fused operator", got)
 	}
 	// An agg over a fragment absorbs it: producers pre-aggregate their runs.
 	agg := plan.NewAgg(chain, nil, []plan.AggSpec{{Func: plan.Count, Name: "c"}})
-	if _, ok := unwrapSpan(CompileParallel(agg, 4)).(*parallelAggOp); !ok {
-		t.Fatalf("agg over fragment compiled to %T, want parallel agg", unwrapSpan(CompileParallel(agg, 4)))
+	if got := opTree(CompileParallel(agg, 4)); got != "agg(pump)" {
+		t.Fatalf("agg over fragment compiled to %s, want agg(pump)", got)
 	}
 
-	// An agg over a non-fragment input takes an operator; the chain below
-	// the blocking input still folds into a morsel leaf.
+	// An agg over a non-fragment input takes an input operator; the chain
+	// below the blocking input still folds into a pump-driven fused operator.
 	overLimit := plan.NewAgg(plan.NewLimit(chain, 5), nil,
 		[]plan.AggSpec{{Func: plan.Count, Name: "c"}})
-	root, ok := unwrapSpan(CompileParallel(overLimit, 4)).(*aggOp)
-	if !ok {
-		t.Fatalf("agg over limit compiled to %T", unwrapSpan(CompileParallel(overLimit, 4)))
-	}
-	lim, ok := unwrapSpan(root.input).(*limitOp)
-	if !ok {
-		t.Fatalf("agg input compiled to %T, want limit", unwrapSpan(root.input))
-	}
-	if _, ok := unwrapSpan(lim.input).(*morselExec); !ok {
-		t.Fatalf("limit input compiled to %T, want morsel fragment", unwrapSpan(lim.input))
+	if got := opTree(CompileParallel(overLimit, 4)); got != "agg(limit(fused(pump)))" {
+		t.Fatalf("agg over limit compiled to %s", got)
 	}
 }
 
@@ -374,23 +366,27 @@ func unwrapSpan(op Operator) Operator {
 	return op
 }
 
-// opTree renders the operator-type tree under op, span wrappers elided.
+// opTree renders the operator tree under op, span wrappers elided: each
+// operator by its kind, over its input operator or its own pump.
 func opTree(op Operator) string {
+	input := func(in Operator) string {
+		if in == nil {
+			return "pump"
+		}
+		return opTree(in)
+	}
 	switch o := unwrapSpan(op).(type) {
 	case *fusedOp:
-		return "fused(" + opTree(o.input) + ")"
+		return "fused(" + input(o.input) + ")"
 	case *hashJoinOp:
-		if o.probe == nil {
-			return "join(" + opTree(o.build) + ", pump)"
-		}
-		return "join(" + opTree(o.build) + ", " + opTree(o.probe) + ")"
+		return "join(" + opTree(o.build) + ", " + input(o.probe) + ")"
 	case *aggOp:
-		return "agg(" + opTree(o.input) + ")"
+		return "agg(" + input(o.input) + ")"
 	case *sortOp:
-		return "sort(" + opTree(o.input) + ")"
+		return "sort(" + input(o.input) + ")"
 	case *limitOp:
 		return "limit(" + opTree(o.input) + ")"
-	default: // leaves: the pump-driven operators
+	default: // a shared-pass leaf
 		return fmt.Sprintf("%T", o)
 	}
 }
@@ -415,24 +411,25 @@ func lowerings(t *testing.T) map[string]struct {
 		plan plan.Node
 		tree string
 	}{
-		"scan":              {plan.NewScan(tb, nil), "*exec.morselExec"},
-		"chain":             {chain, "*exec.morselExec"},
-		"agg(chain)":        {plan.NewAgg(chain, nil, count), "*exec.parallelAggOp"},
-		"agg(limit(chain))": {plan.NewAgg(plan.NewLimit(chain, 5), nil, count), "agg(limit(*exec.morselExec))"},
-		"sort(chain)":       {plan.NewSort(chain, plan.SortKey{Col: 0}), "*exec.parallelSortOp"},
+		"scan":              {plan.NewScan(tb, nil), "fused(pump)"},
+		"chain":             {chain, "fused(pump)"},
+		"agg(chain)":        {plan.NewAgg(chain, nil, count), "agg(pump)"},
+		"agg(limit(chain))": {plan.NewAgg(plan.NewLimit(chain, 5), nil, count), "agg(limit(fused(pump)))"},
+		"sort(chain)":       {plan.NewSort(chain, plan.SortKey{Col: 0}), "sort(pump)"},
 		"limit(sort(chain))": {plan.NewLimit(plan.NewSort(chain, plan.SortKey{Col: 0}), 7),
-			"limit(*exec.parallelSortOp)"},
+			"limit(sort(pump))"},
 		"sort(limit(chain))": {plan.NewSort(plan.NewLimit(chain, 5), plan.SortKey{Col: 0}),
-			"sort(limit(*exec.morselExec))"},
-		"join(scan, chain)":        {join(chain), "join(*exec.morselExec, pump)"},
-		"join(scan, limit(chain))": {join(plan.NewLimit(chain, 5)), "join(*exec.morselExec, limit(*exec.morselExec))"},
+			"sort(limit(fused(pump)))"},
+		"join(scan, chain)":        {join(chain), "join(fused(pump), pump)"},
+		"join(scan, limit(chain))": {join(plan.NewLimit(chain, 5)), "join(fused(pump), limit(fused(pump)))"},
 		"filter(join)": {plan.NewFilter(join(chain), expr.Cmp{Op: expr.LT, L: expr.Col{Idx: 0}, R: expr.Const{V: expr.Int(50)}}),
-			"fused(join(*exec.morselExec, pump))"},
-		"agg(join)": {plan.NewAgg(join(chain), nil, count), "agg(join(*exec.morselExec, pump))"},
-		"sort(agg)": {plan.NewSort(plan.NewAgg(chain, []int{0}, count), plan.SortKey{Col: 1}), "sort(*exec.parallelAggOp)"},
+			"fused(join(fused(pump), pump))"},
+		"agg(join)":  {plan.NewAgg(join(chain), nil, count), "agg(join(fused(pump), pump))"},
+		"sort(agg)":  {plan.NewSort(plan.NewAgg(chain, []int{0}, count), plan.SortKey{Col: 1}), "sort(agg(pump))"},
+		"sort(join)": {plan.NewSort(join(chain), plan.SortKey{Col: 1}), "sort(join(fused(pump), pump))"},
 		"join(join)": {plan.NewHashJoin(
 			plan.NewProject(plan.NewScan(build, nil), []expr.Expr{build.Schema.Col("k")}, []string{"outer"}, []expr.Kind{expr.KindInt}),
-			join(chain), 0, 0, nil), "join(*exec.morselExec, join(*exec.morselExec, pump))"},
+			join(chain), 0, 0, nil), "join(fused(pump), join(fused(pump), pump))"},
 	}
 }
 
@@ -539,8 +536,8 @@ func TestPooledMorselBatchesHoldUntilNextCall(t *testing.T) {
 	batches := func(workers int, each func(i int, b *expr.Batch)) int {
 		ctx, _ := testCtx()
 		op := CompileParallel(p, workers)
-		if _, ok := unwrapSpan(op).(*morselExec); !ok {
-			t.Fatalf("compiled to %T, want a morsel leaf", unwrapSpan(op))
+		if got := opTree(op); got != "fused(pump)" {
+			t.Fatalf("compiled to %s, want fused(pump)", got)
 		}
 		n := 0
 		if err := Drain(ctx, op, func(b *expr.Batch) error {

@@ -25,15 +25,9 @@ const CompressionBands = 8
 // avoid its buffer-pool, streaming, and per-tuple charges (replacing them
 // with one zone-map consult), so the simulated joules and durations drop.
 // Query results must still be bit-identical: compression changes where
-// bytes live and which pages are touched, never what a query returns. With
-// both toggles false the treated arm also runs on plain storage — the
-// control.
+// bytes live and which pages are touched, never what a query returns.
 type CompressionResult struct {
-	Config Config
-	// ZoneMaps and DictStrings are the treated arm's toggles, so either
-	// mechanism can be ablated alone.
-	ZoneMaps, DictStrings bool
-
+	Config  Config
 	Queries int
 	// Wall-clock per arm (real Go time, best of ProtocolRuns).
 	BaseWall, CompWall time.Duration
@@ -51,26 +45,25 @@ type CompressionResult struct {
 // Compression runs the compressed-storage ablation on the commercial
 // profile: fresh system per arm (background-I/O randomness advances with
 // every page read, so only from-boot replays compare), with the treated arm
-// loading dictionary-encoded tables and scanning under zone-map pruning as
-// the toggles select.
-func Compression(cfg Config, zoneMaps, dictStrings bool) CompressionResult {
+// loading dictionary-encoded tables and scanning under zone-map pruning.
+func Compression(cfg Config) CompressionResult {
 	runs := cfg.ProtocolRuns
 	if runs < 1 {
 		runs = 1
 	}
 
-	res := CompressionResult{Config: cfg, ZoneMaps: zoneMaps, DictStrings: dictStrings}
+	res := CompressionResult{Config: cfg}
 
 	arm := func(compressed bool) (wall time.Duration, simT sim.Duration, perQ energy.Joules, rows []int64, pruned int64) {
 		// Pruning is the engine's choice (its profile); dictionary encoding
 		// is a property of the tables it is loaded with.
 		prof := engine.ProfileCommercial()
 		prof.WorkAmplification = cfg.Amplification
-		prof.ZoneMapPruning = compressed && zoneMaps
+		prof.ZoneMapPruning = compressed
 		sys := core.NewSystem(prof)
 		tables := []string{tpch.Customer, tpch.Orders, tpch.Lineitem}
 		tpch.NewGenerator(cfg.SF, cfg.Seed).Load(sys.Engine.Catalog(), tables...)
-		if compressed && dictStrings {
+		if compressed {
 			for _, name := range tables {
 				sys.Engine.MustTable(name).Heap.CompressStrings()
 			}
@@ -131,20 +124,9 @@ func (r CompressionResult) JouleSavingPct() float64 {
 
 func (r CompressionResult) String() string {
 	var b strings.Builder
-	var mode string
-	switch {
-	case r.ZoneMaps && r.DictStrings:
-		mode = "zone-map pruning + dictionary strings"
-	case r.ZoneMaps:
-		mode = "zone-map pruning only"
-	case r.DictStrings:
-		mode = "dictionary strings only"
-	default:
-		mode = "DISABLED (control arm: both arms on plain storage)"
-	}
 	fmt.Fprintf(&b, "Compressed-storage ablation (%s)\n", r.Config)
-	fmt.Fprintf(&b, "  %d-query mixed workload (order-key ranges + status/segment selections), treated arm: %s\n\n",
-		r.Queries, mode)
+	fmt.Fprintf(&b, "  %d-query mixed workload (order-key ranges + status/segment selections), treated arm: zone-map pruning + dictionary strings\n\n",
+		r.Queries)
 	fmt.Fprintf(&b, "  %-12s %14s %14s %14s\n", "arm", "wall", "sim time", "J/query")
 	fmt.Fprintf(&b, "  %-12s %14v %14v %14v\n", "baseline",
 		r.BaseWall.Round(time.Microsecond), r.BaseTime, r.BasePerQuery)

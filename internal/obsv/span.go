@@ -99,9 +99,6 @@ type Span struct {
 // Parent returns the enclosing span, nil for the root.
 func (s *Span) Parent() *Span { return s.parent }
 
-// TotalCycles returns the span's charged cycles summed over work kinds.
-func (s *Span) TotalCycles() float64 { return s.Cycles[0] + s.Cycles[1] + s.Cycles[2] }
-
 // OpEstimate is the optimizer's per-operator prediction: cardinality and
 // the simulated seconds/joules of the operator's cycle vector under the
 // chosen parallelism and access path.

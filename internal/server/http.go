@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -116,12 +117,17 @@ type Server struct {
 	core     *Core
 	srv      *http.Server
 	draining atomic.Bool
+	// drained is closed when the first Shutdown returns, with its result
+	// in drainErr.
+	drained   chan struct{}
+	drainErr  error
+	drainOnce sync.Once
 }
 
 // NewServer wires a Core to an address. Call Core.Start (or let
 // ListenAndServe do it) before serving.
 func NewServer(c *Core, addr string) *Server {
-	s := &Server{core: c}
+	s := &Server{core: c, drained: make(chan struct{})}
 	s.srv = &http.Server{Addr: addr, Handler: s.Handler()}
 	return s
 }
@@ -136,14 +142,17 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// ListenAndServe starts the scheduler and serves until Shutdown.
+// ListenAndServe starts the scheduler and serves until Shutdown. Once
+// Shutdown begins it waits for the drain to finish — every accepted
+// statement answered — and returns Shutdown's result, so a caller that
+// exits when it returns answers everything it accepted.
 func (s *Server) ListenAndServe() error {
 	s.core.Start()
-	err := s.srv.ListenAndServe()
-	if err == http.ErrServerClosed {
-		return nil
+	if err := s.srv.ListenAndServe(); err != http.ErrServerClosed {
+		return err
 	}
-	return err
+	<-s.drained
+	return s.drainErr
 }
 
 // Shutdown drains gracefully: the listener stops accepting, in-flight
@@ -151,12 +160,15 @@ func (s *Server) ListenAndServe() error {
 // and the scheduler loop exits.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	httpErr := s.srv.Shutdown(ctx)
-	coreErr := s.core.Shutdown(ctx)
-	if httpErr != nil {
-		return httpErr
+	err := s.srv.Shutdown(ctx)
+	if coreErr := s.core.Shutdown(ctx); err == nil {
+		err = coreErr
 	}
-	return coreErr
+	s.drainOnce.Do(func() {
+		s.drainErr = err
+		close(s.drained)
+	})
+	return err
 }
 
 // handleQuery answers POST /query. Everything but a wrong method is

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -455,6 +456,69 @@ func TestHTTPServerSmoke(t *testing.T) {
 	qresp.Body.Close()
 	if qresp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("query after drain = %d, want 503", qresp.StatusCode)
+	}
+}
+
+// TestListenAndServeReturnsAfterDrain: a statement sitting in the admission
+// queue when Shutdown begins is answered before ListenAndServe returns.
+// `ecodb serve` exits once it returns; closing every connection right then
+// stands in for the exit, so an answer still pending would be cut off.
+func TestListenAndServeReturnsAfterDrain(t *testing.T) {
+	sys, _ := newTestSystem(t)
+	cfg := DefaultConfig()
+	cfg.FlushThreshold = 100 // nothing flushes on its own...
+	cfg.FlushWait = 0.3      // ...for 0.3 real seconds of window wait
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+	s := NewServer(NewCore(cfg, sys), addr)
+	served := make(chan error, 1)
+	go func() { served <- s.ListenAndServe() }()
+	url := "http://" + addr
+	for start := time.Now(); ; time.Sleep(time.Millisecond) {
+		resp, err := http.Get(url + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+			break
+		}
+		if time.Since(start) > 5*time.Second {
+			t.Fatalf("server never came up: %v", err)
+		}
+	}
+
+	type answer struct {
+		status int
+		body   string
+		err    error
+	}
+	answered := make(chan answer, 1)
+	go func() {
+		resp, err := http.Post(url+"/query", "text/plain", strings.NewReader("SELECT COUNT(*) FROM lineitem"))
+		if err != nil {
+			answered <- answer{err: err}
+			return
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		answered <- answer{resp.StatusCode, string(body), err}
+	}()
+	depth := obsv.Default().Gauge(obsv.MetricServerQueueDepth)
+	for start := time.Now(); depth.Load() < 1; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("the statement never reached the admission queue")
+		}
+	}
+	go s.Shutdown(context.Background())
+	if err := <-served; err != nil {
+		t.Fatalf("ListenAndServe: %v", err)
+	}
+	s.srv.Close()
+	a := <-answered
+	if a.err != nil || a.status != http.StatusOK || !strings.Contains(a.body, `"rows":[[3034]]`) {
+		t.Fatalf("queued statement answered %d %q (%v), want 200 with its count 3034", a.status, a.body, a.err)
 	}
 }
 

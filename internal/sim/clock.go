@@ -24,9 +24,6 @@ const (
 // Seconds returns the duration as a float64 number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) }
 
-// Milliseconds returns the duration as a float64 number of milliseconds.
-func (d Duration) Milliseconds() float64 { return float64(d) * 1e3 }
-
 func (d Duration) String() string {
 	switch {
 	case d < Microsecond:

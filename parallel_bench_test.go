@@ -144,8 +144,8 @@ func BenchmarkJoinBuild(b *testing.B) {
 // lineitem fragment through the parallel sort: workers run the fragment,
 // copy survivors into run-local buffers, and sort each run by
 // (keys, global ordinal); the coordinator merges the sorted runs with a
-// loser tree. The per-row comparator work — the dominant cost of the
-// serial sortOp — moves worker-side, so the acceptance bar is ≥1.5× at 4
+// loser tree. The per-row comparator work — the dominant cost of a
+// one-run sort — moves worker-side, so the acceptance bar is ≥1.5× at 4
 // workers on a ≥4-core host; output order, simulated durations, and
 // joules stay bit-identical at every worker count (see the sort plans in
 // TestParallelMatchesSerialBitIdentically). Single-core hosts see no
