@@ -221,12 +221,13 @@ func (e *Engine) start(sess *SharedSession, st Stmt) *Rows {
 	if lowered, ch, info, ok := e.optimize(p, sharedQ, profiling); ok {
 		p, par, pi, shared = lowered, ch.Parallelism, info, ch.Shared
 	}
-	// Private scan→filter→project fragments run through the morsel pump:
-	// inline for Workers <= 1, across the profile's worker goroutines above.
-	// The operators, and all simulated accounting, are the same either way.
+	// Scan→filter→project fragments, private or on a shared pass, run
+	// through the morsel pump: inline for Workers <= 1, across the
+	// profile's worker goroutines above. The operators, and all simulated
+	// accounting, are the same either way.
 	var op exec.Operator
 	if shared {
-		op = exec.CompileLeaf(p, sess.sharedLeaf)
+		op = exec.CompileShared(p, e.prof.Workers, sess.sharedLeaf)
 	} else {
 		op = exec.CompileParallel(p, e.prof.Workers)
 	}

@@ -16,7 +16,10 @@ import (
 //
 // The session follows the engine's cooperative single-threaded execution
 // model: interleave pulls on the returned Rows iterators from one goroutine
-// (round-robin, as RunWindow does). Queries admitted while a pass is mid-lap
+// (round-robin, as RunWindow does). Each query's per-tuple work — filters,
+// aggregation, sort, probe — runs on its own morsel pump's producers, up to
+// Profile.Workers of them, while the pulls, the passes and every charge
+// stay on that one goroutine. Queries admitted while a pass is mid-lap
 // simply join at its current page and wrap, so results can arrive in rotated
 // page order for late arrivals; queries admitted together (before any pulls)
 // start at the same page and produce exactly the rows a private scan

@@ -14,7 +14,7 @@ import (
 // beyond a single comparison — evaluate as selection-vector cascades. The
 // cascade must be invisible to the simulation: the same rows, Stats,
 // simulated duration and joules on every scan leaf (heap fragments under an
-// inline pump and under pools of 2 and 4, sharedScanOp), and the answer
+// inline pump and under pools of 2 and 4, shared-pass consumers), and the answer
 // per-row Eval gives.
 
 // lineitemLike builds a multi-page table with lineitem's filter columns:

@@ -248,9 +248,12 @@ func (c *Ctx) ChargeExpr(m *expr.Cost) { c.Cost.Expr(c, m.Drain()) }
 // chargePageStream charges the physical-read side of surfacing one heap
 // page: the background-I/O page hook and the memory stream that moves the
 // page's bytes. Scan paths must route this through exactly one call per
-// physical page read — once per page for a heap fragment (morselPump.next),
-// once per PASS for shared scans (sharedScanOp) — so a shared scan driven
-// alone stays simulation-identical to a private one by construction.
+// physical page read — once per page a private fragment reads
+// (morselPump.next), once per page a shared PASS surfaces, on the consumer
+// whose pull advanced it (morselPump.surface) — so a shared scan driven
+// alone stays simulation-identical to a private one by construction. A
+// consumer's per-tuple work runs on its pump's producers; its pulls, the
+// pass and this charge stay on the statement's one goroutine.
 func (c *Ctx) chargePageStream(bytes int64) {
 	if c.PageHook != nil {
 		c.PageHook()

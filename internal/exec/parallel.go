@@ -10,6 +10,7 @@ import (
 	"ecodb/internal/expr"
 	"ecodb/internal/obsv"
 	"ecodb/internal/plan"
+	"ecodb/internal/scanshare"
 	"ecodb/internal/storage"
 )
 
@@ -19,16 +20,17 @@ import (
 // those pages. Every scan→filter→project chain over a heap — and an
 // aggregation, sort or hash-join probe directly over one — runs through the
 // morsel pump below: producers run the compiled fragment over claimed runs
-// of adjacent pages with private expr.Cost meters, and a coordinator takes
-// the finished pages back IN PAGE ORDER. Only the coordinator ever touches
-// the simulated machine — buffer pool accesses, page hooks, and cycle
-// charges are replayed as each page is taken, in page order. The worker
-// count decides only who produces: one producer runs inline on the
-// coordinator's goroutine, more run as a pool. Real wall-clock therefore
-// scales with cores while simulated results, durations, and joules are
-// bit-identical at every worker count, independent of goroutine
-// interleaving. Multi-core simulated time remains the engine's business:
-// it charges work via cpu.SetParallelism.
+// of adjacent pages with private cost meters, and a coordinator takes
+// the finished pages back IN ORDER. Only the coordinator ever touches the
+// simulated machine — buffer pool accesses, page hooks, and cycle charges
+// are replayed as each page is taken, in order. The worker count decides
+// only who produces: one producer runs inline on the coordinator's
+// goroutine, more run as a pool. Real wall-clock therefore scales with
+// cores while simulated results, durations, and joules are bit-identical
+// at every worker count, independent of goroutine interleaving. A scan on
+// a shared pass is such a fragment too (sharedscan.go). Multi-core
+// simulated time remains the engine's business: it charges work via
+// cpu.SetParallelism.
 
 // CompileParallel lowers a plan to physical operators, one operator type
 // per algorithm — fused filter/project chain, aggregation, sort, hash join
@@ -45,18 +47,13 @@ func CompileParallel(n plan.Node, workers int) Operator {
 }
 
 // compile owns the single lowering switch, shared by CompileParallel and
-// CompileLeaf (sharedscan.go). A non-nil leaf produces the scan leaves and
-// disables the fragment fold — externally coordinated leaves (a shared
-// pass) own their page order.
+// CompileShared (sharedscan.go). A non-nil leaf puts every scan on the
+// shared pass of the leaf it builds.
 func compile(n plan.Node, workers int, leaf ScanLeaf) Operator {
 	if f := heapFragment(n, leaf); f != nil {
-		return wrapSpan(&fusedOp{pump: morselPump{frag: f, workers: workers}, schema: f.schema},
-			obsv.KindScan, f.label(workers), f.table.Name)
+		return fusedScan(f, workers)
 	}
 	switch n := n.(type) {
-	case *plan.Scan:
-		// Only a leaf lowering gets here: heapFragment takes every other scan.
-		return wrapSpan(leaf(n), obsv.KindScan, fmt.Sprintf("SharedScan(%s)", n.Table.Name), n.Table.Name)
 	case *plan.Filter, *plan.Project:
 		return compileFused(n, workers, leaf)
 	case *plan.HashJoin:
@@ -85,7 +82,7 @@ func compile(n plan.Node, workers int, leaf ScanLeaf) Operator {
 		if f := heapFragment(n.Input, leaf); f != nil {
 			// The aggregation boundary joins the fragment: producers
 			// pre-aggregate their runs (parallel_agg.go).
-			a.pump = morselPump{frag: f, workers: workers, sink: a.sink}
+			a.pump = morselPump{frag: f, workers: workers, sink: a.sink, leafLabel: f.passLabel()}
 			return wrapSpan(a, obsv.KindAgg,
 				fmt.Sprintf("ParallelAgg(%s x%d)", f.table.Name, workers), f.table.Name)
 		}
@@ -108,6 +105,13 @@ func compile(n plan.Node, workers int, leaf ScanLeaf) Operator {
 	}
 }
 
+// fusedScan is the pump-driven fused operator over fragment f, in the span
+// of its scan leaf.
+func fusedScan(f *fragment, workers int) Operator {
+	return wrapSpan(&fusedOp{pump: morselPump{frag: f, workers: workers}, schema: f.schema},
+		obsv.KindScan, f.label(workers), f.table.Name)
+}
+
 // compileSort lowers a Sort whose consumer takes only the first limit rows
 // (negative = all of them).
 func compileSort(n *plan.Sort, limit, workers int, leaf ScanLeaf) Operator {
@@ -115,7 +119,7 @@ func compileSort(n *plan.Sort, limit, workers int, leaf ScanLeaf) Operator {
 	if f := heapFragment(n.Input, leaf); f != nil {
 		// The sort boundary joins the fragment: producers generate sorted
 		// runs and the coordinator merges them (parallel_sort.go).
-		s.pump = morselPump{frag: f, workers: workers, sink: s.sink}
+		s.pump = morselPump{frag: f, workers: workers, sink: s.sink, leafLabel: f.passLabel()}
 		return wrapSpan(s, obsv.KindSort,
 			fmt.Sprintf("ParallelSort(%s x%d)", f.table.Name, workers), f.table.Name)
 	}
@@ -126,9 +130,8 @@ func compileSort(n *plan.Sort, limit, workers int, leaf ScanLeaf) Operator {
 // compileFused folds the maximal chain of adjacent Filter/Project nodes
 // rooted at n into one fused operator over the chain's input operator,
 // which is not a heap scan (heapFragment took the chain otherwise): a join,
-// an aggregation, a limit, or a shared-pass leaf. Stage order is bottom-up
-// (execution order); cycle charging per stage is identical to an unfused
-// operator chain.
+// an aggregation or a limit. Stage order is bottom-up (execution order);
+// cycle charging per stage is identical to an unfused operator chain.
 func compileFused(n plan.Node, workers int, leaf ScanLeaf) Operator {
 	schema := n.Schema()
 	var stages []fragStage
@@ -211,21 +214,27 @@ type fragment struct {
 	scanFilter expr.Expr
 	stages     []fragStage
 	schema     *catalog.Schema
+	// pass, when non-nil, is the shared pass the scan rides (NewSharedScan).
+	pass *scanshare.Coordinator
 	// pruner is the active zone-map prune predicate for this execution —
-	// the scan filter conjoined with the leading filter stages (they still
-	// reference the scan schema; filtering itself stays where it is) — set
-	// by initPrune when the pump opens, nil when pruning is off or unusable.
+	// the scan filter conjoined, for a private scan, with the leading filter
+	// stages (they still reference the scan schema; filtering itself stays
+	// where it is) — set by initPrune when the pump opens, nil when pruning
+	// is off or unusable.
 	pruner expr.Expr
 }
 
-// initPrune resolves the fragment's prune predicate for this execution.
+// initPrune resolves the fragment's prune predicate for this execution. A
+// pass consumer prunes on its scan filter alone: that is the test it
+// attaches with, and the pass skips a page only when every consumer's test
+// rejects it.
 func (f *fragment) initPrune(ctx *Ctx) {
 	var terms []expr.Expr
 	if f.scanFilter != nil {
 		terms = append(terms, f.scanFilter)
 	}
 	for _, st := range f.stages {
-		if st.pred == nil {
+		if st.pred == nil || f.pass != nil {
 			break
 		}
 		terms = append(terms, st.pred)
@@ -235,27 +244,41 @@ func (f *fragment) initPrune(ctx *Ctx) {
 
 // label is the span label of the fragment's scan leaf.
 func (f *fragment) label(workers int) string {
+	if f.pass != nil {
+		return fmt.Sprintf("SharedScan(%s)", f.table.Name)
+	}
 	return fmt.Sprintf("MorselScan(%s x%d)", f.table.Name, workers)
+}
+
+// passLabel is the leaf span label an aggregation's or a sort's pump gives
+// a scan on a shared pass, where the consumer's pass detail is recorded; ""
+// for a private scan, whose accounting the operator's own span takes.
+func (f *fragment) passLabel() string {
+	if f.pass == nil {
+		return ""
+	}
+	return f.label(0)
 }
 
 // heapFragment recognizes plan subtrees that are pure scan→filter→project
 // chains over a heap — what the pump's producers can run — and returns nil
-// for anything else, and for every subtree of a leaf lowering.
+// for anything else. Under a leaf lowering each scan's fragment is the
+// leaf's, on a shared pass.
 func heapFragment(n plan.Node, leaf ScanLeaf) *fragment {
-	if leaf != nil {
-		return nil
-	}
 	switch n := n.(type) {
 	case *plan.Scan:
+		if leaf != nil {
+			return leafFragment(leaf(n))
+		}
 		return &fragment{table: n.Table, scanFilter: n.Filter, schema: n.Schema()}
 	case *plan.Filter:
-		f := heapFragment(n.Input, nil)
+		f := heapFragment(n.Input, leaf)
 		if f != nil {
 			f.stages = append(f.stages, fragStage{pred: n.Pred})
 		}
 		return f
 	case *plan.Project:
-		f := heapFragment(n.Input, nil)
+		f := heapFragment(n.Input, leaf)
 		if f != nil {
 			f.stages = append(f.stages, fragStage{exprs: n.Exprs})
 			f.schema = n.Schema()
@@ -278,7 +301,7 @@ func heapFragment(n plan.Node, leaf ScanLeaf) *fragment {
 // has carried a batch to the coordinator, buffers of its own for that
 // batch. The record stays within the 160-byte allocation size class.
 type morselResult struct {
-	idx    int
+	idx    int         // the page's position in the pump's lap (storage.MorselSource)
 	pruned bool        // page skipped by zone maps: replay charges the check only
 	meters []expr.Cost // scan-filter meter first, then one per stage
 	rows   int         // rows surviving the fragment
@@ -298,7 +321,10 @@ type morselResult struct {
 	ps       *probeScratch // probe: the match pairs into batch; nil until the record first probes
 	matches  int           // probe: match count
 
-	next *morselResult // link in the spent list, a ticket, or a producer's free list
+	// next links the records of one claimed run in position order, as they
+	// cross to the coordinator and as they return with a ticket, and a
+	// producer's free list.
+	next *morselResult
 }
 
 // run executes the fragment over one page into res, in producer context:
@@ -341,22 +367,24 @@ func (res *morselResult) adopt(ws *stageScratch) {
 }
 
 // morselPump drives a fragment over its heap for every pump-driven
-// operator. Producers claim runs of adjacent pages (NUMA-style affinity, see
-// storage.MorselSource) and, per page, run the fragment and then the
-// operator's sink — in producer context, with no access to shared executor
-// state. The coordinator (next) takes the finished pages back in ascending
-// page order and replays each one's scan accounting, so only it touches the
-// simulated machine and simulated accounting is independent of goroutine
-// interleaving and worker count.
+// operator. Producers claim runs of adjacent positions (NUMA-style
+// affinity, see storage.MorselSource) and, per page, run the fragment and
+// then the operator's sink — in producer context, with no access to shared
+// executor state. The coordinator (next) takes the finished pages back in
+// position order and replays each one's scan accounting, so only it
+// touches the simulated machine and simulated accounting is independent of
+// goroutine interleaving and worker count. A private scan's positions are
+// its pages in ascending order; a shared-pass consumer's start at the page
+// where it joined the pass.
 type morselPump struct {
 	frag    *fragment
 	workers int
 	// sink, when non-nil, makes one producer's page function: called on
-	// every page of the producer's runs in page order, after the fragment
-	// ran, with the run the page belongs to. It may keep per-run state
-	// between calls and attaches what the coordinator needs to res. With no
-	// sink the surviving batch itself is the product; a sink that leaves
-	// matches on res has the batch cross with them.
+	// every page of the producer's runs in position order, after the
+	// fragment ran, with the run the page belongs to. It may keep per-run
+	// state between calls and attaches what the coordinator needs to res.
+	// With no sink the surviving batch itself is the product; a sink that
+	// leaves matches on res has the batch cross with them.
 	sink func() func(res *morselResult, run storage.MorselRun)
 	// leafLabel, when set, gives the pump's scan accounting a profile span
 	// of its own under the operator's, as if a scan leaf had charged it.
@@ -367,6 +395,12 @@ type morselPump struct {
 	total   int
 	nextIdx int
 
+	// A pump over a shared pass is a consumer of it, attached from open to
+	// close; surface charges a step of the pass that this pump's pull
+	// advanced.
+	cons    *scanshare.Consumer
+	surface scanshare.Surface
+
 	// One producer runs inline, on the coordinator's goroutine, filling
 	// the same record page after page: nothing to overlap, so no goroutine,
 	// no channel, and no allocation per page.
@@ -374,21 +408,25 @@ type morselPump struct {
 	run    storage.MorselRun // the run inline is walking
 	rec    morselResult
 
+	// A pool hands off whole runs: a producer sends a claimed run's
+	// records once, the first linked to the rest, and the coordinator
+	// parks runs that finish ahead of their turn in ring, at their run
+	// number modulo the window.
 	results chan *morselResult
-	// tickets is the claim window, bounding runs in flight + reordered. A
-	// refunded ticket carries back the records taken since the previous
-	// refund, linked through next, for the producer that claims it to fill.
+	ring    []*morselResult
+	// tickets is the claim window, bounding runs in flight + waiting their
+	// turn. A refunded ticket carries back the records of the run the
+	// coordinator finished taking, for the producer that claims it to fill.
 	tickets chan *morselResult
 	stop    chan struct{}
 	wg      sync.WaitGroup
-	pending map[int]*morselResult // finished out-of-order pages by index
 
-	// spent links the records taken since the last refund. A record joins
-	// it as take returns it, and the refund that hands it back comes in a
-	// later take, so the record stays the coordinator's until the next take
-	// at least. A statement therefore allocates at most window·runLength+1
-	// records, however many pages it reads.
-	spent *morselResult
+	// cur is the rest of the run being taken, and taken the whole of it.
+	// The run's last record stays the coordinator's until the take after
+	// it, which refunds the run's ticket with its records: a statement
+	// therefore allocates at most window·runLength+1 records, however many
+	// pages it reads.
+	cur, taken *morselResult
 }
 
 // producer is the state one producer keeps across pages.
@@ -415,20 +453,33 @@ func (p *morselPump) produce(w *producer, res *morselResult, idx int, run storag
 // open readies the pump: inline when the pool would hold one producer — a
 // single worker, or a table of at most one page (TPC-H region, nation) —
 // else a pool of goroutines. A pooled producer must hold a ticket to claim
-// a run and the coordinator refunds one when a run's last page is taken, so
-// the runs that are in flight or waiting their turn never exceed the window
-// — a straggler on page 0 cannot make the rest of the pool race ahead and
-// buffer the whole table in the reorder map. The results channel's capacity
-// is window·runLength pages, so a held ticket guarantees no send of any
-// page in the claimed run ever blocks and the pool can always drain on its
-// own.
+// a run and the coordinator refunds one when it moves past a run, so the
+// runs that are in flight or waiting their turn never exceed the window —
+// a straggler on the next run cannot make the rest of the pool race ahead
+// and buffer the whole table. The results channel and the ring hold a
+// window of runs, so a held ticket guarantees the run's send never blocks
+// and the pool can always drain on its own.
+//
+// A pump over a shared pass attaches its consumer here, so co-admitted
+// statements, opened before any is pulled, join the pass at the same page.
 func (p *morselPump) open(ctx *Ctx) {
 	p.frag.initPrune(ctx)
 	if p.leafLabel != "" && ctx.Obs != nil {
 		p.span = ctx.Obs.OpenSpan(obsv.KindScan, p.leafLabel, p.frag.table.Name, ctx.CPU.Clock().Now())
 		ctx.Obs.Pop(ctx.CPU.Clock().Now())
 	}
-	p.src = storage.NewMorselSource(p.frag.table.Heap)
+	heap := p.frag.table.Heap
+	if pass := p.frag.pass; pass != nil {
+		var prune scanshare.Prune
+		if pruner := p.frag.pruner; pruner != nil {
+			prune = func(zones []expr.Zone) bool { return expr.ZonePrunes(pruner, zones) }
+		}
+		p.cons = pass.AttachPruned(prune)
+		p.surface = func(_ int, bytes int64) { ctx.chargePageStream(bytes) }
+		p.src = storage.NewMorselSourceFrom(heap, p.cons.Entry())
+	} else {
+		p.src = storage.NewMorselSource(heap)
+	}
 	p.total = p.src.NumMorsels()
 	p.nextIdx, p.run = 0, storage.MorselRun{}
 	pool := min(p.workers, p.total)
@@ -436,10 +487,10 @@ func (p *morselPump) open(ctx *Ctx) {
 		p.inline = p.newProducer()
 		return
 	}
-	p.pending = make(map[int]*morselResult, pool)
 	p.stop = make(chan struct{})
 	window := 4 * pool
-	p.results = make(chan *morselResult, window*storage.DefaultMorselRunLength)
+	p.results = make(chan *morselResult, window)
+	p.ring = make([]*morselResult, window)
 	p.tickets = make(chan *morselResult, window)
 	for i := 0; i < window; i++ {
 		p.tickets <- nil
@@ -469,6 +520,7 @@ func (p *morselPump) worker() {
 		if !ok {
 			return
 		}
+		var first, last *morselResult
 		for idx := run.Start; idx < run.End; idx++ {
 			select {
 			case <-p.stop:
@@ -490,13 +542,19 @@ func (p *morselPump) worker() {
 			} else {
 				res.adopt(&w.ws)
 			}
-			p.results <- res // never blocks: ticket held
+			if first == nil {
+				first = res
+			} else {
+				last.next = res
+			}
+			last = res
 		}
+		p.results <- first // never blocks: ticket held
 	}
 }
 
-// take returns the next page's finished record in ascending page order, or
-// nil once the heap is exhausted. The record is valid until the next take.
+// take returns the next position's finished record, or nil once the lap is
+// exhausted. The record is valid until the next take.
 func (p *morselPump) take() *morselResult {
 	if p.nextIdx == p.total {
 		return nil
@@ -509,29 +567,25 @@ func (p *morselPump) take() *morselResult {
 		p.nextIdx++
 		return &p.rec
 	}
-	res, ok := p.pending[p.nextIdx]
-	delete(p.pending, p.nextIdx)
-	for !ok {
-		res = <-p.results
-		if ok = res.idx == p.nextIdx; !ok {
-			p.pending[res.idx] = res
+	if p.cur == nil {
+		// The next run's turn. The run taken before it is spent: its
+		// ticket goes back with its records. The send cannot block —
+		// refunds never exceed claims — and waiting for the next run
+		// cannot deadlock: runs are claimed in order and the refund frees
+		// a ticket, so it is claimed, or finished and parked, already.
+		if p.taken != nil {
+			p.tickets <- p.taken
 		}
+		slot := p.nextIdx / storage.DefaultMorselRunLength % len(p.ring)
+		for p.ring[slot] == nil {
+			run := <-p.results
+			p.ring[run.idx/storage.DefaultMorselRunLength%len(p.ring)] = run
+		}
+		p.cur, p.taken, p.ring[slot] = p.ring[slot], p.ring[slot], nil
 	}
+	res := p.cur
+	p.cur = res.next
 	p.nextIdx++
-	if p.nextIdx%storage.DefaultMorselRunLength == 0 || p.nextIdx == p.total {
-		// Refund the claim ticket only now that the run's last page is
-		// being taken: results that were merely buffered out of order in
-		// p.pending still count against the window, so a straggler on the
-		// next page to take cannot let the rest of the pool race ahead and
-		// buffer the whole table. The send cannot block — refunds never
-		// exceed claims — and cannot deadlock: runs are claimed in
-		// contiguous order and a claimer needs no further tickets to
-		// finish its whole run, so the next page's result always arrives
-		// even when tickets are scarce.
-		p.tickets <- p.spent
-		p.spent = nil
-	}
-	res.next, p.spent = p.spent, res
 	return res
 }
 
@@ -540,8 +594,13 @@ func (p *morselPump) take() *morselResult {
 // is active, then — for read pages — touch the buffer pool (misses become
 // simulated disk reads), fire the page hook, charge scan work, and drain
 // the stage meters in pipeline order. A pruned page's window holds the zone
-// check alone. Once the heap is exhausted it flushes the final page's
+// check alone. Once the lap is exhausted it flushes the final page's
 // window and returns nil.
+//
+// Over a shared pass the pool access, page hook and page stream are the
+// pass's: the coordinator steps the pass for the page first, which makes
+// them when this pull advances the pass and not when another consumer's
+// did, and then charges the zone check, scan work and stage meters.
 //
 // The flush sits at the top of each page step — by which point the
 // operators above have charged their work for the previous page — so every
@@ -560,21 +619,33 @@ func (p *morselPump) next(ctx *Ctx) *morselResult {
 	if res == nil {
 		return nil
 	}
+	if p.cons != nil {
+		idx, _, pruned, ok := p.cons.Next(p.surface)
+		if want := p.src.Index(res.idx); !ok || idx != want || pruned != res.pruned {
+			panic(fmt.Sprintf("exec: pass over %s stepped to page %d (pruned %v), the pump produced page %d (pruned %v)",
+				p.frag.table.Name, idx, pruned, want, res.pruned))
+		}
+	}
 	if p.frag.pruner != nil {
 		ctx.Cost.ZoneCheck(ctx, 1)
 	}
 	if res.pruned {
-		obsv.PagesPruned.Inc()
-		if ctx.Obs != nil {
-			ctx.Obs.PagePruned()
+		if p.cons == nil {
+			// A pass counts its skips itself, once per pass step.
+			obsv.PagesPruned.Inc()
+			if ctx.Obs != nil {
+				ctx.Obs.PagePruned()
+			}
 		}
 		return res
 	}
 	page := p.src.Page(res.idx)
-	if ctx.Pool != nil {
-		ctx.Pool.Access(storage.PageID{Table: p.frag.table.Name, Index: res.idx}, page.Bytes)
+	if p.cons == nil {
+		if ctx.Pool != nil {
+			ctx.Pool.Access(storage.PageID{Table: p.frag.table.Name, Index: res.idx}, page.Bytes)
+		}
+		ctx.chargePageStream(page.Bytes)
 	}
-	ctx.chargePageStream(page.Bytes)
 	ctx.Cost.ScanTuples(ctx, float64(page.NumRows()))
 	for i := range res.meters {
 		ctx.ChargeExpr(&res.meters[i])
@@ -587,14 +658,27 @@ func (p *morselPump) next(ctx *Ctx) *morselResult {
 	return res
 }
 
-// close stops the producers and waits for them to exit. It is idempotent.
-func (p *morselPump) close() {
+// close stops the producers and waits for them to exit, then detaches a
+// shared-pass consumer, recording its pass detail — where it joined the
+// pass, how many steps it took, how many it pruned — on the pump's leaf
+// span, or on the current span for a pump without one. It is idempotent.
+func (p *morselPump) close(ctx *Ctx) {
 	if p.stop != nil {
 		close(p.stop)
 		p.wg.Wait()
 	}
-	p.src, p.span, p.inline, p.results, p.tickets, p.stop, p.pending = nil, nil, nil, nil, nil, nil, nil
-	p.spent = nil
+	if p.cons != nil {
+		if ctx.Obs != nil {
+			sp := p.span
+			if sp == nil {
+				sp = ctx.Obs.Cur()
+			}
+			sp.Shared, sp.SharedEntry = true, p.cons.Entry()
+			sp.SharedSeen, sp.SharedPruned = p.cons.PagesSeen(), p.cons.PagesPruned()
+		}
+		p.cons.Close()
+	}
+	*p = morselPump{frag: p.frag, workers: p.workers, sink: p.sink, leafLabel: p.leafLabel}
 }
 
 // openInput opens an operator's input: the input operator, or — when there
@@ -610,7 +694,7 @@ func openInput(ctx *Ctx, input Operator, pump *morselPump) error {
 // closeInput closes what openInput opened. It is idempotent.
 func closeInput(ctx *Ctx, input Operator, pump *morselPump) error {
 	if input == nil {
-		pump.close()
+		pump.close(ctx)
 		return nil
 	}
 	return input.Close(ctx)

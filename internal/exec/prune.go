@@ -4,8 +4,8 @@ import (
 	"ecodb/internal/expr"
 )
 
-// Scan-time zone-map pruning, shared by the two access paths (heap
-// fragments under the morsel pump, shared-scan consumers).
+// Scan-time zone-map pruning, shared by private scans and shared-pass
+// consumers, both heap fragments under the morsel pump.
 //
 // Pruning is a pure skip decision: the predicate a page is checked against
 // is only ever used to prove "no row here can pass", never to drop the

@@ -1,12 +1,16 @@
 package exec
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"ecodb/internal/expr"
 	"ecodb/internal/hw/cpu"
 	"ecodb/internal/plan"
 	"ecodb/internal/scanshare"
+	"ecodb/internal/sim"
+	"ecodb/internal/storage"
 )
 
 func TestSharedScanSingleConsumerMatchesPrivateScan(t *testing.T) {
@@ -169,6 +173,106 @@ func TestCompileLeafSharedPipeline(t *testing.T) {
 	}
 	if coord.Stats().PagesSurfaced != int64(tb.Heap.NumPages()) {
 		t.Fatal("shared leaf did not drive the pass")
+	}
+}
+
+// A consumer closed mid-pass while its producers are pooled stops them and
+// leaves the pass, and its neighbour on the pass — an aggregation, pooled
+// too — returns the rows and charges the cycles it does when the consumer
+// merely stops pulling and stays attached to the end.
+func TestSharedScanEarlyCloseStopsProducers(t *testing.T) {
+	const workers = 4
+	// More pages than a claim window, so the producers cannot finish the
+	// lap before the close.
+	tb := numbersTable(t, "t", 60000)
+	if tb.Heap.NumPages() <= 4*workers*storage.DefaultMorselRunLength {
+		t.Fatalf("table spans %d pages, inside one claim window", tb.Heap.NumPages())
+	}
+	k := tb.Schema.Col("k")
+	scan := plan.NewScan(tb, expr.Cmp{Op: expr.GE, L: k, R: expr.Const{V: expr.Int(100)}})
+	neighbour := plan.NewAgg(plan.NewScan(tb, expr.Cmp{Op: expr.LT, L: k, R: expr.Const{V: expr.Int(50000)}}),
+		nil, []plan.AggSpec{{Func: plan.Count, Name: "n"}, {Func: plan.Sum, Arg: tb.Schema.Col("v"), Name: "s"}})
+
+	type outcome struct {
+		rows  []expr.Row
+		stats cpu.Stats
+		now   sim.Time
+	}
+	// run opens the consumer and its neighbour on one pass, pulls the
+	// consumer pulls times, then either closes it or lets it idle while
+	// the neighbour drains.
+	run := func(pulls int, closeEarly bool) outcome {
+		coord := scanshare.NewCoordinator(tb.Heap, tb.Name, nil)
+		leaf := func(s *plan.Scan) Operator { return NewSharedScan(coord, s.Table, s.Filter) }
+		ctxA, _ := testCtx()
+		ctxB, clockB := testCtx()
+		a, b := CompileShared(scan, workers, leaf), CompileShared(neighbour, workers, leaf)
+		if err := a.Open(ctxA); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Open(ctxB); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < pulls; i++ {
+			if batch, err := a.Next(ctxA); err != nil || batch == nil {
+				t.Fatalf("pull %d: %v, %v", i, batch, err)
+			}
+		}
+		if closeEarly {
+			if err := a.Close(ctxA); err != nil {
+				t.Fatal(err)
+			}
+			if coord.Attached() != 1 {
+				t.Fatalf("%d consumers attached after the early close, want the neighbour alone", coord.Attached())
+			}
+		}
+		var out outcome
+		for {
+			batch, err := b.Next(ctxB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batch == nil {
+				break
+			}
+			out.rows = batch.AppendRowsTo(out.rows)
+		}
+		if err := b.Close(ctxB); err != nil {
+			t.Fatal(err)
+		}
+		if !closeEarly {
+			if err := a.Close(ctxA); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if coord.Attached() != 0 {
+			t.Fatalf("%d consumers still attached", coord.Attached())
+		}
+		ctxB.Flush()
+		out.stats, out.now = ctxB.CPU.Stats(), clockB.Now()
+		return out
+	}
+
+	before := runtime.NumGoroutine()
+	for _, pulls := range []int{0, 3} {
+		early, idle := run(pulls, true), run(pulls, false)
+		if len(early.rows) != 1 || len(idle.rows) != 1 || early.rows[0][0] != idle.rows[0][0] || early.rows[0][1] != idle.rows[0][1] {
+			t.Fatalf("pulls=%d: neighbour answered %v after the close, %v beside an idle consumer", pulls, early.rows, idle.rows)
+		}
+		if early.stats != idle.stats || early.now != idle.now {
+			t.Fatalf("pulls=%d: neighbour charged %+v by %v after the close, %+v by %v beside an idle consumer",
+				pulls, early.stats, early.now, idle.stats, idle.now)
+		}
+	}
+	// Close waited for every producer's wg.Done; give the ones past it a
+	// moment to finish exiting.
+	after := runtime.NumGoroutine()
+	for i := 0; i < 10000 && after != before; i++ {
+		time.Sleep(100 * time.Microsecond)
+		after = runtime.NumGoroutine()
+	}
+	if after != before {
+		t.Fatalf("%d goroutines after the runs, %d before", after, before)
 	}
 }
 

@@ -7,20 +7,21 @@
 // pass's I/O and page streaming are paid once no matter how many queries
 // consume it.
 //
-// A per-table Coordinator owns a single storage.CircularScan. Consumers
-// attach at the pass's current position (their entry page), receive every
-// page the pass surfaces from then on, and are done after one full
-// wrap-around lap — every page seen exactly once, in pass order. The pass
-// itself has no start or end: it advances only when some consumer pulls
-// and nothing is buffered for it, and it keeps its position between
-// consumers, so a late arrival simply joins mid-lap (the elevator
-// behaviour of circular-scan designs).
+// A per-table Coordinator owns the pass: a cursor over the heap's pages
+// that wraps past the last page back to the first. Consumers attach at the
+// pass's current position (their entry page), receive every page the pass
+// steps over from then on, and are done after one full wrap-around lap —
+// every page seen exactly once, in pass order. The pass itself has no
+// start or end: it advances only when some consumer pulls and nothing is
+// buffered for it, and it keeps its position between consumers, so a late
+// arrival simply joins mid-lap (the elevator behaviour of circular-scan
+// designs).
 //
 // Charging rules (the subsystem's energy story):
 //
 //   - Buffer-pool accesses — and therefore simulated disk reads — happen
-//     inside the coordinator's CircularScan, once per page the pass
-//     surfaces, regardless of how many consumers receive the page.
+//     inside the coordinator, once per page the pass surfaces, regardless
+//     of how many consumers receive the page.
 //   - The Surface callback fires once per surfaced page on the consumer
 //     whose pull advanced the pass; the executor charges the shared
 //     page-stream cycles (one memory stream moves the page) and the page
@@ -32,7 +33,10 @@
 // Like the rest of the simulated machine, a Coordinator is single-threaded:
 // consumers interleave pulls cooperatively on one goroutine, so simulated
 // durations and joules are deterministic for a fixed attach and pull order.
-// That order is also all a scheduler's priorities are (internal/server): the
+// A consumer's per-tuple work may run elsewhere — the executor's producers
+// filter, aggregate, sort or probe the pages of its lap in parallel — but
+// its pulls, the pass and every charge stay on that one goroutine. That
+// order is also all a scheduler's priorities are (internal/server): the
 // pass is symmetric and knows none.
 package scanshare
 
@@ -77,30 +81,27 @@ type PassStats struct {
 type Coordinator struct {
 	heap  *storage.Heap
 	table string
-	scan  *storage.CircularScan
+	pool  *storage.BufferPool // nil for an all-in-memory engine
+	pos   int                 // the page the pass steps over next
 
 	active []*Consumer
 	stats  PassStats
 
-	// Lap accounting: a "pass" is one full wrap-around of the circular
-	// scan — NumPages steps, skipped or surfaced. The coordinator snapshots
-	// the stats delta over each completed lap so callers can see sharing
+	// Lap accounting: a "pass" is one full wrap-around of the cursor —
+	// NumPages steps, skipped or surfaced. The coordinator snapshots the
+	// stats delta over each completed lap so callers can see sharing
 	// traffic per pass rather than only over the coordinator's lifetime.
 	passSteps int       // steps into the current lap
 	lapStart  PassStats // lifetime stats at the start of the current lap
 	lastPass  PassStats // stats delta over the most recently completed lap
 	passes    int64
-	onPass    func(PassStats) // optional per-completed-pass listener
 }
 
-// NewCoordinator returns a coordinator for heap. table names the heap in
-// buffer-pool page IDs; pool may be nil for an all-in-memory engine.
+// NewCoordinator returns a coordinator for heap, its pass at page 0. table
+// names the heap in buffer-pool page IDs; pool may be nil for an
+// all-in-memory engine.
 func NewCoordinator(heap *storage.Heap, table string, pool *storage.BufferPool) *Coordinator {
-	return &Coordinator{
-		heap:  heap,
-		table: table,
-		scan:  storage.NewCircularScan(heap, table, pool, 0),
-	}
+	return &Coordinator{heap: heap, table: table, pool: pool}
 }
 
 // Table returns the name the coordinator's pages are registered under.
@@ -108,7 +109,7 @@ func (c *Coordinator) Table() string { return c.table }
 
 // Pos returns the pass's current position — the entry page the next
 // attaching consumer will remember.
-func (c *Coordinator) Pos() int { return c.scan.Pos() }
+func (c *Coordinator) Pos() int { return c.pos }
 
 // Attached returns how many consumers are currently attached.
 func (c *Coordinator) Attached() int { return len(c.active) }
@@ -123,15 +124,14 @@ func (c *Coordinator) Passes() int64 { return c.passes }
 // lap — the zero PassStats before the first lap completes.
 func (c *Coordinator) LastPass() PassStats { return c.lastPass }
 
-// SetPassListener registers fn to be called with each completed lap's
-// stats delta, replacing any previous listener. Pass nil to remove.
-func (c *Coordinator) SetPassListener(fn func(PassStats)) { c.onPass = fn }
-
-// stepDone records one pass step (skipped or surfaced) and, when it
-// completes a lap, publishes that lap's stats delta.
+// stepDone moves the cursor past the page it stepped over (skipped or
+// surfaced) and, when that completes a lap, publishes the lap's stats
+// delta.
 func (c *Coordinator) stepDone() {
+	n := c.heap.NumPages()
+	c.pos = (c.pos + 1) % n
 	c.passSteps++
-	if c.passSteps < c.heap.NumPages() {
+	if c.passSteps < n {
 		return
 	}
 	c.passSteps = 0
@@ -144,9 +144,6 @@ func (c *Coordinator) stepDone() {
 	c.lapStart = c.stats
 	c.passes++
 	obsv.SharedPasses.Inc()
-	if c.onPass != nil {
-		c.onPass(c.lastPass)
-	}
 }
 
 // Attach admits a consumer into the pass at its current position. The
@@ -164,7 +161,7 @@ func (c *Coordinator) AttachPruned(prune Prune) *Consumer {
 	k := &Consumer{
 		coord:     c,
 		prune:     prune,
-		entry:     c.scan.Pos(),
+		entry:     c.pos,
 		remaining: c.heap.NumPages(),
 	}
 	c.active = append(c.active, k)
@@ -174,51 +171,45 @@ func (c *Coordinator) AttachPruned(prune Prune) *Consumer {
 }
 
 // advance steps the pass by one page. When at least one consumer that
-// still needs the page does not prune it, the circular scan surfaces it —
-// buffer pool touched, surface hook fired once — and every needy consumer
-// has it queued (marked pruned for those whose test rejects it, so they
-// skip their per-tuple work). When every needy consumer prunes it, the
-// scan skips the page without reading: the queues advance but no physical
-// or shared charge exists for the page.
+// still needs the page does not prune it, the pass surfaces it — buffer
+// pool touched, surface hook fired once — and every needy consumer has it
+// delivered (as pruned to those whose test rejects it, so they skip their
+// per-tuple work). When every needy consumer prunes it, the pass skips the
+// page without reading: the deliveries advance but no physical or shared
+// charge exists for the page.
 func (c *Coordinator) advance(surface Surface) {
-	zones, ok := c.scan.PeekZones()
-	if !ok {
+	if c.heap.NumPages() == 0 {
 		return // empty heap: nothing to surface, consumers are born done
 	}
+	idx := c.pos
+	page := c.heap.Page(idx)
 	needed := false
 	for _, k := range c.active {
-		if k.remaining > 0 && !k.prunes(zones) {
+		if k.remaining > 0 && !k.prunes(page.Zones) {
 			needed = true
 			break
 		}
 	}
-	if !needed {
-		idx, _ := c.scan.Skip()
+	if needed {
+		if c.pool != nil {
+			c.pool.Access(storage.PageID{Table: c.table, Index: idx}, page.Bytes)
+		}
+		c.stats.PagesSurfaced++
+		obsv.SharedSurfaced.Inc()
+	} else {
 		c.stats.PagesPruned++
 		obsv.PagesPruned.Inc()
-		for _, k := range c.active {
-			if k.remaining > 0 {
-				k.queue = append(k.queue, queuedPage{idx: idx, pruned: true})
-				k.remaining--
-			}
-		}
-		c.stepDone()
-		return
 	}
-	idx, page, ok := c.scan.Next()
-	if !ok {
-		return
-	}
-	c.stats.PagesSurfaced++
-	obsv.SharedSurfaced.Inc()
 	for _, k := range c.active {
 		if k.remaining > 0 {
-			k.queue = append(k.queue, queuedPage{idx: idx, pruned: k.prunes(zones)})
 			k.remaining--
-			c.stats.PagesDelivered++
+			k.buffered++
+			if needed {
+				c.stats.PagesDelivered++
+			}
 		}
 	}
-	if surface != nil {
+	if needed && surface != nil {
 		surface(idx, page.Bytes)
 	}
 	c.stepDone()
@@ -234,20 +225,17 @@ func (c *Coordinator) detach(k *Consumer) {
 	}
 }
 
-// queuedPage is one delivered, unconsumed pass step: the page index and
-// whether this consumer's prune test rejected it.
-type queuedPage struct {
-	idx    int
-	pruned bool
-}
-
-// Consumer is one query's membership in a shared pass.
+// Consumer is one query's membership in a shared pass. The steps the pass
+// has delivered to it and it has not consumed yet are the buffered pages
+// after the seen ones, in pass order from its entry page; whether one is
+// pruned for it is its own test's verdict, since the pass skips a page only
+// when every needy consumer's test rejects it.
 type Consumer struct {
 	coord     *Coordinator
 	prune     Prune // nil: never prunes
 	entry     int
-	queue     []queuedPage // delivered, unconsumed steps, in pass order
-	remaining int          // pages the pass has yet to deliver to this consumer
+	buffered  int // delivered, unconsumed steps
+	remaining int // pages the pass has yet to deliver to this consumer
 	seen      int64
 	pruned    int64
 	closed    bool
@@ -282,20 +270,22 @@ func (k *Consumer) Next(surface Surface) (idx int, page *storage.Page, pruned bo
 	if k.closed {
 		panic(fmt.Sprintf("scanshare: Next on closed consumer of %q", k.coord.table))
 	}
-	if len(k.queue) == 0 {
+	if k.buffered == 0 {
 		if k.remaining == 0 {
 			return 0, nil, false, false
 		}
 		k.coord.advance(surface)
 	}
-	q := k.queue[0]
-	k.queue = k.queue[1:]
+	heap := k.coord.heap
+	idx = (k.entry + int(k.seen)) % heap.NumPages()
+	page = heap.Page(idx)
+	k.buffered--
 	k.seen++
-	if q.pruned {
+	if k.prunes(page.Zones) {
 		k.pruned++
-		return q.idx, nil, true, true
+		return idx, nil, true, true
 	}
-	return q.idx, k.coord.heap.Page(q.idx), false, true
+	return idx, page, false, true
 }
 
 // Close detaches the consumer from the pass. It is idempotent; a closed

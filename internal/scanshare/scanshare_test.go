@@ -276,14 +276,12 @@ type readerStub struct{}
 
 func (readerStub) BlockingRead(int64, bool) {}
 
-// One full wrap-around lap publishes its stats delta: Passes, LastPass,
-// and the listener all see per-lap numbers, not lifetime totals.
+// One full wrap-around lap publishes its stats delta: Passes and LastPass
+// read after each lap see per-lap numbers, not lifetime totals.
 func TestLapAccountingAndListener(t *testing.T) {
 	h := heapOf(t, 500)
 	n := h.NumPages()
 	c := NewCoordinator(h, "t", nil)
-	var laps []PassStats
-	c.SetPassListener(func(ps PassStats) { laps = append(laps, ps) })
 
 	a := c.Attach()
 	drain(a, nil)
@@ -294,9 +292,6 @@ func TestLapAccountingAndListener(t *testing.T) {
 	lp := c.LastPass()
 	if lp.PagesSurfaced != int64(n) || lp.PagesDelivered != int64(n) || lp.Attaches != 1 {
 		t.Fatalf("first lap delta = %+v, want %d surfaced, %d delivered, 1 attach", lp, n, n)
-	}
-	if len(laps) != 1 || laps[0] != lp {
-		t.Fatalf("listener saw %v, want one call with %+v", laps, lp)
 	}
 
 	// Second lap, two consumers: the delta restarts — it must not carry
@@ -318,11 +313,92 @@ func TestLapAccountingAndListener(t *testing.T) {
 	if lp.PagesSurfaced != int64(n) || lp.PagesDelivered != int64(2*n) || lp.Attaches != 2 {
 		t.Fatalf("second lap delta = %+v, want %d surfaced, %d delivered, 2 attaches", lp, n, 2*n)
 	}
-	if len(laps) != 2 {
-		t.Fatalf("listener called %d times, want 2", len(laps))
-	}
 	b1.Close()
 	b2.Close()
+}
+
+// The pass's cursor wraps from wherever it stands: a consumer attaching at
+// any page sees every page once, in wrap order, and a full lap leaves the
+// cursor back at its entry page.
+func TestPassWrapsFromAnyStart(t *testing.T) {
+	h := heapOf(t, 500)
+	n := h.NumPages()
+	if n < 3 {
+		t.Fatalf("need ≥3 pages, got %d", n)
+	}
+	for _, start := range []int{0, 1, n / 2, n - 1} {
+		c := NewCoordinator(h, "t", nil)
+		lead := c.Attach()
+		for i := 0; i < start; i++ {
+			lead.Next(nil)
+		}
+		lead.Close()
+		k := c.Attach()
+		if k.Entry() != start || c.Pos() != start {
+			t.Fatalf("start %d: entry %d, Pos %d", start, k.Entry(), c.Pos())
+		}
+		for i := 0; i < n; i++ {
+			idx, page, _, ok := k.Next(nil)
+			if want := (start + i) % n; !ok || idx != want || page != h.Page(want) {
+				t.Fatalf("start %d: step %d surfaced page %d (ok %v), want %d", start, i, idx, ok, want)
+			}
+		}
+		if _, _, _, ok := k.Next(nil); ok {
+			t.Fatalf("start %d: consumer went past one lap", start)
+		}
+		if c.Pos() != start {
+			t.Fatalf("start %d: after a full lap Pos = %d", start, c.Pos())
+		}
+	}
+}
+
+func TestPassOverEmptyHeap(t *testing.T) {
+	c := NewCoordinator(storage.NewHeap(0), "t", nil)
+	k := c.Attach()
+	if _, _, _, ok := k.Next(nil); ok {
+		t.Fatal("empty heap surfaced a page")
+	}
+	if c.Pos() != 0 || c.Stats() != (PassStats{Attaches: 1}) || c.Passes() != 0 {
+		t.Fatalf("empty pass moved: Pos %d, stats %+v, passes %d", c.Pos(), c.Stats(), c.Passes())
+	}
+}
+
+// Over one page the pass surfaces the same page lap after lap, one lap per
+// consumer in turn.
+func TestPassOverSinglePageRepeats(t *testing.T) {
+	h := heapOf(t, 3) // all rows fit one page
+	if h.NumPages() != 1 {
+		t.Fatalf("want a single-page heap, got %d pages", h.NumPages())
+	}
+	c := NewCoordinator(h, "t", nil)
+	for lap := 0; lap < 4; lap++ {
+		k := c.Attach()
+		if idx, _, _, ok := k.Next(nil); !ok || idx != 0 {
+			t.Fatalf("lap %d: idx=%d ok=%v, want 0 true", lap, idx, ok)
+		}
+		k.Close()
+	}
+	if c.Passes() != 4 || c.Stats().PagesSurfaced != 4 {
+		t.Fatalf("passes %d, surfaced %d, want 4 each", c.Passes(), c.Stats().PagesSurfaced)
+	}
+}
+
+// Each lap touches the pool once per page: the first misses every page,
+// the second hits every page.
+func TestPassTouchesPoolOncePerLap(t *testing.T) {
+	h := heapOf(t, 500)
+	n := h.NumPages()
+	pool := storage.NewBufferPool(1<<20, readerStub{})
+	c := NewCoordinator(h, "li", pool)
+	for lap := 0; lap < 2; lap++ {
+		k := c.Attach()
+		drain(k, nil)
+		k.Close()
+	}
+	st := pool.Stats()
+	if st.Misses != int64(n) || st.Hits != int64(n) {
+		t.Fatalf("two laps: %d misses and %d hits, want %d each", st.Misses, st.Hits, n)
+	}
 }
 
 // A page every needy consumer prunes is skipped physically and counts

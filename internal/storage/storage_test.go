@@ -321,90 +321,27 @@ func TestMorselSourceEmptyHeap(t *testing.T) {
 	}
 }
 
-// --- CircularScan ---
-
-func circHeap(t *testing.T, rows int) *Heap {
-	t.Helper()
+// A source's positions start at its entry page and wrap: one lap covers
+// every page once, and the runs tile the lap as they tile a heap from 0.
+func TestMorselSourceWrapsFromEntry(t *testing.T) {
 	h := NewHeap(256)
-	for i := 0; i < rows; i++ {
+	for i := 0; i < 500; i++ {
 		h.Append(expr.Row{expr.Int(int64(i))})
 	}
-	return h
-}
-
-func TestCircularScanWrapsFromAnyStart(t *testing.T) {
-	h := circHeap(t, 500)
 	n := h.NumPages()
-	if n < 3 {
-		t.Fatalf("need ≥3 pages, got %d", n)
-	}
-	for _, start := range []int{0, 1, n - 1, n, n + 2, -1} {
-		s := NewCircularScan(h, "t", nil, start)
-		wantFirst := ((start % n) + n) % n
-		if s.Pos() != wantFirst {
-			t.Fatalf("start %d: Pos = %d, want %d", start, s.Pos(), wantFirst)
-		}
-		seen := make(map[int]int)
-		for i := 0; i < n; i++ {
-			idx, page, ok := s.Next()
-			if !ok {
-				t.Fatalf("start %d: pass ended after %d pages", start, i)
+	for _, entry := range []int{0, 1, n - 1, n, n + 2, -1} {
+		src := NewMorselSourceFrom(h, entry)
+		first := (entry%n + n) % n
+		pos := 0
+		for run, ok := src.NextRun(); ok; run, ok = src.NextRun() {
+			for ; pos < run.End; pos++ {
+				if want := (first + pos) % n; src.Index(pos) != want || src.Page(pos) != h.Page(want) {
+					t.Fatalf("entry %d: position %d is page %d, want %d", entry, pos, src.Index(pos), want)
+				}
 			}
-			if want := (wantFirst + i) % n; idx != want {
-				t.Fatalf("start %d: page %d surfaced index %d, want %d", start, i, idx, want)
-			}
-			if page != h.Page(idx) {
-				t.Fatalf("start %d: wrong page for index %d", start, idx)
-			}
-			seen[idx]++
 		}
-		if len(seen) != n {
-			t.Fatalf("start %d: one lap surfaced %d distinct pages, want %d", start, len(seen), n)
+		if pos != n {
+			t.Fatalf("entry %d: runs covered %d positions, want %d", entry, pos, n)
 		}
-		// The lap closes: the cursor is back at the entry page.
-		if s.Pos() != wantFirst {
-			t.Fatalf("start %d: after a full lap Pos = %d, want %d", start, s.Pos(), wantFirst)
-		}
-	}
-}
-
-func TestCircularScanEmptyHeap(t *testing.T) {
-	s := NewCircularScan(NewHeap(0), "t", nil, 3)
-	if s.Pos() != 0 {
-		t.Fatalf("empty heap Pos = %d, want 0", s.Pos())
-	}
-	if _, _, ok := s.Next(); ok {
-		t.Fatal("empty heap surfaced a page")
-	}
-}
-
-func TestCircularScanSinglePageRepeats(t *testing.T) {
-	h := circHeap(t, 3) // all rows fit one page
-	if h.NumPages() != 1 {
-		t.Fatalf("want a single-page heap, got %d pages", h.NumPages())
-	}
-	s := NewCircularScan(h, "t", nil, 5)
-	for i := 0; i < 4; i++ {
-		idx, _, ok := s.Next()
-		if !ok || idx != 0 {
-			t.Fatalf("lap %d: idx=%d ok=%v, want 0 true", i, idx, ok)
-		}
-	}
-}
-
-func TestCircularScanTouchesPool(t *testing.T) {
-	h := circHeap(t, 500)
-	n := h.NumPages()
-	bp := NewBufferPool(1<<20, &fakeReader{})
-	s := NewCircularScan(h, "li", bp, 0)
-	for i := 0; i < 2*n; i++ {
-		s.Next()
-	}
-	st := bp.Stats()
-	if st.Misses != int64(n) {
-		t.Fatalf("first lap should miss every page once: misses = %d, want %d", st.Misses, n)
-	}
-	if st.Hits != int64(n) {
-		t.Fatalf("second lap should hit every page: hits = %d, want %d", st.Hits, n)
 	}
 }
