@@ -605,7 +605,7 @@ func RemapExpr(e expr.Expr, f func(int) int) expr.Expr {
 	case expr.Not:
 		return expr.Not{E: RemapExpr(n.E, f)}
 	case *expr.InHash:
-		return &expr.InHash{E: RemapExpr(n.E, f), Set: n.Set}
+		return &expr.InHash{E: RemapExpr(n.E, f), Set: n.Set, Desc: n.Desc}
 	case expr.Arith:
 		return expr.Arith{Op: n.Op, L: RemapExpr(n.L, f), R: RemapExpr(n.R, f)}
 	default:
