@@ -206,8 +206,8 @@ func (e *Engine) Query(p plan.Node) *Rows { return e.start(nil, Stmt{Plan: p}) }
 func (e *Engine) start(sess *SharedSession, st Stmt) *Rows {
 	profiling := e.profiling || st.Profile
 	// With an objective enabled, re-derive the plan through the optimizer
-	// (join order, build sides, pushdown, parallelism); plans the extractor
-	// does not recognize fall back to executing as given. On a session the
+	// (join order, build sides, pushdown, parallelism); plans built node by
+	// node carry no logical origin and execute as given. On a session the
 	// optimizer also weighs the shared attach against a private scan:
 	// sharing amortizes page streaming across the expected concurrency
 	// (energy down) while stretching per-query response as the queries

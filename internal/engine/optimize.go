@@ -10,8 +10,10 @@ import (
 
 // This file is the engine's edge of the cost-and-energy optimizer: it
 // packages the profile's cost constants and the machine's CPU model into
-// an opt.Env, and routes statements through Extract → Optimize → Lower
-// when the profile's Objective is enabled.
+// an opt.Env, and, when the profile's Objective is enabled, re-plans each
+// statement from the logical plan it was lowered from: Extract reads that
+// origin off the plan's root, Optimize picks the choices, Lower applies
+// them. A plan built node by node has no origin and runs as given.
 
 // OptimizerEnv returns the costing environment and objective this engine
 // plans under — the hook the SQL front end's EXPLAIN uses.
@@ -33,8 +35,8 @@ func (e *Engine) optEnv(sharedQ int) opt.Env {
 }
 
 // optimize re-plans p under the profile's objective. ok is false when the
-// objective is disabled or the plan cannot be optimized (unrecognized
-// shape, no statistics, no admissible lowering) — callers then execute p
+// objective is disabled or the plan cannot be optimized (no logical
+// origin, no admissible lowering) — callers then execute p
 // exactly as handed in, so optimization can never lose a query. For a
 // profiled statement the returned PlanInfo carries the winning choice's
 // whole-plan and per-operator estimates for the profile's

@@ -27,7 +27,11 @@ type stmtSpec struct {
 func (s stmtSpec) plan(e *Engine) plan.Node {
 	switch s.shape {
 	case 0:
-		return plan.NewScan(e.MustTable(tpch.Lineitem), nil)
+		p, err := plan.LowerScan(e.MustTable(tpch.Lineitem), nil)
+		if err != nil {
+			panic(err)
+		}
+		return p
 	case 1:
 		return tpch.QuantityBandQuery(e.Catalog(), int64(1+s.param%48), 2)
 	case 2:

@@ -170,7 +170,7 @@ func chosenPlan(e *engine.Engine, p plan.Node, sharedQ int) string {
 	}
 	lg, basePhys, err := opt.Extract(p)
 	if err != nil {
-		return "hand-lowered (not extractable)"
+		return "hand-lowered (no logical origin)"
 	}
 	env.SharedConcurrency = sharedQ
 	ch, err := opt.Optimize(lg, basePhys, env, obj)

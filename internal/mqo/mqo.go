@@ -114,11 +114,11 @@ func Merge(queries []plan.Node, strategy MergeStrategy) (*Merged, error) {
 	default:
 		return nil, fmt.Errorf("mqo: unknown merge strategy %d", int(strategy))
 	}
-	return &Merged{
-		Plan:       plan.NewScan(sels[0].Table, pred),
-		Selections: sels,
-		Strategy:   strategy,
-	}, nil
+	p, err := plan.LowerScan(sels[0].Table, pred)
+	if err != nil {
+		return nil, err
+	}
+	return &Merged{Plan: p, Selections: sels, Strategy: strategy}, nil
 }
 
 // SplitCostPerRowPerProbe is the client-side cycles to test one result row

@@ -10,11 +10,11 @@ import (
 	"ecodb/internal/tpch"
 )
 
-// BenchmarkOptimizeQ5 measures full optimization of the six-table Q5 join
-// — extract excluded, since the engine runs Extract+Optimize per query and
-// the DP enumeration dominates. The bench-smoke CI job runs this to catch
-// planning-cost regressions; TestPlanningFractionOfQ5Execution holds the
-// budget itself.
+// BenchmarkOptimizeQ5 measures full optimization of the six-table Q5 join.
+// Extract is left out: it only reads the origin Lower stamped on the plan,
+// so the DP enumeration is all the engine's planning does. The bench-smoke
+// CI job runs this to catch planning-cost regressions;
+// TestPlanningFractionOfQ5Execution holds the budget itself.
 func BenchmarkOptimizeQ5(b *testing.B) {
 	e := commercialEngine(b, opt.Objective{})
 	lg, base, err := opt.Extract(tpch.Q5(e.Catalog(), "ASIA", 1994))
@@ -32,9 +32,9 @@ func BenchmarkOptimizeQ5(b *testing.B) {
 }
 
 // planAllocsQ5 is the planning budget: allocations to extract and optimize
-// Q5 — 901 when planning took about 1% of executing Q5 at the experiments'
-// default scale — plus about a tenth.
-const planAllocsQ5 = 990
+// Q5 — 729, all of them Optimize's, since Extract reads the plan's origin
+// without allocating — plus about a tenth.
+const planAllocsQ5 = 800
 
 // TestPlanningFractionOfQ5Execution pins the optimizer's planning budget by
 // what executor speed cannot move: extracting and optimizing Q5 at the

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"ecodb/internal/catalog"
 	"ecodb/internal/engine"
 	"ecodb/internal/expr"
 	"ecodb/internal/hw/cpu"
@@ -35,20 +36,26 @@ func TestEstimateIsTheBillWhereCardinalityIsExact(t *testing.T) {
 		e.SetProfiling(true)
 		env, _ := e.OptimizerEnv()
 
-		shapes := map[string]plan.Node{
-			"count(*)": plan.NewAgg(plan.NewScan(e.MustTable(tpch.Lineitem), nil), nil,
-				[]plan.AggSpec{{Func: plan.Count, Name: "n"}}),
+		count, err := plan.NewLogical([]*catalog.Table{e.MustTable(tpch.Lineitem)})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if err := count.SetAgg(nil, []plan.AggSpec{{Func: plan.Count, Name: "n"}}); err != nil {
+			t.Fatal(err)
+		}
+		shapes := map[string]*plan.Logical{"count(*)": count}
 		for _, name := range []string{tpch.Lineitem, tpch.Orders, tpch.Customer} {
-			shapes["scan "+name] = plan.NewScan(e.MustTable(name), nil)
+			if shapes["scan "+name], err = plan.NewLogical([]*catalog.Table{e.MustTable(name)}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		for name, p := range shapes {
+		for name, lg := range shapes {
 			label := prof.Name + ", " + name
-			lg, base, err := opt.Extract(p)
+			p, err := lg.Lower(lg.DefaultChoices())
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			ch, err := opt.Optimize(lg, base, env, opt.MinimizeLatency())
+			ch, err := opt.Optimize(lg, lg.DefaultChoices(), env, opt.MinimizeLatency())
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -88,6 +89,22 @@ type Choice struct {
 	EstSeconds float64
 	EstJoules  float64
 	EstRows    float64
+}
+
+// errNoOrigin is Extract's answer for a plan built node by node.
+var errNoOrigin = errors.New("opt: plan was not lowered from a logical plan")
+
+// Extract returns the logical plan and physical choices root was lowered
+// from — the origin Logical.Lower stamps on the root it returns
+// (plan.OriginOf). A tree built node by node has no origin and yields an
+// error; callers then execute it as given. The logical plan is shared with
+// every other statement lowered from it, so callers only read it.
+func Extract(root plan.Node) (*plan.Logical, plan.PhysChoices, error) {
+	o := plan.OriginOf(root)
+	if o == nil {
+		return nil, plan.PhysChoices{}, errNoOrigin
+	}
+	return o.Logical, o.Choices, nil
 }
 
 // maxCandsPerSet caps the Pareto frontier kept per table subset during

@@ -14,7 +14,9 @@ import (
 // physical decisions (join order, build sides, pushdown depth, access
 // path) that Lower applies to produce an executable Node tree. Binding and
 // validation happen here, against (table, column) pairs, so front ends
-// (sql, programmatic extraction) only translate syntax.
+// (sql, the tpch and mqo builders) only translate syntax. Planning runs one
+// way: a front end builds a Logical, Lower turns it into a tree, and the
+// tree's root remembers the Logical it came from.
 
 // TableSet is a bitmask over a Logical plan's table positions.
 type TableSet uint64
@@ -310,6 +312,9 @@ func (lg *Logical) DefaultChoices() PhysChoices {
 // conjuncts; every other conjunct lands at the earliest operator whose
 // inputs cover it (scan filter, join residual, or — defensively — a Filter).
 // The result's output schema equals OutputSchema regardless of choices.
+// The root carries its origin (OriginOf): lg and ch, with a nil join order
+// or build side list filled from DefaultChoices; the origin shares ch's
+// slices, so the caller must not modify them afterwards.
 func (lg *Logical) Lower(ch PhysChoices) (Node, error) {
 	order := ch.JoinOrder
 	if order == nil {
@@ -472,7 +477,27 @@ func (lg *Logical) Lower(ch PhysChoices) (Node, error) {
 	if lg.Limit >= 0 {
 		cur = NewLimit(cur, lg.Limit)
 	}
+	cur.stamp().origin = &Origin{
+		Logical: lg,
+		Choices: PhysChoices{JoinOrder: order, BuildLeft: buildLeft, Pushdown: ch.Pushdown},
+	}
 	return cur, nil
+}
+
+// LowerScan lowers a scan of t, filtered by pred when it is not nil, through
+// a one-table Logical, so the scan carries its origin. pred is one conjunct
+// over t's own columns.
+func LowerScan(t *catalog.Table, pred expr.Expr) (Node, error) {
+	lg, err := NewLogical([]*catalog.Table{t})
+	if err != nil {
+		return nil, err
+	}
+	if pred != nil {
+		if err := lg.AddPredicate(pred); err != nil {
+			return nil, err
+		}
+	}
+	return lg.Lower(lg.DefaultChoices())
 }
 
 // tableGlobals lists table t's global column ids in order.

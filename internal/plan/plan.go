@@ -21,11 +21,55 @@ type Node interface {
 	Children() []Node
 	// Describe returns a one-line operator description (without inputs).
 	Describe() string
+
+	// stamp returns the slot Lower records a root's origin in.
+	stamp() *lineage
+}
+
+// Origin is where a lowered plan came from: the logical plan and the
+// physical choices Logical.Lower applied, with a nil join order or build
+// side list filled from the logical plan's defaults. The logical plan is
+// shared by everything built from it and is never written after Lower.
+type Origin struct {
+	Logical *Logical
+	Choices PhysChoices
+}
+
+// lineage is embedded once in every node type. Lower stamps the root it
+// returns; every other node, and every node built directly, has none.
+type lineage struct{ origin *Origin }
+
+func (l *lineage) stamp() *lineage { return l }
+
+// OriginOf returns the logical plan and choices n was lowered from, or nil
+// when n is not the root of a tree Logical.Lower returned. It runs once per
+// optimized statement, usually on a plan a scan has just evicted from
+// cache, so it reads the field through a type switch rather than an
+// indirect call to stamp. Every node type has a case.
+func OriginOf(n Node) *Origin {
+	switch v := n.(type) {
+	case *Scan:
+		return v.origin
+	case *Filter:
+		return v.origin
+	case *HashJoin:
+		return v.origin
+	case *Project:
+		return v.origin
+	case *Agg:
+		return v.origin
+	case *Sort:
+		return v.origin
+	case *Limit:
+		return v.origin
+	}
+	return nil
 }
 
 // Scan reads every row of a table, optionally filtering. The paper's
 // setups build no indices, so scans are the only access path.
 type Scan struct {
+	lineage
 	Table  *catalog.Table
 	Filter expr.Expr // optional
 }
@@ -51,6 +95,7 @@ func (s *Scan) Describe() string {
 
 // Filter drops rows not satisfying the predicate.
 type Filter struct {
+	lineage
 	Input Node
 	Pred  expr.Expr
 }
@@ -73,6 +118,7 @@ func (f *Filter) Describe() string { return fmt.Sprintf("Filter(%s)", f.Pred) }
 // optional residual predicate evaluated on the concatenated row (Build
 // columns first). Output rows are buildRow ++ probeRow.
 type HashJoin struct {
+	lineage
 	Build, Probe       Node
 	BuildKey, ProbeKey int // column positions in the respective schemas
 	Residual           expr.Expr
@@ -115,6 +161,7 @@ func (j *HashJoin) Describe() string {
 
 // Project computes output expressions.
 type Project struct {
+	lineage
 	Input  Node
 	Exprs  []expr.Expr
 	Names  []string
@@ -176,6 +223,7 @@ type AggSpec struct {
 // Agg groups by column positions and computes aggregates. Output columns
 // are the group-by columns followed by the aggregates.
 type Agg struct {
+	lineage
 	Input   Node
 	GroupBy []int
 	Aggs    []AggSpec
@@ -233,6 +281,7 @@ type SortKey = expr.SortKey
 // loser-tree merge; output, simulated durations, and joules stay
 // bit-identical to the serial operator at any worker count.
 type Sort struct {
+	lineage
 	Input Node
 	Keys  []SortKey
 }
@@ -266,6 +315,7 @@ func (s *Sort) Describe() string {
 // beneath is told N and keeps only its first N rows, still consuming — and
 // charging for — its whole input.
 type Limit struct {
+	lineage
 	Input Node
 	N     int
 }

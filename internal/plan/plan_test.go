@@ -148,3 +148,29 @@ func TestRemapKeepsInHashDescription(t *testing.T) {
 		t.Fatalf("remapped columns %v, want [3]", c)
 	}
 }
+
+// TestOriginOfEveryNodeType: the origin Lower records on a root reads back
+// whichever node type the root is, and a node nobody stamped has none.
+func TestOriginOfEveryNodeType(t *testing.T) {
+	tb := table("t", "a", "b")
+	scan := NewScan(tb, nil)
+	nodes := []Node{
+		NewScan(tb, nil),
+		NewFilter(scan, expr.Col{Idx: 0}),
+		NewHashJoin(scan, NewScan(tb, nil), 0, 0, nil),
+		NewProject(scan, []expr.Expr{expr.Col{Idx: 0}}, []string{"a"}, []expr.Kind{expr.KindInt}),
+		NewAgg(scan, []int{0}, nil),
+		NewSort(scan, SortKey{Col: 0}),
+		NewLimit(scan, 1),
+	}
+	o := &Origin{}
+	for _, n := range nodes {
+		if OriginOf(n) != nil {
+			t.Fatalf("%s: unstamped node has an origin", n.Describe())
+		}
+		n.stamp().origin = o
+		if OriginOf(n) != o {
+			t.Fatalf("%s: stamped origin does not read back", n.Describe())
+		}
+	}
+}

@@ -14,9 +14,11 @@ import (
 // file only translates the AST into a bound plan.Logical — name resolution
 // and validation live in the plan layer's global column space — and the
 // physical shape (join order, build sides, pushdown, access path) is a
-// separate lowering step. Plan and Bind keep the legacy "hand-lowered"
-// contract by lowering with the default FROM-order choices; optimizing
-// callers bind to the logical form and hand it to internal/opt instead.
+// separate lowering step. Plan and Bind lower with the default FROM-order
+// choices, and the lowered root remembers the Logical it came from
+// (plan.OriginOf): an engine with an objective re-plans the statement from
+// that Logical, so EXPLAIN (BindLogical, then opt.Optimize) and EXPLAIN
+// ANALYZE cost the statement as it was bound.
 
 // Plan parses a SELECT statement and lowers it onto the catalog's tables
 // with the default physical choices: left-deep hash joins in FROM order,

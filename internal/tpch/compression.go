@@ -22,7 +22,7 @@ import (
 // lo <= l_orderkey < lo+width.
 func OrderkeyBandQuery(cat *catalog.Catalog, lo, width int64) plan.Node {
 	t := cat.MustTable(Lineitem)
-	return plan.NewScan(t, expr.Between{
+	return selection(t, expr.Between{
 		E:  t.Schema.Col("l_orderkey"),
 		Lo: expr.Int(lo),
 		Hi: expr.Int(lo + width),
@@ -57,7 +57,7 @@ func OrderkeyBandWorkload(cat *catalog.Catalog, sf float64, n int) []plan.Node {
 // comparison.
 func StatusQuery(cat *catalog.Catalog, status string) plan.Node {
 	t := cat.MustTable(Orders)
-	return plan.NewScan(t, expr.Cmp{
+	return selection(t, expr.Cmp{
 		Op: expr.EQ,
 		L:  t.Schema.Col("o_orderstatus"),
 		R:  expr.Const{V: expr.String(status)},
@@ -69,7 +69,7 @@ func StatusQuery(cat *catalog.Catalog, status string) plan.Node {
 // column.
 func SegmentQuery(cat *catalog.Catalog, segment string) plan.Node {
 	t := cat.MustTable(Customer)
-	return plan.NewScan(t, expr.Cmp{
+	return selection(t, expr.Cmp{
 		Op: expr.EQ,
 		L:  t.Schema.Col("c_mktsegment"),
 		R:  expr.Const{V: expr.String(segment)},

@@ -23,97 +23,100 @@ import (
 //	GROUP BY n_name ORDER BY revenue DESC
 //
 // The plan is the no-index shape both engines run: a left-deep chain of
-// hash joins over full scans, small relations on the build side.
+// hash joins over full scans in FROM order, small relations on the build
+// side until supplier, which is built and probed with the lineitem stream.
 func Q5(cat *catalog.Catalog, region string, startYear int) plan.Node {
 	if startYear < 1992 || startYear > 1997 {
 		panic(fmt.Sprintf("tpch: Q5 start year %d outside order-date range", startYear))
 	}
-	regionT := cat.MustTable(Region)
-	nationT := cat.MustTable(Nation)
-	customerT := cat.MustTable(Customer)
-	ordersT := cat.MustTable(Orders)
-	lineitemT := cat.MustTable(Lineitem)
-	supplierT := cat.MustTable(Supplier)
-
-	dateLo := expr.MustParseDate(fmt.Sprintf("%d-01-01", startYear))
-	dateHi := expr.MustParseDate(fmt.Sprintf("%d-01-01", startYear+1))
-
-	// region(r_name = :region)
-	regionScan := plan.NewScan(regionT, expr.Cmp{
-		Op: expr.EQ,
-		L:  regionT.Schema.Col("r_name"),
-		R:  expr.Const{V: expr.String(region)},
+	lg, err := plan.NewLogical([]*catalog.Table{
+		cat.MustTable(Region), cat.MustTable(Nation), cat.MustTable(Customer),
+		cat.MustTable(Orders), cat.MustTable(Lineitem), cat.MustTable(Supplier),
 	})
-
-	// ⨝ nation ON n_regionkey = r_regionkey
-	natJoin := plan.NewHashJoin(
-		regionScan, plan.NewScan(nationT, nil),
-		regionT.Schema.MustIndex("r_regionkey"),
-		nationT.Schema.MustIndex("n_regionkey"),
-		nil,
-	)
-
-	// ⨝ customer ON c_nationkey = n_nationkey
-	custJoin := plan.NewHashJoin(
-		natJoin, plan.NewScan(customerT, nil),
-		natJoin.Schema().MustIndex("n_nationkey"),
-		customerT.Schema.MustIndex("c_nationkey"),
-		nil,
-	)
-
-	// ⨝ orders ON o_custkey = c_custkey, orders pre-filtered by date
-	ordersScan := plan.NewScan(ordersT, expr.Between{
-		E:  ordersT.Schema.Col("o_orderdate"),
-		Lo: dateLo,
-		Hi: dateHi,
-	})
-	ordJoin := plan.NewHashJoin(
-		custJoin, ordersScan,
-		custJoin.Schema().MustIndex("c_custkey"),
-		ordersT.Schema.MustIndex("o_custkey"),
-		nil,
-	)
-
-	// ⨝ lineitem ON l_orderkey = o_orderkey
-	lineJoin := plan.NewHashJoin(
-		ordJoin, plan.NewScan(lineitemT, nil),
-		ordJoin.Schema().MustIndex("o_orderkey"),
-		lineitemT.Schema.MustIndex("l_orderkey"),
-		nil,
-	)
-
-	// ⨝ supplier ON s_suppkey = l_suppkey AND s_nationkey = c_nationkey.
-	// Supplier is the build side; the nation-equality is a residual on the
-	// joined row.
-	suppScan := plan.NewScan(supplierT, nil)
-	suppJoin := plan.NewHashJoin(
-		suppScan, lineJoin,
-		supplierT.Schema.MustIndex("s_suppkey"),
-		lineJoin.Schema().MustIndex("l_suppkey"),
-		nil, // residual attached below once the concat schema exists
-	)
-	suppJoin.Residual = expr.Cmp{
-		Op: expr.EQ,
-		L:  suppJoin.Schema().Col("s_nationkey"),
-		R:  suppJoin.Schema().Col("c_nationkey"),
+	must(err)
+	col := func(name string) expr.Col {
+		g, err := lg.Resolve("", name)
+		must(err)
+		return expr.Col{Idx: g, Name: name}
 	}
+	eq := func(l, r expr.Expr) expr.Expr { return expr.Cmp{Op: expr.EQ, L: l, R: r} }
 
-	// Revenue aggregation grouped by nation name.
-	revenue := expr.Arith{
-		Op: expr.Mul,
-		L:  suppJoin.Schema().Col("l_extendedprice"),
-		R: expr.Arith{
-			Op: expr.Sub,
-			L:  expr.Const{V: expr.Float(1)},
-			R:  suppJoin.Schema().Col("l_discount"),
+	// Conjuncts in join order: each table's filter, then the key joining
+	// it (accumulated side first), then residuals. Lower keys each join on
+	// the first equi-join conjunct that reaches the new table, so supplier
+	// joins on s_suppkey and checks s_nationkey = c_nationkey after.
+	for _, p := range []expr.Expr{
+		eq(col("r_name"), expr.Const{V: expr.String(region)}),
+		eq(col("r_regionkey"), col("n_regionkey")),
+		eq(col("n_nationkey"), col("c_nationkey")),
+		expr.Between{
+			E:  col("o_orderdate"),
+			Lo: expr.MustParseDate(fmt.Sprintf("%d-01-01", startYear)),
+			Hi: expr.MustParseDate(fmt.Sprintf("%d-01-01", startYear+1)),
 		},
+		eq(col("c_custkey"), col("o_custkey")),
+		eq(col("o_orderkey"), col("l_orderkey")),
+		eq(col("l_suppkey"), col("s_suppkey")),
+		eq(col("s_nationkey"), col("c_nationkey")),
+	} {
+		must(lg.AddPredicate(p))
 	}
-	agg := plan.NewAgg(suppJoin,
-		[]int{suppJoin.Schema().MustIndex("n_name")},
-		[]plan.AggSpec{{Func: plan.Sum, Arg: revenue, Name: "revenue"}},
-	)
 
-	return plan.NewSort(agg, plan.SortKey{Col: agg.Schema().MustIndex("revenue"), Desc: true})
+	// Revenue aggregation grouped by nation name, largest first.
+	must(lg.SetAgg([]int{col("n_name").Idx},
+		[]plan.AggSpec{{Func: plan.Sum, Arg: revenue(col), Name: "revenue"}}))
+	lg.Sort = []plan.SortKey{{Col: lg.OutputSchema().MustIndex("revenue"), Desc: true}}
+
+	return mustLower(lg, plan.PhysChoices{
+		JoinOrder: []int{0, 1, 2, 3, 4, 5},
+		BuildLeft: []bool{true, true, true, true, false},
+		Pushdown:  plan.PushdownAll,
+	})
+}
+
+// revenue is l_extendedprice * (1 - l_discount) over col's column space.
+func revenue(col func(string) expr.Col) expr.Expr {
+	return expr.Arith{
+		Op: expr.Mul,
+		L:  col("l_extendedprice"),
+		R:  expr.Arith{Op: expr.Sub, L: expr.Const{V: expr.Float(1)}, R: col("l_discount")},
+	}
+}
+
+// must panics on an error building one of this package's fixed queries:
+// the error is a bug in the builder, not bad input.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// mustLower lowers a builder's logical plan, so the tree carries its origin.
+func mustLower(lg *plan.Logical, ch plan.PhysChoices) plan.Node {
+	p, err := lg.Lower(ch)
+	must(err)
+	return p
+}
+
+// selection lowers a full-row scan of t filtered by pred.
+func selection(t *catalog.Table, pred expr.Expr) plan.Node {
+	p, err := plan.LowerScan(t, pred)
+	must(err)
+	return p
+}
+
+// lineitemLogical starts a one-table logical plan over lineitem, filtered
+// by l_quantity < maxQty.
+func lineitemLogical(cat *catalog.Catalog, maxQty int64) *plan.Logical {
+	t := cat.MustTable(Lineitem)
+	lg, err := plan.NewLogical([]*catalog.Table{t})
+	must(err)
+	must(lg.AddPredicate(expr.Cmp{
+		Op: expr.LT,
+		L:  t.Schema.Col("l_quantity"),
+		R:  expr.Const{V: expr.Int(maxQty)},
+	}))
+	return lg
 }
 
 // Q5Params identifies one Q5 instance.
@@ -154,7 +157,7 @@ func Q5Workload(cat *catalog.Catalog) []plan.Node {
 // attribute").
 func QuantityQuery(cat *catalog.Catalog, quantity int64) plan.Node {
 	t := cat.MustTable(Lineitem)
-	return plan.NewScan(t, expr.Cmp{
+	return selection(t, expr.Cmp{
 		Op: expr.EQ,
 		L:  t.Schema.Col("l_quantity"),
 		R:  expr.Const{V: expr.Int(quantity)},
@@ -183,7 +186,7 @@ func QuantityWorkload(cat *catalog.Catalog, n int) []plan.Node {
 // from one heap pass.
 func QuantityBandQuery(cat *catalog.Catalog, lo, width int64) plan.Node {
 	t := cat.MustTable(Lineitem)
-	return plan.NewScan(t, expr.Between{
+	return selection(t, expr.Between{
 		E:  t.Schema.Col("l_quantity"),
 		Lo: expr.Int(lo),
 		Hi: expr.Int(lo + width),
@@ -214,26 +217,15 @@ func QuantityBandWorkload(cat *catalog.Catalog, n int) []plan.Node {
 // — the aggregation-dominated analytical shape whose Agg sits directly on
 // a scan→filter fragment, so the parallel pre-aggregation path applies.
 func RevenueByQuantityQuery(cat *catalog.Catalog, maxQty int64) plan.Node {
-	t := cat.MustTable(Lineitem)
-	price := t.Schema.Col("l_extendedprice")
-	disc := t.Schema.Col("l_discount")
-	revenue := expr.Arith{
-		Op: expr.Mul,
-		L:  price,
-		R:  expr.Arith{Op: expr.Sub, L: expr.Const{V: expr.Float(1)}, R: disc},
-	}
-	scan := plan.NewScan(t, expr.Cmp{
-		Op: expr.LT,
-		L:  t.Schema.Col("l_quantity"),
-		R:  expr.Const{V: expr.Int(maxQty)},
-	})
-	return plan.NewAgg(scan,
-		[]int{t.Schema.MustIndex("l_quantity")},
+	lg := lineitemLogical(cat, maxQty)
+	col := lg.Tables[0].Schema.Col
+	must(lg.SetAgg([]int{col("l_quantity").Idx},
 		[]plan.AggSpec{
-			{Func: plan.Sum, Arg: revenue, Name: "revenue"},
-			{Func: plan.Avg, Arg: revenue, Name: "avg_revenue"},
+			{Func: plan.Sum, Arg: revenue(col), Name: "revenue"},
+			{Func: plan.Avg, Arg: revenue(col), Name: "avg_revenue"},
 			{Func: plan.Count, Name: "n"},
-		})
+		}))
+	return mustLower(lg, lg.DefaultChoices())
 }
 
 // OrderedRevenueQuery builds the sort-dominated analytical shape: per-row
@@ -247,23 +239,13 @@ func RevenueByQuantityQuery(cat *catalog.Catalog, maxQty int64) plan.Node {
 // morsel-parallel sort path (worker-side run generation + loser-tree
 // merge) applies.
 func OrderedRevenueQuery(cat *catalog.Catalog, maxQty int64) plan.Node {
-	t := cat.MustTable(Lineitem)
-	price := t.Schema.Col("l_extendedprice")
-	disc := t.Schema.Col("l_discount")
-	revenue := expr.Arith{
-		Op: expr.Mul,
-		L:  price,
-		R:  expr.Arith{Op: expr.Sub, L: expr.Const{V: expr.Float(1)}, R: disc},
+	lg := lineitemLogical(cat, maxQty)
+	col := lg.Tables[0].Schema.Col
+	lg.Project = &plan.ProjectSpec{
+		Exprs: []expr.Expr{revenue(col), col("l_orderkey")},
+		Names: []string{"revenue", "l_orderkey"},
+		Kinds: []expr.Kind{expr.KindFloat, expr.KindInt},
 	}
-	proj := plan.NewProject(
-		plan.NewScan(t, expr.Cmp{
-			Op: expr.LT,
-			L:  t.Schema.Col("l_quantity"),
-			R:  expr.Const{V: expr.Int(maxQty)},
-		}),
-		[]expr.Expr{revenue, t.Schema.Col("l_orderkey")},
-		[]string{"revenue", "l_orderkey"},
-		[]expr.Kind{expr.KindFloat, expr.KindInt},
-	)
-	return plan.NewSort(proj, plan.SortKey{Col: 0, Desc: true})
+	lg.Sort = []plan.SortKey{{Col: 0, Desc: true}}
+	return mustLower(lg, lg.DefaultChoices())
 }
