@@ -93,11 +93,18 @@ func NewTable(name string, schema *Schema) *Table {
 	return &Table{Name: name, Schema: schema, Heap: storage.NewHeap(0)}
 }
 
-// Insert validates arity and appends a row.
+// Insert validates the row against the schema — its arity, and the kind of
+// every non-NULL value — and appends it. This is where a column comes to
+// hold one kind: every vector built from it later inherits that.
 func (t *Table) Insert(row expr.Row) {
 	if len(row) != t.Schema.NumCols() {
 		panic(fmt.Sprintf("catalog: row arity %d does not match %s schema arity %d",
 			len(row), t.Name, t.Schema.NumCols()))
+	}
+	for i, c := range t.Schema.cols {
+		if k := row[i].Kind; k != expr.KindNull && k != c.Kind {
+			panic(fmt.Sprintf("catalog: %v value %v in %s.%s, a %v column", k, row[i], t.Name, c.Name, c.Kind))
+		}
 	}
 	t.Heap.Append(row)
 }

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"strings"
 	"testing"
 
 	"ecodb/internal/expr"
@@ -79,6 +80,26 @@ func TestTableInsertArity(t *testing.T) {
 		}
 	}()
 	tb.Insert(expr.Row{expr.Int(1)})
+}
+
+// A column holds one kind: Insert rejects a non-NULL value of another kind
+// and names the column, so Int(1) and String("1") — which render alike —
+// can never share a column, a page vector or a group-key column. NULL fits
+// every column.
+func TestTableInsertRejectsAValueOfAnotherKind(t *testing.T) {
+	tb := NewTable("t", testSchema())
+	tb.Insert(expr.Row{expr.Null(), expr.Null()})
+	tb.Insert(expr.Row{expr.Int(1), expr.String("1")})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "t.name") {
+			t.Fatalf("Insert of an int into a string column panicked with %q, want a message naming t.name", msg)
+		}
+		if tb.Heap.NumRows() != 2 {
+			t.Fatalf("%d rows stored, want the 2 well-kinded ones", tb.Heap.NumRows())
+		}
+	}()
+	tb.Insert(expr.Row{expr.Int(2), expr.Int(1)})
 }
 
 func TestCatalogCreateAndLookup(t *testing.T) {

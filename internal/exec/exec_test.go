@@ -299,18 +299,6 @@ func TestGroupKeysAreInjective(t *testing.T) {
 	if rows := collect(t, Compile(a), ctx); len(rows) != 2 {
 		t.Fatalf("boundary-shifted groups collapsed: %d groups, want 2", len(rows))
 	}
-
-	// Int(1) and String("1") render identically but are distinct groups.
-	ctx2, _ := testCtx()
-	mixed := catalog.NewTable("m", catalog.NewSchema(
-		catalog.Column{Name: "k", Kind: expr.KindString}))
-	mixed.Insert(expr.Row{expr.Int(1)})
-	mixed.Insert(expr.Row{expr.String("1")})
-	a2 := plan.NewAgg(plan.NewScan(mixed, nil), []int{0},
-		[]plan.AggSpec{{Func: plan.Count, Name: "c"}})
-	if rows := collect(t, Compile(a2), ctx2); len(rows) != 2 {
-		t.Fatalf("kind-crossing groups collapsed: %d groups, want 2", len(rows))
-	}
 }
 
 func TestAggOutputOrderDeterministic(t *testing.T) {

@@ -468,7 +468,7 @@ func (t *aggTable) fold(in *expr.Batch, meter *expr.Cost) {
 			// COUNT(*) (nil Arg) counts every row.
 			var nulls []bool
 			if vec != nil {
-				nulls = vec.NullMask()
+				nulls = vec.Nulls
 			}
 			countRows(acc.counts, gid, nulls)
 		case plan.Min:
@@ -477,7 +477,7 @@ func (t *aggTable) fold(in *expr.Batch, meter *expr.Cost) {
 			expr.FoldExtremes(acc.ext, gid, vec, +1)
 		default: // Sum, Avg
 			vals := vec.AsFloats(t.floats)
-			countRows(acc.counts, gid, vec.NullMask())
+			countRows(acc.counts, gid, vec.Nulls)
 			if t.deferSums {
 				t.rowVals[i] = append(t.rowVals[i], vals...)
 			} else {

@@ -303,10 +303,10 @@ func (sc *scratch) chain(terms []Expr, pass bool, in *Batch, cand, out []int32, 
 }
 
 // filterCmpColConst is the kernel for Cmp{Col, Const} over a NULL-free
-// homogeneous vector, charging exactly what Cmp.Eval charges per row. With
-// no NULLs in play a comparison is false exactly when the negated operator
-// holds, so want=false runs the same loops. It reports false — having
-// charged nothing — for vectors and constants the typed loops do not cover.
+// vector, charging exactly what Cmp.Eval charges per row. With no NULLs in
+// play a comparison is false exactly when the negated operator holds, so
+// want=false runs the same loops. It reports false — having charged
+// nothing — for vectors and constants the typed loops do not cover.
 func filterCmpColConst(op CmpOp, idx int, k Value, in *Batch, cand, out []int32, want bool, cost *Cost) ([]int32, bool) {
 	vec := &in.Cols[idx]
 	if !typedComparable(vec, k) {
@@ -324,10 +324,10 @@ func filterCmpColConst(op CmpOp, idx int, k Value, in *Batch, cand, out []int32,
 }
 
 // typedComparable reports whether vec's payload can be compared with k by
-// the typed loops: no NULLs, one kind, and both sides in the same Compare
-// class (string, or numeric — see numericKind).
+// the typed loops: no NULLs, and both sides in the same Compare class
+// (string, or numeric — see numericKind).
 func typedComparable(vec *ColVec, k Value) bool {
-	if vec.Any != nil || vec.Nulls != nil {
+	if vec.Nulls != nil {
 		return false
 	}
 	if vec.Kind == KindString {
@@ -426,10 +426,9 @@ func (sc *scratch) filterInHashCol(idx int, set map[Value]struct{}, in *Batch, c
 }
 
 // filterFallback interprets one leaf the kernels do not cover — column
-// against column, a comparison over arithmetic, NULL-bearing or
-// heterogeneous vectors — per candidate row: gather the columns the leaf
-// references and Eval it, exactly the work a row-at-a-time engine does per
-// tuple, charges included.
+// against column, a comparison over arithmetic, NULL-bearing vectors — per
+// candidate row: gather the columns the leaf references and Eval it,
+// exactly the work a row-at-a-time engine does per tuple, charges included.
 func (sc *scratch) filterFallback(pred Expr, in *Batch, cand, out []int32, want bool, cost *Cost) []int32 {
 	sc.prepareGather(pred, in)
 	n := candLen(in, cand)
@@ -528,8 +527,7 @@ func EvalBatch(e Expr, in *Batch, dst *ColVec, cost *Cost) {
 }
 
 // arithTyped reports whether e is a tree of Arith nodes over numeric
-// constants and homogeneous numeric columns — what evalArith's float loops
-// cover.
+// constants and numeric columns — what evalArith's float loops cover.
 func arithTyped(e Expr, in *Batch) bool {
 	switch e := e.(type) {
 	case Arith:
@@ -537,8 +535,7 @@ func arithTyped(e Expr, in *Batch) bool {
 	case Const:
 		return numericKind(e.V.Kind)
 	case Col:
-		vec := &in.Cols[e.Idx]
-		return vec.Any == nil && numericKind(vec.Kind)
+		return numericKind(in.Cols[e.Idx].Kind)
 	}
 	return false
 }

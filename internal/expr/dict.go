@@ -60,7 +60,7 @@ func (d *Dict) UpperBound(s string) int32 {
 // word is missing from d. Logical content is unchanged: Get returns the
 // same canonical Values either way.
 func (v *ColVec) EncodeDict(d *Dict) bool {
-	if v.Any != nil || v.Dict != nil || v.Kind != KindString {
+	if v.Dict != nil || v.Kind != KindString {
 		return false
 	}
 	codes := make([]int32, v.n)

@@ -92,6 +92,21 @@ type Expr interface {
 	String() string
 }
 
+// KindOf returns the one kind every non-NULL value of e has, given the
+// kind of each column e reads: a column's own, a literal's, float for
+// arithmetic, and bool for comparisons and logic.
+func KindOf(e Expr, colKind func(int) Kind) Kind {
+	switch e := e.(type) {
+	case Col:
+		return colKind(e.Idx)
+	case Const:
+		return e.V.Kind
+	case Arith:
+		return KindFloat
+	}
+	return KindBool
+}
+
 // Col references a column by position; Name is for display only.
 type Col struct {
 	Idx  int

@@ -93,7 +93,7 @@ func TestTruthy(t *testing.T) {
 // Row.Bytes is 4 header bytes plus each value's Value.Bytes, and
 // Batch.Bytes is Row.Bytes summed over the batch's logical rows, whatever
 // the columns' representation (dense, NULL-bearing, all NULL,
-// dictionary-encoded, heterogeneous) and with or without a selection.
+// dictionary-encoded) and with or without a selection.
 func TestRowBytes(t *testing.T) {
 	r := Row{Int(1), String("hello"), Null()}
 	// 4 header + 8 + (5+2) + 1 = 20.
@@ -106,7 +106,7 @@ func TestRowBytes(t *testing.T) {
 		n := rng.Intn(25)
 		b := NewBatch(1 + rng.Intn(4))
 		for col := range b.Cols {
-			b.Cols[col] = *randVec(rng, rng.Intn(2) == 0, n, testDict)
+			b.Cols[col] = *randVec(rng, randKind(rng, rng.Intn(2) == 0), n, testDict)
 		}
 		b.N, b.Sel = n, randSel(rng, n)
 		var want int64

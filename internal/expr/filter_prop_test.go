@@ -12,12 +12,13 @@ import (
 // cascades over them and the per-leaf Eval fallback must agree EXACTLY —
 // selected physical indices and charged cycles — with row-at-a-time
 // evaluation of the same predicate, across random batches covering dense,
-// NULL-bearing, heterogeneous (mixed-kind), dictionary-encoded and
-// selection-carrying inputs. The row interpreter is the oracle.
+// NULL-bearing, all-NULL, dictionary-encoded and selection-carrying inputs.
+// The row interpreter is the oracle.
 
 // randValue draws a value from the given class: numeric classes mix
-// Int/Float/Date/Bool kinds (driving vectors heterogeneous), string
-// classes draw short strings; both classes produce NULLs.
+// Int/Float/Date/Bool kinds (so a constant is often of another numeric kind
+// than the column it meets), string classes draw short strings; both
+// classes produce NULLs.
 func randValue(rng *rand.Rand, numeric bool, nullFrac float64) Value {
 	if rng.Float64() < nullFrac {
 		return Null()
@@ -56,27 +57,29 @@ func randHomValue(rng *rand.Rand, kind Kind) Value {
 	}
 }
 
-// randColumn draws n values of one random shape — dense homogeneous,
-// homogeneous with NULLs, or heterogeneous (numeric mixes kinds) with NULLs.
-func randColumn(rng *rand.Rand, numeric bool, n int) []Value {
-	shape := rng.Intn(3)
-	homKind := KindString
-	if numeric {
-		homKind = []Kind{KindInt, KindFloat, KindDate, KindBool}[rng.Intn(4)]
+// randKind draws a column kind of the given class: one of the four numeric
+// kinds, or String.
+func randKind(rng *rand.Rand, numeric bool) Kind {
+	if !numeric {
+		return KindString
 	}
+	return []Kind{KindInt, KindFloat, KindDate, KindBool}[rng.Intn(4)]
+}
+
+// randColumn draws n values of kind in one random shape: dense, with NULLs,
+// or a third — numerics mostly NULL (short columns often entirely), strings
+// over a wider alphabet with NULLs.
+func randColumn(rng *rand.Rand, kind Kind, n int) []Value {
+	shape := rng.Intn(3)
 	vals := make([]Value, n)
 	for i := range vals {
-		switch shape {
-		case 0: // dense homogeneous: the typed kernel loops
-			vals[i] = randHomValue(rng, homKind)
-		case 1: // homogeneous with NULLs
-			if rng.Float64() < 0.3 {
-				vals[i] = Null()
-			} else {
-				vals[i] = randHomValue(rng, homKind)
-			}
-		default: // heterogeneous (numeric mixes kinds) with NULLs
-			vals[i] = randValue(rng, numeric, 0.2)
+		switch {
+		case shape == 1 && rng.Float64() < 0.3, shape == 2 && kind != KindString && rng.Float64() < 0.8:
+			vals[i] = Null()
+		case shape == 2 && kind == KindString:
+			vals[i] = randValue(rng, false, 0.2)
+		default:
+			vals[i] = randHomValue(rng, kind)
 		}
 	}
 	return vals
@@ -87,7 +90,7 @@ func randColumn(rng *rand.Rand, numeric bool, n int) []Value {
 func randBatch(rng *rand.Rand, numeric bool) *Batch {
 	b := NewBatch(1)
 	n := rng.Intn(60) + 1
-	for _, v := range randColumn(rng, numeric, n) {
+	for _, v := range randColumn(rng, randKind(rng, numeric), n) {
 		b.AppendRow(Row{v})
 	}
 	if rng.Intn(2) == 0 { // carry an input selection: every other row
@@ -147,11 +150,11 @@ func randTreeBatch(rng *rand.Rand) *Batch {
 	n := rng.Intn(60) + 1
 	b := &Batch{Cols: make([]ColVec, 4), N: n}
 	for c := range b.Cols {
-		for _, v := range randColumn(rng, c < 2, n) {
+		for _, v := range randColumn(rng, randKind(rng, c < 2), n) {
 			b.Cols[c].Append(v)
 		}
 	}
-	if vec := &b.Cols[3]; rng.Intn(2) == 0 && vec.Any == nil && vec.Kind == KindString {
+	if vec := &b.Cols[3]; rng.Intn(2) == 0 && vec.Kind == KindString {
 		var words []string
 		for i := 0; i < n; i++ {
 			if v := vec.Get(i); v.Kind == KindString {
@@ -390,7 +393,7 @@ func TestDictFilterMatchesDenseExactly(t *testing.T) {
 // Heap.Append does (folding Update over every value) and requires that
 // whenever ZonePrunes claims a predicate holds nowhere on the page, the
 // full filter over the page indeed selects nothing. Covers the NULL-heavy,
-// heterogeneous, and composite AND/OR shapes.
+// all-NULL, and composite AND/OR shapes.
 func TestZonePruneSoundness(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x20e5))
 	pruned := 0
@@ -467,26 +470,21 @@ func TestEvalBatchColFastPathMatchesEval(t *testing.T) {
 // randArithBatch builds a random batch of numeric columns for the
 // arithmetic tests: each column holds one of Int/Float/Date/Bool (zeros
 // included, so divisions hit x/0), NULL-free or NULL-bearing — the last
-// column sometimes all-NULL or heterogeneous, which the typed loops must
-// refuse — under a randSel input selection.
+// column sometimes all-NULL, which the typed loops must refuse — under a
+// randSel input selection.
 func randArithBatch(rng *rand.Rand) *Batch {
 	n := rng.Intn(60) + 1
 	b := &Batch{Cols: make([]ColVec, 4), N: n}
 	for c := range b.Cols {
 		kind := []Kind{KindInt, KindFloat, KindDate, KindBool}[rng.Intn(4)]
 		nullFrac := []float64{0, 0, 0.3}[rng.Intn(3)]
-		mixed := false
 		if c == 3 {
 			nullFrac = []float64{0, 0.3, 1}[rng.Intn(3)]
-			mixed = rng.Intn(3) == 0
 		}
 		for i := 0; i < n; i++ {
-			switch {
-			case rng.Float64() < nullFrac:
+			if rng.Float64() < nullFrac {
 				b.Cols[c].Append(Null())
-			case mixed:
-				b.Cols[c].Append(randValue(rng, true, 0))
-			default:
+			} else {
 				b.Cols[c].Append(randHomValue(rng, kind))
 			}
 		}

@@ -64,7 +64,7 @@ func chain[K comparable](m map[K]int32, k K, r int32, next, tail []int32) {
 // intKeys reports whether v is a NULL-free vector of one integer-payload
 // kind — the join key of nearly every plan, which gets a loop of its own.
 func (v *ColVec) intKeys() bool {
-	return v.Any == nil && v.Nulls == nil && v.Kind != KindNull && v.Kind != KindFloat && v.Kind != KindString
+	return v.Nulls == nil && v.Kind != KindNull && v.Kind != KindFloat && v.Kind != KindString
 }
 
 // joinKey normalises element i to a join key: its kind and its payload bits

@@ -83,9 +83,9 @@ func (g *GroupKeys) Build(b *Batch, cols []int) {
 	for _, c := range cols {
 		vec := &b.Cols[c]
 		switch {
-		case vec.Any != nil || vec.Kind == KindString || vec.Kind == KindNull:
-			// Variable width (strings), per-element kinds (Any), or
-			// tag-only NULL columns: size element by element.
+		case vec.Kind == KindString || vec.Kind == KindNull:
+			// Variable width (strings) or tag-only NULL columns: size
+			// element by element.
 			for li := 0; li < n; li++ {
 				g.cur[li] += int32(keyWidth(vec, b.RowIdx(li)))
 			}
@@ -117,7 +117,7 @@ func (g *GroupKeys) Build(b *Batch, cols []int) {
 	copy(g.cur, g.offs[:n])
 	for _, c := range cols {
 		vec := &b.Cols[c]
-		dense := b.Sel == nil && vec.Any == nil && !vec.HasNulls()
+		dense := b.Sel == nil && !vec.HasNulls()
 		switch {
 		case dense && (vec.Kind == KindBool || vec.Kind == KindInt || vec.Kind == KindDate):
 			for li, v := range vec.I[:n] {
@@ -152,27 +152,13 @@ func (g *GroupKeys) Build(b *Batch, cols []int) {
 // keyWidth returns the encoded width of element i of vec — exactly the
 // number of bytes putKeyValue writes for vec.Get(i).
 func keyWidth(vec *ColVec, i int) int {
-	if vec.IsNull(i) {
+	switch {
+	case vec.IsNull(i):
 		return 1
-	}
-	k := vec.Kind
-	if vec.Any != nil {
-		k = vec.Any[i].Kind
-	}
-	switch k {
-	case KindNull:
-		return 1
-	case KindString:
-		if vec.Any != nil {
-			return fixedKeyWidth + len(vec.Any[i].S)
-		}
-		if vec.Dict != nil {
-			return fixedKeyWidth + len(vec.Dict.words[vec.Codes[i]])
-		}
-		return fixedKeyWidth + len(vec.S[i])
-	default:
+	case vec.Kind != KindString:
 		return fixedKeyWidth
 	}
+	return fixedKeyWidth + len(vec.str(int32(i)))
 }
 
 // putKeyString writes the string encoding (tag, length, bytes) into dst and

@@ -121,12 +121,6 @@ func TestGroupKeysBatchMatchesRowEncoding(t *testing.T) {
 	})
 	assertKeysMatchRowPath(t, nulls, []int{0, 1, 2})
 
-	// Heterogeneous columns degrade to the Any representation.
-	mixed := keyBatch([]Row{
-		{Int(1)}, {String("1")}, {Float(1)}, {Null()}, {Bool(true)},
-	})
-	assertKeysMatchRowPath(t, mixed, []int{0})
-
 	// All-NULL column (vector kind stays KindNull).
 	allNull := keyBatch([]Row{{Null(), Int(1)}, {Null(), Int(2)}})
 	assertKeysMatchRowPath(t, allNull, []int{0, 1})

@@ -6,8 +6,7 @@ import "strings"
 // MIN/MAX make per row, made on the typed payload slices instead of on
 // boxed Values. Every one of them orders exactly as Compare does — NULL
 // before everything, numerics through float64 (so ints beyond 2⁵³ tie as
-// Compare ties them, and a NaN ties with everything), strings bytewise —
-// and hands the cases it has no loop for to Compare itself.
+// Compare ties them, and a NaN ties with everything), strings bytewise.
 
 // SortKey orders by one column of a batch.
 type SortKey struct {
@@ -18,7 +17,8 @@ type SortKey struct {
 // CompareRows orders physical row i of a against physical row j of b under
 // keys: negative when a's row sorts first, zero on a tie over every key.
 // The two batches may be the same one (sorting a buffer) or different ones
-// (a candidate against a kept row, or the heads of two sorted runs).
+// (a candidate against a kept row, or the heads of two sorted runs) of one
+// schema, so each key column holds one kind on both sides.
 func CompareRows(keys []SortKey, a *Batch, i int32, b *Batch, j int32) int {
 	for _, k := range keys {
 		c := compareElems(&a.Cols[k.Col], i, &b.Cols[k.Col], j)
@@ -64,7 +64,7 @@ func vecOrder(v *ColVec, desc bool) func(i, j int32) int {
 	}
 	nulls := v.Nulls
 	switch {
-	case v.Any != nil || nulls != nil:
+	case nulls != nil:
 		return func(i, j int32) int { return sign * compareElems(v, i, v, j) }
 	case v.Kind == KindNull:
 		return func(i, j int32) int { return 0 }
@@ -82,11 +82,9 @@ func vecOrder(v *ColVec, desc bool) func(i, j int32) int {
 	return func(i, j int32) int { return sign * strings.Compare(s[i], s[j]) }
 }
 
-// compareElems is Compare(x.Get(i), y.Get(j)) read off the payloads.
+// compareElems is Compare(x.Get(i), y.Get(j)) read off the payloads of two
+// vectors of one column: their non-NULL elements share a kind.
 func compareElems(x *ColVec, i int32, y *ColVec, j int32) int {
-	if x.Any != nil || y.Any != nil {
-		return Compare(x.Get(int(i)), y.Get(int(j)))
-	}
 	xNull := x.Nulls != nil && x.Nulls[i]
 	yNull := y.Nulls != nil && y.Nulls[j]
 	if xNull || yNull {
@@ -99,18 +97,15 @@ func compareElems(x *ColVec, i int32, y *ColVec, j int32) int {
 		return 1
 	}
 	switch {
-	case x.Kind == KindFloat && y.Kind == KindFloat:
+	case x.Kind == KindFloat:
 		return compareFloats(x.F[i], y.F[j])
-	case x.Kind == KindString && y.Kind == KindString:
-		if x.Dict != nil && x.Dict == y.Dict {
-			// One sorted dictionary: code order is string order.
-			return int(x.Codes[i]) - int(y.Codes[j])
-		}
-		return strings.Compare(x.str(i), y.str(j))
-	case numericKind(x.Kind) && numericKind(y.Kind):
-		return compareFloats(x.float(i), y.float(j))
+	case x.Kind != KindString:
+		return compareFloats(float64(x.I[i]), float64(y.I[j]))
+	case x.Dict != nil && x.Dict == y.Dict:
+		// One sorted dictionary: code order is string order.
+		return int(x.Codes[i]) - int(y.Codes[j])
 	}
-	return Compare(x.Get(int(i)), y.Get(int(j))) // incomparable kinds: Compare's panic
+	return strings.Compare(x.str(i), y.str(j))
 }
 
 func compareFloats(a, b float64) int {
@@ -123,21 +118,12 @@ func compareFloats(a, b float64) int {
 	return 0
 }
 
-// str returns non-NULL element i of a homogeneous string vector.
+// str returns non-NULL element i of a string vector.
 func (v *ColVec) str(i int32) string {
 	if v.Dict != nil {
 		return v.Dict.words[v.Codes[i]]
 	}
 	return v.S[i]
-}
-
-// float returns non-NULL element i of a homogeneous numeric vector as
-// Value.AsFloat would.
-func (v *ColVec) float(i int32) float64 {
-	if v.Kind == KindFloat {
-		return v.F[i]
-	}
-	return float64(v.I[i])
 }
 
 // FoldExtremes folds vec into per-group running extremes: for every
@@ -153,10 +139,8 @@ func FoldExtremes(ext []Value, gid []int32, vec *ColVec, sign int) {
 		cur := &ext[g]
 		var c int
 		switch {
-		case vec.Any != nil || cur.Kind != vec.Kind:
-			// A heterogeneous vector, the group's first value, or a slot
-			// of another kind.
-			FoldExtreme(cur, vec.Get(li), sign)
+		case cur.Kind == KindNull: // the group's first value
+			*cur = vec.Get(li)
 			continue
 		case vec.Kind == KindFloat:
 			c = compareFloats(vec.F[li], cur.F)
@@ -188,40 +172,17 @@ func FoldExtreme(cur *Value, v Value, sign int) {
 // own payload; any other converts into buf. The result is read-only and
 // valid until v or buf is next written.
 func (v *ColVec) AsFloats(buf []float64) []float64 {
-	if v.Any == nil && v.Kind == KindFloat {
+	if v.Kind == KindFloat {
 		return v.F
 	}
 	if cap(buf) < v.n {
 		buf = make([]float64, v.n)
 	}
 	buf = buf[:v.n]
-	switch {
-	case v.Any != nil:
-		for i, e := range v.Any {
-			buf[i] = e.AsFloat()
-		}
-	case numericKind(v.Kind):
+	if numericKind(v.Kind) {
 		gatherFloats(buf, v.I, nil)
-	default:
+	} else {
 		clear(buf)
 	}
 	return buf
-}
-
-// NullMask returns one flag per element, true where the element is NULL, or
-// nil when none is. The result is read-only.
-func (v *ColVec) NullMask() []bool {
-	if v.Any == nil {
-		return v.Nulls
-	}
-	var mask []bool
-	for i, e := range v.Any {
-		if e.Kind == KindNull {
-			if mask == nil {
-				mask = make([]bool, v.n)
-			}
-			mask[i] = true
-		}
-	}
-	return mask
 }

@@ -8,12 +8,12 @@ import (
 	"testing"
 )
 
-// randVec builds a column of a randColumn shape (typed, typed with NULLs,
-// heterogeneous, or all NULL), string columns dictionary-encoded against
-// dict half the time, with the edge values the blocking operators care
-// about mixed in: -0, NaN, and ints above 2⁵³ that tie as floats.
-func randVec(rng *rand.Rand, numeric bool, n int, dict *Dict) *ColVec {
-	vals := randColumn(rng, numeric, n)
+// randVec builds a column of kind in a randColumn shape (dense, with NULLs,
+// mostly NULL, or all NULL), string columns dictionary-encoded against dict
+// half the time, with the edge values the blocking operators care about
+// mixed in: -0, NaN, and ints above 2⁵³ that tie as floats.
+func randVec(rng *rand.Rand, kind Kind, n int, dict *Dict) *ColVec {
+	vals := randColumn(rng, kind, n)
 	allNull := rng.Intn(8) == 0
 	v := &ColVec{}
 	for _, val := range vals {
@@ -27,13 +27,18 @@ func randVec(rng *rand.Rand, numeric bool, n int, dict *Dict) *ColVec {
 		}
 		v.Append(val)
 	}
-	if !numeric && rng.Intn(2) == 0 {
+	if kind == KindString && rng.Intn(2) == 0 {
 		v.EncodeDict(dict)
 	}
 	return v
 }
 
-var testDict = NewDict([]string{"", "a", "ab", "abc", "b", "ba", "zz", "\x00x"})
+var testDicts = []*Dict{
+	NewDict([]string{"", "a", "ab", "abc", "b", "ba", "zz", "\x00x"}),
+	NewDict([]string{"", "a", "ab", "abc", "b", "ba", "c", "zz", "\x00x"}),
+}
+
+var testDict = testDicts[0]
 
 func sameBits(a, b Value) bool {
 	return a.Kind == b.Kind && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
@@ -42,14 +47,15 @@ func sameBits(a, b Value) bool {
 // AppendFrom's payload-to-payload gather must build the vector appending
 // value by value builds — the same elements, and the representation
 // invariants intact: no NULL bitmap without a NULL, no kind without a
-// non-NULL element.
+// non-NULL element. The parts are of one kind, as a column's pages are;
+// string parts arrive dense or under either of two dictionaries.
 func TestAppendFromMatchesAppendingValueByValue(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for c := 0; c < 3000; c++ {
-		numeric := rng.Intn(2) == 0
+		kind := randKind(rng, rng.Intn(2) == 0)
 		dst, want := &ColVec{}, &ColVec{}
 		for part := 0; part < 1+rng.Intn(3); part++ {
-			src := randVec(rng, numeric, rng.Intn(20), testDict)
+			src := randVec(rng, kind, rng.Intn(20), testDicts[rng.Intn(2)])
 			sel := randSel(rng, src.Len())
 			if sel != nil && rng.Intn(2) == 0 {
 				rng.Shuffle(len(sel), func(i, j int) { sel[i], sel[j] = sel[j], sel[i] }) // a gather, not a filter
@@ -81,13 +87,44 @@ func TestAppendFromMatchesAppendingValueByValue(t *testing.T) {
 				nulls++
 			}
 		}
-		if dst.Any == nil {
-			if (dst.Nulls != nil) != (nulls > 0) {
-				t.Fatalf("case %d: NULL bitmap present=%v with %d NULLs", c, dst.Nulls != nil, nulls)
-			}
-			if (dst.Kind == KindNull) != (nulls == dst.Len()) {
-				t.Fatalf("case %d: kind %v with %d NULLs of %d elements", c, dst.Kind, nulls, dst.Len())
-			}
+		if (dst.Nulls != nil) != (nulls > 0) {
+			t.Fatalf("case %d: NULL bitmap present=%v with %d NULLs", c, dst.Nulls != nil, nulls)
+		}
+		if (dst.Kind == KindNull) != (nulls == dst.Len()) {
+			t.Fatalf("case %d: kind %v with %d NULLs of %d elements", c, dst.Kind, nulls, dst.Len())
+		}
+	}
+}
+
+// A vector holds one kind plus NULLs: appending a non-NULL value of a
+// second kind — one value, or a gathered vector — panics instead of
+// changing the representation, and NULLs fit any vector.
+func TestAppendOfASecondKindPanics(t *testing.T) {
+	ints := func() *ColVec {
+		v := &ColVec{}
+		v.Append(Null())
+		v.Append(Int(7))
+		v.Append(Null())
+		return v
+	}
+	dates := &ColVec{}
+	dates.Append(Date(9000))
+	for name, appendDate := range map[string]func(v *ColVec){
+		"Append":     func(v *ColVec) { v.Append(Date(9000)) },
+		"AppendFrom": func(v *ColVec) { v.AppendFrom(dates, nil) },
+		"AppendElem": func(v *ColVec) { v.AppendElem(dates, 0) },
+	} {
+		v := ints()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of a date onto an int vector did not panic", name)
+				}
+			}()
+			appendDate(v)
+		}()
+		if v.Kind != KindInt || v.Len() != 3 || v.Get(1) != Int(7) {
+			t.Errorf("%s of a date changed the int vector: kind %v, %d elements", name, v.Kind, v.Len())
 		}
 	}
 }
@@ -131,7 +168,8 @@ func TestCompareRowsAndKeyOrderMatchCompare(t *testing.T) {
 		n := 1 + rng.Intn(12)
 		a, b := NewBatch(2), NewBatch(2)
 		for col := 0; col < 2; col++ {
-			a.Cols[col], b.Cols[col] = *randVec(rng, numeric, n, testDict), *randVec(rng, numeric, n, testDict)
+			kind := randKind(rng, numeric)
+			a.Cols[col], b.Cols[col] = *randVec(rng, kind, n, testDict), *randVec(rng, kind, n, testDict)
 		}
 		a.N, b.N = n, n
 		keys := []SortKey{{Col: rng.Intn(2), Desc: rng.Intn(2) == 0}, {Col: rng.Intn(2), Desc: rng.Intn(2) == 0}}[:1+rng.Intn(2)]
@@ -161,14 +199,14 @@ func TestCompareRowsAndKeyOrderMatchCompare(t *testing.T) {
 }
 
 // FoldExtremes keeps what folding Compare row by row keeps — strictly, so
-// the earliest of equal values stays — and AsFloats/NullMask are AsFloat
-// and IsNull over a whole vector.
+// the earliest of equal values stays — and AsFloats is AsFloat over a
+// whole vector.
 func TestFoldExtremesAndAsFloatsMatchBoxedValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for c := 0; c < 2000; c++ {
 		numeric := rng.Intn(2) == 0
 		n := rng.Intn(30)
-		vec := randVec(rng, numeric, n, testDict)
+		vec := randVec(rng, randKind(rng, numeric), n, testDict)
 		gid := make([]int32, n)
 		for i := range gid {
 			gid[i] = int32(rng.Intn(3))
@@ -194,11 +232,10 @@ func TestFoldExtremesAndAsFloatsMatchBoxedValues(t *testing.T) {
 				}
 			}
 		}
-		floats, nulls := vec.AsFloats(nil), vec.NullMask()
+		floats := vec.AsFloats(nil)
 		for i := 0; i < n; i++ {
-			v := vec.Get(i)
-			if math.Float64bits(floats[i]) != math.Float64bits(v.AsFloat()) || (nulls != nil && nulls[i]) != v.IsNull() {
-				t.Fatalf("case %d element %d (%v): float %v null %v", c, i, v, floats[i], nulls != nil && nulls[i])
+			if v := vec.Get(i); math.Float64bits(floats[i]) != math.Float64bits(v.AsFloat()) {
+				t.Fatalf("case %d element %d (%v): float %v", c, i, v, floats[i])
 			}
 		}
 	}
@@ -210,8 +247,12 @@ func TestJoinTableMatchesNestedLoopOnValueEquality(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for c := 0; c < 2000; c++ {
 		numeric := rng.Intn(4) > 0
-		build := randVec(rng, numeric, rng.Intn(25), testDict)
-		probe := randVec(rng, numeric, rng.Intn(25), testDict)
+		buildKind, probeKind := randKind(rng, numeric), randKind(rng, numeric)
+		if rng.Intn(3) > 0 {
+			probeKind = buildKind // the join bind allows; a key of another kind matches nothing
+		}
+		build := randVec(rng, buildKind, rng.Intn(25), testDict)
+		probe := randVec(rng, probeKind, rng.Intn(25), testDict)
 		sel := randSel(rng, probe.Len())
 		var wantB, wantP []int32
 		each := func(i int) {

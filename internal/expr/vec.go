@@ -1,6 +1,9 @@
 package expr
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
 // ColVec is one column of an execution batch in columnar layout: a single
 // kind tag, the values packed into one contiguous typed payload slice, and
@@ -16,10 +19,10 @@ import "slices"
 //     established; NULL elements hold a zero there.
 //   - Nulls is nil when no element is NULL; otherwise it has one entry per
 //     element.
-//   - Any is the heterogeneous escape hatch: if a column ever mixes value
-//     kinds (legal for Values, unheard of for real table data), the vector
-//     degrades to a plain []Value and Any becomes authoritative. Fast paths
-//     check for it and fall back to generic evaluation.
+//   - A vector holds one kind plus NULLs. Append of a non-NULL value of a
+//     second kind panics: tables check every value against their schema on
+//     load (catalog.Table.Insert), and every expression yields one kind, so
+//     no statement can build such a vector.
 //   - Dict non-nil marks a dictionary-encoded string vector: Kind is
 //     KindString, S is nil, and Codes holds one dictionary code per element
 //     (zero under NULLs; Nulls stays authoritative). Reads are transparent —
@@ -34,7 +37,6 @@ type ColVec struct {
 	I     []int64
 	F     []float64
 	S     []string
-	Any   []Value
 	Dict  *Dict
 	Codes []int32
 	n     int
@@ -50,7 +52,6 @@ func (v *ColVec) Reset() {
 	v.I = v.I[:0]
 	v.F = v.F[:0]
 	v.S = v.S[:0]
-	v.Any = nil
 	v.Dict = nil
 	v.Codes = v.Codes[:0]
 	v.n = 0
@@ -61,17 +62,11 @@ func (v *ColVec) HasNulls() bool { return v.Nulls != nil }
 
 // IsNull reports whether element i is NULL.
 func (v *ColVec) IsNull(i int) bool {
-	if v.Any != nil {
-		return v.Any[i].Kind == KindNull
-	}
 	return v.Nulls != nil && v.Nulls[i]
 }
 
 // Get returns element i as a canonical Value.
 func (v *ColVec) Get(i int) Value {
-	if v.Any != nil {
-		return v.Any[i]
-	}
 	if v.Nulls != nil && v.Nulls[i] {
 		return Value{}
 	}
@@ -107,28 +102,11 @@ func (v *ColVec) payloadAppendZero() {
 	}
 }
 
-// degrade switches the vector to the heterogeneous []Value representation.
-func (v *ColVec) degrade() {
-	any := make([]Value, v.n, v.n+8)
-	for i := range any {
-		any[i] = v.Get(i)
-	}
-	v.Any = any
-	v.Nulls, v.I, v.F, v.S = nil, nil, nil, nil
-	v.Dict, v.Codes = nil, nil
-}
-
 // Append adds one value, establishing the vector's kind on the first
-// non-NULL element and degrading to the heterogeneous representation if a
-// second kind ever appears.
+// non-NULL element. A non-NULL value of a second kind panics.
 func (v *ColVec) Append(val Value) {
 	if v.Dict != nil {
 		v.undict()
-	}
-	if v.Any != nil {
-		v.Any = append(v.Any, val)
-		v.n++
-		return
 	}
 	if val.Kind == KindNull {
 		if v.Nulls == nil {
@@ -147,10 +125,7 @@ func (v *ColVec) Append(val Value) {
 			v.payloadAppendZero()
 		}
 	} else if val.Kind != v.Kind {
-		v.degrade()
-		v.Any = append(v.Any, val)
-		v.n++
-		return
+		panic(fmt.Sprintf("expr: appending a %v value to a vector of %v", val.Kind, v.Kind))
 	}
 	if v.Nulls != nil {
 		v.Nulls = append(v.Nulls, false)
@@ -170,9 +145,8 @@ func (v *ColVec) Append(val Value) {
 // otherwise the elements at the selected physical indices, in selection
 // order: the gather every blocking operator assembles its buffers and
 // outputs with. Vectors of one kind (and, for dictionary strings, one
-// dictionary) append payload to payload; anything else — a heterogeneous
-// vector on either side, a second kind or dictionary arriving — appends
-// value by value.
+// dictionary) append payload to payload; a second dictionary arriving
+// appends value by value.
 func (v *ColVec) AppendFrom(src *ColVec, sel []int32) {
 	if v.appendTyped(src, sel) {
 		return
@@ -191,9 +165,6 @@ func (v *ColVec) AppendFrom(src *ColVec, sel []int32) {
 // appendTyped is AppendFrom's payload-to-payload path. It reports false,
 // having changed nothing, when the two vectors cannot share a payload.
 func (v *ColVec) appendTyped(src *ColVec, sel []int32) bool {
-	if v.Any != nil || src.Any != nil {
-		return false
-	}
 	m := len(sel)
 	if sel == nil {
 		m = src.n
@@ -246,7 +217,7 @@ func (v *ColVec) appendTyped(src *ColVec, sel []int32) bool {
 }
 
 // nullCount counts the NULLs among the m elements sel selects (nil: the
-// first m) of a vector that is not heterogeneous.
+// first m).
 func (v *ColVec) nullCount(sel []int32, m int) int {
 	switch {
 	case v.Kind == KindNull:
@@ -275,7 +246,7 @@ func (v *ColVec) nullCount(sel []int32, m int) int {
 // m): fixed-width kinds from a NULL count alone, strings by their lengths,
 // dictionary words through their codes.
 func (v *ColVec) bytes(sel []int32, m int) int64 {
-	if v.Any == nil && v.Kind != KindString {
+	if v.Kind != KindString {
 		nulls := v.nullCount(sel, m)
 		return 8*int64(m-nulls) + int64(nulls)
 	}
@@ -286,8 +257,6 @@ func (v *ColVec) bytes(sel []int32, m int) int64 {
 			i = int(sel[li])
 		}
 		switch {
-		case v.Any != nil:
-			n += v.Any[i].Bytes()
 		case v.Nulls != nil && v.Nulls[i]:
 			n++
 		case v.Dict != nil:
@@ -303,8 +272,7 @@ func (v *ColVec) bytes(sel []int32, m int) int64 {
 // interleaves rows from several sources (a sorted-run merge), with the
 // same-kind non-NULL case inlined.
 func (v *ColVec) AppendElem(src *ColVec, i int32) {
-	if v.n > 0 && v.Kind == src.Kind && v.Kind != KindNull && v.Any == nil && src.Any == nil &&
-		v.Dict == src.Dict && (src.Nulls == nil || !src.Nulls[i]) {
+	if v.n > 0 && v.Kind == src.Kind && v.Kind != KindNull && v.Dict == src.Dict && (src.Nulls == nil || !src.Nulls[i]) {
 		if v.Nulls != nil {
 			v.Nulls = append(v.Nulls, false)
 		}

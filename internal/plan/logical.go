@@ -224,11 +224,7 @@ func (lg *Logical) OutputSchema() *catalog.Schema {
 			cols = append(cols, catalog.Column{Name: lg.ColName(g), Kind: lg.ColKind(g)})
 		}
 		for _, s := range lg.Agg.Specs {
-			kind := expr.KindFloat
-			if s.Func == Count {
-				kind = expr.KindInt
-			}
-			cols = append(cols, catalog.Column{Name: s.Name, Kind: kind})
+			cols = append(cols, catalog.Column{Name: s.Name, Kind: s.Kind(lg.ColKind)})
 		}
 		return catalog.NewSchema(cols...)
 	}

@@ -220,6 +220,20 @@ type AggSpec struct {
 	Name string
 }
 
+// Kind is the kind of the column the aggregate produces, given the kind of
+// each input column its argument reads: COUNT counts in int, SUM and AVG
+// add in float, and MIN and MAX keep their argument's kind. Every schema
+// with an aggregate column takes its kind from here.
+func (s AggSpec) Kind(colKind func(int) expr.Kind) expr.Kind {
+	switch s.Func {
+	case Count:
+		return expr.KindInt
+	case Min, Max:
+		return expr.KindOf(s.Arg, colKind)
+	}
+	return expr.KindFloat
+}
+
 // Agg groups by column positions and computes aggregates. Output columns
 // are the group-by columns followed by the aggregates.
 type Agg struct {
@@ -237,12 +251,9 @@ func NewAgg(input Node, groupBy []int, aggs []AggSpec) *Agg {
 	for _, g := range groupBy {
 		cols = append(cols, in.Columns()[g])
 	}
+	colKind := func(i int) expr.Kind { return in.Columns()[i].Kind }
 	for _, a := range aggs {
-		kind := expr.KindFloat
-		if a.Func == Count {
-			kind = expr.KindInt
-		}
-		cols = append(cols, catalog.Column{Name: a.Name, Kind: kind})
+		cols = append(cols, catalog.Column{Name: a.Name, Kind: a.Kind(colKind)})
 	}
 	return &Agg{Input: input, GroupBy: groupBy, Aggs: aggs, schema: catalog.NewSchema(cols...)}
 }

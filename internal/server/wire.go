@@ -138,52 +138,27 @@ func appendRows(b []byte, res *expr.Batch, names []string) ([]byte, error) {
 	return append(b, ']'), nil
 }
 
-// appendCell appends element i of vector v from its payload. It reports
+// appendCell appends element i of vector v from its payload: bools and
+// numbers as JSON literals, dates as "YYYY-MM-DD", NULL as null. It reports
 // false for a non-finite float.
 func appendCell(b []byte, v *expr.ColVec, i int) ([]byte, bool) {
 	switch {
-	case v.Any != nil:
-		return appendValue(b, v.Any[i])
-	case v.Nulls != nil && v.Nulls[i]:
+	case v.IsNull(i):
 		return append(b, "null"...), true
 	case v.Dict != nil:
 		return appendString(b, v.Dict.Word(v.Codes[i])), true
 	}
 	switch v.Kind {
+	case expr.KindBool:
+		return strconv.AppendBool(b, v.I[i] != 0), true
 	case expr.KindFloat:
 		return appendFloat(b, v.F[i])
 	case expr.KindString:
 		return appendString(b, v.S[i]), true
 	case expr.KindInt:
 		return strconv.AppendInt(b, v.I[i], 10), true
-	case expr.KindDate:
-		return appendDate(b, v.I[i]), true
 	}
-	return appendValue(b, v.Get(i))
-}
-
-// appendValue appends one value the way the wire carries it: numbers as
-// JSON numbers, dates as "YYYY-MM-DD", NULL as null, any other kind as its
-// String text. It reports false for a non-finite float.
-func appendValue(b []byte, v expr.Value) ([]byte, bool) {
-	switch v.Kind {
-	case expr.KindNull:
-		return append(b, "null"...), true
-	case expr.KindBool:
-		if v.I != 0 {
-			return append(b, "true"...), true
-		}
-		return append(b, "false"...), true
-	case expr.KindInt:
-		return strconv.AppendInt(b, v.I, 10), true
-	case expr.KindFloat:
-		return appendFloat(b, v.F)
-	case expr.KindString:
-		return appendString(b, v.S), true
-	case expr.KindDate:
-		return appendDate(b, v.I), true
-	}
-	return appendString(b, v.String()), true
+	return appendDate(b, v.I[i]), true // KindDate
 }
 
 // appendFloat appends f as encoding/json writes a float64 — the shortest

@@ -168,16 +168,6 @@ func TestWireMatchesEncodingJSON(t *testing.T) {
 	dictSel := dictBatch(t, d1, "AIR", "MAIL", `"q"`, "", "<b>", "MAIL")
 	dictSel.Sel = []int32{1, 3, 4, 5}
 
-	mixed := batchOf(2,
-		expr.Row{expr.Int(1), expr.String("a")},
-		expr.Row{expr.String("<two>"), expr.Float(2.5)},
-		expr.Row{expr.Date(-1), expr.Bool(true)},
-		expr.Row{expr.Null(), expr.Int(7)},
-	)
-	if mixed.Cols[0].Any == nil || mixed.Cols[1].Any == nil {
-		t.Fatal("mixed-kind columns did not degrade to the heterogeneous representation")
-	}
-
 	full := Response{ID: "s<1>", RowsOut: 3, QueueWait: 0.25, Duration: 1e-7, Response: 123.456, Joules: 1.0 / 3,
 		DeadlineMiss: true, Explain: "Scan\n  └─ \"lineitem\" <&>\t", Err: errors.New("sql: bad <thing> \"x\"")}
 	for _, tc := range []struct {
@@ -190,7 +180,6 @@ func TestWireMatchesEncodingJSON(t *testing.T) {
 		{"two dictionaries, dense fallback", Response{Columns: []string{"mode"}, Result: twoDicts}},
 		{"dictionary mostly unused", Response{Columns: []string{"mode"}, Result: bigDict}},
 		{"dictionary with a selection", Response{Columns: []string{"mode"}, Result: dictSel}},
-		{"heterogeneous vectors", Response{Columns: []string{"a", "b"}, Result: mixed}},
 		{"no rows", Response{ID: "s2", Columns: []string{"n"}, Result: expr.NewBatch(1)}},
 		{"every scalar field", full},
 		{"refusal", Response{Err: ErrOverloaded}},

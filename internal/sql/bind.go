@@ -163,6 +163,9 @@ type scope struct {
 	tables int
 }
 
+// kind returns the kind of a bound expression's values.
+func (s *scope) kind(e expr.Expr) expr.Kind { return expr.KindOf(e, s.lg.ColKind) }
+
 func (s *scope) resolve(c ColRef) (int, error) {
 	g, err := s.lg.Resolve(c.Table, c.Name)
 	if err != nil {
@@ -225,7 +228,7 @@ func bindAgg(stmt *SelectStmt, lg *plan.Logical, sc *scope) error {
 				if err != nil {
 					return err
 				}
-				if k := kindOf(it.Expr, sc); k == expr.KindString && (spec.Func == plan.Sum || spec.Func == plan.Avg) {
+				if k := sc.kind(arg); k == expr.KindString && (spec.Func == plan.Sum || spec.Func == plan.Avg) {
 					return fmt.Errorf("sql: %s needs a numeric argument, got %s (%s)", it.Agg, it.Expr, k)
 				}
 				spec.Arg = arg
@@ -236,10 +239,7 @@ func bindAgg(stmt *SelectStmt, lg *plan.Logical, sc *scope) error {
 			specs = append(specs, spec)
 			exprs[i] = expr.Col{Idx: pos, Name: name}
 			names[i] = name
-			kinds[i] = expr.KindFloat
-			if spec.Func == plan.Count {
-				kinds[i] = expr.KindInt
-			}
+			kinds[i] = spec.Kind(lg.ColKind)
 		default:
 			col, ok := it.Expr.(ColRef)
 			if !ok {
@@ -298,46 +298,10 @@ func bindProject(items []SelectItem, lg *plan.Logical, sc *scope) error {
 				names[i] = fmt.Sprintf("col_%d", i+1)
 			}
 		}
-		kinds[i] = kindOf(it.Expr, sc)
+		kinds[i] = sc.kind(bound)
 	}
 	lg.Project = &plan.ProjectSpec{Exprs: exprs, Names: names, Kinds: kinds}
 	return nil
-}
-
-// kindOf infers a projected expression's output kind.
-func kindOf(n Node, sc *scope) expr.Kind {
-	switch n := n.(type) {
-	case ColRef:
-		if idx, err := sc.resolve(n); err == nil {
-			return sc.lg.ColKind(idx)
-		}
-		return expr.KindNull
-	case Lit:
-		switch n.Kind {
-		case LitNumber:
-			if n.N == math.Trunc(n.N) {
-				return expr.KindInt
-			}
-			return expr.KindFloat
-		case LitString:
-			return expr.KindString
-		case LitDate:
-			return expr.KindDate
-		case LitBool:
-			return expr.KindBool
-		default:
-			return expr.KindNull
-		}
-	case BinOp:
-		switch n.Op {
-		case "+", "-", "*", "/":
-			return expr.KindFloat
-		default:
-			return expr.KindBool
-		}
-	default:
-		return expr.KindBool
-	}
 }
 
 // bindExpr lowers an AST expression against a scope; column positions in
@@ -372,15 +336,18 @@ func bindExpr(n Node, sc *scope) (expr.Expr, error) {
 		if !lok || !hok {
 			return nil, fmt.Errorf("sql: BETWEEN bounds must be literals")
 		}
-		if err := checkComparable(sc, n.E, lo, hi); err != nil {
-			return nil, err
-		}
 		loV, err := litValue(lo)
 		if err != nil {
 			return nil, err
 		}
 		hiV, err := litValue(hi)
 		if err != nil {
+			return nil, err
+		}
+		if err := checkComparable(n.E, lo, sc.kind(e), loV.Kind); err != nil {
+			return nil, err
+		}
+		if err := checkComparable(n.E, hi, sc.kind(e), hiV.Kind); err != nil {
 			return nil, err
 		}
 		// SQL BETWEEN is inclusive on both ends; the plan's Between is
@@ -400,11 +367,11 @@ func bindExpr(n Node, sc *scope) (expr.Expr, error) {
 			if !ok {
 				return nil, fmt.Errorf("sql: IN list items must be literals")
 			}
-			if err := checkComparable(sc, n.E, lit); err != nil {
-				return nil, err
-			}
 			v, err := litValue(lit)
 			if err != nil {
+				return nil, err
+			}
+			if err := checkComparable(n.E, lit, sc.kind(e), v.Kind); err != nil {
 				return nil, err
 			}
 			terms[i] = expr.Cmp{Op: expr.EQ, L: e, R: expr.Const{V: v}}
@@ -420,16 +387,19 @@ func bindExpr(n Node, sc *scope) (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		lk, rk := sc.kind(l), sc.kind(r)
 		switch n.Op {
 		case "=", "<>", "<", "<=", ">", ">=":
-			if err := checkComparable(sc, n.L, n.R); err != nil {
+			if err := checkComparable(n.L, n.R, lk, rk); err != nil {
 				return nil, err
 			}
 		case "+", "-", "*", "/":
-			for _, operand := range []Node{n.L, n.R} {
-				if k := kindOf(operand, sc); k == expr.KindString {
-					return nil, fmt.Errorf("sql: operator %s needs numeric operands, got %s (%s)", n.Op, operand, k)
-				}
+			operand, k := n.L, lk
+			if k != expr.KindString {
+				operand, k = n.R, rk
+			}
+			if k == expr.KindString {
+				return nil, fmt.Errorf("sql: operator %s needs numeric operands, got %s (%s)", n.Op, operand, k)
 			}
 		}
 		switch n.Op {
@@ -465,18 +435,14 @@ func bindExpr(n Node, sc *scope) (expr.Expr, error) {
 	}
 }
 
-// checkComparable rejects comparing l with any of rs when one side is a
-// string and the other numeric (int, float, date, bool): expr.Compare
-// orders values within one of those two classes only, and a statement
-// that mixes them must fail here, as a bind error, not in the executor.
-// NULL compares with everything.
-func checkComparable(sc *scope, l Node, rs ...Node) error {
-	lk := kindOf(l, sc)
-	for _, r := range rs {
-		rk := kindOf(r, sc)
-		if lk != expr.KindNull && rk != expr.KindNull && (lk == expr.KindString) != (rk == expr.KindString) {
-			return fmt.Errorf("sql: cannot compare %s (%s) with %s (%s)", l, lk, r, rk)
-		}
+// checkComparable rejects comparing l, of kind lk, with r, of kind rk, when
+// one side is a string and the other numeric (int, float, date, bool):
+// expr.Compare orders values within one of those two classes only, and a
+// statement that mixes them must fail here, as a bind error, not in the
+// executor. NULL compares with everything.
+func checkComparable(l, r Node, lk, rk expr.Kind) error {
+	if lk != expr.KindNull && rk != expr.KindNull && (lk == expr.KindString) != (rk == expr.KindString) {
+		return fmt.Errorf("sql: cannot compare %s (%s) with %s (%s)", l, lk, r, rk)
 	}
 	return nil
 }

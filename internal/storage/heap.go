@@ -98,12 +98,12 @@ func (h *Heap) Page(i int) *Page {
 func (h *Heap) PageTarget() int64 { return h.pageTarget }
 
 // CompressStrings dictionary-encodes the heap's string columns in place and
-// returns how many columns were encoded. For each eligible column — plain
-// strings on every page, no heterogeneous vectors — it builds one global
-// sorted dictionary over the column's distinct words and rewrites every
-// page's vector to codes against it. Logical content, page boundaries, and
-// the byte footprint the simulation charges are unchanged: encoding is a
-// physical-layout choice, and results must be bit-identical either way.
+// returns how many columns were encoded. For each string column it builds
+// one global sorted dictionary over the column's distinct words and
+// rewrites every page's vector to codes against it. Logical content, page
+// boundaries, and the byte footprint the simulation charges are unchanged:
+// encoding is a physical-layout choice, and results must be bit-identical
+// either way.
 // Call only after loading is complete and before scans start.
 func (h *Heap) CompressStrings() int {
 	if len(h.pages) == 0 {
@@ -117,12 +117,8 @@ func (h *Heap) CompressStrings() int {
 		var words []string
 		for _, p := range h.pages {
 			vec := &p.Data.Cols[c]
-			if vec.Any != nil || (vec.Kind != expr.KindString && vec.Kind != expr.KindNull) {
-				eligible = false
-				break
-			}
 			if vec.Kind != expr.KindString {
-				continue // all-NULL page: nothing to encode
+				continue // another kind, or an all-NULL page
 			}
 			eligible = true
 			for i, s := range vec.S {
