@@ -16,7 +16,7 @@ func main() {
 	prof := engine.ProfileCommercial()
 	prof.WorkAmplification = 25 // emulate a larger scale factor
 	sys := core.NewSystem(prof)
-	sys.Protocol.Runs = 3
+	sys.Runs = 3
 
 	tpch.NewGenerator(0.02, 7).Load(sys.Engine.Catalog(),
 		tpch.Region, tpch.Nation, tpch.Supplier, tpch.Customer, tpch.Orders, tpch.Lineitem)

@@ -1,10 +1,11 @@
 // Golden tests pinning the simulated outputs — result rows, durations, and
 // joules — of the end-to-end scenarios (the quickstart example, QED
 // batching, the Figure 1 PVC sweep, the Figure 6 QED study, compressed
-// storage, and the shared-scan ablation) byte for byte. The older files
-// under testdata/golden were generated on the row-major []Row executor; the
-// columnar refactor must reproduce them exactly, because floats are
-// rendered in shortest-round-trip form (byte equality ⟺ bit equality).
+// storage, the shared-scan ablation, and the five-run protocol) byte for
+// byte. The older files under testdata/golden were generated on the
+// row-major []Row executor; the columnar refactor must reproduce them
+// exactly, because floats are rendered in shortest-round-trip form (byte
+// equality ⟺ bit equality).
 // Regenerate deliberately with:
 //
 //	go test -run TestGolden -update-golden
@@ -170,14 +171,8 @@ func TestGoldenFig1(t *testing.T) {
 func TestGoldenFig6(t *testing.T) {
 	cfg := experiments.Config{SF: 0.0125, Amplification: 40, Seed: 42, ProtocolRuns: 1}
 	var b strings.Builder
-	for _, r := range []experiments.Figure6Result{experiments.Figure6(cfg), experiments.Figure6HashSet(cfg)} {
-		fmt.Fprintf(&b, "%s single=%s\n", r.Strategy, fexact(float64(r.SingleTime)))
-		for _, p := range r.Points {
-			fmt.Fprintf(&b, "  batch=%d seqMean=%s seqEnergy=%s qedMean=%s qedEnergy=%s\n",
-				p.BatchSize, fexact(float64(p.SeqMeanResponse)), fexact(float64(p.SeqEnergy)),
-				fexact(float64(p.QEDMeanResponse)), fexact(float64(p.QEDEnergy)))
-		}
-	}
+	fmtFigure6(&b, experiments.Figure6(cfg))
+	fmtFigure6(&b, experiments.Figure6HashSet(cfg))
 	checkGolden(t, "fig6", b.String())
 }
 
@@ -222,14 +217,55 @@ func TestGoldenCompression(t *testing.T) {
 // shared-pass energies, times, and pool touches at N=1/4/16.
 func TestGoldenSharedScan(t *testing.T) {
 	cfg := experiments.Config{SF: 0.02, Amplification: 50, Seed: 42, ProtocolRuns: 1}
-	r := experiments.SharedScans(cfg)
 	var b strings.Builder
+	fmtSharedScans(&b, experiments.SharedScans(cfg))
+	checkGolden(t, "sharedscan", b.String())
+}
+
+func fmtFigure6(b *strings.Builder, r experiments.Figure6Result) {
+	fmt.Fprintf(b, "%s single=%s\n", r.Strategy, fexact(float64(r.SingleTime)))
 	for _, p := range r.Points {
-		fmt.Fprintf(&b, "N=%d seqTime=%s sharedTime=%s seqEnergy=%s sharedEnergy=%s seqPerQuery=%s sharedPerQuery=%s poolSeq=%d poolShared=%d\n",
+		fmt.Fprintf(b, "  batch=%d seqMean=%s seqEnergy=%s qedMean=%s qedEnergy=%s\n",
+			p.BatchSize, fexact(float64(p.SeqMeanResponse)), fexact(float64(p.SeqEnergy)),
+			fexact(float64(p.QEDMeanResponse)), fexact(float64(p.QEDEnergy)))
+	}
+}
+
+func fmtSharedScans(b *strings.Builder, r experiments.SharedScanResult) {
+	for _, p := range r.Points {
+		fmt.Fprintf(b, "N=%d seqTime=%s sharedTime=%s seqEnergy=%s sharedEnergy=%s seqPerQuery=%s sharedPerQuery=%s poolSeq=%d poolShared=%d\n",
 			p.N, fexact(float64(p.SeqTime)), fexact(float64(p.SharedTime)),
 			fexact(float64(p.SeqEnergy)), fexact(float64(p.SharedEnergy)),
 			fexact(float64(p.SeqPerQuery)), fexact(float64(p.SharedPerQuery)),
 			p.PoolSeq, p.PoolShared)
 	}
-	checkGolden(t, "sharedscan", b.String())
+}
+
+// TestGoldenProtocol pins the paper's five-run protocol end to end: every
+// measured point below is reduced from five runs with the lowest- and
+// highest-energy runs discarded, which the single-run goldens above never
+// reach.
+func TestGoldenProtocol(t *testing.T) {
+	cfg := experiments.Config{SF: 0.005, Amplification: 200, Seed: 42, ProtocolRuns: 5}
+	var b strings.Builder
+	b.WriteString("fig1\n")
+	for _, m := range experiments.Figure1(cfg).Measurements {
+		fmtMeasurement(&b, m.Setting.String(), m)
+	}
+	b.WriteString("capvsuc\n")
+	fmtAblation(&b, experiments.CapVsUnderclock(cfg).Points)
+	b.WriteString("mechanisms\n")
+	fmtAblation(&b, experiments.Mechanisms(cfg).Points)
+	b.WriteString("fig6\n")
+	fmtFigure6(&b, experiments.Figure6(experiments.Config{SF: 0.0125, Amplification: 40, Seed: 42, ProtocolRuns: 5}))
+	b.WriteString("sharedscan\n")
+	fmtSharedScans(&b, experiments.SharedScans(cfg))
+	checkGolden(t, "protocol", b.String())
+}
+
+func fmtAblation(b *strings.Builder, pts []experiments.AblationPoint) {
+	for _, p := range pts {
+		fmt.Fprintf(b, "%s: topGHz=%s time=%s energy=%s edp=%s\n", p.Label, fexact(p.TopFreqGHz),
+			fexact(p.TimeRatio), fexact(p.EnergyRatio), fexact(p.EDPChange))
+	}
 }

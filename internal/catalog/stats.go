@@ -7,15 +7,12 @@ import (
 // ColStats summarizes one column for the optimizer's cardinality model.
 type ColStats struct {
 	// Min and Max bound the column's non-NULL values; Null when the column
-	// is entirely NULL or mixes incomparable kinds (Valid false).
+	// is entirely NULL.
 	Min, Max expr.Value
 	// NDV is the number of distinct non-NULL values.
 	NDV int64
 	// Nulls reports whether any page holds a NULL in this column.
 	Nulls bool
-	// Valid is false when the column mixes incomparable kinds, in which
-	// case Min/Max carry no information (NDV still counts).
-	Valid bool
 }
 
 // TableStats summarizes a table for costing: cardinality, physical extent,
@@ -51,7 +48,6 @@ func (t *Table) Stats() *TableStats {
 	for c := range st.Cols {
 		st.Cols[c].Min = expr.Null()
 		st.Cols[c].Max = expr.Null()
-		st.Cols[c].Valid = true
 	}
 
 	// Fold the per-page zone maps into table-level min/max/null presence.
@@ -60,15 +56,10 @@ func (t *Table) Stats() *TableStats {
 		for c := range st.Cols {
 			cs := &st.Cols[c]
 			z := &zones[c]
-			if !z.Valid {
-				cs.Valid = false
-				cs.Min, cs.Max = expr.Null(), expr.Null()
-				continue
-			}
 			if z.HasNulls {
 				cs.Nulls = true
 			}
-			if !cs.Valid || z.Min.IsNull() {
+			if z.Min.IsNull() {
 				continue
 			}
 			if cs.Min.IsNull() {

@@ -23,13 +23,7 @@ type Advisor struct {
 // ratio fits the SLA, and ok=false when only stock qualifies or no stock
 // baseline exists. Ties break toward faster settings.
 func (a Advisor) Choose(ms []Measurement) (best Measurement, ok bool) {
-	var base *Measurement
-	for i := range ms {
-		if ms[i].Setting.IsStock() {
-			base = &ms[i]
-			break
-		}
-	}
+	base := stockBaseline(ms)
 	if base == nil || a.MaxSlowdown < 1 {
 		return Measurement{}, false
 	}
@@ -57,13 +51,7 @@ func (a Advisor) Choose(ms []Measurement) (best Measurement, ok bool) {
 // backward to create viable parameters for an SLA" remark. The result maps
 // setting name to the minimum MaxSlowdown admitting it.
 func SLAFromCurve(ms []Measurement) map[string]float64 {
-	var base *Measurement
-	for i := range ms {
-		if ms[i].Setting.IsStock() {
-			base = &ms[i]
-			break
-		}
-	}
+	base := stockBaseline(ms)
 	out := make(map[string]float64, len(ms))
 	if base == nil || base.Time <= 0 {
 		return out

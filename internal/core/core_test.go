@@ -9,6 +9,7 @@ import (
 	"ecodb/internal/expr"
 	"ecodb/internal/hw/cpu"
 	"ecodb/internal/mqo"
+	"ecodb/internal/obsv"
 	"ecodb/internal/plan"
 	"ecodb/internal/sim"
 	"ecodb/internal/tpch"
@@ -20,7 +21,7 @@ func testSystem(t testing.TB) (*System, []workload.Query) {
 	t.Helper()
 	prof := engine.ProfileMySQLMemory()
 	sys := NewSystem(prof)
-	sys.Protocol.Runs = 3
+	sys.Runs = 3
 	tpch.NewGenerator(0.01, 5).Load(sys.Engine.Catalog(), tpch.Lineitem)
 	return sys, workload.NewQueries("sel", tpch.QuantityWorkload(sys.Engine.Catalog(), 8))
 }
@@ -32,7 +33,7 @@ func commercialSystem(t testing.TB) (*System, []workload.Query) {
 	prof := engine.ProfileCommercial()
 	prof.WorkAmplification = 10
 	sys := NewSystem(prof)
-	sys.Protocol.Runs = 3
+	sys.Runs = 3
 	tpch.NewGenerator(0.01, 5).Load(sys.Engine.Catalog(),
 		tpch.Region, tpch.Nation, tpch.Supplier, tpch.Customer, tpch.Orders, tpch.Lineitem)
 	sys.Engine.WarmAll()
@@ -466,15 +467,63 @@ func TestReduceMeasurementsDiscardsExtremes(t *testing.T) {
 	s := Stock()
 	reps := []Measurement{
 		{Setting: s, CPUEnergy: 100, Time: 10 * sim.Second},
-		{Setting: s, CPUEnergy: 1, Time: sim.Second},
-		{Setting: s, CPUEnergy: 105, Time: 10 * sim.Second},
-		{Setting: s, CPUEnergy: 1000, Time: 90 * sim.Second},
-		{Setting: s, CPUEnergy: 95, Time: 10 * sim.Second},
+		{Setting: s, CPUEnergy: 1, Time: sim.Second}, // low outlier
+		{Setting: s, CPUEnergy: 105, Time: 11 * sim.Second},
+		{Setting: s, CPUEnergy: 1000, Time: 90 * sim.Second}, // high outlier
+		{Setting: s, CPUEnergy: 95, Time: 9 * sim.Second},
 	}
-	got := reduceMeasurements(s, reps)
+	got := Reduce(reps)
 	if math.Abs(float64(got.CPUEnergy)-100) > 1e-9 {
 		t.Fatalf("reduced energy = %v, want 100", got.CPUEnergy)
 	}
+	if math.Abs(float64(got.Time)-10) > 1e-9 {
+		t.Fatalf("reduced time = %v, want 10 s", got.Time)
+	}
+	if got.Setting != s {
+		t.Fatalf("reduced setting = %v, want %v", got.Setting, s)
+	}
 }
 
-var _ = energy.Joules(0)
+// TestReduceDiscardsTwoRunsWhenEnergiesTie pins the tie rule: five runs
+// with one energy keep exactly three, the middle ones in run order.
+func TestReduceDiscardsTwoRunsWhenEnergiesTie(t *testing.T) {
+	var reps []Measurement
+	for i := 1; i <= 5; i++ {
+		reps = append(reps, Measurement{CPUEnergy: 50, Time: sim.Duration(i) * sim.Second})
+	}
+	if got := Reduce(reps); got.Time != 3*sim.Second || got.CPUEnergy != 50 {
+		t.Fatalf("reduce of five equal-energy runs = %v over %v, want 50 J over 3 s (three runs kept)",
+			got.CPUEnergy, got.Time)
+	}
+}
+
+func TestReduceFewRuns(t *testing.T) {
+	got := Reduce([]Measurement{{CPUEnergy: 10, Time: 1}, {CPUEnergy: 20, Time: 2}})
+	if got.CPUEnergy != 15 || got.Time != 1.5 {
+		t.Fatalf("two-run reduce = %v over %v, want both averaged: 15 J over 1.5 s", got.CPUEnergy, got.Time)
+	}
+	if got := Reduce(nil); got != (Measurement{}) {
+		t.Fatalf("reduce of no runs = %+v, want the zero Measurement", got)
+	}
+}
+
+func TestMeasureWorkloadExecutesEveryRun(t *testing.T) {
+	sys, queries := testSystem(t)
+	sys.Runs = 4
+	q0 := obsv.Queries.Load()
+	sys.MeasureWorkload(Stock(), queries[:2])
+	if got, want := obsv.Queries.Load()-q0, int64(sys.Runs*2); got != want {
+		t.Fatalf("MeasureWorkload executed %d queries, want %d (%d runs of 2)", got, want, sys.Runs)
+	}
+}
+
+func TestMeasureWorkloadWithoutRunsPanics(t *testing.T) {
+	sys, queries := testSystem(t)
+	sys.Runs = 0
+	defer func() {
+		if recover() == nil {
+			t.Fatal("MeasureWorkload with Runs = 0 did not panic")
+		}
+	}()
+	sys.MeasureWorkload(Stock(), queries[:1])
+}

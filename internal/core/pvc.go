@@ -88,9 +88,9 @@ type PVC struct {
 // NewPVC returns the PVC controller for a system.
 func NewPVC(sys *System) *PVC { return &PVC{Sys: sys} }
 
-// Sweep measures the workload under every setting (using the system's
-// five-run protocol per point) and returns one Measurement per setting, in
-// input order. The machine is left at stock afterwards.
+// Sweep measures the workload under every setting (MeasureWorkload, Runs
+// runs per point) and returns one Measurement per setting, in input order.
+// The machine is left at stock afterwards.
 func (p *PVC) Sweep(settings []Setting, queries []workload.Query) []Measurement {
 	out := make([]Measurement, 0, len(settings))
 	for _, s := range settings {
@@ -98,6 +98,17 @@ func (p *PVC) Sweep(settings []Setting, queries []workload.Query) []Measurement 
 	}
 	p.Sys.Machine.Tuner().Apply(mobo.Stock())
 	return out
+}
+
+// stockBaseline returns the first measurement whose setting IsStock, nil
+// if there is none.
+func stockBaseline(ms []Measurement) *Measurement {
+	for i := range ms {
+		if ms[i].Setting.IsStock() {
+			return &ms[i]
+		}
+	}
+	return nil
 }
 
 // Point is one operating point expressed relative to a stock baseline —
@@ -113,13 +124,7 @@ type Point struct {
 // is the measurement whose setting IsStock; it panics if none exists,
 // since ratios without a baseline are meaningless.
 func Relative(ms []Measurement) []Point {
-	var base *Measurement
-	for i := range ms {
-		if ms[i].Setting.IsStock() {
-			base = &ms[i]
-			break
-		}
-	}
+	base := stockBaseline(ms)
 	if base == nil {
 		panic("core: Relative requires a stock measurement as baseline")
 	}

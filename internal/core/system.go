@@ -26,23 +26,25 @@ import (
 // System bundles a simulated machine, a database engine bound to it, and
 // the paper's measurement instruments.
 type System struct {
-	Machine  *system.Machine
-	Engine   *engine.Engine
-	Sampler  *meter.GUISampler
-	Protocol *meter.Protocol
+	Machine *system.Machine
+	Engine  *engine.Engine
+	Sampler *meter.GUISampler
+	// Runs is how many times MeasureWorkload repeats a workload before
+	// Reduce discards the extremes (the paper's five).
+	Runs int
 }
 
 // NewSystem assembles the paper's SUT with an engine of the given profile
-// and the paper's measurement methodology (1 Hz GUI sampling, five-run
-// protocol). The sampler's phase varies per run so the protocol's
+// and the paper's measurement methodology (1 Hz GUI sampling, five runs
+// per point). The sampler's phase varies per run so Reduce's
 // discard-extremes step has real work to do.
 func NewSystem(prof engine.Profile) *System {
 	m := system.NewSUT()
 	s := &System{
-		Machine:  m,
-		Engine:   engine.New(prof, m),
-		Sampler:  meter.NewGUISampler(),
-		Protocol: meter.NewProtocol(),
+		Machine: m,
+		Engine:  engine.New(prof, m),
+		Sampler: meter.NewGUISampler(),
+		Runs:    5,
 	}
 	s.Sampler.Phase = sim.NewRNG(prof.Seed ^ 0xfade)
 	return s
@@ -93,11 +95,17 @@ func (m Measurement) String() string {
 		float64(m.MeanVoltage), m.MeanFreqGHz)
 }
 
-// MeasureOnce applies the setting, executes run, and measures the window
-// with every instrument. Callers wanting the paper's protocol use a
-// Protocol around this.
+// MeasureOnce applies the setting's tuner profile, then Measures run.
 func (s *System) MeasureOnce(setting Setting, run func()) Measurement {
 	s.Machine.Tuner().Apply(setting.TunerProfile())
+	m := s.Measure(run)
+	m.Setting = setting
+	return m
+}
+
+// Measure executes run and measures the window with every instrument. It
+// leaves the machine's operating point as it finds it.
+func (s *System) Measure(run func()) Measurement {
 	clock := s.Machine.Clock
 	cpuModel := s.Machine.CPU
 
@@ -119,7 +127,6 @@ func (s *System) MeasureOnce(setting Setting, run func()) Measurement {
 	}
 
 	return Measurement{
-		Setting:        setting,
 		Time:           t1.Sub(t0),
 		CPUEnergy:      s.Sampler.Measure(cpuModel.Trace(), t0, t1),
 		CPUEnergyExact: cpuModel.Trace().Energy(t0, t1),
@@ -130,46 +137,58 @@ func (s *System) MeasureOnce(setting Setting, run func()) Measurement {
 	}
 }
 
-// MeasureWorkload measures a sequential execution of the workload under a
-// setting, repeated per the system's protocol with extremes discarded; all
-// fields are averaged over the kept runs.
+// MeasureWorkload applies the setting's tuner profile, measures Runs
+// sequential executions of the workload, and Reduces them. It panics if
+// Runs is not positive.
 func (s *System) MeasureWorkload(setting Setting, queries []workload.Query) Measurement {
-	reps := make([]Measurement, s.Protocol.Runs)
+	if s.Runs < 1 {
+		panic(fmt.Sprintf("core: MeasureWorkload needs at least one run, have %d", s.Runs))
+	}
+	s.Machine.Tuner().Apply(setting.TunerProfile())
+	reps := make([]Measurement, s.Runs)
 	for i := range reps {
-		reps[i] = s.MeasureOnce(setting, func() {
+		reps[i] = s.Measure(func() {
 			workload.RunSequential(s.Engine, s.Machine.Clock, queries)
 		})
 	}
-	return reduceMeasurements(setting, reps)
+	m := Reduce(reps)
+	m.Setting = setting
+	return m
 }
 
-// reduceMeasurements applies the paper's discard-extremes-by-energy rule
-// and averages every field over the kept runs.
-func reduceMeasurements(setting Setting, reps []Measurement) Measurement {
+// Reduce is the paper's §3.1 repetition rule: "each workload is run five
+// times; the top and bottom readings are discarded and the middle three
+// averaged". From three runs up it discards the first run with the lowest
+// CPU energy and the first with the highest — or, when every run reads the
+// same energy, the first and the last run — and averages every field over
+// the runs it keeps, in run order. The result carries the first run's
+// Setting; no runs reduce to the zero Measurement.
+func Reduce(reps []Measurement) Measurement {
 	if len(reps) == 0 {
-		return Measurement{Setting: setting}
+		return Measurement{}
 	}
-	kept := make([]Measurement, len(reps))
-	copy(kept, reps)
-	if len(kept) >= 3 {
+	kept := reps
+	if len(reps) >= 3 {
 		lo, hi := 0, 0
-		for i, m := range kept {
-			if m.CPUEnergy < kept[lo].CPUEnergy {
+		for i, m := range reps {
+			if m.CPUEnergy < reps[lo].CPUEnergy {
 				lo = i
 			}
-			if m.CPUEnergy > kept[hi].CPUEnergy {
+			if m.CPUEnergy > reps[hi].CPUEnergy {
 				hi = i
 			}
 		}
-		filtered := kept[:0]
-		for i, m := range kept {
+		if lo == hi {
+			hi = len(reps) - 1
+		}
+		kept = make([]Measurement, 0, len(reps)-2)
+		for i, m := range reps {
 			if i != lo && i != hi {
-				filtered = append(filtered, m)
+				kept = append(kept, m)
 			}
 		}
-		kept = filtered
 	}
-	out := Measurement{Setting: setting}
+	out := Measurement{Setting: reps[0].Setting}
 	n := float64(len(kept))
 	for _, m := range kept {
 		out.Time += m.Time / sim.Duration(n)

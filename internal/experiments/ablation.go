@@ -5,10 +5,8 @@ import (
 	"strings"
 
 	"ecodb/internal/core"
-	"ecodb/internal/energy"
 	"ecodb/internal/hw/cpu"
 	"ecodb/internal/hw/mobo"
-	"ecodb/internal/sim"
 	"ecodb/internal/workload"
 )
 
@@ -41,20 +39,9 @@ func CapVsUnderclock(cfg Config) CapVsUnderclockResult {
 		sys.Machine.Tuner().Apply(mobo.Stock())
 		sys.Machine.CPU.SetMultiplierCap(0)
 		apply()
-		var agg []core.Measurement
-		for i := 0; i < cfg.ProtocolRuns; i++ {
-			m := measureRun(sys, queries)
-			agg = append(agg, m)
-		}
-		red := reduceList(agg)
-		red.Setting = core.Setting{Name: label}
-		return AblationPoint{
-			Label:      label,
-			TopFreqGHz: sys.Machine.CPU.Freq(sys.Machine.CPU.TopPState()).GHz(),
-			// Ratios filled by the caller against the stock point.
-			TimeRatio:   red.Time.Seconds(),
-			EnergyRatio: float64(red.CPUEnergy),
-		}
+		p := ablationPoint(label, sys, queries)
+		p.TopFreqGHz = sys.Machine.CPU.Freq(sys.Machine.CPU.TopPState()).GHz()
+		return p
 	}
 
 	pts := []AblationPoint{measure("stock", func() {})}
@@ -74,57 +61,32 @@ func CapVsUnderclock(cfg Config) CapVsUnderclockResult {
 	sys.Machine.CPU.SetMultiplierCap(0)
 	sys.Machine.Tuner().Apply(mobo.Stock())
 
-	// Normalize against stock.
+	res.Points = relativeToStock(pts)
+	return res
+}
+
+// ablationPoint measures the workload Runs times as the machine is set now
+// and reduces the runs; its time and energy stay absolute until
+// relativeToStock divides them by the stock point's.
+func ablationPoint(label string, sys *core.System, queries []workload.Query) AblationPoint {
+	reps := make([]core.Measurement, sys.Runs)
+	for i := range reps {
+		reps[i] = sys.Measure(func() { workload.RunSequential(sys.Engine, sys.Machine.Clock, queries) })
+	}
+	m := core.Reduce(reps)
+	return AblationPoint{Label: label, TimeRatio: m.Time.Seconds(), EnergyRatio: float64(m.CPUEnergy)}
+}
+
+// relativeToStock turns absolute points into ratios to the first (stock)
+// point, in place.
+func relativeToStock(pts []AblationPoint) []AblationPoint {
 	stockT, stockE := pts[0].TimeRatio, pts[0].EnergyRatio
 	for i := range pts {
 		pts[i].TimeRatio /= stockT
 		pts[i].EnergyRatio /= stockE
 		pts[i].EDPChange = pts[i].TimeRatio*pts[i].EnergyRatio - 1
 	}
-	res.Points = pts
-	return res
-}
-
-// measureRun measures one sequential workload execution with the system's
-// instruments.
-func measureRun(sys *core.System, queries []workload.Query) core.Measurement {
-	clock := sys.Machine.Clock
-	t0 := clock.Now()
-	workload.RunSequential(sys.Engine, clock, queries)
-	t1 := clock.Now()
-	return core.Measurement{
-		Time:      t1.Sub(t0),
-		CPUEnergy: sys.Sampler.Measure(sys.Machine.CPU.Trace(), t0, t1),
-	}
-}
-
-// reduceList averages measurements after dropping the energy extremes.
-func reduceList(ms []core.Measurement) core.Measurement {
-	if len(ms) >= 3 {
-		lo, hi := 0, 0
-		for i, m := range ms {
-			if m.CPUEnergy < ms[lo].CPUEnergy {
-				lo = i
-			}
-			if m.CPUEnergy > ms[hi].CPUEnergy {
-				hi = i
-			}
-		}
-		kept := ms[:0]
-		for i, m := range ms {
-			if i != lo && i != hi {
-				kept = append(kept, m)
-			}
-		}
-		ms = kept
-	}
-	var out core.Measurement
-	n := float64(len(ms))
-	for _, m := range ms {
-		out.Time += sim.Duration(float64(m.Time) / n)
-		out.CPUEnergy += energy.Joules(float64(m.CPUEnergy) / n)
-	}
-	return out
+	return pts
 }
 
 func (r CapVsUnderclockResult) String() string {
@@ -169,26 +131,10 @@ func Mechanisms(cfg Config) MechanismResult {
 	var pts []AblationPoint
 	for _, pc := range profiles {
 		sys.Machine.Tuner().Apply(pc.prof)
-		var agg []core.Measurement
-		for i := 0; i < cfg.ProtocolRuns; i++ {
-			agg = append(agg, measureRun(sys, queries))
-		}
-		red := reduceList(agg)
-		pts = append(pts, AblationPoint{
-			Label:       pc.label,
-			TimeRatio:   red.Time.Seconds(),
-			EnergyRatio: float64(red.CPUEnergy),
-		})
+		pts = append(pts, ablationPoint(pc.label, sys, queries))
 	}
 	sys.Machine.Tuner().Apply(mobo.Stock())
-
-	stockT, stockE := pts[0].TimeRatio, pts[0].EnergyRatio
-	for i := range pts {
-		pts[i].TimeRatio /= stockT
-		pts[i].EnergyRatio /= stockE
-		pts[i].EDPChange = pts[i].TimeRatio*pts[i].EnergyRatio - 1
-	}
-	return MechanismResult{Config: cfg, Points: pts}
+	return MechanismResult{Config: cfg, Points: relativeToStock(pts)}
 }
 
 func (r MechanismResult) String() string {

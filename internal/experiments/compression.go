@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"ecodb/internal/core"
 	"ecodb/internal/energy"
 	"ecodb/internal/engine"
 	"ecodb/internal/obsv"
@@ -47,28 +46,20 @@ type CompressionResult struct {
 // every page read, so only from-boot replays compare), with the treated arm
 // loading dictionary-encoded tables and scanning under zone-map pruning.
 func Compression(cfg Config) CompressionResult {
-	runs := cfg.ProtocolRuns
-	if runs < 1 {
-		runs = 1
-	}
-
 	res := CompressionResult{Config: cfg}
 
 	arm := func(compressed bool) (wall time.Duration, simT sim.Duration, perQ energy.Joules, rows []int64, pruned int64) {
 		// Pruning is the engine's choice (its profile); dictionary encoding
 		// is a property of the tables it is loaded with.
 		prof := engine.ProfileCommercial()
-		prof.WorkAmplification = cfg.Amplification
 		prof.ZoneMapPruning = compressed
-		sys := core.NewSystem(prof)
 		tables := []string{tpch.Customer, tpch.Orders, tpch.Lineitem}
-		tpch.NewGenerator(cfg.SF, cfg.Seed).Load(sys.Engine.Catalog(), tables...)
+		sys := cfg.system(prof, tables...)
 		if compressed {
 			for _, name := range tables {
 				sys.Engine.MustTable(name).Heap.CompressStrings()
 			}
 		}
-		sys.Engine.WarmAll()
 		clock := sys.Machine.Clock
 		trace := sys.Machine.CPU.Trace()
 		queries := workload.NewQueries("comp",
@@ -76,7 +67,7 @@ func Compression(cfg Config) CompressionResult {
 		res.Queries = len(queries)
 
 		pruned0 := obsv.PagesPruned.Load()
-		for rep := 0; rep < runs; rep++ {
+		for rep := range sys.Runs {
 			t0 := clock.Now()
 			w0 := time.Now()
 			r := workload.RunSequential(sys.Engine, clock, queries)

@@ -30,7 +30,7 @@ type Config struct {
 	// Seed drives data generation and sampling phase.
 	Seed uint64
 	// ProtocolRuns is the number of repetitions per measured point
-	// (the paper uses 5, discarding the extremes).
+	// (the paper uses 5, discarding the extremes); below 1 means one.
 	ProtocolRuns int
 }
 
@@ -56,28 +56,32 @@ func (c Config) String() string {
 		c.SF, c.Amplification, c.EquivalentSF(), c.ProtocolRuns)
 }
 
+// system assembles an experiment arm's SUT: prof at the config's
+// amplification, the named tables generated and loaded, the buffer pool
+// warmed (a no-op on memory engines), and ProtocolRuns runs per measured
+// point (at least one).
+func (c Config) system(prof engine.Profile, tables ...string) *core.System {
+	prof.WorkAmplification = c.Amplification
+	sys := core.NewSystem(prof)
+	tpch.NewGenerator(c.SF, c.Seed).Load(sys.Engine.Catalog(), tables...)
+	sys.Engine.WarmAll()
+	sys.Runs = max(c.ProtocolRuns, 1)
+	return sys
+}
+
+// q5Tables are the tables TPC-H Q5 joins.
+var q5Tables = []string{tpch.Region, tpch.Nation, tpch.Supplier, tpch.Customer, tpch.Orders, tpch.Lineitem}
+
 // newCommercialSystem assembles the commercial-profile SUT with the Q5
 // tables loaded and warm.
 func newCommercialSystem(cfg Config) (*core.System, []workload.Query) {
-	prof := engine.ProfileCommercial()
-	prof.WorkAmplification = cfg.Amplification
-	sys := core.NewSystem(prof)
-	tpch.NewGenerator(cfg.SF, cfg.Seed).Load(sys.Engine.Catalog(),
-		tpch.Region, tpch.Nation, tpch.Supplier, tpch.Customer, tpch.Orders, tpch.Lineitem)
-	sys.Engine.WarmAll()
-	sys.Protocol.Runs = cfg.ProtocolRuns
+	sys := cfg.system(engine.ProfileCommercial(), q5Tables...)
 	return sys, workload.NewQueries("q5", tpch.Q5Workload(sys.Engine.Catalog()))
 }
 
-// newMySQLSystem assembles the MySQL-MEMORY SUT with the Q5 tables loaded
-// (memory engines are always warm).
+// newMySQLSystem assembles the MySQL-MEMORY SUT with the Q5 tables loaded.
 func newMySQLSystem(cfg Config) (*core.System, []workload.Query) {
-	prof := engine.ProfileMySQLMemory()
-	prof.WorkAmplification = cfg.Amplification
-	sys := core.NewSystem(prof)
-	tpch.NewGenerator(cfg.SF, cfg.Seed).Load(sys.Engine.Catalog(),
-		tpch.Region, tpch.Nation, tpch.Supplier, tpch.Customer, tpch.Orders, tpch.Lineitem)
-	sys.Protocol.Runs = cfg.ProtocolRuns
+	sys := cfg.system(engine.ProfileMySQLMemory(), q5Tables...)
 	return sys, workload.NewQueries("q5", tpch.Q5Workload(sys.Engine.Catalog()))
 }
 

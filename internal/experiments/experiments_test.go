@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -278,6 +279,21 @@ func TestConfigEquivalentSF(t *testing.T) {
 	cfg := Config{SF: 0.05, Amplification: 20}
 	if cfg.EquivalentSF() != 1.0 {
 		t.Fatalf("equivalent SF = %v", cfg.EquivalentSF())
+	}
+}
+
+// TestZeroProtocolRunsMeasuresOnce pins Config.system's floor: a Config
+// that leaves ProtocolRuns at zero measures every point once, exactly as
+// ProtocolRuns 1 does, instead of reducing no runs into NaN ratios.
+func TestZeroProtocolRunsMeasuresOnce(t *testing.T) {
+	zero := Config{SF: 0.002, Amplification: 500, Seed: 42}
+	one := zero
+	one.ProtocolRuns = 1
+	if got, want := Mechanisms(zero).Points, Mechanisms(one).Points; !reflect.DeepEqual(got, want) {
+		t.Errorf("mechanisms at 0 runs = %+v, want the 1-run points %+v", got, want)
+	}
+	if got, want := Figure1(zero).Measurements, Figure1(one).Measurements; !reflect.DeepEqual(got, want) {
+		t.Errorf("figure 1 at 0 runs = %+v, want the 1-run measurements %+v", got, want)
 	}
 }
 

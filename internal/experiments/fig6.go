@@ -7,7 +7,6 @@ import (
 	"ecodb/internal/core"
 	"ecodb/internal/energy"
 	"ecodb/internal/engine"
-	"ecodb/internal/meter"
 	"ecodb/internal/mqo"
 	"ecodb/internal/sim"
 	"ecodb/internal/tpch"
@@ -62,10 +61,7 @@ func Figure6HashSet(cfg Config) Figure6Result {
 }
 
 func figure6(cfg Config, strategy mqo.MergeStrategy) Figure6Result {
-	prof := engine.ProfileMySQLMemory()
-	prof.WorkAmplification = cfg.Amplification
-	sys := core.NewSystem(prof)
-	tpch.NewGenerator(cfg.SF, cfg.Seed).Load(sys.Engine.Catalog(), tpch.Lineitem)
+	sys := cfg.system(engine.ProfileMySQLMemory(), tpch.Lineitem)
 	clock := sys.Machine.Clock
 	trace := sys.Machine.CPU.Trace()
 
@@ -76,32 +72,28 @@ func figure6(cfg Config, strategy mqo.MergeStrategy) Figure6Result {
 	single := clock.Now().Sub(t0)
 
 	res := Figure6Result{Config: cfg, Strategy: strategy, SingleTime: single}
-	runs := cfg.ProtocolRuns
-	if runs < 1 {
-		runs = 1
-	}
 
 	for _, n := range []int{35, 40, 45, 50} {
 		queries := workload.NewQueries("sel", tpch.QuantityWorkload(sys.Engine.Catalog(), n))
 
-		// Reading.Time carries the mean per-query response (the paper's
+		// A run's Time is its mean per-query response (the paper's
 		// Figure 6 metric); Reduce averages it with extremes dropped.
-		var seqReadings, qedReadings []meter.Reading
-		for rep := 0; rep < runs; rep++ {
+		seqRuns := make([]core.Measurement, sys.Runs)
+		qedRuns := make([]core.Measurement, sys.Runs)
+		for rep := range sys.Runs {
 			t0 := clock.Now()
 			seq := workload.RunSequential(sys.Engine, clock, queries)
-			seqReadings = append(seqReadings, meter.Reading{
-				Energy: sys.Sampler.Measure(trace, t0, clock.Now()), Time: seq.MeanResponse()})
+			seqRuns[rep] = core.Measurement{
+				Time: seq.MeanResponse(), CPUEnergy: sys.Sampler.Measure(trace, t0, clock.Now())}
 
 			t1 := clock.Now()
 			batch := core.RunQED(sys, queries, strategy)
-			qedReadings = append(qedReadings, meter.Reading{
-				Energy: sys.Sampler.Measure(trace, t1, clock.Now()), Time: batch.MeanResponse()})
+			qedRuns[rep] = core.Measurement{
+				Time: batch.MeanResponse(), CPUEnergy: sys.Sampler.Measure(trace, t1, clock.Now())}
 		}
-		seqRed := meter.Reduce(seqReadings)
-		qedRed := meter.Reduce(qedReadings)
-		seqE, seqMean := seqRed.Energy, seqRed.Time
-		qedE, qedMean := qedRed.Energy, qedRed.Time
+		seqRed, qedRed := core.Reduce(seqRuns), core.Reduce(qedRuns)
+		seqE, seqMean := seqRed.CPUEnergy, seqRed.Time
+		qedE, qedMean := qedRed.CPUEnergy, qedRed.Time
 
 		eR := float64(qedE) / float64(seqE)
 		tR := float64(qedMean) / float64(seqMean)

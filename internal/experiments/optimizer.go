@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"ecodb/internal/core"
 	"ecodb/internal/energy"
 	"ecodb/internal/engine"
 	"ecodb/internal/expr"
@@ -75,20 +74,12 @@ type OptimizerResult struct {
 // fresh system per arm (background-I/O randomness advances with every
 // page read, so only from-boot replays compare).
 func Optimizer(cfg Config) OptimizerResult {
-	runs := cfg.ProtocolRuns
-	if runs < 1 {
-		runs = 1
-	}
 	res := OptimizerResult{Config: cfg}
 
 	arm := func(name string, obj opt.Objective) (OptimizerArm, [][]expr.Row) {
 		prof := engine.ProfileCommercial()
-		prof.WorkAmplification = cfg.Amplification
 		prof.Objective = obj
-		sys := core.NewSystem(prof)
-		tpch.NewGenerator(cfg.SF, cfg.Seed).Load(sys.Engine.Catalog(),
-			tpch.Region, tpch.Nation, tpch.Supplier, tpch.Customer, tpch.Orders, tpch.Lineitem)
-		sys.Engine.WarmAll()
+		sys := cfg.system(prof, q5Tables...)
 		clock := sys.Machine.Clock
 		trace := sys.Machine.CPU.Trace()
 		plans := tpch.Q5Workload(sys.Engine.Catalog())
@@ -96,7 +87,7 @@ func Optimizer(cfg Config) OptimizerResult {
 
 		a := OptimizerArm{Name: name, Plan: chosenPlan(sys.Engine, plans[0], len(plans))}
 		var rows [][]expr.Row
-		for rep := 0; rep < runs; rep++ {
+		for rep := range sys.Runs {
 			j0 := obsv.QueryJoules(obj.String()).Load()
 			t0 := clock.Now()
 			w0 := time.Now()

@@ -22,30 +22,23 @@ func DefaultServerConfig() Config {
 // per-statement overhead drops from the paper's ad-hoc JDBC round trip
 // (28M cycles — parse, optimize, connection churn) to a prepared-execute
 // dispatch. Simulated physics are otherwise unchanged.
-func serverProfile(cfg Config) engine.Profile {
+func serverProfile() engine.Profile {
 	prof := engine.ProfileCommercial()
-	prof.WorkAmplification = cfg.Amplification
 	prof.QueryOverheadCycles = 5e5
 	return prof
 }
 
-// ServerSystem assembles the serving SUT for `ecodb serve`: every TPC-H
-// table loaded and warm under the serving profile, ready for arbitrary SQL
-// over HTTP.
+// ServerSystem assembles the serving SUT for `ecodb serve`: the Q5 tables
+// loaded and warm under the serving profile, ready for arbitrary SQL over
+// HTTP.
 func ServerSystem(cfg Config) *core.System {
-	sys := core.NewSystem(serverProfile(cfg))
-	tpch.NewGenerator(cfg.SF, cfg.Seed).Load(sys.Engine.Catalog(),
-		tpch.Region, tpch.Nation, tpch.Supplier, tpch.Customer, tpch.Orders, tpch.Lineitem)
-	sys.Engine.WarmAll()
-	return sys
+	return cfg.system(serverProfile(), q5Tables...)
 }
 
 // newServerSystem assembles the ablation SUT: lineitem loaded and warm,
 // plus the 25-band non-mergeable selection workload as admission requests.
 func newServerSystem(cfg Config) (*core.System, []server.Request) {
-	sys := core.NewSystem(serverProfile(cfg))
-	tpch.NewGenerator(cfg.SF, cfg.Seed).Load(sys.Engine.Catalog(), tpch.Lineitem)
-	sys.Engine.WarmAll()
+	sys := cfg.system(serverProfile(), tpch.Lineitem)
 	plans := tpch.QuantityBandWorkload(sys.Engine.Catalog(), 25)
 	reqs := make([]server.Request, len(plans))
 	for i, p := range plans {

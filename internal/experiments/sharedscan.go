@@ -7,7 +7,6 @@ import (
 	"ecodb/internal/core"
 	"ecodb/internal/energy"
 	"ecodb/internal/engine"
-	"ecodb/internal/meter"
 	"ecodb/internal/mqo"
 	"ecodb/internal/obsv"
 	"ecodb/internal/sim"
@@ -58,57 +57,48 @@ var SharedScanConcurrencies = []int{1, 4, 16}
 // paper's 1 Hz GUI sampler would read): the shared windows are short
 // enough that sampling noise would otherwise drown the per-pass delta.
 func SharedScans(cfg Config) SharedScanResult {
-	prof := engine.ProfileCommercial()
-	prof.WorkAmplification = cfg.Amplification
-	sys := core.NewSystem(prof)
-	tpch.NewGenerator(cfg.SF, cfg.Seed).Load(sys.Engine.Catalog(), tpch.Lineitem)
-	sys.Engine.WarmAll()
+	sys := cfg.system(engine.ProfileCommercial(), tpch.Lineitem)
 	clock := sys.Machine.Clock
 	trace := sys.Machine.CPU.Trace()
-
-	runs := cfg.ProtocolRuns
-	if runs < 1 {
-		runs = 1
-	}
 
 	res := SharedScanResult{Config: cfg}
 	for _, n := range SharedScanConcurrencies {
 		queries := workload.NewQueries("band", tpch.QuantityBandWorkload(sys.Engine.Catalog(), n))
 
-		var seqReadings, sharedReadings []meter.Reading
+		seqRuns := make([]core.Measurement, sys.Runs)
+		sharedRuns := make([]core.Measurement, sys.Runs)
 		var poolSeq, poolShared int64
-		for rep := 0; rep < runs; rep++ {
+		for rep := range sys.Runs {
 			// Pool touches come from the process-wide metrics registry —
 			// storage_pool_reads_total ticks once per Access, so snapshot
 			// deltas equal the old PoolStats hits+misses arithmetic.
 			p0 := obsv.PoolReads.Load()
 			t0 := clock.Now()
 			workload.RunSequential(sys.Engine, clock, queries)
-			seqReadings = append(seqReadings, meter.Reading{
-				Energy: trace.Energy(t0, clock.Now()), Time: clock.Now().Sub(t0)})
+			seqRuns[rep] = core.Measurement{
+				Time: clock.Now().Sub(t0), CPUEnergy: trace.Energy(t0, clock.Now())}
 			p1 := obsv.PoolReads.Load()
 			poolSeq = p1 - p0
 
 			t1 := clock.Now()
 			core.RunQED(sys, queries, mqo.OrChain)
-			sharedReadings = append(sharedReadings, meter.Reading{
-				Energy: trace.Energy(t1, clock.Now()), Time: clock.Now().Sub(t1)})
+			sharedRuns[rep] = core.Measurement{
+				Time: clock.Now().Sub(t1), CPUEnergy: trace.Energy(t1, clock.Now())}
 			poolShared = obsv.PoolReads.Load() - p1
 		}
-		seq := meter.Reduce(seqReadings)
-		shared := meter.Reduce(sharedReadings)
+		seq, shared := core.Reduce(seqRuns), core.Reduce(sharedRuns)
 
 		res.Points = append(res.Points, SharedScanPoint{
 			N:              n,
 			SeqTime:        seq.Time,
 			SharedTime:     shared.Time,
-			SeqEnergy:      seq.Energy,
-			SharedEnergy:   shared.Energy,
-			SeqPerQuery:    energy.PerQuery(seq.Energy, n),
-			SharedPerQuery: energy.PerQuery(shared.Energy, n),
+			SeqEnergy:      seq.CPUEnergy,
+			SharedEnergy:   shared.CPUEnergy,
+			SeqPerQuery:    energy.PerQuery(seq.CPUEnergy, n),
+			SharedPerQuery: energy.PerQuery(shared.CPUEnergy, n),
 			PoolSeq:        poolSeq,
 			PoolShared:     poolShared,
-			EnergyRatio:    float64(shared.Energy) / float64(seq.Energy),
+			EnergyRatio:    float64(shared.CPUEnergy) / float64(seq.CPUEnergy),
 			TimeRatio:      float64(shared.Time) / float64(seq.Time),
 		})
 	}

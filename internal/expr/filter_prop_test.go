@@ -411,7 +411,7 @@ func TestZonePruneSoundness(t *testing.T) {
 			t.Fatalf("case %d: generator produced non-prunable predicate %s", caseNo, pred)
 		}
 
-		zones := NewZones(1)
+		zones := make([]Zone, 1)
 		vec := &in.Cols[0]
 		for i := 0; i < vec.Len(); i++ {
 			zones[0].Update(vec.Get(i))

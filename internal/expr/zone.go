@@ -6,38 +6,23 @@ package expr
 // anywhere inside [Min, Max], the page is skipped for the price of a
 // zone-map check instead of a buffer-pool read. Zones live in expr because
 // pruning must reason with exactly the Compare/Eval semantics the filters
-// use — a divergence would silently drop rows.
+// use — a divergence would silently drop rows. The zero Zone summarizes an
+// empty page.
 type Zone struct {
 	Min, Max Value // Null when the page has no non-NULL values
 	HasNulls bool
-	Valid    bool // false: column mixes incomparable kinds; never prune on it
 }
 
-// NewZones returns a fresh all-valid zone slice for a width-column page.
-func NewZones(width int) []Zone {
-	z := make([]Zone, width)
-	for i := range z {
-		z[i].Valid = true
-	}
-	return z
-}
-
-// Update folds one value into the zone entry.
+// Update folds one value into the zone entry. A heap column holds one
+// kind (ColVec.Append rejects a second), so every non-NULL value a zone
+// sees compares with its Min and Max.
 func (z *Zone) Update(v Value) {
-	if !z.Valid {
-		return
-	}
 	if v.IsNull() {
 		z.HasNulls = true
 		return
 	}
 	if z.Min.IsNull() {
 		z.Min, z.Max = v, v
-		return
-	}
-	if !comparableClass(z.Min.Kind, v.Kind) {
-		z.Valid = false
-		z.Min, z.Max = Null(), Null()
 		return
 	}
 	if Compare(v, z.Min) < 0 {
@@ -49,7 +34,9 @@ func (z *Zone) Update(v Value) {
 }
 
 // comparableClass reports whether kinds a and b order under Compare —
-// both strings or both numeric.
+// both strings or both numeric. Pruning checks a constant's kind against
+// the zone's with it, because a hand-built plan may compare a column with
+// a constant of another class.
 func comparableClass(a, b Kind) bool {
 	return (a == KindString && b == KindString) || (numericKind(a) && numericKind(b))
 }
@@ -166,9 +153,6 @@ func flipCmpOp(op CmpOp) CmpOp {
 
 // cmpPrunes decides col ⋈ k against one zone entry.
 func cmpPrunes(op CmpOp, z *Zone, k Value) bool {
-	if !z.Valid {
-		return false
-	}
 	if k.IsNull() {
 		// Cmp.Eval is false whenever an operand is NULL.
 		return true
@@ -201,9 +185,6 @@ func cmpPrunes(op CmpOp, z *Zone, k Value) bool {
 
 // betweenPrunes decides lo <= col < hi against one zone entry.
 func betweenPrunes(z *Zone, lo, hi Value) bool {
-	if !z.Valid {
-		return false
-	}
 	if hi.IsNull() {
 		// Compare(v, NULL) is +1 for non-NULL v, so v < hi never holds.
 		return true
@@ -232,9 +213,6 @@ func betweenPrunes(z *Zone, lo, hi Value) bool {
 // (Get yields Value{}) matches NULL rows, and members outside the
 // column's comparable class can never match.
 func inHashPrunes(z *Zone, set map[Value]struct{}) bool {
-	if !z.Valid {
-		return false
-	}
 	for m := range set {
 		if m.IsNull() {
 			if z.HasNulls {

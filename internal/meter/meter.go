@@ -1,19 +1,17 @@
-// Package meter implements the paper's measurement methodology (§3.1):
+// Package meter implements the paper's measurement instruments (§3.1):
 //
 //   - CPU power is read from the motherboard's EPU sensor through a GUI
 //     that refreshes about once per second, so "CPU joules was recorded as
 //     the average sampled wattage multiplied by the workload execution
 //     time".
-//   - Each workload is run five times; the top and bottom readings are
-//     discarded and the middle three averaged.
 //   - Disk energy is measured by clamping current meters on the drive's
 //     5 V and 12 V supply lines and summing the two energies.
+//
+// The paper's repetition rule — five runs, the top and bottom readings
+// discarded, the middle three averaged — is core.Reduce.
 package meter
 
 import (
-	"fmt"
-	"sort"
-
 	"ecodb/internal/energy"
 	"ecodb/internal/sim"
 )
@@ -59,64 +57,6 @@ func (g *GUISampler) Measure(tr *energy.Trace, t0, t1 sim.Time) energy.Joules {
 	}
 	mean := sum / float64(len(samples))
 	return energy.Watts(mean).For(t1.Sub(t0).Seconds())
-}
-
-// Reading is one measured workload execution.
-type Reading struct {
-	Energy energy.Joules
-	Time   sim.Duration
-}
-
-// EDP returns the reading's energy-delay product.
-func (r Reading) EDP() energy.EDP { return energy.EDPOf(r.Energy, r.Time.Seconds()) }
-
-func (r Reading) String() string {
-	return fmt.Sprintf("%.1fJ over %v", float64(r.Energy), r.Time)
-}
-
-// Protocol runs a workload measurement the paper's way: repeat Runs times,
-// sort by energy, discard the top and bottom readings, and average the
-// rest. Fewer than three runs are averaged directly.
-type Protocol struct {
-	Runs int
-}
-
-// NewProtocol returns the paper's five-run protocol.
-func NewProtocol() *Protocol { return &Protocol{Runs: 5} }
-
-// Execute calls run once per repetition and reduces the readings.
-// It panics if Runs is not positive.
-func (p *Protocol) Execute(run func(rep int) Reading) Reading {
-	if p.Runs <= 0 {
-		panic("meter: protocol needs at least one run")
-	}
-	readings := make([]Reading, p.Runs)
-	for i := range readings {
-		readings[i] = run(i)
-	}
-	return Reduce(readings)
-}
-
-// Reduce applies the discard-extremes-and-average step to a set of
-// readings: they are ordered by energy, the first and last dropped when
-// there are at least three, and the remainder averaged component-wise.
-func Reduce(readings []Reading) Reading {
-	if len(readings) == 0 {
-		return Reading{}
-	}
-	sorted := make([]Reading, len(readings))
-	copy(sorted, readings)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Energy < sorted[j].Energy })
-	if len(sorted) >= 3 {
-		sorted = sorted[1 : len(sorted)-1]
-	}
-	var e, t float64
-	for _, r := range sorted {
-		e += float64(r.Energy)
-		t += float64(r.Time)
-	}
-	n := float64(len(sorted))
-	return Reading{Energy: energy.Joules(e / n), Time: sim.Duration(t / n)}
 }
 
 // LineMeter integrates energy on a supply line exactly, like the current

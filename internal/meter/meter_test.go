@@ -69,61 +69,6 @@ func TestGUISamplerShortWindow(t *testing.T) {
 	}
 }
 
-func TestReduceDiscardsExtremes(t *testing.T) {
-	readings := []Reading{
-		{Energy: 100, Time: 10},
-		{Energy: 10, Time: 1}, // low outlier
-		{Energy: 105, Time: 11},
-		{Energy: 500, Time: 50}, // high outlier
-		{Energy: 95, Time: 9},
-	}
-	got := Reduce(readings)
-	if math.Abs(float64(got.Energy)-100) > 1e-9 {
-		t.Fatalf("reduced energy = %v, want 100", got.Energy)
-	}
-	if math.Abs(float64(got.Time)-10) > 1e-9 {
-		t.Fatalf("reduced time = %v, want 10", got.Time)
-	}
-}
-
-func TestReduceFewReadings(t *testing.T) {
-	got := Reduce([]Reading{{Energy: 10, Time: 1}, {Energy: 20, Time: 2}})
-	if got.Energy != 15 || got.Time != 1.5 {
-		t.Fatalf("two-reading reduce = %+v", got)
-	}
-	if r := Reduce(nil); r.Energy != 0 || r.Time != 0 {
-		t.Fatal("empty reduce should be zero")
-	}
-}
-
-func TestProtocolExecutesAllRuns(t *testing.T) {
-	p := NewProtocol()
-	var calls int
-	p.Execute(func(rep int) Reading {
-		calls++
-		return Reading{Energy: energy.Joules(rep), Time: sim.Duration(rep)}
-	})
-	if calls != 5 {
-		t.Fatalf("protocol ran %d times, want 5", calls)
-	}
-}
-
-func TestProtocolInvalidRunsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero-run protocol did not panic")
-		}
-	}()
-	(&Protocol{}).Execute(func(int) Reading { return Reading{} })
-}
-
-func TestReadingEDP(t *testing.T) {
-	r := Reading{Energy: 100, Time: 2}
-	if got := r.EDP(); got != 200 {
-		t.Fatalf("EDP = %v", got)
-	}
-}
-
 func TestSumLines(t *testing.T) {
 	var a, b energy.Trace
 	a.Set(0, 2)

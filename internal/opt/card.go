@@ -92,9 +92,6 @@ func numericValue(v expr.Value) (float64, bool) {
 // rangeFraction estimates the fraction of a column's [min, max] domain
 // below point v.
 func rangeFraction(cs catalog.ColStats, v expr.Value) (float64, bool) {
-	if !cs.Valid {
-		return 0, false
-	}
 	lo, okLo := numericValue(cs.Min)
 	hi, okHi := numericValue(cs.Max)
 	x, okX := numericValue(v)

@@ -63,7 +63,7 @@ func (h *Heap) Append(row expr.Row) {
 	if n == 0 || h.pages[n-1].Bytes+rb > h.pageTarget {
 		h.pages = append(h.pages, &Page{
 			Data:  *expr.NewBatch(len(row)),
-			Zones: expr.NewZones(len(row)),
+			Zones: make([]expr.Zone, len(row)),
 		})
 		n++
 	}
