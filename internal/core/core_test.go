@@ -467,20 +467,36 @@ func TestReduceMeasurementsDiscardsExtremes(t *testing.T) {
 	s := Stock()
 	reps := []Measurement{
 		{Setting: s, CPUEnergy: 100, Time: 10 * sim.Second},
-		{Setting: s, CPUEnergy: 1, Time: sim.Second}, // low outlier
-		{Setting: s, CPUEnergy: 105, Time: 11 * sim.Second},
-		{Setting: s, CPUEnergy: 1000, Time: 90 * sim.Second}, // high outlier
-		{Setting: s, CPUEnergy: 95, Time: 9 * sim.Second},
+		{Setting: s, CPUEnergy: 1, Time: sim.Second},
+		{Setting: s, CPUEnergy: 105, Time: 10 * sim.Second},
+		{Setting: s, CPUEnergy: 1000, Time: 90 * sim.Second},
+		{Setting: s, CPUEnergy: 95, Time: 10 * sim.Second},
+	}
+	got := Reduce(reps)
+	if math.Abs(float64(got.CPUEnergy)-100) > 1e-9 {
+		t.Fatalf("reduced energy = %v, want 100", got.CPUEnergy)
+	}
+	if got.Setting != s {
+		t.Fatalf("reduced setting = %v, want %v", got.Setting, s)
+	}
+}
+
+// TestReduceDiscardsExtremes drops the lowest- and highest-energy runs and
+// averages both energy and time over the three that remain.
+func TestReduceDiscardsExtremes(t *testing.T) {
+	reps := []Measurement{
+		{CPUEnergy: 100, Time: 10},
+		{CPUEnergy: 10, Time: 1}, // low outlier
+		{CPUEnergy: 105, Time: 11},
+		{CPUEnergy: 500, Time: 50}, // high outlier
+		{CPUEnergy: 95, Time: 9},
 	}
 	got := Reduce(reps)
 	if math.Abs(float64(got.CPUEnergy)-100) > 1e-9 {
 		t.Fatalf("reduced energy = %v, want 100", got.CPUEnergy)
 	}
 	if math.Abs(float64(got.Time)-10) > 1e-9 {
-		t.Fatalf("reduced time = %v, want 10 s", got.Time)
-	}
-	if got.Setting != s {
-		t.Fatalf("reduced setting = %v, want %v", got.Setting, s)
+		t.Fatalf("reduced time = %v, want 10", got.Time)
 	}
 }
 
