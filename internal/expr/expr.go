@@ -161,6 +161,22 @@ func (o CmpOp) String() string {
 	return [...]string{"=", "<>", "<", "<=", ">", ">="}[o]
 }
 
+// Flip mirrors an operator across its operands: k ⋈ x becomes x ⋈' k.
+func (o CmpOp) Flip() CmpOp {
+	switch o {
+	case LT:
+		return GT
+	case LE:
+		return GE
+	case GT:
+		return LT
+	case GE:
+		return LE
+	default:
+		return o // EQ, NE are symmetric
+	}
+}
+
 // Cmp compares two sub-expressions.
 type Cmp struct {
 	Op   CmpOp

@@ -99,7 +99,7 @@ func ZonePrunes(pred Expr, zones []Zone) bool {
 		}
 		if col, ok := p.R.(Col); ok {
 			if c, ok := p.L.(Const); ok {
-				return cmpPrunes(flipCmpOp(p.Op), &zones[col.Idx], c.V)
+				return cmpPrunes(p.Op.Flip(), &zones[col.Idx], c.V)
 			}
 		}
 		return false
@@ -131,23 +131,6 @@ func ZonePrunes(pred Expr, zones []Zone) bool {
 		return len(p.Terms) > 0
 	default:
 		return false
-	}
-}
-
-// flipCmpOp mirrors an operator across its operands: const ⋈ col becomes
-// col ⋈' const.
-func flipCmpOp(op CmpOp) CmpOp {
-	switch op {
-	case LT:
-		return GT
-	case LE:
-		return GE
-	case GT:
-		return LT
-	case GE:
-		return LE
-	default:
-		return op // EQ, NE are symmetric
 	}
 }
 

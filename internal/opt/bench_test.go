@@ -32,9 +32,9 @@ func BenchmarkOptimizeQ5(b *testing.B) {
 }
 
 // planAllocsQ5 is the planning budget: allocations to extract and optimize
-// Q5 — 729, all of them Optimize's, since Extract reads the plan's origin
+// Q5 — 645, all of them Optimize's, since Extract reads the plan's origin
 // without allocating — plus about a tenth.
-const planAllocsQ5 = 800
+const planAllocsQ5 = 710
 
 // TestPlanningFractionOfQ5Execution pins the optimizer's planning budget by
 // what executor speed cannot move: extracting and optimizing Q5 at the

@@ -31,12 +31,12 @@ type est struct {
 	env   Env
 	stats []*catalog.TableStats
 
-	// Enumeration caches: selectivity per conjunct, endpoint tables per
-	// conjunct column, and leaf scan cost per table — all shape-independent,
-	// so the DP's inner loop never recomputes them.
-	conjSel   []float64
-	conjLeft  []int // TableOf(LeftCol), -1 for non-equi conjuncts
-	conjRight []int
+	// conjSel caches each conjunct's selectivity, which is shape-independent,
+	// so the DP's inner loop never recomputes it.
+	conjSel []float64
+	// conj is the buffer the plan's placement rule fills: the conjunct
+	// indexes of the one scan or join being priced.
+	conj []int
 
 	acc cycles // the accumulator every cost function fills (fresh)
 }
@@ -48,15 +48,8 @@ func newEst(lg *plan.Logical, env Env) *est {
 		e.stats[i] = t.Stats()
 	}
 	e.conjSel = make([]float64, len(lg.Conjuncts))
-	e.conjLeft = make([]int, len(lg.Conjuncts))
-	e.conjRight = make([]int, len(lg.Conjuncts))
 	for i, c := range lg.Conjuncts {
 		e.conjSel[i] = e.conjunctSel(c)
-		e.conjLeft[i], e.conjRight[i] = -1, -1
-		if c.EquiJoin {
-			e.conjLeft[i] = lg.TableOf(c.LeftCol)
-			e.conjRight[i] = lg.TableOf(c.RightCol)
-		}
 	}
 	return e
 }
@@ -166,16 +159,14 @@ func (e *est) selCmp(n expr.Cmp) float64 {
 		}
 	}
 	if !colOK || !cstOK {
-		if n.Op == expr.EQ {
-			// col = col (same table, or a join edge costed elsewhere).
-			return defaultSel
-		}
+		// Not col ⋈ const: col = col (same table, or a join edge costed
+		// elsewhere) or any other shape.
 		return defaultSel
 	}
 	cs, _ := e.colStats(col.Idx)
 	op := n.Op
 	if flipped {
-		op = flipCmp(op)
+		op = op.Flip()
 	}
 	switch op {
 	case expr.EQ:
@@ -197,22 +188,6 @@ func (e *est) selCmp(n expr.Cmp) float64 {
 	}
 }
 
-// flipCmp mirrors a comparison for const <op> col shapes.
-func flipCmp(op expr.CmpOp) expr.CmpOp {
-	switch op {
-	case expr.LT:
-		return expr.GT
-	case expr.LE:
-		return expr.GE
-	case expr.GT:
-		return expr.LT
-	case expr.GE:
-		return expr.LE
-	default:
-		return op
-	}
-}
-
 // conjunctSel estimates one logical conjunct's selectivity: equi-join
 // edges use the containment rule 1/max(ndv), everything else the
 // predicate rules above.
@@ -221,24 +196,6 @@ func (e *est) conjunctSel(c plan.Conjunct) float64 {
 		return 1 / max(e.ndv(c.LeftCol), e.ndv(c.RightCol), 1)
 	}
 	return e.sel(c.Pred)
-}
-
-// rowsOf estimates the output cardinality of joining a table subset with
-// every covered conjunct applied — independent of join order and build
-// sides, which is what lets the enumerator share it across candidates.
-func (e *est) rowsOf(s plan.TableSet) float64 {
-	rows := 1.0
-	for t := range e.lg.Tables {
-		if s.Has(t) {
-			rows *= float64(e.stats[t].Rows)
-		}
-	}
-	for _, c := range e.lg.Conjuncts {
-		if c.Tables != 0 && c.Tables.SubsetOf(s) {
-			rows *= e.conjunctSel(c)
-		}
-	}
-	return max(rows, minRows)
 }
 
 // groupCount estimates an aggregation's output groups: the product of the

@@ -67,12 +67,26 @@ func (e *est) exprCost(c *cycles, rows float64, exprs ...expr.Expr) {
 	}
 }
 
-// scanCost estimates one table scan: page streaming (pass-amortizable),
-// zone-map consults when a filter is pushed, per-tuple interpretation, and
-// predicate evaluation over every input row. Page pruning is not assumed
-// (a conservative upper bound: stats cannot tell how clustered a predicate
-// is), so estimates are comparable across candidates rather than absolute.
-func (e *est) scanCost(t int, pushed []expr.Expr) (outRows float64, _ cycles) {
+// conjCost estimates evaluating conjuncts conj over rows input rows.
+func (e *est) conjCost(c *cycles, rows float64, conj []int) {
+	for _, i := range conj {
+		e.exprCost(c, rows, e.lg.Conjuncts[i].Pred)
+	}
+}
+
+// scanCost estimates table t's scan, absorbing the conjuncts the plan's
+// placement rule gives it when push is set (plan.Logical.ScanConjuncts):
+// page streaming (pass-amortizable), zone-map consults when a filter is
+// pushed, per-tuple interpretation, and predicate evaluation over every
+// input row. Page pruning is not assumed (a conservative upper bound:
+// stats cannot tell how clustered a predicate is), so estimates are
+// comparable across candidates rather than absolute.
+func (e *est) scanCost(t int, push bool) (outRows float64, filtered bool, _ cycles) {
+	e.conj = e.conj[:0]
+	if push {
+		e.conj = e.lg.ScanConjuncts(e.conj, t)
+	}
+	filtered = len(e.conj) > 0
 	st := e.stats[t]
 	rows := float64(st.Rows)
 	c := e.fresh()
@@ -81,28 +95,29 @@ func (e *est) scanCost(t int, pushed []expr.Expr) (outRows float64, _ cycles) {
 	// when it is copied out.
 	e.env.Cost.PageStream(c, float64(st.Bytes))
 	c.passStream = c.k[cpu.Stream]
-	if len(pushed) > 0 {
+	if filtered {
 		e.env.Cost.ZoneCheck(c, float64(st.Pages))
 		c.passZone = c.k[cpu.Compute]
 	}
 
 	e.env.Cost.ScanTuples(c, rows)
-	e.exprCost(c, rows, pushed...)
+	e.conjCost(c, rows, e.conj)
 
 	outRows = rows
-	for _, p := range pushed {
-		outRows *= e.sel(p)
+	for _, i := range e.conj {
+		outRows *= e.conjSel[i]
 	}
-	return max(outRows, minRows), *c
+	return max(outRows, minRows), filtered, *c
 }
 
 // joinCost estimates one hash join: build-side insertion, probe-side
-// lookups, match emission, and residual evaluation over candidate matches.
-func (e *est) joinCost(buildRows, probeRows, matches float64, residuals []expr.Expr) cycles {
+// lookups, match emission, and residual conjuncts' evaluation over
+// candidate matches.
+func (e *est) joinCost(buildRows, probeRows, matches float64, residual []int) cycles {
 	c := e.fresh()
 	e.env.Cost.JoinBuild(c, buildRows)
 	e.env.Cost.JoinProbe(c, probeRows, matches)
-	e.exprCost(c, matches, residuals...)
+	e.conjCost(c, matches, residual)
 	return *c
 }
 
@@ -154,9 +169,10 @@ func (e *est) resultCost(rows float64) cycles {
 // co-attached queries amortizes the pass-fired work (page streaming, zone
 // consults) to 1/Q per query for energy; for latency the queries
 // time-share the processor, so the per-query response multiplies the
-// non-amortized work by Q while the pass streams once. Statement overhead
-// is charged unamplified, as the engine runs it.
-func (e *est) timeEnergy(c cycles, par int, shared bool) (secs, joules float64) {
+// non-amortized work by Q while the pass streams once. overhead is added
+// to the compute cycles unamplified, as the engine charges its statement
+// overhead: the whole plan passes env.OverheadCycles, one operator 0.
+func (e *est) timeEnergy(c cycles, overhead float64, par int, shared bool) (secs, joules float64) {
 	amp := e.env.Amplify
 	q := 1.0
 	if shared && e.env.SharedConcurrency > 1 {
@@ -169,7 +185,7 @@ func (e *est) timeEnergy(c cycles, par int, shared bool) (secs, joules float64) 
 		c.k[cpu.MemStall] * amp,
 		(c.k[cpu.Stream] - c.passStream) * amp,
 	}
-	own[cpu.Compute] += e.env.OverheadCycles
+	own[cpu.Compute] += overhead
 	pass := [2]float64{c.passZone * amp, c.passStream * amp} // compute, stream
 
 	var ownSecs float64

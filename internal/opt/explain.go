@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ecodb/internal/hw/cpu"
 	"ecodb/internal/obsv"
 	"ecodb/internal/plan"
 )
@@ -51,7 +50,7 @@ func Explain(lg *plan.Logical, env Env, ch *Choice) (string, error) {
 		fmtSecs(ch.EstSeconds), fmtJoules(ch.EstJoules), fmtRows(ch.EstRows))
 	b.WriteString("operators:\n")
 	for _, op := range ops {
-		joules := e.opJoules(op, ch.Parallelism, ch.Shared)
+		_, joules := e.timeEnergy(op.cyc, 0, ch.Parallelism, ch.Shared)
 		fmt.Fprintf(&b, "  %-52s rows≈%-10s cycles≈%-10s %s\n",
 			op.desc, fmtRows(op.rows), fmtCycles(op.cyc.total()), fmtJoules(joules))
 	}
@@ -59,17 +58,11 @@ func Explain(lg *plan.Logical, env Env, ch *Choice) (string, error) {
 }
 
 // choiceOps costs ch's shape operator by operator (planCycles with collect),
-// filling in the default join order and build sides a choice may leave nil.
+// its choices completed by plan.Logical.Complete.
 func (e *est) choiceOps(ch *Choice) (order []int, builds []bool, ops []opEst, ok bool) {
-	order, builds = ch.Phys.JoinOrder, ch.Phys.BuildLeft
-	if order == nil {
-		order = e.lg.DefaultChoices().JoinOrder
-	}
-	if builds == nil {
-		builds = e.lg.DefaultChoices().BuildLeft
-	}
-	_, _, ops, ok = e.planCycles(order, builds, ch.Phys.Pushdown, true)
-	return order, builds, ops, ok
+	phys := e.lg.Complete(ch.Phys)
+	_, _, ops, ok = e.planCycles(phys.JoinOrder, phys.BuildLeft, phys.Pushdown, true)
+	return phys.JoinOrder, phys.BuildLeft, ops, ok
 }
 
 // OperatorEstimates returns the per-operator estimates of a choice in the
@@ -94,54 +87,17 @@ func OperatorEstimates(lg *plan.Logical, env Env, ch *Choice) []obsv.OpEstimate 
 		if op.scanTable >= 0 {
 			table = lg.Tables[op.scanTable].Name
 		}
+		secs, joules := e.timeEnergy(op.cyc, 0, ch.Parallelism, ch.Shared)
 		out[i] = obsv.OpEstimate{
 			Kind:    op.kind,
 			Table:   table,
 			Desc:    op.desc,
 			Rows:    op.rows,
-			Seconds: e.opSeconds(op, ch.Parallelism, ch.Shared),
-			Joules:  e.opJoules(op, ch.Parallelism, ch.Shared),
+			Seconds: secs,
+			Joules:  joules,
 		}
 	}
 	return out
-}
-
-// opSeconds converts one operator's estimated cycles to per-query response
-// seconds under the chosen configuration, mirroring timeEnergy: shared
-// execution time-shares the machine (own work stretches by Q) while the
-// pass streams once.
-func (e *est) opSeconds(op opEst, par int, shared bool) float64 {
-	amp := e.env.Amplify
-	q := 1.0
-	if shared && e.env.SharedConcurrency > 1 {
-		q = float64(e.env.SharedConcurrency)
-	}
-	m := e.env.CPU
-	c := op.cyc
-	own := m.EstimateSeconds((c.k[cpu.Compute]-c.passZone)*amp, cpu.Compute, par) +
-		m.EstimateSeconds(c.k[cpu.MemStall]*amp, cpu.MemStall, par) +
-		m.EstimateSeconds((c.k[cpu.Stream]-c.passStream)*amp, cpu.Stream, par)
-	pass := m.EstimateSeconds(c.passZone*amp, cpu.Compute, par) +
-		m.EstimateSeconds(c.passStream*amp, cpu.Stream, par)
-	return q*own + pass
-}
-
-// opJoules converts one operator's estimated cycles to joules under the
-// chosen configuration. Scan leaves amortize their pass-fired work across
-// the shared pass when the shared access path was chosen, matching the
-// whole-plan accounting in timeEnergy.
-func (e *est) opJoules(op opEst, par int, shared bool) float64 {
-	amp := e.env.Amplify
-	q := 1.0
-	if shared && op.scanTable >= 0 && e.env.SharedConcurrency > 1 {
-		q = float64(e.env.SharedConcurrency)
-	}
-	c := op.cyc
-	var j float64
-	j += e.env.CPU.EstimateEnergy((c.k[cpu.Compute]-c.passZone+c.passZone/q)*amp, cpu.Compute, par)
-	j += e.env.CPU.EstimateEnergy(c.k[cpu.MemStall]*amp, cpu.MemStall, par)
-	j += e.env.CPU.EstimateEnergy((c.k[cpu.Stream]-c.passStream+c.passStream/q)*amp, cpu.Stream, par)
-	return j
 }
 
 func fmtSecs(s float64) string {

@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"ecodb/internal/exec"
-	"ecodb/internal/expr"
 	"ecodb/internal/hw/cpu"
 	"ecodb/internal/obsv"
 	"ecodb/internal/plan"
@@ -139,15 +139,7 @@ func Optimize(lg *plan.Logical, base plan.PhysChoices, env Env, obj Objective) (
 	}
 	e := newEst(lg, env)
 
-	if base.JoinOrder == nil || base.BuildLeft == nil {
-		def := lg.DefaultChoices()
-		if base.JoinOrder == nil {
-			base.JoinOrder = def.JoinOrder
-		}
-		if base.BuildLeft == nil {
-			base.BuildLeft = def.BuildLeft
-		}
-	}
+	base = lg.Complete(base)
 
 	sharedOpts := []bool{false}
 	if env.SharedConcurrency > 1 {
@@ -163,7 +155,7 @@ func Optimize(lg *plan.Logical, base plan.PhysChoices, env Env, obj Objective) (
 		}
 		for _, shared := range sharedOpts {
 			for par := 1; par <= env.MaxParallelism; par++ {
-				secs, joules := e.timeEnergy(c, par, shared)
+				secs, joules := e.timeEnergy(c, env.OverheadCycles, par, shared)
 				score := obj.score(secs, joules)
 				if score < bestScore-1e-12 {
 					bestScore = score
@@ -198,7 +190,7 @@ func Optimize(lg *plan.Logical, base plan.PhysChoices, env Env, obj Objective) (
 		// frontier is only a candidate generator — consider re-costs every
 		// shape exactly), then each shape is scored under both pushdowns.
 		for _, sh := range e.enumerateShapes(pinned) {
-			if sameShape(sh.order, sh.builds, base.JoinOrder, base.BuildLeft) {
+			if slices.Equal(sh.order, base.JoinOrder) && slices.Equal(sh.builds, base.BuildLeft) {
 				continue
 			}
 			for _, pd := range []plan.Pushdown{plan.PushdownAll, plan.PushdownBase} {
@@ -217,23 +209,6 @@ func otherPushdown(p plan.Pushdown) plan.Pushdown {
 		return plan.PushdownBase
 	}
 	return plan.PushdownAll
-}
-
-func sameShape(ao []int, ab []bool, bo []int, bb []bool) bool {
-	if len(ao) != len(bo) || len(ab) != len(bb) {
-		return false
-	}
-	for i := range ao {
-		if ao[i] != bo[i] {
-			return false
-		}
-	}
-	for i := range ab {
-		if ab[i] != bb[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // spineTable returns the base table whose heap order the plan's output
@@ -297,21 +272,11 @@ func (e *est) enumerateShapes(pinned int) []shape {
 	lg := e.lg
 	n := len(lg.Tables)
 
-	adj := make([]plan.TableSet, n)
-	for i, c := range lg.Conjuncts {
-		if !c.EquiJoin {
-			continue
-		}
-		lt, rt := e.conjLeft[i], e.conjRight[i]
-		adj[lt] = adj[lt].With(rt)
-		adj[rt] = adj[rt].With(lt)
-	}
-
 	// Leaf scans are shape-independent; cost each table once.
 	leafRows := make([]float64, n)
 	leafCyc := make([]cycles, n)
 	for t := 0; t < n; t++ {
-		leafRows[t], leafCyc[t] = e.scanCost(t, e.singlePreds(t))
+		leafRows[t], _, leafCyc[t] = e.scanCost(t, true)
 	}
 
 	grow := n // tables the DP grows over
@@ -339,7 +304,7 @@ func (e *est) enumerateShapes(pinned int) []shape {
 		sort.Slice(subsets, func(i, j int) bool { return subsets[i] < subsets[j] })
 		for _, s := range subsets {
 			for t := 0; t < n; t++ {
-				if s.Has(t) || (pinned >= 0 && t == pinned) || adj[t]&s == 0 {
+				if s.Has(t) || (pinned >= 0 && t == pinned) {
 					continue
 				}
 				key := s.With(t)
@@ -365,9 +330,6 @@ func (e *est) enumerateShapes(pinned int) []shape {
 			}
 		}
 		for _, cd := range dp[full] {
-			if adj[pinned]&full == 0 {
-				break
-			}
 			// Build the dims, probe the spine.
 			nc, ok := e.expand(cd, pinned, leafRows[pinned], leafCyc[pinned], true)
 			if !ok {
@@ -387,77 +349,59 @@ func (e *est) enumerateShapes(pinned int) []shape {
 	return out
 }
 
-// singlePreds lists table t's single-table conjunct predicates.
-func (e *est) singlePreds(t int) []expr.Expr {
-	only := plan.TableSet(0).With(t)
-	var preds []expr.Expr
-	for _, c := range e.lg.Conjuncts {
-		if c.Tables == only {
-			preds = append(preds, c.Pred)
-		}
-	}
-	return preds
-}
-
-// expand grows a candidate by joining table t, mirroring one Lower step.
-// leafRows/leafC are t's cached scan cost under full pushdown.
+// expand grows a candidate by joining table t, whose scan under full
+// pushdown costs leafC and yields leafRows rows. ok is false when no
+// equi-join conjunct connects t to the candidate's tables.
 func (e *est) expand(cd cand, t int, leafRows float64, leafC cycles, buildLeft bool) (cand, bool) {
-	_, residuals, matches, outRows, ok := e.joinStep(cd.set, cd.rows, t, leafRows, plan.PushdownAll)
+	j, ok := e.join(cd.set, cd.rows, t, leafRows, true, buildLeft)
 	if !ok {
 		return cand{}, false
 	}
-
-	buildRows, probeRows := cd.rows, leafRows
-	if !buildLeft {
-		buildRows, probeRows = leafRows, cd.rows
-	}
-
 	nc := cand{
 		set:    cd.set.With(t),
 		order:  append(append([]int{}, cd.order...), t),
 		builds: append(append([]bool{}, cd.builds...), buildLeft),
-		rows:   outRows,
+		rows:   j.rows,
 		c:      cd.c,
 	}
 	nc.c.addAll(leafC)
-	nc.c.addAll(e.joinCost(buildRows, probeRows, matches, residuals))
+	nc.c.addAll(j.c)
 	return nc, true
 }
 
-// joinStep resolves the hash key and residual conjuncts for joining table
-// t onto subset set, returning the pre-residual match count and the
-// post-residual output cardinality.
-func (e *est) joinStep(set plan.TableSet, setRows float64, t int, leafRows float64, pd plan.Pushdown) (keyIdx int, residuals []expr.Expr, matches, outRows float64, ok bool) {
-	lg := e.lg
-	newSet := set.With(t)
-	keyIdx = -1
-	for i, c := range lg.Conjuncts {
-		if !c.EquiJoin || !c.Tables.SubsetOf(newSet) || c.Tables.SubsetOf(set) {
-			continue
-		}
-		lt, rt := e.conjLeft[i], e.conjRight[i]
-		if (set.Has(lt) && rt == t) || (set.Has(rt) && lt == t) {
-			keyIdx = i
-			break
-		}
+// joinEst is one priced join step.
+type joinEst struct {
+	key       int // the hash-key conjunct
+	residuals int
+	rows      float64 // output rows, after the residual
+	c         cycles
+}
+
+// join prices the hash join that adds table t (leafRows rows from its scan,
+// whose conjuncts it absorbed when pushed) to a prefix over set yielding
+// setRows rows, with the key and residual conjuncts the plan's placement
+// rule puts there (plan.Logical.JoinStep).
+func (e *est) join(set plan.TableSet, setRows float64, t int, leafRows float64, pushed, buildLeft bool) (joinEst, bool) {
+	key, residual, ok := e.lg.JoinStep(e.conj[:0], set, t, pushed)
+	e.conj = residual
+	if !ok {
+		return joinEst{}, false
 	}
-	if keyIdx < 0 {
-		return -1, nil, 0, 0, false
+	matches := max(setRows*leafRows*e.conjSel[key], minRows)
+	rows := matches
+	for _, i := range residual {
+		rows *= e.conjSel[i]
 	}
-	matches = setRows * leafRows * e.conjSel[keyIdx]
-	outRows = matches
-	only := plan.TableSet(0).With(t)
-	for i, c := range lg.Conjuncts {
-		if i == keyIdx || !c.Tables.SubsetOf(newSet) || c.Tables.SubsetOf(set) {
-			continue
-		}
-		if c.Tables == only && pd == plan.PushdownAll {
-			continue // pushed into the leaf scan, already applied
-		}
-		residuals = append(residuals, c.Pred)
-		outRows *= e.conjSel[i]
+	buildRows, probeRows := setRows, leafRows
+	if !buildLeft {
+		buildRows, probeRows = leafRows, setRows
 	}
-	return keyIdx, residuals, max(matches, minRows), max(outRows, minRows), true
+	return joinEst{
+		key:       key,
+		residuals: len(residual),
+		rows:      max(rows, minRows),
+		c:         e.joinCost(buildRows, probeRows, matches, residual),
+	}, true
 }
 
 // paretoInsert adds a candidate to a subset's frontier, dropping
@@ -497,10 +441,11 @@ type opEst struct {
 	scanTable int
 }
 
-// planCycles walks one candidate shape exactly as plan.Lower would build
-// it, accumulating estimated cycles. With collect it also records the
-// per-operator estimates EXPLAIN renders. ok is false when the shape does
-// not lower (no equi edge joins some table to its predecessors).
+// planCycles prices one candidate shape step by step, each step's
+// conjuncts placed by the plan's rule, accumulating estimated cycles. With
+// collect it also records the per-operator estimates EXPLAIN renders. ok is
+// false when the shape does not lower (no equi edge joins some table to its
+// predecessors).
 func (e *est) planCycles(order []int, builds []bool, pd plan.Pushdown, collect bool) (cycles, float64, []opEst, bool) {
 	lg := e.lg
 	if len(order) != len(lg.Tables) || len(builds) != len(lg.Tables)-1 {
@@ -513,94 +458,39 @@ func (e *est) planCycles(order []int, builds []bool, pd plan.Pushdown, collect b
 	record := func(kind obsv.Kind, desc string, rows float64, c cycles, scanTable int) {
 		ops = append(ops, opEst{kind: kind, desc: desc, rows: rows, cyc: c, scanTable: scanTable})
 	}
-
-	placed := make([]bool, len(lg.Conjuncts))
-	takeSingles := func(t int) (preds []expr.Expr) {
-		only := plan.TableSet(0).With(t)
-		for i, c := range lg.Conjuncts {
-			if placed[i] || c.Tables != only {
-				continue
-			}
-			preds = append(preds, c.Pred)
-			placed[i] = true
-		}
-		return preds
-	}
-
-	t0 := order[0]
-	pushed := takeSingles(t0)
-	curRows, c0 := e.scanCost(t0, pushed)
-	total.addAll(c0)
-	if collect {
-		record(obsv.KindScan, scanDesc(lg, t0, len(pushed) > 0), curRows, c0, t0)
-	}
-	curSet := plan.TableSet(0).With(t0)
-
-	for step, t := range order[1:] {
-		var leafPreds []expr.Expr
-		if pd == plan.PushdownAll {
-			leafPreds = takeSingles(t)
-		}
-		leafRows, leafC := e.scanCost(t, leafPreds)
-		total.addAll(leafC)
+	scan := func(i int) float64 {
+		t := order[i]
+		rows, filtered, c := e.scanCost(t, pd.Pushes(i))
+		total.addAll(c)
 		if collect {
-			record(obsv.KindScan, scanDesc(lg, t, len(leafPreds) > 0), leafRows, leafC, t)
+			record(obsv.KindScan, scanDesc(lg, t, filtered), rows, c, t)
 		}
-		newSet := curSet.With(t)
+		return rows
+	}
 
-		keyIdx := -1
-		for i, c := range lg.Conjuncts {
-			if placed[i] || !c.EquiJoin {
-				continue
-			}
-			lt, rt := lg.TableOf(c.LeftCol), lg.TableOf(c.RightCol)
-			if (curSet.Has(lt) && rt == t) || (curSet.Has(rt) && lt == t) {
-				keyIdx = i
-				break
-			}
-		}
-		if keyIdx < 0 {
+	curRows := scan(0)
+	curSet := plan.TableSet(0).With(order[0])
+	for step, t := range order[1:] {
+		leafRows := scan(step + 1)
+		j, ok := e.join(curSet, curRows, t, leafRows, pd.Pushes(step+1), builds[step])
+		if !ok {
 			return cycles{}, 0, nil, false
 		}
-		placed[keyIdx] = true
-		matches := max(curRows*leafRows*e.conjunctSel(lg.Conjuncts[keyIdx]), minRows)
-
-		var residuals []expr.Expr
-		outRows := matches
-		for i, c := range lg.Conjuncts {
-			if placed[i] || !c.Tables.SubsetOf(newSet) {
-				continue
-			}
-			residuals = append(residuals, c.Pred)
-			outRows *= e.conjunctSel(c)
-			placed[i] = true
-		}
-		outRows = max(outRows, minRows)
-
-		buildRows, probeRows := curRows, leafRows
-		if !builds[step] {
-			buildRows, probeRows = leafRows, curRows
-		}
-		jc := e.joinCost(buildRows, probeRows, matches, residuals)
-		total.addAll(jc)
+		total.addAll(j.c)
 		if collect {
-			record(obsv.KindJoin, joinDesc(lg, keyIdx, builds[step], len(residuals)), outRows, jc, -1)
+			record(obsv.KindJoin, joinDesc(lg, j.key, builds[step], j.residuals), j.rows, j.c, -1)
 		}
-		curRows, curSet = outRows, newSet
+		curRows, curSet = j.rows, curSet.With(t)
 	}
 
-	// Unplaced conjuncts become Filters in Lower; cost them the same way.
-	for i, c := range lg.Conjuncts {
-		if placed[i] {
-			continue
-		}
-		fc := e.evalCost(curRows, c.Pred)
+	e.conj = lg.FilterConjuncts(e.conj[:0])
+	for _, i := range e.conj {
+		fc := e.evalCost(curRows, lg.Conjuncts[i].Pred)
 		total.addAll(fc)
-		curRows = max(curRows*e.sel(c.Pred), minRows)
+		curRows = max(curRows*e.conjSel[i], minRows)
 		if collect {
-			record(obsv.KindFilter, fmt.Sprintf("Filter(%s)", c.Pred), curRows, fc, -1)
+			record(obsv.KindFilter, fmt.Sprintf("Filter(%s)", lg.Conjuncts[i].Pred), curRows, fc, -1)
 		}
-		placed[i] = true
 	}
 
 	if lg.Agg != nil {

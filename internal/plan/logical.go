@@ -267,6 +267,10 @@ const (
 	PushdownAll
 )
 
+// Pushes reports whether the scan of the i-th table in a join order absorbs
+// its conjuncts (ScanConjuncts): the first table's always does.
+func (p Pushdown) Pushes(i int) bool { return i == 0 || p == PushdownAll }
+
 func (p Pushdown) String() string {
 	if p == PushdownAll {
 		return "all"
@@ -303,82 +307,139 @@ func (lg *Logical) DefaultChoices() PhysChoices {
 	return PhysChoices{JoinOrder: order, BuildLeft: bl, Pushdown: PushdownAll}
 }
 
+// Complete returns ch with a nil join order or build side list filled from
+// DefaultChoices.
+func (lg *Logical) Complete(ch PhysChoices) PhysChoices {
+	if ch.JoinOrder == nil || ch.BuildLeft == nil {
+		def := lg.DefaultChoices()
+		if ch.JoinOrder == nil {
+			ch.JoinOrder = def.JoinOrder
+		}
+		if ch.BuildLeft == nil {
+			ch.BuildLeft = def.BuildLeft
+		}
+	}
+	return ch
+}
+
+// Conjunct placement: every conjunct lands at the earliest operator whose
+// inputs cover it. ScanConjuncts, JoinStep and FilterConjuncts are the whole
+// rule; Lower builds its nodes from them and the optimizer costs the same
+// steps, so an estimate prices the tree that runs. Each appends conjunct
+// indexes to a caller-owned buffer.
+
+// ScanConjuncts appends to dst the conjuncts table t's scan absorbs when its
+// conjuncts are pushed down (Pushdown.Pushes): those over t alone.
+func (lg *Logical) ScanConjuncts(dst []int, t int) []int {
+	only := TableSet(0).With(t)
+	for i, c := range lg.Conjuncts {
+		if c.Tables == only {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// JoinStep places the conjuncts of the join that adds table t to the tables
+// in set. key is the hash key: the first equi-join conjunct between set and
+// t. The residual, appended to dst, is every other conjunct over t and set
+// that touches t — t's own conjuncts only when its scan did not absorb them
+// (pushed false) — plus, at the first join (set is one table), the
+// conjuncts that reference no table. ok is false when no equi-join
+// conjunct connects t to set.
+func (lg *Logical) JoinStep(dst []int, set TableSet, t int, pushed bool) (key int, residual []int, ok bool) {
+	if set.Has(t) {
+		return -1, dst, false
+	}
+	newSet := set.With(t)
+	key = -1
+	for i, c := range lg.Conjuncts {
+		if c.EquiJoin && c.Tables.Has(t) && c.Tables.SubsetOf(newSet) {
+			key = i
+			break
+		}
+	}
+	if key < 0 {
+		return -1, dst, false
+	}
+	only := TableSet(0).With(t)
+	first := set.Count() == 1
+	for i, c := range lg.Conjuncts {
+		switch {
+		case i == key || !c.Tables.SubsetOf(newSet) || (pushed && c.Tables == only):
+		case c.Tables.Has(t) || (first && c.Tables == 0):
+			dst = append(dst, i)
+		}
+	}
+	return key, dst, true
+}
+
+// FilterConjuncts appends to dst the conjuncts no scan or join absorbs,
+// each of which Lower places in a Filter above the joins: in a one-table
+// plan, those that reference no table.
+func (lg *Logical) FilterConjuncts(dst []int) []int {
+	if len(lg.Tables) > 1 {
+		return dst
+	}
+	for i, c := range lg.Conjuncts {
+		if c.Tables == 0 {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
 // Lower produces the physical operator tree for one choice of join order,
-// build sides and pushdown depth. Join keys come from the logical equi-join
-// conjuncts; every other conjunct lands at the earliest operator whose
-// inputs cover it (scan filter, join residual, or — defensively — a Filter).
-// The result's output schema equals OutputSchema regardless of choices.
-// The root carries its origin (OriginOf): lg and ch, with a nil join order
-// or build side list filled from DefaultChoices; the origin shares ch's
+// build sides and pushdown depth. Join keys and the place of every other
+// conjunct come from the placement rule above. The result's output schema
+// equals OutputSchema regardless of choices. The root carries its origin
+// (OriginOf): lg and ch completed by Complete; the origin shares ch's
 // slices, so the caller must not modify them afterwards.
 func (lg *Logical) Lower(ch PhysChoices) (Node, error) {
-	order := ch.JoinOrder
-	if order == nil {
-		order = lg.DefaultChoices().JoinOrder
-	}
+	ch = lg.Complete(ch)
+	order, buildLeft := ch.JoinOrder, ch.BuildLeft
 	if len(order) != len(lg.Tables) {
 		return nil, fmt.Errorf("plan: join order has %d entries for %d tables", len(order), len(lg.Tables))
-	}
-	buildLeft := ch.BuildLeft
-	if buildLeft == nil {
-		buildLeft = lg.DefaultChoices().BuildLeft
 	}
 	if len(buildLeft) != len(lg.Tables)-1 {
 		return nil, fmt.Errorf("plan: build sides have %d entries for %d joins", len(buildLeft), len(lg.Tables)-1)
 	}
 
-	placed := make([]bool, len(lg.Conjuncts))
-
-	// scanOf builds table t's leaf, absorbing its single-table conjuncts
-	// when the pushdown depth allows.
+	var conj []int // the placement buffer
+	// and conjoins the conjuncts placed in conj, remapped through m.
+	and := func(m func(int) int) expr.Expr {
+		var acc expr.Expr
+		for _, i := range conj {
+			acc = andExpr(acc, RemapExpr(lg.Conjuncts[i].Pred, m))
+		}
+		return acc
+	}
 	scanOf := func(t int, push bool) *Scan {
 		var pred expr.Expr
 		if push {
-			only := TableSet(0).With(t)
-			for i, c := range lg.Conjuncts {
-				if placed[i] || c.Tables != only {
-					continue
-				}
-				pred = andExpr(pred, RemapExpr(c.Pred, func(g int) int { return g - lg.offsets[t] }))
-				placed[i] = true
-			}
+			conj = lg.ScanConjuncts(conj[:0], t)
+			pred = and(func(g int) int { return g - lg.offsets[t] })
 		}
 		return NewScan(lg.Tables[t], pred)
 	}
 
 	t0 := order[0]
-	var cur Node = scanOf(t0, true)
+	var cur Node = scanOf(t0, ch.Pushdown.Pushes(0))
 	curMap := lg.tableGlobals(t0)
 	curSet := TableSet(0).With(t0)
 
-	for step, ti := range order[1:] {
-		t := ti
-		leaf := scanOf(t, ch.Pushdown == PushdownAll)
-		newSet := curSet.With(t)
-
-		// Hash keys: the first unplaced equi-join edge between the
-		// accumulated set and the new table.
-		keyIdx := -1
-		var gCur, gNew int
-		for i, c := range lg.Conjuncts {
-			if placed[i] || !c.EquiJoin {
-				continue
-			}
-			lt, rt := lg.TableOf(c.LeftCol), lg.TableOf(c.RightCol)
-			switch {
-			case curSet.Has(lt) && rt == t:
-				keyIdx, gCur, gNew = i, c.LeftCol, c.RightCol
-			case curSet.Has(rt) && lt == t:
-				keyIdx, gCur, gNew = i, c.RightCol, c.LeftCol
-			}
-			if keyIdx >= 0 {
-				break
-			}
-		}
-		if keyIdx < 0 {
+	for step, t := range order[1:] {
+		push := ch.Pushdown.Pushes(step + 1)
+		leaf := scanOf(t, push)
+		key, residual, ok := lg.JoinStep(conj[:0], curSet, t, push)
+		if !ok {
 			return nil, fmt.Errorf("plan: no equality joins %s to the preceding tables", lg.Tables[t].Name)
 		}
-		placed[keyIdx] = true
+		conj = residual
+		gCur, gNew := lg.Conjuncts[key].LeftCol, lg.Conjuncts[key].RightCol
+		if lg.TableOf(gNew) != t {
+			gCur, gNew = gNew, gCur
+		}
 
 		var build, probe Node
 		var buildKey, probeKey int
@@ -395,28 +456,13 @@ func (lg *Logical) Lower(ch PhysChoices) (Node, error) {
 			newMap = append(lg.tableGlobals(t), curMap...)
 		}
 
-		// Residual: every remaining conjunct whose tables are now covered.
-		var residual expr.Expr
-		for i, c := range lg.Conjuncts {
-			if placed[i] || !c.Tables.SubsetOf(newSet) {
-				continue
-			}
-			residual = andExpr(residual, RemapExpr(c.Pred, func(g int) int { return indexOfGlobal(newMap, g) }))
-			placed[i] = true
-		}
-
-		cur = NewHashJoin(build, probe, buildKey, probeKey, residual)
-		curMap, curSet = newMap, newSet
+		cur = NewHashJoin(build, probe, buildKey, probeKey, and(func(g int) int { return indexOfGlobal(newMap, g) }))
+		curMap, curSet = newMap, curSet.With(t)
 	}
 
-	// Defensive: anything unplaced (single-table queries push everything,
-	// so this only fires on malformed conjunct sets) becomes a Filter.
-	for i, c := range lg.Conjuncts {
-		if placed[i] {
-			continue
-		}
-		cur = NewFilter(cur, RemapExpr(c.Pred, func(g int) int { return indexOfGlobal(curMap, g) }))
-		placed[i] = true
+	conj = lg.FilterConjuncts(conj[:0])
+	for _, i := range conj {
+		cur = NewFilter(cur, RemapExpr(lg.Conjuncts[i].Pred, func(g int) int { return indexOfGlobal(curMap, g) }))
 	}
 
 	if lg.Agg != nil {
@@ -473,10 +519,7 @@ func (lg *Logical) Lower(ch PhysChoices) (Node, error) {
 	if lg.Limit >= 0 {
 		cur = NewLimit(cur, lg.Limit)
 	}
-	cur.stamp().origin = &Origin{
-		Logical: lg,
-		Choices: PhysChoices{JoinOrder: order, BuildLeft: buildLeft, Pushdown: ch.Pushdown},
-	}
+	cur.stamp().origin = &Origin{Logical: lg, Choices: ch}
 	return cur, nil
 }
 
