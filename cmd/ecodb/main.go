@@ -42,6 +42,9 @@ func main() {
 		// The query-server subcommand owns its flags; see serve.go.
 		if err := runServe(os.Args[2:]); err != nil {
 			fmt.Fprintln(os.Stderr, "ecodb:", err)
+			if _, usage := err.(usageError); usage {
+				os.Exit(2)
+			}
 			os.Exit(1)
 		}
 		return

@@ -13,7 +13,14 @@ import (
 	"ecodb/internal/experiments"
 	"ecodb/internal/server"
 	"ecodb/internal/sim"
+	"ecodb/internal/tpch"
 )
+
+// usageError is a flag value a subcommand rejects before doing any work:
+// main prints it on one line and exits 2, as flag parsing does.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
 
 // runServe is the `ecodb serve` subcommand: an HTTP query server over a
 // freshly generated, warm TPC-H dataset under the serving profile. It
@@ -38,6 +45,9 @@ func runServe(args []string) error {
 		fmt.Fprintln(os.Stderr, "see docs/OPERATIONS.md for the operator's handbook")
 	}
 	fs.Parse(args)
+	if err := tpch.CheckScale(*sf); err != nil {
+		return usageError("serve -sf: " + err.Error())
+	}
 
 	pol, err := server.ParsePolicy(*policy)
 	if err != nil {

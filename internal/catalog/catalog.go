@@ -109,6 +109,26 @@ func (t *Table) Insert(row expr.Row) {
 	t.Heap.Append(row)
 }
 
+// AppendBatch validates a column batch against the schema — its arity, and
+// each column's length and kind, once per column — and appends its rows:
+// the bulk-load path, doing per column what Insert does per value.
+func (t *Table) AppendBatch(b *expr.Batch) {
+	if len(b.Cols) != t.Schema.NumCols() {
+		panic(fmt.Sprintf("catalog: batch arity %d does not match %s schema arity %d",
+			len(b.Cols), t.Name, t.Schema.NumCols()))
+	}
+	for i, c := range t.Schema.cols {
+		v := &b.Cols[i]
+		if v.Len() != b.N {
+			panic(fmt.Sprintf("catalog: %s.%s has %d values in a batch of %d rows", t.Name, c.Name, v.Len(), b.N))
+		}
+		if v.Kind != expr.KindNull && v.Kind != c.Kind {
+			panic(fmt.Sprintf("catalog: %v column for %s.%s, a %v column", v.Kind, t.Name, c.Name, c.Kind))
+		}
+	}
+	t.Heap.AppendBatch(b)
+}
+
 // Catalog is the table registry.
 type Catalog struct {
 	tables map[string]*Table

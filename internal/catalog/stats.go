@@ -17,8 +17,8 @@ type ColStats struct {
 
 // TableStats summarizes a table for costing: cardinality, physical extent,
 // and per-column distributions. Min/Max/Nulls are folded from the per-page
-// zone maps the heap maintains on Append; NDV needs one pass over the
-// column vectors (hashed exact counting), done lazily on first request.
+// zone maps the heap folds as rows are appended; NDV needs one pass over
+// the column vectors (hashed exact counting), done lazily on first request.
 type TableStats struct {
 	Rows  int64
 	Pages int
@@ -31,7 +31,7 @@ func (s *TableStats) Col(i int) *ColStats { return &s.Cols[i] }
 
 // Stats returns the table's statistics, computing them on first use and
 // caching until the heap grows (heaps are append-only, so row count is a
-// complete freshness token). The zone maps built at Append time provide
+// complete freshness token). The zone maps folded at load time provide
 // min/max/null presence for free; distinct counts hash every value once.
 func (t *Table) Stats() *TableStats {
 	rows := t.Heap.NumRows()

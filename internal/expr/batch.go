@@ -132,6 +132,26 @@ func (b *Batch) AppendRowsTo(dst []Row) []Row {
 // Rows materializes every logical row with fresh backing.
 func (b *Batch) Rows() []Row { return b.AppendRowsTo(nil) }
 
+// RowBytes estimates the storage footprint of physical row i — Row.Bytes
+// of the row it holds — from the payloads, materializing no value.
+func (b *Batch) RowBytes(i int) int64 {
+	n := int64(4) // header
+	for c := range b.Cols {
+		v := &b.Cols[c]
+		switch {
+		case v.IsNull(i):
+			n++
+		case v.Kind != KindString:
+			n += 8
+		case v.Dict != nil:
+			n += int64(len(v.Dict.words[v.Codes[i]])) + 2
+		default:
+			n += int64(len(v.S[i])) + 2
+		}
+	}
+	return n
+}
+
 // Bytes estimates the storage footprint of every logical row — the sum of
 // Row.Bytes over the materialized tuples — column by column from the typed
 // payloads, materializing no value.

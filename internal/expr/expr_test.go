@@ -91,7 +91,8 @@ func TestTruthy(t *testing.T) {
 }
 
 // Row.Bytes is 4 header bytes plus each value's Value.Bytes, and
-// Batch.Bytes is Row.Bytes summed over the batch's logical rows, whatever
+// Batch.RowBytes is Row.Bytes of each row and Batch.Bytes its sum over the
+// batch's logical rows, whatever
 // the columns' representation (dense, NULL-bearing, all NULL,
 // dictionary-encoded) and with or without a selection.
 func TestRowBytes(t *testing.T) {
@@ -110,8 +111,11 @@ func TestRowBytes(t *testing.T) {
 		}
 		b.N, b.Sel = n, randSel(rng, n)
 		var want int64
-		for _, row := range b.Rows() {
+		for li, row := range b.Rows() {
 			want += row.Bytes()
+			if got := b.RowBytes(b.RowIdx(li)); got != row.Bytes() {
+				t.Fatalf("case %d row %d: Batch.RowBytes = %d, want %d", c, li, got, row.Bytes())
+			}
 		}
 		if got := b.Bytes(); got != want {
 			t.Fatalf("case %d: Batch.Bytes = %d, want %d over %d rows", c, got, want, b.Len())

@@ -412,10 +412,7 @@ func TestZonePruneSoundness(t *testing.T) {
 		}
 
 		zones := make([]Zone, 1)
-		vec := &in.Cols[0]
-		for i := 0; i < vec.Len(); i++ {
-			zones[0].Update(vec.Get(i))
-		}
+		zones[0].Fold(&in.Cols[0], 0, in.Cols[0].Len())
 		if !ZonePrunes(pred, zones) {
 			continue
 		}

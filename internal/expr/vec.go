@@ -20,9 +20,9 @@ import (
 //   - Nulls is nil when no element is NULL; otherwise it has one entry per
 //     element.
 //   - A vector holds one kind plus NULLs. Append of a non-NULL value of a
-//     second kind panics: tables check every value against their schema on
-//     load (catalog.Table.Insert), and every expression yields one kind, so
-//     no statement can build such a vector.
+//     second kind panics: tables check every column against their schema on
+//     load (catalog.Table.AppendBatch and Insert), and every expression
+//     yields one kind, so no statement can build such a vector.
 //   - Dict non-nil marks a dictionary-encoded string vector: Kind is
 //     KindString, S is nil, and Codes holds one dictionary code per element
 //     (zero under NULLs; Nulls stays authoritative). Reads are transparent —
@@ -40,6 +40,33 @@ type ColVec struct {
 	Dict  *Dict
 	Codes []int32
 	n     int
+}
+
+// IntVec returns a NULL-free vector of kind k (Int, Date or Bool) that
+// takes xs as its payload: how a bulk loader hands over a column it built
+// as a plain slice.
+func IntVec(k Kind, xs []int64) ColVec {
+	if len(xs) == 0 {
+		return ColVec{}
+	}
+	return ColVec{Kind: k, I: xs, n: len(xs)}
+}
+
+// FloatVec returns a NULL-free float vector that takes xs as its payload.
+func FloatVec(xs []float64) ColVec {
+	if len(xs) == 0 {
+		return ColVec{}
+	}
+	return ColVec{Kind: KindFloat, F: xs, n: len(xs)}
+}
+
+// StringVec returns a NULL-free string vector that takes xs as its
+// payload.
+func StringVec(xs []string) ColVec {
+	if len(xs) == 0 {
+		return ColVec{}
+	}
+	return ColVec{Kind: KindString, S: xs, n: len(xs)}
 }
 
 // Len returns the number of elements.
@@ -160,6 +187,28 @@ func (v *ColVec) AppendFrom(src *ColVec, sel []int32) {
 	for _, i := range sel {
 		v.Append(src.Get(int(i)))
 	}
+}
+
+// AppendRange appends src's elements [from, to): AppendFrom over a
+// contiguous run, which is how a heap cuts a loaded column into pages.
+// Into an empty vector each slice is allocated once, sized to the run.
+func (v *ColVec) AppendRange(src *ColVec, from, to int) {
+	run := ColVec{Kind: src.Kind, Dict: src.Dict, n: to - from}
+	if src.Nulls != nil {
+		run.Nulls = src.Nulls[from:to:to]
+	}
+	switch {
+	case src.Kind == KindNull:
+	case src.Kind == KindFloat:
+		run.F = src.F[from:to:to]
+	case src.Kind != KindString:
+		run.I = src.I[from:to:to]
+	case src.Dict != nil:
+		run.Codes = src.Codes[from:to:to]
+	default:
+		run.S = src.S[from:to:to]
+	}
+	v.AppendFrom(&run, nil)
 }
 
 // appendTyped is AppendFrom's payload-to-payload path. It reports false,

@@ -1,5 +1,7 @@
 package expr
 
+import "slices"
+
 // Zone is a per-page, per-column zone map entry: the min/max of the
 // column's non-NULL values on that page plus null presence. A scan consults
 // zones before reading a page; when the pushed-down predicate cannot hold
@@ -13,24 +15,84 @@ type Zone struct {
 	HasNulls bool
 }
 
-// Update folds one value into the zone entry. A heap column holds one
-// kind (ColVec.Append rejects a second), so every non-NULL value a zone
-// sees compares with its Min and Max.
-func (z *Zone) Update(v Value) {
-	if v.IsNull() {
-		z.HasNulls = true
-		return
+// Fold folds elements [from, to) of v into the zone entry, leaving it as
+// folding them one at a time in order would: the first non-NULL value
+// seeds Min and Max, a later one replaces a bound only when Compare puts
+// it strictly beyond (numerics through float64, so a tie — two ints
+// float64 cannot tell apart, ±0, NaN against anything — keeps the first;
+// strings as Go strings), and a NULL only sets HasNulls. A heap column
+// holds one kind, so every non-NULL value a zone sees compares with its
+// bounds. The loop reads v's payload directly; only the winning elements
+// are boxed.
+func (z *Zone) Fold(v *ColVec, from, to int) {
+	if v.Nulls != nil && !z.HasNulls {
+		z.HasNulls = slices.Contains(v.Nulls[from:to], true)
 	}
-	if z.Min.IsNull() {
-		z.Min, z.Max = v, v
-		return
+	seeded := !z.Min.IsNull()
+	lo, hi := -1, -1
+	switch {
+	case v.Kind == KindNull:
+	case v.Kind == KindFloat:
+		lo, hi = numericExtremes(v.F, v.Nulls, from, to, seeded, z.Min.AsFloat(), z.Max.AsFloat())
+	case v.Kind != KindString:
+		lo, hi = numericExtremes(v.I, v.Nulls, from, to, seeded, z.Min.AsFloat(), z.Max.AsFloat())
+	case v.Dict != nil:
+		codes, words := v.Codes, v.Dict.words
+		lo, hi = stringExtremes(func(i int) string { return words[codes[i]] }, v.Nulls, from, to, seeded, z.Min.S, z.Max.S)
+	default:
+		s := v.S
+		lo, hi = stringExtremes(func(i int) string { return s[i] }, v.Nulls, from, to, seeded, z.Min.S, z.Max.S)
 	}
-	if Compare(v, z.Min) < 0 {
-		z.Min = v
+	if lo >= 0 {
+		z.Min = v.Get(lo)
 	}
-	if Compare(v, z.Max) > 0 {
-		z.Max = v
+	if hi >= 0 {
+		z.Max = v.Get(hi)
 	}
+}
+
+// numericExtremes returns the positions in [from, to) of the elements
+// that end as the minimum and maximum when the non-NULL elements, as
+// float64, are folded in order onto bounds mn and mx (seeded) or onto
+// nothing (the first element seeds both), replacing a bound only on a
+// strict comparison. A position is -1 where the incoming bound stands.
+func numericExtremes[T int64 | float64](xs []T, nulls []bool, from, to int, seeded bool, mn, mx float64) (lo, hi int) {
+	lo, hi = -1, -1
+	for i := from; i < to; i++ {
+		if nulls != nil && nulls[i] {
+			continue
+		}
+		x := float64(xs[i])
+		switch {
+		case !seeded:
+			mn, mx, lo, hi, seeded = x, x, i, i, true
+		case x < mn:
+			mn, lo = x, i
+		case x > mx:
+			mx, hi = x, i
+		}
+	}
+	return lo, hi
+}
+
+// stringExtremes is numericExtremes over the strings at(i).
+func stringExtremes(at func(int) string, nulls []bool, from, to int, seeded bool, mn, mx string) (lo, hi int) {
+	lo, hi = -1, -1
+	for i := from; i < to; i++ {
+		if nulls != nil && nulls[i] {
+			continue
+		}
+		s := at(i)
+		switch {
+		case !seeded:
+			mn, mx, lo, hi, seeded = s, s, i, i, true
+		case s < mn:
+			mn, lo = s, i
+		case s > mx:
+			mx, hi = s, i
+		}
+	}
+	return lo, hi
 }
 
 // comparableClass reports whether kinds a and b order under Compare —

@@ -21,8 +21,8 @@ const DefaultPageBytes = 8 << 10
 type Page struct {
 	Data  expr.Batch
 	Bytes int64
-	// Zones holds one min/max/null-presence entry per column, maintained
-	// incrementally on append. Always present; whether scans consult it is
+	// Zones holds one min/max/null-presence entry per column, folded over
+	// each run of rows appended. Always present; whether scans consult it is
 	// the statement's choice (exec.Ctx.ZoneMapPruning).
 	Zones []expr.Zone
 }
@@ -53,28 +53,56 @@ func NewHeap(pageTargetBytes int64) *Heap {
 	return &Heap{pageTarget: pageTargetBytes}
 }
 
-// Append adds a row to the heap, decomposing it into the current page's
-// column vectors and starting a new page when the current one reaches the
-// target size. Page sizing uses the row-major footprint estimate, so page
-// boundaries are layout-independent.
+// Append adds one row to the heap: AppendBatch of a one-row batch, so a
+// row inserted alone lands where it would in a bulk load.
 func (h *Heap) Append(row expr.Row) {
-	rb := row.Bytes()
-	n := len(h.pages)
-	if n == 0 || h.pages[n-1].Bytes+rb > h.pageTarget {
-		h.pages = append(h.pages, &Page{
-			Data:  *expr.NewBatch(len(row)),
-			Zones: make([]expr.Zone, len(row)),
-		})
-		n++
+	b := expr.NewBatch(len(row))
+	b.AppendRow(row)
+	h.AppendBatch(b)
+}
+
+// AppendBatch appends b's rows (b must carry no selection), column by
+// column. Rows fill the last page while its footprint stays within the
+// target size, and start a new page when the next row would overflow it;
+// a page always takes its first row. Footprints are the row-major
+// estimate Row.Bytes, so page boundaries depend neither on layout nor on
+// how the rows were batched. Each page copies its rows out of b into
+// vectors of its own, and its zones fold each appended run, so b may be
+// dropped or reused once AppendBatch returns.
+func (h *Heap) AppendBatch(b *expr.Batch) {
+	if b.Sel != nil {
+		panic("storage: AppendBatch of a batch with a selection")
 	}
-	p := h.pages[n-1]
-	p.Data.AppendRow(row)
-	for i, v := range row {
-		p.Zones[i].Update(v)
+	for from := 0; from < b.N; {
+		rb := b.RowBytes(from)
+		n := len(h.pages)
+		if n == 0 || h.pages[n-1].Bytes+rb > h.pageTarget {
+			h.pages = append(h.pages, &Page{
+				Data:  expr.Batch{Cols: make([]expr.ColVec, len(b.Cols))},
+				Zones: make([]expr.Zone, len(b.Cols)),
+			})
+			n++
+		}
+		p := h.pages[n-1]
+		to, bytes := from+1, p.Bytes+rb
+		for ; to < b.N; to++ {
+			rb = b.RowBytes(to)
+			if bytes+rb > h.pageTarget {
+				break
+			}
+			bytes += rb
+		}
+		for c := range p.Data.Cols {
+			vec := &p.Data.Cols[c]
+			vec.AppendRange(&b.Cols[c], from, to)
+			p.Zones[c].Fold(vec, p.Data.N, vec.Len())
+		}
+		p.Data.N += to - from
+		h.rows += int64(to - from)
+		h.bytes += bytes - p.Bytes
+		p.Bytes = bytes
+		from = to
 	}
-	p.Bytes += rb
-	h.rows++
-	h.bytes += rb
 }
 
 // NumPages returns the page count.

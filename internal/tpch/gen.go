@@ -2,6 +2,8 @@ package tpch
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"ecodb/internal/catalog"
 	"ecodb/internal/expr"
@@ -20,24 +22,38 @@ type Generator struct {
 	Seed uint64
 }
 
-// NewGenerator returns a generator for the given scale factor.
-// Non-positive scale factors panic.
+// CheckScale reports why sf is not a scale factor the generator accepts:
+// it must be positive and finite. Commands check flags with it before
+// generating anything.
+func CheckScale(sf float64) error {
+	if !(sf > 0) || math.IsInf(sf, 1) {
+		return fmt.Errorf("scale factor must be positive and finite, got %v", sf)
+	}
+	return nil
+}
+
+// NewGenerator returns a generator for the given scale factor. A scale
+// factor CheckScale rejects panics.
 func NewGenerator(sf float64, seed uint64) *Generator {
-	if sf <= 0 {
-		panic(fmt.Sprintf("tpch: non-positive scale factor %v", sf))
+	if err := CheckScale(sf); err != nil {
+		panic("tpch: " + err.Error())
 	}
 	return &Generator{SF: sf, Seed: seed}
 }
 
 // Load generates the named tables (all eight when none are named) into the
-// catalog. Orders and lineitem are generated together so line items agree
-// with their orders.
+// catalog, each as typed column payloads appended in one batch. Orders and
+// lineitem are generated together so line items agree with their orders.
+// A name outside Tables panics.
 func (g *Generator) Load(cat *catalog.Catalog, tables ...string) {
-	want := map[string]bool{}
 	if len(tables) == 0 {
-		tables = []string{Region, Nation, Supplier, Customer, Orders, Lineitem, Part, PartSupp}
+		tables = Tables
 	}
+	want := map[string]bool{}
 	for _, t := range tables {
+		if !slices.Contains(Tables, t) {
+			panic("tpch: unknown table " + t)
+		}
 		want[t] = true
 	}
 	if want[Region] {
@@ -63,73 +79,108 @@ func (g *Generator) Load(cat *catalog.Catalog, tables ...string) {
 	}
 }
 
-func (g *Generator) loadRegion(cat *catalog.Catalog) {
-	t := catalog.NewTable(Region, RegionSchema())
-	for i, name := range RegionNames {
-		t.Insert(expr.Row{
-			expr.Int(int64(i)),
-			expr.String(name),
-			expr.String("established region of commerce"),
-		})
-	}
+// create registers a table built from its column payloads. The payloads
+// are staging: the heap copies them into pages, so they are garbage once
+// create returns.
+func create(cat *catalog.Catalog, name string, schema *catalog.Schema, cols ...expr.ColVec) {
+	t := catalog.NewTable(name, schema)
+	t.AppendBatch(&expr.Batch{Cols: cols, N: cols[0].Len()})
 	cat.MustCreate(t)
 }
 
-func (g *Generator) loadNation(cat *catalog.Catalog) {
-	t := catalog.NewTable(Nation, NationSchema())
-	for i, n := range NationNames {
-		t.Insert(expr.Row{
-			expr.Int(int64(i)),
-			expr.String(n.Name),
-			expr.Int(int64(n.Region)),
-		})
+// keys returns 1..n, the dense primary keys of a generated table.
+func keys(n int64) []int64 {
+	ks := make([]int64, n)
+	for i := range ks {
+		ks[i] = int64(i) + 1
 	}
-	cat.MustCreate(t)
+	return ks
+}
+
+func (g *Generator) loadRegion(cat *catalog.Catalog) {
+	n := len(RegionNames)
+	key, comment := make([]int64, n), make([]string, n)
+	for i := range n {
+		key[i], comment[i] = int64(i), "established region of commerce"
+	}
+	create(cat, Region, RegionSchema(),
+		expr.IntVec(expr.KindInt, key), expr.StringVec(RegionNames), expr.StringVec(comment))
+}
+
+func (g *Generator) loadNation(cat *catalog.Catalog) {
+	n := len(NationNames)
+	key, name, region := make([]int64, n), make([]string, n), make([]int64, n)
+	for i, nat := range NationNames {
+		key[i], name[i], region[i] = int64(i), nat.Name, int64(nat.Region)
+	}
+	create(cat, Nation, NationSchema(),
+		expr.IntVec(expr.KindInt, key), expr.StringVec(name), expr.IntVec(expr.KindInt, region))
 }
 
 func (g *Generator) loadSupplier(cat *catalog.Catalog) {
 	rng := sim.NewRNG(g.Seed ^ 0x05)
-	t := catalog.NewTable(Supplier, SupplierSchema())
 	n := Cardinality(Supplier, g.SF)
-	for k := int64(1); k <= n; k++ {
-		t.Insert(expr.Row{
-			expr.Int(k),
-			expr.String(fmt.Sprintf("Supplier#%09d", k)),
-			expr.Int(int64(rng.Intn(len(NationNames)))),
-			expr.Float(float64(rng.IntRange(-99999, 999999)) / 100),
-		})
+	name, nation, bal := make([]string, n), make([]int64, n), make([]float64, n)
+	for i := range n {
+		name[i] = fmt.Sprintf("Supplier#%09d", i+1)
+		nation[i] = int64(rng.Intn(len(NationNames)))
+		bal[i] = float64(rng.IntRange(-99999, 999999)) / 100
 	}
-	cat.MustCreate(t)
+	create(cat, Supplier, SupplierSchema(),
+		expr.IntVec(expr.KindInt, keys(n)), expr.StringVec(name),
+		expr.IntVec(expr.KindInt, nation), expr.FloatVec(bal))
 }
 
 func (g *Generator) loadCustomer(cat *catalog.Catalog) {
 	rng := sim.NewRNG(g.Seed ^ 0x0C)
-	t := catalog.NewTable(Customer, CustomerSchema())
 	n := Cardinality(Customer, g.SF)
-	for k := int64(1); k <= n; k++ {
-		t.Insert(expr.Row{
-			expr.Int(k),
-			expr.String(fmt.Sprintf("Customer#%09d", k)),
-			expr.Int(int64(rng.Intn(len(NationNames)))),
-			expr.Float(float64(rng.IntRange(-99999, 999999)) / 100),
-			expr.String(MktSegments[rng.Intn(len(MktSegments))]),
-		})
+	name, nation, bal, seg := make([]string, n), make([]int64, n), make([]float64, n), make([]string, n)
+	for i := range n {
+		name[i] = fmt.Sprintf("Customer#%09d", i+1)
+		nation[i] = int64(rng.Intn(len(NationNames)))
+		bal[i] = float64(rng.IntRange(-99999, 999999)) / 100
+		seg[i] = MktSegments[rng.Intn(len(MktSegments))]
 	}
-	cat.MustCreate(t)
+	create(cat, Customer, CustomerSchema(),
+		expr.IntVec(expr.KindInt, keys(n)), expr.StringVec(name),
+		expr.IntVec(expr.KindInt, nation), expr.FloatVec(bal), expr.StringVec(seg))
+}
+
+// orderCols and lineCols are the orders and lineitem payloads under
+// construction, one slice per schema column.
+type orderCols struct {
+	cust, date []int64
+	status     []string
+	total      []float64
+}
+
+type lineCols struct {
+	order, line, supp, qty, ship []int64
+	price, disc                  []float64
 }
 
 func (g *Generator) loadOrdersAndLineitem(cat *catalog.Catalog, wantOrders, wantLineitem bool) {
 	rng := sim.NewRNG(g.Seed ^ 0x01)
-	var ot, lt *catalog.Table
-	if wantOrders {
-		ot = catalog.NewTable(Orders, OrdersSchema())
-	}
-	if wantLineitem {
-		lt = catalog.NewTable(Lineitem, LineitemSchema())
-	}
 	nOrders := Cardinality(Orders, g.SF)
 	nCust := Cardinality(Customer, g.SF)
+	nSupp := Cardinality(Supplier, g.SF)
 	statuses := []string{"F", "O", "P"}
+
+	var o orderCols
+	if wantOrders {
+		o = orderCols{make([]int64, 0, nOrders), make([]int64, 0, nOrders), make([]string, 0, nOrders), make([]float64, 0, nOrders)}
+	}
+	var l lineCols
+	if wantLineitem {
+		// Lines per order are uniform on 1..MaxLinesPerOrder: mean 4,
+		// variance 4. Four standard deviations over the mean leaves the
+		// payloads essentially never regrowing.
+		c := nOrders*(1+MaxLinesPerOrder)/2 + int64(8*math.Sqrt(float64(nOrders))) + 64
+		l = lineCols{
+			make([]int64, 0, c), make([]int64, 0, c), make([]int64, 0, c), make([]int64, 0, c), make([]int64, 0, c),
+			make([]float64, 0, c), make([]float64, 0, c),
+		}
+	}
 
 	for ok := int64(1); ok <= nOrders; ok++ {
 		custkey := rng.Int63n(nCust) + 1
@@ -143,65 +194,65 @@ func (g *Generator) loadOrdersAndLineitem(cat *catalog.Catalog, wantOrders, want
 			disc := float64(rng.Intn(11)) / 100
 			ship := orderdate + int64(rng.IntRange(1, 121))
 			total += price * (1 - disc)
-			if lt != nil {
-				lt.Insert(expr.Row{
-					expr.Int(ok),
-					expr.Int(int64(ln)),
-					expr.Int(rng.Int63n(Cardinality(Supplier, g.SF)) + 1),
-					expr.Int(qty),
-					expr.Float(price),
-					expr.Float(disc),
-					expr.Date(ship),
-				})
+			if wantLineitem {
+				l.order = append(l.order, ok)
+				l.line = append(l.line, int64(ln))
+				l.supp = append(l.supp, rng.Int63n(nSupp)+1)
+				l.qty = append(l.qty, qty)
+				l.price = append(l.price, price)
+				l.disc = append(l.disc, disc)
+				l.ship = append(l.ship, ship)
 			}
 		}
-		if ot != nil {
-			ot.Insert(expr.Row{
-				expr.Int(ok),
-				expr.Int(custkey),
-				expr.String(statuses[rng.Intn(len(statuses))]),
-				expr.Float(total),
-				expr.Date(orderdate),
-			})
+		if wantOrders {
+			o.cust = append(o.cust, custkey)
+			o.status = append(o.status, statuses[rng.Intn(len(statuses))])
+			o.total = append(o.total, total)
+			o.date = append(o.date, orderdate)
 		}
 	}
-	if ot != nil {
-		cat.MustCreate(ot)
+	if wantOrders {
+		create(cat, Orders, OrdersSchema(),
+			expr.IntVec(expr.KindInt, keys(nOrders)), expr.IntVec(expr.KindInt, o.cust),
+			expr.StringVec(o.status), expr.FloatVec(o.total), expr.IntVec(expr.KindDate, o.date))
 	}
-	if lt != nil {
-		cat.MustCreate(lt)
+	if wantLineitem {
+		create(cat, Lineitem, LineitemSchema(),
+			expr.IntVec(expr.KindInt, l.order), expr.IntVec(expr.KindInt, l.line),
+			expr.IntVec(expr.KindInt, l.supp), expr.IntVec(expr.KindInt, l.qty),
+			expr.FloatVec(l.price), expr.FloatVec(l.disc), expr.IntVec(expr.KindDate, l.ship))
 	}
 }
 
 func (g *Generator) loadPart(cat *catalog.Catalog) {
 	rng := sim.NewRNG(g.Seed ^ 0x09)
-	t := catalog.NewTable(Part, PartSchema())
 	n := Cardinality(Part, g.SF)
-	for k := int64(1); k <= n; k++ {
-		t.Insert(expr.Row{
-			expr.Int(k),
-			expr.String(fmt.Sprintf("part %d", k)),
-			expr.String(fmt.Sprintf("Brand#%d%d", 1+rng.Intn(5), 1+rng.Intn(5))),
-			expr.Float(900 + float64(k%1000)),
-		})
+	name, brand, price := make([]string, n), make([]string, n), make([]float64, n)
+	for i := range n {
+		k := i + 1
+		name[i] = fmt.Sprintf("part %d", k)
+		brand[i] = fmt.Sprintf("Brand#%d%d", 1+rng.Intn(5), 1+rng.Intn(5))
+		price[i] = 900 + float64(k%1000)
 	}
-	cat.MustCreate(t)
+	create(cat, Part, PartSchema(),
+		expr.IntVec(expr.KindInt, keys(n)), expr.StringVec(name), expr.StringVec(brand), expr.FloatVec(price))
 }
 
 func (g *Generator) loadPartSupp(cat *catalog.Catalog) {
 	rng := sim.NewRNG(g.Seed ^ 0x77)
-	t := catalog.NewTable(PartSupp, PartSuppSchema())
 	nParts := Cardinality(Part, g.SF)
 	nSupp := Cardinality(Supplier, g.SF)
+	n := 4 * nParts
+	part, supp, qty, cost := make([]int64, 0, n), make([]int64, 0, n), make([]int64, 0, n), make([]float64, 0, n)
 	for p := int64(1); p <= nParts; p++ {
-		for i := 0; i < 4; i++ {
-			t.Insert(expr.Row{
-				expr.Int(p),
-				expr.Int((p+int64(i)*nParts/4)%nSupp + 1),
-				expr.Int(int64(rng.IntRange(1, 9999))),
-				expr.Float(float64(rng.IntRange(100, 100000)) / 100),
-			})
+		for i := int64(0); i < 4; i++ {
+			part = append(part, p)
+			supp = append(supp, (p+i*nParts/4)%nSupp+1)
+			qty = append(qty, int64(rng.IntRange(1, 9999)))
+			cost = append(cost, float64(rng.IntRange(100, 100000))/100)
 		}
 	}
-	cat.MustCreate(t)
+	create(cat, PartSupp, PartSuppSchema(),
+		expr.IntVec(expr.KindInt, part), expr.IntVec(expr.KindInt, supp),
+		expr.IntVec(expr.KindInt, qty), expr.FloatVec(cost))
 }

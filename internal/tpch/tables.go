@@ -25,6 +25,9 @@ const (
 	PartSupp = "partsupp"
 )
 
+// Tables lists the eight tables in the order Generator.Load creates them.
+var Tables = []string{Region, Nation, Supplier, Customer, Orders, Lineitem, Part, PartSupp}
+
 // RegionNames are the five TPC-H regions; the paper's Q5 workload uses
 // AMERICA and ASIA.
 var RegionNames = []string{"AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"}
