@@ -31,15 +31,15 @@ func TestTableStatsFromZones(t *testing.T) {
 		t.Fatalf("physical stats = %+v", st)
 	}
 	k := st.Col(0)
-	if k.NDV != 1000 || k.Min.I != 0 || k.Max.I != 999 || k.Nulls {
+	if k.NDV != 1000 || k.Kind != expr.KindInt || k.Lo != 0 || k.Hi != 999 || k.HasNulls {
 		t.Fatalf("k stats = %+v", k)
 	}
 	grp := st.Col(1)
-	if grp.NDV != 4 || grp.Min.S != "a" || grp.Max.S != "d" {
+	if grp.NDV != 4 || grp.Kind != expr.KindString || grp.SLo != "a" || grp.SHi != "d" {
 		t.Fatalf("grp stats = %+v", grp)
 	}
 	x := st.Col(2)
-	if x.NDV != 10 || !x.Nulls || x.Min.F != 0 || x.Max.F != 9 {
+	if x.NDV != 10 || !x.HasNulls || x.Kind != expr.KindFloat || x.Lo != 0 || x.Hi != 9 {
 		t.Fatalf("x stats = %+v", x)
 	}
 }
@@ -55,7 +55,7 @@ func TestTableStatsCacheInvalidation(t *testing.T) {
 	if st2 == st {
 		t.Fatal("stats cache survived an append")
 	}
-	if st2.Rows != 1001 || st2.Col(1).NDV != 5 || st2.Col(2).Max.F != 11 {
+	if st2.Rows != 1001 || st2.Col(1).NDV != 5 || st2.Col(2).Hi != 11 {
 		t.Fatalf("refreshed stats = %+v", st2)
 	}
 }
@@ -67,7 +67,7 @@ func TestTableStatsAllNullColumn(t *testing.T) {
 	}
 	st := tab.Stats()
 	v := st.Col(0)
-	if v.NDV != 0 || !v.Nulls || !v.Min.IsNull() || !v.Max.IsNull() {
+	if v.NDV != 0 || !v.HasNulls || v.Kind != expr.KindNull {
 		t.Fatalf("all-NULL column stats = %+v", v)
 	}
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -298,6 +299,22 @@ func TestGroupKeysAreInjective(t *testing.T) {
 		[]plan.AggSpec{{Func: plan.Count, Name: "c"}})
 	if rows := collect(t, Compile(a), ctx); len(rows) != 2 {
 		t.Fatalf("boundary-shifted groups collapsed: %d groups, want 2", len(rows))
+	}
+}
+
+func TestGroupByFoldsNegativeZero(t *testing.T) {
+	// -0 and +0 are one value under Compare, join keys and IN sets, so
+	// they are one group; the pre-fix keys encoded their distinct bits.
+	tb := catalog.NewTable("z", catalog.NewSchema(catalog.Column{Name: "x", Kind: expr.KindFloat}))
+	tb.Insert(expr.Row{expr.Float(0)})
+	tb.Insert(expr.Row{expr.Float(math.Copysign(0, -1))})
+	a := plan.NewAgg(plan.NewScan(tb, nil), []int{0},
+		[]plan.AggSpec{{Func: plan.Count, Name: "c"}})
+	for _, workers := range []int{1, 4} {
+		rows := runWorkers(t, a, workers, false).rows
+		if len(rows) != 1 || rows[0][0].F != 0 || rows[0][1].I != 2 {
+			t.Fatalf("workers=%d: groups %v, want one zero group of count 2", workers, rows)
+		}
 	}
 }
 

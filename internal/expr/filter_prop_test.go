@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -389,45 +390,120 @@ func TestDictFilterMatchesDenseExactly(t *testing.T) {
 	}
 }
 
-// TestZonePruneSoundness builds each random page's zone maps exactly as
-// Heap.Append does (folding Update over every value) and requires that
-// whenever ZonePrunes claims a predicate holds nowhere on the page, the
-// full filter over the page indeed selects nothing. Covers the NULL-heavy,
-// all-NULL, and composite AND/OR shapes.
-func TestZonePruneSoundness(t *testing.T) {
-	rng := rand.New(rand.NewSource(0x20e5))
-	pruned := 0
-	for caseNo := 0; caseNo < 2000; caseNo++ {
-		numeric := rng.Intn(2) == 0
-		in := randBatch(rng, numeric)
-		var pred Expr = randPred(rng, numeric)
-		switch rng.Intn(4) {
-		case 0:
-			pred = And{Terms: []Expr{pred, randPred(rng, numeric)}}
-		case 1:
-			pred = Or{Terms: []Expr{pred, randPred(rng, numeric)}}
-		}
-		if !Prunable(pred) {
-			t.Fatalf("case %d: generator produced non-prunable predicate %s", caseNo, pred)
-		}
+// randPrunePage draws one page of TestZonePruneSoundness's generator: a
+// randBatch column of a random class and a randPrunePred over it.
+func randPrunePage(rng *rand.Rand) (*Batch, Expr) {
+	numeric := rng.Intn(2) == 0
+	in := randBatch(rng, numeric)
+	return in, randPrunePred(rng, numeric)
+}
 
+// randPrunePred draws a randPred alone, or under an AND or OR with a
+// second one.
+func randPrunePred(rng *rand.Rand, numeric bool) Expr {
+	pred := randPred(rng, numeric)
+	switch rng.Intn(4) {
+	case 0:
+		return And{Terms: []Expr{pred, randPred(rng, numeric)}}
+	case 1:
+		return Or{Terms: []Expr{pred, randPred(rng, numeric)}}
+	}
+	return pred
+}
+
+// randNaNPage draws a float page holding NaN first, in the middle, or
+// throughout, among randColumn's values (NULLs included), and a numeric
+// randPrunePred for it.
+func randNaNPage(rng *rand.Rand) (*Batch, Expr) {
+	vals := randColumn(rng, KindFloat, rng.Intn(20)+1)
+	switch rng.Intn(3) {
+	case 0:
+		vals[0] = Float(math.NaN())
+	case 1:
+		vals[len(vals)/2] = Float(math.NaN())
+	default:
+		for i := range vals {
+			vals[i] = Float(math.NaN())
+		}
+	}
+	in := NewBatch(1)
+	for _, v := range vals {
+		in.AppendRow(Row{v})
+	}
+	return in, randPrunePred(rng, true)
+}
+
+// TestZonePruneSoundness builds each random page's zone maps exactly as
+// Heap.AppendBatch does (Fold over the column) and requires that whenever
+// ZonePrunes claims a predicate holds nowhere on the page, the full filter
+// over the page indeed selects nothing. Covers the NULL-heavy, all-NULL,
+// and composite AND/OR shapes, and float pages holding a NaN, which
+// Compare ties with every value.
+func TestZonePruneSoundness(t *testing.T) {
+	pruned := 0
+	check := func(label string, in *Batch, pred Expr) {
+		t.Helper()
+		if !Prunable(pred) {
+			t.Fatalf("%s: generator produced non-prunable predicate %s", label, pred)
+		}
 		zones := make([]Zone, 1)
 		zones[0].Fold(&in.Cols[0], 0, in.Cols[0].Len())
 		if !ZonePrunes(pred, zones) {
-			continue
+			return
 		}
 		pruned++
-
 		// Zones summarize the whole page: check against every row.
 		in.Sel = nil
 		var cost Cost
 		if sel := FilterBatch(pred, in, nil, &cost); len(sel) != 0 {
-			t.Fatalf("case %d (%s): zone maps pruned a page on which the filter selects %d rows (min=%v max=%v nulls=%v)",
-				caseNo, pred, len(sel), zones[0].Min, zones[0].Max, zones[0].HasNulls)
+			t.Fatalf("%s (%s) over %v: zone maps pruned a page on which the filter selects %d rows (zone %+v)",
+				label, pred, vecValues(&in.Cols[0]), len(sel), zones[0])
 		}
+	}
+	rng := rand.New(rand.NewSource(0x20e5))
+	for caseNo := 0; caseNo < 2000; caseNo++ {
+		in, pred := randPrunePage(rng)
+		check(fmt.Sprintf("case %d", caseNo), in, pred)
 	}
 	if pruned < 200 {
 		t.Fatalf("only %d/2000 cases pruned — generator no longer exercises ZonePrunes", pruned)
+	}
+
+	x := Col{Idx: 0, Name: "x"}
+	page := func(vals ...float64) *Batch {
+		b := NewBatch(1)
+		for _, f := range vals {
+			b.AppendRow(Row{Float(f)})
+		}
+		return b
+	}
+	// NaN first: the 5 passes x < 7. NaN last: Compare ties NaN with 7,
+	// so the NaN row passes x = 7.
+	check("NaN first", page(math.NaN(), 5), Cmp{Op: LT, L: x, R: Const{V: Int(7)}})
+	check("NaN last", page(5, math.NaN()), Cmp{Op: EQ, L: x, R: Const{V: Int(7)}})
+	for caseNo := 0; caseNo < 2000; caseNo++ {
+		in, pred := randNaNPage(rng)
+		check(fmt.Sprintf("NaN case %d", caseNo), in, pred)
+	}
+}
+
+// TestZonePrunesMatchesBoxedReference runs TestZonePruneSoundness's
+// NaN-free generator and requires the typed ZonePrunes to decide every
+// case as the boxed reference rules over the boxed reference zone do.
+func TestZonePrunesMatchesBoxedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x20e5))
+	for caseNo := 0; caseNo < 2000; caseNo++ {
+		in, pred := randPrunePage(rng)
+		vec := &in.Cols[0]
+		zones, ref := make([]Zone, 1), make([]refZone, 1)
+		zones[0].Fold(vec, 0, vec.Len())
+		for i := 0; i < vec.Len(); i++ {
+			updateRef(&ref[0], vec.Get(i))
+		}
+		if got, want := ZonePrunes(pred, zones), refZonePrunes(pred, ref); got != want {
+			t.Fatalf("case %d (%s) over %v: typed zone %+v prunes %v, boxed reference %+v prunes %v",
+				caseNo, pred, vecValues(vec), zones[0], got, ref[0], want)
+		}
 	}
 }
 

@@ -1,7 +1,5 @@
 package expr
 
-import "math"
-
 // JoinTable indexes the key column of a hash join's build side: each
 // distinct key maps to the first build row carrying it, and next chains the
 // rows of one key in build order. Keys are normalised to their kind plus
@@ -77,10 +75,7 @@ func (v *ColVec) joinKey(i int) (Kind, uint64, string) {
 		if e.F != e.F {
 			return KindNull, 0, ""
 		}
-		if e.F == 0 {
-			e.F = 0
-		}
-		return KindFloat, math.Float64bits(e.F), ""
+		return KindFloat, FloatKey(e.F), ""
 	case KindString:
 		return KindString, 0, e.S
 	}

@@ -9,9 +9,9 @@ import (
 // AppendGroupKey appends an injective binary encoding of v to dst and
 // returns the extended slice. Concatenating the encodings of several values
 // yields a key that two value tuples share exactly when they are equal
-// tuple-wise: every encoding starts with the kind tag and is either fixed
-// width or length-prefixed, so no value can masquerade as the boundary
-// between two others. This is the group-key encoding of hash aggregation —
+// tuple-wise, floats as FloatKey identifies them: every encoding starts
+// with the kind tag and is either fixed width or length-prefixed, so no
+// value can masquerade as the boundary between two others. This is the group-key encoding of hash aggregation —
 // the display-string keys it replaced collapsed ("x\x00","y") with
 // ("x","\x00y") and Int(1) with String("1").
 func AppendGroupKey(dst []byte, v Value) []byte {
@@ -22,7 +22,7 @@ func AppendGroupKey(dst []byte, v Value) []byte {
 	case KindBool, KindInt, KindDate:
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.I))
 	case KindFloat:
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F))
+		dst = binary.LittleEndian.AppendUint64(dst, FloatKey(v.F))
 	case KindString:
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(v.S)))
 		dst = append(dst, v.S...)
@@ -30,6 +30,17 @@ func AppendGroupKey(dst []byte, v Value) []byte {
 		panic(fmt.Sprintf("expr: cannot encode %v as a group key", v.Kind))
 	}
 	return dst
+}
+
+// FloatKey returns the bits that identify float f wherever values are
+// keyed by identity — group keys, join keys, distinct counts: f's own
+// bits, except that -0 takes +0's, because the two are one value under
+// Compare and Go's ==.
+func FloatKey(f float64) uint64 {
+	if f == 0 {
+		f = 0
+	}
+	return math.Float64bits(f)
 }
 
 // fixedKeyWidth is the encoded width of every non-string group-key value:
@@ -130,7 +141,7 @@ func (g *GroupKeys) Build(b *Batch, cols []int) {
 			for li, v := range vec.F[:n] {
 				at := g.cur[li]
 				g.buf[at] = byte(KindFloat)
-				binary.LittleEndian.PutUint64(g.buf[at+1:], math.Float64bits(v))
+				binary.LittleEndian.PutUint64(g.buf[at+1:], FloatKey(v))
 				g.cur[li] = at + fixedKeyWidth
 			}
 		case dense && vec.Kind == KindString && vec.Dict != nil:
@@ -169,55 +180,6 @@ func putKeyString(dst []byte, s string) int {
 	return fixedKeyWidth + copy(dst[fixedKeyWidth:], s)
 }
 
-// FNV-1a constants for HashValue.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// HashValue returns a 64-bit hash of v consistent with Go's == on Value —
-// the equality the executor's hash tables key on — so values that are equal
-// map keys always hash identically; table statistics count distinct values
-// with it. The hash is FNV-1a over the bytes of the injective group-key
-// encoding, folded into the state directly (no intermediate buffer), with
-// negative zero normalized first (-0.0 == 0.0 under ==, but their float
-// bits differ).
-func HashValue(v Value) uint64 {
-	h := fnvByte(fnvOffset64, byte(v.Kind))
-	switch v.Kind {
-	case KindNull:
-	case KindBool, KindInt, KindDate:
-		h = fnvUint64(h, uint64(v.I))
-	case KindFloat:
-		f := v.F
-		if f == 0 {
-			f = 0 // collapse -0.0 onto +0.0
-		}
-		h = fnvUint64(h, math.Float64bits(f))
-	case KindString:
-		h = fnvUint64(h, uint64(len(v.S)))
-		for i := 0; i < len(v.S); i++ {
-			h = fnvByte(h, v.S[i])
-		}
-	default:
-		panic(fmt.Sprintf("expr: cannot hash %v", v.Kind))
-	}
-	return h
-}
-
-func fnvByte(h uint64, b byte) uint64 {
-	return (h ^ uint64(b)) * fnvPrime64
-}
-
-// fnvUint64 folds an 8-byte little-endian payload into the FNV state, byte
-// for byte as AppendGroupKey would have written it.
-func fnvUint64(h uint64, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = fnvByte(h, byte(v>>(8*i)))
-	}
-	return h
-}
-
 // putKeyValue writes one value's encoding into dst and returns the width —
 // the in-place form of AppendGroupKey for the generic Build path.
 func putKeyValue(dst []byte, v Value) int {
@@ -231,7 +193,7 @@ func putKeyValue(dst []byte, v Value) int {
 		return fixedKeyWidth
 	case KindFloat:
 		dst[0] = byte(KindFloat)
-		binary.LittleEndian.PutUint64(dst[1:], math.Float64bits(v.F))
+		binary.LittleEndian.PutUint64(dst[1:], FloatKey(v.F))
 		return fixedKeyWidth
 	case KindString:
 		return putKeyString(dst, v.S)

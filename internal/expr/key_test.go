@@ -148,37 +148,24 @@ func TestGroupKeysBuilderIsReusable(t *testing.T) {
 	}
 }
 
-func TestHashValueConsistentWithMapEquality(t *testing.T) {
-	// Values that are equal Go map keys must hash identically; -0.0 and
-	// +0.0 are the one bitwise-distinct equal pair.
-	if HashValue(Float(0)) != HashValue(Float(negZero())) {
-		t.Fatal("-0.0 and +0.0 are equal map keys but hashed differently")
+// TestGroupKeysFoldNegativeZero requires -0 and +0, one value under
+// Compare and ==, to share a group key on every encoding path: the row
+// path, the dense float loop and the generic loop NULLs take.
+func TestGroupKeysFoldNegativeZero(t *testing.T) {
+	if FloatKey(negZero()) != FloatKey(0) {
+		t.Fatal("FloatKey tells -0 from +0")
 	}
-	// Distinct kinds with the same payload should (and here do) separate.
-	pairs := [][2]Value{
-		{Int(1), Float(1)},
-		{Int(1), String("1")},
-		{Int(0), Null()},
-		{Bool(true), Int(1)},
-		{Date(5), Int(5)},
+	if groupKey(Float(negZero())) != groupKey(Float(0)) {
+		t.Fatal("AppendGroupKey tells -0 from +0")
 	}
-	for _, p := range pairs {
-		if HashValue(p[0]) == HashValue(p[1]) {
-			t.Fatalf("distinct map keys %v and %v collide", p[0], p[1])
-		}
-	}
-	// The fold-in-place hash must equal FNV-1a over the materialized
-	// group-key encoding — the definition it inlines.
-	for _, v := range []Value{
-		Null(), Bool(true), Int(-7), Int(1 << 40), Float(2.5),
-		Date(9000), String(""), String("x\x00y"), String("a longer string"),
+	for _, rows := range [][]Row{
+		{{Float(0)}, {Float(negZero())}},
+		{{Float(negZero())}, {Float(0)}, {Null()}},
 	} {
-		h := uint64(14695981039346656037)
-		for _, b := range AppendGroupKey(nil, v) {
-			h = (h ^ uint64(b)) * 1099511628211
-		}
-		if got := HashValue(v); got != h {
-			t.Fatalf("HashValue(%v) = %x, want FNV over encoding %x", v, got, h)
+		var g GroupKeys
+		g.Build(keyBatch(rows), []int{0})
+		if string(g.Key(0)) != string(g.Key(1)) {
+			t.Fatalf("rows %v: keys %x and %x differ", rows, g.Key(0), g.Key(1))
 		}
 	}
 }

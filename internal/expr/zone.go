@@ -1,106 +1,130 @@
 package expr
 
-import "slices"
+import (
+	"math"
+	"slices"
+	"strings"
+)
 
-// Zone is a per-page, per-column zone map entry: the min/max of the
-// column's non-NULL values on that page plus null presence. A scan consults
-// zones before reading a page; when the pushed-down predicate cannot hold
-// anywhere inside [Min, Max], the page is skipped for the price of a
-// zone-map check instead of a buffer-pool read. Zones live in expr because
-// pruning must reason with exactly the Compare/Eval semantics the filters
-// use — a divergence would silently drop rows. The zero Zone summarizes an
-// empty page.
+// Zone summarizes a run of one column's values: the bounds of its non-NULL
+// values plus null presence, held the way Compare orders them — numerics
+// as float64 in Lo and Hi, strings in SLo and SHi. A scan consults a
+// page's zones before reading it; when the pushed-down predicate cannot
+// hold anywhere inside the bounds, the page is skipped for the price of a
+// zone-map check instead of a buffer-pool read. catalog.Table.Stats merges
+// the page zones into the table's column bounds. Zones live in expr
+// because pruning must reason with exactly the Compare/Eval semantics the
+// filters use — a divergence would silently drop rows. The zero Zone
+// summarizes an empty page.
 type Zone struct {
-	Min, Max Value // Null when the page has no non-NULL values
+	// Kind is the kind of the values folded; KindNull while none has been.
+	Kind Kind
+	// Lo and Hi bound a numeric column. Once a NaN is folded they are
+	// [-Inf, +Inf] for good: Compare ties NaN with every value, so no
+	// narrower interval can exclude a constant the NaN row matches.
+	Lo, Hi float64
+	// SLo and SHi bound a string column.
+	SLo, SHi string
 	HasNulls bool
 }
 
-// Fold folds elements [from, to) of v into the zone entry, leaving it as
-// folding them one at a time in order would: the first non-NULL value
-// seeds Min and Max, a later one replaces a bound only when Compare puts
-// it strictly beyond (numerics through float64, so a tie — two ints
-// float64 cannot tell apart, ±0, NaN against anything — keeps the first;
-// strings as Go strings), and a NULL only sets HasNulls. A heap column
-// holds one kind, so every non-NULL value a zone sees compares with its
-// bounds. The loop reads v's payload directly; only the winning elements
-// are boxed.
+// Fold folds elements [from, to) of v into the zone, leaving it as folding
+// them one at a time in order would: the first non-NULL value seeds both
+// bounds, a later one replaces a bound only when Compare puts it strictly
+// beyond (numerics through float64, so a tie — two ints float64 cannot
+// tell apart, ±0 — keeps the first; strings as Go strings), a NaN widens
+// the bounds to [-Inf, +Inf], and a NULL only sets HasNulls. It takes the
+// run's extremes in the payload's own type and merges them in: float64
+// conversion is monotone, and a sorted dictionary's code order is its
+// string order, so the bounds come out the same. A heap column holds one
+// kind, so every non-NULL value a zone sees shares its class.
 func (z *Zone) Fold(v *ColVec, from, to int) {
-	if v.Nulls != nil && !z.HasNulls {
-		z.HasNulls = slices.Contains(v.Nulls[from:to], true)
-	}
-	seeded := !z.Min.IsNull()
-	lo, hi := -1, -1
+	run := Zone{HasNulls: v.Nulls != nil && slices.Contains(v.Nulls[from:to], true)}
+	var ok bool
 	switch {
-	case v.Kind == KindNull:
 	case v.Kind == KindFloat:
-		lo, hi = numericExtremes(v.F, v.Nulls, from, to, seeded, z.Min.AsFloat(), z.Max.AsFloat())
-	case v.Kind != KindString:
-		lo, hi = numericExtremes(v.I, v.Nulls, from, to, seeded, z.Min.AsFloat(), z.Max.AsFloat())
+		run.Lo, run.Hi, ok = extremes(v.F, v.Nulls, from, to)
+		if slices.ContainsFunc(v.F[from:to], math.IsNaN) {
+			run.Lo, run.Hi = math.Inf(-1), math.Inf(1)
+		}
 	case v.Dict != nil:
-		codes, words := v.Codes, v.Dict.words
-		lo, hi = stringExtremes(func(i int) string { return words[codes[i]] }, v.Nulls, from, to, seeded, z.Min.S, z.Max.S)
+		var lo, hi int32
+		if lo, hi, ok = extremes(v.Codes, v.Nulls, from, to); ok {
+			run.SLo, run.SHi = v.Dict.words[lo], v.Dict.words[hi]
+		}
+	case v.Kind == KindString:
+		run.SLo, run.SHi, ok = extremes(v.S, v.Nulls, from, to)
+	case v.Kind != KindNull:
+		var lo, hi int64
+		lo, hi, ok = extremes(v.I, v.Nulls, from, to)
+		run.Lo, run.Hi = float64(lo), float64(hi)
+	}
+	if ok {
+		run.Kind = v.Kind
+	}
+	z.Merge(&run)
+}
+
+// extremes returns the first minimum and the first maximum of the non-NULL
+// elements of xs[from:to] — a bound is replaced only on a strict
+// comparison — and false when there are none.
+func extremes[T int64 | int32 | float64 | string](xs []T, nulls []bool, from, to int) (lo, hi T, ok bool) {
+	for i := from; i < to; i++ {
+		if nulls != nil && nulls[i] {
+			continue
+		}
+		switch x := xs[i]; {
+		case !ok:
+			lo, hi, ok = x, x, true
+		case x < lo:
+			lo = x
+		case x > hi:
+			hi = x
+		}
+	}
+	return lo, hi, ok
+}
+
+// Merge folds zone o, a summary of values of z's column, into z with
+// Fold's strict-comparison rule, so the result is the zone folding o's
+// values after z's would give.
+func (z *Zone) Merge(o *Zone) {
+	nulls := z.HasNulls || o.HasNulls
+	switch {
+	case z.Kind == KindNull:
+		*z = *o
+	case o.Kind == KindNull:
+	case o.Kind == KindString:
+		if o.SLo < z.SLo {
+			z.SLo = o.SLo
+		}
+		if o.SHi > z.SHi {
+			z.SHi = o.SHi
+		}
 	default:
-		s := v.S
-		lo, hi = stringExtremes(func(i int) string { return s[i] }, v.Nulls, from, to, seeded, z.Min.S, z.Max.S)
+		if o.Lo < z.Lo {
+			z.Lo = o.Lo
+		}
+		if o.Hi > z.Hi {
+			z.Hi = o.Hi
+		}
 	}
-	if lo >= 0 {
-		z.Min = v.Get(lo)
-	}
-	if hi >= 0 {
-		z.Max = v.Get(hi)
-	}
+	z.HasNulls = nulls
 }
 
-// numericExtremes returns the positions in [from, to) of the elements
-// that end as the minimum and maximum when the non-NULL elements, as
-// float64, are folded in order onto bounds mn and mx (seeded) or onto
-// nothing (the first element seeds both), replacing a bound only on a
-// strict comparison. A position is -1 where the incoming bound stands.
-func numericExtremes[T int64 | float64](xs []T, nulls []bool, from, to int, seeded bool, mn, mx float64) (lo, hi int) {
-	lo, hi = -1, -1
-	for i := from; i < to; i++ {
-		if nulls != nil && nulls[i] {
-			continue
-		}
-		x := float64(xs[i])
-		switch {
-		case !seeded:
-			mn, mx, lo, hi, seeded = x, x, i, i, true
-		case x < mn:
-			mn, lo = x, i
-		case x > mx:
-			mx, hi = x, i
-		}
+// against compares constant k with the zone's bounds, returning
+// Compare(k, lo) and Compare(k, hi). It decides nothing (false) when the
+// zone has no bounds, or when k is NULL or of another class than the
+// column — a hand-built plan may compare a column with such a constant.
+func (z *Zone) against(k Value) (lo, hi int, ok bool) {
+	switch {
+	case z.Kind == KindString && k.Kind == KindString:
+		return strings.Compare(k.S, z.SLo), strings.Compare(k.S, z.SHi), true
+	case numericKind(z.Kind) && numericKind(k.Kind):
+		x := k.AsFloat()
+		return compareFloats(x, z.Lo), compareFloats(x, z.Hi), true
 	}
-	return lo, hi
-}
-
-// stringExtremes is numericExtremes over the strings at(i).
-func stringExtremes(at func(int) string, nulls []bool, from, to int, seeded bool, mn, mx string) (lo, hi int) {
-	lo, hi = -1, -1
-	for i := from; i < to; i++ {
-		if nulls != nil && nulls[i] {
-			continue
-		}
-		s := at(i)
-		switch {
-		case !seeded:
-			mn, mx, lo, hi, seeded = s, s, i, i, true
-		case s < mn:
-			mn, lo = s, i
-		case s > mx:
-			mx, hi = s, i
-		}
-	}
-	return lo, hi
-}
-
-// comparableClass reports whether kinds a and b order under Compare —
-// both strings or both numeric. Pruning checks a constant's kind against
-// the zone's with it, because a hand-built plan may compare a column with
-// a constant of another class.
-func comparableClass(a, b Kind) bool {
-	return (a == KindString && b == KindString) || (numericKind(a) && numericKind(b))
+	return 0, 0, false
 }
 
 // Prunable reports whether pred has a shape zone maps can ever prune on:
@@ -202,27 +226,30 @@ func cmpPrunes(op CmpOp, z *Zone, k Value) bool {
 		// Cmp.Eval is false whenever an operand is NULL.
 		return true
 	}
-	if z.Min.IsNull() {
+	if z.Kind == KindNull {
 		// No non-NULL values on the page; NULL rows never pass a Cmp.
 		return true
 	}
-	if !comparableClass(z.Min.Kind, k.Kind) {
+	lo, hi, ok := z.against(k)
+	if !ok {
 		// Eval would panic on the first row either way; don't mask it.
 		return false
 	}
 	switch op {
 	case EQ:
-		return Compare(k, z.Min) < 0 || Compare(k, z.Max) > 0
+		return lo < 0 || hi > 0
 	case NE:
-		return Compare(z.Min, z.Max) == 0 && Compare(k, z.Min) == 0
+		// Every value ties the one bound, and k ties it too. The other
+		// class's bounds are both zero, so one test covers either class.
+		return z.Lo == z.Hi && z.SLo == z.SHi && lo == 0
 	case LT:
-		return Compare(z.Min, k) >= 0
+		return lo <= 0
 	case LE:
-		return Compare(z.Min, k) > 0
+		return lo < 0
 	case GT:
-		return Compare(z.Max, k) <= 0
+		return hi >= 0
 	case GE:
-		return Compare(z.Max, k) < 0
+		return hi > 0
 	default:
 		return false
 	}
@@ -234,23 +261,20 @@ func betweenPrunes(z *Zone, lo, hi Value) bool {
 		// Compare(v, NULL) is +1 for non-NULL v, so v < hi never holds.
 		return true
 	}
-	if z.Min.IsNull() {
+	if z.Kind == KindNull {
 		return true
 	}
-	if !comparableClass(z.Min.Kind, hi.Kind) {
+	hiLo, _, ok := z.against(hi)
+	if !ok {
 		return false
 	}
-	if Compare(z.Min, hi) >= 0 {
+	if hiLo <= 0 {
+		// hi is at or below every value, so v < hi never holds.
 		return true
 	}
-	if lo.IsNull() {
-		// Compare(v, NULL) >= 0 always holds: no lower bound.
-		return false
-	}
-	if !comparableClass(z.Min.Kind, lo.Kind) {
-		return false
-	}
-	return Compare(z.Max, lo) < 0
+	// A NULL lo decides nothing: Compare(v, NULL) >= 0 always holds.
+	_, loHi, ok := z.against(lo)
+	return ok && loHi > 0
 }
 
 // inHashPrunes decides hash-set membership against one zone entry. Set
@@ -265,10 +289,7 @@ func inHashPrunes(z *Zone, set map[Value]struct{}) bool {
 			}
 			continue
 		}
-		if z.Min.IsNull() || !comparableClass(z.Min.Kind, m.Kind) {
-			continue
-		}
-		if Compare(m, z.Min) >= 0 && Compare(m, z.Max) <= 0 {
+		if lo, hi, ok := z.against(m); ok && lo >= 0 && hi <= 0 {
 			return false
 		}
 	}

@@ -10,6 +10,8 @@
 package opt
 
 import (
+	"math"
+
 	"ecodb/internal/catalog"
 	"ecodb/internal/exec"
 	"ecodb/internal/expr"
@@ -55,44 +57,27 @@ func newEst(lg *plan.Logical, env Env) *est {
 }
 
 // colStats returns the statistics of a global column id.
-func (e *est) colStats(g int) (catalog.ColStats, int64) {
+func (e *est) colStats(g int) *catalog.ColStats {
 	t := e.lg.TableOf(g)
-	return *e.stats[t].Col(g - e.lg.ColOffset(t)), e.stats[t].Rows
+	return e.stats[t].Col(g - e.lg.ColOffset(t))
 }
 
 // ndv returns a column's distinct count, floored at 1.
 func (e *est) ndv(g int) float64 {
-	cs, _ := e.colStats(g)
-	if cs.NDV < 1 {
-		return 1
-	}
-	return float64(cs.NDV)
+	return max(float64(e.colStats(g).NDV), 1)
 }
 
-// numericValue converts orderable values to a point on the number line for
-// interval-fraction estimates.
-func numericValue(v expr.Value) (float64, bool) {
-	switch v.Kind {
-	case expr.KindInt, expr.KindDate, expr.KindBool:
-		return float64(v.I), true
-	case expr.KindFloat:
-		return v.F, true
-	default:
+// rangeFraction estimates the fraction of a numeric column's [Lo, Hi]
+// domain below numeric point v. A string or all-NULL column's numeric
+// bounds are both zero, and infinite bounds — a NaN-widened zone's
+// [-Inf, +Inf] among them — make the width infinite, so neither gives an
+// estimate and fractions stay finite.
+func rangeFraction(cs *catalog.ColStats, v expr.Value) (float64, bool) {
+	width := cs.Hi - cs.Lo
+	if !(width > 0) || math.IsInf(width, 1) || v.IsNull() || v.Kind == expr.KindString {
 		return 0, false
 	}
-}
-
-// rangeFraction estimates the fraction of a column's [min, max] domain
-// below point v.
-func rangeFraction(cs catalog.ColStats, v expr.Value) (float64, bool) {
-	lo, okLo := numericValue(cs.Min)
-	hi, okHi := numericValue(cs.Max)
-	x, okX := numericValue(v)
-	if !okLo || !okHi || !okX || hi <= lo {
-		return 0, false
-	}
-	f := (x - lo) / (hi - lo)
-	return clamp01(f), true
+	return clamp01((v.AsFloat() - cs.Lo) / width), true
 }
 
 func clamp01(f float64) float64 {
@@ -114,7 +99,7 @@ func (e *est) sel(p expr.Expr) float64 {
 		return e.selCmp(n)
 	case expr.Between:
 		if col, ok := n.E.(expr.Col); ok {
-			cs, _ := e.colStats(col.Idx)
+			cs := e.colStats(col.Idx)
 			lo, okL := rangeFraction(cs, n.Lo)
 			hi, okH := rangeFraction(cs, n.Hi)
 			if okL && okH {
@@ -163,7 +148,7 @@ func (e *est) selCmp(n expr.Cmp) float64 {
 		// elsewhere) or any other shape.
 		return defaultSel
 	}
-	cs, _ := e.colStats(col.Idx)
+	cs := e.colStats(col.Idx)
 	op := n.Op
 	if flipped {
 		op = op.Flip()
