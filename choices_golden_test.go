@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ecodb/internal/engine"
+	"ecodb/internal/expr"
 	"ecodb/internal/hw/system"
 	"ecodb/internal/mqo"
 	"ecodb/internal/opt"
@@ -64,7 +65,7 @@ func TestGoldenBuilderChoices(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "== %s ==\n%s\n", bd.name, lg.Describe())
 		for i, c := range lg.Conjuncts {
-			fmt.Fprintf(&b, "conjunct %d: %s cols=%v tables=%b", i, c.Pred, plan.ExprCols(c.Pred), uint64(c.Tables))
+			fmt.Fprintf(&b, "conjunct %d: %s cols=%v tables=%b", i, c.Pred, expr.AppendCols(nil, c.Pred), uint64(c.Tables))
 			if c.EquiJoin {
 				fmt.Fprintf(&b, " equi=%d,%d", c.LeftCol, c.RightCol)
 			}
@@ -75,14 +76,14 @@ func TestGoldenBuilderChoices(t *testing.T) {
 			for _, s := range lg.Agg.Specs {
 				var cols []int
 				if s.Arg != nil {
-					cols = plan.ExprCols(s.Arg)
+					cols = expr.AppendCols(nil, s.Arg)
 				}
 				fmt.Fprintf(&b, "aggregate %s(%v) cols=%v as %s\n", s.Func, s.Arg, cols, s.Name)
 			}
 		}
 		if lg.Project != nil {
 			for i, x := range lg.Project.Exprs {
-				fmt.Fprintf(&b, "project %s cols=%v as %s %v\n", x, plan.ExprCols(x), lg.Project.Names[i], lg.Project.Kinds[i])
+				fmt.Fprintf(&b, "project %s cols=%v as %s %v\n", x, expr.AppendCols(nil, x), lg.Project.Names[i], lg.Project.Kinds[i])
 			}
 		}
 		fmt.Fprintf(&b, "sort %v limit %d\n", lg.Sort, lg.Limit)

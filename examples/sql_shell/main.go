@@ -58,8 +58,18 @@ func main() {
 
 	for i, q := range script {
 		fmt.Printf("ecodb> statement %d\n", i+1)
-		if sql.IsExplainAnalyze(q) {
-			out, err := sql.ExplainAnalyze(e, q)
+		stmt, err := sql.Parse(q)
+		if err != nil {
+			fmt.Println("error:", err)
+			continue
+		}
+		if stmt.Explain {
+			var out string
+			if stmt.Analyze {
+				out, err = sql.ExplainAnalyze(e, q)
+			} else {
+				out, err = sql.Explain(e, q)
+			}
 			if err != nil {
 				fmt.Println("error:", err)
 				continue
@@ -67,16 +77,7 @@ func main() {
 			fmt.Println(out)
 			continue
 		}
-		if sql.IsExplain(q) {
-			out, err := sql.Explain(e, q)
-			if err != nil {
-				fmt.Println("error:", err)
-				continue
-			}
-			fmt.Println(out)
-			continue
-		}
-		p, err := sql.Plan(e.Catalog(), q)
+		p, err := sql.Bind(e.Catalog(), stmt)
 		if err != nil {
 			fmt.Println("error:", err)
 			continue

@@ -182,8 +182,8 @@ func (ps *probeScratch) keep(sel []int32) {
 // narrowResidual rewrites a residual over the join's output row into one
 // over a batch of just the columns it reads, cols, in ascending order.
 func narrowResidual(residual expr.Expr) (expr.Expr, []int) {
-	cols := slices.Compact(slices.Sorted(slices.Values(plan.ExprCols(residual))))
-	return plan.RemapExpr(residual, func(c int) int {
+	cols := slices.Compact(slices.Sorted(slices.Values(expr.AppendCols(nil, residual))))
+	return expr.Remap(residual, func(c int) int {
 		k, _ := slices.BinarySearch(cols, c)
 		return k
 	}), cols

@@ -254,7 +254,9 @@ func FilterBatch(pred Expr, in *Batch, sel []int32, cost *Cost) []int32 {
 // filter writes to out the candidates (cand; nil = every physical row) on
 // which pred's truthiness equals want, in ascending order. out is empty
 // with capacity for every candidate and may share cand's backing array:
-// every step only ever compacts, so narrowing in place is safe.
+// every step only ever compacts, so narrowing in place is safe. A leaf a
+// typed kernel covers is billed rows × EvalCycles(pred), what Eval meters
+// per row on it.
 func (sc *scratch) filter(pred Expr, in *Batch, cand, out []int32, want bool, cost *Cost) []int32 {
 	switch p := pred.(type) {
 	case And:
@@ -264,26 +266,36 @@ func (sc *scratch) filter(pred Expr, in *Batch, cand, out []int32, want bool, co
 	case Not:
 		cost.Add(float64(candLen(in, cand)) * CyclesLogic)
 		return sc.filter(p.E, in, cand, out, !want, cost)
+	}
+	n := candLen(in, cand)
+	if res, ok := sc.filterKernel(pred, in, cand, out, want); ok {
+		cost.Add(float64(n) * EvalCycles(pred))
+		return res
+	}
+	return sc.filterFallback(pred, in, cand, out, want, cost)
+}
+
+// filterKernel runs the typed loop for a column-against-constant leaf —
+// Cmp, Between or InHash over a column — charging nothing. It reports
+// false for the shapes, vectors and constants the loops do not cover.
+func (sc *scratch) filterKernel(pred Expr, in *Batch, cand, out []int32, want bool) ([]int32, bool) {
+	switch p := pred.(type) {
 	case Cmp:
-		if col, ok := p.L.(Col); ok {
-			if c, ok := p.R.(Const); ok {
-				if res, ok := filterCmpColConst(p.Op, col.Idx, c.V, in, cand, out, want, cost); ok {
-					return res
-				}
-			}
+		col, ok := p.L.(Col)
+		k, kok := p.R.(Const)
+		if ok && kok {
+			return filterCmpColConst(p.Op, &in.Cols[col.Idx], k.V, cand, out, want)
 		}
 	case Between:
 		if col, ok := p.E.(Col); ok {
-			if res, ok := sc.filterBetweenCol(col.Idx, p.Lo, p.Hi, in, cand, out, want, cost); ok {
-				return res
-			}
+			return sc.filterBetweenCol(&in.Cols[col.Idx], p.Lo, p.Hi, in.N, cand, out, want)
 		}
 	case *InHash:
 		if col, ok := p.E.(Col); ok {
-			return sc.filterInHashCol(col.Idx, p.Set, in, cand, out, want, cost)
+			return sc.filterInHashCol(&in.Cols[col.Idx], p.Set, candLen(in, cand), cand, out, want), true
 		}
 	}
-	return sc.filterFallback(pred, in, cand, out, want, cost)
+	return nil, false
 }
 
 // cascade evaluates an And (pass=true) or an Or (pass=false). The rows that
@@ -323,20 +335,12 @@ func (sc *scratch) chain(terms []Expr, pass bool, in *Batch, cand, out []int32, 
 }
 
 // filterCmpColConst is the kernel for Cmp{Col, Const} over a NULL-free
-// vector, charging exactly what Cmp.Eval charges per row. With no NULLs in
-// play a comparison is false exactly when the negated operator holds, so
-// want=false runs the same loops. It reports false — having charged
-// nothing — for vectors and constants the typed loops do not cover.
-func filterCmpColConst(op CmpOp, idx int, k Value, in *Batch, cand, out []int32, want bool, cost *Cost) ([]int32, bool) {
-	vec := &in.Cols[idx]
+// vector. With no NULLs in play a comparison is false exactly when the
+// negated operator holds, so want=false runs the same loops.
+func filterCmpColConst(op CmpOp, vec *ColVec, k Value, cand, out []int32, want bool) ([]int32, bool) {
 	if !typedComparable(vec, k) {
 		return nil, false
 	}
-	cmpCycles := float64(CyclesCompare)
-	if vec.Kind == KindString {
-		cmpCycles = CyclesStringCmp
-	}
-	cost.Add(float64(candLen(in, cand)) * (CyclesColRef + CyclesConst + cmpCycles))
 	if !want {
 		op = op.negate()
 	}
@@ -375,21 +379,19 @@ func selCmpColConst(op CmpOp, vec *ColVec, k Value, cand, out []int32) []int32 {
 
 // filterBetweenCol is the kernel for Between{Col}, the TPC-H date-range
 // shape lo <= v < hi, as two typed comparison passes — the second over the
-// first's survivors — under the single charge Between.Eval makes per row.
-func (sc *scratch) filterBetweenCol(idx int, lo, hi Value, in *Batch, cand, out []int32, want bool, cost *Cost) ([]int32, bool) {
-	vec := &in.Cols[idx]
+// first's survivors. n is the batch's physical row count.
+func (sc *scratch) filterBetweenCol(vec *ColVec, lo, hi Value, n int, cand, out []int32, want bool) ([]int32, bool) {
 	if !typedComparable(vec, lo) || !typedComparable(vec, hi) {
 		return nil, false
 	}
-	cost.Add(float64(candLen(in, cand)) * (CyclesColRef + 2*CyclesCompare))
 	if want {
 		res := selCmpColConst(GE, vec, lo, cand, out)
 		return selCmpColConst(LT, vec, hi, res, out), true
 	}
-	buf := sc.pushSel(in.N)
+	buf := sc.pushSel(n)
 	res := selCmpColConst(GE, vec, lo, cand, buf)
 	res = selCmpColConst(LT, vec, hi, res, buf)
-	out = subtractSel(cand, in.N, res, out)
+	out = subtractSel(cand, n, res, out)
 	sc.popSel()
 	return out, true
 }
@@ -398,11 +400,8 @@ func (sc *scratch) filterBetweenCol(idx int, lo, hi Value, in *Batch, cand, out 
 // membership shape. The probe itself dominates, so outside the dictionary
 // case one loop over canonical element values serves every vector
 // representation. Membership is Go map equality on canonical Values, so a
-// NULL set element matches NULL rows.
-func (sc *scratch) filterInHashCol(idx int, set map[Value]struct{}, in *Batch, cand, out []int32, want bool, cost *Cost) []int32 {
-	vec := &in.Cols[idx]
-	n := candLen(in, cand)
-	cost.Add(float64(n) * (CyclesColRef + CyclesHashProbe))
+// NULL set element matches NULL rows. n is the candidate count.
+func (sc *scratch) filterInHashCol(vec *ColVec, set map[Value]struct{}, n int, cand, out []int32, want bool) []int32 {
 	out = out[:n]
 	kept := 0
 	if d := vec.Dict; d != nil {
@@ -474,7 +473,7 @@ func (sc *scratch) prepareGather(e Expr, in *Batch) {
 		sc.row = make(Row, len(in.Cols))
 	}
 	sc.row = sc.row[:len(in.Cols)]
-	sc.cols = appendColRefs(sc.cols[:0], e)
+	sc.cols = AppendCols(sc.cols[:0], e)
 }
 
 // gather returns the shared gather row holding physical row i's values in
@@ -486,64 +485,35 @@ func (sc *scratch) gather(in *Batch, i int) Row {
 	return sc.row
 }
 
-// appendColRefs appends the index of every column e references.
-func appendColRefs(dst []int, e Expr) []int {
-	switch e := e.(type) {
-	case Col:
-		dst = append(dst, e.Idx)
-	case Cmp:
-		dst = appendColRefs(appendColRefs(dst, e.L), e.R)
-	case Arith:
-		dst = appendColRefs(appendColRefs(dst, e.L), e.R)
-	case Between:
-		dst = appendColRefs(dst, e.E)
-	case *InHash:
-		dst = appendColRefs(dst, e.E)
-	case Not:
-		dst = appendColRefs(dst, e.E)
-	case And:
-		for _, t := range e.Terms {
-			dst = appendColRefs(dst, t)
-		}
-	case Or:
-		for _, t := range e.Terms {
-			dst = appendColRefs(dst, t)
-		}
-	}
-	return dst
-}
-
 // EvalBatch evaluates e over every logical row of in, writing one value
 // per row into dst (which is Reset first). Plain column references copy
 // the source vector payload, literals replicate the constant, and
 // arithmetic over numeric columns and constants runs typed float loops;
-// anything else is interpreted per row. Cycle accounting is identical to
-// row-at-a-time Eval.
+// these bill rows × EvalCycles(e). Anything else is interpreted per row.
+// Cycle accounting is identical to row-at-a-time Eval.
 func EvalBatch(e Expr, in *Batch, dst *ColVec, cost *Cost) {
 	dst.Reset()
 	n := in.Len()
-	switch e := e.(type) {
+	switch x := e.(type) {
 	case Col:
-		cost.Add(float64(n) * CyclesColRef)
-		dst.AppendFrom(&in.Cols[e.Idx], in.Sel)
-		return
+		dst.AppendFrom(&in.Cols[x.Idx], in.Sel)
 	case Const:
-		cost.Add(float64(n) * CyclesConst)
 		for li := 0; li < n; li++ {
-			dst.Append(e.V)
+			dst.Append(x.V)
 		}
-		return
-	}
-	sc := scratchPool.Get().(*scratch)
-	if a, ok := e.(Arith); ok && arithTyped(a, in) {
-		sc.evalArith(a, in, dst, cost)
-	} else {
-		sc.prepareGather(e, in)
-		for li := 0; li < n; li++ {
-			dst.Append(e.Eval(sc.gather(in, in.RowIdx(li)), cost))
+	default:
+		sc := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(sc)
+		if !arithTyped(e, in) {
+			sc.prepareGather(e, in)
+			for li := 0; li < n; li++ {
+				dst.Append(e.Eval(sc.gather(in, in.RowIdx(li)), cost))
+			}
+			return
 		}
+		sc.evalArith(e, in, dst)
 	}
-	scratchPool.Put(sc)
+	cost.Add(float64(n) * EvalCycles(e))
 }
 
 // arithTyped reports whether e is a tree of Arith nodes over numeric
@@ -565,7 +535,7 @@ func arithTyped(e Expr, in *Batch) bool {
 // zero divisor makes the node, and so every ancestor, NULL — so one bitmap
 // shared by the whole tree collects the NULL positions, and the float
 // payload under them is don't-care until it is zeroed at the end.
-func (sc *scratch) evalArith(e Arith, in *Batch, dst *ColVec, cost *Cost) {
+func (sc *scratch) evalArith(e Expr, in *Batch, dst *ColVec) {
 	n := in.Len()
 	if n == 0 {
 		return
@@ -575,7 +545,7 @@ func (sc *scratch) evalArith(e Arith, in *Batch, dst *ColVec, cost *Cost) {
 	}
 	dst.F = dst.F[:n]
 	dst.n = n
-	sc.arithInto(e, in, dst.F, cost)
+	sc.arithInto(e, in, dst.F)
 	if sc.nulls == nil {
 		dst.Kind = KindFloat
 		return
@@ -598,22 +568,19 @@ func (sc *scratch) evalArith(e Arith, in *Batch, dst *ColVec, cost *Cost) {
 }
 
 // arithInto computes e over in's logical rows into buf, one typed loop per
-// node, charging per node what Eval charges per row. A node's result lands
-// in the buffer its left operand was computed into; only right operands
-// take a temporary. Every node's result is stored — rounded to float64 —
+// node; it charges nothing (EvalBatch bills the whole tree). A node's
+// result lands in the buffer its left operand was computed into; only right
+// operands take a temporary. Every node's result is stored — rounded to float64 —
 // before its parent reads it, so no multiply-add is ever fused and each
 // element carries exactly the bits Arith.Eval produces.
-func (sc *scratch) arithInto(e Expr, in *Batch, buf []float64, cost *Cost) {
-	n := float64(len(buf))
+func (sc *scratch) arithInto(e Expr, in *Batch, buf []float64) {
 	switch e := e.(type) {
 	case Const:
-		cost.Add(n * CyclesConst)
 		k := e.V.AsFloat()
 		for i := range buf {
 			buf[i] = k
 		}
 	case Col:
-		cost.Add(n * CyclesColRef)
 		vec := &in.Cols[e.Idx]
 		if vec.Kind == KindFloat {
 			gatherFloats(buf, vec.F, in.Sel)
@@ -628,10 +595,9 @@ func (sc *scratch) arithInto(e Expr, in *Batch, buf []float64, cost *Cost) {
 			}
 		}
 	case Arith:
-		sc.arithInto(e.L, in, buf, cost)
+		sc.arithInto(e.L, in, buf)
 		r := sc.pushFloats(len(buf))
-		sc.arithInto(e.R, in, r, cost)
-		cost.Add(n * CyclesArith)
+		sc.arithInto(e.R, in, r)
 		switch e.Op {
 		case Add:
 			for i, y := range r {

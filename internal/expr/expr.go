@@ -40,11 +40,13 @@ func (c *Cost) Drain() float64 {
 }
 
 // EvalCycles is what evaluating e charges per input row when every
-// operand is present — the per-node constants Eval and the batch kernels
-// add, summed over the tree, for estimating a predicate or projection
-// before it runs. Two shapes are priced by their common case: a
-// comparison against a string constant as a string compare, and the tested
-// operand of Between and InHash as a bare column reference.
+// operand is present — the per-node constants Eval adds, summed over the
+// tree. It is the one per-row price of an expression: the optimizer
+// estimates a predicate or projection with it, and every typed batch
+// kernel bills rows × EvalCycles of the node it runs. Two shapes are priced
+// by their common case: a comparison against a string constant as a string
+// compare, and the tested operand of Between and InHash as a bare column
+// reference.
 func EvalCycles(e Expr) float64 {
 	switch n := e.(type) {
 	case Col:
@@ -367,6 +369,73 @@ func (a Arith) Eval(row Row, cost *Cost) Value {
 
 func (a Arith) String() string {
 	return fmt.Sprintf("(%s %s %s)", a.L, a.Op, a.R)
+}
+
+// AppendCols appends the position of every column e references to dst, left
+// to right, and returns the extended slice. It panics on a node it does not
+// know.
+func AppendCols(dst []int, e Expr) []int {
+	switch n := e.(type) {
+	case Col:
+		return append(dst, n.Idx)
+	case Const:
+		return dst
+	case Cmp:
+		return AppendCols(AppendCols(dst, n.L), n.R)
+	case Arith:
+		return AppendCols(AppendCols(dst, n.L), n.R)
+	case Between:
+		return AppendCols(dst, n.E)
+	case *InHash:
+		return AppendCols(dst, n.E)
+	case Not:
+		return AppendCols(dst, n.E)
+	case And:
+		for _, t := range n.Terms {
+			dst = AppendCols(dst, t)
+		}
+		return dst
+	case Or:
+		for _, t := range n.Terms {
+			dst = AppendCols(dst, t)
+		}
+		return dst
+	}
+	panic(fmt.Sprintf("expr: cannot walk expression %T", e))
+}
+
+// Remap returns e with every column position rewritten through f, leaving
+// e untouched. It panics on a node it does not know.
+func Remap(e Expr, f func(int) int) Expr {
+	switch n := e.(type) {
+	case Col:
+		return Col{Idx: f(n.Idx), Name: n.Name}
+	case Const:
+		return n
+	case Cmp:
+		return Cmp{Op: n.Op, L: Remap(n.L, f), R: Remap(n.R, f)}
+	case Arith:
+		return Arith{Op: n.Op, L: Remap(n.L, f), R: Remap(n.R, f)}
+	case Between:
+		return Between{E: Remap(n.E, f), Lo: n.Lo, Hi: n.Hi}
+	case *InHash:
+		return &InHash{E: Remap(n.E, f), Set: n.Set, Desc: n.Desc}
+	case Not:
+		return Not{E: Remap(n.E, f)}
+	case And:
+		return And{Terms: remapTerms(n.Terms, f)}
+	case Or:
+		return Or{Terms: remapTerms(n.Terms, f)}
+	}
+	panic(fmt.Sprintf("expr: cannot remap expression %T", e))
+}
+
+func remapTerms(terms []Expr, f func(int) int) []Expr {
+	out := make([]Expr, len(terms))
+	for i, t := range terms {
+		out[i] = Remap(t, f)
+	}
+	return out
 }
 
 func joinExprs(terms []Expr, sep string) string {

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -382,5 +383,62 @@ func TestEvalCyclesIsWhatEvalMeters(t *testing.T) {
 		if got := EvalCycles(e); got != cost.Cycles {
 			t.Errorf("%s: EvalCycles = %v, Eval metered %v", e, got, cost.Cycles)
 		}
+	}
+}
+
+func TestRemapCoversAllNodes(t *testing.T) {
+	in := And{Terms: []Expr{
+		Not{E: Cmp{Op: EQ, L: Col{Idx: 1}, R: Const{V: Int(1)}}},
+		Or{Terms: []Expr{
+			Between{E: Col{Idx: 2}, Lo: Int(0), Hi: Int(9)},
+			NewInHash(Col{Idx: 3}, []Value{Int(4)}),
+		}},
+		Cmp{Op: LT, L: Arith{Op: Add, L: Col{Idx: 4}, R: Const{V: Int(2)}}, R: Col{Idx: 5}},
+	}}
+	out := Remap(in, func(i int) int { return i + 10 })
+	if got, want := AppendCols(nil, out), []int{11, 12, 13, 14, 15}; !slices.Equal(got, want) {
+		t.Fatalf("cols = %v, want %v", got, want)
+	}
+	if out.String() == in.String() {
+		t.Fatalf("remap changed no column: %s", out)
+	}
+	// The original is untouched.
+	if got, want := AppendCols(nil, in), []int{1, 2, 3, 4, 5}; !slices.Equal(got, want) {
+		t.Fatalf("original mutated: cols = %v, want %v", got, want)
+	}
+}
+
+// TestRemapKeepsInHashDescription: a hash-set membership test keeps its
+// display text through a column remap, so a lowered merged selection
+// renders as the merge built it.
+func TestRemapKeepsInHashDescription(t *testing.T) {
+	in := NewInHash(Col{Idx: 0, Name: "a"}, []Value{Int(1), Int(2)})
+	got := Remap(in, func(i int) int { return i + 3 })
+	if got.String() != in.String() {
+		t.Fatalf("remapped %q, want %q", got, in)
+	}
+	if c := AppendCols(nil, got); len(c) != 1 || c[0] != 3 {
+		t.Fatalf("remapped columns %v, want [3]", c)
+	}
+}
+
+// unknownExpr is an Expr node the walkers do not know.
+type unknownExpr struct{ Const }
+
+// TestWalkersPanicOnAnUnknownNode: a node AppendCols or Remap cannot see
+// into is a bug to surface, not a column set to guess.
+func TestWalkersPanicOnAnUnknownNode(t *testing.T) {
+	for name, walk := range map[string]func(){
+		"AppendCols": func() { AppendCols(nil, Not{E: unknownExpr{}}) },
+		"Remap":      func() { Remap(Not{E: unknownExpr{}}, func(i int) int { return i }) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted an unknown node", name)
+				}
+			}()
+			walk()
+		}()
 	}
 }

@@ -1,8 +1,8 @@
 package expr
 
 // The typed selection and arithmetic loops behind FilterBatch and
-// EvalBatch. Nothing in this file charges: callers in batch.go charge per
-// node, these loops only compute.
+// EvalBatch. Nothing in this file charges: callers in batch.go bill
+// rows × EvalCycles of the node a loop runs, these loops only compute.
 //
 // Every selection loop takes the candidate rows as cand (nil = every
 // element of the payload) and writes the physical indices that pass into

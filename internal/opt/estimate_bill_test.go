@@ -25,6 +25,14 @@ import (
 // per numeric and 16 per string column; the bill counts Row.Bytes (a
 // 4-byte header, len+2 per string). The test holds that gap to exactly
 // ResultKBCycles × the byte difference / 1024, and everything else to 1e-9.
+//
+// A COUNT(*) whose pushed filter every lineitem row passes (l_quantity is
+// 1..50, so the estimated selectivity is exactly 1) has an exact
+// cardinality too, and shows a second gap: the estimate
+// prices a zone-map consult per page for every pushed filter, while the
+// executor consults zone maps only when the engine prunes, which neither
+// stock profile does. The test holds that gap to exactly ZoneCheckCycles ×
+// the table's pages of compute.
 func TestEstimateIsTheBillWhereCardinalityIsExact(t *testing.T) {
 	const tol = 1e-9
 	near := func(a, b float64) bool { return math.Abs(a-b) <= tol*math.Max(math.Abs(a), math.Abs(b)) }
@@ -36,14 +44,34 @@ func TestEstimateIsTheBillWhereCardinalityIsExact(t *testing.T) {
 		e.SetProfiling(true)
 		env, _ := e.OptimizerEnv()
 
-		count, err := plan.NewLogical([]*catalog.Table{e.MustTable(tpch.Lineitem)})
-		if err != nil {
-			t.Fatal(err)
+		if prof.ZoneMapPruning {
+			t.Fatalf("%s: stock profile prunes; the zone-check gap below assumes it does not", prof.Name)
 		}
-		if err := count.SetAgg(nil, []plan.AggSpec{{Func: plan.Count, Name: "n"}}); err != nil {
-			t.Fatal(err)
+		lineitem := e.MustTable(tpch.Lineitem)
+		countOver := func(preds ...expr.Expr) *plan.Logical {
+			lg, err := plan.NewLogical([]*catalog.Table{lineitem})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range preds {
+				if err := lg.AddPredicate(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := lg.SetAgg(nil, []plan.AggSpec{{Func: plan.Count, Name: "n"}}); err != nil {
+				t.Fatal(err)
+			}
+			return lg
 		}
-		shapes := map[string]*plan.Logical{"count(*)": count}
+		qty := lineitem.Schema.Col("l_quantity")
+		shapes := map[string]*plan.Logical{
+			"count(*)": countOver(),
+			"count(*) where l_quantity < 51": countOver(
+				expr.Cmp{Op: expr.LT, L: qty, R: expr.Const{V: expr.Int(51)}}),
+			"count(*) where l_quantity in [1, 51)": countOver(
+				expr.Between{E: qty, Lo: expr.Int(1), Hi: expr.Int(51)}),
+		}
+		var err error
 		for _, name := range []string{tpch.Lineitem, tpch.Orders, tpch.Customer} {
 			if shapes["scan "+name], err = plan.NewLogical([]*catalog.Table{e.MustTable(name)}); err != nil {
 				t.Fatal(err)
@@ -101,11 +129,17 @@ func TestEstimateIsTheBillWhereCardinalityIsExact(t *testing.T) {
 			}
 			widthGap := float64(st.BytesOut) - float64(st.RowsOut)*estRowBytes
 			estResult[cpu.Stream] += prof.Cost.ResultKBCycles * widthGap / 1024
+			var zoneGap float64
+			if len(lg.Conjuncts) > 0 {
+				zoneGap = prof.Cost.ZoneCheckCycles * float64(lineitem.Heap.NumPages())
+				estOps[cpu.Compute] -= zoneGap
+			}
 
 			for k := range estOps {
 				kind := cpu.WorkKind(k)
 				if !near(estOps[k], billOps[k]) {
-					t.Errorf("%s: operators' %v cycles estimated %v, charged %v", label, kind, estOps[k], billOps[k])
+					t.Errorf("%s: operators' %v cycles estimated %v (zone-check gap of %v cycles applied), charged %v",
+						label, kind, estOps[k], zoneGap, billOps[k])
 				}
 				if !near(estResult[k], billResult[k]) {
 					t.Errorf("%s: result path's %v cycles estimated %v (width gap of %v bytes applied), charged %v",

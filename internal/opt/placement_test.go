@@ -179,7 +179,7 @@ func tableFreeLandings(root plan.Node) []string {
 			terms = and.Terms
 		}
 		for _, term := range terms {
-			if len(plan.ExprCols(term)) == 0 {
+			if len(expr.AppendCols(nil, term)) == 0 {
 				out = append(out, at)
 			}
 		}

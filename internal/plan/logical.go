@@ -170,7 +170,7 @@ func (lg *Logical) Resolve(table, column string) (int, error) {
 // records it: which tables it touches, and whether it is an equi-join
 // edge. Column ids out of range are a binding bug and error out here.
 func (lg *Logical) AddPredicate(pred expr.Expr) error {
-	cols := ExprCols(pred)
+	cols := expr.AppendCols(nil, pred)
 	var set TableSet
 	for _, g := range cols {
 		if g < 0 || g >= lg.NumCols() {
@@ -410,7 +410,7 @@ func (lg *Logical) Lower(ch PhysChoices) (Node, error) {
 	and := func(m func(int) int) expr.Expr {
 		var acc expr.Expr
 		for _, i := range conj {
-			acc = andExpr(acc, RemapExpr(lg.Conjuncts[i].Pred, m))
+			acc = andExpr(acc, expr.Remap(lg.Conjuncts[i].Pred, m))
 		}
 		return acc
 	}
@@ -462,7 +462,7 @@ func (lg *Logical) Lower(ch PhysChoices) (Node, error) {
 
 	conj = lg.FilterConjuncts(conj[:0])
 	for _, i := range conj {
-		cur = NewFilter(cur, RemapExpr(lg.Conjuncts[i].Pred, func(g int) int { return indexOfGlobal(curMap, g) }))
+		cur = NewFilter(cur, expr.Remap(lg.Conjuncts[i].Pred, func(g int) int { return indexOfGlobal(curMap, g) }))
 	}
 
 	if lg.Agg != nil {
@@ -474,7 +474,7 @@ func (lg *Logical) Lower(ch PhysChoices) (Node, error) {
 		for i, s := range lg.Agg.Specs {
 			specs[i] = s
 			if s.Arg != nil {
-				specs[i].Arg = RemapExpr(s.Arg, func(g int) int { return indexOfGlobal(curMap, g) })
+				specs[i].Arg = expr.Remap(s.Arg, func(g int) int { return indexOfGlobal(curMap, g) })
 			}
 		}
 		cur = NewAgg(cur, groups, specs)
@@ -488,7 +488,7 @@ func (lg *Logical) Lower(ch PhysChoices) (Node, error) {
 	case lg.Project != nil:
 		exprs := make([]expr.Expr, len(lg.Project.Exprs))
 		for i, e := range lg.Project.Exprs {
-			exprs[i] = RemapExpr(e, func(g int) int { return indexOfGlobal(curMap, g) })
+			exprs[i] = expr.Remap(e, func(g int) int { return indexOfGlobal(curMap, g) })
 		}
 		cur = NewProject(cur, exprs, lg.Project.Names, lg.Project.Kinds)
 	case lg.Agg == nil:
@@ -602,77 +602,4 @@ func (lg *Logical) Describe() string {
 	}
 	b.WriteString(")")
 	return b.String()
-}
-
-// ExprCols returns the column positions an expression references.
-func ExprCols(e expr.Expr) []int {
-	var out []int
-	WalkCols(e, func(idx int) { out = append(out, idx) })
-	return out
-}
-
-// WalkCols visits every column reference in an expression.
-func WalkCols(e expr.Expr, f func(idx int)) {
-	switch n := e.(type) {
-	case expr.Col:
-		f(n.Idx)
-	case expr.Const:
-	case expr.Cmp:
-		WalkCols(n.L, f)
-		WalkCols(n.R, f)
-	case expr.Between:
-		WalkCols(n.E, f)
-	case expr.And:
-		for _, t := range n.Terms {
-			WalkCols(t, f)
-		}
-	case expr.Or:
-		for _, t := range n.Terms {
-			WalkCols(t, f)
-		}
-	case expr.Not:
-		WalkCols(n.E, f)
-	case *expr.InHash:
-		WalkCols(n.E, f)
-	case expr.Arith:
-		WalkCols(n.L, f)
-		WalkCols(n.R, f)
-	default:
-		panic(fmt.Sprintf("plan: cannot walk expression %T", e))
-	}
-}
-
-// RemapExpr rewrites an expression's column positions through f, leaving
-// the original untouched.
-func RemapExpr(e expr.Expr, f func(int) int) expr.Expr {
-	switch n := e.(type) {
-	case expr.Col:
-		return expr.Col{Idx: f(n.Idx), Name: n.Name}
-	case expr.Const:
-		return n
-	case expr.Cmp:
-		return expr.Cmp{Op: n.Op, L: RemapExpr(n.L, f), R: RemapExpr(n.R, f)}
-	case expr.Between:
-		return expr.Between{E: RemapExpr(n.E, f), Lo: n.Lo, Hi: n.Hi}
-	case expr.And:
-		terms := make([]expr.Expr, len(n.Terms))
-		for i, t := range n.Terms {
-			terms[i] = RemapExpr(t, f)
-		}
-		return expr.And{Terms: terms}
-	case expr.Or:
-		terms := make([]expr.Expr, len(n.Terms))
-		for i, t := range n.Terms {
-			terms[i] = RemapExpr(t, f)
-		}
-		return expr.Or{Terms: terms}
-	case expr.Not:
-		return expr.Not{E: RemapExpr(n.E, f)}
-	case *expr.InHash:
-		return &expr.InHash{E: RemapExpr(n.E, f), Set: n.Set, Desc: n.Desc}
-	case expr.Arith:
-		return expr.Arith{Op: n.Op, L: RemapExpr(n.L, f), R: RemapExpr(n.R, f)}
-	default:
-		panic(fmt.Sprintf("plan: cannot remap expression %T", e))
-	}
 }

@@ -122,32 +122,3 @@ func TestLogicalOutputSchemaQualifiesDuplicates(t *testing.T) {
 		t.Fatalf("star schema = %v", names)
 	}
 }
-
-func TestRemapExprCoversAllNodes(t *testing.T) {
-	in := expr.And{Terms: []expr.Expr{
-		expr.Not{E: expr.Cmp{Op: expr.EQ, L: expr.Col{Idx: 1}, R: expr.Const{V: expr.Int(1)}}},
-		expr.Or{Terms: []expr.Expr{
-			expr.Between{E: expr.Col{Idx: 2}, Lo: expr.Int(0), Hi: expr.Int(9)},
-			expr.NewInHash(expr.Col{Idx: 3}, []expr.Value{expr.Int(4)}),
-		}},
-		expr.Cmp{Op: expr.LT, L: expr.Arith{Op: expr.Add, L: expr.Col{Idx: 4}, R: expr.Const{V: expr.Int(2)}}, R: expr.Col{Idx: 5}},
-	}}
-	out := RemapExpr(in, func(i int) int { return i + 10 })
-	var got []int
-	WalkCols(out, func(i int) { got = append(got, i) })
-	wantCols := []int{11, 12, 13, 14, 15}
-	if len(got) != len(wantCols) {
-		t.Fatalf("cols = %v", got)
-	}
-	for i := range got {
-		if got[i] != wantCols[i] {
-			t.Fatalf("cols = %v, want %v", got, wantCols)
-		}
-	}
-	// The original is untouched.
-	var orig []int
-	WalkCols(in, func(i int) { orig = append(orig, i) })
-	if orig[0] != 1 {
-		t.Fatalf("original mutated: %v", orig)
-	}
-}

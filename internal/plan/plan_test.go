@@ -135,20 +135,6 @@ func TestAggFuncString(t *testing.T) {
 	}
 }
 
-// TestRemapKeepsInHashDescription: a hash-set membership test keeps its
-// display text through a column remap, so a lowered merged selection
-// renders as the merge built it.
-func TestRemapKeepsInHashDescription(t *testing.T) {
-	in := expr.NewInHash(expr.Col{Idx: 0, Name: "a"}, []expr.Value{expr.Int(1), expr.Int(2)})
-	got := RemapExpr(in, func(i int) int { return i + 3 })
-	if got.String() != in.String() {
-		t.Fatalf("remapped %q, want %q", got, in)
-	}
-	if c := ExprCols(got); len(c) != 1 || c[0] != 3 {
-		t.Fatalf("remapped columns %v, want [3]", c)
-	}
-}
-
 // TestOriginOfEveryNodeType: the origin Lower records on a root reads back
 // whichever node type the root is, and a node nobody stamped has none.
 func TestOriginOfEveryNodeType(t *testing.T) {

@@ -146,7 +146,8 @@ const (
 
 // Request is one statement submitted for admission.
 type Request struct {
-	// ID labels the statement in the admission log; defaults to "s<seq>".
+	// ID labels the statement in its Response and in RunOpenLoop's
+	// Batches; defaults to "s<seq>".
 	ID string
 	// Tenant attributes the statement's per-tenant accounting; defaults
 	// to "default".
@@ -209,8 +210,8 @@ var ErrOverloaded = errors.New("server: admission queue full")
 // ErrDraining rejects a statement arriving after shutdown began.
 var ErrDraining = errors.New("server: draining")
 
-// AdmittedBatch is one flush batch in the admission log: when it was
-// admitted and the statement IDs in admission order. Replaying the log —
+// AdmittedBatch is one flush batch RunOpenLoop ran: when it was admitted
+// and the statement IDs in admission order. Replaying the batches —
 // advance the clock to At, co-admit the IDs' plans through a shared
 // session in order, drain round-robin — reproduces the run's simulated
 // energy exactly (the bit-identity contract; see the serial-replay test).
@@ -230,7 +231,7 @@ type pending struct {
 	deadline    sim.Time // absolute; valid when hasDeadline
 	hasDeadline bool
 	done        chan Response // live path; nil in the open-loop harness
-	resp        Response      // open-loop path result slot
+	resp        Response      // the response, filled by enqueue or flush
 }
 
 // Core is the admission scheduler. All methods that touch the engine —
@@ -246,7 +247,6 @@ type Core struct {
 	queue    []*pending
 	seq      int64
 	inflight int // accepted, not yet responded
-	log      []AdmittedBatch
 
 	// Live-serving machinery (see http.go).
 	submit  chan *pending
@@ -290,19 +290,12 @@ func (c *Core) Config() Config { return c.cfg }
 // System returns the simulated system the scheduler drives.
 func (c *Core) System() *core.System { return c.sys }
 
-// AdmissionLog returns every flush batch RunOpenLoop has admitted so far,
-// in order — what its replay tests read. Live serving (Start/Do) keeps no
-// log: nothing reads one there, and a server's footprint must not grow with
-// the number of statements it has served.
-func (c *Core) AdmissionLog() []AdmittedBatch { return c.log }
-
-// enqueue accepts or rejects one statement against the admission bound.
-// Scheduler goroutine only.
+// enqueue accepts or rejects one statement against the admission bound; a
+// rejected statement's response is ErrOverloaded. Scheduler goroutine only.
 func (c *Core) enqueue(p *pending) bool {
 	if c.inflight >= c.cfg.MaxInflight {
 		c.mRejected.Inc()
 		p.resp = Response{ID: p.id, Err: ErrOverloaded}
-		p.reply()
 		return false
 	}
 	c.seq++
@@ -324,14 +317,6 @@ func (c *Core) enqueue(p *pending) bool {
 	c.gDepth.Set(float64(len(c.queue)))
 	c.gActive.Set(float64(c.inflight))
 	return true
-}
-
-// reply delivers the pending statement's response on the live path; the
-// open-loop harness reads resp directly.
-func (p *pending) reply() {
-	if p.done != nil {
-		p.done <- p.resp
-	}
 }
 
 // urgent reports whether some queued statement's remaining deadline
@@ -417,31 +402,14 @@ func (c *Core) takeBatch() []*pending {
 	return batch
 }
 
-// flush admits and executes one batch, replying to every statement in it.
-// Scheduler goroutine only.
-//
-// A live server's footprint must not grow with the number of statements it
-// has served, so live keeps neither of the two per-window histories
-// RunOpenLoop's callers read afterwards: the batch stays out of the
-// admission log (they replay it), and the CPU's power trace before now is
-// dropped (they integrate it) — response joules and profile attribution
-// were read as the window ran, and nothing asks about that draw again. Both
-// happen before the first reply: once a client has its answer the scheduler
-// touches the machine no more until the next statement arrives.
-func (c *Core) flush(live bool) {
+// flush admits and executes one batch and returns it, every response
+// filled in. Scheduler goroutine only.
+func (c *Core) flush() []*pending {
 	batch := c.takeBatch()
 	if len(batch) == 0 {
-		return
+		return nil
 	}
 	c.mBatches.Inc()
-	if !live {
-		ids := make([]string, len(batch))
-		for i, p := range batch {
-			ids[i] = p.id
-		}
-		c.log = append(c.log, AdmittedBatch{At: c.clock.Now(), Policy: c.cfg.Policy, IDs: ids})
-	}
-
 	if c.cfg.Policy == PolicyPrivate {
 		// The private policy is windows of one on private scans.
 		for i := range batch {
@@ -450,17 +418,15 @@ func (c *Core) flush(live bool) {
 	} else {
 		c.execute(batch, c.sess)
 	}
-	if live {
-		c.sys.Machine.CPU.Trace().DiscardBefore(c.clock.Now())
-	}
 	c.refreshGauges()
 	for _, p := range batch {
 		c.finishStmt(p)
 	}
+	return batch
 }
 
-// finishStmt finalizes one executed statement: deadline accounting,
-// per-tenant accounting, the reply.
+// finishStmt finalizes one executed statement's response: deadline
+// accounting, per-tenant accounting.
 func (c *Core) finishStmt(p *pending) {
 	r := &p.resp
 	r.ID = p.id
@@ -477,7 +443,6 @@ func (c *Core) finishStmt(p *pending) {
 	reg.FloatCounter(obsv.MetricServerTenantJoules + p.tenant).Add(r.Joules)
 	c.inflight--
 	c.gActive.Set(float64(c.inflight))
-	p.reply()
 }
 
 // execute runs one co-admission window through engine.RunWindow — on the

@@ -79,12 +79,14 @@ func (c *Core) loop() {
 	for {
 		select {
 		case p := <-c.submit:
-			c.enqueue(p)
+			if !c.enqueue(p) {
+				p.done <- p.resp
+			}
 			// The simulated clock stands still while a statement waits, so
 			// shouldFlush's wait clause is false here unless FlushWait is
 			// not positive; a waiting window's timeout is the timer's job.
 			for c.shouldFlush(true) {
-				c.flush(true)
+				c.serve()
 			}
 			if len(c.queue) > 0 && !armed {
 				timer.Reset(flushWait)
@@ -98,17 +100,32 @@ func (c *Core) loop() {
 		case <-timer.C:
 			armed = false
 			for len(c.queue) > 0 {
-				c.flush(true)
+				c.serve()
 			}
 		case <-c.stopc:
 			// Drain: everything accepted gets executed and answered. A
 			// sender blocked on the unbuffered submit channel has not been
 			// accepted and unblocks via the stopped channel in Do.
 			for len(c.queue) > 0 {
-				c.flush(true)
+				c.serve()
 			}
 			return
 		}
+	}
+}
+
+// serve flushes one batch and answers every statement in it. A live
+// server's footprint must not grow with the number of statements it has
+// served, so the CPU's power trace before now is dropped — response joules
+// and profile attribution were read as the window ran, and nothing asks
+// about that draw again. That happens before the first reply: once a client
+// has its answer the scheduler touches the machine no more until the next
+// statement arrives. Scheduler goroutine only.
+func (c *Core) serve() {
+	batch := c.flush()
+	c.sys.Machine.CPU.Trace().DiscardBefore(c.clock.Now())
+	for _, p := range batch {
+		p.done <- p.resp
 	}
 }
 

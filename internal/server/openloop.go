@@ -52,6 +52,9 @@ type OpenLoopResult struct {
 	// queue-entry-to-completion times.
 	MeanResponse, MaxResponse sim.Duration
 	Responses                 []Response
+	// Batches is every flush batch the run admitted, in order: replaying
+	// them reproduces the run's simulated energy exactly.
+	Batches []AdmittedBatch
 }
 
 // AchievedQPS returns completions per simulated second over the run.
@@ -104,12 +107,8 @@ func (c *Core) RunOpenLoop(arrivals []Arrival) OpenLoopResult {
 			c.clock.AdvanceTo(arr[i].At)
 			continue
 		}
-		if c.shouldFlush(i < len(arr)) {
-			c.flush(false)
-			continue
-		}
-		// Neither full nor timed out: sleep to whichever comes first, the
-		// window expiry or the next arrival. A wake-up instant that is not
+		// Unless the window is full or timed out, sleep to whichever comes
+		// first, its expiry or the next arrival. A wake-up instant that is not
 		// strictly in the future means the window has expired to within
 		// float rounding ((t+w)-t can come out a hair under w), so flush
 		// rather than spin on a no-op clock advance.
@@ -117,11 +116,16 @@ func (c *Core) RunOpenLoop(arrivals []Arrival) OpenLoopResult {
 		if i < len(arr) && arr[i].At < next {
 			next = arr[i].At
 		}
-		if next <= now {
-			c.flush(false)
+		if !c.shouldFlush(i < len(arr)) && next > now {
+			c.clock.AdvanceTo(next)
 			continue
 		}
-		c.clock.AdvanceTo(next)
+		batch := c.flush()
+		ids := make([]string, len(batch))
+		for j, p := range batch {
+			ids[j] = p.id
+		}
+		out.Batches = append(out.Batches, AdmittedBatch{At: now, Policy: c.cfg.Policy, IDs: ids})
 	}
 
 	out.End = c.clock.Now()

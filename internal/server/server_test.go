@@ -81,8 +81,8 @@ func TestZeroCapacityQueue(t *testing.T) {
 	if got := obsv.Default().Counter(obsv.MetricServerRejected).Load() - before; got != 3 {
 		t.Fatalf("rejected counter advanced by %d, want 3", got)
 	}
-	if len(c.AdmissionLog()) != 0 {
-		t.Fatalf("zero-capacity queue admitted %d batches", len(c.AdmissionLog()))
+	if len(res.Batches) != 0 {
+		t.Fatalf("zero-capacity queue admitted %d batches", len(res.Batches))
 	}
 	c.Start()
 	if r := c.Do(Request{Plan: plans[0]}); r.Err != ErrOverloaded {
@@ -181,8 +181,8 @@ func TestBitIdentityWithRunShared(t *testing.T) {
 	cfg.Profiling = false
 	c := NewCore(cfg, sysA)
 	res := c.RunOpenLoop(wave(sysA.Machine.Clock.Now(), queryRequests(plansA, n)))
-	if res.Completed != n || len(c.AdmissionLog()) != 1 {
-		t.Fatalf("server run: completed=%d batches=%d, want %d/1", res.Completed, len(c.AdmissionLog()), n)
+	if res.Completed != n || len(res.Batches) != 1 {
+		t.Fatalf("server run: completed=%d batches=%d, want %d/1", res.Completed, len(res.Batches), n)
 	}
 
 	sysB, plansB := newTestSystem(t)
@@ -262,7 +262,7 @@ func TestPrivatePolicyIsWindowsOfOne(t *testing.T) {
 }
 
 // TestSerialReplayBitIdentity: replaying a multi-batch open-loop run's
-// admission log — advance the clock to each batch instant, co-admit its
+// batches — advance the clock to each batch instant, co-admit its
 // IDs' plans through a persistent shared session, drain round-robin —
 // reproduces the run's end clock and total joules exactly.
 func TestSerialReplayBitIdentity(t *testing.T) {
@@ -279,12 +279,12 @@ func TestSerialReplayBitIdentity(t *testing.T) {
 	if res.Completed != n {
 		t.Fatalf("server run completed %d of %d", res.Completed, n)
 	}
-	adm := c.AdmissionLog()
+	adm := res.Batches
 	if len(adm) < 2 {
 		t.Fatalf("want a multi-batch run, got %d batches", len(adm))
 	}
 
-	// Twin system: replay the log serially through the embedded path.
+	// Twin system: replay the batches serially through the embedded path.
 	sysB, plansB := newTestSystem(t)
 	byID := map[string]plan.Node{}
 	for _, r := range queryRequests(plansB, n) {
@@ -836,28 +836,6 @@ func TestLiveServingKeepsPowerTraceBounded(t *testing.T) {
 		if j <= 0 || math.Abs(j-joules[0]) > 1e-9*joules[0] {
 			t.Fatalf("statement %d reported %v J, statement 0 %v J", i, j, joules[0])
 		}
-	}
-}
-
-// TestLiveServingKeepsNoAdmissionLog: the log exists for RunOpenLoop's
-// replay tests; a live core that appended a record per flush would grow
-// with every statement it ever served.
-func TestLiveServingKeepsNoAdmissionLog(t *testing.T) {
-	sys, plans := newTestSystem(t)
-	cfg := DefaultConfig()
-	cfg.FlushThreshold = 1 // flush on arrival: no real-time window to wait out
-	c := NewCore(cfg, sys)
-	c.Start()
-	for i := 0; i < 2000; i++ {
-		if resp := c.Do(Request{Plan: plans[i%len(plans)]}); resp.Err != nil {
-			t.Fatal(resp.Err)
-		}
-	}
-	if err := c.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(c.AdmissionLog()); n != 0 {
-		t.Fatalf("admission log holds %d batches after 2000 statements served live, want none", n)
 	}
 }
 

@@ -17,19 +17,6 @@ type Explainer interface {
 	OptimizerEnv() (opt.Env, opt.Objective)
 }
 
-// IsExplain reports whether the statement parses as an EXPLAIN.
-func IsExplain(query string) bool {
-	stmt, err := Parse(query)
-	return err == nil && stmt.Explain
-}
-
-// IsExplainAnalyze reports whether the statement parses as an EXPLAIN
-// ANALYZE.
-func IsExplainAnalyze(query string) bool {
-	stmt, err := Parse(query)
-	return err == nil && stmt.Analyze
-}
-
 // Explain renders the physical plan the optimizer would choose for a
 // query — `EXPLAIN SELECT ...` or a bare SELECT — with per-operator
 // estimated rows, cycles and joules. On engines whose objective is
