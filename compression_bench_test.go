@@ -22,7 +22,7 @@ func drainCount(b *testing.B, p plan.Node, pruning bool) int64 {
 	ctx := benchCtx()
 	ctx.ZoneMapPruning = pruning
 	var rows int64
-	op := exec.Compile(p)
+	op := exec.CompileParallel(p, 1)
 	if err := exec.Drain(ctx, op, func(batch *expr.Batch) error {
 		rows += int64(batch.Len())
 		return nil

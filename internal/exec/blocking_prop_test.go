@@ -16,7 +16,9 @@ import (
 )
 
 // Differential property test for the blocking operators: random Sort,
-// Limit(Sort), HashJoin and Agg plans over random small tables run through
+// Limit(Sort), HashJoin and Agg plans — and projections, filters and
+// aggregations that read a strict subset of a join's columns, so the join
+// copies only its live ones — over random small tables run through
 // the compiled operators at workers 1, 2 and 4 and through refExec below —
 // a boxed, row-at-a-time evaluator that knows nothing of vectors, tables of
 // indices, heaps or morsels — and must agree on the tuples, their order,
@@ -69,6 +71,16 @@ func (r *refExec) eval(n plan.Node) []expr.Row {
 			if n.Pred.Eval(row, &meter).Truthy() {
 				out = append(out, row)
 			}
+		}
+		return out
+	case *plan.Project:
+		var out []expr.Row
+		for _, row := range r.eval(n.Input) {
+			proj := make(expr.Row, len(n.Exprs))
+			for i, e := range n.Exprs {
+				proj[i] = e.Eval(row, &meter)
+			}
+			out = append(out, proj)
 		}
 		return out
 	case *plan.HashJoin:
@@ -341,25 +353,50 @@ func sortableCols(cols []propCol) []int {
 	return out
 }
 
-// genJoin joins two generated tables on a pair of columns — of one kind
-// more often than not; across kinds a join matches nothing — with, half
-// the time, a residual comparing a build column with a probe column.
+// genJoin joins two generated tables, with a residual half the time.
 func genJoin(rng *rand.Rand, build, probe propTable) (plan.Node, []propCol) {
-	bk, pk := rng.Intn(len(build.cols)), rng.Intn(len(probe.cols))
-	for try := 0; try < 8 && build.cols[bk].kind != probe.cols[pk].kind; try++ {
-		bk, pk = rng.Intn(len(build.cols)), rng.Intn(len(probe.cols))
+	return joinOf(rng, genInput(rng, build), build.cols, genInput(rng, probe), probe.cols, rng.Intn(2) == 0)
+}
+
+// joinOf joins build and probe, whose columns bc and pc describe, on a pair
+// of columns — of one kind more often than not; across kinds a join matches
+// nothing — and, when residual is set, checks a residual comparing a build
+// column with a probe column.
+func joinOf(rng *rand.Rand, build plan.Node, bc []propCol, probe plan.Node, pc []propCol, residual bool) (plan.Node, []propCol) {
+	bk, pk := rng.Intn(len(bc)), rng.Intn(len(pc))
+	for try := 0; try < 8 && bc[bk].kind != pc[pk].kind; try++ {
+		bk, pk = rng.Intn(len(bc)), rng.Intn(len(pc))
 	}
-	cols := append(append([]propCol{}, build.cols...), probe.cols...)
-	var residual expr.Expr
-	if rng.Intn(2) == 0 {
-		b, p := rng.Intn(len(build.cols)), rng.Intn(len(probe.cols))
-		if (build.cols[b].kind == expr.KindString) == (probe.cols[p].kind == expr.KindString) {
-			residual = expr.Cmp{Op: expr.CmpOp(rng.Intn(6)), L: expr.Col{Idx: b}, R: expr.Col{Idx: len(build.cols) + p}}
+	cols := append(append([]propCol{}, bc...), pc...)
+	var resid expr.Expr
+	if residual {
+		b, p := rng.Intn(len(bc)), rng.Intn(len(pc))
+		if (bc[b].kind == expr.KindString) == (pc[p].kind == expr.KindString) {
+			resid = expr.Cmp{Op: expr.CmpOp(rng.Intn(6)), L: expr.Col{Idx: b}, R: expr.Col{Idx: len(bc) + p}}
 		} else {
-			residual = genPred(rng, cols, 0)
+			resid = genPred(rng, cols, 0)
 		}
 	}
-	return plan.NewHashJoin(genInput(rng, build), genInput(rng, probe), bk, pk, residual), cols
+	return plan.NewHashJoin(build, probe, bk, pk, resid), cols
+}
+
+// genProject projects one or two of n's columns, each a plain reference
+// or, over a numeric column, arithmetic: a join beneath it copies only what
+// the projection reads.
+func genProject(rng *rand.Rand, n plan.Node, cols []propCol) plan.Node {
+	var exprs []expr.Expr
+	var names []string
+	var kinds []expr.Kind
+	for i, want := 0, 1+rng.Intn(2); i < want; i++ {
+		c := rng.Intn(len(cols))
+		var e expr.Expr = expr.Col{Idx: c}
+		kind := cols[c].kind
+		if kind != expr.KindString && rng.Intn(3) == 0 {
+			e, kind = expr.Arith{Op: expr.Mul, L: e, R: expr.Const{V: expr.Float(0.5)}}, expr.KindFloat
+		}
+		exprs, names, kinds = append(exprs, e), append(names, fmt.Sprintf("p%d", i)), append(kinds, kind)
+	}
+	return plan.NewProject(n, exprs, names, kinds)
 }
 
 // genAgg aggregates n: zero to two group-by columns, one to four
@@ -413,7 +450,7 @@ func genAgg(rng *rand.Rand, n plan.Node, cols []propCol) (plan.Node, []propCol) 
 func genPropPlan(rng *rand.Rand) plan.Node {
 	a, b := genPropTable(rng, "a"), genPropTable(rng, "b")
 	rows := int(a.t.Heap.NumRows())
-	switch rng.Intn(6) {
+	switch rng.Intn(9) {
 	case 0, 1: // Sort and Limit(Sort) over a fragment
 		return genSort(rng, genInput(rng, a), sortableCols(a.cols), rows)
 	case 2: // a join, bare or under a sort with the join as its input operator
@@ -432,10 +469,37 @@ func genPropPlan(rng *rand.Rand) plan.Node {
 		j, cols := genJoin(rng, a, b)
 		g, _ := genAgg(rng, j, cols)
 		return g
-	default: // a join probed by a join: selections flow into build and probe
+	case 5: // a join probed by a join: selections flow into build and probe
 		j, cols := genJoin(rng, a, b)
 		c := genPropTable(rng, "c")
 		return plan.NewHashJoin(genInput(rng, c), j, rng.Intn(len(c.cols)), rng.Intn(len(cols)), nil)
+	// The rest read a strict subset of a join's columns, so the joins copy
+	// and gather only the live ones.
+	case 6: // a projection over a join, half the time filtered first
+		j, cols := genJoin(rng, a, b)
+		if rng.Intn(2) == 0 {
+			j = plan.NewFilter(j, genPred(rng, cols, 0))
+		}
+		return genProject(rng, j, cols)
+	case 7: // an aggregation over a join that a join probes or builds on
+		j, cols := genJoin(rng, a, b)
+		c := genPropTable(rng, "c")
+		var outer plan.Node
+		if rng.Intn(2) == 0 {
+			outer, cols = joinOf(rng, genInput(rng, c), c.cols, j, cols, rng.Intn(2) == 0)
+		} else {
+			outer, cols = joinOf(rng, j, cols, genInput(rng, c), c.cols, rng.Intn(2) == 0)
+		}
+		g, _ := genAgg(rng, outer, cols)
+		return g
+	default: // a filter over a join with a residual, projected or aggregated
+		j, cols := joinOf(rng, genInput(rng, a), a.cols, genInput(rng, b), b.cols, true)
+		f := plan.NewFilter(j, genPred(rng, cols, 0))
+		if rng.Intn(2) == 0 {
+			return genProject(rng, f, cols)
+		}
+		g, _ := genAgg(rng, f, cols)
+		return g
 	}
 }
 

@@ -64,7 +64,7 @@ func collect(t *testing.T, op Operator, ctx *Ctx) []expr.Row {
 func TestScanAllRows(t *testing.T) {
 	ctx, clock := testCtx()
 	tb := numbersTable(t, "t", 100)
-	op := Compile(plan.NewScan(tb, nil))
+	op := CompileParallel(plan.NewScan(tb, nil), 1)
 	rows := collect(t, op, ctx)
 	if len(rows) != 100 {
 		t.Fatalf("scanned %d rows", len(rows))
@@ -78,7 +78,7 @@ func TestScanWithFilter(t *testing.T) {
 	ctx, _ := testCtx()
 	tb := numbersTable(t, "t", 100)
 	pred := expr.Cmp{Op: expr.LT, L: tb.Schema.Col("k"), R: expr.Const{V: expr.Int(10)}}
-	rows := collect(t, Compile(plan.NewScan(tb, pred)), ctx)
+	rows := collect(t, CompileParallel(plan.NewScan(tb, pred), 1), ctx)
 	if len(rows) != 10 {
 		t.Fatalf("filtered scan returned %d rows, want 10", len(rows))
 	}
@@ -91,7 +91,7 @@ func TestScanChargesPoolAccesses(t *testing.T) {
 		clock.Advance(sim.Millisecond)
 	}))
 	ctx.Pool = pool
-	collect(t, Compile(plan.NewScan(tb, nil)), ctx)
+	collect(t, CompileParallel(plan.NewScan(tb, nil), 1), ctx)
 	if pool.Stats().Misses != int64(tb.Heap.NumPages()) {
 		t.Fatalf("pool misses %d, want one per page %d", pool.Stats().Misses, tb.Heap.NumPages())
 	}
@@ -106,7 +106,7 @@ func TestPageHookRunsPerPage(t *testing.T) {
 	tb := numbersTable(t, "t", 500)
 	var hooks int
 	ctx.PageHook = func() { hooks++ }
-	collect(t, Compile(plan.NewScan(tb, nil)), ctx)
+	collect(t, CompileParallel(plan.NewScan(tb, nil), 1), ctx)
 	if hooks != tb.Heap.NumPages() {
 		t.Fatalf("hooks = %d, want %d", hooks, tb.Heap.NumPages())
 	}
@@ -117,7 +117,7 @@ func TestFilterOperator(t *testing.T) {
 	tb := numbersTable(t, "t", 20)
 	p := plan.NewFilter(plan.NewScan(tb, nil),
 		expr.Cmp{Op: expr.GE, L: tb.Schema.Col("k"), R: expr.Const{V: expr.Int(15)}})
-	rows := collect(t, Compile(p), ctx)
+	rows := collect(t, CompileParallel(p, 1), ctx)
 	if len(rows) != 5 {
 		t.Fatalf("filter returned %d rows", len(rows))
 	}
@@ -130,7 +130,7 @@ func TestHashJoinInner(t *testing.T) {
 	j := plan.NewHashJoin(
 		plan.NewScan(left, nil), plan.NewScan(right, nil),
 		left.Schema.MustIndex("k"), right.Schema.MustIndex("k"), nil)
-	rows := collect(t, Compile(j), ctx)
+	rows := collect(t, CompileParallel(j, 1), ctx)
 	if len(rows) != 10 {
 		t.Fatalf("join produced %d rows, want 10", len(rows))
 	}
@@ -154,7 +154,7 @@ func TestHashJoinDuplicateBuildKeys(t *testing.T) {
 	probe := numbersTable(t, "p", 3)
 	j := plan.NewHashJoin(plan.NewScan(dup, nil), plan.NewScan(probe, nil),
 		0, probe.Schema.MustIndex("k"), nil)
-	rows := collect(t, Compile(j), ctx)
+	rows := collect(t, CompileParallel(j, 1), ctx)
 	if len(rows) != 2 {
 		t.Fatalf("1:N join produced %d rows, want 2", len(rows))
 	}
@@ -169,7 +169,7 @@ func TestHashJoinResidual(t *testing.T) {
 		left.Schema.MustIndex("k"), right.Schema.MustIndex("k"), nil)
 	// Residual on the concatenated row: keep only k < 3.
 	j.Residual = expr.Cmp{Op: expr.LT, L: expr.Col{Idx: 0}, R: expr.Const{V: expr.Int(3)}}
-	rows := collect(t, Compile(j), ctx)
+	rows := collect(t, CompileParallel(j, 1), ctx)
 	if len(rows) != 3 {
 		t.Fatalf("residual join produced %d rows, want 3", len(rows))
 	}
@@ -181,7 +181,7 @@ func TestProject(t *testing.T) {
 	p := plan.NewProject(plan.NewScan(tb, nil),
 		[]expr.Expr{expr.Arith{Op: expr.Add, L: tb.Schema.Col("k"), R: expr.Const{V: expr.Int(100)}}},
 		[]string{"k100"}, []expr.Kind{expr.KindFloat})
-	rows := collect(t, Compile(p), ctx)
+	rows := collect(t, CompileParallel(p, 1), ctx)
 	if len(rows) != 5 || rows[2][0].AsFloat() != 102 {
 		t.Fatalf("project rows = %v", rows)
 	}
@@ -205,7 +205,7 @@ func TestHashAggSumCountMinMaxAvg(t *testing.T) {
 		{Func: plan.Max, Arg: col, Name: "mx"},
 		{Func: plan.Avg, Arg: col, Name: "av"},
 	})
-	rows := collect(t, Compile(a), ctx)
+	rows := collect(t, CompileParallel(a, 1), ctx)
 	if len(rows) != 2 {
 		t.Fatalf("agg produced %d groups", len(rows))
 	}
@@ -228,7 +228,7 @@ func TestAggEmptyInput(t *testing.T) {
 	tb := numbersTable(t, "t", 0)
 	a := plan.NewAgg(plan.NewScan(tb, nil), []int{0},
 		[]plan.AggSpec{{Func: plan.Count, Name: "c"}})
-	rows := collect(t, Compile(a), ctx)
+	rows := collect(t, CompileParallel(a, 1), ctx)
 	if len(rows) != 0 {
 		t.Fatalf("empty-input agg produced %d rows", len(rows))
 	}
@@ -247,7 +247,7 @@ func TestHashJoinNullKeysDoNotMatch(t *testing.T) {
 		return tb
 	}
 	j := plan.NewHashJoin(plan.NewScan(mk("l"), nil), plan.NewScan(mk("r"), nil), 0, 0, nil)
-	rows := collect(t, Compile(j), ctx)
+	rows := collect(t, CompileParallel(j, 1), ctx)
 	if len(rows) != 1 {
 		t.Fatalf("NULL-key join produced %d rows, want 1", len(rows))
 	}
@@ -270,7 +270,7 @@ func TestGlobalAggOverEmptyInput(t *testing.T) {
 		{Func: plan.Max, Arg: v, Name: "mx"},
 		{Func: plan.Avg, Arg: v, Name: "av"},
 	})
-	rows := collect(t, Compile(a), ctx)
+	rows := collect(t, CompileParallel(a, 1), ctx)
 	if len(rows) != 1 {
 		t.Fatalf("global agg over empty input produced %d rows, want 1", len(rows))
 	}
@@ -297,7 +297,7 @@ func TestGroupKeysAreInjective(t *testing.T) {
 	tb.Insert(expr.Row{expr.String("x"), expr.String("\x00y")})
 	a := plan.NewAgg(plan.NewScan(tb, nil), []int{0, 1},
 		[]plan.AggSpec{{Func: plan.Count, Name: "c"}})
-	if rows := collect(t, Compile(a), ctx); len(rows) != 2 {
+	if rows := collect(t, CompileParallel(a, 1), ctx); len(rows) != 2 {
 		t.Fatalf("boundary-shifted groups collapsed: %d groups, want 2", len(rows))
 	}
 }
@@ -337,7 +337,7 @@ func TestAggOutputOrderDeterministic(t *testing.T) {
 		ctx, _ := testCtx()
 		a := plan.NewAgg(plan.NewScan(tb, nil), []int{0},
 			[]plan.AggSpec{{Func: plan.Count, Name: "c"}})
-		return collect(t, Compile(a), ctx)
+		return collect(t, CompileParallel(a, 1), ctx)
 	}
 
 	// Same multiset, different first-seen orders.
@@ -386,7 +386,7 @@ func TestCountColumnSkipsNulls(t *testing.T) {
 		{Func: plan.Count, Arg: v, Name: "cnt_v"}, // COUNT(v)
 		{Func: plan.Count, Name: "cnt_star"},      // COUNT(*)
 	})
-	rows := collect(t, Compile(a), ctx)
+	rows := collect(t, CompileParallel(a, 1), ctx)
 	if len(rows) != 2 {
 		t.Fatalf("agg produced %d groups, want 2", len(rows))
 	}
@@ -409,13 +409,13 @@ func TestSortAscDesc(t *testing.T) {
 	for _, v := range []int64{3, 1, 4, 1, 5} {
 		tb.Insert(expr.Row{expr.Int(v)})
 	}
-	asc := collect(t, Compile(plan.NewSort(plan.NewScan(tb, nil), plan.SortKey{Col: 0})), ctx)
+	asc := collect(t, CompileParallel(plan.NewSort(plan.NewScan(tb, nil), plan.SortKey{Col: 0}), 1), ctx)
 	for i := 1; i < len(asc); i++ {
 		if asc[i][0].I < asc[i-1][0].I {
 			t.Fatalf("not ascending: %v", asc)
 		}
 	}
-	desc := collect(t, Compile(plan.NewSort(plan.NewScan(tb, nil), plan.SortKey{Col: 0, Desc: true})), ctx)
+	desc := collect(t, CompileParallel(plan.NewSort(plan.NewScan(tb, nil), plan.SortKey{Col: 0, Desc: true}), 1), ctx)
 	for i := 1; i < len(desc); i++ {
 		if desc[i][0].I > desc[i-1][0].I {
 			t.Fatalf("not descending: %v", desc)
@@ -426,7 +426,7 @@ func TestSortAscDesc(t *testing.T) {
 func TestLimit(t *testing.T) {
 	ctx, _ := testCtx()
 	tb := numbersTable(t, "t", 50)
-	rows := collect(t, Compile(plan.NewLimit(plan.NewScan(tb, nil), 7)), ctx)
+	rows := collect(t, CompileParallel(plan.NewLimit(plan.NewScan(tb, nil), 7), 1), ctx)
 	if len(rows) != 7 {
 		t.Fatalf("limit emitted %d rows", len(rows))
 	}
@@ -437,7 +437,7 @@ func TestLimitTruncatesMidBatch(t *testing.T) {
 	// rows come out — in order, across the batch seam.
 	ctx, _ := testCtx()
 	tb := numbersTable(t, "t", 1200) // ~409 rows per page: limit spans pages
-	rows := collect(t, Compile(plan.NewLimit(plan.NewScan(tb, nil), 450)), ctx)
+	rows := collect(t, CompileParallel(plan.NewLimit(plan.NewScan(tb, nil), 450), 1), ctx)
 	if len(rows) != 450 {
 		t.Fatalf("limit emitted %d rows, want 450", len(rows))
 	}
@@ -450,7 +450,7 @@ func TestLimitTruncatesMidBatch(t *testing.T) {
 	// Limit inside the very first batch: the returned batch holds exactly
 	// N rows even though the input batch held a whole page.
 	ctx2, _ := testCtx()
-	op := Compile(plan.NewLimit(plan.NewScan(tb, nil), 7))
+	op := CompileParallel(plan.NewLimit(plan.NewScan(tb, nil), 7), 1)
 	if err := op.Open(ctx2); err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +472,7 @@ func TestAmplificationScalesTime(t *testing.T) {
 	run := func(amp float64) sim.Duration {
 		ctx, clock := testCtx()
 		ctx.Amplify = amp
-		collect(t, Compile(plan.NewScan(tb, nil)), ctx)
+		collect(t, CompileParallel(plan.NewScan(tb, nil), 1), ctx)
 		return clock.Now().Sub(0)
 	}
 	t1, t10 := run(1), run(10)
@@ -502,7 +502,7 @@ func TestCompileUnknownNodePanics(t *testing.T) {
 			t.Fatal("unknown node did not panic")
 		}
 	}()
-	Compile(nil)
+	CompileParallel(nil, 1)
 }
 
 // --- batch-pipeline semantics ---
@@ -510,7 +510,7 @@ func TestCompileUnknownNodePanics(t *testing.T) {
 func TestScanBatchesArePageGranular(t *testing.T) {
 	ctx, _ := testCtx()
 	tb := numbersTable(t, "t", 3000)
-	op := Compile(plan.NewScan(tb, nil))
+	op := CompileParallel(plan.NewScan(tb, nil), 1)
 	if err := op.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +569,7 @@ func TestLimitStillRunsInputToCompletion(t *testing.T) {
 	tb := numbersTable(t, "t", 2000)
 	var pages int
 	ctx.PageHook = func() { pages++ }
-	rows := collect(t, Compile(plan.NewLimit(plan.NewScan(tb, nil), 3)), ctx)
+	rows := collect(t, CompileParallel(plan.NewLimit(plan.NewScan(tb, nil), 3), 1), ctx)
 	if len(rows) != 3 {
 		t.Fatalf("limit emitted %d rows", len(rows))
 	}
@@ -589,7 +589,7 @@ func TestBatchAndRowExecutionAgree(t *testing.T) {
 	tb := numbersTable(t, "t", 500)
 	pred := expr.Cmp{Op: expr.LT, L: tb.Schema.Col("k"), R: expr.Const{V: expr.Int(100)}}
 
-	rows := collect(t, Compile(plan.NewScan(tb, pred)), ctx)
+	rows := collect(t, CompileParallel(plan.NewScan(tb, pred), 1), ctx)
 
 	var want []expr.Row
 	var rowMeter, batchMeter expr.Cost

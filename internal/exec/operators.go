@@ -24,7 +24,8 @@ type Operator interface {
 	// Next returns the next batch of output rows, or nil at end of
 	// stream. The returned batch is owned by the operator, read-only to
 	// the caller, and valid only until the following Next call; values
-	// gathered out of it are immutable and may be retained.
+	// gathered out of it are immutable and may be retained. A column no
+	// operator above reads may be an empty vector (liveCols).
 	Next(ctx *Ctx) (*expr.Batch, error)
 	// Close releases operator state. It is idempotent.
 	Close(ctx *Ctx) error
@@ -55,10 +56,6 @@ func Drain(ctx *Ctx, op Operator, fn func(*expr.Batch) error) error {
 	}
 	return op.Close(ctx)
 }
-
-// Compile is CompileParallel with one worker: every pump runs inline, on
-// the caller's goroutine.
-func Compile(n plan.Node) Operator { return CompileParallel(n, 1) }
 
 // fusedOp runs a chain of adjacent filter/project stages as one operator —
 // operator fusion: every stage of a batch runs back to back over the same
@@ -128,11 +125,14 @@ func (f *fusedOp) Close(ctx *Ctx) error {
 // operator: the join's own pump runs the fragment and probes each page
 // where it was produced, and the coordinator assembles the output from the
 // page's pairs (parallel_join.go).
+// Only live columns are copied and gathered (liveCols).
 type hashJoinOp struct {
 	build, probe       Operator // probe is nil when the pump probes
 	buildKey, probeKey int
-	// residual, when non-nil, filters the matches. It reads a batch of just
-	// the output columns residCols lists (narrowResidual), not the output.
+	buildCols          []int // build columns Open copies
+	outCols            []int // output columns assembly gathers
+	// residual, when non-nil, filters the matches. It reads a batch of the
+	// output's width holding only the columns residCols lists.
 	residual  expr.Expr
 	residCols []int
 	schema    *catalog.Schema
@@ -179,24 +179,14 @@ func (ps *probeScratch) keep(sel []int32) {
 	ps.buildIdx, ps.probeIdx = ps.buildIdx[:len(sel)], ps.probeIdx[:len(sel)]
 }
 
-// narrowResidual rewrites a residual over the join's output row into one
-// over a batch of just the columns it reads, cols, in ascending order.
-func narrowResidual(residual expr.Expr) (expr.Expr, []int) {
-	cols := slices.Compact(slices.Sorted(slices.Values(expr.AppendCols(nil, residual))))
-	return expr.Remap(residual, func(c int) int {
-		k, _ := slices.BinarySearch(cols, c)
-		return k
-	}), cols
-}
-
 func (j *hashJoinOp) Schema() *catalog.Schema { return j.schema }
 
-// Open drains the build side, charging build work per batch, then indexes
-// the key column. Simulated accounting happens entirely during the drain
-// (table construction is real work only), so results, durations, and joules
-// do not depend on how the table is built. NULL keys enter no chain: NULL
-// never equals NULL under join semantics (Cmp.Eval returns false on NULL),
-// so they could never meet a NULL probe key.
+// Open drains the build side's live columns, charging build work per
+// batch, then indexes the key column. Simulated accounting happens entirely
+// during the drain (table construction is real work only), so results,
+// durations, and joules do not depend on how the table is built. NULL keys
+// enter no chain: NULL never equals NULL under join semantics (Cmp.Eval
+// returns false on NULL), so they could never meet a NULL probe key.
 func (j *hashJoinOp) Open(ctx *Ctx) error {
 	j.rows = *expr.NewBatch(j.build.Schema().NumCols())
 	if err := j.build.Open(ctx); err != nil {
@@ -211,7 +201,10 @@ func (j *hashJoinOp) Open(ctx *Ctx) error {
 		if b == nil {
 			break
 		}
-		j.rows.AppendBatch(b, b.Len())
+		for _, c := range j.buildCols {
+			j.rows.Cols[c].AppendFrom(&b.Cols[c], b.Sel)
+		}
+		j.rows.N += b.Len()
 		ctx.Cost.JoinBuild(ctx, float64(b.Len()))
 	}
 	if err := j.build.Close(ctx); err != nil {
@@ -220,7 +213,7 @@ func (j *hashJoinOp) Open(ctx *Ctx) error {
 	ctx.Flush()
 	j.table = expr.BuildJoinTable(&j.rows.Cols[j.buildKey])
 	j.out = *expr.NewBatch(j.schema.NumCols())
-	j.resid = *expr.NewBatch(len(j.residCols))
+	j.resid = *expr.NewBatch(j.schema.NumCols())
 	return openInput(ctx, j.probe, &j.pump)
 }
 
@@ -260,30 +253,26 @@ func (j *hashJoinOp) join(ctx *Ctx, in *expr.Batch, rows, matches int, ps *probe
 // into j.out. With a residual, only the columns it reads are gathered over
 // every match; it filters them — metering into j.meter what filtering the
 // whole output would, since the candidates are the same — the pairs narrow
-// to its survivors, and only the survivors are gathered in full.
+// to its survivors, and only the survivors are gathered into the output.
 func (j *hashJoinOp) assemble(in *expr.Batch, ps *probeScratch) {
 	if j.residual != nil {
 		j.gather(&j.resid, j.residCols, in, ps)
 		j.sel = expr.FilterBatch(j.residual, &j.resid, j.sel, &j.meter)
 		ps.keep(j.sel)
 	}
-	j.gather(&j.out, nil, in, ps)
+	j.gather(&j.out, j.outCols, in, ps)
 }
 
-// gather fills dst with the pairs' rows: column k holds output column
-// cols[k], or output column k when cols is nil.
+// gather fills the output columns cols of dst, a batch of the output's
+// width, with the pairs' rows.
 func (j *hashJoinOp) gather(dst *expr.Batch, cols []int, in *expr.Batch, ps *probeScratch) {
 	dst.Reset()
 	buildWidth := j.rows.Width()
-	for k := range dst.Cols {
-		c := k
-		if cols != nil {
-			c = cols[k]
-		}
+	for _, c := range cols {
 		if c < buildWidth {
-			dst.Cols[k].AppendFrom(&j.rows.Cols[c], ps.buildIdx)
+			dst.Cols[c].AppendFrom(&j.rows.Cols[c], ps.buildIdx)
 		} else {
-			dst.Cols[k].AppendFrom(&in.Cols[c-buildWidth], ps.probeIdx)
+			dst.Cols[c].AppendFrom(&in.Cols[c-buildWidth], ps.probeIdx)
 		}
 	}
 	dst.N = len(ps.buildIdx)

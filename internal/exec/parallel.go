@@ -41,29 +41,41 @@ import (
 // into a pump of its own; the same nodes over any other input (a join, an
 // aggregation, a limit) take it as an input operator. workers only sizes
 // the pumps' producer pools (below 2: inline, no goroutine). Unknown node
-// types panic: the operator set is closed.
+// types panic: the operator set is closed. A hash join moves only the
+// columns some operator above it reads (liveCols).
 func CompileParallel(n plan.Node, workers int) Operator {
-	return compile(n, max(workers, 1), nil)
+	return compile(n, max(workers, 1), nil, nil)
 }
 
 // compile owns the single lowering switch, shared by CompileParallel and
 // CompileShared (sharedscan.go). A non-nil leaf puts every scan on the
-// shared pass of the leaf it builds.
-func compile(n plan.Node, workers int, leaf ScanLeaf) Operator {
+// shared pass of the leaf it builds. live says which of n's output columns
+// the operators above read; the root's are all live.
+func compile(n plan.Node, workers int, leaf ScanLeaf, live liveCols) Operator {
 	if f := heapFragment(n, leaf); f != nil {
+		// Scan batches alias page vectors: nothing to leave out.
 		return fusedScan(f, workers)
 	}
 	switch n := n.(type) {
 	case *plan.Filter, *plan.Project:
-		return compileFused(n, workers, leaf)
+		return compileFused(n, workers, leaf, live)
 	case *plan.HashJoin:
+		bw, width := n.Build.Schema().NumCols(), n.Schema().NumCols()
+		// What the join itself reads besides its output: both keys and the
+		// residual's columns.
+		in := live.plus([]int{n.BuildKey, bw + n.ProbeKey}, n.Residual)
+		buildLive := in.sub(0, bw)
 		j := &hashJoinOp{
-			build:    compile(n.Build, workers, leaf),
-			buildKey: n.BuildKey, probeKey: n.ProbeKey,
-			schema: n.Schema(),
+			build:     compile(n.Build, workers, leaf, buildLive),
+			buildKey:  n.BuildKey,
+			probeKey:  n.ProbeKey,
+			buildCols: buildLive.indices(bw),
+			outCols:   live.indices(width),
+			residual:  n.Residual,
+			schema:    n.Schema(),
 		}
 		if n.Residual != nil {
-			j.residual, j.residCols = narrowResidual(n.Residual)
+			j.residCols = readBy(width, nil, n.Residual).indices(width)
 		}
 		if f := heapFragment(n.Probe, leaf); f != nil {
 			// The probe side folds into the join: the pump's producers run
@@ -72,7 +84,7 @@ func compile(n plan.Node, workers int, leaf ScanLeaf) Operator {
 			// row to a probe operator first.
 			j.pump = morselPump{frag: f, workers: workers, sink: j.probeSink, leafLabel: f.label(workers)}
 		} else {
-			j.probe = compile(n.Probe, workers, leaf)
+			j.probe = compile(n.Probe, workers, leaf, in.sub(bw, width))
 		}
 		return wrapSpan(j, obsv.KindJoin, fmt.Sprintf("HashJoin(%s = %s)",
 			n.Build.Schema().Columns()[n.BuildKey].Name,
@@ -86,7 +98,11 @@ func compile(n plan.Node, workers int, leaf ScanLeaf) Operator {
 			return wrapSpan(a, obsv.KindAgg,
 				fmt.Sprintf("ParallelAgg(%s x%d)", f.table.Name, workers), f.table.Name)
 		}
-		a.input = compile(n.Input, workers, leaf)
+		args := make([]expr.Expr, len(n.Aggs))
+		for i, spec := range n.Aggs {
+			args[i] = spec.Arg
+		}
+		a.input = compile(n.Input, workers, leaf, readBy(n.Input.Schema().NumCols(), n.GroupBy, args...))
 		return wrapSpan(a, obsv.KindAgg, fmt.Sprintf("Agg(groups=%d aggs=%d)", len(n.GroupBy), len(n.Aggs)), "")
 	case *plan.Sort:
 		return compileSort(n, -1, workers, leaf)
@@ -96,7 +112,7 @@ func compile(n plan.Node, workers int, leaf ScanLeaf) Operator {
 			// The sort directly beneath need only keep what the limit takes.
 			input = compileSort(srt, n.N, workers, leaf)
 		} else {
-			input = compile(n.Input, workers, leaf)
+			input = compile(n.Input, workers, leaf, nil)
 		}
 		return wrapSpan(&limitOp{input: input, n: n.N},
 			obsv.KindLimit, fmt.Sprintf("Limit(%d)", n.N), "")
@@ -123,7 +139,8 @@ func compileSort(n *plan.Sort, limit, workers int, leaf ScanLeaf) Operator {
 		return wrapSpan(s, obsv.KindSort,
 			fmt.Sprintf("ParallelSort(%s x%d)", f.table.Name, workers), f.table.Name)
 	}
-	s.input = compile(n.Input, workers, leaf)
+	// A sort moves whole rows: every column of its input is live.
+	s.input = compile(n.Input, workers, leaf, nil)
 	return wrapSpan(s, obsv.KindSort, fmt.Sprintf("Sort(keys=%d)", len(n.Keys)), "")
 }
 
@@ -131,8 +148,11 @@ func compileSort(n *plan.Sort, limit, workers int, leaf ScanLeaf) Operator {
 // rooted at n into one fused operator over the chain's input operator,
 // which is not a heap scan (heapFragment took the chain otherwise): a join,
 // an aggregation or a limit. Stage order is bottom-up (execution order);
-// cycle charging per stage is identical to an unfused operator chain.
-func compileFused(n plan.Node, workers int, leaf ScanLeaf) Operator {
+// cycle charging per stage is identical to an unfused operator chain. live
+// is the chain's output mask; walking down, a filter adds its predicate's
+// columns and a projection reads the columns of all its expressions, each
+// of which it evaluates whether or not it is read.
+func compileFused(n plan.Node, workers int, leaf ScanLeaf, live liveCols) Operator {
 	schema := n.Schema()
 	var stages []fragStage
 	cur := n
@@ -141,9 +161,11 @@ walk:
 		switch t := cur.(type) {
 		case *plan.Filter:
 			stages = append(stages, fragStage{pred: t.Pred})
+			live = live.plus(nil, t.Pred)
 			cur = t.Input
 		case *plan.Project:
 			stages = append(stages, fragStage{exprs: t.Exprs})
+			live = readBy(t.Input.Schema().NumCols(), nil, t.Exprs...)
 			cur = t.Input
 		default:
 			break walk
@@ -158,8 +180,70 @@ walk:
 			names[i] = "project"
 		}
 	}
-	return wrapSpan(&fusedOp{input: compile(cur, workers, leaf), stages: stages, schema: schema},
+	return wrapSpan(&fusedOp{input: compile(cur, workers, leaf, live), stages: stages, schema: schema},
 		obsv.KindFused, fmt.Sprintf("Fused(%s)", strings.Join(names, ",")), "")
+}
+
+// liveCols is a column-liveness mask over a plan node's output, computed
+// top-down by compile: column c is live when an operator above the node
+// reads it. nil means every column is live, as at the root and beneath a
+// sort or a limit. Only a hash join acts on it, copying its build side's
+// live columns and gathering its live output columns; every other column
+// of its batches stays an empty vector. No charge reads an intermediate
+// batch's width — only the root's bytes are billed — so liveness moves real
+// time and allocation alone.
+type liveCols []bool
+
+// readBy returns the mask over a width-column input of which a reader reads
+// cols and the columns exprs refer to (nil exprs are skipped).
+func readBy(width int, cols []int, exprs ...expr.Expr) liveCols {
+	l := make(liveCols, width)
+	for _, c := range cols {
+		l[c] = true
+	}
+	var refs []int
+	for _, e := range exprs {
+		if e != nil {
+			refs = expr.AppendCols(refs, e)
+		}
+	}
+	for _, c := range refs {
+		l[c] = true
+	}
+	return l
+}
+
+// plus returns l with cols and the columns exprs refer to marked live; all
+// live stays all live.
+func (l liveCols) plus(cols []int, exprs ...expr.Expr) liveCols {
+	if l == nil {
+		return nil
+	}
+	m := readBy(len(l), cols, exprs...)
+	for c, on := range l {
+		m[c] = m[c] || on
+	}
+	return m
+}
+
+// sub returns the mask of columns lo..hi-1, renumbered from 0.
+func (l liveCols) sub(lo, hi int) liveCols {
+	if l == nil {
+		return nil
+	}
+	return l[lo:hi]
+}
+
+// indices lists the live columns of a width-column output in ascending
+// order.
+func (l liveCols) indices(width int) []int {
+	out := make([]int, 0, width)
+	for c := 0; c < width; c++ {
+		if l == nil || l[c] {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // fragStage is one stage of a filter/project chain: a filter predicate or a

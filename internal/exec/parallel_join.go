@@ -15,7 +15,7 @@ import (
 // pairs of the page's own record. The page's surviving rows cross to the
 // coordinator with the pairs, as a sink-less pump's batch does, and only
 // the coordinator assembles output: the residual's columns first, the
-// residual over every match, then the survivors in full, into the
+// residual over every match, then the survivors' live columns, into the
 // operator's one output batch. A page in flight therefore holds index
 // pairs, never a copy of its output. The coordinator takes pages back in
 // page order and charges what a probe over a scan leaf charges: the page's

@@ -164,7 +164,7 @@ func TestSharedScanPruningMatchesPrivate(t *testing.T) {
 
 	ctxPriv, clockPriv := testCtx()
 	ctxPriv.ZoneMapPruning = true
-	want := collect(t, Compile(plan.NewScan(tb, pred)), ctxPriv)
+	want := collect(t, CompileParallel(plan.NewScan(tb, pred), 1), ctxPriv)
 	ctxPriv.Flush()
 
 	coord := scanshare.NewCoordinator(tb.Heap, tb.Name, nil)

@@ -34,7 +34,7 @@ type ScanLeaf func(*plan.Scan) Operator
 // CompileShared lowers a plan as CompileParallel does, with every scan on
 // the shared pass of the leaf that leaf builds for it.
 func CompileShared(n plan.Node, workers int, leaf ScanLeaf) Operator {
-	return compile(n, max(workers, 1), leaf)
+	return compile(n, max(workers, 1), leaf, nil)
 }
 
 // CompileLeaf is CompileShared with one worker: every pump runs inline.

@@ -18,7 +18,7 @@ func TestSharedScanSingleConsumerMatchesPrivateScan(t *testing.T) {
 	pred := expr.Cmp{Op: expr.LT, L: tb.Schema.Col("k"), R: expr.Const{V: expr.Int(1000)}}
 
 	ctxPriv, clockPriv := testCtx()
-	want := collect(t, Compile(plan.NewScan(tb, pred)), ctxPriv)
+	want := collect(t, CompileParallel(plan.NewScan(tb, pred), 1), ctxPriv)
 	ctxPriv.Flush()
 
 	coord := scanshare.NewCoordinator(tb.Heap, tb.Name, nil)
@@ -62,7 +62,7 @@ func TestSharedScanChargesStreamOncePerPass(t *testing.T) {
 	var privStream float64
 	for _, p := range preds {
 		ctx, _ := testCtx()
-		wantRows = append(wantRows, collect(t, Compile(plan.NewScan(tb, p)), ctx))
+		wantRows = append(wantRows, collect(t, CompileParallel(plan.NewScan(tb, p), 1), ctx))
 		ctx.Flush()
 		privStream += ctx.CPU.Stats().CyclesByKind[cpu.Stream]
 	}
@@ -132,7 +132,7 @@ func TestSharedScanChargesStreamOncePerPass(t *testing.T) {
 	var privCompute, privStall float64
 	for _, p := range preds {
 		c2, _ := testCtx()
-		collect(t, Compile(plan.NewScan(tb, p)), c2)
+		collect(t, CompileParallel(plan.NewScan(tb, p), 1), c2)
 		c2.Flush()
 		privCompute += c2.CPU.Stats().CyclesByKind[cpu.Compute]
 		privStall += c2.CPU.Stats().CyclesByKind[cpu.MemStall]
@@ -154,7 +154,7 @@ func TestCompileLeafSharedPipeline(t *testing.T) {
 		[]string{"v1"}, []expr.Kind{expr.KindInt})
 
 	ctx1, _ := testCtx()
-	want := collect(t, Compile(p), ctx1)
+	want := collect(t, CompileParallel(p, 1), ctx1)
 
 	coord := scanshare.NewCoordinator(tb.Heap, tb.Name, nil)
 	op := CompileLeaf(p, func(scan *plan.Scan) Operator {

@@ -64,10 +64,20 @@ func subtractSel(cand []int32, n int, drop, out []int32) []int32 {
 // Bool/Int/Date, F for Float.
 type numeric interface{ int64 | float64 }
 
+// bit is 1 for true and 0 for false; the compiler makes it a flag set, not
+// a branch.
+func bit(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // selCmpNum selects the numeric payload elements standing in relation op
 // to k. Comparisons go through float64 exactly as Compare does — equality
 // is "neither less nor greater" — so the result is Compare's on every
-// input.
+// input, NaN included. EQ and NE combine the two tests as bits, since
+// short-circuiting them would branch on the data.
 func selCmpNum[T numeric](op CmpOp, vals []T, k float64, cand, out []int32) []int32 {
 	n := 0
 	if cand == nil {
@@ -77,17 +87,13 @@ func selCmpNum[T numeric](op CmpOp, vals []T, k float64, cand, out []int32) []in
 			for i, v := range vals {
 				x := float64(v)
 				out[n] = int32(i)
-				if !(x < k) && !(x > k) {
-					n++
-				}
+				n += 1 - (bit(x < k) | bit(x > k))
 			}
 		case NE:
 			for i, v := range vals {
 				x := float64(v)
 				out[n] = int32(i)
-				if x < k || x > k {
-					n++
-				}
+				n += bit(x < k) | bit(x > k)
 			}
 		case LT:
 			for i, v := range vals {
@@ -130,17 +136,13 @@ func selCmpNum[T numeric](op CmpOp, vals []T, k float64, cand, out []int32) []in
 		for _, i := range cand {
 			x := float64(vals[i])
 			out[n] = i
-			if !(x < k) && !(x > k) {
-				n++
-			}
+			n += 1 - (bit(x < k) | bit(x > k))
 		}
 	case NE:
 		for _, i := range cand {
 			x := float64(vals[i])
 			out[n] = i
-			if x < k || x > k {
-				n++
-			}
+			n += bit(x < k) | bit(x > k)
 		}
 	case LT:
 		for _, i := range cand {
