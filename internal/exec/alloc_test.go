@@ -19,16 +19,15 @@ import (
 // on pages of ~300 rows, for a whole compile-and-drain. An inline pump
 // refills one page record, match pairs included, so what it allocates is
 // per run of eight pages: a sorted run's buffers growing from empty, a
-// partial table learning its run's group keys. A pool adds the page records
-// in flight, at most one claim window's worth: this table's 67 pages fit in
-// one window at workers=4, so the pool allocates a record for each of them
-// (TestPooledPumpAllocationIsFlatInPageCount covers heaps longer than the
-// window). An operator that allocated per row would need a thousand.
+// partial table learning its run's group keys. A pool adds its producers
+// and channels; its page records come from the record pool, which the run
+// before refilled (TestSecondRunAllocatesNoRecordAndNoProjection). An
+// operator that allocated per row would need a thousand.
 func TestBlockingOperatorsAllocatePerPageNotPerRow(t *testing.T) {
 	const (
 		rows         = 20000
-		inlineBudget = 60.0  // per 1000 input rows at workers=1 (measured 4 probe, 25 sort, 35 agg; 41 under -race)
-		pooledBudget = 120.0 // per 1000 input rows at workers=4 (measured 17 probe, 32 sort, 83 agg)
+		inlineBudget = 60.0  // per 1000 input rows at workers=1 (measured 3 probe, 24 sort, 34 agg; 41 under -race)
+		pooledBudget = 120.0 // per 1000 input rows at workers=4 (measured 5 probe, 25 sort, 76 agg)
 	)
 	big := catalog.NewTable("big", catalog.NewSchema(
 		catalog.Column{Name: "g", Kind: expr.KindInt},
@@ -104,7 +103,6 @@ func TestPooledPumpAllocationIsFlatInPageCount(t *testing.T) {
 	if small.Heap.NumPages() <= window+1 {
 		t.Fatalf("the small heap's %d pages fit in the %d-page window", small.Heap.NumPages(), window)
 	}
-	// Heaps under the window allocate a record per page still.
 	if size := unsafe.Sizeof(morselResult{}); size > 160 {
 		t.Errorf("a page record takes %d bytes, past the 160-byte size class", size)
 	}
@@ -137,6 +135,53 @@ func TestPooledPumpAllocationIsFlatInPageCount(t *testing.T) {
 		if perPage := (b - a) / extra; perPage > perPageMax {
 			t.Errorf("%s: %.3f more allocations per extra page, want at most %.2f", name, perPage, perPageMax)
 		}
+	}
+}
+
+// Page records outlive their statement: a pump returns every record it
+// drew to one process-wide pool when it closes, selection and projection
+// vectors included, and the next statement's pump fills those. So once one
+// run of a projecting fragment has filled the pool, running it again at
+// workers=4 over 300 pages — more than two claim windows — allocates no
+// page record and no projection vector: what is left is the pump's own
+// per-run cost (its producers, channels and ring), the same for any heap.
+func TestSecondRunAllocatesNoRecordAndNoProjection(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const (
+		workers = 4
+		// The pump's per-run allocations, measured at 13. A run that
+		// drew fresh records made more than a thousand: a record per
+		// page in flight, with its selection and projection vectors.
+		maxAllocs = 20
+	)
+	tb := pagedTable(t, 300, 12)
+	k, v := tb.Schema.Col("k"), tb.Schema.Col("v")
+	p := plan.NewProject(
+		plan.NewFilter(plan.NewScan(tb, nil), expr.Cmp{Op: expr.LT, L: v, R: expr.Const{V: expr.Int(6)}}),
+		[]expr.Expr{expr.Arith{Op: expr.Add, L: k, R: v}, k},
+		[]string{"kv", "k"}, []expr.Kind{expr.KindFloat, expr.KindInt})
+	op := CompileParallel(p, workers)
+	ctx, _ := testCtx()
+	rows := 0
+	run := func() {
+		rows = 0
+		if err := Drain(ctx, op, func(b *expr.Batch) error {
+			rows += b.Len()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // fills the pool
+	allocs := testing.AllocsPerRun(10, run)
+	if want := 6 * tb.Heap.NumPages(); rows != want {
+		t.Fatalf("%d rows out, want %d", rows, want)
+	}
+	t.Logf("a run over %d pages at workers=%d: %.0f allocations", tb.Heap.NumPages(), workers, allocs)
+	if allocs > maxAllocs {
+		t.Errorf("a second run allocates %.0f times, want at most %d: records or projections are not recycled", allocs, maxAllocs)
 	}
 }
 

@@ -255,7 +255,8 @@ type fragStage struct {
 
 // stageScratch is what one runner of a stage chain reuses from batch to
 // batch: the selection vector every filter narrows, and the output vectors
-// of the projection stages.
+// of the projection stages. A page record's scratch outlives the statement
+// (records), so it may come in holding another chain's projections.
 type stageScratch struct {
 	sel  []int32
 	proj []*expr.Batch // per stage; nil until the stage first projects
@@ -275,13 +276,16 @@ func (ws *stageScratch) apply(stages []fragStage, b *expr.Batch, meters []expr.C
 			b.Sel = ws.sel
 			continue
 		}
-		if ws.proj == nil {
-			ws.proj = make([]*expr.Batch, len(stages))
+		// A recycled scratch may have run a chain with fewer stages, or
+		// projected another width at this one.
+		if len(ws.proj) < len(stages) {
+			ws.proj = append(ws.proj, make([]*expr.Batch, len(stages)-len(ws.proj))...)
 		}
 		if ws.proj[i] == nil {
-			ws.proj[i] = expr.NewBatch(len(st.exprs))
+			ws.proj[i] = new(expr.Batch)
 		}
 		out := ws.proj[i]
+		out.SetWidth(len(st.exprs))
 		for c := range st.exprs {
 			expr.EvalBatch(st.exprs[c], b, &out.Cols[c], m)
 		}
@@ -380,10 +384,13 @@ func heapFragment(n plan.Node, leaf ScanLeaf) *fragment {
 // same whoever produced the page — and whatever the operator's sink made of
 // the rows. The page's byte and row counts are read off the page itself.
 //
-// A pooled pump recycles its records (morselPump.take), so a record keeps
-// its buffers from page to page: its meters, its probe scratch and, once it
-// has carried a batch to the coordinator, buffers of its own for that
-// batch. The record stays within the 160-byte allocation size class.
+// Records come from one process-wide pool (records) and go back to it when
+// their pump closes, so a record keeps its buffers from page to page and
+// from statement to statement: its meters, its probe scratch and, once it
+// has carried a batch to the coordinator, a selection buffer and projection
+// vectors of its own for that batch. That is safe because no batch a pump
+// hands out is read after the pump's close (see close). The record stays
+// within the 160-byte allocation size class.
 type morselResult struct {
 	idx    int         // the page's position in the pump's lap (storage.MorselSource)
 	pruned bool        // page skipped by zone maps: replay charges the check only
@@ -395,7 +402,8 @@ type morselResult struct {
 	batch expr.Batch
 	// own holds batch's selection and projection vectors once the batch
 	// crosses from a pooled producer to the coordinator (adopt); nil until
-	// the record first carries one.
+	// the record first carries one. An inline record, and a producer's
+	// spare, run the fragment in it.
 	own *stageScratch
 
 	// What a sink leaves for its coordinator.
@@ -411,13 +419,44 @@ type morselResult struct {
 	next *morselResult
 }
 
+// records is the pool every pump draws its page records from. Unlike the
+// operators' free lists it outlives statements: each statement's records
+// are the previous one's, buffers and all.
+var records = sync.Pool{New: func() any { return new(morselResult) }}
+
+// reset empties res for its next page, keeping its buffers.
+func (res *morselResult) reset() {
+	*res = morselResult{meters: res.meters[:0], own: res.own, ps: res.ps}
+}
+
+// recycle returns a chain of records linked through next to the pool,
+// dropping what they point into — pages, partials, runs — and keeping their
+// buffers.
+func recycle(res *morselResult) {
+	for res != nil {
+		next := res.next
+		res.reset()
+		records.Put(res)
+		res = next
+	}
+}
+
+// scratch returns res's own stage scratch, made on first use.
+func (res *morselResult) scratch() *stageScratch {
+	if res.own == nil {
+		res.own = new(stageScratch)
+	}
+	return res.own
+}
+
 // run executes the fragment over one page into res, in producer context:
 // real computation and private cost metering only, no simulated-machine
 // access. The batch starts as a zero-copy view of the page's column
 // vectors; see stageScratch.apply for what happens to it and how long it
 // stays valid.
 func (f *fragment) run(res *morselResult, idx int, page *storage.Page, ws *stageScratch) {
-	*res = morselResult{idx: idx, meters: res.meters[:0], own: res.own, ps: res.ps}
+	res.reset()
+	res.idx = idx
 	if f.pruner != nil && len(page.Zones) > 0 && expr.ZonePrunes(f.pruner, page.Zones) {
 		// Producer context decides the skip (pure zone-map reads); the
 		// coordinator charges the zone check when it takes the page.
@@ -437,12 +476,10 @@ func (f *fragment) run(res *morselResult, idx int, page *storage.Page, ws *stage
 // adopt moves the non-empty batch res carries out of ws, so that it stays
 // valid while the producer goes on with ws: the selection is copied into
 // res's own buffer, and the projection vectors trade places with the ones
-// res carried last time, which ws fills next.
+// res carried last time — perhaps for another fragment, in another
+// statement — which ws fills next.
 func (res *morselResult) adopt(ws *stageScratch) {
-	if res.own == nil {
-		res.own = new(stageScratch)
-	}
-	own := res.own
+	own := res.scratch()
 	if res.batch.Sel != nil {
 		own.sel = append(own.sel[:0], res.batch.Sel...)
 		res.batch.Sel = own.sel
@@ -490,7 +527,7 @@ type morselPump struct {
 	// no channel, and no allocation per page.
 	inline *producer
 	run    storage.MorselRun // the run inline is walking
-	rec    morselResult
+	rec    *morselResult
 
 	// A pool hands off whole runs: a producer sends a claimed run's
 	// records once, the first linked to the rest, and the coordinator
@@ -507,20 +544,20 @@ type morselPump struct {
 
 	// cur is the rest of the run being taken, and taken the whole of it.
 	// The run's last record stays the coordinator's until the take after
-	// it, which refunds the run's ticket with its records: a statement
-	// therefore allocates at most window·runLength+1 records, however many
-	// pages it reads.
+	// it, which refunds the run's ticket with its records.
 	cur, taken *morselResult
 }
 
-// producer is the state one producer keeps across pages.
+// producer is the state one producer keeps across pages: the scratch it
+// runs the fragment in — a record's, so it is recycled with the record —
+// and its sink's page function.
 type producer struct {
-	ws   stageScratch
+	ws   *stageScratch
 	sink func(res *morselResult, run storage.MorselRun)
 }
 
-func (p *morselPump) newProducer() *producer {
-	w := &producer{}
+func (p *morselPump) newProducer(ws *stageScratch) *producer {
+	w := &producer{ws: ws}
 	if p.sink != nil {
 		w.sink = p.sink()
 	}
@@ -528,7 +565,7 @@ func (p *morselPump) newProducer() *producer {
 }
 
 func (p *morselPump) produce(w *producer, res *morselResult, idx int, run storage.MorselRun) {
-	p.frag.run(res, idx, p.src.Page(idx), &w.ws)
+	p.frag.run(res, idx, p.src.Page(idx), w.ws)
 	if w.sink != nil {
 		w.sink(res, run)
 	}
@@ -568,7 +605,8 @@ func (p *morselPump) open(ctx *Ctx) {
 	p.nextIdx, p.run = 0, storage.MorselRun{}
 	pool := min(p.workers, p.total)
 	if pool <= 1 {
-		p.inline = p.newProducer()
+		p.rec = records.Get().(*morselResult)
+		p.inline = p.newProducer(p.rec.scratch())
 		return
 	}
 	p.stop = make(chan struct{})
@@ -585,10 +623,19 @@ func (p *morselPump) open(ctx *Ctx) {
 	}
 }
 
+// worker is one pooled producer. It runs the fragment in the scratch of a
+// spare record, so its working vectors are recycled too; it fills the
+// records refunded tickets bring back before drawing from the pool, and
+// returns to the pool what it still holds when it exits.
 func (p *morselPump) worker() {
-	defer p.wg.Done()
-	w := p.newProducer()
-	var free *morselResult // records to fill before allocating, linked through next
+	spare := records.Get().(*morselResult)
+	w := p.newProducer(spare.scratch())
+	var free *morselResult // records to fill before drawing more, linked through next
+	defer func() {
+		recycle(free)
+		recycle(spare)
+		p.wg.Done()
+	}()
 	for {
 		select {
 		case recs := <-p.tickets:
@@ -608,6 +655,9 @@ func (p *morselPump) worker() {
 		for idx := run.Start; idx < run.End; idx++ {
 			select {
 			case <-p.stop:
+				if last != nil {
+					last.next, free = free, first
+				}
 				return
 			default:
 			}
@@ -615,7 +665,7 @@ func (p *morselPump) worker() {
 			if res != nil {
 				free, res.next = res.next, nil
 			} else {
-				res = new(morselResult)
+				res = records.Get().(*morselResult)
 			}
 			p.produce(w, res, idx, run)
 			if res.rows == 0 || w.sink != nil && res.matches == 0 {
@@ -624,7 +674,7 @@ func (p *morselPump) worker() {
 				// A probe's matches index into the rows, which cross.
 				res.batch = expr.Batch{}
 			} else {
-				res.adopt(&w.ws)
+				res.adopt(w.ws)
 			}
 			if first == nil {
 				first = res
@@ -647,9 +697,9 @@ func (p *morselPump) take() *morselResult {
 		if p.nextIdx == p.run.End {
 			p.run, _ = p.src.NextRun()
 		}
-		p.produce(p.inline, &p.rec, p.nextIdx, p.run)
+		p.produce(p.inline, p.rec, p.nextIdx, p.run)
 		p.nextIdx++
-		return &p.rec
+		return p.rec
 	}
 	if p.cur == nil {
 		// The next run's turn. The run taken before it is spent: its
@@ -746,11 +796,33 @@ func (p *morselPump) next(ctx *Ctx) *morselResult {
 // shared-pass consumer, recording its pass detail — where it joined the
 // pass, how many steps it took, how many it pruned — on the pump's leaf
 // span, or on the current span for a pump without one. It is idempotent.
+//
+// Every record goes back to the pool here: the inline record; the run
+// being taken, the runs parked in the ring or still in the results
+// channel, and the records riding refunded tickets (producers recycle
+// their free lists as they exit). So no batch the pump handed out may be
+// read after close. The executor keeps that contract already: an
+// operator's batch is valid until its next Next, limitOp copies its final
+// rows before draining its input, and the engine drains a stream before
+// closing it.
 func (p *morselPump) close(ctx *Ctx) {
 	if p.stop != nil {
 		close(p.stop)
 		p.wg.Wait()
+		recycle(p.taken)
+		for _, run := range p.ring {
+			recycle(run)
+		}
+		close(p.results)
+		for run := range p.results {
+			recycle(run)
+		}
+		close(p.tickets)
+		for recs := range p.tickets {
+			recycle(recs)
+		}
 	}
+	recycle(p.rec)
 	if p.cons != nil {
 		if ctx.Obs != nil {
 			sp := p.span
@@ -784,11 +856,14 @@ func closeInput(ctx *Ctx, input Operator, pump *morselPump) error {
 	return input.Close(ctx)
 }
 
-// freeList parks the buffers of merged items for producers to fill again,
-// so a steady stream of pages allocates none. The zero value is ready to
-// use. It belongs to one operator execution and is garbage with it — a
-// sync.Pool would keep every finished statement's buffers reachable until
-// the collector's next cycles.
+// freeList parks the buffers of merged items — an aggregation's run
+// partials — for producers to fill again, so a steady stream of pages
+// allocates none. The zero value is ready to use. It belongs to one
+// operator execution and is garbage with it: a partial is sized to its
+// statement's groups and aggregates, so a sync.Pool would only keep every
+// finished statement's tables reachable until the collector's next cycles.
+// Page records, whose buffers any fragment can refill, are pooled across
+// statements instead (records).
 type freeList[T any] struct {
 	mu    sync.Mutex
 	items []*T

@@ -54,6 +54,17 @@ func (b *Batch) RowIdx(li int) int {
 // Width returns the column count.
 func (b *Batch) Width() int { return len(b.Cols) }
 
+// SetWidth makes an owned batch width columns wide, keeping the vectors,
+// and their payload capacity, that it holds: a batch recycled for another
+// shape reuses what it grew for the last. The vectors it gains may hold
+// stale elements; Reset the batch, or each vector, before filling it.
+func (b *Batch) SetWidth(width int) {
+	if width > cap(b.Cols) {
+		b.Cols = append(b.Cols[:cap(b.Cols)], make([]ColVec, width-cap(b.Cols))...)
+	}
+	b.Cols = b.Cols[:width]
+}
+
 // Reset empties an owned batch, keeping column capacity. It must not be
 // called on view batches whose Cols alias another owner's vectors.
 func (b *Batch) Reset() {

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"ecodb/internal/core"
 	"ecodb/internal/engine"
@@ -178,8 +179,12 @@ type Response struct {
 	Columns []string
 	// Result is the answer of a CollectRows request, gathered payload to
 	// payload into one owned columnar batch (dictionary columns keep their
-	// codes); nil when no row came back. The handler encodes it as is.
-	// RunOpenLoop hands out Rows instead and leaves it nil.
+	// codes); nil when no row came back. The batch comes from a pool the
+	// scheduler shares with every answer it gathers: the handler encodes
+	// it as is and gives it back once the body is written, and RunOpenLoop
+	// gives it back once it has materialized Rows, leaving Result nil. A
+	// batch an in-process caller of Do receives is its own; it never goes
+	// back.
 	Result *expr.Batch
 	// Rows is Result materialized as rows, for in-process callers of
 	// RunOpenLoop. Live Do leaves it nil.
@@ -482,7 +487,7 @@ func (c *Core) execute(window []*pending, sess *engine.SharedSession) {
 			return
 		}
 		if p.resp.Result == nil {
-			p.resp.Result = expr.NewBatch(b.Width())
+			p.resp.Result = newResult(b.Width())
 		}
 		p.resp.Result.AppendBatch(b, b.Len())
 	}, func(i int, r *engine.Rows, err error) {
@@ -522,6 +527,42 @@ func (c *Core) execute(window []*pending, sess *engine.SharedSession) {
 			}
 		}
 	}
+}
+
+// maxPooledResultBytes is the most payload capacity a result batch may hold
+// and go back to the pool, so one huge answer cannot pin its vectors in the
+// process.
+const maxPooledResultBytes = 1 << 20
+
+// results holds the owned batches answers are gathered into: a steady
+// stream of answers reuses the same few, vectors and all.
+var results = sync.Pool{New: func() any { return new(expr.Batch) }}
+
+// newResult returns an empty owned batch width columns wide, from the pool.
+func newResult(width int) *expr.Batch {
+	b := results.Get().(*expr.Batch)
+	b.SetWidth(width)
+	b.Reset()
+	return b
+}
+
+// releaseResult gives an answer's batch back to the pool once nothing will
+// read it again; nil is a no-op. A batch past maxPooledResultBytes is left
+// to the collector.
+func releaseResult(b *expr.Batch) {
+	if b != nil && resultBytes(b) <= maxPooledResultBytes {
+		results.Put(b)
+	}
+}
+
+// resultBytes is the payload capacity b holds, over every vector it keeps,
+// including those past its current width.
+func resultBytes(b *expr.Batch) int {
+	n := 0
+	for _, v := range b.Cols[:cap(b.Cols)] {
+		n += cap(v.Nulls) + 8*cap(v.I) + 8*cap(v.F) + 16*cap(v.S) + 4*cap(v.Codes)
+	}
+	return n
 }
 
 // columnNames extracts the result schema's column names.

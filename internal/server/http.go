@@ -226,6 +226,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusBadRequest
 	}
 	writeResponse(w, status, &resp)
+	releaseResult(resp.Result)
 }
 
 // The two bounds on what a client may send: the statement's size, and the

@@ -134,7 +134,9 @@ func (c *Core) RunOpenLoop(arrivals []Arrival) OpenLoopResult {
 	out.Responses = make([]Response, len(pend))
 	for j, p := range pend {
 		if p.resp.Result != nil {
-			p.resp.Rows, p.resp.Result = p.resp.Result.Rows(), nil
+			p.resp.Rows = p.resp.Result.Rows()
+			releaseResult(p.resp.Result)
+			p.resp.Result = nil
 		}
 		out.Responses[j] = p.resp
 		if p.resp.Err != nil {

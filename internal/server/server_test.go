@@ -861,3 +861,131 @@ func TestProfilingIsBitNeutral(t *testing.T) {
 		t.Fatalf("profiling changed physics: end %v vs %v, joules %v vs %v", endOn, endOff, jOn, jOff)
 	}
 }
+
+// TestPooledResultsCarryNothingBetweenAnswers: answers are gathered into
+// batches drawn from a process-wide pool, and each goes back once its body
+// is written, so one answer's batch — its width, kinds, NULL bitmaps,
+// dictionaries and payload capacity — is what the next answer is gathered
+// into. Four clients send one server a sequence that alternates wide
+// answers of ints, floats and dates, a two-column arithmetic projection,
+// dictionary-encoded string columns and NULL-bearing answers; every body's
+// result — columns, rows and row count — is byte-identical to the one the
+// same statement gets alone from a fresh server. (Queue waits, durations
+// and joules depend on the neighbours a statement waited behind; the id on
+// how many came before it.)
+func TestPooledResultsCarryNothingBetweenAnswers(t *testing.T) {
+	queries := []string{
+		"SELECT * FROM lineitem WHERE l_quantity BETWEEN 3 AND 4",
+		"SELECT l_extendedprice * (1 - l_discount) AS revenue, l_quantity * 3 AS scaled FROM lineitem WHERE l_quantity BETWEEN 12 AND 22",
+		"SELECT * FROM orders WHERE o_orderdate >= DATE '1997-09-05'",
+		"SELECT l_orderkey, l_extendedprice / (l_discount - 0.05) AS spread FROM lineitem WHERE l_quantity < 6",
+		"SELECT o_orderstatus, o_orderkey FROM orders WHERE o_orderdate < DATE '1993-01-01'",
+	}
+	// serve starts a private-policy server over lineitem and orders, orders
+	// with dictionary-encoded strings.
+	serve := func() (*httptest.Server, *Core) {
+		sys, _ := newTestSystem(t)
+		tpch.NewGenerator(0.0005, 42).Load(sys.Engine.Catalog(), tpch.Orders)
+		if sys.Engine.MustTable(tpch.Orders).Heap.CompressStrings() == 0 {
+			t.Fatal("orders has no dictionary-encoded column")
+		}
+		cfg := DefaultConfig()
+		cfg.Policy = PolicyPrivate
+		c := NewCore(cfg, sys)
+		c.Start()
+		return httptest.NewServer(NewServer(c, "unused").Handler()), c
+	}
+	stop := func(ts *httptest.Server, c *Core) {
+		ts.Close()
+		if err := c.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}
+	// result cuts a body down to what the result batch wrote.
+	result := func(body []byte) (string, error) {
+		s := string(body)
+		from, to := strings.Index(s, `"columns":`), strings.Index(s, `,"queue_wait_seconds"`)
+		if from < 0 || to < from {
+			return "", fmt.Errorf("body has no result: %.200s", s)
+		}
+		return s[from:to], nil
+	}
+	post := func(url, q string) (string, error) {
+		resp, err := http.Post(url+"/query", "text/plain", strings.NewReader(q))
+		if err != nil {
+			return "", err
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return "", err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return "", fmt.Errorf("status %d: %s", resp.StatusCode, body)
+		}
+		return result(body)
+	}
+
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		ts, c := serve()
+		got, err := post(ts.URL, q)
+		stop(ts, c)
+		if err != nil {
+			t.Fatalf("%q on a fresh server: %v", q, err)
+		}
+		want[i] = got
+	}
+	if !strings.Contains(want[3], "null") || !strings.Contains(want[3], `"spread"`) {
+		t.Fatalf("%q: want an answer with NULLs, got %.300s", queries[3], want[3])
+	}
+
+	ts, c := serve()
+	defer stop(ts, c)
+	const clients, rounds = 4, 3
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for cl := 0; cl < clients; cl++ {
+		wg.Add(1)
+		go func(cl int) {
+			defer wg.Done()
+			for k := 0; k < rounds*len(queries); k++ {
+				i := (cl + k) % len(queries) // each client starts at another shape
+				got, err := post(ts.URL, queries[i])
+				if err != nil {
+					errs <- fmt.Errorf("client %d, %q: %v", cl, queries[i], err)
+					return
+				}
+				if got != want[i] {
+					errs <- fmt.Errorf("client %d, %q: result differs from a fresh server's:\n got %.300s\nwant %.300s", cl, queries[i], got, want[i])
+					return
+				}
+			}
+		}(cl)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestOversizeResultIsNotPooled: a result batch holding more payload than
+// maxPooledResultBytes goes to the collector, not back to the pool, so one
+// huge answer cannot pin its vectors for the process's lifetime.
+func TestOversizeResultIsNotPooled(t *testing.T) {
+	big := newResult(1)
+	xs := make([]int64, maxPooledResultBytes/8+1)
+	src := expr.IntVec(expr.KindInt, xs)
+	big.Cols[0].AppendFrom(&src, nil)
+	big.N = len(xs)
+	if resultBytes(big) <= maxPooledResultBytes {
+		t.Fatalf("the batch holds %d bytes, not past the %d-byte bound", resultBytes(big), maxPooledResultBytes)
+	}
+	releaseResult(big)
+	for i := 0; i < 100; i++ {
+		if b := newResult(1); b == big {
+			t.Fatal("an oversize result batch came back out of the pool")
+		}
+	}
+}

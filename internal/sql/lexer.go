@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind classifies lexical tokens.
@@ -40,22 +41,56 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
-// keywords recognized by the dialect.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"ORDER": true, "LIMIT": true, "AS": true, "AND": true, "OR": true,
-	"NOT": true, "BETWEEN": true, "IN": true, "JOIN": true, "ON": true,
-	"ASC": true, "DESC": true, "SUM": true, "COUNT": true, "MIN": true,
-	"MAX": true, "AVG": true, "DATE": true, "INNER": true, "TRUE": true,
-	"FALSE": true, "NULL": true, "EXPLAIN": true, "ANALYZE": true,
+// keywords maps each keyword of the dialect to itself: a keyword token's
+// text is the map's string, so upper-casing a word into a stack buffer to
+// look it up allocates nothing.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, kw := range []string{
+		"SELECT", "FROM", "WHERE", "GROUP", "BY", "ORDER", "LIMIT", "AS",
+		"AND", "OR", "NOT", "BETWEEN", "IN", "JOIN", "ON", "ASC", "DESC",
+		"SUM", "COUNT", "MIN", "MAX", "AVG", "DATE", "INNER", "TRUE",
+		"FALSE", "NULL", "EXPLAIN", "ANALYZE",
+	} {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// maxKeywordLen is the longest keyword's length: a longer word is an
+// identifier without a lookup.
+const maxKeywordLen = 7
+
+// keyword returns the keyword word spells in any letter case, or "" when
+// it spells none. Keywords are ASCII, so a word with any other byte is an
+// identifier, as strings.ToUpper would also find.
+func keyword(word string) string {
+	if len(word) > maxKeywordLen {
+		return ""
+	}
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if c >= utf8.RuneSelf {
+			return ""
+		}
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return keywords[string(buf[:len(word)])]
 }
 
 // lex tokenizes the input. It returns an error with position information
-// on any malformed token.
+// on any malformed token. Token texts are substrings of the input, or
+// keyword constants, except for a string literal with an escaped quote:
+// lexing allocates the token slice and little else.
 func lex(input string) ([]token, error) {
-	var out []token
-	i := 0
 	n := len(input)
+	// Served statements average five or six bytes a token.
+	out := make([]token, 0, n/4+2)
+	i := 0
 	for i < n {
 		c := input[i]
 		switch {
@@ -71,9 +106,8 @@ func lex(input string) ([]token, error) {
 				i++
 			}
 			word := input[start:i]
-			upper := strings.ToUpper(word)
-			if keywords[upper] {
-				out = append(out, token{kind: tokKeyword, text: upper, pos: start})
+			if kw := keyword(word); kw != "" {
+				out = append(out, token{kind: tokKeyword, text: kw, pos: start})
 			} else {
 				out = append(out, token{kind: tokIdent, text: word, pos: start})
 			}
@@ -90,47 +124,52 @@ func lex(input string) ([]token, error) {
 		case c == '\'':
 			start := i
 			i++
-			var sb strings.Builder
-			closed := false
+			var sb strings.Builder // only once a quote is escaped
+			from, closed := i, false
 			for i < n {
 				if input[i] == '\'' {
 					if i+1 < n && input[i+1] == '\'' { // escaped quote
-						sb.WriteByte('\'')
+						sb.WriteString(input[from : i+1])
 						i += 2
+						from = i
 						continue
 					}
 					closed = true
-					i++
 					break
 				}
-				sb.WriteByte(input[i])
 				i++
 			}
 			if !closed {
 				return nil, fmt.Errorf("sql: unterminated string literal at offset %d", start)
 			}
-			out = append(out, token{kind: tokString, text: sb.String(), pos: start})
+			text := input[from:i]
+			if sb.Len() > 0 {
+				sb.WriteString(text)
+				text = sb.String()
+			}
+			i++ // the closing quote
+			out = append(out, token{kind: tokString, text: text, pos: start})
 		case c == '<':
 			if i+1 < n && (input[i+1] == '=' || input[i+1] == '>') {
 				out = append(out, token{kind: tokOp, text: input[i : i+2], pos: i})
 				i += 2
 			} else {
-				out = append(out, token{kind: tokOp, text: "<", pos: i})
+				out = append(out, token{kind: tokOp, text: input[i : i+1], pos: i})
 				i++
 			}
 		case c == '>':
 			if i+1 < n && input[i+1] == '=' {
-				out = append(out, token{kind: tokOp, text: ">=", pos: i})
+				out = append(out, token{kind: tokOp, text: input[i : i+2], pos: i})
 				i += 2
 			} else {
-				out = append(out, token{kind: tokOp, text: ">", pos: i})
+				out = append(out, token{kind: tokOp, text: input[i : i+1], pos: i})
 				i++
 			}
 		case c == '=' || c == '+' || c == '-' || c == '/':
-			out = append(out, token{kind: tokOp, text: string(c), pos: i})
+			out = append(out, token{kind: tokOp, text: input[i : i+1], pos: i})
 			i++
 		case c == '(' || c == ')' || c == ',' || c == '*' || c == '.' || c == ';':
-			out = append(out, token{kind: tokSymbol, text: string(c), pos: i})
+			out = append(out, token{kind: tokSymbol, text: input[i : i+1], pos: i})
 			i++
 		default:
 			return nil, fmt.Errorf("sql: unexpected character %q at offset %d", c, i)
