@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -26,8 +27,8 @@ import (
 func TestBlockingOperatorsAllocatePerPageNotPerRow(t *testing.T) {
 	const (
 		rows         = 20000
-		inlineBudget = 60.0  // per 1000 input rows at workers=1 (measured 3 probe, 24 sort, 34 agg; 41 under -race)
-		pooledBudget = 120.0 // per 1000 input rows at workers=4 (measured 5 probe, 25 sort, 76 agg)
+		inlineBudget = 60.0  // per 1000 input rows at workers=1 (measured 3 probe, 24 sort, 11 agg; 18 under -race)
+		pooledBudget = 120.0 // per 1000 input rows at workers=4 (measured 5 probe, 25 sort, 42 agg)
 	)
 	big := catalog.NewTable("big", catalog.NewSchema(
 		catalog.Column{Name: "g", Kind: expr.KindInt},
@@ -76,6 +77,39 @@ func TestBlockingOperatorsAllocatePerPageNotPerRow(t *testing.T) {
 			if per1000 > c.budget {
 				t.Errorf("%s at workers=%d: %.1f allocations per 1000 input rows (%v over %d pages, %d rows out), budget %.0f",
 					name, c.workers, per1000, allocs, big.Heap.NumPages(), out, c.budget)
+			}
+		}
+	}
+}
+
+// A global aggregate — what scan_filter and shared_scan serve — resolves no
+// group key: neither its table nor a run partial allocates a hash table.
+func TestGlobalAggregateBuildsNoHashTable(t *testing.T) {
+	tb := pagedTable(t, 3*storage.DefaultMorselRunLength, 12)
+	n := plan.NewAgg(plan.NewScan(tb, nil), nil, []plan.AggSpec{
+		{Func: plan.Sum, Arg: tb.Schema.Col("k"), Name: "sum_k"},
+		{Func: plan.Count, Name: "n"},
+	})
+	for _, workers := range []int{1, 4} {
+		a := unwrapSpan(CompileParallel(n, workers)).(*aggOp)
+		ctx, _ := testCtx()
+		if err := a.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Next(ctx); err != nil {
+			t.Fatal(err)
+		}
+		tables := []*aggTable{a.table}
+		if err := a.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		tables = append(tables, a.spare.items...)
+		if len(tables) < 2 {
+			t.Fatalf("workers=%d: no run partial was merged", workers)
+		}
+		for i, tb := range tables {
+			if !reflect.ValueOf(tb.index).IsZero() {
+				t.Errorf("workers=%d: table %d of %d allocated a hash table", workers, i, len(tables))
 			}
 		}
 	}

@@ -116,17 +116,16 @@ func (r *refExec) eval(n plan.Node) []expr.Row {
 		r.cycles[cpu.Compute] += r.cost.AggCycles * float64(len(in))
 		r.cycles[cpu.MemStall] += r.cost.AggStallCycles * float64(len(in))
 		for _, row := range in {
-			var key []byte
+			var vals expr.Row
 			for _, g := range n.GroupBy {
-				key = expr.AppendGroupKey(key, row[g])
+				vals = append(vals, row[g])
 			}
-			st := groups[string(key)]
+			key := groupKeyOf(vals...)
+			st := groups[key]
 			if st == nil {
 				st = &group{counts: make([]int64, len(n.Aggs)), sums: make([]float64, len(n.Aggs)), ext: make([]expr.Value, len(n.Aggs))}
-				for _, g := range n.GroupBy {
-					st.vals = append(st.vals, row[g])
-				}
-				groups[string(key)] = st
+				st.vals = vals
+				groups[key] = st
 			}
 			for i, spec := range n.Aggs {
 				if spec.Arg == nil {
@@ -548,5 +547,174 @@ func TestBlockingOperatorsMatchRowReference(t *testing.T) {
 					label, obsv.SortRows.Load()-sorted, ref.sortRows)
 			}
 		}
+	}
+}
+
+// groupKeyOf returns the group key of one tuple of values: its encoding by
+// expr.GroupKeys, which defines group-key equality.
+func groupKeyOf(vals ...expr.Value) string {
+	b := expr.NewBatch(len(vals))
+	b.AppendRow(vals)
+	cols := make([]int, len(vals))
+	for c := range cols {
+		cols[c] = c
+	}
+	var g expr.GroupKeys
+	g.Build(b, cols)
+	return string(g.Key(0))
+}
+
+// The group table partitions rows exactly as their encoded group keys do
+// (expr.GroupKeys): one NULL group, -0 with +0, a NaN only with a NaN of
+// the same bits, and a word one group whether its batch carries it
+// dictionary-coded or plain. Random one- to three-column batches, under
+// selections, fold into one table and, cut into runs, into partials merged
+// in run order through one recycled partial; both must number the groups
+// in first-seen order, keep each group's first-seen values bit for bit,
+// count its rows, and emit in ascending key order. Most cases hold more
+// than 16 groups, by which a table of 8 slots at most half full has grown
+// three times. The pools hold values whose hashes meet others' on purpose:
+// the int and the float whose element hashes equal NULL's, and two NaNs.
+func TestAggTableGroupsByEncodedKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	const nullHash = 0x5bd1e995 // expr's element hash of NULL
+	ints := []int64{0, -1, 1 << 40, nullHash}
+	for i := int64(1); i <= 30; i++ {
+		ints = append(ints, i)
+	}
+	floats := []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0xfff8000000000000),
+		1.5, -2.25, math.Float64frombits(nullHash)}
+	for i := 1; i <= 20; i++ {
+		floats = append(floats, float64(i))
+	}
+	words := []string{"", "\x00x", "x\x00"}
+	for i := 0; i < 25; i++ {
+		words = append(words, fmt.Sprintf("w%d", i))
+	}
+	dict := expr.NewDict(words)
+	draw := func(kind expr.Kind) expr.Value {
+		switch kind {
+		case expr.KindFloat:
+			return expr.Float(floats[rng.Intn(len(floats))])
+		case expr.KindString:
+			return expr.String(words[rng.Intn(len(words))])
+		case expr.KindBool:
+			return expr.Bool(rng.Intn(2) == 0)
+		case expr.KindDate:
+			return expr.Date(ints[rng.Intn(len(ints))])
+		}
+		return expr.Int(ints[rng.Intn(len(ints))])
+	}
+	aggs := []plan.AggSpec{{Func: plan.Count, Name: "n"}}
+	grown := 0
+	for c := 0; c < 300; c++ {
+		width := 1 + rng.Intn(3)
+		kinds := make([]expr.Kind, width)
+		groupBy := make([]int, width)
+		for k := range kinds {
+			kinds[k] = []expr.Kind{expr.KindInt, expr.KindFloat, expr.KindString, expr.KindDate, expr.KindBool}[rng.Intn(5)]
+			groupBy[k] = width - 1 - k // group-by columns out of batch order
+		}
+		var batches []*expr.Batch
+		for range 3 + rng.Intn(4) {
+			b := expr.NewBatch(width)
+			n := rng.Intn(120)
+			allNull := rng.Intn(10) == 0
+			for range n {
+				row := make(expr.Row, width)
+				for k := range row {
+					if allNull && k == 0 || rng.Intn(10) == 0 {
+						row[k] = expr.Null()
+					} else {
+						row[k] = draw(kinds[k])
+					}
+				}
+				b.AppendRow(row)
+			}
+			for k := range b.Cols {
+				if kinds[k] == expr.KindString && rng.Intn(2) == 0 {
+					b.Cols[k].EncodeDict(dict)
+				}
+			}
+			if rng.Intn(2) == 0 {
+				b.Sel = []int32{}
+				for i := 0; i < n; i++ {
+					if rng.Intn(3) > 0 {
+						b.Sel = append(b.Sel, int32(i))
+					}
+				}
+			}
+			batches = append(batches, b)
+		}
+
+		// The reference: groups by encoded key, in first-seen order.
+		var order []string
+		first := map[string]expr.Row{}
+		count := map[string]int64{}
+		for _, b := range batches {
+			for li := 0; li < b.Len(); li++ {
+				vals := make(expr.Row, width)
+				for k, col := range groupBy {
+					vals[k] = b.Cols[col].Get(b.RowIdx(li))
+				}
+				key := groupKeyOf(vals...)
+				if _, ok := first[key]; !ok {
+					order = append(order, key)
+					first[key] = vals
+				}
+				count[key]++
+			}
+		}
+		if len(order) > 16 {
+			grown++
+		}
+
+		var meter expr.Cost
+		serial := newAggTable(groupBy, aggs, false)
+		merged, part := newAggTable(groupBy, aggs, false), newAggTable(groupBy, aggs, true)
+		for i := 0; i < len(batches); {
+			end := min(len(batches), i+1+rng.Intn(2))
+			for ; i < end; i++ {
+				serial.fold(batches[i], &meter)
+				part.fold(batches[i], &meter)
+			}
+			merged.merge(part)
+			part.reset()
+		}
+		for name, tb := range map[string]*aggTable{"serial": serial, "merged": merged} {
+			if tb.vals.N != len(order) {
+				t.Fatalf("case %d %s: %d groups, want %d", c, name, tb.vals.N, len(order))
+			}
+			for g, key := range order {
+				for k := range groupBy {
+					if got, want := tb.vals.Cols[k].Get(g), first[key][k]; !sameValue(got, want) {
+						t.Fatalf("case %d %s group %d column %d: %v, want the first-seen %v", c, name, g, k, got, want)
+					}
+				}
+				if got := tb.accs[0].counts[g]; got != count[key] {
+					t.Fatalf("case %d %s group %d: %d rows, want %d", c, name, g, got, count[key])
+				}
+			}
+			out := expr.NewBatch(width + 1)
+			tb.emit(out)
+			prev := ""
+			for r := 0; r < out.N; r++ {
+				vals := make(expr.Row, width)
+				for k := range vals {
+					vals[k] = out.Cols[k].Get(r)
+				}
+				key := groupKeyOf(vals...)
+				if r > 0 && key <= prev {
+					t.Fatalf("case %d %s: emitted row %d is not after row %d in key order", c, name, r, r-1)
+				}
+				if n := out.Cols[width].Get(r).I; n != count[key] {
+					t.Fatalf("case %d %s: emitted row %d counts %d, want %d", c, name, r, n, count[key])
+				}
+				prev = key
+			}
+		}
+	}
+	if grown < 100 {
+		t.Fatalf("only %d cases held more than 16 groups", grown)
 	}
 }

@@ -355,7 +355,7 @@ func TestAggOutputOrderDeterministic(t *testing.T) {
 	// The order is exactly ascending encoded group keys.
 	want := make([]string, len(a))
 	for i, r := range a {
-		want[i] = string(expr.AppendGroupKey(nil, r[0]))
+		want[i] = groupKeyOf(r[0])
 	}
 	if !sort.StringsAreSorted(want) {
 		t.Fatalf("emission order is not sorted by encoded group key: %v", a)

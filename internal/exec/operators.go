@@ -1,10 +1,10 @@
 package exec
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
-	"strings"
 	"sync/atomic"
 
 	"ecodb/internal/catalog"
@@ -160,6 +160,7 @@ type hashJoinOp struct {
 // The operator-input probe owns one; a pump record keeps one of its own, so
 // producers never share mutable state.
 type probeScratch struct {
+	keys     expr.ProbeScratch // the batch's key hashes and chain heads
 	buildIdx []int32
 	probeIdx []int32
 }
@@ -167,7 +168,7 @@ type probeScratch struct {
 // probe looks in's probe keys up in the completed (read-only) table,
 // replacing the pairs, and returns the match count. It charges nothing.
 func (ps *probeScratch) probe(j *hashJoinOp, in *expr.Batch) int {
-	ps.buildIdx, ps.probeIdx = j.table.Probe(&in.Cols[j.probeKey], in.Sel, ps.buildIdx[:0], ps.probeIdx[:0])
+	ps.buildIdx, ps.probeIdx = j.table.Probe(&in.Cols[j.probeKey], in.Sel, &ps.keys, ps.buildIdx[:0], ps.probeIdx[:0])
 	return len(ps.buildIdx)
 }
 
@@ -304,16 +305,17 @@ type aggTable struct {
 	// for merge to add.
 	deferSums bool
 
-	ids  map[string]int32 // encoded group key → group id
-	keys []string         // group id → encoded group key
-	vals expr.Batch       // group id → the group-by columns' values
-	accs []aggAcc         // per aggregate
+	index expr.KeyTable  // group key → group id; empty without GROUP BY
+	vals  expr.Batch     // group id → the group-by columns' values
+	keys  []*expr.ColVec // vals' columns, which index's ids address
+	accs  []aggAcc       // per aggregate
 
 	rowGid  []int32
 	rowVals [][]float64 // per aggregate; nil unless a partial has a SUM or AVG
 
 	// Per-batch scratch.
-	gk      expr.GroupKeys
+	in      []*expr.ColVec // the batch's group-by columns
+	hashes  []uint64       // the batch's key hashes
 	argVecs []*expr.ColVec // per aggregate; nil for a bare COUNT(*)
 	gid     []int32
 	floats  []float64
@@ -330,10 +332,14 @@ type aggAcc struct {
 func newAggTable(groupBy []int, aggs []plan.AggSpec, deferSums bool) *aggTable {
 	t := &aggTable{
 		groupBy: groupBy, aggs: aggs, deferSums: deferSums,
-		ids:     make(map[string]int32),
 		vals:    *expr.NewBatch(len(groupBy)),
+		keys:    make([]*expr.ColVec, len(groupBy)),
 		accs:    make([]aggAcc, len(aggs)),
+		in:      make([]*expr.ColVec, len(groupBy)),
 		argVecs: make([]*expr.ColVec, len(aggs)),
+	}
+	for c := range t.keys {
+		t.keys[c] = &t.vals.Cols[c]
 	}
 	for i, spec := range aggs {
 		if spec.Arg != nil {
@@ -351,8 +357,7 @@ func newAggTable(groupBy []int, aggs []plan.AggSpec, deferSums bool) *aggTable {
 
 // reset empties a partial for its next run, keeping every buffer.
 func (t *aggTable) reset() {
-	clear(t.ids)
-	t.keys = t.keys[:0]
+	t.index.Reset()
 	t.vals.Reset()
 	for i := range t.accs {
 		acc := &t.accs[i]
@@ -380,10 +385,8 @@ func (t *aggTable) reserve(n int) {
 
 // addGroup numbers a new group and gives every accumulator a zero slot for
 // it. The caller appends the group's group-by values to t.vals.
-func (t *aggTable) addGroup(key string) int32 {
-	g := int32(len(t.keys))
-	t.ids[key] = g
-	t.keys = append(t.keys, key)
+func (t *aggTable) addGroup() int32 {
+	g := int32(t.vals.N)
 	t.vals.N++
 	for i, spec := range t.aggs {
 		acc := &t.accs[i]
@@ -403,36 +406,40 @@ func (t *aggTable) addGroup(key string) int32 {
 }
 
 // groupIDs resolves every logical row of in to its group id, creating
-// groups as they are first seen. Group keys are encoded column-wise by
-// expr.GroupKeys; without GROUP BY every row belongs to the one group.
+// groups as they are first seen.
 func (t *aggTable) groupIDs(in *expr.Batch) []int32 {
 	n := in.Len()
 	if cap(t.gid) < n {
 		t.gid = make([]int32, n)
 	}
-	gid := t.gid[:n]
+	for c, col := range t.groupBy {
+		t.in[c] = &in.Cols[col]
+	}
+	t.resolve(t.gid[:n], t.in, in.Sel)
+	return t.gid[:n]
+}
+
+// resolve sets gid[li] to the group id of logical row li of the group-by
+// columns cols (through sel when it is non-nil), numbering groups in the
+// order they are first seen: rows hash column-wise, and the index checks a
+// hit against the group's values in vals. Without GROUP BY every row
+// belongs to the one group, and the index stays empty.
+func (t *aggTable) resolve(gid []int32, cols []*expr.ColVec, sel []int32) {
 	if len(t.groupBy) == 0 {
-		if n > 0 && len(t.keys) == 0 {
-			t.addGroup("")
+		if len(gid) > 0 && t.vals.N == 0 {
+			t.addGroup()
 		}
 		clear(gid)
-		return gid
+		return
 	}
-	t.gk.Build(in, t.groupBy)
-	for li := range gid {
-		// The map-index conversion lets the compiler elide the key copy on
-		// lookup hits; the string is materialized only for first-seen
-		// groups.
-		g, ok := t.ids[string(t.gk.Key(li))]
-		if !ok {
-			g = t.addGroup(string(t.gk.Key(li)))
-			for c, col := range t.groupBy {
-				t.vals.Cols[c].AppendElem(&in.Cols[col], int32(in.RowIdx(li)))
-			}
+	t.hashes = expr.HashKeys(t.hashes, cols, sel, len(gid))
+	t.index.Resolve(t.hashes, t.keys, cols, sel, gid, func(i int) int32 {
+		g := t.addGroup()
+		for c, col := range cols {
+			t.vals.Cols[c].AppendElem(col, int32(i))
 		}
-		gid[li] = g
-	}
-	return gid
+		return g
+	})
 }
 
 // fold consumes one batch: aggregate arguments evaluate batch-wise into
@@ -508,20 +515,11 @@ func addFloats(sums []float64, gid []int32, vals []float64) {
 func (t *aggTable) merge(p *aggTable) {
 	// remap (p's group id → t's) lives in t's group-id scratch, which no
 	// merge needs otherwise: one merge per run must not allocate.
-	if cap(t.gid) < len(p.keys) {
-		t.gid = make([]int32, len(p.keys))
+	if cap(t.gid) < p.vals.N {
+		t.gid = make([]int32, p.vals.N)
 	}
-	remap := t.gid[:len(p.keys)]
-	for pg, key := range p.keys {
-		g, ok := t.ids[key]
-		if !ok {
-			g = t.addGroup(key)
-			for c := range t.groupBy {
-				t.vals.Cols[c].AppendElem(&p.vals.Cols[c], int32(pg))
-			}
-		}
-		remap[pg] = g
-	}
+	remap := t.gid[:p.vals.N]
+	t.resolve(remap, p.keys, nil)
 	for r, pg := range p.rowGid {
 		p.rowGid[r] = remap[pg]
 	}
@@ -548,20 +546,28 @@ func (t *aggTable) merge(p *aggTable) {
 
 // emit writes one output row per group straight into out's vectors —
 // group-by values gathered from vals, then the aggregates — in ascending
-// encoded-key order: the single deterministic emission order shared by the
-// serial and parallel paths, so output order is a pure function of the
-// group set (never of map iteration, input order, or worker count). A
-// global aggregate always yields one row: COUNT is 0 and the value
-// aggregates are NULL when no input rows arrived.
+// encoded-key order (expr.GroupKeys, built once over vals): the single
+// deterministic emission order shared by the serial and parallel paths, so
+// output order is a pure function of the group set (never of hashing,
+// input order, or worker count). A global aggregate always yields one row:
+// COUNT is 0 and the value aggregates are NULL when no input rows arrived.
 func (t *aggTable) emit(out *expr.Batch) {
-	if len(t.groupBy) == 0 && len(t.keys) == 0 {
-		t.addGroup("")
+	if len(t.groupBy) == 0 && t.vals.N == 0 {
+		t.addGroup()
 	}
-	order := make([]int32, len(t.keys))
+	order := make([]int32, t.vals.N)
 	for g := range order {
 		order[g] = int32(g)
 	}
-	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(t.keys[a], t.keys[b]) })
+	if len(t.groupBy) > 0 {
+		cols := make([]int, len(t.groupBy))
+		for c := range cols {
+			cols[c] = c
+		}
+		var gk expr.GroupKeys
+		gk.Build(&t.vals, cols)
+		slices.SortFunc(order, func(a, b int32) int { return bytes.Compare(gk.Key(int(a)), gk.Key(int(b))) })
+	}
 	out.Reset()
 	for c := range t.groupBy {
 		out.Cols[c].AppendFrom(&t.vals.Cols[c], order)

@@ -8,11 +8,15 @@ import "ecodb/internal/storage"
 // serialize at the aggregation boundary: each pump producer runs the
 // fragment over its pages AND folds the surviving rows into a private,
 // run-local partial table, fed straight from the batch's column payloads
-// (group keys encoded column-wise by expr.GroupKeys, aggregate arguments
-// evaluated batch-wise into vectors), one partial per claimed run of
-// adjacent pages, amortizing table and scratch allocations across the run.
-// The coordinator merges partial tables in ascending page order and emits
-// groups in sorted group-key order — the order of every aggregation.
+// (rows hashed column-wise and resolved to group ids in the partial's
+// expr.KeyTable, aggregate arguments evaluated batch-wise into vectors),
+// one partial per claimed run of adjacent pages. Merged partials come back
+// to the producers with their slots and vectors, so a statement allocates
+// about as many partials as it has runs in flight, not one per run. The
+// coordinator merges
+// partial tables in ascending page order — resolving each partial's group
+// values in the global table — and emits groups in sorted group-key order,
+// the order of every aggregation.
 //
 // Determinism is the design constraint, and it dictates what a partial may
 // pre-reduce:

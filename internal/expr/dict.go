@@ -1,6 +1,9 @@
 package expr
 
-import "sort"
+import (
+	"sort"
+	"sync"
+)
 
 // Dict is an order-preserving string dictionary: the distinct words of a
 // column sorted ascending, so code order equals string order. That ordering
@@ -11,6 +14,9 @@ import "sort"
 type Dict struct {
 	words []string
 	index map[string]int32
+
+	hashOnce sync.Once
+	hash     []uint64 // per code: its word's key hash, built on first use
 }
 
 // NewDict builds a dictionary from the given words, sorting and
@@ -41,6 +47,18 @@ func (d *Dict) Word(c int32) string { return d.words[c] }
 func (d *Dict) Code(s string) (int32, bool) {
 	c, ok := d.index[s]
 	return c, ok
+}
+
+// hashes returns each code's word hash (hashString), computing them on the
+// first call: the one hash per word that key hashing reads by code.
+func (d *Dict) hashes() []uint64 {
+	d.hashOnce.Do(func() {
+		d.hash = make([]uint64, len(d.words))
+		for c, w := range d.words {
+			d.hash[c] = hashString(w)
+		}
+	})
+	return d.hash
 }
 
 // LowerBound returns the first code whose word is >= s (possibly Len()).

@@ -6,32 +6,6 @@ import (
 	"math"
 )
 
-// AppendGroupKey appends an injective binary encoding of v to dst and
-// returns the extended slice. Concatenating the encodings of several values
-// yields a key that two value tuples share exactly when they are equal
-// tuple-wise, floats as FloatKey identifies them: every encoding starts
-// with the kind tag and is either fixed width or length-prefixed, so no
-// value can masquerade as the boundary between two others. This is the group-key encoding of hash aggregation —
-// the display-string keys it replaced collapsed ("x\x00","y") with
-// ("x","\x00y") and Int(1) with String("1").
-func AppendGroupKey(dst []byte, v Value) []byte {
-	dst = append(dst, byte(v.Kind))
-	switch v.Kind {
-	case KindNull:
-		// Kind tag alone: all NULLs belong to one group.
-	case KindBool, KindInt, KindDate:
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.I))
-	case KindFloat:
-		dst = binary.LittleEndian.AppendUint64(dst, FloatKey(v.F))
-	case KindString:
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(v.S)))
-		dst = append(dst, v.S...)
-	default:
-		panic(fmt.Sprintf("expr: cannot encode %v as a group key", v.Kind))
-	}
-	return dst
-}
-
 // FloatKey returns the bits that identify float f wherever values are
 // keyed by identity — group keys, join keys, distinct counts: f's own
 // bits, except that -0 takes +0's, because the two are one value under
@@ -47,13 +21,19 @@ func FloatKey(f float64) uint64 {
 // one kind tag plus the 8-byte payload (NULL is tag-only, width 1).
 const fixedKeyWidth = 1 + 8
 
-// GroupKeys builds the injective group-key encodings of a whole batch
-// column-wise — the vectorized mirror of calling AppendGroupKey per row.
-// Instead of gathering a scratch row per tuple and walking its values, each
+// GroupKeys builds the group keys of a whole batch column-wise: each
 // group-by column is encoded in one pass over its contiguous typed payload,
-// writing every row's fragment at a precomputed offset. The per-row byte
-// strings are identical to the row-at-a-time encoding, so map keys built
-// either way collide exactly the same.
+// writing every row's fragment at a precomputed offset.
+//
+// A group key is the concatenation of its values' encodings (putKeyValue),
+// and it defines group-key equality: two value tuples share a key exactly
+// when they are equal tuple-wise, with one NULL group and floats as
+// FloatKey identifies them. Every encoding starts with the kind tag and is
+// either fixed width or length-prefixed, so no value can masquerade as the
+// boundary between two others — the display-string keys this encoding
+// replaced collapsed ("x\x00","y") with ("x","\x00y") and Int(1) with
+// String("1"). Keys order groups at emission; KeyTable's typed equality
+// (elemEqual) finds groups by the same definition.
 //
 // The builder owns its buffers and is reusable: Build overwrites the
 // previous batch's keys.
@@ -180,8 +160,10 @@ func putKeyString(dst []byte, s string) int {
 	return fixedKeyWidth + copy(dst[fixedKeyWidth:], s)
 }
 
-// putKeyValue writes one value's encoding into dst and returns the width —
-// the in-place form of AppendGroupKey for the generic Build path.
+// putKeyValue writes one value's encoding into dst and returns the width:
+// the kind tag, then nothing for NULL (all NULLs are one group), the 8-byte
+// payload for a bool, integer or date, FloatKey's bits for a float, and
+// the length and bytes of a string.
 func putKeyValue(dst []byte, v Value) int {
 	switch v.Kind {
 	case KindNull:

@@ -5,10 +5,18 @@ import (
 	"testing/quick"
 )
 
+// appendKey appends v's group-key encoding (putKeyValue) to dst: the
+// row-at-a-time reference the column-wise builder must reproduce.
+func appendKey(dst []byte, v Value) []byte {
+	n := len(dst)
+	dst = append(dst, make([]byte, fixedKeyWidth+len(v.S))...)
+	return dst[:n+putKeyValue(dst[n:], v)]
+}
+
 func groupKey(vals ...Value) string {
 	var buf []byte
 	for _, v := range vals {
-		buf = AppendGroupKey(buf, v)
+		buf = appendKey(buf, v)
 	}
 	return string(buf)
 }
@@ -72,7 +80,7 @@ func keyBatch(rows []Row) *Batch {
 }
 
 // assertKeysMatchRowPath requires the column-wise builder to reproduce the
-// row-at-a-time AppendGroupKey encoding byte for byte on every logical row.
+// row-at-a-time putKeyValue encoding byte for byte on every logical row.
 func assertKeysMatchRowPath(t *testing.T, b *Batch, cols []int) {
 	t.Helper()
 	var g GroupKeys
@@ -86,7 +94,7 @@ func assertKeysMatchRowPath(t *testing.T, b *Batch, cols []int) {
 		b.gatherInto(scratch, b.RowIdx(li))
 		want = want[:0]
 		for _, c := range cols {
-			want = AppendGroupKey(want, scratch[c])
+			want = appendKey(want, scratch[c])
 		}
 		if got := g.Key(li); string(got) != string(want) {
 			t.Fatalf("row %d: batch key %x != row key %x", li, got, want)
@@ -143,7 +151,7 @@ func TestGroupKeysBuilderIsReusable(t *testing.T) {
 	if string(g.Key(0)) == k0 {
 		t.Fatal("rebuild returned the previous batch's key")
 	}
-	if want := string(AppendGroupKey(nil, Int(5))); string(g.Key(0)) != want {
+	if want := groupKey(Int(5)); string(g.Key(0)) != want {
 		t.Fatalf("rebuilt key %x, want %x", g.Key(0), want)
 	}
 }
@@ -156,7 +164,7 @@ func TestGroupKeysFoldNegativeZero(t *testing.T) {
 		t.Fatal("FloatKey tells -0 from +0")
 	}
 	if groupKey(Float(negZero())) != groupKey(Float(0)) {
-		t.Fatal("AppendGroupKey tells -0 from +0")
+		t.Fatal("putKeyValue tells -0 from +0")
 	}
 	for _, rows := range [][]Row{
 		{{Float(0)}, {Float(negZero())}},

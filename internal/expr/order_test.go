@@ -242,17 +242,29 @@ func TestFoldExtremesAndAsFloatsMatchBoxedValues(t *testing.T) {
 }
 
 // A JoinTable probe yields the pairs a nested loop over canonical Values
-// compared with == yields, in its order.
+// compared with == yields, in its order. A quarter of the cases build from
+// dozens of distinct integer keys, into a table of at least 64 slots — a
+// join table is sized once, for its build rows, where a group table grows
+// to that size three times over — and those keys are adversarial: they
+// differ only in their high bits, or their hashes share every bit KeyTable
+// reads, so all of them start in one slot under one tag and only the typed
+// equality tells them apart.
 func TestJoinTableMatchesNestedLoopOnValueEquality(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
+	large := 0
 	for c := 0; c < 2000; c++ {
-		numeric := rng.Intn(4) > 0
-		buildKind, probeKind := randKind(rng, numeric), randKind(rng, numeric)
-		if rng.Intn(3) > 0 {
-			probeKind = buildKind // the join bind allows; a key of another kind matches nothing
+		var build, probe *ColVec
+		if c%4 == 3 {
+			build, probe = collidingJoinKeys(rng)
+		} else {
+			numeric := rng.Intn(4) > 0
+			buildKind, probeKind := randKind(rng, numeric), randKind(rng, numeric)
+			if rng.Intn(3) > 0 {
+				probeKind = buildKind // the join bind allows; a key of another kind matches nothing
+			}
+			build = randVec(rng, buildKind, rng.Intn(25), testDict)
+			probe = randVec(rng, probeKind, rng.Intn(25), testDict)
 		}
-		build := randVec(rng, buildKind, rng.Intn(25), testDict)
-		probe := randVec(rng, probeKind, rng.Intn(25), testDict)
 		sel := randSel(rng, probe.Len())
 		var wantB, wantP []int32
 		each := func(i int) {
@@ -270,7 +282,11 @@ func TestJoinTableMatchesNestedLoopOnValueEquality(t *testing.T) {
 		for _, i := range sel {
 			each(int(i))
 		}
-		gotB, gotP := BuildJoinTable(build).Probe(probe, sel, nil, nil)
+		table := BuildJoinTable(build)
+		if len(table.table.slots) >= minKeySlots<<3 {
+			large++
+		}
+		gotB, gotP := table.Probe(probe, sel, &ProbeScratch{}, nil, nil)
 		if len(gotB) != len(wantB) {
 			t.Fatalf("case %d: %d matches, want %d", c, len(gotB), len(wantB))
 		}
@@ -280,4 +296,53 @@ func TestJoinTableMatchesNestedLoopOnValueEquality(t *testing.T) {
 			}
 		}
 	}
+	if large < 400 {
+		t.Fatalf("only %d builds took a table of %d slots or more", large, minKeySlots<<3)
+	}
+}
+
+// collidingJoinKeys draws a build side of 40 to 120 distinct integer or
+// date keys, repeated and with NULLs among them, and a probe side over the
+// same keys and as many misses, of the build's kind or, a fifth of the
+// time, of the other. The keys either share their low 40 bits or are
+// chosen so that their one-column hashes (x·hashMul) share the top 32 bits.
+func collidingJoinKeys(rng *rand.Rand) (build, probe *ColVec) {
+	inv := uint64(hashMul) // hashMul⁻¹ mod 2⁶⁴, by Newton's iteration
+	for i := 0; i < 5; i++ {
+		inv *= 2 - hashMul*inv
+	}
+	highBits := rng.Intn(2) == 0
+	key := func(j int) int64 {
+		if highBits {
+			return int64(j) << 40
+		}
+		return int64((0xdead_beef<<32 + uint64(j)) * inv)
+	}
+	kinds := []Kind{KindInt, KindDate}
+	k := rng.Intn(2)
+	kind, probeKind := kinds[k], kinds[k]
+	if rng.Intn(5) == 0 {
+		probeKind = kinds[1-k]
+	}
+	m := 40 + rng.Intn(81)
+	build, probe = &ColVec{}, &ColVec{}
+	for r := 0; r < m+rng.Intn(2*m); r++ {
+		j := r
+		if r >= m {
+			j = rng.Intn(m)
+		}
+		if rng.Intn(10) == 0 {
+			build.Append(Null())
+			continue
+		}
+		build.Append(Value{Kind: kind, I: key(j)})
+	}
+	for i := 0; i < 60; i++ {
+		if rng.Intn(10) == 0 {
+			probe.Append(Null())
+			continue
+		}
+		probe.Append(Value{Kind: probeKind, I: key(rng.Intn(2 * m))})
+	}
+	return build, probe
 }
