@@ -6,8 +6,8 @@ import (
 )
 
 // This file is the engine's observability edge: running a statement for its
-// execution profile (the SQL front end's EXPLAIN ANALYZE) and snapshotting
-// the process-wide metrics registry.
+// execution profile (the SQL front end's EXPLAIN ANALYZE). The metrics
+// registry is process-wide and read through obsv.Default().
 
 // AnalyzeQuery runs p to completion as a profiled statement and returns its
 // execution profile. The statement really executes — every simulated
@@ -19,15 +19,4 @@ func (e *Engine) AnalyzeQuery(p plan.Node) (*obsv.Profile, error) {
 		return nil, err
 	}
 	return rows.Profile(), nil
-}
-
-// MetricsSnapshot returns a point-in-time copy of the process-wide metrics
-// registry, with the engine's gauges (buffer-pool residency) refreshed
-// first. Counters are monotonic over the process lifetime; callers wanting
-// per-interval numbers difference two snapshots.
-func (e *Engine) MetricsSnapshot() obsv.MetricsSnapshot {
-	if e.pool != nil {
-		obsv.Default().Gauge(obsv.MetricPoolResident).Set(float64(e.pool.Used()))
-	}
-	return obsv.Default().Snapshot()
 }

@@ -225,8 +225,7 @@ func TestSortSpanUnderLimitServesNButChargesForEveryRowConsumed(t *testing.T) {
 
 		sorted := tpch.OrderedRevenueQuery(e.Catalog(), 30)
 		sortSpan := func(p plan.Node) (*obsv.Span, int64) {
-			before := e.MetricsSnapshot().Counter(obsv.MetricSortRows)
-			merges := e.MetricsSnapshot().Counter(obsv.MetricMergePasses)
+			before := obsv.Default().Snapshot()
 			profile, err := e.AnalyzeQuery(p)
 			if err != nil {
 				t.Fatal(err)
@@ -240,10 +239,11 @@ func TestSortSpanUnderLimitServesNButChargesForEveryRowConsumed(t *testing.T) {
 			if span == nil {
 				t.Fatalf("workers=%d: no sort span in the profile", workers)
 			}
-			if got := e.MetricsSnapshot().Counter(obsv.MetricMergePasses) - merges; got != 1 {
+			after := obsv.Default().Snapshot()
+			if got := after.Counter(obsv.MetricMergePasses) - before.Counter(obsv.MetricMergePasses); got != 1 {
 				t.Errorf("workers=%d: exec_sort_merge_passes_total moved by %d, want 1", workers, got)
 			}
-			return span, e.MetricsSnapshot().Counter(obsv.MetricSortRows) - before
+			return span, after.Counter(obsv.MetricSortRows) - before.Counter(obsv.MetricSortRows)
 		}
 		const n = 100
 		all, consumed := sortSpan(sorted)

@@ -280,7 +280,27 @@ func TestRunPartialSizesRowVectorsOnce(t *testing.T) {
 		{Func: plan.Avg, Arg: v, Name: "avg_v"},
 		{Func: plan.Count, Name: "n"},
 	})
-	a := unwrapSpan(CompileParallel(n, 1)).(*aggOp)
+	// Mallocs counts the whole process: a runtime or leftover goroutine
+	// allocating while the pages fold shows here too, a few times in ten
+	// thousand runs. A fold that allocates does so on every attempt, so
+	// the test fails only when a second attempt allocates as well.
+	var mallocs uint64
+	for attempt := 0; attempt < 2; attempt++ {
+		if mallocs = foldRunAfterFirstPage(t, tb, n); mallocs == 0 {
+			break
+		}
+	}
+	if mallocs > 0 {
+		t.Errorf("folding the run's pages after its first allocated %d times, want none", mallocs)
+	}
+}
+
+// foldRunAfterFirstPage opens agg over tb, folds the first run's first
+// page, and returns how many allocations folding the run's other pages
+// made.
+func foldRunAfterFirstPage(t *testing.T, tb *catalog.Table, agg plan.Node) uint64 {
+	t.Helper()
+	a := unwrapSpan(CompileParallel(agg, 1)).(*aggOp)
 	ctx, _ := testCtx()
 	if err := a.Open(ctx); err != nil {
 		t.Fatal(err)
@@ -304,9 +324,7 @@ func TestRunPartialSizesRowVectorsOnce(t *testing.T) {
 	if res.part == nil || len(res.part.rowGid) != tb.Heap.NumPages()*12 {
 		t.Fatalf("the run's last page carries no partial of the run's %d rows", tb.Heap.NumPages()*12)
 	}
-	if mallocs := after.Mallocs - before.Mallocs; mallocs > 0 {
-		t.Errorf("folding the run's pages after its first allocated %d times, want none", mallocs)
-	}
+	return after.Mallocs - before.Mallocs
 }
 
 // pagedTable builds a table of (k, v = k mod m) over the given number of

@@ -8,6 +8,7 @@ import (
 	"ecodb/internal/catalog"
 	"ecodb/internal/expr"
 	"ecodb/internal/hw/cpu"
+	"ecodb/internal/oracle"
 	"ecodb/internal/plan"
 	"ecodb/internal/sim"
 	"ecodb/internal/storage"
@@ -355,7 +356,7 @@ func TestAggOutputOrderDeterministic(t *testing.T) {
 	// The order is exactly ascending encoded group keys.
 	want := make([]string, len(a))
 	for i, r := range a {
-		want[i] = groupKeyOf(r[0])
+		want[i] = oracle.GroupKey(r[0])
 	}
 	if !sort.StringsAreSorted(want) {
 		t.Fatalf("emission order is not sorted by encoded group key: %v", a)

@@ -1,10 +1,13 @@
-package expr
+package expr_test
 
 import (
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
+
+	. "ecodb/internal/expr"
+	"ecodb/internal/oracle"
 )
 
 func TestValueConstructors(t *testing.T) {
@@ -108,9 +111,9 @@ func TestRowBytes(t *testing.T) {
 		n := rng.Intn(25)
 		b := NewBatch(1 + rng.Intn(4))
 		for col := range b.Cols {
-			b.Cols[col] = *randVec(rng, randKind(rng, rng.Intn(2) == 0), n, testDict)
+			b.Cols[col] = *oracle.RandVec(rng, oracle.RandKind(rng, rng.Intn(2) == 0), n, testDict)
 		}
-		b.N, b.Sel = n, randSel(rng, n)
+		b.N, b.Sel = n, oracle.RandSel(rng, n)
 		var want int64
 		for li, row := range b.Rows() {
 			want += row.Bytes()

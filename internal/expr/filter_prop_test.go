@@ -1,4 +1,4 @@
-package expr
+package expr_test
 
 import (
 	"fmt"
@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	. "ecodb/internal/expr"
+	"ecodb/internal/oracle"
 )
 
 // Property tests for batch-wise evaluation: every FilterBatch kernel
@@ -16,82 +19,12 @@ import (
 // NULL-bearing, all-NULL, dictionary-encoded and selection-carrying inputs.
 // The row interpreter is the oracle.
 
-// randValue draws a value from the given class: numeric classes mix
-// Int/Float/Date/Bool kinds (so a constant is often of another numeric kind
-// than the column it meets), string classes draw short strings; both
-// classes produce NULLs.
-func randValue(rng *rand.Rand, numeric bool, nullFrac float64) Value {
-	if rng.Float64() < nullFrac {
-		return Null()
-	}
-	if numeric {
-		switch rng.Intn(4) {
-		case 0:
-			return Int(int64(rng.Intn(20) - 10))
-		case 1:
-			return Float(float64(rng.Intn(40))/4 - 5)
-		case 2:
-			return Date(int64(rng.Intn(30) + 9000))
-		default:
-			return Bool(rng.Intn(2) == 0)
-		}
-	}
-	letters := []string{"", "a", "ab", "abc", "b", "ba", "zz", "\x00x"}
-	return String(letters[rng.Intn(len(letters))])
-}
-
-// randHomValue draws a non-NULL value of one fixed kind, for dense
-// homogeneous vectors that exercise the typed payload loops.
-func randHomValue(rng *rand.Rand, kind Kind) Value {
-	switch kind {
-	case KindInt:
-		return Int(int64(rng.Intn(20) - 10))
-	case KindFloat:
-		return Float(float64(rng.Intn(40))/4 - 5)
-	case KindDate:
-		return Date(int64(rng.Intn(30) + 9000))
-	case KindBool:
-		return Bool(rng.Intn(2) == 0)
-	default:
-		letters := []string{"", "a", "ab", "abc", "b", "ba", "zz"}
-		return String(letters[rng.Intn(len(letters))])
-	}
-}
-
-// randKind draws a column kind of the given class: one of the four numeric
-// kinds, or String.
-func randKind(rng *rand.Rand, numeric bool) Kind {
-	if !numeric {
-		return KindString
-	}
-	return []Kind{KindInt, KindFloat, KindDate, KindBool}[rng.Intn(4)]
-}
-
-// randColumn draws n values of kind in one random shape: dense, with NULLs,
-// or a third — numerics mostly NULL (short columns often entirely), strings
-// over a wider alphabet with NULLs.
-func randColumn(rng *rand.Rand, kind Kind, n int) []Value {
-	shape := rng.Intn(3)
-	vals := make([]Value, n)
-	for i := range vals {
-		switch {
-		case shape == 1 && rng.Float64() < 0.3, shape == 2 && kind != KindString && rng.Float64() < 0.8:
-			vals[i] = Null()
-		case shape == 2 && kind == KindString:
-			vals[i] = randValue(rng, false, 0.2)
-		default:
-			vals[i] = randHomValue(rng, kind)
-		}
-	}
-	return vals
-}
-
-// randBatch builds a random one-column batch of a randColumn shape; half
-// carry an input selection vector.
+// randBatch builds a random one-column batch of an oracle.RandColumn
+// shape; half carry an input selection vector.
 func randBatch(rng *rand.Rand, numeric bool) *Batch {
 	b := NewBatch(1)
 	n := rng.Intn(60) + 1
-	for _, v := range randColumn(rng, randKind(rng, numeric), n) {
+	for _, v := range oracle.RandColumn(rng, oracle.RandKind(rng, numeric), n) {
 		b.AppendRow(Row{v})
 	}
 	if rng.Intn(2) == 0 { // carry an input selection: every other row
@@ -111,7 +44,7 @@ func randPred(rng *rand.Rand, numeric bool) Expr {
 	col := Col{Idx: 0, Name: "c"}
 	konst := func() Value {
 		// NULL constants sometimes, to cover the all-dropped path.
-		return randValue(rng, numeric, 0.1)
+		return oracle.RandValue(rng, numeric, 0.1)
 	}
 	switch rng.Intn(3) {
 	case 0:
@@ -122,36 +55,21 @@ func randPred(rng *rand.Rand, numeric bool) Expr {
 	default:
 		vals := make([]Value, rng.Intn(5)+1)
 		for i := range vals {
-			vals[i] = randValue(rng, numeric, 0.1)
+			vals[i] = oracle.RandValue(rng, numeric, 0.1)
 		}
 		return NewInHash(col, vals)
 	}
 }
 
-// randSel draws an input selection over n rows: nil (all rows) half the
-// time, otherwise a random ascending subset, possibly empty.
-func randSel(rng *rand.Rand, n int) []int32 {
-	if rng.Intn(2) == 0 {
-		return nil
-	}
-	sel := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		if rng.Intn(3) > 0 {
-			sel = append(sel, int32(i))
-		}
-	}
-	return sel
-}
-
 // randTreeBatch builds a random four-column batch for the predicate-tree
 // tests: two numeric columns and two string columns, each of its own
-// randColumn shape, the second string column dictionary-encoded half the
-// time, under a randSel input selection.
+// oracle.RandColumn shape, the second string column dictionary-encoded half
+// the time, under an oracle.RandSel input selection.
 func randTreeBatch(rng *rand.Rand) *Batch {
 	n := rng.Intn(60) + 1
 	b := &Batch{Cols: make([]ColVec, 4), N: n}
 	for c := range b.Cols {
-		for _, v := range randColumn(rng, randKind(rng, c < 2), n) {
+		for _, v := range oracle.RandColumn(rng, oracle.RandKind(rng, c < 2), n) {
 			b.Cols[c].Append(v)
 		}
 	}
@@ -164,7 +82,7 @@ func randTreeBatch(rng *rand.Rand) *Batch {
 		}
 		vec.EncodeDict(NewDict(words))
 	}
-	b.Sel = randSel(rng, n)
+	b.Sel = oracle.RandSel(rng, n)
 	return b
 }
 
@@ -176,7 +94,7 @@ func randLeaf(rng *rand.Rand) Expr {
 	c := rng.Intn(4)
 	numeric := c < 2
 	col := Col{Idx: c}
-	konst := func() Value { return randValue(rng, numeric, 0.1) }
+	konst := func() Value { return oracle.RandValue(rng, numeric, 0.1) }
 	switch rng.Intn(4) {
 	case 0:
 		return Cmp{Op: CmpOp(rng.Intn(6)), L: col, R: Const{V: konst()}}
@@ -249,8 +167,7 @@ func checkFilterAgainstRows(t *testing.T, caseNo int, pred Expr, in *Batch) {
 	stale := make([]int32, 3, 200) // a caller's selection from an earlier page
 	check("FilterBatch into a reused selection", FilterBatch(pred, in, stale, &reused), reused.Cycles)
 
-	var sc scratch
-	check("the per-row fallback", sc.filterFallback(pred, in, in.Sel, make([]int32, 0, in.Len()), true, &fallback), fallback.Cycles)
+	check("the per-row fallback", FilterFallback(pred, in, in.Sel, make([]int32, 0, in.Len()), &fallback), fallback.Cycles)
 
 	if in.Sel != nil {
 		narrowed := *in
@@ -358,14 +275,7 @@ func TestDictFilterMatchesDenseExactly(t *testing.T) {
 		}
 		encoded++
 
-		var refCost Cost
-		var want []int32
-		for li, r := range in.Rows() {
-			if pred.Eval(r, &refCost).Truthy() {
-				want = append(want, int32(in.RowIdx(li)))
-			}
-		}
-
+		want, refCycles := rowReference(pred, in)
 		var denseCost, dictCost Cost
 		dense := FilterBatch(pred, in, nil, &denseCost)
 		dict := FilterBatch(pred, din, nil, &dictCost)
@@ -380,9 +290,9 @@ func TestDictFilterMatchesDenseExactly(t *testing.T) {
 					caseNo, pred, i, dense[i], dict[i], want[i])
 			}
 		}
-		if denseCost.Cycles != refCost.Cycles || dictCost.Cycles != refCost.Cycles {
+		if denseCost.Cycles != refCycles || dictCost.Cycles != refCycles {
 			t.Fatalf("case %d (%s): dense charged %v, dict %v, row reference %v — encoding must be charging-neutral",
-				caseNo, pred, denseCost.Cycles, dictCost.Cycles, refCost.Cycles)
+				caseNo, pred, denseCost.Cycles, dictCost.Cycles, refCycles)
 		}
 	}
 	if encoded < 1500 {
@@ -412,10 +322,10 @@ func randPrunePred(rng *rand.Rand, numeric bool) Expr {
 }
 
 // randNaNPage draws a float page holding NaN first, in the middle, or
-// throughout, among randColumn's values (NULLs included), and a numeric
-// randPrunePred for it.
+// throughout, among oracle.RandColumn's values (NULLs included), and a
+// numeric randPrunePred for it.
 func randNaNPage(rng *rand.Rand) (*Batch, Expr) {
-	vals := randColumn(rng, KindFloat, rng.Intn(20)+1)
+	vals := oracle.RandColumn(rng, KindFloat, rng.Intn(20)+1)
 	switch rng.Intn(3) {
 	case 0:
 		vals[0] = Float(math.NaN())
@@ -488,20 +398,25 @@ func TestZonePruneSoundness(t *testing.T) {
 }
 
 // TestZonePrunesMatchesBoxedReference runs TestZonePruneSoundness's
-// NaN-free generator and requires the typed ZonePrunes to decide every
-// case as the boxed reference rules over the boxed reference zone do.
+// generators, NaN pages included, and requires the typed ZonePrunes over
+// the typed zone to decide every case as the oracle's boxed rules over the
+// oracle's zone do.
 func TestZonePrunesMatchesBoxedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x20e5))
-	for caseNo := 0; caseNo < 2000; caseNo++ {
-		in, pred := randPrunePage(rng)
+	for caseNo := 0; caseNo < 4000; caseNo++ {
+		gen := randPrunePage
+		if caseNo >= 2000 {
+			gen = randNaNPage
+		}
+		in, pred := gen(rng)
 		vec := &in.Cols[0]
-		zones, ref := make([]Zone, 1), make([]refZone, 1)
+		zones, ref := make([]Zone, 1), make([]oracle.Zone, 1)
 		zones[0].Fold(vec, 0, vec.Len())
 		for i := 0; i < vec.Len(); i++ {
-			updateRef(&ref[0], vec.Get(i))
+			ref[0].Fold(vec.Get(i))
 		}
-		if got, want := ZonePrunes(pred, zones), refZonePrunes(pred, ref); got != want {
-			t.Fatalf("case %d (%s) over %v: typed zone %+v prunes %v, boxed reference %+v prunes %v",
+		if got, want := ZonePrunes(pred, zones), oracle.Prunes(pred, ref); got != want {
+			t.Fatalf("case %d (%s) over %v: typed zone %+v prunes %v, the oracle's zone %+v prunes %v",
 				caseNo, pred, vecValues(vec), zones[0], got, ref[0], want)
 		}
 	}
@@ -543,8 +458,8 @@ func TestEvalBatchColFastPathMatchesEval(t *testing.T) {
 // randArithBatch builds a random batch of numeric columns for the
 // arithmetic tests: each column holds one of Int/Float/Date/Bool (zeros
 // included, so divisions hit x/0), NULL-free or NULL-bearing — the last
-// column sometimes all-NULL, which the typed loops must refuse — under a
-// randSel input selection.
+// column sometimes all-NULL, which the typed loops must refuse — under
+// an oracle.RandSel input selection.
 func randArithBatch(rng *rand.Rand) *Batch {
 	n := rng.Intn(60) + 1
 	b := &Batch{Cols: make([]ColVec, 4), N: n}
@@ -558,11 +473,11 @@ func randArithBatch(rng *rand.Rand) *Batch {
 			if rng.Float64() < nullFrac {
 				b.Cols[c].Append(Null())
 			} else {
-				b.Cols[c].Append(randHomValue(rng, kind))
+				b.Cols[c].Append(oracle.RandKindValue(rng, kind))
 			}
 		}
 	}
-	b.Sel = randSel(rng, n)
+	b.Sel = oracle.RandSel(rng, n)
 	return b
 }
 
@@ -571,7 +486,7 @@ func randArithBatch(rng *rand.Rand) *Batch {
 func randArith(rng *rand.Rand, depth int) Expr {
 	if depth == 0 || rng.Intn(4) == 0 {
 		if rng.Intn(3) == 0 {
-			return Const{V: randValue(rng, true, 0.1)}
+			return Const{V: oracle.RandValue(rng, true, 0.1)}
 		}
 		return Col{Idx: rng.Intn(4)}
 	}
@@ -590,7 +505,7 @@ func TestEvalBatchArithMatchesEvalExactly(t *testing.T) {
 	for caseNo := 0; caseNo < 3000; caseNo++ {
 		in := randArithBatch(rng)
 		e := Arith{Op: ArithOp(rng.Intn(4)), L: randArith(rng, 2), R: randArith(rng, 2)}
-		if arithTyped(e, in) {
+		if ArithTyped(e, in) {
 			typed++
 		}
 

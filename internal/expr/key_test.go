@@ -1,26 +1,16 @@
-package expr
+package expr_test
 
 import (
 	"testing"
 	"testing/quick"
+
+	. "ecodb/internal/expr"
+	"ecodb/internal/oracle"
 )
 
-// appendKey appends v's group-key encoding (putKeyValue) to dst: the
-// row-at-a-time reference the column-wise builder must reproduce.
-func appendKey(dst []byte, v Value) []byte {
-	n := len(dst)
-	dst = append(dst, make([]byte, fixedKeyWidth+len(v.S))...)
-	return dst[:n+putKeyValue(dst[n:], v)]
-}
-
-func groupKey(vals ...Value) string {
-	var buf []byte
-	for _, v := range vals {
-		buf = appendKey(buf, v)
-	}
-	return string(buf)
-}
-
+// TestGroupKeyInjective: tuples that differ — in a string's boundary, in
+// arity, in kind under one display form — have different keys, each the
+// oracle's.
 func TestGroupKeyInjective(t *testing.T) {
 	distinct := [][]Value{
 		{String("x\x00"), String("y")}, // boundary-shifted string pairs
@@ -39,7 +29,12 @@ func TestGroupKeyInjective(t *testing.T) {
 	}
 	seen := make(map[string]int)
 	for i, tuple := range distinct {
-		k := groupKey(tuple...)
+		cols := make([]int, len(tuple))
+		for c := range cols {
+			cols[c] = c
+		}
+		assertKeysMatchOracle(t, keyBatch([]Row{tuple}), cols)
+		k := oracle.GroupKey(tuple...)
 		if j, dup := seen[k]; dup {
 			t.Fatalf("tuples %v and %v share group key %q", distinct[j], distinct[i], k)
 		}
@@ -48,19 +43,20 @@ func TestGroupKeyInjective(t *testing.T) {
 }
 
 func TestGroupKeyEqualTuplesAgree(t *testing.T) {
-	a := groupKey(String("abc"), Int(-7), Null(), Float(2.5))
-	b := groupKey(String("abc"), Int(-7), Null(), Float(2.5))
-	if a != b {
+	row := Row{String("abc"), Int(-7), Null(), Float(2.5)}
+	var g GroupKeys
+	g.Build(keyBatch([]Row{row, row.Clone()}), []int{0, 1, 2, 3})
+	if string(g.Key(0)) != string(g.Key(1)) {
 		t.Fatal("equal tuples produced different keys")
 	}
 }
 
 func TestGroupKeyInjectiveProperty(t *testing.T) {
 	// Random pairs of (int,string) tuples: keys collide iff tuples equal.
+	var g GroupKeys
 	f := func(i1 int64, s1 string, i2 int64, s2 string) bool {
-		k1 := groupKey(Int(i1), String(s1))
-		k2 := groupKey(Int(i2), String(s2))
-		return (k1 == k2) == (i1 == i2 && s1 == s2)
+		g.Build(keyBatch([]Row{{Int(i1), String(s1)}, {Int(i2), String(s2)}}), []int{0, 1})
+		return (string(g.Key(0)) == string(g.Key(1))) == (i1 == i2 && s1 == s2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -79,25 +75,22 @@ func keyBatch(rows []Row) *Batch {
 	return b
 }
 
-// assertKeysMatchRowPath requires the column-wise builder to reproduce the
-// row-at-a-time putKeyValue encoding byte for byte on every logical row.
-func assertKeysMatchRowPath(t *testing.T, b *Batch, cols []int) {
+// assertKeysMatchOracle requires the column-wise builder to reproduce the
+// oracle's group key byte for byte on every logical row.
+func assertKeysMatchOracle(t *testing.T, b *Batch, cols []int) {
 	t.Helper()
 	var g GroupKeys
 	g.Build(b, cols)
 	if g.Len() != b.Len() {
 		t.Fatalf("built %d keys for %d logical rows", g.Len(), b.Len())
 	}
-	scratch := make(Row, b.Width())
-	var want []byte
 	for li := 0; li < b.Len(); li++ {
-		b.gatherInto(scratch, b.RowIdx(li))
-		want = want[:0]
-		for _, c := range cols {
-			want = appendKey(want, scratch[c])
+		vals := make([]Value, len(cols))
+		for k, c := range cols {
+			vals[k] = b.Cols[c].Get(b.RowIdx(li))
 		}
-		if got := g.Key(li); string(got) != string(want) {
-			t.Fatalf("row %d: batch key %x != row key %x", li, got, want)
+		if got, want := g.Key(li), oracle.GroupKey(vals...); string(got) != want {
+			t.Fatalf("row %d: batch key %x, oracle key %x", li, got, want)
 		}
 	}
 }
@@ -109,9 +102,9 @@ func TestGroupKeysBatchMatchesRowEncoding(t *testing.T) {
 		{Int(-9), String("x\x00y"), Float(2.5), Date(-3)},
 		{Int(1 << 40), String("long-ish string value"), Float(0), Date(7)},
 	})
-	assertKeysMatchRowPath(t, dense, []int{0, 1, 2, 3})
-	assertKeysMatchRowPath(t, dense, []int{1})
-	assertKeysMatchRowPath(t, dense, []int{3, 0})
+	assertKeysMatchOracle(t, dense, []int{0, 1, 2, 3})
+	assertKeysMatchOracle(t, dense, []int{1})
+	assertKeysMatchOracle(t, dense, []int{3, 0})
 
 	// Selection vectors: keys follow logical rows, not physical ones.
 	sel := keyBatch([]Row{
@@ -119,7 +112,7 @@ func TestGroupKeysBatchMatchesRowEncoding(t *testing.T) {
 		{Int(12), String("c")}, {Int(13), String("d")},
 	})
 	sel.Sel = []int32{1, 3}
-	assertKeysMatchRowPath(t, sel, []int{0, 1})
+	assertKeysMatchOracle(t, sel, []int{0, 1})
 
 	// NULLs in fixed-width and string columns.
 	nulls := keyBatch([]Row{
@@ -127,15 +120,22 @@ func TestGroupKeysBatchMatchesRowEncoding(t *testing.T) {
 		{Null(), Float(2), Null()},
 		{Int(3), Null(), String("")},
 	})
-	assertKeysMatchRowPath(t, nulls, []int{0, 1, 2})
+	assertKeysMatchOracle(t, nulls, []int{0, 1, 2})
 
 	// All-NULL column (vector kind stays KindNull).
 	allNull := keyBatch([]Row{{Null(), Int(1)}, {Null(), Int(2)}})
-	assertKeysMatchRowPath(t, allNull, []int{0, 1})
+	assertKeysMatchOracle(t, allNull, []int{0, 1})
+
+	// Dictionary-coded strings, dense and under a selection.
+	words := keyBatch([]Row{{String("ab")}, {String("")}, {String("zz")}, {String("ab")}})
+	words.Cols[0].EncodeDict(testDict)
+	assertKeysMatchOracle(t, words, []int{0})
+	words.Sel = []int32{0, 2}
+	assertKeysMatchOracle(t, words, []int{0})
 
 	// Empty batch and empty column list.
-	assertKeysMatchRowPath(t, keyBatch(nil), nil)
-	assertKeysMatchRowPath(t, dense, nil)
+	assertKeysMatchOracle(t, keyBatch(nil), nil)
+	assertKeysMatchOracle(t, dense, nil)
 }
 
 func TestGroupKeysBuilderIsReusable(t *testing.T) {
@@ -151,27 +151,27 @@ func TestGroupKeysBuilderIsReusable(t *testing.T) {
 	if string(g.Key(0)) == k0 {
 		t.Fatal("rebuild returned the previous batch's key")
 	}
-	if want := groupKey(Int(5)); string(g.Key(0)) != want {
+	if want := oracle.GroupKey(Int(5)); string(g.Key(0)) != want {
 		t.Fatalf("rebuilt key %x, want %x", g.Key(0), want)
 	}
 }
 
 // TestGroupKeysFoldNegativeZero requires -0 and +0, one value under
-// Compare and ==, to share a group key on every encoding path: the row
-// path, the dense float loop and the generic loop NULLs take.
+// Compare and ==, to share a group key on every encoding path — the dense
+// float loop and the generic loop NULLs take — and that key to be the
+// oracle's.
 func TestGroupKeysFoldNegativeZero(t *testing.T) {
 	if FloatKey(negZero()) != FloatKey(0) {
 		t.Fatal("FloatKey tells -0 from +0")
-	}
-	if groupKey(Float(negZero())) != groupKey(Float(0)) {
-		t.Fatal("putKeyValue tells -0 from +0")
 	}
 	for _, rows := range [][]Row{
 		{{Float(0)}, {Float(negZero())}},
 		{{Float(negZero())}, {Float(0)}, {Null()}},
 	} {
+		b := keyBatch(rows)
+		assertKeysMatchOracle(t, b, []int{0})
 		var g GroupKeys
-		g.Build(keyBatch(rows), []int{0})
+		g.Build(b, []int{0})
 		if string(g.Key(0)) != string(g.Key(1)) {
 			t.Fatalf("rows %v: keys %x and %x differ", rows, g.Key(0), g.Key(1))
 		}

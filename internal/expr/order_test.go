@@ -1,4 +1,4 @@
-package expr
+package expr_test
 
 import (
 	"cmp"
@@ -6,32 +6,10 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-)
 
-// randVec builds a column of kind in a randColumn shape (dense, with NULLs,
-// mostly NULL, or all NULL), string columns dictionary-encoded against dict
-// half the time, with the edge values the blocking operators care about
-// mixed in: -0, NaN, and ints above 2⁵³ that tie as floats.
-func randVec(rng *rand.Rand, kind Kind, n int, dict *Dict) *ColVec {
-	vals := randColumn(rng, kind, n)
-	allNull := rng.Intn(8) == 0
-	v := &ColVec{}
-	for _, val := range vals {
-		switch {
-		case allNull:
-			val = Null()
-		case val.Kind == KindFloat && rng.Intn(6) == 0:
-			val.F = []float64{math.Copysign(0, -1), 0, math.NaN()}[rng.Intn(3)]
-		case val.Kind == KindInt && rng.Intn(6) == 0:
-			val.I = 1<<53 + int64(rng.Intn(3))
-		}
-		v.Append(val)
-	}
-	if kind == KindString && rng.Intn(2) == 0 {
-		v.EncodeDict(dict)
-	}
-	return v
-}
+	. "ecodb/internal/expr"
+	"ecodb/internal/oracle"
+)
 
 var testDicts = []*Dict{
 	NewDict([]string{"", "a", "ab", "abc", "b", "ba", "zz", "\x00x"}),
@@ -39,10 +17,6 @@ var testDicts = []*Dict{
 }
 
 var testDict = testDicts[0]
-
-func sameBits(a, b Value) bool {
-	return a.Kind == b.Kind && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
-}
 
 // AppendFrom's payload-to-payload gather must build the vector appending
 // value by value builds — the same elements, and the representation
@@ -52,11 +26,11 @@ func sameBits(a, b Value) bool {
 func TestAppendFromMatchesAppendingValueByValue(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for c := 0; c < 3000; c++ {
-		kind := randKind(rng, rng.Intn(2) == 0)
+		kind := oracle.RandKind(rng, rng.Intn(2) == 0)
 		dst, want := &ColVec{}, &ColVec{}
 		for part := 0; part < 1+rng.Intn(3); part++ {
-			src := randVec(rng, kind, rng.Intn(20), testDicts[rng.Intn(2)])
-			sel := randSel(rng, src.Len())
+			src := oracle.RandVec(rng, kind, rng.Intn(20), testDicts[rng.Intn(2)])
+			sel := oracle.RandSel(rng, src.Len())
 			if sel != nil && rng.Intn(2) == 0 {
 				rng.Shuffle(len(sel), func(i, j int) { sel[i], sel[j] = sel[j], sel[i] }) // a gather, not a filter
 			}
@@ -80,7 +54,7 @@ func TestAppendFromMatchesAppendingValueByValue(t *testing.T) {
 		}
 		nulls := 0
 		for i := 0; i < dst.Len(); i++ {
-			if !sameBits(dst.Get(i), want.Get(i)) {
+			if !oracle.SameValue(dst.Get(i), want.Get(i)) {
 				t.Fatalf("case %d: element %d is %v, want %v", c, i, dst.Get(i), want.Get(i))
 			}
 			if dst.IsNull(i) {
@@ -168,8 +142,8 @@ func TestCompareRowsAndKeyOrderMatchCompare(t *testing.T) {
 		n := 1 + rng.Intn(12)
 		a, b := NewBatch(2), NewBatch(2)
 		for col := 0; col < 2; col++ {
-			kind := randKind(rng, numeric)
-			a.Cols[col], b.Cols[col] = *randVec(rng, kind, n, testDict), *randVec(rng, kind, n, testDict)
+			kind := oracle.RandKind(rng, numeric)
+			a.Cols[col], b.Cols[col] = *oracle.RandVec(rng, kind, n, testDict), *oracle.RandVec(rng, kind, n, testDict)
 		}
 		a.N, b.N = n, n
 		keys := []SortKey{{Col: rng.Intn(2), Desc: rng.Intn(2) == 0}, {Col: rng.Intn(2), Desc: rng.Intn(2) == 0}}[:1+rng.Intn(2)]
@@ -206,7 +180,7 @@ func TestFoldExtremesAndAsFloatsMatchBoxedValues(t *testing.T) {
 	for c := 0; c < 2000; c++ {
 		numeric := rng.Intn(2) == 0
 		n := rng.Intn(30)
-		vec := randVec(rng, randKind(rng, numeric), n, testDict)
+		vec := oracle.RandVec(rng, oracle.RandKind(rng, numeric), n, testDict)
 		gid := make([]int32, n)
 		for i := range gid {
 			gid[i] = int32(rng.Intn(3))
@@ -227,7 +201,7 @@ func TestFoldExtremesAndAsFloatsMatchBoxedValues(t *testing.T) {
 				FoldExtreme(&want[g], vec.Get(i), sign)
 			}
 			for g := range got {
-				if !sameBits(got[g], want[g]) {
+				if !oracle.SameValue(got[g], want[g]) {
 					t.Fatalf("case %d sign %d group %d: %v, want %v", c, sign, g, got[g], want[g])
 				}
 			}
@@ -241,8 +215,8 @@ func TestFoldExtremesAndAsFloatsMatchBoxedValues(t *testing.T) {
 	}
 }
 
-// A JoinTable probe yields the pairs a nested loop over canonical Values
-// compared with == yields, in its order. A quarter of the cases build from
+// A JoinTable probe yields the pairs a nested loop matching canonical
+// Values by oracle.JoinMatches yields, in its order. A quarter of the cases build from
 // dozens of distinct integer keys, into a table of at least 64 slots — a
 // join table is sized once, for its build rows, where a group table grows
 // to that size three times over — and those keys are adversarial: they
@@ -258,18 +232,18 @@ func TestJoinTableMatchesNestedLoopOnValueEquality(t *testing.T) {
 			build, probe = collidingJoinKeys(rng)
 		} else {
 			numeric := rng.Intn(4) > 0
-			buildKind, probeKind := randKind(rng, numeric), randKind(rng, numeric)
+			buildKind, probeKind := oracle.RandKind(rng, numeric), oracle.RandKind(rng, numeric)
 			if rng.Intn(3) > 0 {
 				probeKind = buildKind // the join bind allows; a key of another kind matches nothing
 			}
-			build = randVec(rng, buildKind, rng.Intn(25), testDict)
-			probe = randVec(rng, probeKind, rng.Intn(25), testDict)
+			build = oracle.RandVec(rng, buildKind, rng.Intn(25), testDict)
+			probe = oracle.RandVec(rng, probeKind, rng.Intn(25), testDict)
 		}
-		sel := randSel(rng, probe.Len())
+		sel := oracle.RandSel(rng, probe.Len())
 		var wantB, wantP []int32
 		each := func(i int) {
 			for r := 0; r < build.Len(); r++ {
-				if k := build.Get(r); !k.IsNull() && k == probe.Get(i) {
+				if oracle.JoinMatches(build.Get(r), probe.Get(i)) {
 					wantB, wantP = append(wantB, int32(r)), append(wantP, int32(i))
 				}
 			}
@@ -283,7 +257,7 @@ func TestJoinTableMatchesNestedLoopOnValueEquality(t *testing.T) {
 			each(int(i))
 		}
 		table := BuildJoinTable(build)
-		if len(table.table.slots) >= minKeySlots<<3 {
+		if table.Slots() >= MinKeySlots<<3 {
 			large++
 		}
 		gotB, gotP := table.Probe(probe, sel, &ProbeScratch{}, nil, nil)
@@ -297,7 +271,7 @@ func TestJoinTableMatchesNestedLoopOnValueEquality(t *testing.T) {
 		}
 	}
 	if large < 400 {
-		t.Fatalf("only %d builds took a table of %d slots or more", large, minKeySlots<<3)
+		t.Fatalf("only %d builds took a table of %d slots or more", large, MinKeySlots<<3)
 	}
 }
 
@@ -307,9 +281,9 @@ func TestJoinTableMatchesNestedLoopOnValueEquality(t *testing.T) {
 // time, of the other. The keys either share their low 40 bits or are
 // chosen so that their one-column hashes (x·hashMul) share the top 32 bits.
 func collidingJoinKeys(rng *rand.Rand) (build, probe *ColVec) {
-	inv := uint64(hashMul) // hashMul⁻¹ mod 2⁶⁴, by Newton's iteration
+	inv := uint64(HashMul) // hashMul⁻¹ mod 2⁶⁴, by Newton's iteration
 	for i := 0; i < 5; i++ {
-		inv *= 2 - hashMul*inv
+		inv *= 2 - HashMul*inv
 	}
 	highBits := rng.Intn(2) == 0
 	key := func(j int) int64 {

@@ -1,5 +1,5 @@
 //go:build !race
 
-package expr
+package expr_test
 
 const raceEnabled = false

@@ -181,9 +181,6 @@ func Compare(a, b Value) int {
 	}
 }
 
-// Equal reports whether two values are equal under Compare semantics.
-func Equal(a, b Value) bool { return Compare(a, b) == 0 }
-
 // Bytes estimates the in-page storage footprint of the value, used by the
 // buffer pool for page sizing.
 func (v Value) Bytes() int64 {

@@ -576,8 +576,8 @@ func columnNames(r *engine.Rows) []string {
 }
 
 // refreshGauges updates the engine-owned gauges the /metrics endpoint
-// cannot touch itself (handlers never reach the engine; the scheduler
-// refreshes after every batch, exactly as engine.MetricsSnapshot would).
+// cannot touch itself: handlers never reach the engine, so the scheduler
+// refreshes them after every batch.
 func (c *Core) refreshGauges() {
 	if pool := c.eng.Pool(); pool != nil {
 		obsv.Default().Gauge(obsv.MetricPoolResident).Set(float64(pool.Used()))

@@ -302,9 +302,8 @@ func buildRequest(c *Core, query string, h http.Header) (Request, error) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	// The scheduler refreshed engine gauges after its last batch, so the
-	// registry snapshot is exactly engine.MetricsSnapshot's content —
-	// without handlers ever touching the engine.
+	// The scheduler refreshed the engine's gauges after its last batch
+	// (Core.refreshGauges), so handlers never touch the engine.
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, obsv.Default().Snapshot().Text())
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"unicode"
 )
 
 // q5Explain is the six-way join the short_stmt workload asks EXPLAIN of:
@@ -30,134 +29,119 @@ func TestLexQ5AllocatesOnce(t *testing.T) {
 	}
 }
 
-// TestLexMatchesReference: the lexer yields exactly the tokens — kind, text
-// and position — and the errors of the straightforward one it replaced
-// (refLex), over every served shape and the corners the shortcuts touch:
-// keywords in any case, words as long as a keyword and longer, non-ASCII
-// letters, escaped and empty string literals, every operator and symbol.
-func TestLexMatchesReference(t *testing.T) {
+// TestLexTokensRoundTripAndPointAtTheirSpelling holds lex to what its
+// tokens mean, over every served shape and the corners the shortcuts
+// touch: keywords in any case, words as long as a keyword and longer,
+// non-ASCII letters, escaped and empty string literals, every operator and
+// symbol, and comments.
+//
+//   - Each token's pos points at its spelling: an identifier, number,
+//     operator or symbol is spelled by its text, a keyword by its text in
+//     any letter case, and a string literal by its text quoted, each quote
+//     doubled. The end token sits at the end of the input.
+//   - Between one token's spelling and the next lies only whitespace or a
+//     comment, so no byte of the input is dropped.
+//   - A word is a keyword exactly when its upper-cased spelling is one.
+//   - Lexing the tokens' spellings, joined by spaces, yields the same
+//     tokens at their offsets in that rendering.
+//
+// Malformed input fails with the offset of the literal or byte at fault.
+func TestLexTokensRoundTripAndPointAtTheirSpelling(t *testing.T) {
 	inputs := append([]string{
 		q5Explain,
 		"select Count(*) aS n fRoM t wHeRe x BeTwEeN 1 and 2",
 		"SELECT explain, explains, analyzed, analyze_x, _in, in_ FROM between_",
 		"SELECT a FROM t WHERE s = 'it''s' OR s = '''' OR s = '' OR s = 'plain' OR s = 'x''y''z'",
 		"SELECT a+b-c/d*e FROM t WHERE a<>b AND a<=b AND a>=b AND a<b AND a>b AND a=b;",
-		"SELECT 1.5, 2., .5, 10 -- trailing comment\n FROM t",
+		"SELECT 1.5, 2., .5, 10 -- trailing comment\n FROM t -- and a last one",
 		"SELECT \xe9t\xe9 FROM caf\xe9",
-		"SELECT 'unterminated",
-		"SELECT 'ends with an escaped quote''",
-		"SELECT @",
 		"SELECT a FROM t WHERE b = 'x' AND c",
 	}, servedShapes...)
 	for kw := range keywords {
 		if len(kw) > maxKeywordLen {
 			t.Fatalf("keyword %q is longer than maxKeywordLen %d: lex would take it for an identifier", kw, maxKeywordLen)
 		}
-		inputs = append(inputs, kw, strings.ToLower(kw))
+		inputs = append(inputs, kw, strings.ToLower(kw), "x"+kw, kw+"_")
 	}
 	for _, in := range inputs {
-		got, gotErr := lex(in)
-		want, wantErr := refLex(in)
-		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-			t.Fatalf("%q: error %v, reference %v", in, gotErr, wantErr)
+		toks, err := lex(in)
+		if err != nil {
+			t.Fatalf("%q: %v", in, err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%q: %d tokens, reference %d", in, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%q: token %d is %+v, reference %+v", in, i, got[i], want[i])
+		var rendering strings.Builder
+		end := 0
+		for i, tok := range toks {
+			if gap := in[end:max(end, min(tok.pos, len(in)))]; tok.pos < end || !blank(gap) {
+				t.Fatalf("%q: token %d %+v starts at %d, after %q since the last token's end %d", in, i, tok, tok.pos, gap, end)
 			}
+			if tok.kind == tokEOF {
+				if tok.pos != len(in) || i != len(toks)-1 {
+					t.Fatalf("%q: end token %d at %d, want the last token at %d", in, i, tok.pos, len(in))
+				}
+				break
+			}
+			spelled := spelling(tok)
+			got := in[tok.pos:min(tok.pos+len(spelled), len(in))]
+			if got != spelled && (tok.kind != tokKeyword || !strings.EqualFold(got, spelled)) {
+				t.Fatalf("%q: token %d %+v is spelled %q, but the input has %q there", in, i, tok, spelled, got)
+			}
+			if word := tok.kind == tokIdent || tok.kind == tokKeyword; word && (keywords[strings.ToUpper(got)] != "") != (tok.kind == tokKeyword) {
+				t.Fatalf("%q: word %q lexed as %+v", in, got, tok)
+			}
+			end = tok.pos + len(spelled)
+			rendering.WriteString(spelled)
+			rendering.WriteByte(' ')
+		}
+		again, err := lex(rendering.String())
+		if err != nil {
+			t.Fatalf("%q rendered as %q: %v", in, rendering.String(), err)
+		}
+		if len(again) != len(toks) {
+			t.Fatalf("%q rendered as %q: %d tokens, want %d", in, rendering.String(), len(again), len(toks))
+		}
+		at := 0
+		for i, tok := range toks[:len(toks)-1] {
+			if want := (token{kind: tok.kind, text: tok.text, pos: at}); again[i] != want {
+				t.Fatalf("%q rendered as %q: token %d is %+v, want %+v", in, rendering.String(), i, again[i], want)
+			}
+			at += len(spelling(tok)) + 1
+		}
+	}
+
+	for in, want := range map[string]string{
+		"SELECT 'unterminated":                 "sql: unterminated string literal at offset 7",
+		"SELECT 'ends with an escaped quote''": "sql: unterminated string literal at offset 7",
+		"SELECT a, @":                          "sql: unexpected character '@' at offset 10",
+	} {
+		if _, err := lex(in); fmt.Sprint(err) != want {
+			t.Errorf("%q: error %v, want %s", in, err, want)
 		}
 	}
 }
 
-// refLex is the lexer as it was before it stopped allocating per token,
-// kept as the reference TestLexMatchesReference holds lex to.
-func refLex(input string) ([]token, error) {
-	var out []token
-	i := 0
-	n := len(input)
-	for i < n {
-		c := input[i]
+// spelling returns how tok is written: a string literal quoted, each quote
+// doubled; any other token as its text.
+func spelling(tok token) string {
+	if tok.kind == tokString {
+		return "'" + strings.ReplaceAll(tok.text, "'", "''") + "'"
+	}
+	return tok.text
+}
+
+// blank reports whether s holds only whitespace and line comments.
+func blank(s string) bool {
+	for i := 0; i < len(s); i++ {
 		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == '-' && i+1 < n && input[i+1] == '-':
-			for i < n && input[i] != '\n' {
-				i++
-			}
-		case unicode.IsLetter(rune(c)) || c == '_':
-			start := i
-			for i < n && (unicode.IsLetter(rune(input[i])) || unicode.IsDigit(rune(input[i])) || input[i] == '_') {
-				i++
-			}
-			word := input[start:i]
-			upper := strings.ToUpper(word)
-			if keywords[upper] != "" {
-				out = append(out, token{kind: tokKeyword, text: upper, pos: start})
+		case strings.IndexByte(" \t\n\r", s[i]) >= 0:
+		case strings.HasPrefix(s[i:], "--"):
+			if nl := strings.IndexByte(s[i:], '\n'); nl >= 0 {
+				i += nl
 			} else {
-				out = append(out, token{kind: tokIdent, text: word, pos: start})
+				i = len(s)
 			}
-		case unicode.IsDigit(rune(c)):
-			start := i
-			seenDot := false
-			for i < n && (unicode.IsDigit(rune(input[i])) || (input[i] == '.' && !seenDot)) {
-				if input[i] == '.' {
-					seenDot = true
-				}
-				i++
-			}
-			out = append(out, token{kind: tokNumber, text: input[start:i], pos: start})
-		case c == '\'':
-			start := i
-			i++
-			var sb strings.Builder
-			closed := false
-			for i < n {
-				if input[i] == '\'' {
-					if i+1 < n && input[i+1] == '\'' {
-						sb.WriteByte('\'')
-						i += 2
-						continue
-					}
-					closed = true
-					i++
-					break
-				}
-				sb.WriteByte(input[i])
-				i++
-			}
-			if !closed {
-				return nil, fmt.Errorf("sql: unterminated string literal at offset %d", start)
-			}
-			out = append(out, token{kind: tokString, text: sb.String(), pos: start})
-		case c == '<':
-			if i+1 < n && (input[i+1] == '=' || input[i+1] == '>') {
-				out = append(out, token{kind: tokOp, text: input[i : i+2], pos: i})
-				i += 2
-			} else {
-				out = append(out, token{kind: tokOp, text: "<", pos: i})
-				i++
-			}
-		case c == '>':
-			if i+1 < n && input[i+1] == '=' {
-				out = append(out, token{kind: tokOp, text: ">=", pos: i})
-				i += 2
-			} else {
-				out = append(out, token{kind: tokOp, text: ">", pos: i})
-				i++
-			}
-		case c == '=' || c == '+' || c == '-' || c == '/':
-			out = append(out, token{kind: tokOp, text: string(c), pos: i})
-			i++
-		case c == '(' || c == ')' || c == ',' || c == '*' || c == '.' || c == ';':
-			out = append(out, token{kind: tokSymbol, text: string(c), pos: i})
-			i++
 		default:
-			return nil, fmt.Errorf("sql: unexpected character %q at offset %d", c, i)
+			return false
 		}
 	}
-	out = append(out, token{kind: tokEOF, pos: n})
-	return out, nil
+	return true
 }

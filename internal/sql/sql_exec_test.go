@@ -43,7 +43,7 @@ func assertRowsEqual(t *testing.T, got, want []expr.Row) {
 			t.Fatalf("row %d arity differs: %v vs %v", i, got[i], want[i])
 		}
 		for c := range got[i] {
-			if !expr.Equal(got[i][c], want[i][c]) {
+			if expr.Compare(got[i][c], want[i][c]) != 0 {
 				t.Fatalf("row %d col %d differs: %v vs %v", i, c, got[i], want[i])
 			}
 		}
