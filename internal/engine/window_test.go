@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ecodb/internal/expr"
-	"ecodb/internal/hw/system"
 	"ecodb/internal/obsv"
 	"ecodb/internal/opt"
 	"ecodb/internal/plan"
@@ -15,8 +14,12 @@ import (
 	"ecodb/internal/tpch"
 )
 
+// RunWindow is pinned by properties, not by a copy of the loop it
+// replaced: the window's joules are partitioned among its statements'
+// profiles, and a window of one is Query.
+
 // stmtSpec is one randomly drawn window member, independent of any engine
-// so the twin systems can each bind it to their own catalog.
+// so twin systems can each bind it to their own catalog.
 type stmtSpec struct {
 	shape   int // 0 scan, 1 filter, 2 aggregation, 3 join, 4 rides unexecuted
 	param   int
@@ -51,182 +54,174 @@ func randomWindow(rng *rand.Rand) []stmtSpec {
 	return specs
 }
 
-// stmtOutcome is what one window member leaves behind that the runner and
-// the reference loop must agree on bit for bit.
-type stmtOutcome struct {
-	end      sim.Time // the clock at the pull that exhausted the stream
-	stats    ExecStats
-	rows     []expr.Row
-	profiled bool
-	joules   float64        // the profile's, when profiled
-	plan     *obsv.PlanInfo // the optimizer's estimates, costed at the window's size
-}
+var objectives = []opt.Objective{{}, opt.MinimizeLatency(), opt.MinimizeJoules()}
 
-func (o *stmtOutcome) finish(end sim.Time, r *Rows) {
-	o.end, o.stats = end, r.Stats()
-	if p := r.Profile(); p != nil {
-		o.profiled, o.joules, o.plan = true, p.Joules, p.Plan
-	}
-}
-
-// runnerWindow runs the window through RunWindow. Its statements also carry
-// a queue-entry instant, which the reference has no way to pass: the wait is
-// observation, so nothing compared may move.
-func runnerWindow(t *testing.T, e *Engine, m *system.Machine, sess *SharedSession, specs []stmtSpec) []stmtOutcome {
+// loneScan starts a full lineitem scan outside any window, on sess when
+// it is not nil, and pulls it pulls times, leaving it mid-lap: a window
+// run next on sess attaches late to its pass.
+func loneScan(t *testing.T, e *Engine, sess *SharedSession, pulls int) *Rows {
 	t.Helper()
-	stmts := make([]Stmt, len(specs))
-	for i, s := range specs {
-		stmts[i] = Stmt{Plan: s.plan(e), QueuedAt: m.Clock.Now(), Queued: true, Profile: s.profile, Pulls: s.pulls}
-	}
-	out := make([]stmtOutcome, len(specs))
-	e.RunWindow(sess, stmts, func(i int, b *expr.Batch) {
-		out[i].rows = b.AppendRowsTo(out[i].rows)
-	}, func(i int, r *Rows, err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i].finish(m.Clock.Now(), r)
-	})
-	return out
-}
-
-// referenceWindow is the loop RunWindow replaced, written out by hand over
-// the public one-statement API only: set the concurrency hint, toggle the
-// engine's profiling default around each Query, then pull round-robin.
-func referenceWindow(t *testing.T, e *Engine, m *system.Machine, sess *SharedSession, specs []stmtSpec) []stmtOutcome {
-	t.Helper()
+	scan := plan.NewScan(e.MustTable(tpch.Lineitem), nil)
+	var r *Rows
 	if sess != nil {
-		sess.SetExpectedConcurrency(len(specs))
+		r = sess.Query(scan)
+	} else {
+		r = e.Query(scan)
 	}
-	streams := make([]*Rows, len(specs))
-	remaining := 0
-	for i, s := range specs {
-		p := s.plan(e)
-		if p == nil {
-			continue
+	for k := 0; k < pulls; k++ {
+		if b, err := r.Next(); b == nil || err != nil {
+			t.Fatalf("lone scan pull %d: batch %v, err %v", k, b, err)
 		}
-		prev := e.profiling
-		e.SetProfiling(prev || s.profile)
-		if sess != nil {
-			streams[i] = sess.Query(p)
-		} else {
-			streams[i] = e.Query(p)
-		}
-		e.SetProfiling(prev)
-		remaining++
 	}
-	out := make([]stmtOutcome, len(specs))
-	for remaining > 0 {
-		for i, r := range streams {
-			if r == nil {
-				continue
+	return r
+}
+
+// TestRunWindowJoulesPartitionWindow: over random windows — private and
+// shared, optimizer on and off, members that ride unexecuted, and a second
+// window attaching to the session while a lone scan holds its pass
+// mid-lap — each statement's profile sums to its metered joules, and the
+// profiles together partition the trace energy the window spent, at 1e-9.
+// Background I/O is off, so the trace holds only the window's charges.
+func TestRunWindowJoulesPartitionWindow(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		shared := rng.Intn(3) > 0
+		prof := ProfileCommercial()
+		prof.BGIOProbPerPage = 0
+		prof.Objective = objectives[rng.Intn(len(objectives))]
+		e, m := newEngine(t, prof, 0.002)
+		e.WarmAll()
+		var sess *SharedSession
+		if shared {
+			sess = e.NewSharedSession()
+		}
+		run := func(label string, specs []stmtSpec) {
+			t.Helper()
+			label = fmt.Sprintf("seed %d (shared %v, objective %v) %s", seed, shared, prof.Objective, label)
+			stmts := make([]Stmt, len(specs))
+			want := 0
+			for i, s := range specs {
+				stmts[i] = Stmt{Plan: s.plan(e), Profile: true, Pulls: s.pulls}
+				if stmts[i].Plan != nil {
+					want++
+				}
 			}
-			for k := 0; k < specs[i].pulls; k++ {
-				b, err := r.Next()
+			t0 := m.Clock.Now()
+			var sum float64
+			done := 0
+			e.RunWindow(sess, stmts, nil, func(i int, r *Rows, err error) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if b == nil {
-					out[i].finish(m.Clock.Now(), r)
-					streams[i] = nil
-					remaining--
-					break
-				}
-				out[i].rows = b.AppendRowsTo(out[i].rows)
+				p := r.Profile()
+				checkProfileSums(t, fmt.Sprintf("%s statement %d %+v", label, i, specs[i]), p)
+				sum += p.Joules
+				done++
+			})
+			if done != want {
+				t.Fatalf("%s: %d statements finished, want %d", label, done, want)
+			}
+			if meter := float64(m.CPU.Trace().Energy(t0, m.Clock.Now())); !relClose(sum, meter, 1e-9) {
+				t.Fatalf("%s: Σ profiles = %v J, the window's trace = %v J", label, sum, meter)
 			}
 		}
-	}
-	return out
-}
-
-func sameOutcomes(t *testing.T, label string, specs []stmtSpec, got, want []stmtOutcome) {
-	t.Helper()
-	for i := range want {
-		g, w := got[i], want[i]
-		if g.end != w.end || g.stats != w.stats || g.profiled != w.profiled || g.joules != w.joules || !reflect.DeepEqual(g.plan, w.plan) {
-			t.Fatalf("%s statement %d %+v: runner {end %v, %+v, profiled %v, %v J, plan %+v}, reference {end %v, %+v, profiled %v, %v J, plan %+v}",
-				label, i, specs[i], g.end, g.stats, g.profiled, g.joules, g.plan, w.end, w.stats, w.profiled, w.joules, w.plan)
-		}
-		if len(g.rows) != len(w.rows) {
-			t.Fatalf("%s statement %d %+v: %d rows from the runner, %d from the reference", label, i, specs[i], len(g.rows), len(w.rows))
-		}
-		for ri := range w.rows {
-			for c := range w.rows[ri] {
-				if g.rows[ri][c] != w.rows[ri][c] {
-					t.Fatalf("%s statement %d %+v: row %d col %d differs", label, i, specs[i], ri, c)
-				}
-			}
-		}
+		first, second := randomWindow(rng), randomWindow(rng)
+		run("first window", first)
+		loneScan(t, e, sess, 1+rng.Intn(5))
+		run("late-attached window", second)
 	}
 }
 
-// TestRunWindowMatchesReferenceLoop: random windows through RunWindow on one
-// system and through the hand-written loop on its twin leave the same end
-// clock, trace joules, per-statement completion instants, statistics,
-// profile joules and rows — private and shared, optimizer on and off,
-// profiled per statement and by engine default, with a second window
-// attaching to the session while a lone scan holds its pass mid-lap.
-func TestRunWindowMatchesReferenceLoop(t *testing.T) {
-	objectives := []opt.Objective{{}, opt.MinimizeLatency(), opt.MinimizeJoules()}
-	for seed := int64(1); seed <= 12; seed++ {
+// TestRunWindowOfOneEqualsQuery: on twin systems, a window of one
+// statement and Query of its plan, pulled to the end, return the same
+// rows with the same statistics and completion instant, the same profile
+// and the same trace joules — every plan shape, private and shared,
+// optimizer on and off, also when the statement attaches to a session's
+// pass that a lone scan holds mid-lap, whose statistics must agree too.
+func TestRunWindowOfOneEqualsQuery(t *testing.T) {
+	for seed := int64(1); seed <= 16; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		shared, profiling := rng.Intn(3) > 0, rng.Intn(2) == 0
+		spec := stmtSpec{shape: int(seed % 4), param: rng.Intn(1000), pulls: 1 + rng.Intn(4)}
+		shared, lonePulls := rng.Intn(3) > 0, rng.Intn(4)
 		prof := ProfileCommercial()
 		prof.Objective = objectives[rng.Intn(len(objectives))]
-		label := fmt.Sprintf("seed %d (shared %v, profiling %v, objective %v)", seed, shared, profiling, prof.Objective)
+		label := fmt.Sprintf("seed %d %+v (shared %v, lone pulls %d, objective %v)", seed, spec, shared, lonePulls, prof.Objective)
 
-		type side struct {
-			e    *Engine
-			m    *system.Machine
-			sess *SharedSession
-			run  func(*testing.T, *Engine, *system.Machine, *SharedSession, []stmtSpec) []stmtOutcome
+		type outcome struct {
+			rows       []expr.Row
+			stats      ExecStats
+			start, end sim.Time
+			joules     float64
+			plan       *obsv.PlanInfo // the profile's optimizer estimates
+			trace      float64
+			lone       ExecStats
 		}
-		sides := [2]side{{run: runnerWindow}, {run: referenceWindow}}
-		for i := range sides {
-			s := &sides[i]
-			s.e, s.m = newEngine(t, prof, 0.002)
-			s.e.WarmAll()
-			s.e.SetProfiling(profiling)
+		var out [2]outcome
+		for side := range out {
+			e, m := newEngine(t, prof, 0.002)
+			e.WarmAll()
+			e.SetProfiling(true)
+			var sess *SharedSession
 			if shared {
-				s.sess = s.e.NewSharedSession()
+				sess = e.NewSharedSession()
 			}
-		}
-
-		first, second, lonePulls := randomWindow(rng), randomWindow(rng), 1+rng.Intn(5)
-		var outcomes [2][2][]stmtOutcome
-		var lone [2]ExecStats
-		for i, s := range sides {
-			outcomes[i][0] = s.run(t, s.e, s.m, s.sess, first)
-			// A lone full scan, started outside any window and left mid-lap:
-			// on a session the second window attaches late to its pass.
-			scan := plan.NewScan(s.e.MustTable(tpch.Lineitem), nil)
-			var r *Rows
-			if shared {
-				r = s.sess.Query(scan)
+			var lone *Rows
+			if lonePulls > 0 {
+				lone = loneScan(t, e, sess, lonePulls)
+			}
+			o := &out[side]
+			finish := func(r *Rows) {
+				p := r.Profile()
+				o.stats, o.start, o.end = r.Stats(), r.Start(), m.Clock.Now()
+				o.joules, o.plan = p.Joules, p.Plan
+			}
+			if side == 0 {
+				e.RunWindow(sess, []Stmt{{Plan: spec.plan(e), Pulls: spec.pulls}}, func(_ int, b *expr.Batch) {
+					o.rows = b.AppendRowsTo(o.rows)
+				}, func(_ int, r *Rows, err error) {
+					if err != nil {
+						t.Fatal(err)
+					}
+					finish(r)
+				})
 			} else {
-				r = s.e.Query(scan)
-			}
-			for k := 0; k < lonePulls; k++ {
-				if b, err := r.Next(); b == nil || err != nil {
-					t.Fatalf("%s: lone scan pull %d: batch %v, err %v", label, k, b, err)
+				var r *Rows
+				if shared {
+					r = sess.Query(spec.plan(e))
+				} else {
+					r = e.Query(spec.plan(e))
 				}
+				for {
+					b, err := r.Next()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if b == nil {
+						break
+					}
+					o.rows = b.AppendRowsTo(o.rows)
+				}
+				finish(r)
 			}
-			outcomes[i][1] = s.run(t, s.e, s.m, s.sess, second)
-			lone[i] = r.Stats()
+			o.trace = float64(m.CPU.Trace().Energy(0, m.Clock.Now()))
+			if lone != nil {
+				o.lone = lone.Stats()
+			}
 		}
 
-		sameOutcomes(t, label+" first window", first, outcomes[0][0], outcomes[1][0])
-		sameOutcomes(t, label+" late-attached window", second, outcomes[0][1], outcomes[1][1])
-		if lone[0] != lone[1] {
-			t.Fatalf("%s: lone scan stats %+v with the runner, %+v with the reference", label, lone[0], lone[1])
+		w, q := out[0], out[1]
+		if w.stats != q.stats || w.start != q.start || w.end != q.end || w.joules != q.joules || w.trace != q.trace || w.lone != q.lone {
+			t.Fatalf("%s: window {%+v, [%v, %v], %v J, trace %v J, lone %+v}, Query {%+v, [%v, %v], %v J, trace %v J, lone %+v}",
+				label, w.stats, w.start, w.end, w.joules, w.trace, w.lone, q.stats, q.start, q.end, q.joules, q.trace, q.lone)
 		}
-		a, b := sides[0].m, sides[1].m
-		if a.Clock.Now() != b.Clock.Now() {
-			t.Fatalf("%s: end clock %v with the runner, %v with the reference", label, a.Clock.Now(), b.Clock.Now())
+		if !reflect.DeepEqual(w.plan, q.plan) {
+			t.Fatalf("%s: window plan estimates %+v, Query's %+v", label, w.plan, q.plan)
 		}
-		ja, jb := a.CPU.Trace().Energy(0, a.Clock.Now()), b.CPU.Trace().Energy(0, b.Clock.Now())
-		if ja != jb {
-			t.Fatalf("%s: trace energy %v with the runner, %v with the reference", label, ja, jb)
+		if !reflect.DeepEqual(w.rows, q.rows) {
+			t.Fatalf("%s: the window returned %d rows, Query %d, or they differ", label, len(w.rows), len(q.rows))
+		}
+		if len(q.rows) == 0 {
+			t.Fatalf("%s: no rows: the case compares nothing", label)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 )
@@ -78,12 +79,23 @@ func (d *Dict) UpperBound(s string) int32 {
 // word is missing from d. Logical content is unchanged: Get returns the
 // same canonical Values either way.
 func (v *ColVec) EncodeDict(d *Dict) bool {
+	return v.EncodeDictInto(d, make([]int32, v.n))
+}
+
+// EncodeDictInto is EncodeDict writing the codes into codes, which must
+// hold exactly one element per vector element and becomes the vector's
+// Codes: how a heap encodes all of a column's pages into one array. On
+// false the vector is untouched, though codes may have been written.
+func (v *ColVec) EncodeDictInto(d *Dict, codes []int32) bool {
 	if v.Dict != nil || v.Kind != KindString {
 		return false
 	}
-	codes := make([]int32, v.n)
+	if len(codes) != v.n {
+		panic(fmt.Sprintf("expr: %d codes for a vector of %d elements", len(codes), v.n))
+	}
 	for i, s := range v.S {
 		if v.Nulls != nil && v.Nulls[i] {
+			codes[i] = 0
 			continue
 		}
 		c, ok := d.Code(s)

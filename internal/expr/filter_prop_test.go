@@ -422,6 +422,51 @@ func TestZonePrunesMatchesBoxedReference(t *testing.T) {
 	}
 }
 
+// TestEmptyRangePrunes pins the empty-range rule of Between pruning: a
+// range whose lo is at or above its hi passes no row, so the page is
+// pruned whatever the zone's bounds — generator case 31 above (a string
+// page bounded by the empty string and zz, and the range [ba, b)),
+// numeric ranges of equal or crossed bounds — while a NaN lo, which
+// Compare ties with every hi, is no bound and prunes nothing.
+func TestEmptyRangePrunes(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x20e5))
+	var in *Batch
+	var pred Expr
+	for caseNo := 0; caseNo <= 31; caseNo++ {
+		in, pred = randPrunePage(rng)
+	}
+	floats := NewBatch(1)
+	for _, f := range []float64{1, 2.5, 7} {
+		floats.AppendRow(Row{Float(f)})
+	}
+	c := Col{Idx: 0, Name: "c"}
+	for _, tc := range []struct {
+		in    *Batch
+		pred  Expr
+		prune bool
+	}{
+		{in, pred, true},
+		{floats, Between{E: c, Lo: Int(2), Hi: Float(2)}, true},
+		{floats, Between{E: c, Lo: Float(5), Hi: Int(3)}, true},
+		{floats, Between{E: c, Lo: Float(math.NaN()), Hi: Float(3)}, false},
+	} {
+		vec := &tc.in.Cols[0]
+		zones, ref := make([]Zone, 1), make([]oracle.Zone, 1)
+		zones[0].Fold(vec, 0, vec.Len())
+		for i := 0; i < vec.Len(); i++ {
+			ref[0].Fold(vec.Get(i))
+		}
+		if got, want := ZonePrunes(tc.pred, zones), oracle.Prunes(tc.pred, ref); got != tc.prune || want != tc.prune {
+			t.Fatalf("%s over %v: typed zone prunes %v, the oracle's %v; want %v", tc.pred, vecValues(vec), got, want, tc.prune)
+		}
+		var cost Cost
+		tc.in.Sel = nil
+		if sel := FilterBatch(tc.pred, tc.in, nil, &cost); tc.prune == (len(sel) != 0) {
+			t.Fatalf("%s over %v: prunes %v, and the filter passes rows %v", tc.pred, vecValues(vec), tc.prune, sel)
+		}
+	}
+}
+
 func TestEvalBatchColFastPathMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xeba1))
 	for caseNo := 0; caseNo < 500; caseNo++ {

@@ -189,25 +189,37 @@ func (v *ColVec) AppendFrom(src *ColVec, sel []int32) {
 	}
 }
 
-// AppendRange appends src's elements [from, to): AppendFrom over a
-// contiguous run, which is how a heap cuts a loaded column into pages.
-// Into an empty vector each slice is allocated once, sized to the run.
-func (v *ColVec) AppendRange(src *ColVec, from, to int) {
-	run := ColVec{Kind: src.Kind, Dict: src.Dict, n: to - from}
-	if src.Nulls != nil {
-		run.Nulls = src.Nulls[from:to:to]
+// Window returns elements [from, to) of v as a vector that shares v's
+// storage: its kind, dictionary, payload and NULL bitmap, each slice cut
+// as s[from:to:to]. The capacity cap is the guarantee a window rests on:
+// appending to a window always copies out first, so it never writes into
+// the elements that follow it in v. The bitmap is shared as it is, so a
+// window is well-formed on its own when v has no NULL bitmap; a run of a
+// vector that has one is canonical only through AppendRange's copy.
+func (v *ColVec) Window(from, to int) ColVec {
+	w := ColVec{Kind: v.Kind, Dict: v.Dict, n: to - from}
+	if v.Nulls != nil {
+		w.Nulls = v.Nulls[from:to:to]
 	}
 	switch {
-	case src.Kind == KindNull:
-	case src.Kind == KindFloat:
-		run.F = src.F[from:to:to]
-	case src.Kind != KindString:
-		run.I = src.I[from:to:to]
-	case src.Dict != nil:
-		run.Codes = src.Codes[from:to:to]
+	case v.Kind == KindNull:
+	case v.Kind == KindFloat:
+		w.F = v.F[from:to:to]
+	case v.Kind != KindString:
+		w.I = v.I[from:to:to]
+	case v.Dict != nil:
+		w.Codes = v.Codes[from:to:to]
 	default:
-		run.S = src.S[from:to:to]
+		w.S = v.S[from:to:to]
 	}
+	return w
+}
+
+// AppendRange appends src's elements [from, to): AppendFrom over
+// src.Window(from, to). Into an empty vector each slice is allocated
+// once, sized to the run.
+func (v *ColVec) AppendRange(src *ColVec, from, to int) {
+	run := src.Window(from, to)
 	v.AppendFrom(&run, nil)
 }
 

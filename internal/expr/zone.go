@@ -274,7 +274,18 @@ func betweenPrunes(z *Zone, lo, hi Value) bool {
 	}
 	// A NULL lo decides nothing: Compare(v, NULL) >= 0 always holds.
 	_, loHi, ok := z.against(lo)
-	return ok && loHi > 0
+	return ok && (loHi > 0 || emptyRange(lo, hi))
+}
+
+// emptyRange reports whether no value v satisfies lo <= v < hi, for
+// non-NULL lo and hi of one class: lo is at or above hi. A NaN bound
+// decides nothing here — Compare ties it with every value, so v >= NaN
+// always holds.
+func emptyRange(lo, hi Value) bool {
+	if lo.Kind == KindString {
+		return lo.S >= hi.S
+	}
+	return lo.AsFloat() >= hi.AsFloat()
 }
 
 // inHashPrunes decides hash-set membership against one zone entry. Set

@@ -136,6 +136,11 @@ func betweenPrunes(z *Zone, lo, hi expr.Value) bool {
 	if lo.IsNull() || !sameClass(z.Min.Kind, lo.Kind) {
 		return false
 	}
+	// An empty range, lo at or above hi, passes no row. Compare ties a NaN
+	// lo with hi, yet v >= NaN holds for every v, so a NaN lo is no bound.
+	if !(lo.Kind == expr.KindFloat && math.IsNaN(lo.F)) && expr.Compare(lo, hi) >= 0 {
+		return true
+	}
 	return expr.Compare(z.Max, lo) < 0
 }
 

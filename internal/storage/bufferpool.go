@@ -37,16 +37,42 @@ type BufferPool struct {
 	used     int64
 	reader   DiskReader
 
-	lru      *list.List               // front = most recent; values are *entry
-	resident map[PageID]*list.Element //
+	lru    *list.List            // front = most recent; values are *entry
+	tables map[string]*residents // by table name
+	cached *residents            // the table looked up last
 
-	last  PageID // last page actually read from disk
-	valid bool   // whether last is meaningful
-	stats PoolStats
+	last      *residents // the table of the last page actually read from disk; nil before any
+	lastIndex int        // that page's index
+	stats     PoolStats
+}
+
+// residents indexes one table's resident pages by page index: a scan
+// touches a table's pages in runs, so a dense slice beats hashing a PageID
+// per page.
+type residents struct {
+	table string
+	pages []*list.Element // nil where the page is not resident
+}
+
+// get returns page i's LRU element, nil when it is not resident.
+func (r *residents) get(i int) *list.Element {
+	if i < len(r.pages) {
+		return r.pages[i]
+	}
+	return nil
+}
+
+// set records page i's LRU element (nil: not resident).
+func (r *residents) set(i int, el *list.Element) {
+	if i >= len(r.pages) {
+		r.pages = append(r.pages, make([]*list.Element, i+1-len(r.pages))...)
+	}
+	r.pages[i] = el
 }
 
 type entry struct {
-	id    PageID
+	table *residents
+	index int
 	bytes int64
 }
 
@@ -65,7 +91,7 @@ func NewBufferPool(capacity int64, reader DiskReader) *BufferPool {
 		capacity: capacity,
 		reader:   reader,
 		lru:      list.New(),
-		resident: make(map[PageID]*list.Element),
+		tables:   make(map[string]*residents),
 	}
 }
 
@@ -81,6 +107,22 @@ func (bp *BufferPool) Stats() PoolStats { return bp.stats }
 // ResetStats zeroes the traffic counters.
 func (bp *BufferPool) ResetStats() { bp.stats = PoolStats{} }
 
+// residentsOf returns the index of table's resident pages, creating an
+// empty one for a table the pool has not seen. The table used last is
+// answered without hashing its name.
+func (bp *BufferPool) residentsOf(table string) *residents {
+	if r := bp.cached; r != nil && r.table == table {
+		return r
+	}
+	r := bp.tables[table]
+	if r == nil {
+		r = &residents{table: table}
+		bp.tables[table] = r
+	}
+	bp.cached = r
+	return r
+}
+
 // Access touches a page, reading it from disk if absent and evicting LRU
 // pages to fit. Pages larger than the whole pool still stream through (one
 // read, immediately evicted).
@@ -89,7 +131,8 @@ func (bp *BufferPool) Access(id PageID, bytes int64) {
 		panic(fmt.Sprintf("storage: negative page size for %v", id))
 	}
 	obsv.PoolReads.Inc()
-	if el, ok := bp.resident[id]; ok {
+	r := bp.residentsOf(id.Table)
+	if el := r.get(id.Index); el != nil {
 		bp.lru.MoveToFront(el)
 		bp.stats.Hits++
 		return
@@ -98,30 +141,30 @@ func (bp *BufferPool) Access(id PageID, bytes int64) {
 	bp.stats.BytesIn += bytes
 	obsv.PoolMisses.Inc()
 
-	sequential := bp.valid && id.Table == bp.last.Table && id.Index == bp.last.Index+1
+	sequential := bp.last == r && id.Index == bp.lastIndex+1
 	bp.reader.BlockingRead(bytes, sequential)
-	bp.last, bp.valid = id, true
+	bp.last, bp.lastIndex = r, id.Index
+	bp.admit(r, id.Index, bytes)
+}
 
-	// Evict to fit.
+// admit makes page index of r resident as the most recent page, evicting
+// LRU pages to fit; a page larger than the whole pool is not kept.
+func (bp *BufferPool) admit(r *residents, index int, bytes int64) {
 	for bp.used+bytes > bp.capacity && bp.lru.Len() > 0 {
-		back := bp.lru.Back()
-		e := back.Value.(*entry)
-		bp.lru.Remove(back)
-		delete(bp.resident, e.id)
+		e := bp.lru.Remove(bp.lru.Back()).(*entry)
+		e.table.set(e.index, nil)
 		bp.used -= e.bytes
 		bp.stats.Evictions++
 	}
 	if bytes <= bp.capacity {
-		el := bp.lru.PushFront(&entry{id: id, bytes: bytes})
-		bp.resident[id] = el
+		r.set(index, bp.lru.PushFront(&entry{table: r, index: index, bytes: bytes}))
 		bp.used += bytes
 	}
 }
 
 // Contains reports whether a page is resident.
 func (bp *BufferPool) Contains(id PageID) bool {
-	_, ok := bp.resident[id]
-	return ok
+	return bp.residentsOf(id.Table).get(id.Index) != nil
 }
 
 // Warm marks a table's pages resident without charging disk reads, the
@@ -129,25 +172,13 @@ func (bp *BufferPool) Contains(id PageID) bool {
 // Warming more bytes than capacity keeps only the most recently warmed
 // pages, like a real scan-through would.
 func (bp *BufferPool) Warm(table string, heap *Heap) {
+	r := bp.residentsOf(table)
 	for i := 0; i < heap.NumPages(); i++ {
-		id := PageID{Table: table, Index: i}
-		bytes := heap.Page(i).Bytes
-		if el, ok := bp.resident[id]; ok {
+		if el := r.get(i); el != nil {
 			bp.lru.MoveToFront(el)
 			continue
 		}
-		for bp.used+bytes > bp.capacity && bp.lru.Len() > 0 {
-			back := bp.lru.Back()
-			e := back.Value.(*entry)
-			bp.lru.Remove(back)
-			delete(bp.resident, e.id)
-			bp.used -= e.bytes
-			bp.stats.Evictions++
-		}
-		if bytes <= bp.capacity {
-			bp.resident[id] = bp.lru.PushFront(&entry{id: id, bytes: bytes})
-			bp.used += bytes
-		}
+		bp.admit(r, i, heap.Page(i).Bytes)
 	}
 }
 
@@ -155,7 +186,7 @@ func (bp *BufferPool) Warm(table string, heap *Heap) {
 // system reboot in §3.5.
 func (bp *BufferPool) InvalidateAll() {
 	bp.lru.Init()
-	bp.resident = make(map[PageID]*list.Element)
+	bp.tables = make(map[string]*residents)
+	bp.cached, bp.last = nil, nil
 	bp.used = 0
-	bp.valid = false
 }

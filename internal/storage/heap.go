@@ -6,6 +6,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"ecodb/internal/expr"
 )
@@ -16,8 +17,9 @@ const DefaultPageBytes = 8 << 10
 
 // Page holds one page's tuples in columnar layout — the on-"disk" unit the
 // executor scans — with a storage footprint estimate and per-column zone
-// maps. Data's vectors are owned by the page: scans hand out zero-copy
-// views of them, so consumers must never mutate a page's batch.
+// maps. Data's vectors are windows into the heap's column arrays (see
+// Heap.AppendBatch): scans hand out zero-copy views of them, so consumers
+// must never mutate a page's batch.
 type Page struct {
 	Data  expr.Batch
 	Bytes int64
@@ -66,22 +68,41 @@ func (h *Heap) Append(row expr.Row) {
 // target size, and start a new page when the next row would overflow it;
 // a page always takes its first row. Footprints are the row-major
 // estimate Row.Bytes, so page boundaries depend neither on layout nor on
-// how the rows were batched. Each page copies its rows out of b into
-// vectors of its own, and its zones fold each appended run, so b may be
-// dropped or reused once AppendBatch returns.
+// how the rows were batched.
+//
+// The heap copies each of b's columns at most once, into one array it
+// owns, and the pages it opens are windows into that array
+// (expr.ColVec.Window): a column's pages lie one after another in memory,
+// in page order, so a scan reads them as one stream. A window's capacity
+// ends where its page does, so a later append to the page (the last one,
+// continued by the next call or by Append) copies it out and never writes
+// into its neighbour. A run that continues an existing page, or that
+// holds a NULL, is copied into the page's vector instead (AppendRange),
+// which keeps an all-NULL run KindNull with no payload. Zones fold each
+// appended run. Either way b may be dropped or reused once AppendBatch
+// returns.
 func (h *Heap) AppendBatch(b *expr.Batch) {
 	if b.Sel != nil {
 		panic("storage: AppendBatch of a batch with a selection")
 	}
+	// own holds the heap's copy of b's rows [base, b.N), column by column:
+	// base is where the first fresh page starts, and a column is copied
+	// when one of its runs is first windowed.
+	var own []expr.ColVec
+	base := 0
 	for from := 0; from < b.N; {
 		rb := b.RowBytes(from)
 		n := len(h.pages)
-		if n == 0 || h.pages[n-1].Bytes+rb > h.pageTarget {
+		fresh := n == 0 || h.pages[n-1].Bytes+rb > h.pageTarget
+		if fresh {
 			h.pages = append(h.pages, &Page{
 				Data:  expr.Batch{Cols: make([]expr.ColVec, len(b.Cols))},
 				Zones: make([]expr.Zone, len(b.Cols)),
 			})
 			n++
+			if own == nil {
+				own, base = make([]expr.ColVec, len(b.Cols)), from
+			}
 		}
 		p := h.pages[n-1]
 		to, bytes := from+1, p.Bytes+rb
@@ -93,8 +114,16 @@ func (h *Heap) AppendBatch(b *expr.Batch) {
 			bytes += rb
 		}
 		for c := range p.Data.Cols {
-			vec := &p.Data.Cols[c]
-			vec.AppendRange(&b.Cols[c], from, to)
+			vec, src := &p.Data.Cols[c], &b.Cols[c]
+			if fresh && !(src.Nulls != nil && slices.Contains(src.Nulls[from:to], true)) {
+				if own[c].Len() == 0 {
+					own[c].AppendRange(src, base, b.N)
+				}
+				*vec = own[c].Window(from-base, to-base)
+				vec.Nulls = nil // the run holds no NULL
+			} else {
+				vec.AppendRange(src, from, to)
+			}
 			p.Zones[c].Fold(vec, p.Data.N, vec.Len())
 		}
 		p.Data.N += to - from
@@ -127,11 +156,12 @@ func (h *Heap) PageTarget() int64 { return h.pageTarget }
 
 // CompressStrings dictionary-encodes the heap's string columns in place and
 // returns how many columns were encoded. For each string column it builds
-// one global sorted dictionary over the column's distinct words and
-// rewrites every page's vector to codes against it. Logical content, page
-// boundaries, and the byte footprint the simulation charges are unchanged:
-// encoding is a physical-layout choice, and results must be bit-identical
-// either way.
+// one global sorted dictionary over the column's distinct words, encodes
+// every page's vector into one codes array against it, and leaves each
+// page a window of that array, as AppendBatch leaves loaded pages.
+// Logical content, page boundaries, and the byte footprint the simulation
+// charges are unchanged: encoding is a physical-layout choice, and results
+// must be bit-identical either way.
 // Call only after loading is complete and before scans start.
 func (h *Heap) CompressStrings() int {
 	if len(h.pages) == 0 {
@@ -140,7 +170,7 @@ func (h *Heap) CompressStrings() int {
 	width := len(h.pages[0].Data.Cols)
 	encoded := 0
 	for c := 0; c < width; c++ {
-		eligible := false
+		rows := 0
 		seen := make(map[string]struct{})
 		var words []string
 		for _, p := range h.pages {
@@ -148,7 +178,7 @@ func (h *Heap) CompressStrings() int {
 			if vec.Kind != expr.KindString {
 				continue // another kind, or an all-NULL page
 			}
-			eligible = true
+			rows += vec.Len()
 			for i, s := range vec.S {
 				if vec.Nulls != nil && vec.Nulls[i] {
 					continue
@@ -159,14 +189,17 @@ func (h *Heap) CompressStrings() int {
 				}
 			}
 		}
-		if !eligible {
+		if rows == 0 {
 			continue
 		}
 		dict := expr.NewDict(words)
+		codes := make([]int32, rows)
 		for _, p := range h.pages {
 			vec := &p.Data.Cols[c]
 			if vec.Kind == expr.KindString {
-				vec.EncodeDict(dict)
+				n := vec.Len()
+				vec.EncodeDictInto(dict, codes[:n:n])
+				codes = codes[n:]
 			}
 		}
 		encoded++

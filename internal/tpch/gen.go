@@ -80,8 +80,9 @@ func (g *Generator) Load(cat *catalog.Catalog, tables ...string) {
 }
 
 // create registers a table built from its column payloads. The payloads
-// are staging: the heap copies them into pages, so they are garbage once
-// create returns.
+// are staging: the heap copies each column once into an array of its own,
+// which its pages are windows into, so they are garbage once create
+// returns.
 func create(cat *catalog.Catalog, name string, schema *catalog.Schema, cols ...expr.ColVec) {
 	t := catalog.NewTable(name, schema)
 	t.AppendBatch(&expr.Batch{Cols: cols, N: cols[0].Len()})
