@@ -401,6 +401,20 @@ func TestCountColumnSkipsNulls(t *testing.T) {
 	if rb := byGroup["b"]; rb[1].I != 0 || rb[2].I != 1 {
 		t.Fatalf("group b: COUNT(v)=%v COUNT(*)=%v, want 0 and 1", rb[1], rb[2])
 	}
+
+	// Without GROUP BY a batch with no NULL argument counts in one step;
+	// COUNT(v) and the count beside AVG(v) must still skip the NULLs.
+	global := plan.NewAgg(plan.NewScan(tb, nil), nil, []plan.AggSpec{
+		{Func: plan.Count, Arg: v, Name: "cnt_v"},
+		{Func: plan.Count, Name: "cnt_star"},
+		{Func: plan.Avg, Arg: v, Name: "avg_v"},
+	})
+	for _, workers := range []int{0, 1, 4} {
+		rows := collect(t, CompileParallel(global, workers), ctx)
+		if len(rows) != 1 || rows[0][0].I != 1 || rows[0][1].I != 3 || rows[0][2].F != 1 {
+			t.Fatalf("workers %d: global COUNT(v), COUNT(*), AVG(v) = %v, want [1 3 1]", workers, rows)
+		}
+	}
 }
 
 func TestSortAscDesc(t *testing.T) {

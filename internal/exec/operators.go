@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"ecodb/internal/catalog"
@@ -466,14 +467,14 @@ func (t *aggTable) fold(in *expr.Batch, meter *expr.Cost) {
 			if vec != nil {
 				nulls = vec.Nulls
 			}
-			countRows(acc.counts, gid, nulls)
+			t.countRows(acc.counts, gid, nulls)
 		case plan.Min:
 			expr.FoldExtremes(acc.ext, gid, vec, -1)
 		case plan.Max:
 			expr.FoldExtremes(acc.ext, gid, vec, +1)
 		default: // Sum, Avg
 			vals := vec.AsFloats(t.floats)
-			countRows(acc.counts, gid, vec.Nulls)
+			t.countRows(acc.counts, gid, vec.Nulls)
 			if t.deferSums {
 				t.rowVals[i] = append(t.rowVals[i], vals...)
 			} else {
@@ -487,7 +488,15 @@ func (t *aggTable) fold(in *expr.Batch, meter *expr.Cost) {
 }
 
 // countRows counts, per group, the rows whose argument is not NULL.
-func countRows(counts []int64, gid []int32, nulls []bool) {
+// Without GROUP BY and with no NULL argument every row counts towards the
+// one group, so the batch adds its length in one step.
+func (t *aggTable) countRows(counts []int64, gid []int32, nulls []bool) {
+	if len(t.groupBy) == 0 && nulls == nil {
+		if len(gid) > 0 {
+			counts[0] += int64(len(gid))
+		}
+		return
+	}
 	for li, g := range gid {
 		if nulls == nil || !nulls[li] {
 			counts[g]++
@@ -712,16 +721,20 @@ func (a *aggOp) Close(ctx *Ctx) error {
 // keeps only its limit smallest: perm is a max-heap (worst kept row at the
 // root), a row is tested against the root on its keys before it is copied,
 // and rows that fall out of the heap stay behind in buf until the next
-// compaction. Consumed rows are counted either way — a sort charges for the
-// rows it consumes, never for the rows it keeps.
+// compaction. Once there is a row to beat — the root of a full heap, or
+// the bound — a batch first loses, in one typed selection on the first
+// sort key, every row that sorts strictly after the tighter of the two on
+// that key alone; only the rest take the exact test. Consumed rows are
+// counted either way — a sort charges for the rows it consumes, never for
+// the rows it keeps.
 type sortedRun struct {
 	keys  []plan.SortKey
 	limit int // rows the consumer will take; negative = all of them
 
-	// bound, when non-nil, is a row of another, sealed run that at least
-	// limit rows sort at or before: a row that sorts after it cannot be
-	// among the first limit overall and is dropped untested against the
-	// heap (parallel_sort.go).
+	// bound, when non-nil, is a row of a sealed run that at least limit
+	// rows of sealed runs sort at or before: a row that sorts after it
+	// cannot be among the first limit overall and is dropped untested
+	// against the heap (parallel_sort.go).
 	bound *sortBound
 
 	buf   expr.Batch
@@ -731,6 +744,7 @@ type sortedRun struct {
 	rows  int     // rows consumed
 	spare expr.Batch
 	ords  []int64 // compaction's other halves of buf and ord
+	keep  []int32 // the rows of a batch the first-key selection keeps
 }
 
 // sortBound names one row of a sealed run.
@@ -767,15 +781,31 @@ func (r *sortedRun) add(in *expr.Batch, base int64) {
 		r.buf.AppendBatch(in, n)
 		return
 	}
+	if r.limit == 0 {
+		return
+	}
+	sel := in.Sel
+	if k, ok := r.cutoff(); ok {
+		if cap(r.keep) < in.N {
+			r.keep = make([]int32, 0, in.N)
+		}
+		key := r.keys[0]
+		if kept, ok := expr.SelectNotAfter(&in.Cols[key.Col], k, key.Desc, in.Sel, r.keep[:0]); ok {
+			sel, n = kept, len(kept)
+		}
+	}
 	for li := 0; li < n; li++ {
-		i := int32(in.RowIdx(li))
+		i := int32(li)
+		if sel != nil {
+			i = sel[li]
+		}
 		if r.bound != nil && r.bound.after(in, i, base+int64(i)) {
 			continue
 		}
 		full := len(r.perm) == r.limit
 		// A full heap admits only a row that beats its worst on the keys:
 		// the newcomer arrived later, so a tie loses to every kept row.
-		if full && (r.limit == 0 || expr.CompareRows(r.keys, in, i, &r.buf, r.perm[0]) >= 0) {
+		if full && expr.CompareRows(r.keys, in, i, &r.buf, r.perm[0]) >= 0 {
 			continue
 		}
 		for c := range r.buf.Cols {
@@ -795,6 +825,22 @@ func (r *sortedRun) add(in *expr.Batch, base int64) {
 	if r.buf.N >= 2*r.limit+sortCompactSlack {
 		r.compact()
 	}
+}
+
+// cutoff returns the first sort key of the row a newcomer must beat — the
+// root of a full heap or the bound's row, whichever sorts first — and
+// false when there is none yet.
+func (r *sortedRun) cutoff() (expr.Value, bool) {
+	col := r.keys[0].Col
+	if len(r.perm) == r.limit {
+		if root := r.perm[0]; r.bound == nil || !r.bound.after(&r.buf, root, r.ord[root]) {
+			return r.buf.Cols[col].Get(int(root)), true
+		}
+	}
+	if b := r.bound; b != nil {
+		return b.run.buf.Cols[col].Get(int(b.row)), true
+	}
+	return expr.Value{}, false
 }
 
 // sortCompactSlack is how many evicted rows beyond its limit a top-N run
@@ -887,22 +933,24 @@ type sortOp struct {
 	limit  int // handed down by a Limit directly above; negative = none
 	schema *catalog.Schema
 
-	// bound is the tightest cutoff any sealed pump run has offered (see
-	// sortedRun.bound): the limit-th row of a run that kept limit rows.
-	// Which rows a run keeps therefore depends on which runs sealed before
-	// it started, but the first limit rows of the merge do not — no row
-	// among them ever sorts after a bound.
-	bound  atomic.Pointer[sortBound]
-	runs   []*sortedRun
-	lt     *loserTree
-	served int
-	out    expr.Batch
+	// cut is the first limit rows, in (keys, ordinal) order, over every
+	// pump run sealed so far; bound is its last row once it holds limit
+	// (see sortedRun.bound and offer). Which rows a run keeps therefore
+	// depends on which runs sealed while it ran, but the first limit rows
+	// of the merge do not — no row among them ever sorts after a bound.
+	mu        sync.Mutex
+	cut, cut2 []sortBound // cut2: the merge's other half
+	bound     atomic.Pointer[sortBound]
+	runs      []*sortedRun
+	lt        *loserTree
+	served    int
+	out       expr.Batch
 }
 
 func (s *sortOp) Schema() *catalog.Schema { return s.schema }
 
 func (s *sortOp) Open(ctx *Ctx) error {
-	s.runs, s.lt, s.served = nil, nil, 0
+	s.runs, s.lt, s.served, s.cut, s.cut2 = nil, nil, 0, nil, nil
 	s.bound.Store(nil)
 	s.out = *expr.NewBatch(s.schema.NumCols())
 	return openInput(ctx, s.input, &s.pump)
@@ -983,7 +1031,7 @@ func (s *sortOp) Next(ctx *Ctx) (*expr.Batch, error) {
 
 func (s *sortOp) Close(ctx *Ctx) error {
 	err := closeInput(ctx, s.input, &s.pump)
-	s.runs, s.lt = nil, nil
+	s.runs, s.lt, s.cut, s.cut2 = nil, nil, nil, nil
 	return err
 }
 

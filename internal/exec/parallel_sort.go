@@ -20,6 +20,20 @@ import (
 // keeps only its limit smallest rows and the merge stops after limit rows;
 // the charge is still on the rows consumed.
 //
+// Top-N cutoff: every run that seals under a limit merges its kept rows
+// into one mutex-guarded list, the first limit rows over every run sealed
+// so far (offer), and once the list holds limit rows its last row is
+// published through the atomic bound. Producers re-read the bound on every
+// page. A page's batch first meets one typed selection on the first sort
+// key against the tighter of the bound and the run's full-heap root: it
+// keeps !(x > k) ascending and !(x < k) descending, so ties with k and NaN
+// (which ties with everything) stay, and a NULL k or a vector with NULLs
+// skips the selection. Only the rows it keeps take the exact (keys,
+// ordinal) tests against the bound and the heap root. A row that sorts
+// after a bound has at least limit rows before it, so no bound ever drops
+// one of the first limit rows overall: which bound was in force when a
+// page arrived changes what a run keeps, never what the merge serves.
+//
 // Determinism: runs are fixed contiguous page windows independent of
 // worker count (storage.MorselSource), so run contents — and therefore
 // merge decisions — depend only on the data. The (keys, global ordinal)
@@ -31,39 +45,54 @@ import (
 // bit-identical because the coordinator's charge sequence is the same.
 
 // sink makes one producer's page function: feed each page's survivors to
-// the run under their global ordinals, then — on the run's last page — one
-// sort of what the run kept. The sealed run rides that page's record, so
-// the coordinator sees it exactly when the run's last page is taken.
+// the run under their global ordinals, under the bound as it stands when
+// the page arrives, then — on the run's last page — one sort of what the
+// run kept and its offer to the shared cutoff. The sealed run rides that
+// page's record, so the coordinator sees it exactly when the run's last
+// page is taken.
 func (s *sortOp) sink() func(*morselResult, storage.MorselRun) {
 	var sr *sortedRun
 	return func(res *morselResult, run storage.MorselRun) {
 		if sr == nil {
 			sr = newSortedRun(s.keys, s.limit, s.schema.NumCols())
-			sr.bound = s.bound.Load()
 		}
+		sr.bound = s.bound.Load()
 		sr.add(&res.batch, int64(res.idx)<<32)
 		if res.idx != run.End-1 {
 			return
 		}
 		sr.seal()
-		if s.limit > 0 && len(sr.perm) == s.limit {
-			s.tighten(&sortBound{run: sr, row: sr.perm[s.limit-1]})
+		if s.limit > 0 {
+			s.offer(sr)
 		}
 		res.run, sr = sr, nil
 	}
 }
 
-// tighten offers b as the bound for runs yet to start, keeping whichever of
-// it and the current bound sorts first.
-func (s *sortOp) tighten(b *sortBound) {
-	for {
-		cur := s.bound.Load()
-		if cur != nil && cur.after(&b.run.buf, b.row, b.run.ord[b.row]) {
-			return
+// offer merges a sealed run's kept rows into the cutoff list — the first
+// limit rows over every run sealed so far — and, once the list holds limit
+// rows, publishes its last as the bound. Both lists are in (keys, ordinal)
+// order and at most limit long, so a seal costs O(limit) comparisons. The
+// list only ever improves, so each bound published sorts at or before the
+// one it replaces.
+func (s *sortOp) offer(r *sortedRun) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cut, kept, merged := s.cut, r.perm, s.cut2[:0]
+	for len(merged) < s.limit && len(cut)+len(kept) > 0 {
+		if len(kept) == 0 || len(cut) > 0 && cut[0].after(&r.buf, kept[0], r.ord[kept[0]]) {
+			merged, cut = append(merged, cut[0]), cut[1:]
+		} else {
+			merged, kept = append(merged, sortBound{run: r, row: kept[0]}), kept[1:]
 		}
-		if s.bound.CompareAndSwap(cur, b) {
-			return
-		}
+	}
+	s.cut, s.cut2 = merged, s.cut
+	if len(merged) < s.limit {
+		return
+	}
+	b := merged[s.limit-1]
+	if cur := s.bound.Load(); cur == nil || *cur != b {
+		s.bound.Store(&b)
 	}
 }
 

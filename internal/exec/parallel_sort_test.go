@@ -103,11 +103,14 @@ func TestParallelSortEmptyHeap(t *testing.T) {
 	}
 }
 
-// A run's bound comes from whichever runs sealed before it started, and
-// nothing orders that against page order: a run of earlier pages may start
-// under the bound of a later one. Rows tying with the bound on the keys but
+// A run's bound comes from whichever runs sealed while it ran, and nothing
+// orders that against page order: a run of earlier pages may add rows
+// under the bound of later ones. Rows tying with the bound on the keys but
 // arriving before it still belong to the first rows overall and must be
-// kept; only rows sorting after it under (keys, ordinal) may go.
+// kept — by the first-key selection as by the exact test; only rows
+// sorting after it under (keys, ordinal) may go. The bound is published
+// only once the sealed runs hold limit rows, from one run or from the
+// merge of several.
 func TestSortedRunBoundKeepsEarlierTies(t *testing.T) {
 	keys := []plan.SortKey{{Col: 0}}
 	batch := func(ks ...int64) *expr.Batch {
@@ -117,26 +120,56 @@ func TestSortedRunBoundKeepsEarlierTies(t *testing.T) {
 		}
 		return b
 	}
-	later := newSortedRun(keys, 2, 1)
-	later.add(batch(1, 1, 1, 1), 1000)
-	later.seal()
-
-	earlier := newSortedRun(keys, 2, 1)
-	earlier.bound = &sortBound{run: later, row: later.perm[1]}
-	earlier.add(batch(2, 1, 1, 0, 2, 1), 0) // ordinals 0..5
-	if earlier.rows != 6 {
-		t.Fatalf("consumed %d rows, want all 6 counted", earlier.rows)
+	sealed := func(base int64, ks ...int64) *sortedRun {
+		r := newSortedRun(keys, 2, 1)
+		r.add(batch(ks...), base)
+		r.seal()
+		return r
 	}
-	if earlier.buf.N != 3 {
-		t.Fatalf("copied %d rows, want 3: the two 2s sort after the bound, and the heap is full of better rows by the last 1", earlier.buf.N)
+	cases := []struct {
+		name  string
+		runs  []*sortedRun // offered in order
+		bound int64        // ordinal of the published bound row
+		first [2]int64     // ordinals the merge serves first
+	}{
+		// One run holds two rows at or before its second 1.
+		{"one sealed run", []*sortedRun{sealed(1000, 1, 1, 1, 1)}, 1001, [2]int64{3, 1}},
+		// One row is too few to publish; with the second run's the list
+		// holds 0@3000 and 1@1000, and 1@1000 is the bound, though neither
+		// run alone holds two rows at or before it.
+		{"two sealed runs", []*sortedRun{sealed(3000, 0), sealed(1000, 1, 5)}, 1000, [2]int64{3, 3000}},
 	}
-	earlier.seal()
+	for _, c := range cases {
+		s := &sortOp{keys: keys, limit: 2}
+		held := 0
+		for _, r := range c.runs {
+			s.offer(r)
+			if held += len(r.perm); held < s.limit && s.bound.Load() != nil {
+				t.Fatalf("%s: a bound was published from %d sealed rows, fewer than the limit %d", c.name, held, s.limit)
+			}
+		}
+		b := s.bound.Load()
+		if b == nil || b.run.ord[b.row] != c.bound {
+			t.Fatalf("%s: bound %+v, want the row at ordinal %d", c.name, b, c.bound)
+		}
 
-	lt := newLoserTree([]*sortedRun{later, earlier})
-	for i, want := range []int64{3, 1} { // key 0 at ordinal 3, then the earliest 1
-		run, rows := lt.popStretch(1)
-		if run != earlier || len(rows) != 1 || run.ord[rows[0]] != want {
-			t.Fatalf("merged row %d is %v of run %p, want ordinal %d from the earlier run %p", i, rows, run, want, earlier)
+		earlier := newSortedRun(keys, 2, 1)
+		earlier.bound = b
+		earlier.add(batch(2, 1, 1, 0, 2, 1), 0) // ordinals 0..5
+		if earlier.rows != 6 {
+			t.Fatalf("%s: consumed %d rows, want all 6 counted", c.name, earlier.rows)
+		}
+		if earlier.buf.N != 3 {
+			t.Fatalf("%s: copied %d rows, want 3: the two 2s sort after the bound, and the heap is full of better rows by the last 1", c.name, earlier.buf.N)
+		}
+		earlier.seal()
+
+		lt := newLoserTree(append(slices.Clone(c.runs), earlier))
+		for i, want := range c.first {
+			run, rows := lt.popStretch(1)
+			if run == nil || len(rows) != 1 || run.ord[rows[0]] != want {
+				t.Fatalf("%s: merged row %d is %v, want ordinal %d", c.name, i, rows, want)
+			}
 		}
 	}
 }

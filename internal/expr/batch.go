@@ -242,13 +242,14 @@ func candLen(in *Batch, cand []int32) int {
 // Whole predicate trees evaluate as cascades of selection vectors: an AND
 // runs each term over the survivors of the terms before it, an OR over the
 // rows every earlier term rejected, a NOT flips which side of its operand
-// is kept, and the column-vs-constant leaves (Cmp, Between, InHash) run
-// typed loops over the payload slices, indexed through the candidate
-// selection. That is short-circuit evaluation batch-wise: each term charges
-// for exactly the rows per-row Eval would have reached it with, so charged
-// cycles are identical to evaluating pred row by row (every charge is a
-// whole number of cycles, so the sums are exact). Leaves no kernel covers
-// are interpreted per candidate row (see filterFallback).
+// is kept, and the column-vs-constant leaves (Cmp, Between, InHash) and
+// numeric column-vs-column comparisons run typed loops over the payload
+// slices, indexed through the candidate selection. That is short-circuit
+// evaluation batch-wise: each term charges for exactly the rows per-row
+// Eval would have reached it with, so charged cycles are identical to
+// evaluating pred row by row (every charge is a whole number of cycles, so
+// the sums are exact). Leaves no kernel covers are interpreted per
+// candidate row (see filterFallback).
 //
 // The returned selection is always non-nil: an empty selection means "no
 // rows", whereas a nil Batch.Sel means "all rows".
@@ -287,15 +288,21 @@ func (sc *scratch) filter(pred Expr, in *Batch, cand, out []int32, want bool, co
 }
 
 // filterKernel runs the typed loop for a column-against-constant leaf —
-// Cmp, Between or InHash over a column — charging nothing. It reports
-// false for the shapes, vectors and constants the loops do not cover.
+// Cmp, Between or InHash over a column — or a comparison of two columns,
+// charging nothing. It reports false for the shapes, vectors and constants
+// the loops do not cover.
 func (sc *scratch) filterKernel(pred Expr, in *Batch, cand, out []int32, want bool) ([]int32, bool) {
 	switch p := pred.(type) {
 	case Cmp:
 		col, ok := p.L.(Col)
-		k, kok := p.R.(Const)
-		if ok && kok {
-			return filterCmpColConst(p.Op, &in.Cols[col.Idx], k.V, cand, out, want)
+		if !ok {
+			break
+		}
+		switch r := p.R.(type) {
+		case Const:
+			return filterCmpColConst(p.Op, &in.Cols[col.Idx], r.V, cand, out, want)
+		case Col:
+			return filterCmpColCol(p.Op, &in.Cols[col.Idx], &in.Cols[r.Idx], cand, out, want)
 		}
 	case Between:
 		if col, ok := p.E.(Col); ok {
@@ -356,6 +363,29 @@ func filterCmpColConst(op CmpOp, vec *ColVec, k Value, cand, out []int32, want b
 		op = op.negate()
 	}
 	return selCmpColConst(op, vec, k, cand, out), true
+}
+
+// filterCmpColCol is the kernel for Cmp{Col, Col} over two numeric,
+// NULL-free vectors — a join residual such as s_nationkey = c_nationkey —
+// compared through float64 as Compare compares them. As for a constant,
+// want=false runs the negated operator.
+func filterCmpColCol(op CmpOp, l, r *ColVec, cand, out []int32, want bool) ([]int32, bool) {
+	if l.Nulls != nil || r.Nulls != nil || !numericKind(l.Kind) || !numericKind(r.Kind) {
+		return nil, false
+	}
+	if !want {
+		op = op.negate()
+	}
+	lf, rf := l.Kind == KindFloat, r.Kind == KindFloat
+	switch {
+	case lf && rf:
+		return selCmpCols(op, l.F, r.F, cand, out), true
+	case lf:
+		return selCmpCols(op, l.F, r.I, cand, out), true
+	case rf:
+		return selCmpCols(op, l.I, r.F, cand, out), true
+	}
+	return selCmpCols(op, l.I, r.I, cand, out), true
 }
 
 // typedComparable reports whether vec's payload can be compared with k by
@@ -455,10 +485,11 @@ func (sc *scratch) filterInHashCol(vec *ColVec, set map[Value]struct{}, n int, c
 	return out[:kept]
 }
 
-// filterFallback interprets one leaf the kernels do not cover — column
-// against column, a comparison over arithmetic, NULL-bearing vectors — per
-// candidate row: gather the columns the leaf references and Eval it,
-// exactly the work a row-at-a-time engine does per tuple, charges included.
+// filterFallback interprets one leaf the kernels do not cover — string
+// columns against each other, a comparison over arithmetic, NULL-bearing
+// vectors — per candidate row: gather the columns the leaf references and
+// Eval it, exactly the work a row-at-a-time engine does per tuple, charges
+// included.
 func (sc *scratch) filterFallback(pred Expr, in *Batch, cand, out []int32, want bool, cost *Cost) []int32 {
 	sc.prepareGather(pred, in)
 	n := candLen(in, cand)

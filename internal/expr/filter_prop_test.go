@@ -12,7 +12,8 @@ import (
 )
 
 // Property tests for batch-wise evaluation: every FilterBatch kernel
-// (filterCmpColConst, filterBetweenCol, filterInHashCol), the And/Or/Not
+// (filterCmpColConst, filterCmpColCol, filterBetweenCol, filterInHashCol),
+// the And/Or/Not
 // cascades over them and the per-leaf Eval fallback must agree EXACTLY —
 // selected physical indices and charged cycles — with row-at-a-time
 // evaluation of the same predicate, across random batches covering dense,
@@ -87,9 +88,10 @@ func randTreeBatch(rng *rand.Rand) *Batch {
 }
 
 // randLeaf draws a leaf over randTreeBatch's columns: one of the three
-// kernel shapes on a random column, or a column-vs-column comparison, which
-// no kernel covers. Constants match the column's class so Compare never
-// sees incomparable kinds.
+// column-vs-constant kernel shapes on a random column, or a
+// column-vs-column comparison — a kernel over two NULL-free numeric
+// columns, the fallback otherwise. Constants match the column's class so
+// Compare never sees incomparable kinds.
 func randLeaf(rng *rand.Rand) Expr {
 	c := rng.Intn(4)
 	numeric := c < 2
@@ -209,9 +211,38 @@ func TestFilterBatchTreesMatchRowAtATimeExactly(t *testing.T) {
 	}
 }
 
+// TestFilterColVsColMatchesRowAtATimeExactly runs Cmp{Col, Col} — and,
+// under a NOT, its negation — against the row reference over
+// oracle.RandVec pairs of every numeric kind, int against float included,
+// with NaN, ±Inf, -0 and ints either side of 2⁵³ among the values. Two
+// cases in three draw both columns NULL-free, which the typed loop takes;
+// the rest take the fallback.
+func TestFilterColVsColMatchesRowAtATimeExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(0xc01c))
+	vec := func(n int, dense bool) ColVec {
+		kind := oracle.RandKind(rng, true)
+		for {
+			if v := oracle.RandVec(rng, kind, n, nil); !dense || v.Nulls == nil && v.Kind == kind {
+				return *v
+			}
+		}
+	}
+	for caseNo := 0; caseNo < 2000; caseNo++ {
+		n := rng.Intn(60) + 1
+		dense := rng.Intn(3) > 0
+		in := &Batch{Cols: []ColVec{vec(n, dense), vec(n, dense)}, N: n, Sel: oracle.RandSel(rng, n)}
+		var pred Expr = Cmp{Op: CmpOp(rng.Intn(6)), L: Col{Idx: 0}, R: Col{Idx: 1}}
+		if rng.Intn(3) == 0 {
+			pred = Not{E: pred}
+		}
+		checkFilterAgainstRows(t, caseNo, pred, in)
+	}
+}
+
 // TestFilterBatchSteadyStateAllocatesNothing pins the per-page allocation
 // fix: with a caller-supplied selection, a 3-term AND — and an OR and a
-// fallback leaf, which need scratch — allocate nothing once warm.
+// fallback leaf, which need scratch, and the column-vs-column kernel —
+// allocate nothing once warm.
 func TestFilterBatchSteadyStateAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -231,7 +262,8 @@ func TestFilterBatchSteadyStateAllocatesNothing(t *testing.T) {
 			Cmp{Op: EQ, L: Col{Idx: 0}, R: lit(Int(7))},
 			Between{E: Col{Idx: 1}, Lo: Float(10), Hi: Float(90)},
 		}},
-		"col-vs-col fallback": Cmp{Op: LT, L: Col{Idx: 2}, R: Col{Idx: 1}},
+		"col-vs-col kernel":   Cmp{Op: LT, L: Col{Idx: 2}, R: Col{Idx: 1}},
+		"arithmetic fallback": Cmp{Op: LT, L: Arith{Op: Add, L: Col{Idx: 2}, R: Col{Idx: 0}}, R: Col{Idx: 1}},
 	}
 	for name, pred := range preds {
 		var cost Cost

@@ -180,6 +180,35 @@ func selCmpNum[T numeric](op CmpOp, vals []T, k float64, cand, out []int32) []in
 	return out[:n]
 }
 
+// cmpHolds[op] has bit r set when op holds for a comparison whose outcome
+// is r: 0 neither less nor greater (equal, or a NaN on either side, which
+// Compare ties), 1 less, 2 greater.
+var cmpHolds = [...]uint8{EQ: 1, NE: 6, LT: 2, LE: 3, GT: 4, GE: 5}
+
+// selCmpCols selects the candidates at which a's element stands in
+// relation op to b's, two numeric payloads of one batch compared through
+// float64 as Compare compares them. One branch-free loop serves every
+// operator: the outcome indexes op's bits in cmpHolds.
+func selCmpCols[A, B numeric](op CmpOp, a []A, b []B, cand, out []int32) []int32 {
+	holds, n := cmpHolds[op], 0
+	if cand == nil {
+		out, b = out[:len(a)], b[:len(a)]
+		for i, v := range a {
+			x, y := float64(v), float64(b[i])
+			out[n] = int32(i)
+			n += int(holds >> (bit(x < y) | bit(x > y)<<1) & 1)
+		}
+		return out[:n]
+	}
+	out = out[:len(cand)]
+	for _, i := range cand {
+		x, y := float64(a[i]), float64(b[i])
+		out[n] = i
+		n += int(holds >> (bit(x < y) | bit(x > y)<<1) & 1)
+	}
+	return out[:n]
+}
+
 // selCmpOrd is selCmpNum over the payloads compared directly: strings and
 // dictionary codes.
 func selCmpOrd[T string | int32](op CmpOp, vals []T, k T, cand, out []int32) []int32 {

@@ -108,6 +108,26 @@ func compareElems(x *ColVec, i int32, y *ColVec, j int32) int {
 	return strings.Compare(x.str(i), y.str(j))
 }
 
+// SelectNotAfter writes to out the candidates (cand; nil = every element)
+// whose element of vec does not sort strictly after k under one sort key:
+// !(x > k) ascending, !(x < k) descending, as Compare orders. A tie with k
+// stays, and so does a NaN, which ties with everything, so the selection
+// holds every row that can still sort at or before a row whose key is k.
+// out must have capacity for every candidate and may share cand's backing
+// array. It reports false, selecting nothing, when a typed loop cannot
+// decide every row: vec carries NULLs, or k is NULL or of another Compare
+// class.
+func SelectNotAfter(vec *ColVec, k Value, desc bool, cand, out []int32) ([]int32, bool) {
+	if !typedComparable(vec, k) {
+		return nil, false
+	}
+	op := LE
+	if desc {
+		op = GE
+	}
+	return selCmpColConst(op, vec, k, cand, out), true
+}
+
 func compareFloats(a, b float64) int {
 	switch {
 	case a < b:
