@@ -343,3 +343,57 @@ func pagedTable(t *testing.T, pages, m int) *catalog.Table {
 	}
 	return tb
 }
+
+// A filter is compiled once per statement, when the plan is lowered — the
+// only time it allocates — and each page then runs the compiled program in
+// its runner's stage scratch: whatever the predicate's shape, the pages of
+// a warm scan allocate nothing. The shapes are scan_filter's five, as scan
+// filters and as a filter stage, plus a NOT over an IN list and a negated
+// range.
+func TestCompiledFilterAllocatesNothingPerPage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector append(s, make(...)...) allocates its operand: fragment.run's meter reset then allocates per page")
+	}
+	tb := lineitemLike(t, 3000)
+	qty, ship := tb.Schema.Col("qty"), tb.Schema.Col("ship")
+	eq := func(v int64) expr.Expr { return expr.Cmp{Op: expr.EQ, L: qty, R: expr.Const{V: expr.Int(v)}} }
+	preds := map[string]expr.Expr{
+		"NOT IN":      expr.Not{E: expr.Or{Terms: []expr.Expr{eq(3), eq(29), eq(3), eq(41)}}},
+		"NOT BETWEEN": expr.Not{E: expr.Between{E: ship, Lo: expr.Date(8800), Hi: expr.Date(9100)}},
+	}
+	for name, shape := range compositePlans(tb) {
+		preds[name] = shape.pred
+	}
+	pages := tb.Heap.NumPages()
+	for name, pred := range preds {
+		for _, p := range []plan.Node{plan.NewScan(tb, pred), plan.NewFilter(plan.NewScan(tb, nil), pred)} {
+			f := heapFragment(p, nil)
+			compiled := f.scanFilter
+			if len(f.stages) > 0 {
+				compiled = f.stages[0].pred
+			}
+			if compiled == nil {
+				t.Fatalf("%s (%T): lowering compiled no filter", name, p)
+			}
+			var (
+				ws   stageScratch
+				res  morselResult
+				rows int
+			)
+			runAll := func() {
+				rows = 0
+				for idx := 0; idx < pages; idx++ {
+					f.run(&res, idx, tb.Heap.Page(idx), &ws)
+					rows += res.rows
+				}
+			}
+			runAll()
+			if rows == 0 || int64(rows) == tb.Heap.NumRows() {
+				t.Fatalf("%s: %d of %d rows survive; the test would pin no narrowing filter", name, rows, tb.Heap.NumRows())
+			}
+			if allocs := testing.AllocsPerRun(5, runAll) / float64(pages); allocs != 0 {
+				t.Errorf("%s (%T): %.2f allocations per page, want 0", name, p, allocs)
+			}
+		}
+	}
+}

@@ -71,8 +71,8 @@ type fusedOp struct {
 	stages []fragStage // the operator-input chain; the pump's are in its fragment
 	schema *catalog.Schema
 
-	view   expr.Batch // the input batch as narrowed and projected so far
-	ws     stageScratch
+	view   expr.Batch    // the input batch as narrowed and projected so far
+	ws     *stageScratch // the operator-input chain's; nil when the pump runs the chain
 	meters []expr.Cost
 }
 
@@ -80,6 +80,9 @@ func (f *fusedOp) Schema() *catalog.Schema { return f.schema }
 
 func (f *fusedOp) Open(ctx *Ctx) error {
 	f.meters = make([]expr.Cost, len(f.stages))
+	if f.input != nil {
+		f.ws = new(stageScratch)
+	}
 	return openInput(ctx, f.input, &f.pump)
 }
 
@@ -113,7 +116,7 @@ func (f *fusedOp) Next(ctx *Ctx) (*expr.Batch, error) {
 }
 
 func (f *fusedOp) Close(ctx *Ctx) error {
-	f.view, f.ws, f.meters = expr.Batch{}, stageScratch{}, nil
+	f.view, f.ws, f.meters = expr.Batch{}, nil, nil
 	return closeInput(ctx, f.input, &f.pump)
 }
 
@@ -134,7 +137,7 @@ type hashJoinOp struct {
 	outCols            []int // output columns assembly gathers
 	// residual, when non-nil, filters the matches. It reads a batch of the
 	// output's width holding only the columns residCols lists.
-	residual  expr.Expr
+	residual  *expr.Filter
 	residCols []int
 	schema    *catalog.Schema
 
@@ -147,13 +150,14 @@ type hashJoinOp struct {
 	table *expr.JoinTable
 
 	// Coordinator state: the operator-input probe's match pairs, the output
-	// batch every Next returns, and the residual's columns, survivors and
-	// meter.
-	scratch probeScratch
-	out     expr.Batch
-	resid   expr.Batch
-	sel     []int32
-	meter   expr.Cost
+	// batch every Next returns, and the residual's columns, survivors,
+	// working memory (nil without a residual) and meter.
+	scratch  probeScratch
+	out      expr.Batch
+	resid    expr.Batch
+	sel      []int32
+	residScr *expr.FilterScratch
+	meter    expr.Cost
 }
 
 // probeScratch holds one probed batch's matches as (build row, probe row)
@@ -216,6 +220,9 @@ func (j *hashJoinOp) Open(ctx *Ctx) error {
 	j.table = expr.BuildJoinTable(&j.rows.Cols[j.buildKey])
 	j.out = *expr.NewBatch(j.schema.NumCols())
 	j.resid = *expr.NewBatch(j.schema.NumCols())
+	if j.residual != nil {
+		j.residScr = new(expr.FilterScratch)
+	}
 	return openInput(ctx, j.probe, &j.pump)
 }
 
@@ -259,7 +266,7 @@ func (j *hashJoinOp) join(ctx *Ctx, in *expr.Batch, rows, matches int, ps *probe
 func (j *hashJoinOp) assemble(in *expr.Batch, ps *probeScratch) {
 	if j.residual != nil {
 		j.gather(&j.resid, j.residCols, in, ps)
-		j.sel = expr.FilterBatch(j.residual, &j.resid, j.sel, &j.meter)
+		j.sel = j.residual.Select(&j.resid, j.sel, j.residScr, &j.meter)
 		ps.keep(j.sel)
 	}
 	j.gather(&j.out, j.outCols, in, ps)
@@ -283,7 +290,7 @@ func (j *hashJoinOp) gather(dst *expr.Batch, cols []int, in *expr.Batch, ps *pro
 func (j *hashJoinOp) Close(ctx *Ctx) error {
 	err := closeInput(ctx, j.probe, &j.pump) // stop the producers before releasing what they read
 	j.rows, j.table, j.scratch = expr.Batch{}, nil, probeScratch{}
-	j.out, j.resid, j.sel = expr.Batch{}, expr.Batch{}, nil
+	j.out, j.resid, j.sel, j.residScr = expr.Batch{}, expr.Batch{}, nil, nil
 	return err
 }
 

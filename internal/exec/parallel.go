@@ -71,7 +71,7 @@ func compile(n plan.Node, workers int, leaf ScanLeaf, live liveCols) Operator {
 			probeKey:  n.ProbeKey,
 			buildCols: buildLive.indices(bw),
 			outCols:   live.indices(width),
-			residual:  n.Residual,
+			residual:  expr.CompileFilter(n.Residual),
 			schema:    n.Schema(),
 		}
 		if n.Residual != nil {
@@ -160,7 +160,7 @@ walk:
 	for {
 		switch t := cur.(type) {
 		case *plan.Filter:
-			stages = append(stages, fragStage{pred: t.Pred})
+			stages = append(stages, fragStage{pred: expr.CompileFilter(t.Pred)})
 			live = live.plus(nil, t.Pred)
 			cur = t.Input
 		case *plan.Project:
@@ -246,20 +246,23 @@ func (l liveCols) indices(width int) []int {
 	return out
 }
 
-// fragStage is one stage of a filter/project chain: a filter predicate or a
-// projection list applied to the rows that survive so far.
+// fragStage is one stage of a filter/project chain: a filter predicate,
+// compiled once for the statement, or a projection list applied to the
+// rows that survive so far.
 type fragStage struct {
-	pred  expr.Expr   // non-nil for a filter stage
-	exprs []expr.Expr // non-nil for a project stage
+	pred  *expr.Filter // non-nil for a filter stage
+	exprs []expr.Expr  // non-nil for a project stage
 }
 
 // stageScratch is what one runner of a stage chain reuses from batch to
-// batch: the selection vector every filter narrows, and the output vectors
-// of the projection stages. A page record's scratch outlives the statement
-// (records), so it may come in holding another chain's projections.
+// batch: the selection vector every filter narrows, the working memory the
+// compiled filters run in, and the output vectors of the projection
+// stages. A page record's scratch outlives the statement (records), so it
+// may come in holding another chain's projections.
 type stageScratch struct {
-	sel  []int32
-	proj []*expr.Batch // per stage; nil until the stage first projects
+	sel    []int32
+	filter expr.FilterScratch
+	proj   []*expr.Batch // per stage; nil until the stage first projects
 }
 
 // apply runs stages over b in place, metering stage i into meters[i]:
@@ -272,7 +275,7 @@ func (ws *stageScratch) apply(stages []fragStage, b *expr.Batch, meters []expr.C
 		st, m := &stages[i], &meters[i]
 		if st.pred != nil {
 			// ws.sel may already be b's selection: it narrows in place.
-			ws.sel = expr.FilterBatch(st.pred, b, ws.sel, m)
+			ws.sel = st.pred.Select(b, ws.sel, &ws.filter, m)
 			b.Sel = ws.sel
 			continue
 		}
@@ -299,7 +302,7 @@ func (ws *stageScratch) apply(stages []fragStage, b *expr.Batch, meters []expr.C
 // shared executor state.
 type fragment struct {
 	table      *catalog.Table
-	scanFilter expr.Expr
+	scanFilter *expr.Filter
 	stages     []fragStage
 	schema     *catalog.Schema
 	// pass, when non-nil, is the shared pass the scan rides (NewSharedScan).
@@ -319,13 +322,13 @@ type fragment struct {
 func (f *fragment) initPrune(ctx *Ctx) {
 	var terms []expr.Expr
 	if f.scanFilter != nil {
-		terms = append(terms, f.scanFilter)
+		terms = append(terms, f.scanFilter.Expr())
 	}
 	for _, st := range f.stages {
 		if st.pred == nil || f.pass != nil {
 			break
 		}
-		terms = append(terms, st.pred)
+		terms = append(terms, st.pred.Expr())
 	}
 	f.pruner = prunePredicate(ctx, conjoinPrune(terms))
 }
@@ -358,11 +361,11 @@ func heapFragment(n plan.Node, leaf ScanLeaf) *fragment {
 		if leaf != nil {
 			return leafFragment(leaf(n))
 		}
-		return &fragment{table: n.Table, scanFilter: n.Filter, schema: n.Schema()}
+		return &fragment{table: n.Table, scanFilter: expr.CompileFilter(n.Filter), schema: n.Schema()}
 	case *plan.Filter:
 		f := heapFragment(n.Input, leaf)
 		if f != nil {
-			f.stages = append(f.stages, fragStage{pred: n.Pred})
+			f.stages = append(f.stages, fragStage{pred: expr.CompileFilter(n.Pred)})
 		}
 		return f
 	case *plan.Project:
@@ -466,7 +469,7 @@ func (f *fragment) run(res *morselResult, idx int, page *storage.Page, ws *stage
 	res.meters = append(res.meters, make([]expr.Cost, 1+len(f.stages))...)
 	res.batch.Alias(&page.Data, nil)
 	if f.scanFilter != nil {
-		ws.sel = expr.FilterBatch(f.scanFilter, &res.batch, ws.sel, &res.meters[0])
+		ws.sel = f.scanFilter.Select(&res.batch, ws.sel, &ws.filter, &res.meters[0])
 		res.batch.Sel = ws.sel
 	}
 	ws.apply(f.stages, &res.batch, res.meters[1:])

@@ -24,7 +24,7 @@ import (
 // one per Next, and detaches on Close. filter may be nil for a full scan.
 // Its one producer runs inline; CompileShared sizes a statement's pumps.
 func NewSharedScan(coord *scanshare.Coordinator, table *catalog.Table, filter expr.Expr) Operator {
-	return fusedScan(&fragment{table: table, scanFilter: filter, schema: table.Schema, pass: coord}, 1)
+	return fusedScan(&fragment{table: table, scanFilter: expr.CompileFilter(filter), schema: table.Schema, pass: coord}, 1)
 }
 
 // ScanLeaf builds the shared-scan leaf for one plan.Scan during lowering:

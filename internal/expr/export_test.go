@@ -18,8 +18,8 @@ const (
 
 // FilterFallback runs the per-row fallback over the whole predicate.
 func FilterFallback(pred Expr, in *Batch, cand, out []int32, cost *Cost) []int32 {
-	var sc scratch
-	return sc.filterFallback(pred, in, cand, out, true, cost)
+	var sc FilterScratch
+	return sc.rows(pred, in, cand, out, true, cost)
 }
 
 // Slots returns the number of slots of the table's key index.

@@ -11,14 +11,14 @@ import (
 	"ecodb/internal/oracle"
 )
 
-// Property tests for batch-wise evaluation: every FilterBatch kernel
-// (filterCmpColConst, filterCmpColCol, filterBetweenCol, filterInHashCol),
-// the And/Or/Not
-// cascades over them and the per-leaf Eval fallback must agree EXACTLY —
-// selected physical indices and charged cycles — with row-at-a-time
-// evaluation of the same predicate, across random batches covering dense,
-// NULL-bearing, all-NULL, dictionary-encoded and selection-carrying inputs.
-// The row interpreter is the oracle.
+// Property tests for batch-wise evaluation: every step of a compiled Filter
+// — the column-vs-constant, column-vs-column, Between and InHash loops, the
+// integer-domain comparisons, the And/Or/Not cascades
+// over them and the per-leaf Eval fallback — must agree EXACTLY — selected
+// physical indices and charged cycles — with row-at-a-time evaluation of
+// the same predicate, across random batches covering dense, NULL-bearing,
+// all-NULL, dictionary-encoded and selection-carrying inputs. The row
+// interpreter is the oracle.
 
 // randBatch builds a random one-column batch of an oracle.RandColumn
 // shape; half carry an input selection vector.
@@ -88,16 +88,16 @@ func randTreeBatch(rng *rand.Rand) *Batch {
 }
 
 // randLeaf draws a leaf over randTreeBatch's columns: one of the three
-// column-vs-constant kernel shapes on a random column, or a
-// column-vs-column comparison — a kernel over two NULL-free numeric
-// columns, the fallback otherwise. Constants match the column's class so
-// Compare never sees incomparable kinds.
-func randLeaf(rng *rand.Rand) Expr {
+// column-vs-constant kernel shapes on a random column, a column-vs-column
+// comparison — a kernel over two NULL-free numeric columns, the fallback
+// otherwise — or an equality chain (randEqChain). Constants match the
+// column's class so Compare never sees incomparable kinds.
+func randLeaf(rng *rand.Rand, in *Batch) Expr {
 	c := rng.Intn(4)
 	numeric := c < 2
 	col := Col{Idx: c}
 	konst := func() Value { return oracle.RandValue(rng, numeric, 0.1) }
-	switch rng.Intn(4) {
+	switch rng.Intn(5) {
 	case 0:
 		return Cmp{Op: CmpOp(rng.Intn(6)), L: col, R: Const{V: konst()}}
 	case 1:
@@ -108,23 +108,66 @@ func randLeaf(rng *rand.Rand) Expr {
 			vals[i] = konst()
 		}
 		return NewInHash(col, vals)
-	default:
+	case 3:
 		return Cmp{Op: CmpOp(rng.Intn(6)), L: col, R: Col{Idx: c ^ 1}}
+	default:
+		return randEqChain(rng, in, c)
 	}
+}
+
+// randEqChain draws an IN list as the binder lowers it — an Or of 2–6
+// equalities of column c with constants — alone, under a NOT (taken through
+// the mark-array complement), or after a narrowing AND term. Constants
+// repeat, are taken from the batch or drawn independently (mostly absent
+// from it), and over a numeric column are floats as often as not: integral
+// ones equal to an element, and ones halfway between integers, which the
+// integer domain decides without a row. The column's own shape decides
+// which loop a term takes: NULL-free integer pages the integer-domain
+// loop, float pages the float loop, NULL-bearing pages the per-row
+// fallback.
+func randEqChain(rng *rand.Rand, in *Batch, c int) Expr {
+	vec := &in.Cols[c]
+	numeric := c < 2
+	terms := make([]Expr, rng.Intn(5)+2)
+	for j := range terms {
+		k := oracle.RandValue(rng, numeric, 0.05)
+		switch r := rng.Intn(6); {
+		case r == 0 && j > 0:
+			k = terms[rng.Intn(j)].(Cmp).R.(Const).V
+		case r <= 2 && vec.Len() > 0:
+			if v := vec.Get(rng.Intn(vec.Len())); v.Kind != KindNull {
+				k = v
+			}
+			if numeric && k.Kind != KindFloat && rng.Intn(2) == 0 {
+				k = Float(k.AsFloat())
+			}
+		case r == 3 && numeric:
+			k = Float(float64(rng.Intn(20)-10) + 0.5)
+		}
+		terms[j] = Cmp{Op: EQ, L: Col{Idx: c}, R: Const{V: k}}
+	}
+	var chain Expr = Or{Terms: terms}
+	switch rng.Intn(3) {
+	case 1:
+		return Not{E: chain}
+	case 2:
+		return And{Terms: []Expr{randLeaf(rng, in), chain}}
+	}
+	return chain
 }
 
 // randTree draws a predicate tree of And/Or/Not over randLeaf leaves, at
 // most depth composite levels deep with 1–4 terms per And/Or.
-func randTree(rng *rand.Rand, depth int) Expr {
+func randTree(rng *rand.Rand, in *Batch, depth int) Expr {
 	if depth == 0 || rng.Intn(4) == 0 {
-		return randLeaf(rng)
+		return randLeaf(rng, in)
 	}
 	if rng.Intn(5) == 0 {
-		return Not{E: randTree(rng, depth-1)}
+		return Not{E: randTree(rng, in, depth-1)}
 	}
 	terms := make([]Expr, rng.Intn(4)+1)
 	for i := range terms {
-		terms[i] = randTree(rng, depth-1)
+		terms[i] = randTree(rng, in, depth-1)
 	}
 	if rng.Intn(2) == 0 {
 		return And{Terms: terms}
@@ -191,23 +234,106 @@ func TestFilterBatchMatchesRowAtATimeExactly(t *testing.T) {
 
 // TestFilterBatchTreesMatchRowAtATimeExactly draws what the binder really
 // emits: trees of And/Or/Not (depth <= 3, 1–4 terms) over multi-column
-// batches, leaves from all three kernels plus the column-vs-column
-// fallback, still demanding identical selected indices and identical
-// cycles against per-row Eval.
+// batches, leaves from all three kernels, the column-vs-column loop and
+// fallback, and IN-list equality chains over every page shape, still
+// demanding identical selected indices and identical cycles against
+// per-row Eval.
 func TestFilterBatchTreesMatchRowAtATimeExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x7ee5))
-	composite := 0
+	composite, intPage, otherPage := 0, 0, 0
 	for caseNo := 0; caseNo < 3000; caseNo++ {
 		in := randTreeBatch(rng)
-		pred := randTree(rng, 3)
+		pred := randTree(rng, in, 3)
 		switch pred.(type) {
 		case And, Or, Not:
 			composite++
 		}
+		walkEqChains(pred, func(c int, nullConst bool) {
+			if vec := &in.Cols[c]; vec.Nulls == nil && vec.Kind != KindFloat && !nullConst {
+				intPage++
+			} else {
+				otherPage++
+			}
+		})
 		checkFilterAgainstRows(t, caseNo, pred, in)
 	}
-	if composite < 2000 {
-		t.Fatalf("only %d/3000 cases were composite — generator shape drifted", composite)
+	if composite < 2000 || intPage < 300 || otherPage < 300 {
+		t.Fatalf("%d/3000 cases were composite, %d equality chains met a NULL-free integer page and %d another page — generator shape drifted",
+			composite, intPage, otherPage)
+	}
+}
+
+// walkEqChains calls visit with the column of every Or in pred whose terms
+// are all equalities of one column with a constant, and whether one of the
+// constants is NULL.
+func walkEqChains(pred Expr, visit func(col int, nullConst bool)) {
+	switch p := pred.(type) {
+	case Not:
+		walkEqChains(p.E, visit)
+	case And:
+		for _, t := range p.Terms {
+			walkEqChains(t, visit)
+		}
+	case Or:
+		col, nullConst := -1, false
+		for _, t := range p.Terms {
+			walkEqChains(t, visit)
+			if c, ok := t.(Cmp); ok && c.Op == EQ {
+				if l, ok := c.L.(Col); ok && (col == -1 || col == l.Idx) {
+					if k, ok := c.R.(Const); ok {
+						col, nullConst = l.Idx, nullConst || k.V.IsNull()
+						continue
+					}
+				}
+			}
+			col = -2
+		}
+		if col >= 0 && len(p.Terms) >= 2 {
+			visit(col, nullConst)
+		}
+	}
+}
+
+// TestFilterIntegerDomainBoundariesExact runs every comparison, and
+// Between, of an Int, Date or Bool payload with a numeric constant — which
+// a compiled filter decides in the integer domain wherever float64 holds
+// the constant's integers exactly — against the row reference, at the
+// values where that rewrite could go wrong: payloads either side of ±2⁵³
+// and at the ends of int64, constants integral and a half off an integer,
+// -0, NaN, ±Inf, and ±2⁵³ and its neighbours as floats. Each predicate runs
+// as it stands and under a NOT, over the whole batch and through a
+// candidate selection.
+func TestFilterIntegerDomainBoundariesExact(t *testing.T) {
+	const big = int64(1) << 53
+	payload := []int64{0, 1, -1, big - 1, -(big - 1), big, -big, big + 1, -(big + 1), math.MinInt64, math.MaxInt64}
+	var konsts []Value
+	for _, x := range payload {
+		konsts = append(konsts, Int(x), Float(float64(x)))
+	}
+	for _, f := range []float64{0.5, -0.5, 1.5, -1.5, 1<<51 + 0.5, -(1<<51 + 0.5), 1<<52 - 0.5, -(1<<52 - 0.5),
+		math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		float64(big), -float64(big), float64(big - 1), -float64(big - 1), float64(big + 2), -float64(big + 2)} {
+		konsts = append(konsts, Float(f))
+	}
+	konsts = append(konsts, Date(1), Bool(true))
+	caseNo := 0
+	for _, kind := range []Kind{KindInt, KindDate, KindBool} {
+		for _, sel := range [][]int32{nil, {0, 2, 3, 5, 8, 9}} {
+			in := &Batch{Cols: []ColVec{IntVec(kind, payload)}, N: len(payload)}
+			in.Sel = sel
+			c := Col{Idx: 0, Name: "x"}
+			for i, k := range konsts {
+				preds := []Expr{Between{E: c, Lo: k, Hi: konsts[(i+7)%len(konsts)]}}
+				for op := EQ; op <= GE; op++ {
+					preds = append(preds, Cmp{Op: op, L: c, R: Const{V: k}})
+				}
+				for _, pred := range preds {
+					checkFilterAgainstRows(t, caseNo, pred, in)
+					checkFilterAgainstRows(t, caseNo, Not{E: pred}, in)
+					caseNo++
+				}
+			}
+		}
 	}
 }
 
@@ -241,8 +367,9 @@ func TestFilterColVsColMatchesRowAtATimeExactly(t *testing.T) {
 
 // TestFilterBatchSteadyStateAllocatesNothing pins the per-page allocation
 // fix: with a caller-supplied selection, a 3-term AND — and an OR and a
-// fallback leaf, which need scratch, and the column-vs-column kernel —
-// allocate nothing once warm.
+// fallback leaf, which need scratch, the column-vs-column kernel, an IN
+// list and an integer NE — allocate nothing
+// once warm, compiling into pooled storage included.
 func TestFilterBatchSteadyStateAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -264,6 +391,12 @@ func TestFilterBatchSteadyStateAllocatesNothing(t *testing.T) {
 		}},
 		"col-vs-col kernel":   Cmp{Op: LT, L: Col{Idx: 2}, R: Col{Idx: 1}},
 		"arithmetic fallback": Cmp{Op: LT, L: Arith{Op: Add, L: Col{Idx: 2}, R: Col{Idx: 0}}, R: Col{Idx: 1}},
+		"IN list": Or{Terms: []Expr{
+			Cmp{Op: EQ, L: Col{Idx: 0}, R: lit(Int(7))},
+			Cmp{Op: EQ, L: Col{Idx: 0}, R: lit(Float(13))},
+			Cmp{Op: EQ, L: Col{Idx: 0}, R: lit(Int(7))},
+		}},
+		"integer NE": Cmp{Op: NE, L: Col{Idx: 0}, R: lit(Int(7))},
 	}
 	for name, pred := range preds {
 		var cost Cost

@@ -1,8 +1,10 @@
 package expr
 
-// The typed selection and arithmetic loops behind FilterBatch and
-// EvalBatch. Nothing in this file charges: callers in batch.go bill
-// rows × EvalCycles of the node a loop runs, these loops only compute.
+// The typed selection and arithmetic loops behind compiled filters
+// (filter.go), EvalBatch and SelectNotAfter. Nothing in this file charges:
+// a Filter step bills the rows that reach it × the EvalCycles it took at
+// compile time, and EvalBatch bills rows × EvalCycles of its tree; these
+// loops only compute.
 //
 // Every selection loop takes the candidate rows as cand (nil = every
 // element of the payload) and writes the physical indices that pass into
@@ -29,35 +31,6 @@ func copyCand(cand []int32, n int, out []int32) []int32 {
 		out[i] = int32(i)
 	}
 	return out
-}
-
-// subtractSel writes to out the candidates (cand, or 0..n-1 when cand is
-// nil) that are not in drop, an ascending subset of the candidates held in
-// storage of its own.
-func subtractSel(cand []int32, n int, drop, out []int32) []int32 {
-	kept, d := 0, 0
-	if cand == nil {
-		out = out[:n]
-		for i := int32(0); i < int32(n); i++ {
-			if d < len(drop) && drop[d] == i {
-				d++
-				continue
-			}
-			out[kept] = i
-			kept++
-		}
-		return out[:kept]
-	}
-	out = out[:len(cand)]
-	for _, i := range cand {
-		if d < len(drop) && drop[d] == i {
-			d++
-			continue
-		}
-		out[kept] = i
-		kept++
-	}
-	return out[:kept]
 }
 
 // numeric is the payload element type of the numeric Compare class: I for
@@ -180,6 +153,29 @@ func selCmpNum[T numeric](op CmpOp, vals []T, k float64, cand, out []int32) []in
 	return out[:n]
 }
 
+// selCmpColCol is the loop for Cmp{Col, Col} over two numeric, NULL-free
+// vectors — a join residual such as s_nationkey = c_nationkey — compared
+// through float64 as Compare compares them; want=false runs the negated
+// operator. It reports false for other vectors.
+func selCmpColCol(op CmpOp, l, r *ColVec, cand, out []int32, want bool) ([]int32, bool) {
+	if l.Nulls != nil || r.Nulls != nil || !numericKind(l.Kind) || !numericKind(r.Kind) {
+		return nil, false
+	}
+	if !want {
+		op = op.negate()
+	}
+	lf, rf := l.Kind == KindFloat, r.Kind == KindFloat
+	switch {
+	case lf && rf:
+		return selCmpCols(op, l.F, r.F, cand, out), true
+	case lf:
+		return selCmpCols(op, l.F, r.I, cand, out), true
+	case rf:
+		return selCmpCols(op, l.I, r.F, cand, out), true
+	}
+	return selCmpCols(op, l.I, r.I, cand, out), true
+}
+
 // cmpHolds[op] has bit r set when op holds for a comparison whose outcome
 // is r: 0 neither less nor greater (equal, or a NaN on either side, which
 // Compare ties), 1 less, 2 greater.
@@ -209,9 +205,9 @@ func selCmpCols[A, B numeric](op CmpOp, a []A, b []B, cand, out []int32) []int32
 	return out[:n]
 }
 
-// selCmpOrd is selCmpNum over the payloads compared directly: strings and
-// dictionary codes.
-func selCmpOrd[T string | int32](op CmpOp, vals []T, k T, cand, out []int32) []int32 {
+// selCmpOrd is selCmpNum over the payloads compared directly: strings,
+// dictionary codes, and I payloads against an integer bound (intDomain).
+func selCmpOrd[T string | int32 | int64](op CmpOp, vals []T, k T, cand, out []int32) []int32 {
 	n := 0
 	if cand == nil {
 		out = out[:len(vals)]

@@ -118,14 +118,15 @@ func compareElems(x *ColVec, i int32, y *ColVec, j int32) int {
 // decide every row: vec carries NULLs, or k is NULL or of another Compare
 // class.
 func SelectNotAfter(vec *ColVec, k Value, desc bool, cand, out []int32) ([]int32, bool) {
-	if !typedComparable(vec, k) {
-		return nil, false
-	}
 	op := LE
 	if desc {
 		op = GE
 	}
-	return selCmpColConst(op, vec, k, cand, out), true
+	c := newCmpK(op, k)
+	if !c.fits(vec) {
+		return nil, false
+	}
+	return c.sel(vec, true, cand, out), true
 }
 
 func compareFloats(a, b float64) int {
