@@ -22,22 +22,31 @@ type usageError string
 
 func (e usageError) Error() string { return string(e) }
 
-// runServe is the `ecodb serve` subcommand: an HTTP query server over a
-// freshly generated, warm TPC-H dataset under the serving profile. It
-// serves until SIGINT/SIGTERM, then drains gracefully — every accepted
-// statement is executed and answered before the process exits.
-func runServe(args []string) error {
+// serveOptions is what `ecodb serve`'s flags set.
+type serveOptions struct {
+	addr string
+	sf   float64
+	seed uint64
+	cfg  server.Config
+}
+
+// parseServe parses `ecodb serve`'s flags. Every admission flag writes
+// its setting of a server.DefaultConfig and defaults to the setting there,
+// so the flags restate no default of their own.
+func parseServe(args []string) (serveOptions, error) {
+	o := serveOptions{cfg: server.DefaultConfig()}
+	cfg := &o.cfg
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	addr := fs.String("addr", ":8080", "listen address")
-	policy := fs.String("policy", "shared", "admission policy: private, shared or deadline")
-	maxInflight := fs.Int("max-inflight", 4096, "admission bound: statements accepted but not yet answered (0 rejects everything)")
-	flushN := fs.Int("flush-threshold", 4, "co-admit as soon as this many statements wait")
-	flushMs := fs.Float64("flush-wait-ms", 20, "max wait for co-admission before the window flushes anyway")
-	slackMs := fs.Float64("urgent-slack-ms", 20, "deadline policy: remaining budget at or below this bypasses the window")
-	window := fs.Int("window", 64, "max statements per co-admission batch")
-	sf := fs.Float64("sf", 0.0005, "generated TPC-H scale factor")
-	seed := fs.Uint64("seed", 42, "data-generation seed")
-	profiling := fs.Bool("profiling", true, "profile every statement for exact per-statement joule attribution")
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	policy := fs.String("policy", cfg.Policy.String(), "admission policy: private, shared or deadline")
+	fs.IntVar(&cfg.MaxInflight, "max-inflight", cfg.MaxInflight, "admission bound: statements accepted but not yet answered (0 rejects everything)")
+	fs.IntVar(&cfg.FlushThreshold, "flush-threshold", cfg.FlushThreshold, "co-admit as soon as this many statements wait")
+	flushMs := fs.Float64("flush-wait-ms", cfg.FlushWait.Seconds()*1e3, "max wait for co-admission before the window flushes anyway")
+	slackMs := fs.Float64("urgent-slack-ms", cfg.UrgentSlack.Seconds()*1e3, "deadline policy: remaining budget at or below this bypasses the window")
+	fs.IntVar(&cfg.Window, "window", cfg.Window, "max statements per co-admission batch")
+	fs.Float64Var(&o.sf, "sf", 0.0005, "generated TPC-H scale factor")
+	fs.Uint64Var(&o.seed, "seed", 42, "data-generation seed")
+	fs.BoolVar(&cfg.Profiling, "profiling", cfg.Profiling, "profile every statement for exact per-statement joule attribution")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: ecodb serve [flags]\n\nflags:")
 		fs.PrintDefaults()
@@ -45,28 +54,32 @@ func runServe(args []string) error {
 		fmt.Fprintln(os.Stderr, "see docs/OPERATIONS.md for the operator's handbook")
 	}
 	fs.Parse(args)
-	if err := tpch.CheckScale(*sf); err != nil {
-		return usageError("serve -sf: " + err.Error())
+	if err := tpch.CheckScale(o.sf); err != nil {
+		return serveOptions{}, usageError("serve -sf: " + err.Error())
 	}
+	var err error
+	if cfg.Policy, err = server.ParsePolicy(*policy); err != nil {
+		return serveOptions{}, err
+	}
+	cfg.FlushWait, cfg.UrgentSlack = sim.Duration(*flushMs/1e3), sim.Duration(*slackMs/1e3)
+	return o, nil
+}
 
-	pol, err := server.ParsePolicy(*policy)
+// runServe is the `ecodb serve` subcommand: an HTTP query server over a
+// freshly generated, warm TPC-H dataset under the serving profile. It
+// serves until SIGINT/SIGTERM, then drains gracefully — every accepted
+// statement is executed and answered before the process exits.
+func runServe(args []string) error {
+	opts, err := parseServe(args)
 	if err != nil {
 		return err
 	}
-	cfg := server.Config{
-		Policy:         pol,
-		MaxInflight:    *maxInflight,
-		FlushThreshold: *flushN,
-		FlushWait:      sim.Duration(*flushMs / 1e3),
-		UrgentSlack:    sim.Duration(*slackMs / 1e3),
-		Window:         *window,
-		Profiling:      *profiling,
-	}
-	log.Printf("ecodb serve: generating TPC-H sf=%g", *sf)
+	cfg := opts.cfg
+	log.Printf("ecodb serve: generating TPC-H sf=%g", opts.sf)
 	sys := experiments.ServerSystem(experiments.Config{
-		SF: *sf, Amplification: 1, Seed: *seed, ProtocolRuns: 1,
+		SF: opts.sf, Amplification: 1, Seed: opts.seed, ProtocolRuns: 1,
 	})
-	srv := server.NewServer(server.NewCore(cfg, sys), *addr)
+	srv := server.NewServer(server.NewCore(cfg, sys), opts.addr)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -79,7 +92,7 @@ func runServe(args []string) error {
 	}()
 
 	log.Printf("ecodb serve: listening on %s (policy=%s max-inflight=%d flush=%d/%gms)",
-		*addr, pol, *maxInflight, *flushN, *flushMs)
+		opts.addr, cfg.Policy, cfg.MaxInflight, cfg.FlushThreshold, cfg.FlushWait.Seconds()*1e3)
 	// ListenAndServe returns only after the drain: every accepted statement
 	// has been answered by then.
 	err = srv.ListenAndServe()

@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"ecodb/internal/server"
+)
 
 // TestServeRejectsBadScale checks that serve refuses a scale factor the
 // generator cannot take with a usage error, before generating anything.
@@ -10,5 +14,18 @@ func TestServeRejectsBadScale(t *testing.T) {
 		if _, ok := err.(usageError); !ok {
 			t.Errorf("serve -sf %s: error %v, want a usage error", sf, err)
 		}
+	}
+}
+
+// TestServeFlagDefaultsAreDefaultConfig checks that parsing no flags
+// serves with exactly server.DefaultConfig: the flags take their defaults
+// from it rather than restating them.
+func TestServeFlagDefaultsAreDefaultConfig(t *testing.T) {
+	opts, err := parseServe(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := server.DefaultConfig(); opts.cfg != want {
+		t.Errorf("serve with no flags: config %+v, want server.DefaultConfig() %+v", opts.cfg, want)
 	}
 }

@@ -311,7 +311,7 @@ func foldRunAfterFirstPage(t *testing.T, tb *catalog.Table, agg plan.Node) uint6
 	var ws stageScratch
 	var res morselResult
 	page := func(idx int) {
-		a.pump.frag.run(&res, idx, a.pump.src.Page(idx), &ws)
+		a.pump.frag.run(&res, idx, a.pump.src.Page(idx), &ws, false)
 		sink(&res, run)
 	}
 	page(run.Start)
@@ -383,7 +383,7 @@ func TestCompiledFilterAllocatesNothingPerPage(t *testing.T) {
 			runAll := func() {
 				rows = 0
 				for idx := 0; idx < pages; idx++ {
-					f.run(&res, idx, tb.Heap.Page(idx), &ws)
+					f.run(&res, idx, tb.Heap.Page(idx), &ws, false)
 					rows += res.rows
 				}
 			}

@@ -210,8 +210,8 @@ type Ctx struct {
 	BatchSize int
 
 	// ZoneMapPruning lets this statement's scans skip pages whose zone maps
-	// prove no row can pass the pushed-down predicate (prune.go). Results
-	// are identical either way; the charge stream is not.
+	// prove no row can pass the pushed-down predicate (fragment.prunes).
+	// Results are identical either way; the charge stream is not.
 	ZoneMapPruning bool
 
 	// Obs, when non-nil, receives a copy of every charge tagged with the

@@ -307,30 +307,42 @@ type fragment struct {
 	schema     *catalog.Schema
 	// pass, when non-nil, is the shared pass the scan rides (NewSharedScan).
 	pass *scanshare.Coordinator
-	// pruner is the active zone-map prune predicate for this execution —
-	// the scan filter conjoined, for a private scan, with the leading filter
-	// stages (they still reference the scan schema; filtering itself stays
-	// where it is) — set by initPrune when the pump opens, nil when pruning
-	// is off or unusable.
-	pruner expr.Expr
 }
 
-// initPrune resolves the fragment's prune predicate for this execution. A
-// pass consumer prunes on its scan filter alone: that is the test it
-// attaches with, and the pass skips a page only when every consumer's test
-// rejects it.
-func (f *fragment) initPrune(ctx *Ctx) {
-	var terms []expr.Expr
-	if f.scanFilter != nil {
-		terms = append(terms, f.scanFilter.Expr())
+// Scan-time zone-map pruning is a pure skip decision: a page is skipped
+// only when its zones prove that no row of it can survive the fragment, so
+// results are bit-identical with pruning on or off. What changes is the
+// charge stream — a pruned page costs one zone check instead of a
+// buffer-pool access, a disk read, page streaming and per-tuple work.
+
+// prunes reports whether zones, a page's, prove that no row of the page
+// survives one of the fragment's prune filters.
+func (f *fragment) prunes(zones []expr.Zone) bool {
+	return len(zones) > 0 && f.anyPruneFilter(func(g *expr.Filter) bool { return g.Prunes(zones) })
+}
+
+// anyPruneFilter reports whether test holds for one of the fragment's
+// prune filters: its scan filter and, for a private scan, the filter stages
+// before its first projection — they still read the scan's schema, and
+// filtering itself stays where it is. A pass consumer prunes on its scan
+// filter alone: that is the test it attaches with, and the pass skips a
+// page only when every consumer's test rejects it.
+func (f *fragment) anyPruneFilter(test func(*expr.Filter) bool) bool {
+	if f.scanFilter != nil && test(f.scanFilter) {
+		return true
+	}
+	if f.pass != nil {
+		return false
 	}
 	for _, st := range f.stages {
-		if st.pred == nil || f.pass != nil {
-			break
+		if st.pred == nil {
+			return false
 		}
-		terms = append(terms, st.pred.Expr())
+		if test(st.pred) {
+			return true
+		}
 	}
-	f.pruner = prunePredicate(ctx, conjoinPrune(terms))
+	return false
 }
 
 // label is the span label of the fragment's scan leaf.
@@ -454,13 +466,14 @@ func (res *morselResult) scratch() *stageScratch {
 
 // run executes the fragment over one page into res, in producer context:
 // real computation and private cost metering only, no simulated-machine
-// access. The batch starts as a zero-copy view of the page's column
+// access. With prune set, a page whose zones prove no row survives is
+// skipped. The batch starts as a zero-copy view of the page's column
 // vectors; see stageScratch.apply for what happens to it and how long it
 // stays valid.
-func (f *fragment) run(res *morselResult, idx int, page *storage.Page, ws *stageScratch) {
+func (f *fragment) run(res *morselResult, idx int, page *storage.Page, ws *stageScratch, prune bool) {
 	res.reset()
 	res.idx = idx
-	if f.pruner != nil && len(page.Zones) > 0 && expr.ZonePrunes(f.pruner, page.Zones) {
+	if prune && f.prunes(page.Zones) {
 		// Producer context decides the skip (pure zone-map reads); the
 		// coordinator charges the zone check when it takes the page.
 		res.pruned = true
@@ -518,6 +531,10 @@ type morselPump struct {
 	span    *obsv.Span
 	total   int
 	nextIdx int
+	// prune is set by open when the statement prunes (Ctx.ZoneMapPruning)
+	// and one of the fragment's prune filters is Prunable: every page is
+	// then checked against its zones, and charged the check.
+	prune bool
 
 	// A pump over a shared pass is a consumer of it, attached from open to
 	// close; surface charges a step of the pass that this pump's pull
@@ -568,7 +585,7 @@ func (p *morselPump) newProducer(ws *stageScratch) *producer {
 }
 
 func (p *morselPump) produce(w *producer, res *morselResult, idx int, run storage.MorselRun) {
-	p.frag.run(res, idx, p.src.Page(idx), w.ws)
+	p.frag.run(res, idx, p.src.Page(idx), w.ws, p.prune)
 	if w.sink != nil {
 		w.sink(res, run)
 	}
@@ -587,7 +604,7 @@ func (p *morselPump) produce(w *producer, res *morselResult, idx int, run storag
 // A pump over a shared pass attaches its consumer here, so co-admitted
 // statements, opened before any is pulled, join the pass at the same page.
 func (p *morselPump) open(ctx *Ctx) {
-	p.frag.initPrune(ctx)
+	p.prune = ctx.ZoneMapPruning && p.frag.anyPruneFilter((*expr.Filter).Prunable)
 	if p.leafLabel != "" && ctx.Obs != nil {
 		p.span = ctx.Obs.OpenSpan(obsv.KindScan, p.leafLabel, p.frag.table.Name, ctx.CPU.Clock().Now())
 		ctx.Obs.Pop(ctx.CPU.Clock().Now())
@@ -595,8 +612,8 @@ func (p *morselPump) open(ctx *Ctx) {
 	heap := p.frag.table.Heap
 	if pass := p.frag.pass; pass != nil {
 		var prune scanshare.Prune
-		if pruner := p.frag.pruner; pruner != nil {
-			prune = func(zones []expr.Zone) bool { return expr.ZonePrunes(pruner, zones) }
+		if p.prune {
+			prune = p.frag.prunes
 		}
 		p.cons = pass.AttachPruned(prune)
 		p.surface = func(_ int, bytes int64) { ctx.chargePageStream(bytes) }
@@ -763,7 +780,7 @@ func (p *morselPump) next(ctx *Ctx) *morselResult {
 				p.frag.table.Name, idx, pruned, want, res.pruned))
 		}
 	}
-	if p.frag.pruner != nil {
+	if p.prune {
 		ctx.Cost.ZoneCheck(ctx, 1)
 	}
 	if res.pruned {

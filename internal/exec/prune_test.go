@@ -2,13 +2,17 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"ecodb/internal/catalog"
 	"ecodb/internal/expr"
+	"ecodb/internal/hw/cpu"
 	"ecodb/internal/obsv"
+	"ecodb/internal/oracle"
 	"ecodb/internal/plan"
 	"ecodb/internal/scanshare"
+	"ecodb/internal/storage"
 )
 
 // clusteredTable builds the pruning test fixture: a monotone int key (so
@@ -197,4 +201,119 @@ func TestSharedScanPruningMatchesPrivate(t *testing.T) {
 	if st.PagesSurfaced+st.PagesPruned != int64(tb.Heap.NumPages()) {
 		t.Fatalf("surfaced %d + pruned %d != %d heap pages", st.PagesSurfaced, st.PagesPruned, tb.Heap.NumPages())
 	}
+}
+
+// TestPruneDecisionsMatchOracle pins the pruning decision at the executor.
+// Every prunePlans shape, over plain and dictionary-encoded strings, runs
+// as private scans and as shared-pass consumers, at one and at four
+// workers, with zone maps on. The pages each scan skips must be exactly
+// those on which oracle.Prunes holds for one of its fragment's prune
+// predicates: its scan filter and, for a private scan, the filters stacked
+// on it below the first projection. A skipped page never reaches the
+// buffer pool, which here keeps every page read, so the skipped pages are
+// the ones it does not hold. And a scan with a prune predicate — every
+// predicate prunePlans builds has a prunable shape — must charge one zone
+// check per page it examines, counted as the compute a run gains when a
+// check costs zoneCheck cycles instead of none.
+func TestPruneDecisionsMatchOracle(t *testing.T) {
+	const zoneCheck = 1 << 16
+	for _, dict := range []bool{false, true} {
+		for name, p := range prunePlans(t, dict) {
+			for _, shared := range []bool{false, true} {
+				preds := map[*catalog.Table][]expr.Expr{}
+				fragmentPrunes(p, shared, nil, preds)
+				wantChecks := 0
+				for tb, ps := range preds {
+					if len(ps) > 0 {
+						wantChecks += tb.Heap.NumPages()
+					}
+				}
+				for _, workers := range []int{1, 4} {
+					label := fmt.Sprintf("%s/dict=%v/shared=%v/workers=%d", name, dict, shared, workers)
+					free, pool := runPruned(t, p, shared, workers, 0)
+					charged, _ := runPruned(t, p, shared, workers, zoneCheck)
+					gained := charged.CyclesByKind[cpu.Compute] - free.CyclesByKind[cpu.Compute]
+					if checks := math.Round(gained / zoneCheck); checks != float64(wantChecks) {
+						t.Errorf("%s: %v zone checks charged, want one per examined page: %d", label, checks, wantChecks)
+					}
+					skipped := 0
+					for tb, ps := range preds {
+						for i := 0; i < tb.Heap.NumPages(); i++ {
+							zones := oracleZones(tb.Heap.Page(i))
+							want := false
+							for _, pred := range ps {
+								want = want || oracle.Prunes(pred, zones)
+							}
+							got := !pool.Contains(storage.PageID{Table: tb.Name, Index: i})
+							if got != want {
+								t.Errorf("%s: page %d of %s skipped %v, the oracle prunes it %v", label, i, tb.Name, got, want)
+							}
+							if got {
+								skipped++
+							}
+						}
+					}
+					if wantChecks > 0 && skipped == 0 {
+						t.Errorf("%s: no page skipped — the fixture no longer prunes", label)
+					}
+				}
+			}
+		}
+	}
+}
+
+// fragmentPrunes records, for every table a scan under n reads, the
+// predicates the scan's fragment prunes on: the scan's filter and, for a
+// private scan, the filters above it — those stacked on the scan below the
+// first projection.
+func fragmentPrunes(n plan.Node, shared bool, above []expr.Expr, out map[*catalog.Table][]expr.Expr) {
+	switch m := n.(type) {
+	case *plan.Scan:
+		var ps []expr.Expr
+		if m.Filter != nil {
+			ps = append(ps, m.Filter)
+		}
+		if !shared {
+			ps = append(ps, above...)
+		}
+		out[m.Table] = ps
+	case *plan.Filter:
+		fragmentPrunes(m.Input, shared, append(above, m.Pred), out)
+	default:
+		for _, c := range n.Children() {
+			fragmentPrunes(c, shared, nil, out)
+		}
+	}
+}
+
+// oracleZones folds each column of page into an oracle zone.
+func oracleZones(page *storage.Page) []oracle.Zone {
+	zones := make([]oracle.Zone, len(page.Data.Cols))
+	for c := range zones {
+		for v, i := &page.Data.Cols[c], 0; i < v.Len(); i++ {
+			zones[c].Fold(v.Get(i))
+		}
+	}
+	return zones
+}
+
+// runPruned drains p with zone maps on, its scans private or each on a
+// shared pass of its table, over a buffer pool that keeps every page read,
+// a zone check costing zoneCheck cycles. It returns the CPU's counters and
+// the pool.
+func runPruned(t *testing.T, p plan.Node, shared bool, workers int, zoneCheck float64) (cpu.Stats, *storage.BufferPool) {
+	t.Helper()
+	ctx, _ := testCtx()
+	ctx.ZoneMapPruning = true
+	ctx.Cost.ZoneCheckCycles = zoneCheck
+	ctx.Pool = storage.NewBufferPool(1<<30, readerFunc(func(int64, bool) {}))
+	op := CompileParallel(p, workers)
+	if shared {
+		op = CompileShared(p, workers, func(s *plan.Scan) Operator {
+			return NewSharedScan(scanshare.NewCoordinator(s.Table.Heap, s.Table.Name, ctx.Pool), s.Table, s.Filter)
+		})
+	}
+	collect(t, op, ctx)
+	ctx.Flush()
+	return ctx.CPU.Stats(), ctx.Pool
 }

@@ -44,9 +44,9 @@ func (c *Cost) Drain() float64 {
 // tree. It is the one per-row price of an expression: the optimizer
 // estimates a predicate or projection with it, and every typed batch
 // kernel bills rows × EvalCycles of the node it runs. Two shapes are priced
-// by their common case: a comparison against a string constant as a string
-// compare, and the tested operand of Between and InHash as a bare column
-// reference.
+// by their common case: a comparison with a string constant, on either
+// side, as a string compare, and the tested operand of Between and InHash
+// as a bare column reference.
 func EvalCycles(e Expr) float64 {
 	switch n := e.(type) {
 	case Col:
@@ -55,8 +55,10 @@ func EvalCycles(e Expr) float64 {
 		return CyclesConst
 	case Cmp:
 		cmp := float64(CyclesCompare)
-		if k, ok := n.R.(Const); ok && k.V.Kind == KindString {
-			cmp = CyclesStringCmp
+		for _, side := range [...]Expr{n.L, n.R} {
+			if k, ok := side.(Const); ok && k.V.Kind == KindString {
+				cmp = CyclesStringCmp
+			}
 		}
 		return EvalCycles(n.L) + EvalCycles(n.R) + cmp
 	case Between:

@@ -367,6 +367,7 @@ func TestEvalCyclesIsWhatEvalMeters(t *testing.T) {
 		Const{V: Int(1)},
 		Cmp{Op: LT, L: i, R: Const{V: Int(9)}},
 		Cmp{Op: EQ, L: s, R: Const{V: String("ship")}},
+		Cmp{Op: GT, L: Const{V: String("rail")}, R: s},
 		Cmp{Op: GT, L: Arith{Op: Mul, L: f, R: Const{V: Float(2)}}, R: f},
 		Between{E: i, Lo: Int(0), Hi: Int(10)},
 		NewInHash(i, []Value{Int(7), Int(8)}),

@@ -28,6 +28,9 @@ import (
 // constant, has its leaf interpreted per candidate row (FilterScratch.rows),
 // as does a leaf no typed loop covers, such as a comparison over
 // arithmetic.
+//
+// The same steps decide zone-map pruning (Prunes, in zone.go): whether a
+// page's zones rule out every row, from the constants compiled here.
 type Filter struct {
 	pred Expr
 	// steps[0] is the root; the operands of an And, Or or Not step are
@@ -243,8 +246,17 @@ func (f *Filter) operands(terms ...Expr) (lo, hi int32) {
 }
 
 // leaf compiles a leaf: a typed-loop step for the column-against-constant
-// and column-against-column shapes, a per-row step for anything else.
+// and column-against-column shapes, a per-row step for anything else. A
+// comparison with its constant first compiles as the mirrored one, column
+// first: it holds on the same rows and Eval bills both alike.
 func (f *Filter) leaf(e Expr) step {
+	if n, ok := e.(Cmp); ok {
+		if k, ok := n.L.(Const); ok {
+			if c, ok := n.R.(Col); ok {
+				e = Cmp{Op: n.Op.Flip(), L: c, R: k}
+			}
+		}
+	}
 	s := step{op: opRows, e: e, cycles: EvalCycles(e), cmp: int32(len(f.cmps))}
 	switch n := e.(type) {
 	case Cmp:

@@ -62,6 +62,19 @@ func randPred(rng *rand.Rand, numeric bool) Expr {
 	}
 }
 
+// constFirst swaps a comparison of a column with a constant to compare the
+// constant with the column, the shape `WHERE 5 < l_quantity` binds to; any
+// other predicate it returns as it is.
+func constFirst(pred Expr) Expr {
+	if c, ok := pred.(Cmp); ok {
+		if _, ok := c.R.(Const); ok {
+			c.L, c.R = c.R, c.L
+			return c
+		}
+	}
+	return pred
+}
+
 // randTreeBatch builds a random four-column batch for the predicate-tree
 // tests: two numeric columns and two string columns, each of its own
 // oracle.RandColumn shape, the second string column dictionary-encoded half
@@ -88,7 +101,8 @@ func randTreeBatch(rng *rand.Rand) *Batch {
 }
 
 // randLeaf draws a leaf over randTreeBatch's columns: one of the three
-// column-vs-constant kernel shapes on a random column, a column-vs-column
+// column-vs-constant kernel shapes on a random column — a comparison with
+// its constant first half the time — a column-vs-column
 // comparison — a kernel over two NULL-free numeric columns, the fallback
 // otherwise — or an equality chain (randEqChain). Constants match the
 // column's class so Compare never sees incomparable kinds.
@@ -99,7 +113,11 @@ func randLeaf(rng *rand.Rand, in *Batch) Expr {
 	konst := func() Value { return oracle.RandValue(rng, numeric, 0.1) }
 	switch rng.Intn(5) {
 	case 0:
-		return Cmp{Op: CmpOp(rng.Intn(6)), L: col, R: Const{V: konst()}}
+		cmp := Cmp{Op: CmpOp(rng.Intn(6)), L: col, R: Const{V: konst()}}
+		if rng.Intn(2) == 0 {
+			return constFirst(cmp)
+		}
+		return cmp
 	case 1:
 		return Between{E: col, Lo: konst(), Hi: konst()}
 	case 2:
@@ -222,13 +240,18 @@ func checkFilterAgainstRows(t *testing.T, caseNo int, pred Expr, in *Batch) {
 }
 
 // TestFilterBatchMatchesRowAtATimeExactly draws single leaves over
-// one-column batches — every kernel against every vector shape.
+// one-column batches — every kernel against every vector shape, every odd
+// case's comparison with its constant first.
 func TestFilterBatchMatchesRowAtATimeExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xc01a))
 	for caseNo := 0; caseNo < 2000; caseNo++ {
 		numeric := rng.Intn(2) == 0
 		in := randBatch(rng, numeric)
-		checkFilterAgainstRows(t, caseNo, randPred(rng, numeric), in)
+		pred := randPred(rng, numeric)
+		if caseNo%2 == 1 {
+			pred = constFirst(pred)
+		}
+		checkFilterAgainstRows(t, caseNo, pred, in)
 	}
 }
 
@@ -294,8 +317,8 @@ func walkEqChains(pred Expr, visit func(col int, nullConst bool)) {
 	}
 }
 
-// TestFilterIntegerDomainBoundariesExact runs every comparison, and
-// Between, of an Int, Date or Bool payload with a numeric constant — which
+// TestFilterIntegerDomainBoundariesExact runs every comparison, either way
+// round, and Between, of an Int, Date or Bool payload with a numeric constant — which
 // a compiled filter decides in the integer domain wherever float64 holds
 // the constant's integers exactly — against the row reference, at the
 // values where that rewrite could go wrong: payloads either side of ±2⁵³
@@ -325,7 +348,7 @@ func TestFilterIntegerDomainBoundariesExact(t *testing.T) {
 			for i, k := range konsts {
 				preds := []Expr{Between{E: c, Lo: k, Hi: konsts[(i+7)%len(konsts)]}}
 				for op := EQ; op <= GE; op++ {
-					preds = append(preds, Cmp{Op: op, L: c, R: Const{V: k}})
+					preds = append(preds, Cmp{Op: op, L: c, R: Const{V: k}}, Cmp{Op: op, L: Const{V: k}, R: c})
 				}
 				for _, pred := range preds {
 					checkFilterAgainstRows(t, caseNo, pred, in)
@@ -412,13 +435,17 @@ func TestFilterBatchSteadyStateAllocatesNothing(t *testing.T) {
 // selected physical indices and charged cycles — between the two physical
 // representations and the row-at-a-time reference. Predicate constants are
 // drawn independently of the column, so out-of-dictionary words (the
-// code-miss paths of selCmpCodes) occur constantly.
+// code-miss paths of selCmpCodes) occur constantly; every odd case's
+// comparison has its constant first.
 func TestDictFilterMatchesDenseExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xd1c7))
 	encoded := 0
 	for caseNo := 0; caseNo < 2000; caseNo++ {
 		in := randBatch(rng, false)
 		pred := randPred(rng, false)
+		if caseNo%2 == 1 {
+			pred = constFirst(pred)
+		}
 
 		// Rebuild the same logical column, then switch it to codes.
 		din := NewBatch(1)
@@ -473,8 +500,8 @@ func randPrunePage(rng *rand.Rand) (*Batch, Expr) {
 	return in, randPrunePred(rng, numeric)
 }
 
-// randPrunePred draws a randPred alone, or under an AND or OR with a
-// second one.
+// randPrunePred draws a randPred alone — a comparison with its constant
+// first half the time — or under an AND or OR with a second one.
 func randPrunePred(rng *rand.Rand, numeric bool) Expr {
 	pred := randPred(rng, numeric)
 	switch rng.Intn(4) {
@@ -482,6 +509,8 @@ func randPrunePred(rng *rand.Rand, numeric bool) Expr {
 		return And{Terms: []Expr{pred, randPred(rng, numeric)}}
 	case 1:
 		return Or{Terms: []Expr{pred, randPred(rng, numeric)}}
+	case 2:
+		return constFirst(pred)
 	}
 	return pred
 }
@@ -510,7 +539,8 @@ func randNaNPage(rng *rand.Rand) (*Batch, Expr) {
 
 // TestZonePruneSoundness builds each random page's zone maps exactly as
 // Heap.AppendBatch does (Fold over the column) and requires that whenever
-// ZonePrunes claims a predicate holds nowhere on the page, the full filter
+// the compiled filter's Prunes claims its predicate holds nowhere on the
+// page, the full filter
 // over the page indeed selects nothing. Covers the NULL-heavy, all-NULL,
 // and composite AND/OR shapes, and float pages holding a NaN, which
 // Compare ties with every value.
@@ -518,12 +548,13 @@ func TestZonePruneSoundness(t *testing.T) {
 	pruned := 0
 	check := func(label string, in *Batch, pred Expr) {
 		t.Helper()
-		if !Prunable(pred) {
+		f := CompileFilter(pred)
+		if !f.Prunable() {
 			t.Fatalf("%s: generator produced non-prunable predicate %s", label, pred)
 		}
 		zones := make([]Zone, 1)
 		zones[0].Fold(&in.Cols[0], 0, in.Cols[0].Len())
-		if !ZonePrunes(pred, zones) {
+		if !f.Prunes(zones) {
 			return
 		}
 		pruned++
@@ -541,7 +572,7 @@ func TestZonePruneSoundness(t *testing.T) {
 		check(fmt.Sprintf("case %d", caseNo), in, pred)
 	}
 	if pruned < 200 {
-		t.Fatalf("only %d/2000 cases pruned — generator no longer exercises ZonePrunes", pruned)
+		t.Fatalf("only %d/2000 cases pruned — generator no longer exercises Prunes", pruned)
 	}
 
 	x := Col{Idx: 0, Name: "x"}
@@ -563,8 +594,8 @@ func TestZonePruneSoundness(t *testing.T) {
 }
 
 // TestZonePrunesMatchesBoxedReference runs TestZonePruneSoundness's
-// generators, NaN pages included, and requires the typed ZonePrunes over
-// the typed zone to decide every case as the oracle's boxed rules over the
+// generators, NaN pages included, and requires the compiled filter's
+// Prunes over the typed zone to decide every case as the oracle's boxed rules over the
 // oracle's zone do.
 func TestZonePrunesMatchesBoxedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x20e5))
@@ -580,7 +611,7 @@ func TestZonePrunesMatchesBoxedReference(t *testing.T) {
 		for i := 0; i < vec.Len(); i++ {
 			ref[0].Fold(vec.Get(i))
 		}
-		if got, want := ZonePrunes(pred, zones), oracle.Prunes(pred, ref); got != want {
+		if got, want := CompileFilter(pred).Prunes(zones), oracle.Prunes(pred, ref); got != want {
 			t.Fatalf("case %d (%s) over %v: typed zone %+v prunes %v, the oracle's zone %+v prunes %v",
 				caseNo, pred, vecValues(vec), zones[0], got, ref[0], want)
 		}
@@ -621,7 +652,7 @@ func TestEmptyRangePrunes(t *testing.T) {
 		for i := 0; i < vec.Len(); i++ {
 			ref[0].Fold(vec.Get(i))
 		}
-		if got, want := ZonePrunes(tc.pred, zones), oracle.Prunes(tc.pred, ref); got != tc.prune || want != tc.prune {
+		if got, want := CompileFilter(tc.pred).Prunes(zones), oracle.Prunes(tc.pred, ref); got != tc.prune || want != tc.prune {
 			t.Fatalf("%s over %v: typed zone prunes %v, the oracle's %v; want %v", tc.pred, vecValues(vec), got, want, tc.prune)
 		}
 		var cost Cost

@@ -112,130 +112,86 @@ func (z *Zone) Merge(o *Zone) {
 	z.HasNulls = nulls
 }
 
-// against compares constant k with the zone's bounds, returning
-// Compare(k, lo) and Compare(k, hi). It decides nothing (false) when the
-// zone has no bounds, or when k is NULL or of another class than the
-// column — a hand-built plan may compare a column with such a constant.
-func (z *Zone) against(k Value) (lo, hi int, ok bool) {
+// against compares constant c with the zone's bounds, returning
+// Compare(k, lo) and Compare(k, hi) for c's constant k. It decides nothing
+// (false) when the zone has no bounds, or when k is NULL or of another
+// class than the column — a hand-built plan may compare a column with such
+// a constant.
+func (z *Zone) against(c *cmpK) (lo, hi int, ok bool) {
 	switch {
-	case z.Kind == KindString && k.Kind == KindString:
-		return strings.Compare(k.S, z.SLo), strings.Compare(k.S, z.SHi), true
-	case numericKind(z.Kind) && numericKind(k.Kind):
-		x := k.AsFloat()
-		return compareFloats(x, z.Lo), compareFloats(x, z.Hi), true
+	case z.Kind == KindString && c.class == classString:
+		return strings.Compare(c.s, z.SLo), strings.Compare(c.s, z.SHi), true
+	case numericKind(z.Kind) && c.class == classNumeric:
+		return compareFloats(c.f, z.Lo), compareFloats(c.f, z.Hi), true
 	}
 	return 0, 0, false
 }
 
-// Prunable reports whether pred has a shape zone maps can ever prune on:
-// single-column comparisons against constants, ranges, hash-set
-// membership, and AND/OR combinations of those. A non-prunable predicate
-// makes ZonePrunes trivially false, so scans skip the zone check (and its
-// charge) entirely.
-func Prunable(pred Expr) bool {
-	switch p := pred.(type) {
-	case Cmp:
-		if _, ok := p.L.(Col); ok {
-			_, ok2 := p.R.(Const)
-			return ok2
-		}
-		if _, ok := p.R.(Col); ok {
-			_, ok2 := p.L.(Const)
-			return ok2
-		}
-		return false
-	case Between:
-		_, ok := p.E.(Col)
-		return ok
-	case *InHash:
-		_, ok := p.E.(Col)
-		return ok
-	case And:
-		for _, t := range p.Terms {
-			if Prunable(t) {
-				return true
-			}
-		}
-		return false
-	case Or:
-		for _, t := range p.Terms {
-			if !Prunable(t) {
-				return false
-			}
-		}
-		return len(p.Terms) > 0
-	default:
-		return false
-	}
+// Prunable reports whether f has a shape zone maps can ever prune on:
+// a comparison of a column with a constant, a range, hash-set membership,
+// an And with such a term, or an Or of nothing but such terms. Prunes is
+// false whatever the zones for any other filter, so a scan whose filters
+// are none of these skips the zone check, and its charge, entirely.
+func (f *Filter) Prunable() bool {
+	return f.zoneWalk(0, func(*step) bool { return true })
 }
 
-// ZonePrunes reports whether zones prove that pred holds for no row of the
-// page — the page can be skipped without changing results. It is
-// conservative: false means "must read", never "must not". The rules
-// mirror Eval exactly: comparisons and ranges are false on NULL operands,
-// and InHash membership is Go map equality (so a NULL set element matches
-// NULL rows).
-func ZonePrunes(pred Expr, zones []Zone) bool {
-	switch p := pred.(type) {
-	case Cmp:
-		if col, ok := p.L.(Col); ok {
-			if c, ok := p.R.(Const); ok {
-				return cmpPrunes(p.Op, &zones[col.Idx], c.V)
+// Prunes reports whether zones, one per column of a page, prove that f's
+// predicate holds for no row of the page — the page can be skipped without
+// changing results. It is conservative: false means "must read", never
+// "must not". The rules mirror Eval exactly: comparisons and ranges are
+// false on NULL operands, and InHash membership is Go map equality (so a
+// NULL set element matches NULL rows).
+func (f *Filter) Prunes(zones []Zone) bool {
+	return f.zoneWalk(0, func(s *step) bool {
+		z := &zones[s.col]
+		switch s.op {
+		case opCmpConst:
+			return cmpPrunes(&f.cmps[s.cmp], z)
+		case opBetween:
+			return betweenPrunes(z, &f.cmps[s.cmp], &f.cmps[s.cmp+1])
+		}
+		return inHashPrunes(z, s.set)
+	})
+}
+
+// zoneWalk combines the verdicts leaf gives the column-against-constant,
+// Between and InHash steps under step i: an And prunes when any term does,
+// an Or when it has terms and every one does. A Not, a comparison of two
+// columns and a per-row leaf never prune.
+func (f *Filter) zoneWalk(i int32, leaf func(*step) bool) bool {
+	s := &f.steps[i]
+	switch s.op {
+	case opAnd, opOr:
+		every := s.op == opOr
+		for k := s.lo; k < s.hi; k++ {
+			if f.zoneWalk(k, leaf) != every {
+				return !every
 			}
 		}
-		if col, ok := p.R.(Col); ok {
-			if c, ok := p.L.(Const); ok {
-				return cmpPrunes(p.Op.Flip(), &zones[col.Idx], c.V)
-			}
-		}
-		return false
-	case Between:
-		col, ok := p.E.(Col)
-		if !ok {
-			return false
-		}
-		return betweenPrunes(&zones[col.Idx], p.Lo, p.Hi)
-	case *InHash:
-		col, ok := p.E.(Col)
-		if !ok {
-			return false
-		}
-		return inHashPrunes(&zones[col.Idx], p.Set)
-	case And:
-		for _, t := range p.Terms {
-			if ZonePrunes(t, zones) {
-				return true
-			}
-		}
-		return false
-	case Or:
-		for _, t := range p.Terms {
-			if !ZonePrunes(t, zones) {
-				return false
-			}
-		}
-		return len(p.Terms) > 0
-	default:
-		return false
+		return every && s.hi > s.lo
+	case opCmpConst, opBetween, opInHash:
+		return leaf(s)
 	}
+	return false
 }
 
 // cmpPrunes decides col ⋈ k against one zone entry.
-func cmpPrunes(op CmpOp, z *Zone, k Value) bool {
-	if k.IsNull() {
-		// Cmp.Eval is false whenever an operand is NULL.
+func cmpPrunes(c *cmpK, z *Zone) bool {
+	if c.class == classNone {
+		// k is NULL: Cmp.Eval is false whenever an operand is NULL.
 		return true
 	}
 	if z.Kind == KindNull {
 		// No non-NULL values on the page; NULL rows never pass a Cmp.
 		return true
 	}
-	lo, hi, ok := z.against(k)
+	lo, hi, ok := z.against(c)
 	if !ok {
 		// Eval would panic on the first row either way; don't mask it.
 		return false
 	}
-	switch op {
+	switch c.op {
 	case EQ:
 		return lo < 0 || hi > 0
 	case NE:
@@ -256,8 +212,8 @@ func cmpPrunes(op CmpOp, z *Zone, k Value) bool {
 }
 
 // betweenPrunes decides lo <= col < hi against one zone entry.
-func betweenPrunes(z *Zone, lo, hi Value) bool {
-	if hi.IsNull() {
+func betweenPrunes(z *Zone, lo, hi *cmpK) bool {
+	if hi.class == classNone {
 		// Compare(v, NULL) is +1 for non-NULL v, so v < hi never holds.
 		return true
 	}
@@ -281,11 +237,11 @@ func betweenPrunes(z *Zone, lo, hi Value) bool {
 // non-NULL lo and hi of one class: lo is at or above hi. A NaN bound
 // decides nothing here — Compare ties it with every value, so v >= NaN
 // always holds.
-func emptyRange(lo, hi Value) bool {
-	if lo.Kind == KindString {
-		return lo.S >= hi.S
+func emptyRange(lo, hi *cmpK) bool {
+	if lo.class == classString {
+		return lo.s >= hi.s
 	}
-	return lo.AsFloat() >= hi.AsFloat()
+	return lo.f >= hi.f
 }
 
 // inHashPrunes decides hash-set membership against one zone entry. Set
@@ -300,7 +256,8 @@ func inHashPrunes(z *Zone, set map[Value]struct{}) bool {
 			}
 			continue
 		}
-		if lo, hi, ok := z.against(m); ok && lo >= 0 && hi <= 0 {
+		k := newCmpK(EQ, m)
+		if lo, hi, ok := z.against(&k); ok && lo >= 0 && hi <= 0 {
 			return false
 		}
 	}

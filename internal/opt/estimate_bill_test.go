@@ -27,7 +27,8 @@ import (
 // ResultKBCycles × the byte difference / 1024, and everything else to 1e-9.
 //
 // A COUNT(*) whose pushed filter every lineitem row passes (l_quantity is
-// 1..50, so the estimated selectivity is exactly 1) has an exact
+// 1..50, so the estimated selectivity is exactly 1), the constant written
+// on either side, has an exact
 // cardinality too, and shows a second gap: the estimate
 // prices a zone-map consult per page for every pushed filter, while the
 // executor consults zone maps only when the engine prunes, which neither
@@ -68,6 +69,8 @@ func TestEstimateIsTheBillWhereCardinalityIsExact(t *testing.T) {
 			"count(*)": countOver(),
 			"count(*) where l_quantity < 51": countOver(
 				expr.Cmp{Op: expr.LT, L: qty, R: expr.Const{V: expr.Int(51)}}),
+			"count(*) where 51 > l_quantity": countOver(
+				expr.Cmp{Op: expr.GT, L: expr.Const{V: expr.Int(51)}, R: qty}),
 			"count(*) where l_quantity in [1, 51)": countOver(
 				expr.Between{E: qty, Lo: expr.Int(1), Hi: expr.Int(51)}),
 		}
