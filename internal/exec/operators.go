@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
@@ -562,7 +561,7 @@ func (t *aggTable) merge(p *aggTable) {
 
 // emit writes one output row per group straight into out's vectors —
 // group-by values gathered from vals, then the aggregates — in ascending
-// encoded-key order (expr.GroupKeys, built once over vals): the single
+// group-key order (ColVec.CompareKeys, column by column): the single
 // deterministic emission order shared by the serial and parallel paths, so
 // output order is a pure function of the group set (never of hashing,
 // input order, or worker count). A global aggregate always yields one row:
@@ -575,15 +574,14 @@ func (t *aggTable) emit(out *expr.Batch) {
 	for g := range order {
 		order[g] = int32(g)
 	}
-	if len(t.groupBy) > 0 {
-		cols := make([]int, len(t.groupBy))
-		for c := range cols {
-			cols[c] = c
+	slices.SortFunc(order, func(a, b int32) int {
+		for c := range t.groupBy {
+			if r := t.vals.Cols[c].CompareKeys(a, b); r != 0 {
+				return r
+			}
 		}
-		var gk expr.GroupKeys
-		gk.Build(&t.vals, cols)
-		slices.SortFunc(order, func(a, b int32) int { return bytes.Compare(gk.Key(int(a)), gk.Key(int(b))) })
-	}
+		return 0
+	})
 	out.Reset()
 	for c := range t.groupBy {
 		out.Cols[c].AppendFrom(&t.vals.Cols[c], order)

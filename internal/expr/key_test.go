@@ -1,6 +1,8 @@
 package expr_test
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -181,4 +183,38 @@ func TestGroupKeysFoldNegativeZero(t *testing.T) {
 func negZero() float64 {
 	z := 0.0
 	return -z
+}
+
+// TestCompareKeysIsEncodedKeyOrder requires CompareKeys, column by column,
+// to order random tuples exactly as their oracle group keys sort bytewise:
+// the aggregation's emission order, now read off the typed payloads.
+func TestCompareKeysIsEncodedKeyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x0de7))
+	for c := 0; c < 500; c++ {
+		n := 1 + rng.Intn(12)
+		cols := make([]*ColVec, 1+rng.Intn(3))
+		for k := range cols {
+			cols[k] = oracle.RandVec(rng, oracle.RandKind(rng, rng.Intn(3) > 0), n, testDicts[rng.Intn(2)])
+		}
+		key := func(i int) string {
+			vals := make([]Value, len(cols))
+			for k, v := range cols {
+				vals[k] = v.Get(i)
+			}
+			return oracle.GroupKey(vals...)
+		}
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				got := 0
+				for _, v := range cols {
+					if got = v.CompareKeys(int32(i), int32(j)); got != 0 {
+						break
+					}
+				}
+				if want := strings.Compare(key(i), key(j)); got != want {
+					t.Fatalf("case %d: rows %d and %d compare %d, their oracle keys %x and %x %d", c, i, j, got, key(i), key(j), want)
+				}
+			}
+		}
+	}
 }

@@ -19,10 +19,11 @@ import (
 // A batch of rows is looked up in three passes. The first takes each row's
 // first slot that is empty or carries its tag: a candidate id, or a miss.
 // The second checks every candidate against the stored key, column by
-// column in one typed loop per column (verify) — equality as group keys
-// define it (GroupKeys). The third looks up again, key by key, the rare
-// row whose candidate was another key with the same tag. Resolve then adds
-// the keys the batch missed, key by key in row order.
+// column in one typed loop per column (verify) — group-key equality: one
+// NULL group, kinds apart, floats by FloatKey. The third looks up again,
+// key by key, the rare row whose candidate was another key with the same
+// tag. Resolve then adds the keys the batch missed, key by key in row
+// order.
 //
 // Resolve must not run beside any other call; once the Resolves are done,
 // any number of goroutines may look keys up at once.

@@ -23,6 +23,8 @@ const (
 	// materialization, large copies): paced by the memory clock with an
 	// activity factor between Compute and MemStall.
 	Stream
+
+	numKinds // the number of work kinds
 )
 
 func (k WorkKind) String() string {
@@ -155,6 +157,12 @@ type CPU struct {
 
 	parallelism int // cores used by Run work
 
+	// The operating points the settings above define, rebuilt by retune
+	// whenever one of them changes: ops[par-1][kind] for each parallelism
+	// 1..Cores and work kind, and the package draw while waiting.
+	ops   [][numKinds]opPoint
+	idleW energy.Watts
+
 	// obs, when non-nil, observes every clock-advancing segment. Purely
 	// passive: the engine installs a per-query profile collector here to
 	// attribute run energy to operators without changing any charge.
@@ -193,7 +201,9 @@ func New(cfg Config, clock *sim.Clock) *CPU {
 		panic("cpu: config needs at least one core")
 	}
 	c := &CPU{cfg: cfg, pstates: ps, clock: clock, parallelism: 1}
-	c.trace.Set(clock.Now(), c.power(c.idlePState(), c.idleActivity(), 0))
+	c.ops = make([][numKinds]opPoint, cfg.Cores)
+	c.retune()
+	c.recordIdle()
 	return c
 }
 
@@ -215,7 +225,8 @@ func (c *CPU) SetUnderclock(frac float64) {
 		panic(fmt.Sprintf("cpu: underclock fraction %v out of range [0,0.5)", frac))
 	}
 	c.underclock = frac
-	c.refreshIdleTrace()
+	c.retune()
+	c.recordIdle()
 }
 
 // Underclock returns the current FSB reduction fraction.
@@ -227,7 +238,8 @@ func (c *CPU) SetDowngrade(d Downgrade) {
 		panic(fmt.Sprintf("cpu: unknown downgrade %d", int(d)))
 	}
 	c.downgrade = d
-	c.refreshIdleTrace()
+	c.retune()
+	c.recordIdle()
 }
 
 // Downgrade returns the current voltage downgrade level.
@@ -236,7 +248,8 @@ func (c *CPU) Downgrade() Downgrade { return c.downgrade }
 // SetLoadline selects the loadline calibration.
 func (c *CPU) SetLoadline(l Loadline) {
 	c.loadline = l
-	c.refreshIdleTrace()
+	c.retune()
+	c.recordIdle()
 }
 
 // SetDeepIdle enables the EPU-tuned idle behaviour: immediate downshift to
@@ -245,7 +258,8 @@ func (c *CPU) SetLoadline(l Loadline) {
 // burn near-active power at the top p-state.
 func (c *CPU) SetDeepIdle(on bool) {
 	c.deepIdle = on
-	c.refreshIdleTrace()
+	c.retune()
+	c.recordIdle()
 }
 
 // SetStallMultiplierCap engages the EPU's dynamic low-load downshift: while
@@ -261,20 +275,7 @@ func (c *CPU) SetStallMultiplierCap(mult float64) {
 		panic(fmt.Sprintf("cpu: stall multiplier cap %v below lowest p-state %v", mult, c.pstates[0].Multiplier))
 	}
 	c.stallCap = mult
-}
-
-// stallPState returns the p-state occupied during memory-stalled work.
-func (c *CPU) stallPState() PState {
-	if c.stallCap == 0 {
-		return c.TopPState()
-	}
-	best := c.pstates[0]
-	for _, p := range c.pstates {
-		if p.Multiplier <= c.stallCap && p.Multiplier > best.Multiplier {
-			best = p
-		}
-	}
-	return best
+	c.retune() // the idle draw does not depend on the stall cap: no trace step
 }
 
 // SetMultiplierCap caps the top usable multiplier (the traditional p-state
@@ -285,7 +286,8 @@ func (c *CPU) SetMultiplierCap(mult float64) {
 		panic(fmt.Sprintf("cpu: multiplier cap %v below lowest p-state %v", mult, c.pstates[0].Multiplier))
 	}
 	c.capMult = mult
-	c.refreshIdleTrace()
+	c.retune()
+	c.recordIdle()
 }
 
 // SetParallelism sets how many cores subsequent Run segments use.
@@ -308,14 +310,17 @@ func (c *CPU) FSB() MHz { return MHz(float64(c.cfg.FSB) * (1 - c.underclock)) }
 func (c *CPU) MemFreq() MHz { return MHz(float64(c.FSB()) * c.cfg.MemMultiplier) }
 
 // TopPState returns the highest usable p-state, honoring a multiplier cap.
-func (c *CPU) TopPState() PState {
-	top := c.pstates[len(c.pstates)-1]
-	if c.capMult == 0 {
-		return top
+func (c *CPU) TopPState() PState { return c.atOrUnder(c.capMult) }
+
+// atOrUnder returns the highest p-state whose multiplier is at or under
+// mult, where a mult of 0 is no cap.
+func (c *CPU) atOrUnder(mult float64) PState {
+	if mult == 0 {
+		return c.pstates[len(c.pstates)-1]
 	}
 	best := c.pstates[0]
 	for _, p := range c.pstates {
-		if p.Multiplier <= c.capMult && p.Multiplier > best.Multiplier {
+		if p.Multiplier <= mult && p.Multiplier > best.Multiplier {
 			best = p
 		}
 	}
@@ -375,67 +380,125 @@ func (c *CPU) PowerAt(p PState, activity float64, activeCores int) energy.Watts 
 	return c.power(p, activity, activeCores)
 }
 
-// activityFor maps a work kind to its switching-activity factor.
-func (c *CPU) activityFor(kind WorkKind) float64 {
-	switch kind {
-	case Compute:
-		return c.cfg.ComputeActivity
-	case MemStall:
-		return c.cfg.MemStallActivity
-	case Stream:
-		return c.cfg.StreamActivity
-	default:
+// opPoint is one operating point: how work of one kind runs at one
+// parallelism under the current settings.
+type opPoint struct {
+	// A segment of n cycles lasts n / div * mul / den seconds. A term that
+	// does not apply is 1, which multiplies and divides exactly.
+	div, mul, den float64
+	watts         energy.Watts // package draw while busy
+	volts         float64      // effective core voltage while busy
+	ghz           float64      // core frequency while busy
+}
+
+// seconds returns how long cycles take at this operating point.
+func (o *opPoint) seconds(cycles float64) float64 { return cycles / o.div * o.mul / o.den }
+
+// retune rebuilds the operating points and the idle draw from the current
+// settings. Every setter calls it, so Run, Wait, the power readouts and
+// the estimates read one definition of each and never recompute it.
+//
+// Compute cycles are paced by the core clock at the top p-state divided
+// across the parallelism. MemStall and Stream cycles are counted against
+// the stock memory clock and do not divide across cores. A stall stretches
+// by the blend of fixed DRAM latency (with any timing-fallback penalty) and
+// clock-scaled transfer time; bandwidth-bound streaming scales with the
+// memory clock and also suffers the timing fallback. The core's p-state
+// does not pace either, so the EPU stall downshift applies to both.
+func (c *CPU) retune() {
+	top := c.TopPState()
+	stall := top
+	if c.stallCap != 0 {
+		stall = c.atOrUnder(c.stallCap)
+	}
+	topHz := c.Freq(top).Hz()
+	memHz := MHz(float64(c.cfg.FSB) * c.cfg.MemMultiplier).Hz()
+	stallMul, streamMul := c.memSlowdown(), c.memTimingPenalty()
+	activity := [numKinds]float64{c.cfg.ComputeActivity, c.cfg.MemStallActivity, c.cfg.StreamActivity}
+	for i := range c.ops {
+		par := i + 1
+		row := &c.ops[i]
+		row[Compute] = opPoint{div: topHz * float64(par), mul: 1, den: 1}
+		row[MemStall] = opPoint{div: memHz, mul: stallMul, den: 1}
+		row[Stream] = opPoint{div: memHz, mul: streamMul, den: 1 - c.underclock}
+		for kind := range row {
+			ps := stall
+			if kind == int(Compute) {
+				ps = top
+			}
+			o := &row[kind]
+			o.watts = c.power(ps, activity[kind], par)
+			o.volts = float64(c.Voltage(ps, par))
+			o.ghz = c.Freq(ps).GHz()
+		}
+	}
+	// With EPU deep idle the processor downshifts to the lowest multiplier
+	// immediately; the stock configuration lingers at the top p-state
+	// during the short waits that punctuate database workloads.
+	if c.deepIdle {
+		c.idleW = c.power(c.pstates[0], c.cfg.IdleActivityDeep, 0)
+	} else {
+		c.idleW = c.power(top, c.cfg.IdleActivityHalt, 0)
+	}
+}
+
+// at returns the operating point of kind at parallelism par.
+func (c *CPU) at(kind WorkKind, par int) *opPoint {
+	if kind < Compute || kind >= numKinds {
 		panic(fmt.Sprintf("cpu: unknown work kind %d", int(kind)))
 	}
+	return &c.ops[par-1][kind]
 }
 
-// idlePState returns the p-state occupied while waiting. With EPU deep
-// idle the processor downshifts to the lowest multiplier immediately; the
-// stock configuration lingers at the top p-state during the short waits
-// that punctuate database workloads.
-func (c *CPU) idlePState() PState {
-	if c.deepIdle {
-		return c.pstates[0]
-	}
-	return c.TopPState()
-}
-
-func (c *CPU) idleActivity() float64 {
-	if c.deepIdle {
-		return c.cfg.IdleActivityDeep
-	}
-	return c.cfg.IdleActivityHalt
-}
+// recordIdle records the idle draw from now on.
+func (c *CPU) recordIdle() { c.trace.Set(c.clock.Now(), c.idleW) }
 
 // IdlePower reports the package power while waiting under current settings.
-func (c *CPU) IdlePower() energy.Watts {
-	return c.power(c.idlePState(), c.idleActivity(), 0)
-}
+func (c *CPU) IdlePower() energy.Watts { return c.idleW }
 
 // BusyPower reports the package power while running work of the given kind
 // at the current parallelism and settings, including any EPU stall
 // downshift for memory-paced kinds.
-func (c *CPU) BusyPower(kind WorkKind) energy.Watts {
-	ps := c.TopPState()
-	if kind == MemStall || kind == Stream {
-		ps = c.stallPState()
-	}
-	return c.power(ps, c.activityFor(kind), c.parallelism)
-}
+func (c *CPU) BusyPower(kind WorkKind) energy.Watts { return c.at(kind, c.parallelism).watts }
 
-// refreshIdleTrace re-records the idle power after a settings change so the
-// trace reflects the new draw immediately.
-func (c *CPU) refreshIdleTrace() {
-	c.trace.Set(c.clock.Now(), c.IdlePower())
-}
-
-// Run executes a work segment of the given cycle count and kind, advancing
-// the clock and recording energy. It returns the segment's duration.
+// EstimateSeconds returns the seconds Run would take to execute cycles of
+// the given kind at the given parallelism (clamped to [1, Cores]) under the
+// current settings, without executing anything: the optimizer costs plans
+// with it.
 //
-// Compute cycles are paced by the core clock divided across the configured
-// parallelism; MemStall and Stream cycles are paced by the memory clock
-// (which underclocking also slows). Negative cycles panic; zero cycles are
-// a no-op.
+// Compute work divides across cores; memory-paced work (MemStall, Stream)
+// does not — its duration is set by the memory clock regardless of how
+// many cores wait on it. That asymmetry is the optimizer's main
+// parallelism lever: extra cores halve compute time but only add
+// switching power to stall time.
+func (c *CPU) EstimateSeconds(cycles float64, kind WorkKind, parallelism int) float64 {
+	if cycles <= 0 {
+		return 0
+	}
+	return c.estimatePoint(kind, parallelism).seconds(cycles)
+}
+
+// EstimateEnergy returns the package joules Run would record for cycles of
+// the given kind at the given parallelism: busy power at the segment's
+// operating point times its duration.
+func (c *CPU) EstimateEnergy(cycles float64, kind WorkKind, parallelism int) float64 {
+	if cycles <= 0 {
+		return 0
+	}
+	o := c.estimatePoint(kind, parallelism)
+	return float64(o.watts) * o.seconds(cycles)
+}
+
+// estimatePoint is the operating point an estimate reads: its own
+// parallelism, clamped to the cores there are.
+func (c *CPU) estimatePoint(kind WorkKind, parallelism int) *opPoint {
+	return c.at(kind, min(max(parallelism, 1), c.cfg.Cores))
+}
+
+// Run executes a work segment of the given cycle count and kind at the
+// current parallelism, advancing the clock and recording energy. It
+// returns the segment's duration. Negative cycles panic; zero cycles are a
+// no-op.
 func (c *CPU) Run(cycles float64, kind WorkKind) sim.Duration {
 	if cycles < 0 {
 		panic("cpu: negative cycle count")
@@ -443,43 +506,22 @@ func (c *CPU) Run(cycles float64, kind WorkKind) sim.Duration {
 	if cycles == 0 {
 		return 0
 	}
-	ps := c.TopPState()
-	var d sim.Duration
-	switch kind {
-	case Compute:
-		d = sim.Duration(cycles / (c.Freq(ps).Hz() * float64(c.parallelism)))
-	case MemStall:
-		// Cycles are counted against the stock memory clock; the stall
-		// stretches by the blend of fixed DRAM latency (with any timing-
-		// fallback penalty) and clock-scaled transfer time. The core's
-		// p-state does not pace this work, so the EPU downshift applies.
-		base := cycles / (MHz(float64(c.cfg.FSB) * c.cfg.MemMultiplier)).Hz()
-		d = sim.Duration(base * c.memSlowdown())
-		ps = c.stallPState()
-	case Stream:
-		// Bandwidth-bound transfers scale with the memory clock and also
-		// suffer the timing fallback.
-		base := cycles / (MHz(float64(c.cfg.FSB) * c.cfg.MemMultiplier)).Hz()
-		d = sim.Duration(base * c.memTimingPenalty() / (1 - c.underclock))
-		ps = c.stallPState()
-	default:
-		panic(fmt.Sprintf("cpu: unknown work kind %d", int(kind)))
-	}
+	o := c.at(kind, c.parallelism)
+	d := sim.Duration(o.seconds(cycles))
 	start := c.clock.Now()
-	p := c.power(ps, c.activityFor(kind), c.parallelism)
-	c.trace.Set(start, p)
+	c.trace.Set(start, o.watts)
 	c.clock.Advance(d)
-	c.trace.Set(c.clock.Now(), c.IdlePower())
+	c.recordIdle()
 	if c.obs != nil {
-		c.obs.CPURun(kind, cycles, start, c.clock.Now(), p)
+		c.obs.CPURun(kind, cycles, start, c.clock.Now(), o.watts)
 	}
 
 	c.busy += d
 	c.cyclesDone += cycles
 	c.cyclesByKind[kind] += cycles
 	c.coreSeconds += d.Seconds() * float64(c.parallelism)
-	c.vIntegral += float64(c.Voltage(ps, c.parallelism)) * d.Seconds()
-	c.fIntegral += c.Freq(ps).GHz() * d.Seconds()
+	c.vIntegral += o.volts * d.Seconds()
+	c.fIntegral += o.ghz * d.Seconds()
 	return d
 }
 
@@ -511,11 +553,11 @@ func (c *CPU) Wait(d sim.Duration) {
 		return
 	}
 	start := c.clock.Now()
-	c.trace.Set(start, c.IdlePower())
+	c.recordIdle()
 	c.clock.Advance(d)
-	c.trace.Set(c.clock.Now(), c.IdlePower())
+	c.recordIdle()
 	if c.obs != nil {
-		c.obs.CPUWait(start, c.clock.Now(), c.IdlePower())
+		c.obs.CPUWait(start, c.clock.Now(), c.idleW)
 	}
 	c.idle += d
 }
