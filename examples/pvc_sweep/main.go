@@ -5,6 +5,8 @@ package main
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"ecodb/internal/core"
 	"ecodb/internal/engine"
@@ -34,8 +36,9 @@ func main() {
 
 	// Work the curve backward into SLA terms (§1's SLA discussion).
 	fmt.Println("\nminimum SLA slowdown admitting each setting:")
-	for name, slack := range core.SLAFromCurve(measurements) {
-		fmt.Printf("  %-18s needs ≥%.3f× stock time\n", name, slack)
+	sla := core.SLAFromCurve(measurements)
+	for _, name := range slices.Sorted(maps.Keys(sla)) {
+		fmt.Printf("  %-18s needs ≥%.3f× stock time\n", name, sla[name])
 	}
 
 	// Pick the best point under a 5% response-time SLA.

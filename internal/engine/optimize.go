@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"time"
-
 	"ecodb/internal/obsv"
 	"ecodb/internal/opt"
 	"ecodb/internal/plan"
@@ -50,9 +48,7 @@ func (e *Engine) optimize(p plan.Node, sharedQ int, profiling bool) (plan.Node, 
 		return nil, nil, nil, false
 	}
 	env := e.optEnv(sharedQ)
-	t0 := time.Now()
-	ch, err := opt.Optimize(lg, base, env, e.prof.Objective)
-	obsv.PlanningSeconds.Observe(time.Since(t0).Seconds())
+	ch, err := opt.Plan(lg, base, env, e.prof.Objective)
 	if err != nil {
 		return nil, nil, nil, false
 	}

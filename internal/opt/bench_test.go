@@ -5,8 +5,10 @@ import (
 	"time"
 
 	"ecodb/internal/engine"
+	"ecodb/internal/experiments"
 	"ecodb/internal/hw/system"
 	"ecodb/internal/opt"
+	"ecodb/internal/sql"
 	"ecodb/internal/tpch"
 )
 
@@ -14,7 +16,8 @@ import (
 // Extract is left out: it only reads the origin Lower stamped on the plan,
 // so the DP enumeration is all the engine's planning does. The bench-smoke
 // CI job runs this to catch planning-cost regressions;
-// TestPlanningFractionOfQ5Execution holds the budget itself.
+// TestPlanningFractionOfQ5Execution and TestServedExplainAllocations hold
+// the budgets themselves.
 func BenchmarkOptimizeQ5(b *testing.B) {
 	e := commercialEngine(b, opt.Objective{})
 	lg, base, err := opt.Extract(tpch.Q5(e.Catalog(), "ASIA", 1994))
@@ -32,9 +35,10 @@ func BenchmarkOptimizeQ5(b *testing.B) {
 }
 
 // planAllocsQ5 is the planning budget: allocations to extract and optimize
-// Q5 — 645, all of them Optimize's, since Extract reads the plan's origin
-// without allocating — plus about a tenth.
-const planAllocsQ5 = 710
+// Q5 — 7, all of them Optimize's, since Extract reads the plan's origin
+// without allocating: the output schema the row width is read from, and the
+// Choice with its join order and build sides — plus about a tenth.
+const planAllocsQ5 = 8
 
 // TestPlanningFractionOfQ5Execution pins the optimizer's planning budget by
 // what executor speed cannot move: extracting and optimizing Q5 at the
@@ -90,5 +94,55 @@ func TestPlanningFractionOfQ5Execution(t *testing.T) {
 		planning, allocs, execution, 100*float64(planning)/float64(execution))
 	if allocs > planAllocsQ5 {
 		t.Errorf("planning Q5 allocates %.0f times, budget is %d", allocs, planAllocsQ5)
+	}
+}
+
+// servedExplainAllocs is the budget of one served EXPLAIN's planning and
+// rendering, opt.Explain from a bound plan: the output schema's four
+// allocations, the Choice with its two slices, and the rendered string — 8
+// for either shape — plus about a tenth.
+const servedExplainAllocs = 9
+
+// TestServedExplainAllocations holds both EXPLAIN shapes the server answers
+// — the filtered two-way orders ⨝ lineitem count and the six-way Q5 join —
+// to servedExplainAllocs on the serving system at SF 0.01. The estimate's
+// frontiers, placements and rendering buffer come back from a pool, so only
+// what the caller keeps is allocated. Parsing and binding are left out.
+func TestServedExplainAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector: the estimate's scratch is then rebuilt")
+	}
+	e := experiments.ServerSystem(experiments.Config{SF: 0.01, Amplification: 1, Seed: 42, ProtocolRuns: 1}).Engine
+	env, _ := e.OptimizerEnv()
+	for name, q := range map[string]string{
+		"orders ⨝ lineitem count": "SELECT COUNT(*) AS n FROM orders JOIN lineitem ON l_orderkey = o_orderkey" +
+			" WHERE o_orderdate >= DATE '1994-03-01' AND o_orderdate < DATE '1995-03-01' AND l_quantity < 25",
+		"Q5": "SELECT n_name, SUM(l_extendedprice * (1 - l_discount)) AS revenue" +
+			" FROM region JOIN nation ON n_regionkey = r_regionkey" +
+			" JOIN customer ON c_nationkey = n_nationkey" +
+			" JOIN orders ON o_custkey = c_custkey" +
+			" JOIN lineitem ON l_orderkey = o_orderkey" +
+			" JOIN supplier ON s_suppkey = l_suppkey AND s_nationkey = c_nationkey" +
+			" WHERE r_name = 'ASIA' AND o_orderdate >= DATE '1994-01-01' AND o_orderdate < DATE '1995-01-01'" +
+			" GROUP BY n_name ORDER BY revenue DESC",
+	} {
+		stmt, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lg, err := sql.BindLogical(e.Catalog(), stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := lg.DefaultChoices()
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := opt.Explain(lg, base, env, opt.MinimizeLatency()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations", name, allocs)
+		if allocs > servedExplainAllocs {
+			t.Errorf("%s: EXPLAIN allocates %.0f times, budget is %d", name, allocs, servedExplainAllocs)
+		}
 	}
 }

@@ -11,6 +11,8 @@ package opt
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"ecodb/internal/catalog"
 	"ecodb/internal/exec"
@@ -27,7 +29,9 @@ const defaultSel = 1.0 / 3
 const minRows = 1e-3
 
 // est is one optimization's estimation context: the logical plan, the
-// environment, and each table's statistics.
+// environment, each table's statistics, what no shape changes, and the
+// scratch the join enumeration and rendering reuse. It is pooled (release),
+// so steady-state planning allocates only what it returns.
 type est struct {
 	lg    *plan.Logical
 	env   Env
@@ -36,24 +40,72 @@ type est struct {
 	// conjSel caches each conjunct's selectivity, which is shape-independent,
 	// so the DP's inner loop never recomputes it.
 	conjSel []float64
+	// scans holds each table's scan estimate, at 2t with its conjuncts left
+	// above the scan and at 2t+1 with them pushed into it.
+	scans    []opEst
+	rowBytes float64 // the output row's estimated wire width
 	// conj is the buffer the plan's placement rule fills: the conjunct
-	// indexes of the one scan or join being priced.
+	// indexes of the one scan, join or filter being priced.
 	conj []int
 
 	acc cycles // the accumulator every cost function fills (fresh)
+
+	// The join enumeration's frontiers, one per table subset, found by
+	// slots[set]; the subsets with candidates, ascending; a decoded shape.
+	fronts []frontier
+	slots  map[plan.TableSet]int32
+	sets   []plan.TableSet
+	order  []int
+	builds []bool
+
+	ops []opEst // planCycles' per-operator estimates when collecting
+	buf []byte  // EXPLAIN's rendering
 }
+
+var estPool = sync.Pool{New: func() any { return new(est) }}
 
 func newEst(lg *plan.Logical, env Env) *est {
 	env.Amplify = exec.Amplification(env.Amplify)
-	e := &est{lg: lg, env: env, stats: make([]*catalog.TableStats, len(lg.Tables))}
-	for i, t := range lg.Tables {
-		e.stats[i] = t.Stats()
+	e := estPool.Get().(*est)
+	e.lg, e.env = lg, env
+	e.stats = e.stats[:0]
+	for _, t := range lg.Tables {
+		e.stats = append(e.stats, t.Stats())
 	}
-	e.conjSel = make([]float64, len(lg.Conjuncts))
-	for i, c := range lg.Conjuncts {
-		e.conjSel[i] = e.conjunctSel(c)
+	e.conjSel = e.conjSel[:0]
+	for _, c := range lg.Conjuncts {
+		e.conjSel = append(e.conjSel, e.conjunctSel(c))
 	}
+	e.scans = e.scans[:0]
+	for t := range lg.Tables {
+		e.scans = append(e.scans, e.scanCost(t, false), e.scanCost(t, true))
+	}
+	e.rowBytes = 0
+	for _, c := range lg.OutputSchema().Columns() {
+		if c.Kind == expr.KindString {
+			e.rowBytes += 16
+		} else {
+			e.rowBytes += 8
+		}
+	}
+
+	n := len(lg.Tables)
+	e.fronts, e.sets = e.fronts[:0], e.sets[:0]
+	e.order, e.builds = slices.Grow(e.order[:0], n), slices.Grow(e.builds[:0], n)
+	if e.slots == nil {
+		e.slots = make(map[plan.TableSet]int32)
+	}
+	clear(e.slots)
 	return e
+}
+
+// release returns the estimate, if any, to the pool; the caller keeps
+// nothing of it.
+func (e *est) release() {
+	if e != nil {
+		e.lg = nil
+		estPool.Put(e)
+	}
 }
 
 // colStats returns the statistics of a global column id.
@@ -197,18 +249,4 @@ func (e *est) groupCount(inRows float64) float64 {
 		groups *= e.ndv(g)
 	}
 	return max(min(groups, inRows), 1)
-}
-
-// outRowBytes estimates the wire size of one output row from the result
-// schema's kinds.
-func (e *est) outRowBytes() float64 {
-	var b float64
-	for _, c := range e.lg.OutputSchema().Columns() {
-		if c.Kind == expr.KindString {
-			b += 16
-		} else {
-			b += 8
-		}
-	}
-	return b
 }

@@ -3,6 +3,7 @@ package opt
 import (
 	"ecodb/internal/expr"
 	"ecodb/internal/hw/cpu"
+	"ecodb/internal/obsv"
 )
 
 // cycles accumulates a candidate plan's estimated work by kind. It is the
@@ -81,12 +82,12 @@ func (e *est) conjCost(c *cycles, rows float64, conj []int) {
 // input row. Page pruning is not assumed (a conservative upper bound:
 // stats cannot tell how clustered a predicate is), so estimates are
 // comparable across candidates rather than absolute.
-func (e *est) scanCost(t int, push bool) (outRows float64, filtered bool, _ cycles) {
+func (e *est) scanCost(t int, push bool) opEst {
 	e.conj = e.conj[:0]
 	if push {
 		e.conj = e.lg.ScanConjuncts(e.conj, t)
 	}
-	filtered = len(e.conj) > 0
+	filtered := len(e.conj) > 0
 	st := e.stats[t]
 	rows := float64(st.Rows)
 	c := e.fresh()
@@ -103,11 +104,11 @@ func (e *est) scanCost(t int, push bool) (outRows float64, filtered bool, _ cycl
 	e.env.Cost.ScanTuples(c, rows)
 	e.conjCost(c, rows, e.conj)
 
-	outRows = rows
+	outRows := rows
 	for _, i := range e.conj {
 		outRows *= e.conjSel[i]
 	}
-	return max(outRows, minRows), filtered, *c
+	return opEst{kind: obsv.KindScan, rows: max(outRows, minRows), cyc: *c, table: t, flag: filtered}
 }
 
 // joinCost estimates one hash join: build-side insertion, probe-side
@@ -158,7 +159,7 @@ func (e *est) sortCost(rows float64) cycles {
 // rows of the output schema's estimated wire width.
 func (e *est) resultCost(rows float64) cycles {
 	c := e.fresh()
-	e.env.Cost.Result(c, rows, rows*e.outRowBytes(), e.env.Amplify)
+	e.env.Cost.Result(c, rows, rows*e.rowBytes, e.env.Amplify)
 	return *c
 }
 
@@ -186,29 +187,16 @@ func (e *est) timeEnergy(c cycles, overhead float64, par int, shared bool) (secs
 		(c.k[cpu.Stream] - c.passStream) * amp,
 	}
 	own[cpu.Compute] += overhead
-	pass := [2]float64{c.passZone * amp, c.passStream * amp} // compute, stream
+	pass := [3]float64{cpu.Compute: c.passZone * amp, cpu.Stream: c.passStream * amp}
 
 	var ownSecs float64
 	for kind, cy := range own {
 		k := cpu.WorkKind(kind)
 		ownSecs += m.EstimateSeconds(cy, k, par)
-		joules += m.EstimateEnergy(cy+passShare(kind, pass, q), k, par)
+		joules += m.EstimateEnergy(cy+pass[k]/q, k, par) // this query's share of the pass
 	}
-	passSecs := m.EstimateSeconds(pass[0], cpu.Compute, par) +
-		m.EstimateSeconds(pass[1], cpu.Stream, par)
+	passSecs := m.EstimateSeconds(pass[cpu.Compute], cpu.Compute, par) +
+		m.EstimateSeconds(pass[cpu.Stream], cpu.Stream, par)
 	secs = q*ownSecs + passSecs
 	return secs, joules
-}
-
-// passShare returns this query's amortized share of pass-fired cycles for
-// the given kind.
-func passShare(kind int, pass [2]float64, q float64) float64 {
-	switch cpu.WorkKind(kind) {
-	case cpu.Compute:
-		return pass[0] / q
-	case cpu.Stream:
-		return pass[1] / q
-	default:
-		return 0
-	}
 }

@@ -1,68 +1,82 @@
 package opt
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
+	"time"
+	"unicode/utf8"
 
 	"ecodb/internal/obsv"
 	"ecodb/internal/plan"
 )
 
-// Explain renders an optimizer choice for a logical plan: the execution
-// configuration, the whole-plan estimates, and one line per operator with
-// its estimated output rows, cycles, and joules under the chosen
-// configuration. The output is deterministic for a given plan and
-// environment, which is what lets golden tests pin it.
-func Explain(lg *plan.Logical, env Env, ch *Choice) (string, error) {
-	if env.CPU == nil {
-		return "", fmt.Errorf("opt: explain needs a CPU model")
+// Explain optimizes lg from base under obj, as Plan does (timing the
+// planning into engine_planning_seconds), and renders the choice from the
+// same estimate: the execution configuration, the whole-plan estimates,
+// and one line per operator with its estimated output rows, cycles, and
+// joules under the chosen configuration. The output is deterministic for a
+// given plan and environment, which is what lets golden tests pin it.
+func Explain(lg *plan.Logical, base plan.PhysChoices, env Env, obj Objective) (string, error) {
+	t0 := time.Now()
+	e, ch, err := optimize(lg, base, env, obj)
+	observePlanning(t0)
+	defer e.release()
+	if err != nil {
+		return "", err
 	}
-	e := newEst(lg, env)
-	order, builds, ops, ok := e.choiceOps(ch)
-	if !ok {
-		return "", fmt.Errorf("opt: choice does not lower against %s", lg.Describe())
-	}
+	ops, _ := e.choiceOps(ch) // it lowered when it was scored
 
-	var b strings.Builder
 	access := "private-scan"
 	if ch.Shared {
 		access = "shared-scan"
 	}
-	fmt.Fprintf(&b, "objective=%s parallelism=%d access=%s pushdown=%s\n",
-		ch.Objective, ch.Parallelism, access, ch.Phys.Pushdown)
-	names := make([]string, len(order))
-	for i, t := range order {
-		names[i] = lg.Tables[t].Name
-	}
-	if len(order) > 1 {
-		sides := make([]string, len(builds))
-		for i, bl := range builds {
-			if bl {
-				sides[i] = "L"
-			} else {
-				sides[i] = "R"
-			}
+	b := append(append(e.buf[:0], "objective="...), ch.Objective.String()...)
+	b = append(appendInt(b, " parallelism=", ch.Parallelism, " access="), access...)
+	b = append(append(append(b, " pushdown="...), ch.Phys.Pushdown.String()...), '\n')
+	if order := ch.Phys.JoinOrder; len(order) > 1 {
+		b = append(append(b, "join order: "...), lg.Tables[order[0]].Name...)
+		for _, t := range order[1:] {
+			b = append(append(b, " ⨝ "...), lg.Tables[t].Name...)
 		}
-		fmt.Fprintf(&b, "join order: %s  build sides: %s\n",
-			strings.Join(names, " ⨝ "), strings.Join(sides, " "))
+		b = append(b, "  build sides:"...)
+		for _, bl := range ch.Phys.BuildLeft {
+			side := " R"
+			if bl {
+				side = " L"
+			}
+			b = append(b, side...)
+		}
+		b = append(b, '\n')
 	}
-	fmt.Fprintf(&b, "estimated: %s  %s  %s rows\n",
-		fmtSecs(ch.EstSeconds), fmtJoules(ch.EstJoules), fmtRows(ch.EstRows))
-	b.WriteString("operators:\n")
+	b = appendQty(append(b, "estimated: "...), ch.EstSeconds, "s")
+	b = appendQty(append(b, "  "...), ch.EstJoules, "J")
+	b = append(appendRows(append(b, "  "...), ch.EstRows), " rows\noperators:\n"...)
 	for _, op := range ops {
 		_, joules := e.timeEnergy(op.cyc, 0, ch.Parallelism, ch.Shared)
-		fmt.Fprintf(&b, "  %-52s rows≈%-10s cycles≈%-10s %s\n",
-			op.desc, fmtRows(op.rows), fmtCycles(op.cyc.total()), fmtJoules(joules))
+		at := len(b) + 2
+		b = append(pad(e.appendDesc(append(b, "  "...), op), at, 52), " rows≈"...)
+		at = len(b)
+		b = append(pad(appendRows(b, op.rows), at, 10), " cycles≈"...)
+		at = len(b)
+		b = append(appendQty(append(pad(appendCycles(b, op.cyc.total()), at, 10), ' '), joules, "J"), '\n')
 	}
-	return b.String(), nil
+	e.buf = b
+	return string(b), nil
+}
+
+// pad appends spaces until b[from:] is w runes long, as fmt's %-*s pads.
+func pad(b []byte, from, w int) []byte {
+	for n := utf8.RuneCount(b[from:]); n < w; n++ {
+		b = append(b, ' ')
+	}
+	return b
 }
 
 // choiceOps costs ch's shape operator by operator (planCycles with collect),
 // its choices completed by plan.Logical.Complete.
-func (e *est) choiceOps(ch *Choice) (order []int, builds []bool, ops []opEst, ok bool) {
+func (e *est) choiceOps(ch *Choice) ([]opEst, bool) {
 	phys := e.lg.Complete(ch.Phys)
-	_, _, ops, ok = e.planCycles(phys.JoinOrder, phys.BuildLeft, phys.Pushdown, true)
-	return phys.JoinOrder, phys.BuildLeft, ops, ok
+	_, _, ok := e.planCycles(phys.JoinOrder, phys.BuildLeft, phys.Pushdown, true)
+	return e.ops, ok
 }
 
 // OperatorEstimates returns the per-operator estimates of a choice in the
@@ -77,21 +91,23 @@ func OperatorEstimates(lg *plan.Logical, env Env, ch *Choice) []obsv.OpEstimate 
 		return nil
 	}
 	e := newEst(lg, env)
-	_, _, ops, ok := e.choiceOps(ch)
+	defer e.release()
+	ops, ok := e.choiceOps(ch)
 	if !ok {
 		return nil
 	}
 	out := make([]obsv.OpEstimate, len(ops))
 	for i, op := range ops {
 		table := ""
-		if op.scanTable >= 0 {
-			table = lg.Tables[op.scanTable].Name
+		if op.kind == obsv.KindScan {
+			table = lg.Tables[op.table].Name
 		}
 		secs, joules := e.timeEnergy(op.cyc, 0, ch.Parallelism, ch.Shared)
+		e.buf = e.appendDesc(e.buf[:0], op)
 		out[i] = obsv.OpEstimate{
 			Kind:    op.kind,
 			Table:   table,
-			Desc:    op.desc,
+			Desc:    string(e.buf),
 			Rows:    op.rows,
 			Seconds: secs,
 			Joules:  joules,
@@ -100,45 +116,78 @@ func OperatorEstimates(lg *plan.Logical, env Env, ch *Choice) []obsv.OpEstimate 
 	return out
 }
 
-func fmtSecs(s float64) string {
-	switch {
-	case s <= 0:
-		return "0 s"
-	case s < 1e-3:
-		return fmt.Sprintf("%.1f µs", s*1e6)
-	case s < 1:
-		return fmt.Sprintf("%.2f ms", s*1e3)
+// appendDesc appends op's EXPLAIN label.
+func (e *est) appendDesc(b []byte, op opEst) []byte {
+	lg := e.lg
+	switch op.kind {
+	case obsv.KindScan:
+		b = append(append(b, "Scan("...), lg.Tables[op.table].Name...)
+		if op.flag {
+			b = append(b, ", filtered"...)
+		}
+	case obsv.KindJoin:
+		c, side := lg.Conjuncts[op.conj], ", build=right"
+		if op.flag {
+			side = ", build=left"
+		}
+		b = appendQualCol(append(appendQualCol(append(b, "HashJoin("...), lg, c.LeftCol), " = "...), lg, c.RightCol)
+		if b = append(b, side...); op.residuals > 0 {
+			b = appendInt(b, ", ", op.residuals, " residuals")
+		}
+	case obsv.KindFilter:
+		b = append(append(b, "Filter("...), lg.Conjuncts[op.conj].Pred.String()...)
+	case obsv.KindAgg:
+		b = appendInt(appendInt(b, "Agg(", len(lg.Agg.GroupBy), " group cols, "), "", len(lg.Agg.Specs), " aggs")
+	case obsv.KindProject:
+		b = appendInt(b, "Project(", len(lg.Project.Exprs), " exprs")
+	case obsv.KindSort:
+		b = appendInt(b, "Sort(", len(lg.Sort), " keys")
+	case obsv.KindLimit:
+		b = appendInt(b, "Limit(", lg.Limit, "")
 	default:
-		return fmt.Sprintf("%.3f s", s)
+		return append(b, "Result"...)
 	}
+	return append(b, ')')
 }
 
-func fmtJoules(j float64) string {
-	switch {
-	case j <= 0:
-		return "0 J"
-	case j < 1e-3:
-		return fmt.Sprintf("%.1f µJ", j*1e6)
-	case j < 1:
-		return fmt.Sprintf("%.2f mJ", j*1e3)
-	default:
-		return fmt.Sprintf("%.3f J", j)
-	}
+// appendInt appends n between pre and post.
+func appendInt(b []byte, pre string, n int, post string) []byte {
+	return append(strconv.AppendInt(append(b, pre...), int64(n), 10), post...)
 }
 
-func fmtRows(r float64) string {
+// appendQualCol appends a global column id as table.column.
+func appendQualCol(b []byte, lg *plan.Logical, g int) []byte {
+	return append(append(append(b, lg.Tables[lg.TableOf(g)].Name...), '.'), lg.ColName(g)...)
+}
+
+// appendQty appends seconds or joules in the unit's µ, m or whole form.
+func appendQty(b []byte, v float64, unit string) []byte {
+	switch {
+	case v <= 0:
+		b = append(b, "0 "...)
+	case v < 1e-3:
+		b = append(strconv.AppendFloat(b, v*1e6, 'f', 1, 64), " µ"...)
+	case v < 1:
+		b = append(strconv.AppendFloat(b, v*1e3, 'f', 2, 64), " m"...)
+	default:
+		b = append(strconv.AppendFloat(b, v, 'f', 3, 64), ' ')
+	}
+	return append(b, unit...)
+}
+
+func appendRows(b []byte, r float64) []byte {
 	if r < 1 {
-		return "0"
+		return append(b, '0')
 	}
 	if r < 1e6 {
-		return fmt.Sprintf("%.0f", r)
+		return strconv.AppendFloat(b, r, 'f', 0, 64)
 	}
-	return fmt.Sprintf("%.3g", r)
+	return strconv.AppendFloat(b, r, 'g', 3, 64)
 }
 
-func fmtCycles(c float64) string {
+func appendCycles(b []byte, c float64) []byte {
 	if c < 1e4 {
-		return fmt.Sprintf("%.0f", c)
+		return strconv.AppendFloat(b, c, 'f', 0, 64)
 	}
-	return fmt.Sprintf("%.3g", c)
+	return strconv.AppendFloat(b, c, 'g', 3, 64)
 }

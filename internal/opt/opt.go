@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"time"
 
 	"ecodb/internal/exec"
 	"ecodb/internal/hw/cpu"
@@ -125,11 +125,33 @@ const maxCandsPerSet = 8
 // those accumulate every group in that table's heap order, making the
 // aggregate bit-identical across all admitted shapes.
 func Optimize(lg *plan.Logical, base plan.PhysChoices, env Env, obj Objective) (*Choice, error) {
+	e, ch, err := optimize(lg, base, env, obj)
+	e.release()
+	return ch, err
+}
+
+// Plan is Optimize for a statement the engine serves: it also records the
+// planning time in engine_planning_seconds, as Explain does. Optimize alone
+// records nothing, so the bench tracer and the experiments, which plan only
+// to trace or report, leave the metric to served plans.
+func Plan(lg *plan.Logical, base plan.PhysChoices, env Env, obj Objective) (*Choice, error) {
+	defer observePlanning(time.Now())
+	return Optimize(lg, base, env, obj)
+}
+
+// observePlanning records one served plan's wall-clock time since t0.
+func observePlanning(t0 time.Time) {
+	obsv.PlanningSeconds.Observe(time.Since(t0).Seconds())
+}
+
+// optimize is Optimize handing back the estimate it planned with, for the
+// caller to render from and release.
+func optimize(lg *plan.Logical, base plan.PhysChoices, env Env, obj Objective) (*est, *Choice, error) {
 	if !obj.Enabled {
-		return nil, fmt.Errorf("opt: objective disabled")
+		return nil, nil, fmt.Errorf("opt: objective disabled")
 	}
 	if env.CPU == nil {
-		return nil, fmt.Errorf("opt: environment has no CPU model")
+		return nil, nil, fmt.Errorf("opt: environment has no CPU model")
 	}
 	if env.MaxParallelism < 1 {
 		env.MaxParallelism = 1
@@ -138,18 +160,18 @@ func Optimize(lg *plan.Logical, base plan.PhysChoices, env Env, obj Objective) (
 		env.MaxParallelism = n
 	}
 	e := newEst(lg, env)
-
 	base = lg.Complete(base)
 
-	sharedOpts := []bool{false}
+	sharedOpts := []bool{false, true}[:1]
 	if env.SharedConcurrency > 1 {
-		sharedOpts = append(sharedOpts, true)
+		sharedOpts = sharedOpts[:2]
 	}
 
-	var best *Choice
+	n := len(lg.Tables)
+	best := &Choice{Objective: obj, Phys: plan.PhysChoices{JoinOrder: make([]int, n), BuildLeft: make([]bool, max(n-1, 0))}}
 	bestScore := math.Inf(1)
 	consider := func(order []int, builds []bool, pd plan.Pushdown) {
-		c, outRows, _, ok := e.planCycles(order, builds, pd, false)
+		c, outRows, ok := e.planCycles(order, builds, pd, false)
 		if !ok {
 			return
 		}
@@ -159,26 +181,17 @@ func Optimize(lg *plan.Logical, base plan.PhysChoices, env Env, obj Objective) (
 				score := obj.score(secs, joules)
 				if score < bestScore-1e-12 {
 					bestScore = score
-					best = &Choice{
-						Phys: plan.PhysChoices{
-							JoinOrder: append([]int{}, order...),
-							BuildLeft: append([]bool{}, builds...),
-							Pushdown:  pd,
-						},
-						Parallelism: par,
-						Shared:      shared,
-						Objective:   obj,
-						EstSeconds:  secs,
-						EstJoules:   joules,
-						EstRows:     outRows,
-					}
+					copy(best.Phys.JoinOrder, order)
+					copy(best.Phys.BuildLeft, builds)
+					best.Phys.Pushdown, best.Parallelism, best.Shared = pd, par, shared
+					best.EstSeconds, best.EstJoules, best.EstRows = secs, joules, outRows
 				}
 			}
 		}
 	}
 
 	// The base shape first: ties go to the hand-lowered plan.
-	for _, pd := range []plan.Pushdown{base.Pushdown, otherPushdown(base.Pushdown)} {
+	for _, pd := range [2]plan.Pushdown{base.Pushdown, otherPushdown(base.Pushdown)} {
 		consider(base.JoinOrder, base.BuildLeft, pd)
 	}
 	if e.orderFree() {
@@ -189,19 +202,19 @@ func Optimize(lg *plan.Logical, base plan.PhysChoices, env Env, obj Objective) (
 		// The DP generates candidate shapes under full pushdown (its
 		// frontier is only a candidate generator — consider re-costs every
 		// shape exactly), then each shape is scored under both pushdowns.
-		for _, sh := range e.enumerateShapes(pinned) {
-			if slices.Equal(sh.order, base.JoinOrder) && slices.Equal(sh.builds, base.BuildLeft) {
-				continue
+		e.enumerateShapes(pinned, func(order []int, builds []bool) {
+			if slices.Equal(order, base.JoinOrder) && slices.Equal(builds, base.BuildLeft) {
+				return
 			}
-			for _, pd := range []plan.Pushdown{plan.PushdownAll, plan.PushdownBase} {
-				consider(sh.order, sh.builds, pd)
+			for _, pd := range [2]plan.Pushdown{plan.PushdownAll, plan.PushdownBase} {
+				consider(order, builds, pd)
 			}
-		}
+		})
 	}
-	if best == nil {
-		return nil, fmt.Errorf("opt: no executable plan for %s", lg.Describe())
+	if best.Parallelism == 0 { // no shape lowers
+		return e, nil, fmt.Errorf("opt: no executable plan for %s", lg.Describe())
 	}
-	return best, nil
+	return e, best, nil
 }
 
 func otherPushdown(p plan.Pushdown) plan.Pushdown {
@@ -241,19 +254,26 @@ func (e *est) pinFinalProbe() bool {
 	return e.lg.Agg != nil
 }
 
-type shape struct {
-	order  []int
-	builds []bool
+// cand is one enumeration candidate: a left-deep join prefix over its
+// frontier's table subset with its accumulated cost. Its shape is packed
+// as the step that made it — table t joined, building the left side when
+// build is set — and the candidate it extended, entry at of frontier from
+// (from < 0 for a leaf), so a candidate is one fixed-size value at any
+// table count.
+type cand struct {
+	rows     float64
+	c        cycles
+	from, at int32
+	t        int32
+	build    bool
 }
 
-// cand is one enumeration candidate: a left-deep join prefix over a table
-// subset with its accumulated cost. Cardinality is shared per subset.
-type cand struct {
-	set    plan.TableSet
-	order  []int
-	builds []bool
-	rows   float64
-	c      cycles
+// frontier is one table subset's Pareto frontier, with room for the
+// candidate that overflows it.
+type frontier struct {
+	set plan.TableSet
+	n   int
+	c   [maxCandsPerSet + 1]cand
 }
 
 // enumerateShapes runs a Selinger-style dynamic program over connected
@@ -261,112 +281,107 @@ type cand struct {
 // scalar cost exists before the objective is applied — a shape can win on
 // compute cycles and lose on stalls, and both latency and joules are
 // monotone in the five cycle buckets, so frontier pruning is safe for
-// every objective, access path and parallelism scored later).
+// every objective, access path and parallelism scored later). It passes
+// every shape of the full set's frontier to yield, in buffers the next
+// shape overwrites.
 //
 // pinned ≥ 0 names a table that must join last, probed (builds final =
 // true) — the spine constraint for float-aggregating queries.
 //
 // The DP costs candidates under full pushdown; the caller re-costs every
 // returned shape under each admissible pushdown depth.
-func (e *est) enumerateShapes(pinned int) []shape {
-	lg := e.lg
-	n := len(lg.Tables)
-
-	// Leaf scans are shape-independent; cost each table once.
-	leafRows := make([]float64, n)
-	leafCyc := make([]cycles, n)
-	for t := 0; t < n; t++ {
-		leafRows[t], _, leafCyc[t] = e.scanCost(t, true)
-	}
-
-	grow := n // tables the DP grows over
-	if pinned >= 0 {
-		grow = n - 1 // the pinned spine joins in a fixed final step
-	}
-
-	dp := make(map[plan.TableSet][]cand)
-	for t := 0; t < n; t++ {
-		if pinned >= 0 && t == pinned {
-			continue
-		}
-		set := plan.TableSet(0).With(t)
-		dp[set] = []cand{{set: set, order: []int{t}, builds: nil, rows: leafRows[t], c: leafCyc[t]}}
-	}
-
-	// Expand subsets in increasing size so every predecessor exists.
-	for size := 1; size < grow; size++ {
-		subsets := make([]plan.TableSet, 0, len(dp))
-		for s := range dp {
-			if s.Count() == size {
-				subsets = append(subsets, s)
-			}
-		}
-		sort.Slice(subsets, func(i, j int) bool { return subsets[i] < subsets[j] })
-		for _, s := range subsets {
-			for t := 0; t < n; t++ {
-				if s.Has(t) || (pinned >= 0 && t == pinned) {
-					continue
-				}
-				key := s.With(t)
-				for _, cd := range dp[s] {
-					for _, buildLeft := range []bool{true, false} {
-						nc, ok := e.expand(cd, t, leafRows[t], leafCyc[t], buildLeft)
-						if !ok {
-							continue
-						}
-						dp[key] = paretoInsert(dp[key], nc)
-					}
-				}
-			}
-		}
-	}
-
-	var out []shape
-	if pinned >= 0 {
-		full := plan.TableSet(0)
-		for t := 0; t < n; t++ {
-			if t != pinned {
-				full = full.With(t)
-			}
-		}
-		for _, cd := range dp[full] {
-			// Build the dims, probe the spine.
-			nc, ok := e.expand(cd, pinned, leafRows[pinned], leafCyc[pinned], true)
-			if !ok {
-				continue
-			}
-			out = append(out, shape{order: nc.order, builds: nc.builds})
-		}
-		return out
-	}
+func (e *est) enumerateShapes(pinned int, yield func(order []int, builds []bool)) {
+	n := len(e.lg.Tables)
 	full := plan.TableSet(0)
 	for t := 0; t < n; t++ {
+		if t == pinned {
+			continue
+		}
 		full = full.With(t)
+		f := e.slot(plan.TableSet(0).With(t))
+		leaf := e.scans[2*t+1]
+		e.fronts[f].c[0], e.fronts[f].n = cand{rows: leaf.rows, c: leaf.cyc, from: -1, t: int32(t)}, 1
+		e.sets = append(e.sets, e.fronts[f].set)
 	}
-	for _, cd := range dp[full] {
-		out = append(out, shape{order: cd.order, builds: cd.builds})
+
+	// Expand subsets in increasing numeric order. A subset's predecessors
+	// (it less one table) are smaller, so each frontier is final before it
+	// grows, and receives its candidates predecessor by predecessor in
+	// ascending order, as a size-by-size sweep of sorted subsets gives them.
+	for i := 0; i < len(e.sets); i++ {
+		s := e.sets[i]
+		fs := e.slot(s)
+		for t := 0; t < n; t++ {
+			if s.Has(t) || t == pinned {
+				continue
+			}
+			key, residual, ok := e.lg.JoinStep(e.conj[:0], s, t, true)
+			if e.conj = residual; !ok {
+				continue
+			}
+			next := s.With(t)
+			fk := e.slot(next)
+			if e.fronts[fk].n == 0 {
+				at, _ := slices.BinarySearch(e.sets, next)
+				e.sets = slices.Insert(e.sets, at, next)
+			}
+			leaf := e.scans[2*t+1]
+			for ci := range e.fronts[fs].n {
+				cd := e.fronts[fs].c[ci]
+				for _, build := range [2]bool{true, false} {
+					j := e.join(key, residual, cd.rows, leaf.rows, build)
+					nc := cand{rows: j.rows, c: cd.c, from: fs, at: int32(ci), t: int32(t), build: build}
+					nc.c.addAll(leaf.cyc)
+					nc.c.addAll(j.c)
+					e.fronts[fk].insert(nc)
+				}
+			}
+		}
 	}
-	return out
+
+	if pinned >= 0 {
+		_, residual, ok := e.lg.JoinStep(e.conj[:0], full, pinned, true)
+		if e.conj = residual; !ok {
+			return
+		}
+	}
+	f := e.slot(full)
+	for i := range e.fronts[f].n {
+		order, builds := e.shape(f, int32(i))
+		if pinned >= 0 { // build the dims, probe the spine
+			order, builds = append(order, pinned), append(builds, true)
+		}
+		yield(order, builds)
+	}
 }
 
-// expand grows a candidate by joining table t, whose scan under full
-// pushdown costs leafC and yields leafRows rows. ok is false when no
-// equi-join conjunct connects t to the candidate's tables.
-func (e *est) expand(cd cand, t int, leafRows float64, leafC cycles, buildLeft bool) (cand, bool) {
-	j, ok := e.join(cd.set, cd.rows, t, leafRows, true, buildLeft)
-	if !ok {
-		return cand{}, false
+// slot returns the index of set's frontier, creating an empty one on first
+// use.
+func (e *est) slot(set plan.TableSet) int32 {
+	if s, ok := e.slots[set]; ok {
+		return s
 	}
-	nc := cand{
-		set:    cd.set.With(t),
-		order:  append(append([]int{}, cd.order...), t),
-		builds: append(append([]bool{}, cd.builds...), buildLeft),
-		rows:   j.rows,
-		c:      cd.c,
+	s := int32(len(e.fronts))
+	e.fronts = append(e.fronts, frontier{set: set})
+	e.slots[set] = s
+	return s
+}
+
+// shape decodes entry i of frontier f into the estimate's shape buffers,
+// following each candidate back to the one it extended.
+func (e *est) shape(f, i int32) ([]int, []bool) {
+	k := e.fronts[f].set.Count()
+	order, builds := e.order[:k], e.builds[:k-1]
+	for f >= 0 {
+		cd := &e.fronts[f].c[i]
+		k--
+		order[k] = int(cd.t)
+		if k > 0 {
+			builds[k-1] = cd.build
+		}
+		f, i = cd.from, cd.at
 	}
-	nc.c.addAll(leafC)
-	nc.c.addAll(j.c)
-	return nc, true
+	return order, builds
 }
 
 // joinEst is one priced join step.
@@ -377,16 +392,10 @@ type joinEst struct {
 	c         cycles
 }
 
-// join prices the hash join that adds table t (leafRows rows from its scan,
-// whose conjuncts it absorbed when pushed) to a prefix over set yielding
-// setRows rows, with the key and residual conjuncts the plan's placement
-// rule puts there (plan.Logical.JoinStep).
-func (e *est) join(set plan.TableSet, setRows float64, t int, leafRows float64, pushed, buildLeft bool) (joinEst, bool) {
-	key, residual, ok := e.lg.JoinStep(e.conj[:0], set, t, pushed)
-	e.conj = residual
-	if !ok {
-		return joinEst{}, false
-	}
+// join prices the hash join that adds a table (leafRows rows from its scan)
+// to a prefix yielding setRows rows, with the key conjunct and residual
+// the plan's placement rule puts there (plan.Logical.JoinStep).
+func (e *est) join(key int, residual []int, setRows, leafRows float64, buildLeft bool) joinEst {
 	matches := max(setRows*leafRows*e.conjSel[key], minRows)
 	rows := matches
 	for _, i := range residual {
@@ -401,85 +410,90 @@ func (e *est) join(set plan.TableSet, setRows float64, t int, leafRows float64, 
 		residuals: len(residual),
 		rows:      max(rows, minRows),
 		c:         e.joinCost(buildRows, probeRows, matches, residual),
-	}, true
+	}
 }
 
-// paretoInsert adds a candidate to a subset's frontier, dropping
-// dominated entries (and the newcomer if dominated).
-func paretoInsert(frontier []cand, nc cand) []cand {
-	for _, f := range frontier {
-		if nc.c.dominatedBy(f.c) {
-			return frontier
+// insert adds a candidate to the frontier, dropping dominated entries (and
+// the newcomer if dominated).
+func (f *frontier) insert(nc cand) {
+	for _, o := range f.c[:f.n] {
+		if nc.c.dominatedBy(o.c) {
+			return
 		}
 	}
-	keep := frontier[:0]
-	for _, f := range frontier {
-		if !f.c.dominatedBy(nc.c) {
-			keep = append(keep, f)
+	keep := f.c[:0]
+	for _, o := range f.c[:f.n] {
+		if !o.c.dominatedBy(nc.c) {
+			keep = append(keep, o)
 		}
 	}
 	keep = append(keep, nc)
 	if len(keep) > maxCandsPerSet {
-		// Deterministic overflow: keep the lowest total-cycle candidates.
-		sort.Slice(keep, func(i, j int) bool {
-			return keep[i].c.total() < keep[j].c.total()
-		})
+		// Deterministic overflow: keep the lowest total-cycle candidates,
+		// sorted by an insertion sort, so ties keep their arrival order.
+		for i := 1; i < len(keep); i++ {
+			for j := i; j > 0 && keep[j].c.total() < keep[j-1].c.total(); j-- {
+				keep[j], keep[j-1] = keep[j-1], keep[j]
+			}
+		}
 		keep = keep[:maxCandsPerSet]
 	}
-	return keep
+	f.n = len(keep)
 }
 
-// opEst annotates one operator for EXPLAIN: its description, estimated
-// output rows, and estimated cycles (amplification excluded; applied at
-// conversion).
+// opEst annotates one operator for EXPLAIN: its kind, estimated output
+// rows, estimated cycles (amplification excluded; applied at conversion),
+// and what its label names (appendDesc): a scan's table and whether it
+// filters; a join's key conjunct, build side and residual count; a
+// filter's conjunct.
 type opEst struct {
-	kind obsv.Kind
-	desc string
-	rows float64
-	cyc  cycles
-	// scanTable is ≥ 0 for scan leaves (index into lg.Tables).
-	scanTable int
+	kind      obsv.Kind
+	rows      float64
+	cyc       cycles
+	table     int
+	conj      int
+	residuals int
+	flag      bool
 }
 
 // planCycles prices one candidate shape step by step, each step's
 // conjuncts placed by the plan's rule, accumulating estimated cycles. With
-// collect it also records the per-operator estimates EXPLAIN renders. ok is
-// false when the shape does not lower (no equi edge joins some table to its
-// predecessors).
-func (e *est) planCycles(order []int, builds []bool, pd plan.Pushdown, collect bool) (cycles, float64, []opEst, bool) {
+// collect it also records in e.ops the per-operator estimates EXPLAIN
+// renders. ok is false when the shape does not lower (no equi edge joins
+// some table to its predecessors).
+func (e *est) planCycles(order []int, builds []bool, pd plan.Pushdown, collect bool) (_ cycles, rows float64, ok bool) {
 	lg := e.lg
 	if len(order) != len(lg.Tables) || len(builds) != len(lg.Tables)-1 {
-		return cycles{}, 0, nil, false
+		return cycles{}, 0, false
 	}
 	var total cycles
-	var ops []opEst
-	// record is only invoked under collect so the desc strings (fmt-built)
-	// cost nothing on the optimizer's hot enumeration path.
-	record := func(kind obsv.Kind, desc string, rows float64, c cycles, scanTable int) {
-		ops = append(ops, opEst{kind: kind, desc: desc, rows: rows, cyc: c, scanTable: scanTable})
+	e.ops = e.ops[:0]
+	record := func(op opEst) {
+		if collect {
+			e.ops = append(e.ops, op)
+		}
 	}
 	scan := func(i int) float64 {
-		t := order[i]
-		rows, filtered, c := e.scanCost(t, pd.Pushes(i))
-		total.addAll(c)
-		if collect {
-			record(obsv.KindScan, scanDesc(lg, t, filtered), rows, c, t)
+		s := e.scans[2*order[i]]
+		if pd.Pushes(i) {
+			s = e.scans[2*order[i]+1]
 		}
-		return rows
+		total.addAll(s.cyc)
+		record(s)
+		return s.rows
 	}
 
 	curRows := scan(0)
 	curSet := plan.TableSet(0).With(order[0])
 	for step, t := range order[1:] {
 		leafRows := scan(step + 1)
-		j, ok := e.join(curSet, curRows, t, leafRows, pd.Pushes(step+1), builds[step])
-		if !ok {
-			return cycles{}, 0, nil, false
+		key, residual, ok := lg.JoinStep(e.conj[:0], curSet, t, pd.Pushes(step+1))
+		if e.conj = residual; !ok {
+			return cycles{}, 0, false
 		}
+		j := e.join(key, residual, curRows, leafRows, builds[step])
 		total.addAll(j.c)
-		if collect {
-			record(obsv.KindJoin, joinDesc(lg, j.key, builds[step], j.residuals), j.rows, j.c, -1)
-		}
+		record(opEst{kind: obsv.KindJoin, rows: j.rows, cyc: j.c, conj: j.key, residuals: j.residuals, flag: builds[step]})
 		curRows, curSet = j.rows, curSet.With(t)
 	}
 
@@ -488,74 +502,33 @@ func (e *est) planCycles(order []int, builds []bool, pd plan.Pushdown, collect b
 		fc := e.evalCost(curRows, lg.Conjuncts[i].Pred)
 		total.addAll(fc)
 		curRows = max(curRows*e.conjSel[i], minRows)
-		if collect {
-			record(obsv.KindFilter, fmt.Sprintf("Filter(%s)", lg.Conjuncts[i].Pred), curRows, fc, -1)
-		}
+		record(opEst{kind: obsv.KindFilter, rows: curRows, cyc: fc, conj: i})
 	}
 
 	if lg.Agg != nil {
 		groups := e.groupCount(curRows)
 		ac := e.aggCost(curRows, groups)
 		total.addAll(ac)
-		if collect {
-			record(obsv.KindAgg, aggDesc(lg), groups, ac, -1)
-		}
+		record(opEst{kind: obsv.KindAgg, rows: groups, cyc: ac})
 		curRows = groups
 	}
 	if lg.Project != nil {
 		pc := e.evalCost(curRows, lg.Project.Exprs...)
 		total.addAll(pc)
-		if collect {
-			record(obsv.KindProject, fmt.Sprintf("Project(%d exprs)", len(lg.Project.Exprs)), curRows, pc, -1)
-		}
+		record(opEst{kind: obsv.KindProject, rows: curRows, cyc: pc})
 	}
 	if len(lg.Sort) > 0 {
 		sc := e.sortCost(curRows)
 		total.addAll(sc)
-		if collect {
-			record(obsv.KindSort, fmt.Sprintf("Sort(%d keys)", len(lg.Sort)), curRows, sc, -1)
-		}
+		record(opEst{kind: obsv.KindSort, rows: curRows, cyc: sc})
 	}
 	if lg.Limit >= 0 && float64(lg.Limit) < curRows {
 		curRows = float64(lg.Limit)
-		if collect {
-			record(obsv.KindLimit, fmt.Sprintf("Limit(%d)", lg.Limit), curRows, cycles{}, -1)
-		}
+		record(opEst{kind: obsv.KindLimit, rows: curRows})
 	}
 	rc := e.resultCost(curRows)
 	total.addAll(rc)
-	if collect {
-		record(obsv.KindResult, "Result", curRows, rc, -1)
-	}
+	record(opEst{kind: obsv.KindResult, rows: curRows, cyc: rc})
 
-	return total, curRows, ops, true
-}
-
-func scanDesc(lg *plan.Logical, t int, filtered bool) string {
-	if filtered {
-		return fmt.Sprintf("Scan(%s, filtered)", lg.Tables[t].Name)
-	}
-	return fmt.Sprintf("Scan(%s)", lg.Tables[t].Name)
-}
-
-func joinDesc(lg *plan.Logical, keyIdx int, buildLeft bool, residuals int) string {
-	c := lg.Conjuncts[keyIdx]
-	side := "build=left"
-	if !buildLeft {
-		side = "build=right"
-	}
-	d := fmt.Sprintf("HashJoin(%s = %s, %s", qualCol(lg, c.LeftCol), qualCol(lg, c.RightCol), side)
-	if residuals > 0 {
-		d += fmt.Sprintf(", %d residuals", residuals)
-	}
-	return d + ")"
-}
-
-func aggDesc(lg *plan.Logical) string {
-	return fmt.Sprintf("Agg(%d group cols, %d aggs)", len(lg.Agg.GroupBy), len(lg.Agg.Specs))
-}
-
-// qualCol renders a global column id as table.column.
-func qualCol(lg *plan.Logical, g int) string {
-	return lg.Tables[lg.TableOf(g)].Name + "." + lg.ColName(g)
+	return total, curRows, true
 }

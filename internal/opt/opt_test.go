@@ -7,6 +7,7 @@ import (
 	"ecodb/internal/engine"
 	"ecodb/internal/expr"
 	"ecodb/internal/hw/system"
+	"ecodb/internal/obsv"
 	"ecodb/internal/opt"
 	"ecodb/internal/plan"
 	"ecodb/internal/sql"
@@ -217,6 +218,36 @@ func TestExplainSQL(t *testing.T) {
 	// EXPLAIN statements must not execute.
 	if _, err := sql.Plan(e.Catalog(), `EXPLAIN SELECT * FROM nation`); err == nil {
 		t.Error("EXPLAIN statement should not be executable via Plan")
+	}
+}
+
+// TestOnlyServedPlansAreTimed: engine_planning_seconds counts the plans
+// the engine serves, Plan's and Explain's, one sample each. Optimize alone
+// is what the bench tracer and the experiments call, and it adds none.
+func TestOnlyServedPlansAreTimed(t *testing.T) {
+	e := commercialEngine(t, opt.Objective{})
+	env, _ := e.OptimizerEnv()
+	lg, base, err := opt.Extract(tpch.Q5(e.Catalog(), "ASIA", 1994))
+	if err != nil {
+		t.Fatal(err)
+	}
+	planned := func() int64 { return obsv.Default().Snapshot().Histograms[obsv.MetricPlanningSecs].Count }
+	for _, c := range []struct {
+		name string
+		plan func() error
+		want int64
+	}{
+		{"Optimize", func() error { _, err := opt.Optimize(lg, base, env, opt.MinimizeJoules()); return err }, 0},
+		{"Plan", func() error { _, err := opt.Plan(lg, base, env, opt.MinimizeJoules()); return err }, 1},
+		{"Explain", func() error { _, err := opt.Explain(lg, base, env, opt.MinimizeJoules()); return err }, 1},
+	} {
+		before := planned()
+		if err := c.plan(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := planned() - before; got != c.want {
+			t.Errorf("%s added %d samples to %s, want %d", c.name, got, obsv.MetricPlanningSecs, c.want)
+		}
 	}
 }
 

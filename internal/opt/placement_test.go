@@ -279,6 +279,9 @@ func TestEstimatePricesTheLoweredTree(t *testing.T) {
 // joules is linear and defined once, so the per-operator estimates plus
 // the statement overhead's own conversion add up to the whole-plan
 // estimate the optimizer scored, for either objective and access path.
+// The base shape comes at either pushdown depth: the optimizer prices the
+// base's depth first, so a placement it reused across depths would price
+// the other one wrong.
 func TestOperatorEstimatesSumToTheChoice(t *testing.T) {
 	const tol = 1e-9
 	near := func(a, b float64) bool { return math.Abs(a-b) <= tol*math.Max(math.Abs(a), math.Abs(b)) }
@@ -292,29 +295,32 @@ func TestOperatorEstimatesSumToTheChoice(t *testing.T) {
 		env, _ := e.OptimizerEnv()
 		env.SharedConcurrency = q
 		for _, obj := range []opt.Objective{opt.MinimizeLatency(), opt.MinimizeJoules()} {
-			ch, err := opt.Optimize(lg, base, env, obj)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The engine charges its statement overhead unamplified as
-			// compute; under a shared pass it time-shares like the rest of
-			// the query's own work.
-			stretch := 1.0
-			if ch.Shared && q > 1 {
-				stretch = float64(q)
-			}
-			secs := stretch * env.CPU.EstimateSeconds(env.OverheadCycles, cpu.Compute, ch.Parallelism)
-			joules := env.CPU.EstimateEnergy(env.OverheadCycles, cpu.Compute, ch.Parallelism)
-			for _, op := range opt.OperatorEstimates(lg, env, ch) {
-				secs += op.Seconds
-				joules += op.Joules
-			}
-			label := fmt.Sprintf("%s objective, shared concurrency %d (shared=%t, parallelism %d)", obj, q, ch.Shared, ch.Parallelism)
-			if !near(secs, ch.EstSeconds) {
-				t.Errorf("%s: operators sum to %v s, the choice estimates %v s", label, secs, ch.EstSeconds)
-			}
-			if !near(joules, ch.EstJoules) {
-				t.Errorf("%s: operators sum to %v J, the choice estimates %v J", label, joules, ch.EstJoules)
+			for _, pd := range []plan.Pushdown{plan.PushdownAll, plan.PushdownBase} {
+				base.Pushdown = pd
+				ch, err := opt.Optimize(lg, base, env, obj)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The engine charges its statement overhead unamplified as
+				// compute; under a shared pass it time-shares like the rest of
+				// the query's own work.
+				stretch := 1.0
+				if ch.Shared && q > 1 {
+					stretch = float64(q)
+				}
+				secs := stretch * env.CPU.EstimateSeconds(env.OverheadCycles, cpu.Compute, ch.Parallelism)
+				joules := env.CPU.EstimateEnergy(env.OverheadCycles, cpu.Compute, ch.Parallelism)
+				for _, op := range opt.OperatorEstimates(lg, env, ch) {
+					secs += op.Seconds
+					joules += op.Joules
+				}
+				label := fmt.Sprintf("%s objective, shared concurrency %d, base pushdown %s (shared=%t, parallelism %d)", obj, q, pd, ch.Shared, ch.Parallelism)
+				if !near(secs, ch.EstSeconds) {
+					t.Errorf("%s: operators sum to %v s, the choice estimates %v s", label, secs, ch.EstSeconds)
+				}
+				if !near(joules, ch.EstJoules) {
+					t.Errorf("%s: operators sum to %v J, the choice estimates %v J", label, joules, ch.EstJoules)
+				}
 			}
 		}
 	}

@@ -577,6 +577,41 @@ func TestIllTypedStatementIsRejectedAndServingContinues(t *testing.T) {
 	}
 }
 
+// TestServedExplainIsTimedAsPlanning: `ecodb serve` runs with the objective
+// off, so EXPLAIN is the only statement it plans. engine_planning_seconds
+// must count it, once per EXPLAIN.
+func TestServedExplainIsTimedAsPlanning(t *testing.T) {
+	sys, _ := newTestSystem(t)
+	c := NewCore(DefaultConfig(), sys)
+	ts := httptest.NewServer(NewServer(c, "unused").Handler())
+	defer ts.Close()
+	c.Start()
+	defer func() {
+		if err := c.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+
+	planned := func() int64 { return obsv.Default().Snapshot().Histograms[obsv.MetricPlanningSecs].Count }
+	before := planned()
+	resp, err := http.Post(ts.URL+"/query", "text/plain",
+		strings.NewReader("EXPLAIN SELECT COUNT(*) FROM lineitem WHERE l_quantity < 3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "operators:") {
+		t.Fatalf("EXPLAIN: status %d, body %s", resp.StatusCode, body)
+	}
+	if got := planned() - before; got != 1 {
+		t.Errorf("one served EXPLAIN raised %s's count by %d, want 1", obsv.MetricPlanningSecs, got)
+	}
+}
+
 // TestRequestBoundsAreEnforcedAtTheHandler: what a client sends is bounded
 // before it reaches the parser or the metrics registry. A statement over the
 // body cap used to be parsed as far as it fit — answering 200 with the count

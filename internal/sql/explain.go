@@ -36,11 +36,11 @@ func Explain(e Explainer, query string) (string, error) {
 	if !obj.Enabled {
 		obj = opt.MinimizeLatency()
 	}
-	ch, err := opt.Optimize(lg, lg.DefaultChoices(), env, obj)
+	out, err := opt.Explain(lg, lg.DefaultChoices(), env, obj)
 	if err != nil {
 		return "", fmt.Errorf("sql: explain: %w", err)
 	}
-	return opt.Explain(lg, env, ch)
+	return out, nil
 }
 
 // Analyzer is the slice of an engine EXPLAIN ANALYZE needs: plan binding
