@@ -66,14 +66,15 @@ func Concat(a, b *Schema) *Schema {
 	cols := make([]Column, 0, a.NumCols()+b.NumCols())
 	cols = append(cols, a.cols...)
 	cols = append(cols, b.cols...)
-	// Joins can legitimately repeat names; qualify duplicates.
-	seen := make(map[string]int)
+	// Joins can legitimately repeat names; qualify a repeat as name_k with
+	// the least k ≥ 2 no earlier column holds, qualified names included.
+	taken := make(map[string]bool, len(cols))
 	for i := range cols {
 		n := cols[i].Name
-		seen[n]++
-		if seen[n] > 1 {
-			cols[i].Name = fmt.Sprintf("%s_%d", n, seen[n])
+		for k := 2; taken[cols[i].Name]; k++ {
+			cols[i].Name = fmt.Sprintf("%s_%d", n, k)
 		}
+		taken[cols[i].Name] = true
 	}
 	return NewSchema(cols...)
 }

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,6 +66,27 @@ func TestConcatQualifiesDuplicates(t *testing.T) {
 	}
 	if c.MustIndex("k_2") != 2 {
 		t.Fatal("duplicate k should be renamed k_2 at position 2")
+	}
+
+	// A repeat is qualified against every name already taken, the side
+	// that already holds x_2 included.
+	x := NewSchema(Column{Name: "x", Kind: expr.KindInt})
+	xx := Concat(x, x)
+	for _, tc := range []struct {
+		a, b *Schema
+		want []string
+	}{
+		{x, xx, []string{"x", "x_2", "x_2_2"}},
+		{xx, x, []string{"x", "x_2", "x_3"}},
+		{xx, xx, []string{"x", "x_2", "x_3", "x_2_2"}},
+	} {
+		var got []string
+		for _, c := range Concat(tc.a, tc.b).Columns() {
+			got = append(got, c.Name)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("Concat(%v, %v) = %v, want %v", tc.a.Columns(), tc.b.Columns(), got, tc.want)
+		}
 	}
 }
 

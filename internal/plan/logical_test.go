@@ -48,6 +48,35 @@ func TestLogicalResolve(t *testing.T) {
 	}
 }
 
+// TestLowerThreeCopySelfJoin: a chain join over three copies of one table
+// lowers under every connected join order and build side. Building the new copy against the
+// two already joined concatenates [k] with [k, k_2], whose repeat must not
+// collide with the k_2 already taken.
+func TestLowerThreeCopySelfJoin(t *testing.T) {
+	x := catalog.NewTable("x", catalog.NewSchema(catalog.Column{Name: "k", Kind: expr.KindInt}))
+	lg, err := NewLogical([]*catalog.Table{x, x, x})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range [][2]int{{0, 1}, {1, 2}} {
+		if err := lg.AddPredicate(expr.Cmp{Op: expr.EQ, L: expr.Col{Idx: e[0], Name: "k"}, R: expr.Col{Idx: e[1], Name: "k"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, order := range [][]int{{0, 1, 2}, {1, 0, 2}, {1, 2, 0}, {2, 1, 0}} {
+		for sides := 0; sides < 4; sides++ {
+			ch := PhysChoices{JoinOrder: order, BuildLeft: []bool{sides&1 != 0, sides&2 != 0}, Pushdown: PushdownAll}
+			root, err := lg.Lower(ch)
+			if err != nil {
+				t.Fatalf("order %v, sides %b: %v", order, sides, err)
+			}
+			if n := root.Schema().NumCols(); n != 3 {
+				t.Fatalf("order %v, sides %b: %d output columns, want 3", order, sides, n)
+			}
+		}
+	}
+}
+
 func TestLogicalLowerShapes(t *testing.T) {
 	lg, _, _ := logicalFixture(t)
 	mustPred := func(e expr.Expr) {

@@ -165,13 +165,17 @@ func appendCell(b []byte, v *expr.ColVec, i int) ([]byte, bool) {
 // text that round-trips, in 'f' form unless |f| is below 1e-6 or at least
 // 1e21, whose 'e' form drops a leading zero from a negative exponent. It
 // reports false, appending nothing, for ±Inf and NaN, which JSON cannot
-// carry.
+// carry. Short decimals, such as prices and their products, skip strconv.
 func appendFloat(b []byte, f float64) ([]byte, bool) {
+	abs := math.Abs(f)
+	if m, ok := shortDecimal(abs); ok {
+		return appendShortDecimal(b, math.Signbit(f), m), true
+	}
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return b, false
 	}
 	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
 	b = strconv.AppendFloat(b, f, format, -1, 64)
@@ -180,6 +184,58 @@ func appendFloat(b []byte, f float64) ([]byte, bool) {
 		b = b[:n-1]
 	}
 	return b, true
+}
+
+// shortDecimal returns m when D = m·10⁻⁵, trailing zeros dropped, is
+// strconv's shortest text for abs = |f|. With m = round(abs·1e5) below 2⁵⁰,
+// m and 1e5 are exact doubles and m/1e5 is D correctly rounded, so
+// m/1e5 == abs is exactly ParseFloat(D) == abs. Then abs < 2³⁴: its
+// rounding interval is at most 2⁻¹⁹ < 10⁻⁵ wide, and D is its only decimal
+// with at most five fractional digits. Any other decimal E in it has a
+// digit below 10⁻⁵; with no more significant digits than D, E starts a
+// place below D's leading place 10ᵖ, so E < 10ᵖ ≤ D. If D > 10ᵖ, then
+// D ≥ 10ᵖ + 10⁻⁵; if D = 10ᵖ, E has one digit too and E ≤ 0.9·D. Both gaps
+// exceed the interval, so D is the shortest text, and the only one of its
+// length. Every such abs passes, since abs·1e5 lies within 0.16 of m. NaN,
+// ±Inf and the 'e' range (m ≥ 2⁵⁰ or m = 0) fail.
+func shortDecimal(abs float64) (uint64, bool) {
+	m := math.Round(abs * 1e5)
+	return uint64(m), m < 1<<50 && m/1e5 == abs
+}
+
+// digitPairs holds "00" through "99", two digits a step for the writer.
+const digitPairs = "0001020304050607080910111213141516171819202122232425262728293031323334353637383940414243444546474849" +
+	"5051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899"
+
+// appendShortDecimal appends m·10⁻⁵, m < 2⁵⁰, with a leading '-' if neg
+// and the fraction's trailing zeros dropped.
+func appendShortDecimal(b []byte, neg bool, m uint64) []byte {
+	if neg {
+		b = append(b, '-')
+	}
+	ip, frac := m/1e5, m%1e5
+	var buf [12]byte // ip < 2⁵⁰/1e5: at most 11 digits
+	i := len(buf)
+	for ; ip >= 100; ip /= 100 {
+		i -= 2
+		j := ip % 100 * 2
+		buf[i], buf[i+1] = digitPairs[j], digitPairs[j+1]
+	}
+	i -= 2
+	buf[i], buf[i+1] = digitPairs[ip*2], digitPairs[ip*2+1]
+	if ip < 10 {
+		i++
+	}
+	b = append(b, buf[i:]...)
+	if frac == 0 {
+		return b
+	}
+	mid, lo := frac/100%100*2, frac%100*2
+	b = append(b, '.', byte('0'+frac/1e4), digitPairs[mid], digitPairs[mid+1], digitPairs[lo], digitPairs[lo+1])
+	for b[len(b)-1] == '0' {
+		b = b[:len(b)-1]
+	}
+	return b
 }
 
 const hexDigits = "0123456789abcdef"

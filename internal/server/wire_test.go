@@ -7,10 +7,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
+	"ecodb/internal/core"
 	"ecodb/internal/expr"
+	"ecodb/internal/sql"
+	"ecodb/internal/tpch"
 )
 
 // legacyResponse is the /query body as reflective encoding/json wrote it
@@ -234,13 +238,67 @@ func TestAppendFloatMatchesEncodingJSON(t *testing.T) {
 			check(f)
 		}
 	}
-	for _, f := range []float64{5e-5, 4.99995e-5, 1e-4, 0.00015, 999999999.99995, 999999999.9999, 1e9 - 1e-4, 0.5, 1.5, 2.5} {
+	for _, f := range []float64{5e-5, 4.99995e-5, 1e-4, 0.00015, 999999999.99995, 999999999.9999, 1e9 - 1e-4, 0.5, 1.5, 2.5,
+		0, 1e-5, 1.5e-5, 9.99995e-6, 1e-6, 1.25, 12.5, 100, 1e9, 12345.6, 0.1, 0.10001} {
 		check(f)
 		check(-f)
+	}
+	// The neighbours of k·10⁻ᵈ, the short path's hits and its near misses.
+	for d := 0; d <= 6; d++ {
+		for i := 0; i < 2000; i++ {
+			k := float64(rng.Int63n(1 << 34))
+			if i < 200 {
+				k = float64(i)
+			}
+			x := k / math.Pow10(d)
+			for _, f := range []float64{x, math.Nextafter(x, math.Inf(1)), math.Nextafter(x, 0)} {
+				check(f)
+				check(-f)
+			}
+		}
+	}
+	// Both sides of |f|·1e5 = 2⁵⁰, on and off five-digit decimals.
+	for j := float64(-300); j <= 300; j++ {
+		x := (1<<50 + j) / 1e5
+		for _, f := range []float64{x, math.Nextafter(x, math.Inf(1)), math.Nextafter(x, 0)} {
+			check(f)
+			check(-f)
+		}
+	}
+	// TPC-H-shaped charges p·(1−d)·(1+t): price in cents, discount and tax
+	// in hundredths.
+	for i := 0; i < 100000; i++ {
+		p := float64(90000+rng.Intn(10500000)) / 100
+		d, tax := float64(rng.Intn(11))/100, float64(rng.Intn(9))/100
+		check(p * (1 - d))
+		check(p * (1 - d) * (1 + tax))
 	}
 	for _, f := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
 		if got, ok := appendFloat([]byte("x"), f); ok || string(got) != "x" {
 			t.Errorf("%v: got %q ok=%v, want nothing appended and false", f, got, ok)
+		}
+	}
+}
+
+// TestShortDecimalPathFires: money-shaped values take the short path, and
+// values past its bound or its five digits decline it, so a path that never
+// fires, or fires too widely, fails here and not only in a profile.
+func TestShortDecimalPathFires(t *testing.T) {
+	for _, f := range []float64{0, 1e-5, 0.01, 0.07, 12.5, 901.0, 1234.56, 55000.25 * (1 - 0.07), 38014.56 * (1 - 0.04),
+		99999999.99999, (1<<50 - 1) / 1e5} {
+		m, ok := shortDecimal(f)
+		if !ok {
+			t.Errorf("%v: the short path declined", f)
+			continue
+		}
+		if got, want := string(appendShortDecimal(nil, false, m)), strconv.FormatFloat(f, 'f', -1, 64); got != want {
+			t.Errorf("%v: short path wrote %s, strconv %s", f, got, want)
+		}
+	}
+	for _, f := range []float64{(1<<50 + 1) / 1e5, 1e11, 1e21, 1e-7, 9.99995e-6, 1.5e-5 + 1e-20, 1.0 / 3, 0.123456,
+		math.Inf(1), math.NaN()} {
+		if m, ok := shortDecimal(f); ok {
+			t.Errorf("%v: the short path fired with m = %d", f, m)
 		}
 	}
 }
@@ -271,6 +329,33 @@ func FuzzAppendJSONString(f *testing.F) {
 		}
 		if got := appendString(nil, s); !bytes.Equal(got, want) {
 			t.Fatalf("%q: got %s, want %s", s, got, want)
+		}
+	})
+}
+
+// FuzzAppendFloat holds the float rule to json.Marshal over arbitrary bit
+// patterns: a finite value is written as encoding/json writes it, and a
+// non-finite one appends nothing and reports false.
+func FuzzAppendFloat(f *testing.F) {
+	for _, x := range []float64{0, math.Copysign(0, -1), 1e-5, 9.99995e-6, 0.07, 1234.56, 1 << 50 / 1e5, 1e21, 1e-7,
+		math.MaxFloat64, 5e-324, math.Inf(-1), math.NaN()} {
+		f.Add(math.Float64bits(x))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		x := math.Float64frombits(bits)
+		got, ok := appendFloat([]byte("x"), x)
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			if ok || string(got) != "x" {
+				t.Fatalf("%v: got %q ok=%v, want nothing appended and false", x, got, ok)
+			}
+			return
+		}
+		want, err := json.Marshal(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok || string(got[1:]) != string(want) {
+			t.Fatalf("%v (bits %#x): got %q ok=%v, want %q", x, bits, got[1:], ok, want)
 		}
 	})
 }
@@ -327,5 +412,58 @@ func TestAppendRowsAllocationBudget(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(buf), "[[") {
 		t.Fatalf("unexpected encoding %.40q", buf)
+	}
+}
+
+// BenchmarkAppendRows encodes wide_result-shaped answers over TPC-H at SF
+// 0.01: whole lineitem rows, whole orders rows, and the revenue projection,
+// each gathered into one batch as the scheduler hands it to the handler.
+// ns/row is the encode layer's cost per result row.
+func BenchmarkAppendRows(b *testing.B) {
+	sys := core.NewSystem(testProfile())
+	tpch.NewGenerator(0.01, 42).Load(sys.Engine.Catalog(), tpch.Orders, tpch.Lineitem)
+	sys.Engine.WarmAll()
+	for _, q := range []struct{ name, sql string }{
+		{"lineitem", "SELECT * FROM lineitem WHERE l_quantity BETWEEN 20 AND 21"},
+		{"orders", "SELECT * FROM orders WHERE o_orderdate >= DATE '1997-09-07'"},
+		{"revenue", "SELECT l_extendedprice * (1 - l_discount) AS revenue, l_quantity * 5 AS scaled" +
+			" FROM lineitem WHERE l_quantity BETWEEN 20 AND 30"},
+	} {
+		stmt, err := sql.Parse(q.sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := sql.Bind(sys.Engine.Catalog(), stmt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res := expr.NewBatch(p.Schema().NumCols())
+		for rows := sys.Engine.Query(p); ; {
+			page, err := rows.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if page == nil {
+				break
+			}
+			res.AppendBatch(page, page.Len())
+		}
+		names := make([]string, res.Width())
+		for i, c := range p.Schema().Columns() {
+			names[i] = c.Name
+		}
+		b.Run(q.name, func(b *testing.B) {
+			buf, err := appendRows(nil, res, names)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(buf)))
+			b.ResetTimer()
+			for range b.N {
+				buf, _ = appendRows(buf[:0], res, names)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*res.Len()), "ns/row")
+		})
 	}
 }
