@@ -46,6 +46,10 @@ func TestBlockingOperatorsAllocatePerPageNotPerRow(t *testing.T) {
 		"join probe": plan.NewHashJoin(plan.NewScan(dim, nil), plan.NewScan(big, nil),
 			dim.Schema.MustIndex("k"), big.Schema.MustIndex("k"),
 			expr.Cmp{Op: expr.GE, L: expr.Col{Idx: 4}, R: expr.Const{V: expr.Float(1)}}),
+		// v = 10k spans 4991 over 500 keys: a hashed build behind a
+		// presence bitmap, where k's 500 keys are held by value.
+		"sparse join probe": plan.NewHashJoin(plan.NewScan(dim, nil), plan.NewScan(big, nil),
+			dim.Schema.MustIndex("v"), big.Schema.MustIndex("k"), nil),
 		"grouped aggregation": plan.NewAgg(plan.NewScan(big, nil), []int{0}, []plan.AggSpec{
 			{Func: plan.Sum, Arg: x, Name: "sum_x"},
 			{Func: plan.Avg, Arg: expr.Arith{Op: expr.Mul, L: x, R: k}, Name: "avg_xk"},
@@ -140,10 +144,32 @@ func TestPooledPumpAllocationIsFlatInPageCount(t *testing.T) {
 	if size := unsafe.Sizeof(morselResult{}); size > 160 {
 		t.Errorf("a page record takes %d bytes, past the 160-byte size class", size)
 	}
+	sparse := numbersTable(t, "sparse", 200)
+	var keys expr.ColVec
+	for i := 0; i < 200; i++ {
+		keys.Append(expr.Int(int64(10 * i)))
+	}
+	if reflect.ValueOf(expr.BuildJoinTable(&keys)).Elem().FieldByName("present").IsNil() {
+		t.Fatal("the sparse build takes no presence bitmap; the test would pin none")
+	}
 	shapes := map[string]func(tb *catalog.Table) plan.Node{
 		"scan→filter→count(*)": func(tb *catalog.Table) plan.Node {
 			return plan.NewAgg(plan.NewScan(tb, expr.Cmp{Op: expr.LT, L: tb.Schema.Col("v"), R: expr.Const{V: expr.Int(6)}}),
 				nil, []plan.AggSpec{{Func: plan.Count, Name: "n"}})
+		},
+		// A build of 200 keys spanning 1991 probes through a presence
+		// bitmap, into the record's selection buffer.
+		"sparse join probe": func(tb *catalog.Table) plan.Node {
+			return plan.NewHashJoin(plan.NewScan(sparse, nil), plan.NewScan(tb, nil),
+				sparse.Schema.MustIndex("v"), tb.Schema.MustIndex("k"), nil)
+		},
+		// GROUP BY l_quantity's shape: 12 integer groups, held by value
+		// in each run partial's array, and a SUM read in place.
+		"group by v": func(tb *catalog.Table) plan.Node {
+			return plan.NewAgg(plan.NewScan(tb, nil), []int{1}, []plan.AggSpec{
+				{Func: plan.Sum, Arg: tb.Schema.Col("k"), Name: "sum_k"},
+				{Func: plan.Count, Name: "n"},
+			})
 		},
 		"scan→filter→project": func(tb *catalog.Table) plan.Node {
 			k, v := tb.Schema.Col("k"), tb.Schema.Col("v")

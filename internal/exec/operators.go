@@ -322,7 +322,6 @@ type aggTable struct {
 
 	// Per-batch scratch.
 	in      []*expr.ColVec // the batch's group-by columns
-	hashes  []uint64       // the batch's key hashes
 	argVecs []*expr.ColVec // per aggregate; nil for a bare COUNT(*)
 	gid     []int32
 	floats  []float64
@@ -428,9 +427,10 @@ func (t *aggTable) groupIDs(in *expr.Batch) []int32 {
 
 // resolve sets gid[li] to the group id of logical row li of the group-by
 // columns cols (through sel when it is non-nil), numbering groups in the
-// order they are first seen: rows hash column-wise, and the index checks a
-// hit against the group's values in vals. Without GROUP BY every row
-// belongs to the one group, and the index stays empty.
+// order they are first seen: the index finds a one-column integer key by
+// value, and otherwise hashes the rows column-wise and checks a hit against
+// the group's values in vals. Without GROUP BY every row belongs to the one
+// group, and the index stays empty.
 func (t *aggTable) resolve(gid []int32, cols []*expr.ColVec, sel []int32) {
 	if len(t.groupBy) == 0 {
 		if len(gid) > 0 && t.vals.N == 0 {
@@ -439,8 +439,7 @@ func (t *aggTable) resolve(gid []int32, cols []*expr.ColVec, sel []int32) {
 		clear(gid)
 		return
 	}
-	t.hashes = expr.HashKeys(t.hashes, cols, sel, len(gid))
-	t.index.Resolve(t.hashes, t.keys, cols, sel, gid, func(i int) int32 {
+	t.index.Resolve(t.keys, cols, sel, gid, func(i int) int32 {
 		g := t.addGroup()
 		for c, col := range cols {
 			t.vals.Cols[c].AppendElem(col, int32(i))
@@ -452,10 +451,16 @@ func (t *aggTable) resolve(gid []int32, cols []*expr.ColVec, sel []int32) {
 // fold consumes one batch: aggregate arguments evaluate batch-wise into
 // reused vectors (charging meter exactly what per-row Eval charges), rows
 // resolve to group ids, and each aggregate folds its argument vector's
-// payload into its accumulators in row order.
+// payload into its accumulators in row order. A SUM or AVG of a bare
+// NULL-free Int or Float column reads the batch's column through its
+// selection instead, billed what evaluating the column would bill, in the
+// same place.
 func (t *aggTable) fold(in *expr.Batch, meter *expr.Cost) {
 	for i, spec := range t.aggs {
-		if spec.Arg != nil {
+		switch {
+		case bareSumArg(spec, in) != nil:
+			meter.Add(float64(in.Len()) * expr.EvalCycles(spec.Arg))
+		case spec.Arg != nil:
 			expr.EvalBatch(spec.Arg, in, t.argVecs[i], meter)
 		}
 	}
@@ -479,12 +484,17 @@ func (t *aggTable) fold(in *expr.Batch, meter *expr.Cost) {
 		case plan.Max:
 			expr.FoldExtremes(acc.ext, gid, vec, +1)
 		default: // Sum, Avg
+			if v := bareSumArg(spec, in); v != nil {
+				t.countRows(acc.counts, gid, nil)
+				t.foldBare(i, gid, v, in.Sel)
+				continue
+			}
 			vals := vec.AsFloats(t.floats)
 			t.countRows(acc.counts, gid, vec.Nulls)
 			if t.deferSums {
 				t.rowVals[i] = append(t.rowVals[i], vals...)
 			} else {
-				addFloats(acc.sums, gid, vals)
+				addFloats(acc.sums, gid, vals, nil)
 			}
 		}
 	}
@@ -510,15 +520,69 @@ func (t *aggTable) countRows(counts []int64, gid []int32, nulls []bool) {
 	}
 }
 
-// addFloats adds each row's value to its group's sum, in row order — the
-// one place SUM and AVG add, so the serial fold and the coordinator's merge
-// of run partials perform the same additions in the same sequence. NULL
-// arguments arrive as +0 (ColVec.AsFloats) and are added like any other: a
-// sum starts at +0 and no addition can make it -0, so adding +0 never
-// changes its bits.
-func addFloats(sums []float64, gid []int32, vals []float64) {
+// bareSumArg returns the column of in that aggregate spec, a SUM or AVG,
+// adds up as it stands: its argument is a bare column, Int or Float, with
+// no NULL. Otherwise it returns nil.
+func bareSumArg(spec plan.AggSpec, in *expr.Batch) *expr.ColVec {
+	col, ok := spec.Arg.(expr.Col)
+	if !ok || spec.Func != plan.Sum && spec.Func != plan.Avg {
+		return nil
+	}
+	if v := &in.Cols[col.Idx]; v.Nulls == nil && (v.Kind == expr.KindInt || v.Kind == expr.KindFloat) {
+		return v
+	}
+	return nil
+}
+
+// foldBare folds SUM or AVG aggregate i of a batch whose argument is the
+// NULL-free column v, read through sel: the partial's row values, or the
+// sums.
+func (t *aggTable) foldBare(i int, gid []int32, v *expr.ColVec, sel []int32) {
+	if t.deferSums {
+		if v.Kind == expr.KindFloat {
+			t.rowVals[i] = appendFloats(t.rowVals[i], v.F, sel, len(gid))
+		} else {
+			t.rowVals[i] = appendFloats(t.rowVals[i], v.I, sel, len(gid))
+		}
+		return
+	}
+	if v.Kind == expr.KindFloat {
+		addFloats(t.accs[i].sums, gid, v.F, sel)
+	} else {
+		addFloats(t.accs[i].sums, gid, v.I, sel)
+	}
+}
+
+// appendFloats appends the first n logical elements of vals (through sel)
+// to dst as floats.
+func appendFloats[T int64 | float64](dst []float64, vals []T, sel []int32, n int) []float64 {
+	if sel == nil {
+		for _, x := range vals[:n] {
+			dst = append(dst, float64(x))
+		}
+		return dst
+	}
+	for _, i := range sel[:n] {
+		dst = append(dst, float64(vals[i]))
+	}
+	return dst
+}
+
+// addFloats adds each row's value, vals' element through sel, to its
+// group's sum as a float, in row order — the one place SUM and AVG add, so
+// the serial fold and the coordinator's merge of run partials perform the
+// same additions in the same sequence. NULL arguments arrive as +0
+// (ColVec.AsFloats) and are added like any other: a sum starts at +0 and no
+// addition can make it -0, so adding +0 never changes its bits.
+func addFloats[T int64 | float64](sums []float64, gid []int32, vals []T, sel []int32) {
+	if sel == nil {
+		for li, g := range gid {
+			sums[g] += float64(vals[li])
+		}
+		return
+	}
 	for li, g := range gid {
-		sums[g] += vals[li]
+		sums[g] += float64(vals[sel[li]])
 	}
 }
 
@@ -551,7 +615,7 @@ func (t *aggTable) merge(p *aggTable) {
 			}
 			continue
 		case plan.Sum, plan.Avg:
-			addFloats(acc.sums, p.rowGid, p.rowVals[i])
+			addFloats(acc.sums, p.rowGid, p.rowVals[i], nil)
 		}
 		for pg, g := range remap {
 			acc.counts[g] += pacc.counts[pg]

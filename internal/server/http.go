@@ -141,11 +141,22 @@ type Server struct {
 	drainOnce sync.Once
 }
 
+// The served connection's timeouts. A client has readHeaderTimeout to
+// send a request's headers, and a kept-alive connection closes after
+// idleTimeout without a request, so a silent client cannot hold a
+// connection and its goroutine forever. Neither bounds a statement: its
+// body read and response write take as long as the statement does.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // NewServer wires a Core to an address. Call Core.Start (or let
 // ListenAndServe do it) before serving.
 func NewServer(c *Core, addr string) *Server {
 	s := &Server{core: c, drained: make(chan struct{})}
-	s.srv = &http.Server{Addr: addr, Handler: s.Handler()}
+	s.srv = &http.Server{Addr: addr, Handler: s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	return s
 }
 

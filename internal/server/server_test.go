@@ -374,6 +374,19 @@ func TestPriorityDrainsFirst(t *testing.T) {
 	}
 }
 
+// The served http.Server bounds how long a connection may sit silent:
+// before its request's headers, and between kept-alive requests.
+func TestServerSetsConnectionTimeouts(t *testing.T) {
+	sys, _ := newTestSystem(t)
+	s := NewServer(NewCore(DefaultConfig(), sys), "unused")
+	if got := s.srv.ReadHeaderTimeout; got != readHeaderTimeout || got <= 0 {
+		t.Errorf("ReadHeaderTimeout %v, want %v", got, readHeaderTimeout)
+	}
+	if got := s.srv.IdleTimeout; got != idleTimeout || got <= 0 {
+		t.Errorf("IdleTimeout %v, want %v", got, idleTimeout)
+	}
+}
+
 // TestHTTPServerSmoke: concurrent HTTP sessions against the full stack —
 // queries answered, metrics exposed from the registry, healthz flips to
 // 503 on drain, and post-drain queries are refused.

@@ -31,8 +31,40 @@ func Parse(input string) (*SelectStmt, error) {
 }
 
 type parser struct {
-	toks []token
-	i    int
+	toks   []token
+	i      int
+	depth  int // NOTs and parentheses open around the expression being parsed
+	height int // operators on the longest path down the expression parsed last
+}
+
+// maxExprDepth bounds an expression two ways: at most this many NOTs and
+// parentheses open at once, and at most this many operators — NOT, the
+// binary ones, a comparison, BETWEEN or IN — on any path from its root to a
+// leaf. The parser recurses once per NOT or parenthesis, and every later
+// pass over the tree once per operator, so without a bound a 600 KB body of
+// NOTs, or of "1+1+1+…", grows the stack to hundreds of megabytes.
+const maxExprDepth = 256
+
+// nest enters one more level of NOT or parentheses, or fails past
+// maxExprDepth. The caller leaves it with p.depth--.
+func (p *parser) nest() error {
+	if p.depth++; p.depth > maxExprDepth {
+		return p.tooDeep()
+	}
+	return nil
+}
+
+// above sets p.height to that of an operator over operands at most h high,
+// or fails past maxExprDepth.
+func (p *parser) above(h int) error {
+	if p.height = h + 1; p.height > maxExprDepth {
+		return p.tooDeep()
+	}
+	return nil
+}
+
+func (p *parser) tooDeep() error {
+	return p.errf("expression nested deeper than %d", maxExprDepth)
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -276,8 +308,12 @@ func (p *parser) parseOr() (Node, error) {
 		return nil, err
 	}
 	for p.acceptKeyword("OR") {
+		hl := p.height
 		r, err := p.parseAnd()
 		if err != nil {
+			return nil, err
+		}
+		if err := p.above(max(hl, p.height)); err != nil {
 			return nil, err
 		}
 		l = BinOp{Op: "OR", L: l, R: r}
@@ -291,8 +327,12 @@ func (p *parser) parseAnd() (Node, error) {
 		return nil, err
 	}
 	for p.acceptKeyword("AND") {
+		hl := p.height
 		r, err := p.parseNot()
 		if err != nil {
+			return nil, err
+		}
+		if err := p.above(max(hl, p.height)); err != nil {
 			return nil, err
 		}
 		l = BinOp{Op: "AND", L: l, R: r}
@@ -302,8 +342,15 @@ func (p *parser) parseAnd() (Node, error) {
 
 func (p *parser) parseNot() (Node, error) {
 	if p.acceptKeyword("NOT") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		e, err := p.parseNot()
+		p.depth--
 		if err != nil {
+			return nil, err
+		}
+		if err := p.above(p.height); err != nil {
 			return nil, err
 		}
 		return UnaryNot{E: e}, nil
@@ -320,23 +367,32 @@ func (p *parser) parsePred() (Node, error) {
 		switch t.text {
 		case "=", "<>", "<", "<=", ">", ">=":
 			p.next()
+			hl := p.height
 			r, err := p.parseAdd()
 			if err != nil {
+				return nil, err
+			}
+			if err := p.above(max(hl, p.height)); err != nil {
 				return nil, err
 			}
 			return BinOp{Op: t.text, L: l, R: r}, nil
 		}
 	}
 	if p.acceptKeyword("BETWEEN") {
+		h := p.height
 		lo, err := p.parseAdd()
 		if err != nil {
 			return nil, err
 		}
+		h = max(h, p.height)
 		if err := p.expectKeyword("AND"); err != nil {
 			return nil, err
 		}
 		hi, err := p.parseAdd()
 		if err != nil {
+			return nil, err
+		}
+		if err := p.above(max(h, p.height)); err != nil {
 			return nil, err
 		}
 		return BetweenNode{E: l, Lo: lo, Hi: hi}, nil
@@ -346,17 +402,22 @@ func (p *parser) parsePred() (Node, error) {
 			return nil, err
 		}
 		var list []Node
+		h := p.height
 		for {
 			v, err := p.parseAdd()
 			if err != nil {
 				return nil, err
 			}
+			h = max(h, p.height)
 			list = append(list, v)
 			if !p.acceptSymbol(",") {
 				break
 			}
 		}
 		if err := p.expectSymbol(")"); err != nil {
+			return nil, err
+		}
+		if err := p.above(h); err != nil {
 			return nil, err
 		}
 		return InNode{E: l, List: list}, nil
@@ -373,8 +434,12 @@ func (p *parser) parseAdd() (Node, error) {
 		t := p.peek()
 		if t.kind == tokOp && (t.text == "+" || t.text == "-") {
 			p.next()
+			hl := p.height
 			r, err := p.parseMul()
 			if err != nil {
+				return nil, err
+			}
+			if err := p.above(max(hl, p.height)); err != nil {
 				return nil, err
 			}
 			l = BinOp{Op: t.text, L: l, R: r}
@@ -393,8 +458,12 @@ func (p *parser) parseMul() (Node, error) {
 		t := p.peek()
 		if (t.kind == tokSymbol && t.text == "*") || (t.kind == tokOp && t.text == "/") {
 			p.next()
+			hl := p.height
 			r, err := p.parsePrim()
 			if err != nil {
+				return nil, err
+			}
+			if err := p.above(max(hl, p.height)); err != nil {
 				return nil, err
 			}
 			op := t.text
@@ -406,6 +475,7 @@ func (p *parser) parseMul() (Node, error) {
 }
 
 func (p *parser) parsePrim() (Node, error) {
+	p.height = 0 // a leaf; a parenthesized expression sets its own
 	t := p.peek()
 	switch {
 	case t.kind == tokNumber:
@@ -435,7 +505,11 @@ func (p *parser) parsePrim() (Node, error) {
 		return p.parseColRefNode()
 	case t.kind == tokSymbol && t.text == "(":
 		p.next()
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		e, err := p.parseExpr()
+		p.depth--
 		if err != nil {
 			return nil, err
 		}

@@ -1,8 +1,10 @@
 package sql
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"ecodb/internal/catalog"
 	"ecodb/internal/engine"
@@ -150,6 +152,66 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q) should fail", q)
 		}
 	}
+}
+
+// An expression parses with up to maxExprDepth NOTs and parentheses open
+// at once and up to maxExprDepth operators on any path down its tree; one
+// level more is a parse error. A 600 KB body of nested NOTs, which once
+// took the process from 60 to 440 MB, is refused in milliseconds and a few
+// megabytes.
+func TestParseBoundsExpressionDepth(t *testing.T) {
+	where := func(e string) string { return "SELECT * FROM t WHERE " + e }
+	nots := func(n int) string { return where(strings.Repeat("NOT ", n) + "x = 1") }
+	shapes := []struct {
+		name string
+		q    func(n int) string
+		most int // the largest n that parses
+	}{
+		// n NOTs over a comparison: n+1 operators.
+		{"NOT", nots, maxExprDepth - 1},
+		// n parentheses open at once around one comparison.
+		{"parentheses", func(n int) string {
+			return where(strings.Repeat("(", n) + "x = 1" + strings.Repeat(")", n))
+		}, maxExprDepth},
+		// Two levels open per repetition, so one more repetition is two
+		// levels past the bound.
+		{"NOT (", func(n int) string {
+			return where(strings.Repeat("NOT (", n) + "x = 1" + strings.Repeat(")", n))
+		}, maxExprDepth / 2},
+		// Left-deep chains: n ORs over comparisons are n+1 operators deep.
+		{"OR", func(n int) string { return where("x = 1" + strings.Repeat(" OR x = 1", n)) }, maxExprDepth - 1},
+		{"AND", func(n int) string { return where("x = 1" + strings.Repeat(" AND x = 1", n)) }, maxExprDepth - 1},
+		{"+", func(n int) string { return "SELECT x" + strings.Repeat(" + 1", n) + " FROM t" }, maxExprDepth},
+		{"*", func(n int) string { return "SELECT x" + strings.Repeat(" * 2", n) + " FROM t" }, maxExprDepth},
+		// A chain over a parenthesized chain: the heights add up across the
+		// parentheses although neither chain is long.
+		{"chain over (chain)", func(n int) string {
+			return "SELECT (x" + strings.Repeat(" - 1", maxExprDepth/2) + ")" + strings.Repeat(" / 2", n) + " FROM t"
+		}, maxExprDepth / 2},
+	}
+	for _, s := range shapes {
+		if _, err := Parse(s.q(s.most)); err != nil {
+			t.Errorf("%s at %d: %v", s.name, s.most, err)
+		}
+		if _, err := Parse(s.q(s.most + 1)); err == nil || !strings.Contains(err.Error(), "nested deeper") {
+			t.Errorf("%s at %d: error %v, want the depth bound", s.name, s.most+1, err)
+		}
+	}
+
+	body := nots(150_000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	_, err := Parse(body)
+	took := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "nested deeper") {
+		t.Fatalf("a %d KB body of NOTs: error %v, want the depth bound", len(body)>>10, err)
+	}
+	if alloc := (after.TotalAlloc - before.TotalAlloc) >> 20; took > time.Second || alloc > 64 {
+		t.Errorf("refusing a %d KB body of NOTs took %v and %d MB, want milliseconds and a few MB", len(body)>>10, took, alloc)
+	}
+	t.Logf("a %d KB body of NOTs refused in %v, %d MB allocated", len(body)>>10, took, (after.TotalAlloc-before.TotalAlloc)>>20)
 }
 
 func TestParseBetweenAndIn(t *testing.T) {
