@@ -6,23 +6,16 @@
 //	ecodb [flags] <experiment>...
 //	ecodb serve [flags]
 //
-// Experiments: table1, fig1, fig2, fig3, fig4, fig5, fig6, fig6hash,
-// warmcold, server, all. The serve subcommand starts the multi-tenant
-// query server (see docs/OPERATIONS.md).
-//
-// Flags:
-//
-//	-sf float       generated TPC-H scale factor override
-//	-amp float      work amplification override (SF×amp = paper-equivalent SF)
-//	-runs int       measurement repetitions per point (default: paper's 5)
-//	-seed uint      data-generation seed
-//	-metrics string dump the engine metrics registry after all runs (text/json)
+// `ecodb -help` lists the experiments and flags. The serve subcommand
+// starts the multi-tenant query server (see docs/OPERATIONS.md).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"ecodb/internal/experiments"
@@ -90,34 +83,21 @@ func dumpMetrics(format string) error {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage: ecodb [flags] <experiment>...
-
-experiments:
-  table1    system power breakdown (paper Table 1)
-  fig1      commercial DBMS operating points, medium downgrade (Figure 1)
-  fig2      commercial DBMS ratio sweep, both downgrades (Figure 2)
-  fig3      MySQL MEMORY ratio sweep (Figure 3)
-  fig4      observed vs theoretical EDP = V²/F (Figure 4)
-  fig5      disk throughput and energy per KB (Figure 5)
-  fig6      QED energy vs response time (Figure 6)
-  fig6hash  Figure 6 with the hash-set merge strategy (ablation)
-  warmcold  §3.5 warm vs cold buffer pool
-  capvsuc   ablation: FSB underclocking vs multiplier capping
-  mechanisms ablation: decompose setting A's savings by mechanism
-  sharedscan ablation: non-mergeable QED batches from one shared pass vs sequential
-  compression ablation: plain vs compressed columnar storage — zone-map
-            pruning + dictionary strings
-  optimizer ablation: cost-and-energy optimizer objectives on a TPC-H Q5
-            batch — hand-lowered vs latency-optimal vs joules-optimal plans
-  server    ablation: query-server admission policies under open-loop load —
-            latency-vs-joules Pareto at 10²–10⁴ QPS (see docs/OPERATIONS.md)
-  all       every paper experiment (table1..fig6, warmcold)
+	fmt.Fprint(os.Stderr, "usage: ecodb [flags] <experiment>...\n\nexperiments:\n")
+	var all []string
+	for _, x := range experimentList {
+		fmt.Fprintf(os.Stderr, "  %-10s %s\n", x.name, x.help)
+		if x.inAll {
+			all = append(all, x.name)
+		}
+	}
+	fmt.Fprintf(os.Stderr, `  all        every paper experiment (%s)
 
 subcommands:
-  serve     HTTP query server with admission control (ecodb serve -help)
+  serve      HTTP query server with admission control (ecodb serve -help)
 
 flags:
-`)
+`, strings.Join(all, " "))
 	flag.PrintDefaults()
 }
 
@@ -137,53 +117,77 @@ func override(cfg experiments.Config) experiments.Config {
 	return cfg
 }
 
+// experiment is one experiment ecodb regenerates: its name, its help line,
+// whether `all` runs it, and what it prints.
+type experiment struct {
+	name, help string
+	inAll      bool
+	run        func() fmt.Stringer
+}
+
+// experimentList is every experiment, in help and `all` order.
+var experimentList = []experiment{
+	{"table1", "system power breakdown (paper Table 1)", true,
+		func() fmt.Stringer { return experiments.Table1() }},
+	{"fig1", "commercial DBMS operating points, medium downgrade (Figure 1)", true,
+		on(experiments.DefaultCommercialConfig, experiments.Figure1)},
+	{"fig2", "commercial DBMS ratio sweep, both downgrades (Figure 2)", true,
+		on(experiments.DefaultCommercialConfig, experiments.Figure2)},
+	{"fig3", "MySQL MEMORY ratio sweep (Figure 3)", true,
+		on(experiments.DefaultMySQLConfig, experiments.Figure3)},
+	{"fig4", "observed vs theoretical EDP = V²/F (Figure 4)", true,
+		on(experiments.DefaultMySQLConfig, experiments.Figure4)},
+	{"fig5", "disk throughput and energy per KB (Figure 5)", true,
+		func() fmt.Stringer { return experiments.Figure5() }},
+	{"fig6", "QED energy vs response time (Figure 6)", true,
+		on(experiments.DefaultMySQLConfig, experiments.Figure6)},
+	{"fig6hash", "Figure 6 with the hash-set merge strategy (ablation)", false,
+		on(experiments.DefaultMySQLConfig, experiments.Figure6HashSet)},
+	{"warmcold", "§3.5 warm vs cold buffer pool", true,
+		on(experiments.DefaultCommercialConfig, experiments.WarmCold)},
+	{"capvsuc", "ablation: FSB underclocking vs multiplier capping", false,
+		on(experiments.DefaultCommercialConfig, experiments.CapVsUnderclock)},
+	{"mechanisms", "ablation: decompose setting A's savings by mechanism", false,
+		on(experiments.DefaultCommercialConfig, experiments.Mechanisms)},
+	{"sharedscan", "ablation: non-mergeable QED batches from one shared pass vs sequential", false,
+		on(experiments.DefaultCommercialConfig, experiments.SharedScans)},
+	{"compression", "ablation: plain vs compressed columnar storage (zone maps, dictionary strings)", false,
+		on(experiments.DefaultCommercialConfig, experiments.Compression)},
+	{"optimizer", "ablation: hand-lowered vs latency- vs joules-optimal plans for a TPC-H Q5 batch", false,
+		on(experiments.DefaultCommercialConfig, experiments.Optimizer)},
+	{"server", "ablation: admission policies under open-loop load at 10²–10⁴ QPS (docs/OPERATIONS.md)", false,
+		on(experiments.DefaultServerConfig, experiments.Server)},
+}
+
+// on runs f on the default configuration d with the flag overrides applied.
+func on[R fmt.Stringer](d func() experiments.Config, f func(experiments.Config) R) func() fmt.Stringer {
+	return func() fmt.Stringer { return f(override(d())) }
+}
+
 func runOne(name string) error {
-	start := time.Now()
-	var out fmt.Stringer
-	switch name {
-	case "table1":
-		out = experiments.Table1()
-	case "fig1":
-		out = experiments.Figure1(override(experiments.DefaultCommercialConfig()))
-	case "fig2":
-		out = experiments.Figure2(override(experiments.DefaultCommercialConfig()))
-	case "fig3":
-		out = experiments.Figure3(override(experiments.DefaultMySQLConfig()))
-	case "fig4":
-		out = experiments.Figure4(override(experiments.DefaultMySQLConfig()))
-	case "fig5":
-		out = experiments.Figure5()
-	case "fig6":
-		out = experiments.Figure6(override(experiments.DefaultMySQLConfig()))
-	case "fig6hash":
-		out = experiments.Figure6HashSet(override(experiments.DefaultMySQLConfig()))
-	case "warmcold":
-		out = experiments.WarmCold(override(experiments.DefaultCommercialConfig()))
-	case "capvsuc":
-		out = experiments.CapVsUnderclock(override(experiments.DefaultCommercialConfig()))
-	case "mechanisms":
-		out = experiments.Mechanisms(override(experiments.DefaultCommercialConfig()))
-	case "sharedscan":
-		out = experiments.SharedScans(override(experiments.DefaultCommercialConfig()))
-	case "compression":
-		out = experiments.Compression(override(experiments.DefaultCommercialConfig()))
-	case "optimizer":
-		out = experiments.Optimizer(override(experiments.DefaultCommercialConfig()))
-	case "server":
-		out = experiments.Server(override(experiments.DefaultServerConfig()))
-	default:
-		return fmt.Errorf("unknown experiment %q (try: table1 fig1 fig2 fig3 fig4 fig5 fig6 fig6hash warmcold capvsuc mechanisms sharedscan compression optimizer server all; flags go before the experiment name)", name)
+	i := slices.IndexFunc(experimentList, func(x experiment) bool { return x.name == name })
+	if i < 0 {
+		names := make([]string, len(experimentList))
+		for j, x := range experimentList {
+			names[j] = x.name
+		}
+		return fmt.Errorf("unknown experiment %q (try: %s all; flags go before the experiment name)", name, strings.Join(names, " "))
 	}
-	fmt.Println(out)
-	fmt.Printf("[%s regenerated in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+	run(experimentList[i])
 	return nil
 }
 
 func runAll() {
-	for _, name := range []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "warmcold"} {
-		if err := runOne(name); err != nil {
-			fmt.Fprintln(os.Stderr, "ecodb:", err)
-			os.Exit(1)
+	for _, x := range experimentList {
+		if x.inAll {
+			run(x)
 		}
 	}
+}
+
+// run prints what x regenerates and the wall time it took.
+func run(x experiment) {
+	start := time.Now()
+	fmt.Println(x.run())
+	fmt.Printf("[%s regenerated in %v]\n\n", x.name, time.Since(start).Round(time.Millisecond))
 }

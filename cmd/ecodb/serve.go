@@ -43,7 +43,6 @@ func parseServe(args []string) (serveOptions, error) {
 	fs.IntVar(&cfg.FlushThreshold, "flush-threshold", cfg.FlushThreshold, "co-admit as soon as this many statements wait")
 	flushMs := fs.Float64("flush-wait-ms", cfg.FlushWait.Seconds()*1e3, "max wait for co-admission before the window flushes anyway")
 	slackMs := fs.Float64("urgent-slack-ms", cfg.UrgentSlack.Seconds()*1e3, "deadline policy: remaining budget at or below this bypasses the window")
-	fs.IntVar(&cfg.Window, "window", cfg.Window, "max statements per co-admission batch")
 	fs.Float64Var(&o.sf, "sf", 0.0005, "generated TPC-H scale factor")
 	fs.Uint64Var(&o.seed, "seed", 42, "data-generation seed")
 	fs.BoolVar(&cfg.Profiling, "profiling", cfg.Profiling, "profile every statement for exact per-statement joule attribution")

@@ -22,8 +22,9 @@ type Schema struct {
 	index map[string]int
 }
 
-// NewSchema builds a schema; duplicate column names panic (schemas are
-// static in this system).
+// NewSchema builds a base table's schema; duplicate column names panic
+// (table definitions are static in this system). A derived relation's
+// schema comes from Derived.
 func NewSchema(cols ...Column) *Schema {
 	s := &Schema{cols: cols, index: make(map[string]int, len(cols))}
 	for i, c := range cols {
@@ -31,6 +32,28 @@ func NewSchema(cols ...Column) *Schema {
 			panic(fmt.Sprintf("catalog: duplicate column %q", c.Name))
 		}
 		s.index[c.Name] = i
+	}
+	return s
+}
+
+// Derived builds the schema of a derived relation — a join, a star list, a
+// projection, an aggregate — whose names may repeat. This is the one naming
+// rule for them: a repeated name becomes name_k with the least k ≥ 2 that
+// no earlier column holds, renamed ones included. The index map doubles as
+// the set of taken names, and a name is formatted only on a collision.
+// Derived owns cols and renames in place.
+func Derived(cols []Column) *Schema {
+	s := &Schema{cols: cols, index: make(map[string]int, len(cols))}
+	for i := range cols {
+		name := cols[i].Name
+		for k := 2; ; k++ {
+			if _, taken := s.index[name]; !taken {
+				break
+			}
+			name = fmt.Sprintf("%s_%d", cols[i].Name, k)
+		}
+		cols[i].Name = name
+		s.index[name] = i
 	}
 	return s
 }
@@ -61,22 +84,12 @@ func (s *Schema) Col(name string) expr.Col {
 	return expr.Col{Idx: s.MustIndex(name), Name: name}
 }
 
-// Concat returns a schema with b's columns appended to a's (join output).
+// Concat returns a schema with b's columns appended to a's (join output),
+// named by Derived's rule.
 func Concat(a, b *Schema) *Schema {
 	cols := make([]Column, 0, a.NumCols()+b.NumCols())
 	cols = append(cols, a.cols...)
-	cols = append(cols, b.cols...)
-	// Joins can legitimately repeat names; qualify a repeat as name_k with
-	// the least k ≥ 2 no earlier column holds, qualified names included.
-	taken := make(map[string]bool, len(cols))
-	for i := range cols {
-		n := cols[i].Name
-		for k := 2; taken[cols[i].Name]; k++ {
-			cols[i].Name = fmt.Sprintf("%s_%d", n, k)
-		}
-		taken[cols[i].Name] = true
-	}
-	return NewSchema(cols...)
+	return Derived(append(cols, b.cols...))
 }
 
 // Table couples a schema with heap storage.

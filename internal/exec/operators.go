@@ -1104,12 +1104,12 @@ func (s *sortOp) Close(ctx *Ctx) error {
 	return err
 }
 
-// limitOp serves the first n rows. The input still runs to completion,
-// matching the engines under study: once the limit is reached the remaining
-// input is drained before the final batch is returned, so its full cost
-// lands inside this query. A sort directly beneath is told n at compile
-// time and serves no more than n rows — it has consumed and charged its
-// whole input by then — so over a sort that drain ends at once.
+// limitOp serves the first n rows of any input but a sort. The input still
+// runs to completion, matching the engines under study: once the limit is
+// reached the remaining input is drained before the final batch is
+// returned, so its full cost lands inside this query. A LIMIT over a sort
+// compiles to the sort alone, told n: it serves no more than n rows, having
+// consumed and charged its whole input by then.
 type limitOp struct {
 	input Operator
 	n     int

@@ -107,15 +107,15 @@ func compile(n plan.Node, workers int, leaf ScanLeaf, live liveCols) Operator {
 	case *plan.Sort:
 		return compileSort(n, -1, workers, leaf)
 	case *plan.Limit:
-		var input Operator
+		var op Operator
 		if srt, ok := n.Input.(*plan.Sort); ok {
-			// The sort directly beneath need only keep what the limit takes.
-			input = compileSort(srt, n.N, workers, leaf)
+			// A sort told the limit serves at most n rows, having charged
+			// its whole input first: it is the limit.
+			op = compileSort(srt, n.N, workers, leaf)
 		} else {
-			input = compile(n.Input, workers, leaf, nil)
+			op = &limitOp{input: compile(n.Input, workers, leaf, nil), n: n.N}
 		}
-		return wrapSpan(&limitOp{input: input, n: n.N},
-			obsv.KindLimit, fmt.Sprintf("Limit(%d)", n.N), "")
+		return wrapSpan(op, obsv.KindLimit, fmt.Sprintf("Limit(%d)", n.N), "")
 	default:
 		panic(fmt.Sprintf("exec: cannot compile %T", n))
 	}

@@ -357,13 +357,17 @@ func TestCompileParallelFoldsFragments(t *testing.T) {
 	}
 }
 
-// unwrapSpan returns the operator beneath a span wrapper, for tests that
-// look at what a plan lowered to.
+// unwrapSpan returns the operator beneath its span wrappers (a LIMIT over a
+// sort is two spans over one sort operator), for tests that look at what a
+// plan lowered to.
 func unwrapSpan(op Operator) Operator {
-	if w, ok := op.(*spanOp); ok {
-		return w.inner
+	for {
+		w, ok := op.(*spanOp)
+		if !ok {
+			return op
+		}
+		op = w.inner
 	}
-	return op
 }
 
 // opTree renders the operator tree under op, span wrappers elided: each
@@ -417,7 +421,7 @@ func lowerings(t *testing.T) map[string]struct {
 		"agg(limit(chain))": {plan.NewAgg(plan.NewLimit(chain, 5), nil, count), "agg(limit(fused(pump)))"},
 		"sort(chain)":       {plan.NewSort(chain, plan.SortKey{Col: 0}), "sort(pump)"},
 		"limit(sort(chain))": {plan.NewLimit(plan.NewSort(chain, plan.SortKey{Col: 0}), 7),
-			"limit(sort(pump))"},
+			"sort(pump)"},
 		"sort(limit(chain))": {plan.NewSort(plan.NewLimit(chain, 5), plan.SortKey{Col: 0}),
 			"sort(limit(fused(pump)))"},
 		"join(scan, chain)":        {join(chain), "join(fused(pump), pump)"},

@@ -100,7 +100,6 @@ func Server(cfg Config) *ServerResult {
 				FlushThreshold: 16,
 				FlushWait:      0.005,
 				UrgentSlack:    0.002,
-				Window:         64,
 			}
 			c := server.NewCore(scfg, sys)
 			res := c.RunOpenLoop(server.OpenLoopArrivals(sys.Machine.Clock.Now(), n, qps, reqs))

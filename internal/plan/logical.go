@@ -211,49 +211,28 @@ func (lg *Logical) SetAgg(groupBy []int, specs []AggSpec) error {
 // physical lowering, which is what makes Sort positions and golden results
 // meaningful independent of the optimizer's choices.
 func (lg *Logical) OutputSchema() *catalog.Schema {
-	if lg.Project != nil {
-		cols := make([]catalog.Column, len(lg.Project.Exprs))
+	var cols []catalog.Column
+	switch {
+	case lg.Project != nil:
+		cols = make([]catalog.Column, len(lg.Project.Exprs))
 		for i := range cols {
 			cols[i] = catalog.Column{Name: lg.Project.Names[i], Kind: lg.Project.Kinds[i]}
 		}
-		return catalog.NewSchema(cols...)
-	}
-	if lg.Agg != nil {
-		cols := make([]catalog.Column, 0, len(lg.Agg.GroupBy)+len(lg.Agg.Specs))
+	case lg.Agg != nil:
+		cols = make([]catalog.Column, 0, len(lg.Agg.GroupBy)+len(lg.Agg.Specs))
 		for _, g := range lg.Agg.GroupBy {
 			cols = append(cols, catalog.Column{Name: lg.ColName(g), Kind: lg.ColKind(g)})
 		}
 		for _, s := range lg.Agg.Specs {
 			cols = append(cols, catalog.Column{Name: s.Name, Kind: s.Kind(lg.ColKind)})
 		}
-		return catalog.NewSchema(cols...)
-	}
-	return qualifySchema(lg.globalColumns())
-}
-
-// globalColumns lists the global column space as catalog columns.
-func (lg *Logical) globalColumns() []catalog.Column {
-	cols := make([]catalog.Column, 0, lg.NumCols())
-	for _, t := range lg.Tables {
-		cols = append(cols, t.Schema.Columns()...)
-	}
-	return cols
-}
-
-// qualifySchema builds a schema from columns, renaming duplicates the way
-// catalog.Concat does so star results over self-named tables stay legal.
-func qualifySchema(cols []catalog.Column) *catalog.Schema {
-	seen := make(map[string]int)
-	out := make([]catalog.Column, len(cols))
-	copy(out, cols)
-	for i := range out {
-		n := out[i].Name
-		seen[n]++
-		if seen[n] > 1 {
-			out[i].Name = fmt.Sprintf("%s_%d", n, seen[n])
+	default:
+		cols = make([]catalog.Column, 0, lg.NumCols())
+		for _, t := range lg.Tables {
+			cols = append(cols, t.Schema.Columns()...)
 		}
 	}
-	return catalog.NewSchema(out...)
+	return catalog.Derived(cols)
 }
 
 // Pushdown selects how deep single-table conjuncts are pushed.

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -72,6 +73,47 @@ func TestLowerThreeCopySelfJoin(t *testing.T) {
 			}
 			if n := root.Schema().NumCols(); n != 3 {
 				t.Fatalf("order %v, sides %b: %d output columns, want 3", order, sides, n)
+			}
+		}
+	}
+}
+
+// TestStarNamesRepeatsByOneRule: a star query over t1(a, a_2) ⋈ t2(a)
+// names its output a, a_2, a_3 — t2's a skips the a_2 that t1 already
+// holds — in its logical output schema and under every join order and
+// build side.
+func TestStarNamesRepeatsByOneRule(t *testing.T) {
+	t1 := catalog.NewTable("t1", catalog.NewSchema(
+		catalog.Column{Name: "a", Kind: expr.KindInt},
+		catalog.Column{Name: "a_2", Kind: expr.KindInt},
+	))
+	t2 := catalog.NewTable("t2", catalog.NewSchema(catalog.Column{Name: "a", Kind: expr.KindInt}))
+	lg, err := NewLogical([]*catalog.Table{t1, t2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.AddPredicate(expr.Cmp{Op: expr.EQ, L: expr.Col{Idx: 0, Name: "a"}, R: expr.Col{Idx: 2, Name: "a"}}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"a", "a_2", "a_3"}
+	names := func(s *catalog.Schema) []string {
+		var out []string
+		for _, c := range s.Columns() {
+			out = append(out, c.Name)
+		}
+		return out
+	}
+	if got := names(lg.OutputSchema()); !slices.Equal(got, want) {
+		t.Fatalf("OutputSchema names %v, want %v", got, want)
+	}
+	for _, order := range [][]int{{0, 1}, {1, 0}} {
+		for _, buildLeft := range []bool{false, true} {
+			root, err := lg.Lower(PhysChoices{JoinOrder: order, BuildLeft: []bool{buildLeft}, Pushdown: PushdownAll})
+			if err != nil {
+				t.Fatalf("order %v, build left %v: %v", order, buildLeft, err)
+			}
+			if got := names(root.Schema()); !slices.Equal(got, want) {
+				t.Fatalf("order %v, build left %v: output names %v, want %v", order, buildLeft, got, want)
 			}
 		}
 	}

@@ -164,12 +164,11 @@ type Project struct {
 	lineage
 	Input  Node
 	Exprs  []expr.Expr
-	Names  []string
-	Kinds  []expr.Kind
 	schema *catalog.Schema
 }
 
-// NewProject builds a projection; Names/Kinds give the output schema.
+// NewProject builds a projection; names and kinds give the output schema,
+// a repeated name qualified by catalog.Derived.
 func NewProject(input Node, exprs []expr.Expr, names []string, kinds []expr.Kind) *Project {
 	if len(exprs) != len(names) || len(exprs) != len(kinds) {
 		panic("plan: projection exprs/names/kinds length mismatch")
@@ -178,8 +177,7 @@ func NewProject(input Node, exprs []expr.Expr, names []string, kinds []expr.Kind
 	for i := range exprs {
 		cols[i] = catalog.Column{Name: names[i], Kind: kinds[i]}
 	}
-	return &Project{Input: input, Exprs: exprs, Names: names, Kinds: kinds,
-		schema: catalog.NewSchema(cols...)}
+	return &Project{Input: input, Exprs: exprs, schema: catalog.Derived(cols)}
 }
 
 // Schema implements Node.
@@ -192,7 +190,7 @@ func (p *Project) Children() []Node { return []Node{p.Input} }
 func (p *Project) Describe() string {
 	parts := make([]string, len(p.Exprs))
 	for i, e := range p.Exprs {
-		parts[i] = fmt.Sprintf("%s AS %s", e, p.Names[i])
+		parts[i] = fmt.Sprintf("%s AS %s", e, p.schema.Columns()[i].Name)
 	}
 	return "Project(" + strings.Join(parts, ", ") + ")"
 }
@@ -235,7 +233,8 @@ func (s AggSpec) Kind(colKind func(int) expr.Kind) expr.Kind {
 }
 
 // Agg groups by column positions and computes aggregates. Output columns
-// are the group-by columns followed by the aggregates.
+// are the group-by columns followed by the aggregates, a repeated name
+// qualified by catalog.Derived.
 type Agg struct {
 	lineage
 	Input   Node
@@ -255,7 +254,7 @@ func NewAgg(input Node, groupBy []int, aggs []AggSpec) *Agg {
 	for _, a := range aggs {
 		cols = append(cols, catalog.Column{Name: a.Name, Kind: a.Kind(colKind)})
 	}
-	return &Agg{Input: input, GroupBy: groupBy, Aggs: aggs, schema: catalog.NewSchema(cols...)}
+	return &Agg{Input: input, GroupBy: groupBy, Aggs: aggs, schema: catalog.Derived(cols)}
 }
 
 // Schema implements Node.

@@ -108,8 +108,6 @@ type Config struct {
 	// whose remaining budget is ≤ UrgentSlack (or already negative)
 	// flushes the window immediately.
 	UrgentSlack sim.Duration
-	// Window caps how many statements one flush batch co-admits.
-	Window int
 	// Profiling runs every statement with the engine profiler on, which
 	// partitions each co-admitted window's energy exactly per statement
 	// (per-tenant and per-response joules become exact instead of an even
@@ -126,7 +124,6 @@ func DefaultConfig() Config {
 		FlushThreshold: 4,
 		FlushWait:      0.020,
 		UrgentSlack:    0.020,
-		Window:         64,
 		Profiling:      true,
 	}
 }
@@ -369,6 +366,10 @@ func (c *Core) shouldFlush(more bool) bool {
 	return c.clock.Now().Sub(c.oldestArrival()) >= c.cfg.FlushWait
 }
 
+// maxWindow caps how many statements one shared or deadline flush batch
+// co-admits; the rest wait for the next flush.
+const maxWindow = 64
+
 // takeBatch removes and returns the next flush batch in admission order
 // under the configured policy.
 func (c *Core) takeBatch() []*pending {
@@ -397,8 +398,8 @@ func (c *Core) takeBatch() []*pending {
 		})
 	}
 	n := len(c.queue)
-	if c.cfg.Policy != PolicyPrivate && c.cfg.Window > 0 && n > c.cfg.Window {
-		n = c.cfg.Window
+	if c.cfg.Policy != PolicyPrivate && n > maxWindow {
+		n = maxWindow
 	}
 	batch := make([]*pending, n)
 	copy(batch, c.queue)

@@ -177,7 +177,6 @@ func TestBitIdentityWithRunShared(t *testing.T) {
 	sysA, plansA := newTestSystem(t)
 	cfg := DefaultConfig()
 	cfg.Policy = PolicyShared
-	cfg.Window = n
 	cfg.Profiling = false
 	c := NewCore(cfg, sysA)
 	res := c.RunOpenLoop(wave(sysA.Machine.Clock.Now(), queryRequests(plansA, n)))
@@ -199,6 +198,28 @@ func TestBitIdentityWithRunShared(t *testing.T) {
 		if res.Responses[i].Response != out.Queries[i].End {
 			t.Fatalf("query %d response diverges: server %v vs embedded %v",
 				i, res.Responses[i].Response, out.Queries[i].End)
+		}
+	}
+}
+
+// TestSharedWindowsAreCapped: a wave longer than maxWindow flushes in
+// co-admission windows of at most maxWindow statements, and every statement
+// is answered.
+func TestSharedWindowsAreCapped(t *testing.T) {
+	const n = maxWindow + 6
+	sys, plans := newTestSystem(t)
+	cfg := DefaultConfig()
+	cfg.Profiling = false
+	res := NewCore(cfg, sys).RunOpenLoop(wave(sys.Machine.Clock.Now(), queryRequests(plans, n)))
+	if res.Completed != n {
+		t.Fatalf("completed %d of %d", res.Completed, n)
+	}
+	if len(res.Batches) < 2 {
+		t.Fatalf("%d statements in %d batch(es), want them split", n, len(res.Batches))
+	}
+	for i, b := range res.Batches {
+		if len(b.IDs) > maxWindow {
+			t.Fatalf("batch %d co-admits %d statements, over the cap of %d", i, len(b.IDs), maxWindow)
 		}
 	}
 }
@@ -587,6 +608,61 @@ func TestIllTypedStatementIsRejectedAndServingContinues(t *testing.T) {
 	}
 	if status, body := post("SELECT COUNT(*) FROM lineitem WHERE l_quantity = 3"); status != http.StatusOK {
 		t.Fatalf("statement after the rejected ones: status %d, body %s", status, body)
+	}
+}
+
+// TestRepeatedOutputNamesAreServed: a select list or aggregate that repeats
+// an output name used to panic in bind — over the connection for a query,
+// and on the scheduler goroutine, taking the process down, for an EXPLAIN.
+// Each is answered 200, the repeat qualified as name_k, and the next
+// statement is answered too.
+func TestRepeatedOutputNamesAreServed(t *testing.T) {
+	sys, _ := newTestSystem(t)
+	tpch.NewGenerator(0.0005, 42).Load(sys.Engine.Catalog(), tpch.Nation)
+	c := NewCore(DefaultConfig(), sys)
+	ts := httptest.NewServer(NewServer(c, "unused").Handler())
+	defer ts.Close()
+	c.Start()
+	defer func() {
+		if err := c.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+
+	post := func(q string) []string {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/query", "text/plain", strings.NewReader(q))
+		if err != nil {
+			t.Fatalf("POST %q: %v", q, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("POST %q: reading the response: %v", q, err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%q: status %d, want 200; body %s", q, resp.StatusCode, body)
+		}
+		var r struct{ Columns []string }
+		if err := json.Unmarshal(body, &r); err != nil {
+			t.Fatalf("%q: %v in %s", q, err, body)
+		}
+		return r.Columns
+	}
+
+	post("EXPLAIN SELECT n_name, n_name FROM nation")
+	for _, tc := range []struct {
+		q    string
+		want []string
+	}{
+		{"SELECT n_name, n_name FROM nation", []string{"n_name", "n_name_2"}},
+		{"SELECT n_name AS x, n_regionkey AS x FROM nation", []string{"x", "x_2"}},
+		{"SELECT COUNT(*) AS n, SUM(n_regionkey) AS n FROM nation", []string{"n", "n_2"}},
+		{"SELECT n_regionkey, SUM(n_nationkey) AS n_regionkey FROM nation GROUP BY n_regionkey", []string{"n_regionkey", "n_regionkey_2"}},
+	} {
+		if got := post(tc.q); strings.Join(got, ",") != strings.Join(tc.want, ",") {
+			t.Errorf("%q: columns %v, want %v", tc.q, got, tc.want)
+		}
 	}
 }
 

@@ -13,13 +13,19 @@ import (
 // kindShapes aggregate MIN and MAX over int, date, string, float and bool
 // arguments, grouped and global — the aggregates whose output kind is their
 // argument's — and project literals, whose kind is the value they bind to
-// (an integral literal past 10¹⁵ binds as a float).
+// (an integral literal past 10¹⁵ binds as a float). The last five repeat
+// an output name, which the derived schema qualifies as name_k.
 var kindShapes = []string{
 	`SELECT 10000000000000000 AS big, 2.5 AS f, 7 AS i, DATE '1995-01-01' AS d, 'x' AS s FROM region`,
 	`SELECT MAX(o_orderdate), MIN(o_orderstatus) FROM orders GROUP BY o_orderstatus`,
 	`SELECT MIN(l_quantity) AS lo, MAX(l_quantity) AS hi, MIN(l_shipdate) AS first, MAX(l_extendedprice) AS top FROM lineitem`,
 	`SELECT n_regionkey, MIN(n_name) AS first, MAX(n_nationkey) AS last, COUNT(*) AS n FROM nation GROUP BY n_regionkey ORDER BY first`,
 	`SELECT c_mktsegment, MAX(c_acctbal * 2) AS top, MIN(c_nationkey < 5) AS flag FROM customer GROUP BY c_mktsegment`,
+	`SELECT n_name, n_name FROM nation`,
+	`SELECT n_name, n_name FROM nation ORDER BY n_name_2`,
+	`SELECT n_name AS x, n_regionkey AS x FROM nation`,
+	`SELECT COUNT(*) AS n, SUM(n_regionkey) AS n FROM nation`,
+	`SELECT n_regionkey, SUM(n_nationkey) AS n_regionkey FROM nation GROUP BY n_regionkey`,
 }
 
 // tinyTPCH is an engine over TPC-H at scale factor 0.0005 that runs its
