@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -19,8 +20,8 @@ import (
 // back to be filled again. The budgets are allocations per 1000 input rows
 // on pages of ~300 rows, for a whole compile-and-drain. An inline pump
 // refills one page record, match pairs included, so what it allocates is
-// per run of eight pages: a sorted run's buffers growing from empty, a
-// partial table learning its run's group keys. A pool adds its producers
+// per run of storage.DefaultMorselRunLength pages: a sorted run's buffers
+// growing from empty, a partial table learning its run's group keys. A pool adds its producers
 // and channels; its page records come from the record pool, which the run
 // before refilled (TestSecondRunAllocatesNoRecordAndNoProjection). An
 // operator that allocated per row would need a thousand.
@@ -119,28 +120,128 @@ func TestGlobalAggregateBuildsNoHashTable(t *testing.T) {
 	}
 }
 
+// A global SUM partial — the aggregate scan_filter and shared_scan serve
+// over a pump — resolves no row to a group: folding keeps no group ids, a
+// warm partial folds a batch without allocating, and merging partials in
+// order counts the rows and adds the values with the bits of one serial
+// fold. The batches carry a selection, a bare float column and one with
+// NULLs, so both the in-place read and the evaluated argument fold.
+func TestGlobalSumPartialKeepsNoGroupIDs(t *testing.T) {
+	batches, aggs := globalSumBatches(40)
+	serial, merged := newAggTable(nil, aggs, false), newAggTable(nil, aggs, false)
+	part := newAggTable(nil, aggs, true)
+	var meter expr.Cost
+	for i, b := range batches {
+		serial.fold(b, &meter)
+		part.fold(b, &meter)
+		if part.rowGid != nil {
+			t.Fatalf("batch %d: the partial keeps %d group ids", i, len(part.rowGid))
+		}
+		if i%3 == 2 || i == len(batches)-1 {
+			merged.merge(part)
+			part.reset()
+		}
+	}
+	for i := range aggs {
+		if got, want := merged.count(i, 0), serial.count(i, 0); got != want {
+			t.Errorf("%s: merged count %d, serial %d", aggs[i].Name, got, want)
+		}
+		if aggs[i].Func == plan.Count {
+			continue
+		}
+		if got, want := merged.accs[i].sums[0], serial.accs[i].sums[0]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: merged sum %v, serial %v", aggs[i].Name, got, want)
+		}
+	}
+	if n := serial.count(2, 0); n == serial.rows[0] || n == 0 {
+		t.Fatalf("SUM(y) counted %d of %d rows: the NULLs would pin nothing", n, serial.rows[0])
+	}
+	if raceEnabled {
+		return // the race detector's instrumentation allocates
+	}
+	// Evaluating y allocates its NULL bitmap per batch (ColVec.Reset drops
+	// it), which is the expression's cost, not the partial's: the check
+	// leaves SUM(y) out.
+	lean := newAggTable(nil, []plan.AggSpec{aggs[0], aggs[1], aggs[3]}, true)
+	lean.fold(batches[0], &meter)
+	if allocs := testing.AllocsPerRun(100, func() {
+		lean.reset()
+		lean.fold(batches[0], &meter)
+	}); allocs != 0 {
+		t.Errorf("a warm global partial allocates %.0f times per batch, want none", allocs)
+	}
+}
+
+// BenchmarkGlobalSumPartial folds run-sized stretches of batches into a
+// global SUM partial and merges it, as a pooled global aggregation does,
+// and reports the time per folded row.
+func BenchmarkGlobalSumPartial(b *testing.B) {
+	batches, aggs := globalSumBatches(32)
+	rows := 0
+	for _, in := range batches {
+		rows += in.Len()
+	}
+	global, part := newAggTable(nil, aggs, false), newAggTable(nil, aggs, true)
+	var meter expr.Cost
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for _, in := range batches {
+			part.fold(in, &meter)
+		}
+		global.merge(part)
+		part.reset()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+}
+
+// globalSumBatches returns n batches of 300 rows (x float, y float with
+// every seventh NULL), each under a selection of two rows in three, and
+// SUM(x), AVG(x), SUM(y), COUNT(*) over them.
+func globalSumBatches(n int) ([]*expr.Batch, []plan.AggSpec) {
+	batches := make([]*expr.Batch, n)
+	for i := range batches {
+		b := expr.NewBatch(2)
+		for r := 0; r < 300; r++ {
+			v := float64(i*300+r) * 0.37
+			y := expr.Float(v / 3)
+			if r%7 == 0 {
+				y = expr.Null()
+			}
+			b.AppendRow(expr.Row{expr.Float(v), y})
+			if r%3 != 0 {
+				b.Sel = append(b.Sel, int32(r))
+			}
+		}
+		batches[i] = b
+	}
+	x, y := expr.Col{Idx: 0, Name: "x"}, expr.Col{Idx: 1, Name: "y"}
+	return batches, []plan.AggSpec{
+		{Func: plan.Sum, Arg: x, Name: "sum_x"},
+		{Func: plan.Avg, Arg: x, Name: "avg_x"},
+		{Func: plan.Sum, Arg: y, Name: "sum_y"},
+		{Func: plan.Count, Name: "n"},
+	}
+}
+
 // A pooled pump recycles its page records and the buffers a record keeps —
 // selection, projection vectors, meters — so what a statement allocates is
 // bounded by the claim window, not by the heap: past the window, more pages
-// cost no more allocations. Both heaps below are longer than the window at
-// workers=4 (4·4 runs of 8 pages, plus the record the coordinator holds);
-// allocating one record per page would cost at least one allocation per
-// extra page.
+// cost no more allocations. Both heaps below are longer than two windows
+// at workers=4, so the ring wraps, and end in a short run; allocating one
+// record per page would cost at least one allocation per extra page.
 func TestPooledPumpAllocationIsFlatInPageCount(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector: expression scratch then allocates per page")
 	}
 	const (
 		workers    = 4
-		window     = 4 * workers * storage.DefaultMorselRunLength
 		perPageMax = 0.05 // allocations per extra page
 	)
 	// v = k mod 12 and v < 6 keep half of every page: no page needs bigger
 	// buffers than the one before.
-	small, large := pagedTable(t, 300, 12), pagedTable(t, 3000, 12)
-	if small.Heap.NumPages() <= window+1 {
-		t.Fatalf("the small heap's %d pages fit in the %d-page window", small.Heap.NumPages(), window)
-	}
+	pages := pumpFixturePages(workers)
+	small, large := pagedTable(t, pages, 12), pagedTable(t, 10*pages, 12)
 	if size := unsafe.Sizeof(morselResult{}); size > 160 {
 		t.Errorf("a page record takes %d bytes, past the 160-byte size class", size)
 	}
@@ -202,7 +303,7 @@ func TestPooledPumpAllocationIsFlatInPageCount(t *testing.T) {
 // drew to one process-wide pool when it closes, selection and projection
 // vectors included, and the next statement's pump fills those. So once one
 // run of a projecting fragment has filled the pool, running it again at
-// workers=4 over 300 pages — more than two claim windows — allocates no
+// workers=4 over more than two claim windows of pages allocates no
 // page record and no projection vector: what is left is the pump's own
 // per-run cost (its producers, channels and ring), the same for any heap.
 func TestSecondRunAllocatesNoRecordAndNoProjection(t *testing.T) {
@@ -216,7 +317,7 @@ func TestSecondRunAllocatesNoRecordAndNoProjection(t *testing.T) {
 		// page in flight, with its selection and projection vectors.
 		maxAllocs = 20
 	)
-	tb := pagedTable(t, 300, 12)
+	tb := pagedTable(t, pumpFixturePages(workers), 12)
 	k, v := tb.Schema.Col("k"), tb.Schema.Col("v")
 	p := plan.NewProject(
 		plan.NewFilter(plan.NewScan(tb, nil), expr.Cmp{Op: expr.LT, L: v, R: expr.Const{V: expr.Int(6)}}),
@@ -351,6 +452,13 @@ func foldRunAfterFirstPage(t *testing.T, tb *catalog.Table, agg plan.Node) uint6
 		t.Fatalf("the run's last page carries no partial of the run's %d rows", tb.Heap.NumPages()*12)
 	}
 	return after.Mallocs - before.Mallocs
+}
+
+// pumpFixturePages is how many pages a heap needs for a pool of workers
+// producers to exercise the claim window: two windows and half a run, so
+// the ring wraps twice and the lap ends in a short run.
+func pumpFixturePages(workers int) int {
+	return 2*workers*storage.DefaultMorselRunLength + storage.DefaultMorselRunLength/2
 }
 
 // pagedTable builds a table of (k, v = k mod m) over the given number of

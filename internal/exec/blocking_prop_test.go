@@ -26,9 +26,10 @@ import (
 // What the generator reaches for: NULL keys and all-NULL columns, ties
 // (stability), DESC, up to three sort keys, dictionary and dense strings,
 // ints above 2⁵³ (which tie under Compare), -0.0 and NaN, empty inputs,
-// LIMIT 0 and LIMIT beyond the input, pages of one to a few rows so a table
-// spans many morsel runs (the merge sees one to a dozen runs of heavily
-// duplicated keys), and joins and aggregations over inputs that arrive with
+// LIMIT 0 and LIMIT beyond the input, tables sized from the morsel run
+// length with pages of one to a few rows, so most span several morsel runs
+// and run pooled at workers 2 and 4 (the merge sees up to fifteen runs of
+// heavily duplicated keys), and joins and aggregations over inputs that arrive with
 // a selection vector. NaN stays out of sort keys and MIN/MAX arguments:
 // Compare ties NaN with everything, so an order over it is whatever the
 // algorithm makes of an inconsistent comparison.
@@ -423,7 +424,7 @@ func TestAggTableGroupsByEncodedKey(t *testing.T) {
 						t.Fatalf("case %d %s group %d column %d: %v, want the first-seen %v", c, name, g, k, got, want)
 					}
 				}
-				if got := tb.accs[0].counts[g]; got != count[key] {
+				if got := tb.count(0, int32(g)); got != count[key] {
 					t.Fatalf("case %d %s group %d: %d rows, want %d", c, name, g, got, count[key])
 				}
 			}
@@ -590,7 +591,7 @@ func TestAggTableByValueConvertsMidStream(t *testing.T) {
 				if got := tb.vals.Cols[0].Get(g); !oracle.SameValue(got, first[k]) {
 					t.Fatalf("case %d %s group %d: %v, want the first-seen %v", c, name, g, got, first[k])
 				}
-				if got := tb.accs[0].counts[g]; got != count[k] {
+				if got := tb.count(0, int32(g)); got != count[k] {
 					t.Fatalf("case %d %s group %d: %d rows, want %d", c, name, g, got, count[k])
 				}
 				if f, i := tb.accs[1].sums[g], tb.accs[2].sums[g]; math.Float64bits(f) != math.Float64bits(sumF[k]) || math.Float64bits(i) != math.Float64bits(sumI[k]) {

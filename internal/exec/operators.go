@@ -295,26 +295,32 @@ func (j *hashJoinOp) Close(ctx *Ctx) error {
 
 // aggTable is the group table of a hash aggregation, columnar throughout:
 // groups are numbered in first-seen order, each group's group-by values sit
-// in one row of vals, and every aggregate keeps one typed accumulator slice
-// per thing its function needs (aggAcc). The serial operator folds batches
-// straight into one table; a parallel worker folds its morsel run into a
-// private partial — the same fold, except that SUM and AVG arguments are
-// kept in row order instead of added up (deferSums) — which the coordinator
-// then merges into the global table. NULL, COUNT and MIN/MAX tie semantics
-// therefore cannot diverge between the two.
+// in one row of vals, every group counts the rows folded into it once for
+// all aggregates (rows), and every aggregate keeps one typed accumulator
+// slice per thing its function needs (aggAcc). The serial operator folds
+// batches straight into one table; a parallel worker folds its morsel run
+// into a private partial — the same fold, except that SUM and AVG arguments
+// are kept in row order instead of added up (deferSums) — which the
+// coordinator then merges into the global table. NULL, COUNT and MIN/MAX
+// tie semantics therefore cannot diverge between the two.
+//
+// Without GROUP BY there is one group, and no row is resolved to it: a
+// batch adds its length to the count, and a partial's row values go to the
+// one sum in the order they were folded.
 type aggTable struct {
 	groupBy []int
 	aggs    []plan.AggSpec
 	// deferSums marks a run partial: float addition is not associative, so
 	// only the coordinator may add SUM/AVG arguments up, in global row
-	// order. A partial with a SUM or AVG records each folded row's group id
-	// (rowGid) and, per SUM/AVG aggregate, its argument as a float (rowVals)
-	// for merge to add.
+	// order. A partial with a SUM or AVG records, per SUM/AVG aggregate,
+	// each folded row's argument as a float (rowVals) and, with GROUP BY,
+	// the row's group id (rowGid), for merge to add.
 	deferSums bool
 
 	index expr.KeyTable  // group key → group id; empty without GROUP BY
 	vals  expr.Batch     // group id → the group-by columns' values
 	keys  []*expr.ColVec // vals' columns, which index's ids address
+	rows  []int64        // group id → rows folded into the group
 	accs  []aggAcc       // per aggregate
 
 	rowGid  []int32
@@ -330,9 +336,9 @@ type aggTable struct {
 // aggAcc is one aggregate's accumulators, indexed by group id. Only the
 // slices its function reads at emission are maintained; the rest stay nil.
 type aggAcc struct {
-	counts []int64      // COUNT: rows counted; SUM, AVG: non-NULL arguments
-	sums   []float64    // SUM, AVG
-	ext    []expr.Value // MIN, MAX: the extreme so far, NULL until a value arrives
+	nulls []int64      // COUNT, SUM, AVG: rows whose argument was NULL, which count leaves out
+	sums  []float64    // SUM, AVG
+	ext   []expr.Value // MIN, MAX: the extreme so far, NULL until a value arrives
 }
 
 func newAggTable(groupBy []int, aggs []plan.AggSpec, deferSums bool) *aggTable {
@@ -365,9 +371,10 @@ func newAggTable(groupBy []int, aggs []plan.AggSpec, deferSums bool) *aggTable {
 func (t *aggTable) reset() {
 	t.index.Reset()
 	t.vals.Reset()
+	t.rows = t.rows[:0]
 	for i := range t.accs {
 		acc := &t.accs[i]
-		acc.counts, acc.sums, acc.ext = acc.counts[:0], acc.sums[:0], acc.ext[:0]
+		acc.nulls, acc.sums, acc.ext = acc.nulls[:0], acc.sums[:0], acc.ext[:0]
 	}
 	for i := range t.rowVals {
 		t.rowVals[i] = t.rowVals[i][:0]
@@ -381,7 +388,9 @@ func (t *aggTable) reserve(n int) {
 	if t.rowVals == nil {
 		return
 	}
-	t.rowGid = slices.Grow(t.rowGid, n)
+	if len(t.groupBy) > 0 {
+		t.rowGid = slices.Grow(t.rowGid, n)
+	}
 	for i, spec := range t.aggs {
 		if spec.Func == plan.Sum || spec.Func == plan.Avg {
 			t.rowVals[i] = slices.Grow(t.rowVals[i], n)
@@ -389,18 +398,19 @@ func (t *aggTable) reserve(n int) {
 	}
 }
 
-// addGroup numbers a new group and gives every accumulator a zero slot for
-// it. The caller appends the group's group-by values to t.vals.
+// addGroup numbers a new group and gives it, and every accumulator, a zero
+// slot. The caller appends the group's group-by values to t.vals.
 func (t *aggTable) addGroup() int32 {
 	g := int32(t.vals.N)
 	t.vals.N++
+	t.rows = append(t.rows, 0)
 	for i, spec := range t.aggs {
 		acc := &t.accs[i]
 		switch spec.Func {
 		case plan.Count:
-			acc.counts = append(acc.counts, 0)
+			acc.nulls = append(acc.nulls, 0)
 		case plan.Sum, plan.Avg:
-			acc.counts = append(acc.counts, 0)
+			acc.nulls = append(acc.nulls, 0)
 			acc.sums = append(acc.sums, 0)
 		case plan.Min, plan.Max:
 			acc.ext = append(acc.ext, expr.Null())
@@ -411,8 +421,12 @@ func (t *aggTable) addGroup() int32 {
 	return g
 }
 
+// count is aggregate i's count for group g: the group's rows whose
+// argument is not NULL — all of them for COUNT(*).
+func (t *aggTable) count(i int, g int32) int64 { return t.rows[g] - t.accs[i].nulls[g] }
+
 // groupIDs resolves every logical row of in to its group id, creating
-// groups as they are first seen.
+// groups as they are first seen. It needs GROUP BY.
 func (t *aggTable) groupIDs(in *expr.Batch) []int32 {
 	n := in.Len()
 	if cap(t.gid) < n {
@@ -429,16 +443,8 @@ func (t *aggTable) groupIDs(in *expr.Batch) []int32 {
 // columns cols (through sel when it is non-nil), numbering groups in the
 // order they are first seen: the index finds a one-column integer key by
 // value, and otherwise hashes the rows column-wise and checks a hit against
-// the group's values in vals. Without GROUP BY every row belongs to the one
-// group, and the index stays empty.
+// the group's values in vals. It needs GROUP BY.
 func (t *aggTable) resolve(gid []int32, cols []*expr.ColVec, sel []int32) {
-	if len(t.groupBy) == 0 {
-		if len(gid) > 0 && t.vals.N == 0 {
-			t.addGroup()
-		}
-		clear(gid)
-		return
-	}
 	t.index.Resolve(t.keys, cols, sel, gid, func(i int) int32 {
 		g := t.addGroup()
 		for c, col := range cols {
@@ -450,11 +456,12 @@ func (t *aggTable) resolve(gid []int32, cols []*expr.ColVec, sel []int32) {
 
 // fold consumes one batch: aggregate arguments evaluate batch-wise into
 // reused vectors (charging meter exactly what per-row Eval charges), rows
-// resolve to group ids, and each aggregate folds its argument vector's
-// payload into its accumulators in row order. A SUM or AVG of a bare
-// NULL-free Int or Float column reads the batch's column through its
-// selection instead, billed what evaluating the column would bill, in the
-// same place.
+// resolve to group ids and are counted once per group, and each aggregate
+// folds its argument vector's payload into its accumulators in row order.
+// A SUM or AVG of a bare NULL-free Int or Float column reads the batch's
+// column through its selection instead, billed what evaluating the column
+// would bill, in the same place. Without GROUP BY, gid stays nil: every
+// fold below then folds into group 0.
 func (t *aggTable) fold(in *expr.Batch, meter *expr.Cost) {
 	for i, spec := range t.aggs {
 		switch {
@@ -464,57 +471,72 @@ func (t *aggTable) fold(in *expr.Batch, meter *expr.Cost) {
 			expr.EvalBatch(spec.Arg, in, t.argVecs[i], meter)
 		}
 	}
-	gid := t.groupIDs(in)
-	if cap(t.floats) < len(gid) {
-		t.floats = make([]float64, len(gid))
+	n := in.Len()
+	if n == 0 {
+		return
+	}
+	var gid []int32
+	if len(t.groupBy) > 0 {
+		gid = t.groupIDs(in)
+		for _, g := range gid {
+			t.rows[g]++
+		}
+	} else {
+		if t.vals.N == 0 {
+			t.addGroup()
+		}
+		t.rows[0] += int64(n)
+	}
+	if cap(t.floats) < n {
+		t.floats = make([]float64, n)
 	}
 	for i, spec := range t.aggs {
 		acc, vec := &t.accs[i], t.argVecs[i]
 		switch spec.Func {
 		case plan.Count:
-			// COUNT(expr) counts rows where the argument is non-NULL; bare
+			// COUNT(expr) leaves out rows where the argument is NULL; bare
 			// COUNT(*) (nil Arg) counts every row.
-			var nulls []bool
 			if vec != nil {
-				nulls = vec.Nulls
+				countNulls(acc.nulls, gid, vec.Nulls, n)
 			}
-			t.countRows(acc.counts, gid, nulls)
 		case plan.Min:
 			expr.FoldExtremes(acc.ext, gid, vec, -1)
 		case plan.Max:
 			expr.FoldExtremes(acc.ext, gid, vec, +1)
 		default: // Sum, Avg
 			if v := bareSumArg(spec, in); v != nil {
-				t.countRows(acc.counts, gid, nil)
-				t.foldBare(i, gid, v, in.Sel)
+				if v.Kind == expr.KindFloat {
+					foldSum(t, i, gid, v.F, in.Sel, n)
+				} else {
+					foldSum(t, i, gid, v.I, in.Sel, n)
+				}
 				continue
 			}
-			vals := vec.AsFloats(t.floats)
-			t.countRows(acc.counts, gid, vec.Nulls)
-			if t.deferSums {
-				t.rowVals[i] = append(t.rowVals[i], vals...)
-			} else {
-				addFloats(acc.sums, gid, vals, nil)
-			}
+			countNulls(acc.nulls, gid, vec.Nulls, n)
+			foldSum(t, i, gid, vec.AsFloats(t.floats), nil, n)
 		}
 	}
-	if t.rowVals != nil {
+	if t.rowVals != nil && gid != nil {
 		t.rowGid = append(t.rowGid, gid...)
 	}
 }
 
-// countRows counts, per group, the rows whose argument is not NULL.
-// Without GROUP BY and with no NULL argument every row counts towards the
-// one group, so the batch adds its length in one step.
-func (t *aggTable) countRows(counts []int64, gid []int32, nulls []bool) {
-	if len(t.groupBy) == 0 && nulls == nil {
-		if len(gid) > 0 {
-			counts[0] += int64(len(gid))
+// countNulls counts, per group, the first n rows whose argument is NULL
+// (none when nulls is nil). A nil gid counts them all towards group 0.
+func countNulls(counts []int64, gid []int32, nulls []bool, n int) {
+	if nulls == nil {
+		return
+	}
+	if gid == nil {
+		for _, null := range nulls[:n] {
+			if null {
+				counts[0]++
+			}
 		}
 		return
 	}
 	for li, g := range gid {
-		if nulls == nil || !nulls[li] {
+		if nulls[li] {
 			counts[g]++
 		}
 	}
@@ -534,23 +556,14 @@ func bareSumArg(spec plan.AggSpec, in *expr.Batch) *expr.ColVec {
 	return nil
 }
 
-// foldBare folds SUM or AVG aggregate i of a batch whose argument is the
-// NULL-free column v, read through sel: the partial's row values, or the
-// sums.
-func (t *aggTable) foldBare(i int, gid []int32, v *expr.ColVec, sel []int32) {
+// foldSum folds the n row values of SUM or AVG aggregate i of t, vals'
+// elements through sel, into the partial's row values or the sums.
+func foldSum[T int64 | float64](t *aggTable, i int, gid []int32, vals []T, sel []int32, n int) {
 	if t.deferSums {
-		if v.Kind == expr.KindFloat {
-			t.rowVals[i] = appendFloats(t.rowVals[i], v.F, sel, len(gid))
-		} else {
-			t.rowVals[i] = appendFloats(t.rowVals[i], v.I, sel, len(gid))
-		}
+		t.rowVals[i] = appendFloats(t.rowVals[i], vals, sel, n)
 		return
 	}
-	if v.Kind == expr.KindFloat {
-		addFloats(t.accs[i].sums, gid, v.F, sel)
-	} else {
-		addFloats(t.accs[i].sums, gid, v.I, sel)
-	}
+	addFloats(t.accs[i].sums, gid, vals, sel, n)
 }
 
 // appendFloats appends the first n logical elements of vals (through sel)
@@ -568,39 +581,69 @@ func appendFloats[T int64 | float64](dst []float64, vals []T, sel []int32, n int
 	return dst
 }
 
-// addFloats adds each row's value, vals' element through sel, to its
-// group's sum as a float, in row order — the one place SUM and AVG add, so
-// the serial fold and the coordinator's merge of run partials perform the
-// same additions in the same sequence. NULL arguments arrive as +0
-// (ColVec.AsFloats) and are added like any other: a sum starts at +0 and no
-// addition can make it -0, so adding +0 never changes its bits.
-func addFloats[T int64 | float64](sums []float64, gid []int32, vals []T, sel []int32) {
-	if sel == nil {
+// addFloats adds each of n rows' values, vals' elements through sel, to its
+// group's sum — gid's, or group 0's when gid is nil — as a float, in row
+// order: the one place SUM and AVG add, so the serial fold and the
+// coordinator's merge of run partials perform the same additions in the
+// same sequence. NULL arguments arrive as +0 (ColVec.AsFloats) and are
+// added like any other: a sum starts at +0 and no addition can make it -0,
+// so adding +0 never changes its bits.
+func addFloats[T int64 | float64](sums []float64, gid []int32, vals []T, sel []int32, n int) {
+	switch {
+	case gid == nil:
+		s := sums[0]
+		if sel == nil {
+			for _, x := range vals[:n] {
+				s += float64(x)
+			}
+		} else {
+			for _, i := range sel[:n] {
+				s += float64(vals[i])
+			}
+		}
+		sums[0] = s
+	case sel == nil:
 		for li, g := range gid {
 			sums[g] += float64(vals[li])
 		}
-		return
-	}
-	for li, g := range gid {
-		sums[g] += float64(vals[sel[li]])
+	default:
+		for li, g := range gid {
+			sums[g] += float64(vals[sel[li]])
+		}
 	}
 }
 
 // merge folds a run partial into t. Partials must merge in run order —
 // page order × row order is global row order — so every float addition
-// happens in the sequence the serial fold performs it. COUNT is an integer
+// happens in the sequence the serial fold performs it. Counts are integers
 // and MIN/MAX keep the strict-inequality "earliest wins" rule, so those
-// merge losslessly group by group.
+// merge losslessly group by group. Without GROUP BY the partial's one
+// group is t's, and its row values add to the one sum as they stand.
 func (t *aggTable) merge(p *aggTable) {
+	if p.vals.N == 0 {
+		return
+	}
 	// remap (p's group id → t's) lives in t's group-id scratch, which no
 	// merge needs otherwise: one merge per run must not allocate.
 	if cap(t.gid) < p.vals.N {
 		t.gid = make([]int32, p.vals.N)
 	}
 	remap := t.gid[:p.vals.N]
-	t.resolve(remap, p.keys, nil)
-	for r, pg := range p.rowGid {
-		p.rowGid[r] = remap[pg]
+	var rowGid []int32 // nil: every row value is group 0's
+	if len(t.groupBy) > 0 {
+		t.resolve(remap, p.keys, nil)
+		for r, pg := range p.rowGid {
+			p.rowGid[r] = remap[pg]
+		}
+		rowGid = p.rowGid
+	} else {
+		if t.vals.N == 0 {
+			t.addGroup()
+		}
+		remap[0] = 0
+	}
+	for pg, g := range remap {
+		t.rows[g] += p.rows[pg]
 	}
 	for i, spec := range t.aggs {
 		acc, pacc := &t.accs[i], &p.accs[i]
@@ -615,10 +658,10 @@ func (t *aggTable) merge(p *aggTable) {
 			}
 			continue
 		case plan.Sum, plan.Avg:
-			addFloats(acc.sums, p.rowGid, p.rowVals[i], nil)
+			addFloats(acc.sums, rowGid, p.rowVals[i], nil, len(p.rowVals[i]))
 		}
 		for pg, g := range remap {
-			acc.counts[g] += pacc.counts[pg]
+			acc.nulls[g] += pacc.nulls[pg]
 		}
 	}
 }
@@ -655,16 +698,16 @@ func (t *aggTable) emit(out *expr.Batch) {
 		for _, g := range order {
 			switch {
 			case spec.Func == plan.Count:
-				col.Append(expr.Int(acc.counts[g]))
+				col.Append(expr.Int(t.count(i, g)))
 			case spec.Func == plan.Min || spec.Func == plan.Max:
 				col.Append(acc.ext[g])
-			case acc.counts[g] == 0:
+			case t.count(i, g) == 0:
 				// SUM and AVG over zero non-NULL inputs are NULL, not 0.
 				col.Append(expr.Null())
 			case spec.Func == plan.Sum:
 				col.Append(expr.Float(acc.sums[g]))
 			default:
-				col.Append(expr.Float(acc.sums[g] / float64(acc.counts[g])))
+				col.Append(expr.Float(acc.sums[g] / float64(t.count(i, g))))
 			}
 		}
 	}

@@ -592,14 +592,15 @@ func (p *morselPump) produce(w *producer, res *morselResult, idx int, run storag
 }
 
 // open readies the pump: inline when the pool would hold one producer — a
-// single worker, or a table of at most one page (TPC-H region, nation) —
-// else a pool of goroutines. A pooled producer must hold a ticket to claim
-// a run and the coordinator refunds one when it moves past a run, so the
-// runs that are in flight or waiting their turn never exceed the window —
-// a straggler on the next run cannot make the rest of the pool race ahead
-// and buffer the whole table. The results channel and the ring hold a
-// window of runs, so a held ticket guarantees the run's send never blocks
-// and the pool can always drain on its own.
+// single worker, or a heap of at most one run (TPC-H customer, supplier,
+// nation and region at SF 0.01) — else a pool of goroutines, one per run
+// at most. A pooled producer must hold a ticket to claim a run and the
+// coordinator refunds one when it moves past a run, so the runs that are
+// in flight or waiting their turn never exceed the claim window of one run
+// per producer — a straggler on the next run cannot make the rest of the
+// pool race ahead and buffer the whole table. The results channel and the
+// ring hold a window of runs, so a held ticket guarantees the run's send
+// never blocks and the pool can always drain on its own.
 //
 // A pump over a shared pass attaches its consumer here, so co-admitted
 // statements, opened before any is pulled, join the pass at the same page.
@@ -623,14 +624,15 @@ func (p *morselPump) open(ctx *Ctx) {
 	}
 	p.total = p.src.NumMorsels()
 	p.nextIdx, p.run = 0, storage.MorselRun{}
-	pool := min(p.workers, p.total)
+	runs := (p.total + storage.DefaultMorselRunLength - 1) / storage.DefaultMorselRunLength
+	pool := min(p.workers, runs)
 	if pool <= 1 {
 		p.rec = records.Get().(*morselResult)
 		p.inline = p.newProducer(p.rec.scratch())
 		return
 	}
 	p.stop = make(chan struct{})
-	window := 4 * pool
+	window := pool // one run per producer: 32 pages of records in flight each
 	p.results = make(chan *morselResult, window)
 	p.ring = make([]*morselResult, window)
 	p.tickets = make(chan *morselResult, window)

@@ -12,11 +12,12 @@ import "ecodb/internal/storage"
 // expr.KeyTable, aggregate arguments evaluated batch-wise into vectors),
 // one partial per claimed run of adjacent pages. Merged partials come back
 // to the producers with their slots and vectors, so a statement allocates
-// about as many partials as it has runs in flight, not one per run. The
-// coordinator merges
+// about as many partials as its claim window holds runs — one per pooled
+// producer (morselPump.open) — not one per run. The coordinator merges
 // partial tables in ascending page order — resolving each partial's group
 // values in the global table — and emits groups in sorted group-key order,
-// the order of every aggregation.
+// the order of every aggregation. Without GROUP BY a partial resolves no
+// row: it counts its rows and keeps its SUM/AVG arguments alone.
 //
 // Determinism is the design constraint, and it dictates what a partial may
 // pre-reduce:
@@ -26,11 +27,12 @@ import "ecodb/internal/storage"
 //   - SUM and AVG add floats, and float addition is not associative: a
 //     sum-of-partial-sums would drift from the row-order sum in the last
 //     bits. A partial therefore carries, per run, one flat vector of
-//     argument values in row order and one of group ids beside it, and only
-//     the coordinator adds them into the running sums — run order × row
-//     order = global row order, so the bits are those of one fold over the
-//     whole heap, independent of worker count. A run is a fixed window of
-//     adjacent pages, which bounds both vectors.
+//     argument values in row order and, with GROUP BY, one of group ids
+//     beside it, and only the coordinator adds them into the running sums
+//     — run order × row order = global row order, so the bits are those of
+//     one fold over the whole heap, independent of worker count and run
+//     length. A run is a fixed window of adjacent pages, which bounds both
+//     vectors.
 //
 // Simulated accounting replays in the coordinator: per page, the
 // scan/filter/project charges (morselPump.next), then the aggregation's

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -458,13 +459,15 @@ func TestLoweringIsAFunctionOfPlanShapeAlone(t *testing.T) {
 }
 
 // One producer runs on the caller's goroutine: at one worker, and on a
-// one-page table at any worker count, a statement starts no goroutine.
+// heap of at most one run at any worker count, a statement starts no
+// goroutine.
 func TestInlinePumpStartsNoGoroutine(t *testing.T) {
 	// More pages than a pool's claim window, so pooled producers cannot
 	// finish — and exit — before the coordinator takes a page.
-	big, onePage := numbersTable(t, "big", 60000), numbersTable(t, "p1", 50)
-	if onePage.Heap.NumPages() != 1 || big.Heap.NumPages() <= 4*4*storage.DefaultMorselRunLength {
-		t.Fatalf("tables span %d and %d pages", onePage.Heap.NumPages(), big.Heap.NumPages())
+	big, onePage := pagedTable(t, pumpFixturePages(4), 12), numbersTable(t, "p1", 50)
+	oneRun := pagedTable(t, storage.DefaultMorselRunLength, 12)
+	if onePage.Heap.NumPages() != 1 {
+		t.Fatalf("the one-page table spans %d pages", onePage.Heap.NumPages())
 	}
 	shapes := func(tb *catalog.Table) map[string]plan.Node {
 		scan := plan.NewScan(tb, expr.Cmp{Op: expr.GE, L: tb.Schema.Col("k"), R: expr.Const{V: expr.Int(1)}})
@@ -518,6 +521,69 @@ func TestInlinePumpStartsNoGoroutine(t *testing.T) {
 			t.Errorf("%s over one page at workers=4: %d goroutines while open, %d before", name, during, before)
 		}
 	}
+	for name, p := range shapes(oneRun) {
+		if during := run(p, 4); during != before {
+			t.Errorf("%s over one run at workers=4: %d goroutines while open, %d before", name, during, before)
+		}
+	}
+}
+
+// A pooled pump's producers run ahead of its coordinator by at most 32
+// pages of records each: a producer claims a run only with a ticket, and
+// the coordinator refunds one only as it moves past a run. A coordinator
+// that has taken nothing finds exactly that many pages produced, and
+// moving one run on lets exactly one more run through. A heap of one run
+// opens no pool, one a page longer does.
+func TestPooledPumpHoldsAtMostPagesInFlightPerProducer(t *testing.T) {
+	const (
+		workers = 4
+		run     = storage.DefaultMorselRunLength
+		bound   = 32 // pages of records in flight per producer
+	)
+	var produced atomic.Int64
+	pump := func(pages int) *morselPump {
+		return &morselPump{frag: heapFragment(plan.NewScan(pagedTable(t, pages, 12), nil), nil), workers: workers,
+			sink: func() func(*morselResult, storage.MorselRun) {
+				return func(*morselResult, storage.MorselRun) { produced.Add(1) }
+			}}
+	}
+	ctx, _ := testCtx()
+	for _, c := range []struct {
+		pages  int
+		inline bool
+	}{{1, true}, {run, true}, {run + 1, false}} {
+		p := pump(c.pages)
+		p.open(ctx)
+		inline := p.inline != nil
+		p.close(ctx)
+		if inline != c.inline {
+			t.Errorf("a %d-page heap at workers=%d ran inline: %v, want %v", c.pages, workers, inline, c.inline)
+		}
+	}
+
+	produced.Store(0)
+	p := pump(pumpFixturePages(workers))
+	p.open(ctx)
+	defer p.close(ctx)
+	// settle waits for the producers to have run want pages, then long
+	// enough for a page past the bound to show.
+	settle := func(want int64) {
+		for deadline := time.Now().Add(10 * time.Second); produced.Load() < want && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond)
+		if got := produced.Load(); got != want {
+			t.Fatalf("producers ran %d pages ahead of the coordinator, want %d", got, want)
+		}
+	}
+	settle(workers * bound)
+	// The first page of the second run: the first run's ticket comes back.
+	for i := 0; i <= run; i++ {
+		if p.take() == nil {
+			t.Fatalf("the lap ended after %d pages", i)
+		}
+	}
+	settle(workers*bound + run)
 }
 
 // A pooled pump hands a page record, with the selection and projection
@@ -571,7 +637,7 @@ func TestPooledMorselBatchesHoldUntilNextCall(t *testing.T) {
 			}
 		}
 	})
-	if got != len(want) || got <= 4*4*storage.DefaultMorselRunLength {
+	if got != len(want) || got <= 4*storage.DefaultMorselRunLength {
 		t.Fatalf("%d batches at workers=4, %d inline: want equal and past the claim window", got, len(want))
 	}
 }

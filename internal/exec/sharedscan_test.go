@@ -10,7 +10,6 @@ import (
 	"ecodb/internal/plan"
 	"ecodb/internal/scanshare"
 	"ecodb/internal/sim"
-	"ecodb/internal/storage"
 )
 
 func TestSharedScanSingleConsumerMatchesPrivateScan(t *testing.T) {
@@ -184,13 +183,10 @@ func TestSharedScanEarlyCloseStopsProducers(t *testing.T) {
 	const workers = 4
 	// More pages than a claim window, so the producers cannot finish the
 	// lap before the close.
-	tb := numbersTable(t, "t", 60000)
-	if tb.Heap.NumPages() <= 4*workers*storage.DefaultMorselRunLength {
-		t.Fatalf("table spans %d pages, inside one claim window", tb.Heap.NumPages())
-	}
-	k := tb.Schema.Col("k")
+	tb := pagedTable(t, pumpFixturePages(workers), 12)
+	k, rows := tb.Schema.Col("k"), int64(12*tb.Heap.NumPages())
 	scan := plan.NewScan(tb, expr.Cmp{Op: expr.GE, L: k, R: expr.Const{V: expr.Int(100)}})
-	neighbour := plan.NewAgg(plan.NewScan(tb, expr.Cmp{Op: expr.LT, L: k, R: expr.Const{V: expr.Int(50000)}}),
+	neighbour := plan.NewAgg(plan.NewScan(tb, expr.Cmp{Op: expr.LT, L: k, R: expr.Const{V: expr.Int(5 * rows / 6)}}),
 		nil, []plan.AggSpec{{Func: plan.Count, Name: "n"}, {Func: plan.Sum, Arg: tb.Schema.Col("v"), Name: "s"}})
 
 	type outcome struct {

@@ -152,12 +152,44 @@ func (v *ColVec) str(i int32) string {
 // none yet (its slot is still NULL) or when the element orders strictly
 // before (sign < 0, a MIN) or strictly after (sign > 0, a MAX) the slot
 // under Compare — strictly, so among equal values the earliest row's stays.
+// A nil gid folds every element of vec into ext[0], a global aggregate's
+// one group.
 func FoldExtremes(ext []Value, gid []int32, vec *ColVec, sign int) {
+	if gid == nil {
+		foldExtreme(&ext[0], vec, sign)
+		return
+	}
 	for li, g := range gid {
 		if vec.IsNull(li) {
 			continue
 		}
 		cur := &ext[g]
+		var c int
+		switch {
+		case cur.Kind == KindNull: // the group's first value
+			*cur = vec.Get(li)
+			continue
+		case vec.Kind == KindFloat:
+			c = compareFloats(vec.F[li], cur.F)
+		case vec.Kind != KindString:
+			c = compareFloats(float64(vec.I[li]), float64(cur.I))
+		default:
+			c = strings.Compare(vec.str(int32(li)), cur.S)
+		}
+		if c*sign > 0 {
+			*cur = vec.Get(li)
+		}
+	}
+}
+
+// foldExtreme is FoldExtremes for one group: every element of vec into
+// cur. It keeps its own copy of the loop so the grouped loop above reads
+// no gid test per row.
+func foldExtreme(cur *Value, vec *ColVec, sign int) {
+	for li := range vec.Len() {
+		if vec.IsNull(li) {
+			continue
+		}
 		var c int
 		switch {
 		case cur.Kind == KindNull: // the group's first value

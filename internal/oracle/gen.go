@@ -134,14 +134,16 @@ type Col struct {
 var tableWords = []string{"", "a", "ab", "b", "kappa", "zeta", "zeta!"}
 
 // RandTable generates a table of two to four Int, Float, String or Date
-// columns and up to 120 rows (none, one time in twenty). Its pages hold
-// one row to a few dozen, so a table spans up to a dozen morsel runs. A
-// column is NULL-free, about 15 % NULL, or entirely NULL. Ints are mostly
-// 0..4 and sometimes -50..49, and an int column is sometimes nothing but
-// 2⁵³..2⁵³+3, which tie in pairs as floats. Floats take ±0, NaN, 1e10/3
-// or a few small values; strings a small alphabet, dictionary-encoded half
-// the time; dates four days. Values of one kind are drawn as RandConst
-// draws them, so joins and comparisons with constants match often.
+// columns and up to 15 × storage.DefaultMorselRunLength rows (none, one
+// time in twenty). Its pages hold one row to about twenty, so most tables
+// span several morsel runs (and run pooled at two or more workers), about
+// a fifth fit in one, and the longest span fifteen. A column is NULL-free,
+// about 15 % NULL, or entirely NULL. Ints are mostly 0..4 and sometimes
+// -50..49, and an int column is sometimes nothing but 2⁵³..2⁵³+3, which
+// tie in pairs as floats. Floats take ±0, NaN, 1e10/3 or a few small
+// values; strings a small alphabet, dictionary-encoded half the time;
+// dates four days. Values of one kind are drawn as RandConst draws them,
+// so joins and comparisons with constants match often.
 func RandTable(rng *rand.Rand, name string) Table {
 	kinds := []expr.Kind{expr.KindInt, expr.KindFloat, expr.KindString, expr.KindDate}
 	width := 2 + rng.Intn(3)
@@ -156,10 +158,10 @@ func RandTable(rng *rand.Rand, name string) Table {
 		nullP[c] = []float64{0, 0, 0.15, 0.15, 1}[rng.Intn(5)]
 	}
 	tb := &catalog.Table{Name: name, Schema: catalog.NewSchema(schema...),
-		Heap: storage.NewHeap(int64(20 + rng.Intn(400)))}
+		Heap: storage.NewHeap(int64(20 + rng.Intn(100)))}
 	n := 0
 	if rng.Intn(20) > 0 {
-		n = 1 + rng.Intn(120)
+		n = 1 + rng.Intn(15*storage.DefaultMorselRunLength)
 	}
 	for i := 0; i < n; i++ {
 		row := make(expr.Row, width)

@@ -126,12 +126,18 @@ func BindLogical(cat *catalog.Catalog, stmt *SelectStmt) (*plan.Logical, error) 
 
 	// ORDER BY over the output schema: by output name, or — for star
 	// queries, where output positions are the global column space — by
-	// qualified base-table reference.
+	// qualified base-table reference. A name two select items carry for
+	// different values is ambiguous.
 	out := lg.OutputSchema()
 	for _, o := range stmt.OrderBy {
 		col, ok := o.Expr.(ColRef)
 		if !ok {
 			return nil, fmt.Errorf("sql: ORDER BY supports column references only, got %s", o.Expr)
+		}
+		if col.Table == "" && lg.Project != nil {
+			if err := checkOrderByName(lg.Project, col.Name); err != nil {
+				return nil, err
+			}
 		}
 		idx, found := out.Index(col.Name)
 		if col.Table != "" || !found {
@@ -149,6 +155,28 @@ func BindLogical(cat *catalog.Catalog, stmt *SelectStmt) (*plan.Logical, error) 
 
 	lg.Limit = stmt.Limit
 	return lg, nil
+}
+
+// checkOrderByName refuses an ORDER BY name that two select items carry
+// unless both are the same column: SELECT n_name AS x, n_regionkey AS x
+// cannot be ordered by x, SELECT n_name, n_name can be ordered by n_name.
+func checkOrderByName(p *plan.ProjectSpec, name string) error {
+	first := -1
+	for i, n := range p.Names {
+		if n != name {
+			continue
+		}
+		if first < 0 {
+			first = i
+			continue
+		}
+		a, aCol := p.Exprs[first].(expr.Col)
+		b, bCol := p.Exprs[i].(expr.Col)
+		if !aCol || !bCol || a.Idx != b.Idx {
+			return fmt.Errorf("sql: ORDER BY %q is ambiguous: select items %d and %d both carry it", name, first+1, i+1)
+		}
+	}
+	return nil
 }
 
 func isStar(items []SelectItem) bool {

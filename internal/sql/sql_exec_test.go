@@ -6,6 +6,7 @@ package sql
 // programmatically built plan — asserting row-for-row equality.
 
 import (
+	"strings"
 	"testing"
 
 	"ecodb/internal/catalog"
@@ -293,5 +294,36 @@ func TestSQLResultsWorkerInvariant(t *testing.T) {
 	assertRowsEqual(t, r2.Rows, r1.Rows)
 	if st1 != st2 {
 		t.Fatalf("stats diverge across worker counts: %+v vs %+v", st1, st2)
+	}
+}
+
+// An ORDER BY name that two select items carry for different values is a
+// bind error, not a silent sort by the first of them. The same column
+// selected twice under one name, and a name one item carries, still order.
+func TestOrderByRefusesAmbiguousName(t *testing.T) {
+	e := engine.New(engine.ProfileMySQLMemory(), system.NewSUT())
+	tpch.NewGenerator(0.01, 42).Load(e.Catalog(), tpch.Nation)
+	for _, q := range []string{
+		`SELECT n_name AS x, n_regionkey AS x FROM nation ORDER BY x DESC LIMIT 3`,
+		`SELECT n_regionkey, COUNT(*) AS n, SUM(n_nationkey) AS n FROM nation GROUP BY n_regionkey ORDER BY n`,
+	} {
+		if _, err := Plan(e.Catalog(), q); err == nil || !strings.Contains(err.Error(), "is ambiguous") {
+			t.Errorf("Plan(%q): %v, want an ambiguous ORDER BY error", q, err)
+		}
+	}
+	want := []string{"VIETNAM", "UNITED STATES", "UNITED KINGDOM"}
+	for _, q := range []string{
+		`SELECT n_name AS x, n_regionkey AS y FROM nation ORDER BY x DESC LIMIT 3`,
+		`SELECT n_name AS x, n_name AS x FROM nation ORDER BY x DESC LIMIT 3`,
+	} {
+		res, _ := e.Exec(mustPlan(t, e, q))
+		if len(res.Rows) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", q, len(res.Rows), len(want))
+		}
+		for i, row := range res.Rows {
+			if row[0].S != want[i] {
+				t.Errorf("%s: row %d is %v, want %s", q, i, row, want[i])
+			}
+		}
 	}
 }

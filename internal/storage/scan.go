@@ -5,8 +5,13 @@ import "sync/atomic"
 // DefaultMorselRunLength is how many adjacent pages one morsel-run handout
 // covers. Run-length handout gives a worker NUMA-style affinity: it keeps
 // claiming neighbouring pages (socket-local in a real machine) instead of
-// interleaving with every other worker page by page.
-const DefaultMorselRunLength = 8
+// interleaving with every other worker page by page. A run is also the unit
+// a pooled producer hands its coordinator, and an aggregation's or a
+// sort's partial: each handoff costs a channel round trip and a fresh
+// partial, so a longer run spends less on meeting. The executor lets each
+// producer hold one run in flight, so the length also sets the pages of
+// records a statement holds in flight.
+const DefaultMorselRunLength = 32
 
 // MorselSource hands out a heap's pages to concurrent workers in runs of
 // adjacent positions. It is the storage half of the morsel-driven parallel

@@ -286,14 +286,12 @@ func TestMorselSourceHandsOutEveryPageOnce(t *testing.T) {
 // page count is not a multiple of it), runs are claimed in ascending order,
 // and together they tile the heap.
 func TestMorselSourceRunLengthContiguous(t *testing.T) {
+	// Three runs and half of a fourth.
 	h := NewHeap(256)
-	for i := 0; i < 1100; i++ {
+	for i := 0; h.NumPages() < 3*DefaultMorselRunLength+DefaultMorselRunLength/2; i++ {
 		h.Append(expr.Row{expr.Int(int64(i))})
 	}
 	n := h.NumPages()
-	if n < 2*DefaultMorselRunLength || n%DefaultMorselRunLength == 0 {
-		t.Fatalf("need several runs and a short tail, got %d pages", n)
-	}
 	src := NewMorselSource(h)
 	next := 0
 	for i := 0; ; i++ {
