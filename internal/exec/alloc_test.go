@@ -47,8 +47,8 @@ func TestBlockingOperatorsAllocatePerPageNotPerRow(t *testing.T) {
 		"join probe": plan.NewHashJoin(plan.NewScan(dim, nil), plan.NewScan(big, nil),
 			dim.Schema.MustIndex("k"), big.Schema.MustIndex("k"),
 			expr.Cmp{Op: expr.GE, L: expr.Col{Idx: 4}, R: expr.Const{V: expr.Float(1)}}),
-		// v = 10k spans 4991 over 500 keys: a hashed build behind a
-		// presence bitmap, where k's 500 keys are held by value.
+		// v = 10k spans 4991 over 500 keys, k's 500 keys span 499: a
+		// sparse and a dense build, each behind a presence bitmap.
 		"sparse join probe": plan.NewHashJoin(plan.NewScan(dim, nil), plan.NewScan(big, nil),
 			dim.Schema.MustIndex("v"), big.Schema.MustIndex("k"), nil),
 		"grouped aggregation": plan.NewAgg(plan.NewScan(big, nil), []int{0}, []plan.AggSpec{
@@ -264,8 +264,8 @@ func TestPooledPumpAllocationIsFlatInPageCount(t *testing.T) {
 			return plan.NewHashJoin(plan.NewScan(sparse, nil), plan.NewScan(tb, nil),
 				sparse.Schema.MustIndex("v"), tb.Schema.MustIndex("k"), nil)
 		},
-		// GROUP BY l_quantity's shape: 12 integer groups, held by value
-		// in each run partial's array, and a SUM read in place.
+		// GROUP BY l_quantity's shape: 12 integer groups, hashed in each
+		// run partial's table, and a SUM read in place.
 		"group by v": func(tb *catalog.Table) plan.Node {
 			return plan.NewAgg(plan.NewScan(tb, nil), []int{1}, []plan.AggSpec{
 				{Func: plan.Sum, Arg: tb.Schema.Col("k"), Name: "sum_k"},

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"ecodb/internal/expr"
@@ -449,168 +448,5 @@ func TestAggTableGroupsByEncodedKey(t *testing.T) {
 	}
 	if grown < 100 {
 		t.Fatalf("only %d cases held more than 16 groups", grown)
-	}
-}
-
-// A one-column integer GROUP BY starts by value, in a 1024-wide window
-// centred on its first key. Each case folds batches whose new keys step
-// outwards on both sides until they reach both edges of the window; then
-// one batch stops it mid-stream — at a NULL key, a key one past either
-// edge, or a batch whose key vector is all NULL, of kind Null — and the
-// rest fold hashed. Serially,
-// and through one recycled run partial merged in run order, the groups,
-// their first-seen values, their counts, the SUM of a bare Float and the
-// AVG of a bare Int column (both read in place, bit for bit in row order)
-// and the emission order must be the reference's.
-func TestAggTableByValueConvertsMidStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	aggs := []plan.AggSpec{
-		{Func: plan.Count, Name: "n"},
-		{Func: plan.Sum, Arg: expr.Col{Idx: 1}, Name: "sum_f"},
-		{Func: plan.Avg, Arg: expr.Col{Idx: 2}, Name: "avg_i"},
-	}
-	layout := func(tb *aggTable) (byValue bool, width int) {
-		ix := reflect.ValueOf(&tb.index).Elem()
-		if byValue = !ix.FieldByName("hashed").Bool(); byValue {
-			width = ix.FieldByName("val").Elem().FieldByName("direct").Len()
-		}
-		return byValue, width
-	}
-	// The new keys in arrival order: 0, the first, then outwards three
-	// apart on alternate sides, then both edges of the window around 0.
-	fresh := []int64{0}
-	for x := int64(3); x < 500; x += 3 {
-		fresh = append(fresh, x, -x)
-	}
-	fresh = append(fresh, -512, 511)
-	for c := 0; c < 60; c++ {
-		kind := expr.KindInt
-		if c%2 == 1 {
-			kind = expr.KindDate
-		}
-		var held []int64
-		batch := func(n int, keyAt func(li int) expr.Value) *expr.Batch {
-			b := expr.NewBatch(3)
-			for li := 0; li < n; li++ {
-				b.AppendRow(expr.Row{keyAt(li), expr.Float(rng.NormFloat64() * 1e3), expr.Int(rng.Int63n(1e6) - 5e5)})
-			}
-			if rng.Intn(2) == 0 {
-				b.Sel = []int32{}
-				for i := 0; i < n; i++ {
-					if rng.Intn(4) > 0 {
-						b.Sel = append(b.Sel, int32(i))
-					}
-				}
-			}
-			return b
-		}
-		// A key held already, or the next new one.
-		key := func(int) expr.Value {
-			if len(held) == len(fresh) || len(held) > 0 && rng.Intn(3) > 0 {
-				return expr.Value{Kind: kind, I: held[rng.Intn(len(held))]}
-			}
-			held = append(held, fresh[len(held)])
-			return expr.Value{Kind: kind, I: held[len(held)-1]}
-		}
-		var batches []*expr.Batch
-		for len(held) < len(fresh) {
-			batches = append(batches, batch(1+rng.Intn(300), key))
-		}
-		batches[0].Sel = nil // so that the first key is 0
-		filled := len(batches)
-		at := rng.Intn(100)
-		switch c / 2 % 4 {
-		case 0, 1, 2: // a NULL, or a key one past either edge, at row at
-			trigger := []expr.Value{expr.Null(), {Kind: kind, I: 512}, {Kind: kind, I: -513}}[c/2%4]
-			b := batch(100, func(li int) expr.Value {
-				if li == at {
-					return trigger
-				}
-				return key(li)
-			})
-			b.Sel = nil // the row at must reach the table
-			batches = append(batches, b)
-		case 3: // an all-NULL batch: a vector of kind Null
-			batches = append(batches, batch(100, func(int) expr.Value { return expr.Null() }))
-		}
-		for range 1 + rng.Intn(3) {
-			batches = append(batches, batch(1+rng.Intn(200), func(li int) expr.Value {
-				if rng.Intn(20) == 0 {
-					return expr.Null()
-				}
-				return key(li)
-			}))
-		}
-
-		// The reference: groups by encoded key in first-seen order, each
-		// sum added in row order.
-		var order []string
-		first := map[string]expr.Value{}
-		count := map[string]int64{}
-		sumF, sumI := map[string]float64{}, map[string]float64{}
-		for _, b := range batches {
-			for li := 0; li < b.Len(); li++ {
-				i := b.RowIdx(li)
-				v := b.Cols[0].Get(i)
-				k := oracle.GroupKey(v)
-				if _, ok := first[k]; !ok {
-					order = append(order, k)
-					first[k] = v
-				}
-				count[k]++
-				sumF[k] += b.Cols[1].Get(i).F
-				sumI[k] += float64(b.Cols[2].Get(i).I)
-			}
-		}
-
-		var meter expr.Cost
-		serial := newAggTable([]int{0}, aggs, false)
-		merged, part := newAggTable([]int{0}, aggs, false), newAggTable([]int{0}, aggs, true)
-		for i := 0; i < len(batches); {
-			end := min(len(batches), i+1+rng.Intn(3))
-			for ; i < end; i++ {
-				if i == filled {
-					if byValue, width := layout(serial); !byValue || width != 1024 {
-						t.Fatalf("case %d: %d groups in, by value %v over %d keys, want the 1024-wide window", c, serial.vals.N, byValue, width)
-					}
-				}
-				serial.fold(batches[i], &meter)
-				part.fold(batches[i], &meter)
-			}
-			merged.merge(part)
-			part.reset()
-		}
-		if byValue, _ := layout(serial); byValue {
-			t.Fatalf("case %d: the table still holds its keys by value after the batch that stops it", c)
-		}
-		for name, tb := range map[string]*aggTable{"serial": serial, "merged": merged} {
-			if tb.vals.N != len(order) {
-				t.Fatalf("case %d %s: %d groups, want %d", c, name, tb.vals.N, len(order))
-			}
-			for g, k := range order {
-				if got := tb.vals.Cols[0].Get(g); !oracle.SameValue(got, first[k]) {
-					t.Fatalf("case %d %s group %d: %v, want the first-seen %v", c, name, g, got, first[k])
-				}
-				if got := tb.count(0, int32(g)); got != count[k] {
-					t.Fatalf("case %d %s group %d: %d rows, want %d", c, name, g, got, count[k])
-				}
-				if f, i := tb.accs[1].sums[g], tb.accs[2].sums[g]; math.Float64bits(f) != math.Float64bits(sumF[k]) || math.Float64bits(i) != math.Float64bits(sumI[k]) {
-					t.Fatalf("case %d %s group %d: sums %v and %v, want %v and %v", c, name, g, f, i, sumF[k], sumI[k])
-				}
-			}
-			out := expr.NewBatch(1 + len(aggs))
-			tb.emit(out)
-			prev := ""
-			for r := 0; r < out.N; r++ {
-				k := oracle.GroupKey(out.Cols[0].Get(r))
-				if r > 0 && k <= prev {
-					t.Fatalf("case %d %s: emitted row %d is not after row %d in key order", c, name, r, r-1)
-				}
-				if n := out.Cols[1].Get(r).I; n != count[k] {
-					t.Fatalf("case %d %s: emitted row %d counts %d, want %d", c, name, r, n, count[k])
-				}
-				prev = k
-			}
-		}
 	}
 }

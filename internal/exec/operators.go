@@ -441,9 +441,8 @@ func (t *aggTable) groupIDs(in *expr.Batch) []int32 {
 
 // resolve sets gid[li] to the group id of logical row li of the group-by
 // columns cols (through sel when it is non-nil), numbering groups in the
-// order they are first seen: the index finds a one-column integer key by
-// value, and otherwise hashes the rows column-wise and checks a hit against
-// the group's values in vals. It needs GROUP BY.
+// order they are first seen: the index hashes the rows column-wise and
+// checks a hit against the group's values in vals. It needs GROUP BY.
 func (t *aggTable) resolve(gid []int32, cols []*expr.ColVec, sel []int32) {
 	t.index.Resolve(t.keys, cols, sel, gid, func(i int) int32 {
 		g := t.addGroup()

@@ -9,7 +9,7 @@ import (
 // Dict is an order-preserving string dictionary: the distinct words of a
 // column sorted ascending, so code order equals string order. That ordering
 // is what lets range predicates over a dictionary-encoded column compile to
-// integer code-range tests — `v < k` becomes `code < LowerBound(k)` — while
+// integer code-range tests — `v < k` becomes `code < lowerBound(k)` — while
 // equality becomes a single code comparison. Dictionaries are immutable
 // once built and shared by every page vector of the column.
 type Dict struct {
@@ -62,13 +62,13 @@ func (d *Dict) hashes() []uint64 {
 	return d.hash
 }
 
-// LowerBound returns the first code whose word is >= s (possibly Len()).
-func (d *Dict) LowerBound(s string) int32 {
+// lowerBound returns the first code whose word is >= s (possibly Len()).
+func (d *Dict) lowerBound(s string) int32 {
 	return int32(sort.SearchStrings(d.words, s))
 }
 
-// UpperBound returns the first code whose word is > s (possibly Len()).
-func (d *Dict) UpperBound(s string) int32 {
+// upperBound returns the first code whose word is > s (possibly Len()).
+func (d *Dict) upperBound(s string) int32 {
 	return int32(sort.Search(len(d.words), func(i int) bool { return d.words[i] > s }))
 }
 

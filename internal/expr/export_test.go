@@ -25,22 +25,13 @@ func FilterFallback(pred Expr, in *Batch, cand, out []int32, cost *Cost) []int32
 // Slots returns the number of slots of the table's key index.
 func (t *JoinTable) Slots() int { return len(t.table.slots) }
 
-var (
-	DirectSpan   = directSpan
-	PresenceSpan = presenceSpan
-)
+var PresenceSpan = presenceSpan
 
-// Layout names the way the table finds a probe key: "by value", "bitmap"
-// (hashed behind a presence bitmap) or "hashed".
+// Layout names the way the table finds a probe key: "bitmap" (hashed
+// behind a presence bitmap) or "hashed".
 func (t *JoinTable) Layout() string {
-	switch {
-	case !t.table.hashed:
-		return "by value"
-	case t.present != nil:
+	if t.present != nil {
 		return "bitmap"
 	}
 	return "hashed"
 }
-
-// ByValue reports whether the table still holds its keys by value.
-func (t *KeyTable) ByValue() bool { return !t.hashed }

@@ -11,11 +11,10 @@ import "slices"
 // BuildJoinTable returns the table is read-only and safe to probe from any
 // number of goroutines, each with its own ProbeScratch.
 //
-// An Int, Date or Bool key column picks its layout from the span of its
-// joinable keys against their count n. Within directSpan(n) the KeyTable
-// holds them by value; past it but within presenceSpan(n) the table hashes
-// them, and a bitmap with one bit per value of the span marks the keys
-// present, so a probe hashes and verifies only the rows whose bit is set.
+// The KeyTable hashes every key. An Int, Date or Bool key column whose n
+// joinable keys lie within presenceSpan(n) consecutive values also gets a
+// bitmap with one bit per value of that span marking the keys present, so
+// a probe hashes and verifies only the rows whose bit is set.
 type JoinTable struct {
 	keys  [1]*ColVec // the build key column, which the table's ids address
 	table KeyTable
@@ -66,20 +65,16 @@ func BuildJoinTable(keys *ColVec) *JoinTable {
 	return t
 }
 
-// layOut picks the table's layout from the span of the build's joinable
-// keys, rows, and fills the bitmap when it takes one.
+// layOut sizes the table for the build's joinable keys, rows, and fills
+// the presence bitmap when their span takes one.
 func (t *JoinTable) layOut(rows []int32) {
 	v := t.keys[0]
-	if len(rows) > 0 && byValueKind(v.Kind) {
+	if len(rows) > 0 && (v.Kind == KindInt || v.Kind == KindDate || v.Kind == KindBool) {
 		lo, hi := v.I[rows[0]], v.I[rows[0]]
 		for _, r := range rows {
 			lo, hi = min(lo, v.I[r]), max(hi, v.I[r])
 		}
-		switch span := uint64(hi - lo); {
-		case span < uint64(directSpan(len(rows))):
-			t.table.layOut(v.Kind, lo, hi)
-			return
-		case span < uint64(presenceSpan(len(rows))):
+		if span := uint64(hi - lo); span < uint64(presenceSpan(len(rows))) {
 			t.present, t.lo, t.kind = make([]uint64, span/64+1), lo, v.Kind
 			for _, r := range rows {
 				o := uint64(v.I[r] - lo)
@@ -87,7 +82,6 @@ func (t *JoinTable) layOut(rows []int32) {
 			}
 		}
 	}
-	t.table.hash()
 	t.table.reserve(len(rows))
 }
 

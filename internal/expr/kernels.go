@@ -328,13 +328,13 @@ func selCmpCodes(op CmpOp, codes []int32, d *Dict, k string, cand, out []int32) 
 		}
 		return copyCand(cand, len(codes), out)
 	case LT:
-		return selCmpOrd(LT, codes, d.LowerBound(k), cand, out)
+		return selCmpOrd(LT, codes, d.lowerBound(k), cand, out)
 	case LE:
-		return selCmpOrd(LT, codes, d.UpperBound(k), cand, out)
+		return selCmpOrd(LT, codes, d.upperBound(k), cand, out)
 	case GT:
-		return selCmpOrd(GE, codes, d.UpperBound(k), cand, out)
+		return selCmpOrd(GE, codes, d.upperBound(k), cand, out)
 	default: // GE
-		return selCmpOrd(GE, codes, d.LowerBound(k), cand, out)
+		return selCmpOrd(GE, codes, d.lowerBound(k), cand, out)
 	}
 }
 

@@ -13,79 +13,40 @@ import (
 // column of a join's build side — at the row their id names. The zero
 // value is an empty table holding nothing.
 //
-// A key that is one non-NULL Int, Date or Bool is found by value while
-// every key held is of a single kind and falls in one window of values: the
-// id of key x sits at direct[x-lo] as id+1, found with one load and never
-// hashed. A join build lays the window out over its keys' span (layOut); a
-// GROUP BY's is directSpan(1) wide, centred on its first key, and never
-// grows. The first key that does not fit — a NULL, another kind or width of
-// key, or one outside the window — moves every key into the hashed layout
-// below, once and one way, until Reset.
-//
-// The hashed layout: slots are a power of two, at most half full, probed
-// linearly; each packs the key hash's top 32 bits (its tag) with id+1, so
-// one load rejects nearly every other key, and growth re-places a key
-// without rehashing it. A batch of rows is looked up in three passes. The
-// first takes each row's first slot that is empty or carries its tag: a
-// candidate id, or a miss. The second checks every candidate against the
-// stored key, column by column in one typed loop per column (verify) —
-// group-key equality: one NULL group, kinds apart, floats by FloatKey. The
-// third looks up again, key by key, the rare row whose candidate was
-// another key with the same tag. Resolve then adds the keys the batch
-// missed, key by key in row order.
+// Slots are a power of two, at most half full, probed linearly; each packs
+// the key hash's top 32 bits (its tag) with id+1, so one load rejects
+// nearly every other key, and growth re-places a key without rehashing it.
+// A batch of rows is looked up in three passes. The first takes each row's
+// first slot that is empty or carries its tag: a candidate id, or a miss.
+// The second checks every candidate against the stored key, column by
+// column in one typed loop per column (verify) — group-key equality: one
+// NULL group, kinds apart, floats by FloatKey. The third looks up again,
+// key by key, the rare row whose candidate was another key with the same
+// tag. Resolve then adds the keys the batch missed, key by key in row
+// order.
 //
 // Resolve must not run beside any other call; once the Resolves are done,
 // any number of goroutines may look keys up at once.
 type KeyTable struct {
-	n      int         // keys stored
-	hashed bool        // the hashed layout holds the keys: one way, until Reset
-	shift  uint8       // 64 - log2(len(slots)): a hash's home slot is hash>>shift
-	val    *valueIndex // the by-value layout; nil until a key arrives by value
-	slots  []uint64    // per slot: tag << 32 | id+1; 0 = empty
-	hashes []uint64    // Resolve's key hashes, one batch at a time
+	n      int      // keys stored
+	shift  uint8    // 64 - log2(len(slots)): a hash's home slot is hash>>shift
+	slots  []uint64 // per slot: tag << 32 | id+1; 0 = empty
+	hashes []uint64 // Resolve's key hashes, one batch at a time
 }
 
-// valueIndex is a KeyTable's by-value layout, kept apart so that a table
-// that never holds a key by value — a GROUP BY-less aggregate's, or a run
-// partial's under one — stays small. direct covers the keys of kind from
-// lo to lo+len(direct)-1, offsets taken mod 2^64, so a window at either end
-// of int64 wraps round to the other and still gives each key its own
-// element.
-type valueIndex struct {
-	direct []int32 // per key x: id+1 at x-lo; 0 = absent
-	lo     int64
-	kind   Kind
-}
-
-// minKeySlots is the slot count of a hashed table's first allocation.
+// minKeySlots is the slot count of a table's first allocation.
 const minKeySlots = 8
 
 // recheck marks, in a batch's ids, a row whose candidate verify rejected.
 const recheck = -2
 
-// directSpan is the widest span of keys a by-value array may cover for n
-// keys: 4n int32s are the 16n bytes of the 2n 8-byte slots a hashed table
-// of n keys takes at least. Fewer than 256 keys may still span 1024, a
-// 4 KB array, so that a few dozen small keys, such as TPC-H quantities,
-// need not be dense to skip hashing; that is a GROUP BY's whole window.
-func directSpan(n int) int { return max(1024, 4*n) }
-
-// byValueKind reports whether keys of kind k can be found by value: the
-// kinds whose payload is the int64 I.
-func byValueKind(k Kind) bool { return k == KindInt || k == KindDate || k == KindBool }
-
-// Reset empties the table for the next keys, keeping its memory, and lets
-// them start by value again.
+// Reset empties the table for the next keys, keeping its memory.
 func (t *KeyTable) Reset() {
-	if t.val != nil {
-		clear(t.val.direct)
-		t.val.direct = t.val.direct[:0] // no window until the next first key
-	}
 	clear(t.slots)
-	t.n, t.hashed = 0, false
+	t.n = 0
 }
 
-// reserve makes room in the hashed layout for n more keys.
+// reserve makes room for n more keys.
 func (t *KeyTable) reserve(n int) {
 	if 2*(t.n+n) > len(t.slots) {
 		t.grow(n)
@@ -118,54 +79,6 @@ func (t *KeyTable) place(s uint64) {
 	t.slots[p] = s
 }
 
-// layOut starts an empty table by value over the keys [lo, hi] of kind k:
-// how a join build, which knows its keys before it adds them, sizes the
-// window.
-func (t *KeyTable) layOut(k Kind, lo, hi int64) {
-	t.val = &valueIndex{direct: make([]int32, uint64(hi-lo)+1), lo: lo, kind: k}
-}
-
-// startAt readies an empty table for keys of kind k, the first of them x:
-// unless layOut gave it a window, one directSpan(1) wide centred on x.
-func (t *KeyTable) startAt(k Kind, x int64) {
-	if t.val == nil {
-		t.val = new(valueIndex)
-	}
-	v := t.val
-	v.kind = k
-	if len(v.direct) == 0 {
-		w := directSpan(1)
-		if cap(v.direct) < w {
-			v.direct = make([]int32, w)
-		}
-		v.direct, v.lo = v.direct[:w], x-int64(w/2)
-	}
-}
-
-// hash moves the table to the hashed layout for good, re-placing every key
-// held by value under the hash HashKeys gives a one-column key.
-func (t *KeyTable) hash() {
-	if t.hashed {
-		return
-	}
-	t.hashed = true
-	n := t.n
-	t.n = 0
-	t.reserve(n)
-	t.n = n
-	if n == 0 {
-		return
-	}
-	v := t.val
-	for o, e := range v.direct {
-		if e != 0 {
-			h := mix(0, uint64(v.lo+int64(o)))
-			t.place(h>>32<<32 | uint64(uint32(e)))
-		}
-	}
-	clear(v.direct)
-}
-
 // Resolve sets ids[li], for each logical row li of cols (through sel, or
 // the first len(ids) rows when sel is nil), to the id of the stored key
 // equal to that row's. A key not stored yet takes the id add returns for
@@ -173,11 +86,10 @@ func (t *KeyTable) hash() {
 // every keys vector that row's key before it returns. New keys are added
 // in row order.
 func (t *KeyTable) Resolve(keys, cols []*ColVec, sel []int32, ids []int32, add func(i int) int32) {
-	if len(ids) == 0 || !t.hashed && t.resolveByValue(cols, sel, ids, add) {
+	if len(ids) == 0 {
 		return
 	}
-	t.hash() // a no-op unless the batch stopped the by-value layout
-	t.hashes = HashKeys(t.hashes, cols, sel, len(ids))
+	t.hashes = hashKeys(t.hashes, cols, sel, len(ids))
 	t.lookupHashed(t.hashes, keys, cols, sel, ids)
 	for li := range ids {
 		if ids[li] >= 0 {
@@ -195,82 +107,23 @@ func (t *KeyTable) Resolve(keys, cols []*ColVec, sel []int32, ids []int32, add f
 	}
 }
 
-// resolveByValue resolves the batch as Resolve does in the by-value layout
-// and reports true, or stops at the first row it cannot hold and reports
-// false: the rows before it are resolved and their new keys added, and the
-// hashed layout finds them again.
-func (t *KeyTable) resolveByValue(cols []*ColVec, sel []int32, ids []int32, add func(i int) int32) bool {
-	c := cols[0]
-	if len(cols) != 1 || !byValueKind(c.Kind) || t.n > 0 && c.Kind != t.val.kind {
-		return false
-	}
-	if t.n == 0 {
-		i := at(sel, 0)
-		if c.Nulls != nil && c.Nulls[i] {
-			return false
-		}
-		t.startAt(c.Kind, c.I[i])
-	}
-	direct, lo, span := t.val.direct, t.val.lo, uint64(len(t.val.direct))
-	for li := range ids {
-		i := at(sel, li)
-		o := uint64(c.I[i] - lo)
-		if o >= span || c.Nulls != nil && c.Nulls[i] {
-			return false
-		}
-		if e := direct[o]; e != 0 {
-			ids[li] = e - 1
-			continue
-		}
-		id := add(i)
-		direct[o] = id + 1
-		t.n++
-		ids[li] = id
-	}
-	return true
-}
-
 // lookup sets ids[li] as Resolve does, but to -1 for a key the table does
-// not hold, and stores nothing. The hashed layout hashes the keys into
-// *hashes, the caller's scratch.
+// not hold, and stores nothing. It hashes the keys into *hashes, the
+// caller's scratch.
 func (t *KeyTable) lookup(keys, cols []*ColVec, sel []int32, ids []int32, hashes *[]uint64) {
-	switch {
-	case t.n == 0:
-		for li := range ids {
-			ids[li] = -1
-		}
-	case !t.hashed:
-		t.val.lookup(cols[0], sel, ids)
-	default:
-		*hashes = HashKeys(*hashes, cols, sel, len(ids))
-		t.lookupHashed(*hashes, keys, cols, sel, ids)
-	}
-}
-
-// lookup is KeyTable.lookup in the by-value layout, whose keys are one
-// column: a NULL, a key of another kind and one outside the array are held
-// by no id.
-func (v *valueIndex) lookup(c *ColVec, sel []int32, ids []int32) {
-	if c.Kind != v.kind {
+	if t.n == 0 {
 		for li := range ids {
 			ids[li] = -1
 		}
 		return
 	}
-	direct, lo, span := v.direct, v.lo, uint64(len(v.direct))
-	for li := range ids {
-		i := at(sel, li)
-		id := int32(-1)
-		if o := uint64(c.I[i] - lo); o < span && (c.Nulls == nil || !c.Nulls[i]) {
-			id = direct[o] - 1
-		}
-		ids[li] = id
-	}
+	*hashes = hashKeys(*hashes, cols, sel, len(ids))
+	t.lookupHashed(*hashes, keys, cols, sel, ids)
 }
 
-// lookupHashed is lookup in the hashed layout, the keys' hashes given. It
-// runs the three passes: candidates, verify, and a key-by-key look at the
-// rows verify rejected.
+// lookupHashed is lookup, the keys' hashes given. It runs the three
+// passes: candidates, verify, and a key-by-key look at the rows verify
+// rejected.
 func (t *KeyTable) lookupHashed(hashes []uint64, keys, cols []*ColVec, sel []int32, ids []int32) {
 	if t.n == 0 {
 		for li := range ids {
@@ -426,10 +279,10 @@ func hashString(s string) uint64 { return maphash.String(stringSeed, s) }
 // mix folds element hash x into row hash h.
 func mix(h, x uint64) uint64 { return (bits.RotateLeft64(h, 26) ^ x) * hashMul }
 
-// HashKeys sets h[li] to the key hash of logical row li of cols — through
+// hashKeys sets h[li] to the key hash of logical row li of cols — through
 // sel, or the first n rows when sel is nil — as KeyTable.Resolve takes
 // them, and returns h, grown to n when it was shorter.
-func HashKeys(h []uint64, cols []*ColVec, sel []int32, n int) []uint64 {
+func hashKeys(h []uint64, cols []*ColVec, sel []int32, n int) []uint64 {
 	if cap(h) < n {
 		h = make([]uint64, n)
 	}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"slices"
 	"testing"
 
 	. "ecodb/internal/expr"
@@ -166,18 +165,19 @@ func thresholdSeed(rng *rand.Rand, rows int) (build, probe []byte) {
 	return build, probe
 }
 
-// For arbitrary integer build and probe keys, a JoinTable — by value,
-// behind a bitmap or hashed — yields the pairs of a nested loop over
-// canonical Values, in its order. The seeds put spans at each layout's
-// threshold and one past it, at 6, 300 and 1100 build rows, at both ends
-// of int64 and across its whole range.
+// For arbitrary integer build and probe keys, a JoinTable — behind a
+// bitmap or hashed — yields the pairs of a nested loop over canonical
+// Values, in its order. The seeds put spans at the bitmap's threshold and
+// either side of it, at 6, 300 and 1100 build rows, from -7 and ending at
+// the top of int64, then at its bottom and across its whole range.
 func FuzzJoinTableIntegerKeys(f *testing.F) {
 	rng := rand.New(rand.NewSource(71))
 	for _, rows := range []int{6, 300, 1100} {
 		build, probe := thresholdSeed(rng, rows)
-		for _, span := range []int{DirectSpan(rows), PresenceSpan(rows)} {
-			for _, s := range []int{span - 1, span, span + 1} {
-				f.Add(int64(-7), uint64(s), build, probe, uint8(0))
+		span := PresenceSpan(rows)
+		for _, s := range []int{span - 1, span, span + 1} {
+			for _, base := range []int64{-7, math.MaxInt64 - int64(s-1)} {
+				f.Add(base, uint64(s), build, probe, uint8(0))
 			}
 		}
 	}
@@ -197,11 +197,11 @@ func FuzzJoinTableIntegerKeys(f *testing.F) {
 	})
 }
 
-// A join build takes the by-value layout up to directSpan of its joinable
-// keys, a presence bitmap beyond it up to presenceSpan, and the plain
-// hashed layout past that: each threshold holds exactly, at both ends of
-// int64. In every layout a probe vector with no integer payload — all
-// NULL, or floats equal to build keys as numbers — matches nothing.
+// A join build takes a presence bitmap while its joinable keys span at
+// most presenceSpan values, and the plain hashed layout past that: the
+// threshold holds exactly, at both ends of int64. In either layout a probe
+// vector with no integer payload — all NULL, or floats equal to build keys
+// as numbers — matches nothing.
 func TestJoinTableLayoutFollowsKeySpan(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for _, rows := range []int{6, 300, 1100} {
@@ -210,8 +210,7 @@ func TestJoinTableLayoutFollowsKeySpan(t *testing.T) {
 			span   int
 			layout string
 		}{
-			{DirectSpan(rows) - 1, "by value"}, {DirectSpan(rows), "by value"}, {DirectSpan(rows) + 1, "bitmap"},
-			{PresenceSpan(rows), "bitmap"}, {PresenceSpan(rows) + 1, "hashed"},
+			{1, "bitmap"}, {PresenceSpan(rows), "bitmap"}, {PresenceSpan(rows) + 1, "hashed"},
 		}
 		for _, c := range cases {
 			for _, base := range []int64{-7, math.MinInt64, math.MaxInt64 - int64(c.span-1)} {
@@ -226,64 +225,6 @@ func TestJoinTableLayoutFollowsKeySpan(t *testing.T) {
 				}
 				joinMatchesNestedLoop(t, b, nulls, nil)
 				joinMatchesNestedLoop(t, b, floats, nil)
-			}
-		}
-	}
-}
-
-// A group table holds one column of Int, Date or Bool keys by value while
-// every key falls in the directSpan(1)-wide window centred on its first key
-// — wrapping round at either end of int64 — and moves them to the hashed
-// layout at the first key outside it; ids are first-seen order either way.
-// After Reset, a first key outside the old window centres a new one.
-func TestKeyTableHoldsKeysByValueWithinItsWindow(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	half := int64(DirectSpan(1) / 2)
-	var table KeyTable
-	for _, first := range []int64{-5, 5, 0, math.MinInt64, math.MaxInt64, 1 << 40} {
-		for _, past := range []int64{0, -half - 1, half} { // 0: no key outside
-			// The first key, then 300 more from its window, both edges
-			// among them, then the key past it, if any, and 20 more.
-			keys := []int64{first, first - half, first + half - 1}
-			for _, o := range rng.Perm(DirectSpan(1))[:300] {
-				if k := first - half + int64(o); k != first && k != first-half && k != first+half-1 {
-					keys = append(keys, k)
-				}
-			}
-			rng.Shuffle(len(keys)-1, func(i, j int) { keys[i+1], keys[j+1] = keys[j+1], keys[i+1] })
-			if past != 0 {
-				keys = append(keys, first+past)
-			}
-			for _, o := range rng.Perm(int(2 * half))[:20] {
-				if k := first - half + int64(o); !slices.Contains(keys, k) {
-					keys = append(keys, k)
-				}
-			}
-			table.Reset()
-			stored := &ColVec{}
-			ids := make([]int32, 0, 64)
-			for pass := range 2 { // the second pass finds every key again
-				for from := 0; from < len(keys); {
-					to := min(len(keys), from+1+rng.Intn(64))
-					batch := IntVec(KindInt, append([]int64(nil), keys[from:to]...))
-					ids = ids[:to-from]
-					table.Resolve([]*ColVec{stored}, []*ColVec{&batch}, nil, ids, func(i int) int32 {
-						if pass > 0 {
-							t.Fatalf("first key %d, past %d: key %d added twice", first, past, batch.I[i])
-						}
-						stored.Append(batch.Get(i))
-						return int32(stored.Len() - 1)
-					})
-					for li, id := range ids {
-						if id != int32(from+li) {
-							t.Fatalf("first key %d, past %d: key %d took id %d, want %d", first, past, from+li, id, from+li)
-						}
-					}
-					from = to
-				}
-			}
-			if got, want := table.ByValue(), past == 0; got != want {
-				t.Errorf("first key %d, a key %+d from it: by value %v, want %v", first, past, got, want)
 			}
 		}
 	}
