@@ -349,14 +349,17 @@ func (r *Rows) Stats() ExecStats {
 	return r.stats
 }
 
-// finish charges the result path (exec.CostModel.Result) and freezes the
-// statistics.
+// finish closes the operator tree, ends the statement's leases
+// (exec.Account), charges the result path (exec.CostModel.Result) and
+// freezes the statistics. The consumer has read the last batch by now:
+// nothing an operator handed out is read after the release.
 func (r *Rows) finish() {
 	if r.finished {
 		return
 	}
 	r.finished = true
 	r.op.Close(r.ctx)
+	r.ctx.Mem.Release()
 
 	e, ctx := r.e, r.ctx
 	c := e.mach.CPUModel()

@@ -89,6 +89,8 @@ func TestBlockingOperatorsAllocatePerPageNotPerRow(t *testing.T) {
 
 // A global aggregate — what scan_filter and shared_scan serve — resolves no
 // group key: neither its table nor a run partial allocates a hash table.
+// The tables are the ones the statement leased; emptying the lease pools
+// first makes each of them new, so one that had a hash table built it.
 func TestGlobalAggregateBuildsNoHashTable(t *testing.T) {
 	tb := pagedTable(t, 3*storage.DefaultMorselRunLength, 12)
 	n := plan.NewAgg(plan.NewScan(tb, nil), nil, []plan.AggSpec{
@@ -96,6 +98,7 @@ func TestGlobalAggregateBuildsNoHashTable(t *testing.T) {
 		{Func: plan.Count, Name: "n"},
 	})
 	for _, workers := range []int{1, 4} {
+		emptyLeasePools()
 		a := unwrapSpan(CompileParallel(n, workers)).(*aggOp)
 		ctx, _ := testCtx()
 		if err := a.Open(ctx); err != nil {
@@ -104,21 +107,25 @@ func TestGlobalAggregateBuildsNoHashTable(t *testing.T) {
 		if _, err := a.Next(ctx); err != nil {
 			t.Fatal(err)
 		}
-		tables := []*aggTable{a.table}
 		if err := a.Close(ctx); err != nil {
 			t.Fatal(err)
 		}
-		tables = append(tables, a.spare.items...)
+		tables := ctx.Mem.tables
 		if len(tables) < 2 {
-			t.Fatalf("workers=%d: no run partial was merged", workers)
+			t.Fatalf("workers=%d: no run partial was leased", workers)
 		}
 		for i, tb := range tables {
 			if !reflect.ValueOf(tb.index).IsZero() {
 				t.Errorf("workers=%d: table %d of %d allocated a hash table", workers, i, len(tables))
 			}
 		}
+		ctx.Mem.Release()
 	}
 }
+
+// emptyLeasePools drops every pooled lease: sync.Pool keeps what survives
+// one collection, so it takes two.
+func emptyLeasePools() { runtime.GC(); runtime.GC() }
 
 // A global SUM partial — the aggregate scan_filter and shared_scan serve
 // over a pump — resolves no row to a group: folding keeps no group ids, a
@@ -250,7 +257,9 @@ func TestPooledPumpAllocationIsFlatInPageCount(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		keys.Append(expr.Int(int64(10 * i)))
 	}
-	if reflect.ValueOf(expr.BuildJoinTable(&keys)).Elem().FieldByName("present").IsNil() {
+	var sparseTable expr.JoinTable
+	sparseTable.Build(&keys)
+	if reflect.ValueOf(&sparseTable).Elem().FieldByName("present").Len() == 0 {
 		t.Fatal("the sparse build takes no presence bitmap; the test would pin none")
 	}
 	shapes := map[string]func(tb *catalog.Table) plan.Node{

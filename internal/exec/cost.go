@@ -221,6 +221,10 @@ type Ctx struct {
 	// reads, so simulated results and charges are identical either way.
 	Obs *obsv.Collector
 
+	// Mem is the statement's lease on its blocking operators' state. The
+	// engine releases it once, after closing the operator tree.
+	Mem Account
+
 	acc [3]float64 // indexed by cpu.WorkKind
 }
 

@@ -143,17 +143,18 @@ type hashJoinOp struct {
 	pump morselPump
 
 	// rows is the build side in arrival order and table the index over its
-	// key column. Both are read-only once Open returns, which is what lets
-	// pump producers share them without locks.
-	rows  expr.Batch
+	// key column, both leased (Account). Both are read-only once Open
+	// returns, which is what lets pump producers share them without locks.
+	rows  *expr.Batch
 	table *expr.JoinTable
 
 	// Coordinator state: the operator-input probe's match pairs, the output
 	// batch every Next returns, and the residual's columns, survivors,
-	// working memory (nil without a residual) and meter.
+	// working memory and meter (the batch and working memory nil without a
+	// residual). The batches are leased.
 	scratch  probeScratch
-	out      expr.Batch
-	resid    expr.Batch
+	out      *expr.Batch
+	resid    *expr.Batch
 	sel      []int32
 	residScr *expr.FilterScratch
 	meter    expr.Cost
@@ -193,7 +194,8 @@ func (j *hashJoinOp) Schema() *catalog.Schema { return j.schema }
 // enter no chain: NULL never equals NULL under join semantics (Cmp.Eval
 // returns false on NULL), so they could never meet a NULL probe key.
 func (j *hashJoinOp) Open(ctx *Ctx) error {
-	j.rows = *expr.NewBatch(j.build.Schema().NumCols())
+	build := ctx.Mem.joinBuild(j.build.Schema().NumCols())
+	j.rows, j.table = &build.rows, &build.table
 	if err := j.build.Open(ctx); err != nil {
 		return err
 	}
@@ -216,10 +218,10 @@ func (j *hashJoinOp) Open(ctx *Ctx) error {
 		return err
 	}
 	ctx.Flush()
-	j.table = expr.BuildJoinTable(&j.rows.Cols[j.buildKey])
-	j.out = *expr.NewBatch(j.schema.NumCols())
-	j.resid = *expr.NewBatch(j.schema.NumCols())
+	j.table.Build(&j.rows.Cols[j.buildKey])
+	j.out = ctx.Mem.batch(j.schema.NumCols())
 	if j.residual != nil {
+		j.resid = ctx.Mem.batch(j.schema.NumCols())
 		j.residScr = new(expr.FilterScratch)
 	}
 	return openInput(ctx, j.probe, &j.pump)
@@ -254,7 +256,7 @@ func (j *hashJoinOp) join(ctx *Ctx, in *expr.Batch, rows, matches int, ps *probe
 	if matches == 0 || j.out.N == 0 {
 		return nil
 	}
-	return &j.out
+	return j.out
 }
 
 // assemble gathers the output rows of ps's pairs, which are at least one,
@@ -264,11 +266,11 @@ func (j *hashJoinOp) join(ctx *Ctx, in *expr.Batch, rows, matches int, ps *probe
 // to its survivors, and only the survivors are gathered into the output.
 func (j *hashJoinOp) assemble(in *expr.Batch, ps *probeScratch) {
 	if j.residual != nil {
-		j.gather(&j.resid, j.residCols, in, ps)
-		j.sel = j.residual.Select(&j.resid, j.sel, j.residScr, &j.meter)
+		j.gather(j.resid, j.residCols, in, ps)
+		j.sel = j.residual.Select(j.resid, j.sel, j.residScr, &j.meter)
 		ps.keep(j.sel)
 	}
-	j.gather(&j.out, j.outCols, in, ps)
+	j.gather(j.out, j.outCols, in, ps)
 }
 
 // gather fills the output columns cols of dst, a batch of the output's
@@ -288,8 +290,8 @@ func (j *hashJoinOp) gather(dst *expr.Batch, cols []int, in *expr.Batch, ps *pro
 
 func (j *hashJoinOp) Close(ctx *Ctx) error {
 	err := closeInput(ctx, j.probe, &j.pump) // stop the producers before releasing what they read
-	j.rows, j.table, j.scratch = expr.Batch{}, nil, probeScratch{}
-	j.out, j.resid, j.sel, j.residScr = expr.Batch{}, expr.Batch{}, nil, nil
+	j.rows, j.table, j.scratch = nil, nil, probeScratch{}
+	j.out, j.resid, j.sel, j.residScr = nil, nil, nil, nil
 	return err
 }
 
@@ -324,7 +326,7 @@ type aggTable struct {
 	accs  []aggAcc       // per aggregate
 
 	rowGid  []int32
-	rowVals [][]float64 // per aggregate; nil unless a partial has a SUM or AVG
+	rowVals [][]float64 // per aggregate; empty unless a partial has a SUM or AVG
 
 	// Per-batch scratch.
 	in      []*expr.ColVec // the batch's group-by columns
@@ -341,30 +343,36 @@ type aggAcc struct {
 	ext   []expr.Value // MIN, MAX: the extreme so far, NULL until a value arrives
 }
 
-func newAggTable(groupBy []int, aggs []plan.AggSpec, deferSums bool) *aggTable {
-	t := &aggTable{
-		groupBy: groupBy, aggs: aggs, deferSums: deferSums,
-		vals:    *expr.NewBatch(len(groupBy)),
-		keys:    make([]*expr.ColVec, len(groupBy)),
-		accs:    make([]aggAcc, len(aggs)),
-		in:      make([]*expr.ColVec, len(groupBy)),
-		argVecs: make([]*expr.ColVec, len(aggs)),
-	}
+// shape empties t and forms it for groupBy and aggs, keeping every buffer
+// it holds, whatever grouping and aggregates it held them for: a leased
+// table (Account) may come from any statement.
+func (t *aggTable) shape(groupBy []int, aggs []plan.AggSpec, deferSums bool) {
+	t.groupBy, t.aggs, t.deferSums = groupBy, aggs, deferSums
+	t.vals.SetWidth(len(groupBy))
+	t.keys, t.in = expr.Resize(t.keys, len(groupBy)), expr.Resize(t.in, len(groupBy))
 	for c := range t.keys {
 		t.keys[c] = &t.vals.Cols[c]
 	}
+	t.accs = expr.Resize(t.accs, len(aggs))
+	t.argVecs = expr.Resize(t.argVecs, len(aggs))
 	for i, spec := range aggs {
-		if spec.Arg != nil {
-			t.argVecs[i] = &expr.ColVec{}
+		// A COUNT(*) has no argument: a vector left from another table
+		// would count its NULLs.
+		switch {
+		case spec.Arg == nil:
+			t.argVecs[i] = nil
+		case t.argVecs[i] == nil:
+			t.argVecs[i] = new(expr.ColVec)
 		}
 	}
 	addsFloats := slices.ContainsFunc(aggs, func(a plan.AggSpec) bool {
 		return a.Func == plan.Sum || a.Func == plan.Avg
 	})
+	t.rowVals = t.rowVals[:0]
 	if deferSums && addsFloats {
-		t.rowVals = make([][]float64, len(aggs))
+		t.rowVals = expr.Resize(t.rowVals, len(aggs))
 	}
-	return t
+	t.reset()
 }
 
 // reset empties a partial for its next run, keeping every buffer.
@@ -385,7 +393,7 @@ func (t *aggTable) reset() {
 // reserve makes room in a partial's row vectors for n more folded rows, so
 // that folding them appends without regrowing.
 func (t *aggTable) reserve(n int) {
-	if t.rowVals == nil {
+	if len(t.rowVals) == 0 {
 		return
 	}
 	if len(t.groupBy) > 0 {
@@ -515,7 +523,7 @@ func (t *aggTable) fold(in *expr.Batch, meter *expr.Cost) {
 			foldSum(t, i, gid, vec.AsFloats(t.floats), nil, n)
 		}
 	}
-	if t.rowVals != nil && gid != nil {
+	if len(t.rowVals) > 0 && gid != nil {
 		t.rowGid = append(t.rowGid, gid...)
 	}
 }
@@ -716,8 +724,8 @@ func (t *aggTable) emit(out *expr.Batch) {
 // aggOutput is the emitted result of an aggregation and the cursor serving
 // it in batch-sized windows — zero-copy views of the one result batch.
 type aggOutput struct {
-	res   expr.Batch
-	ident []int32 // identity selection the windows slice
+	res   *expr.Batch // leased
+	ident []int32     // identity selection the windows slice
 	pos   int
 	view  expr.Batch
 }
@@ -730,7 +738,7 @@ func (o *aggOutput) next(ctx *Ctx) *expr.Batch {
 	for i := len(o.ident); i < end; i++ {
 		o.ident = append(o.ident, int32(i))
 	}
-	o.view.Alias(&o.res, o.ident[o.pos:end])
+	o.view.Alias(o.res, o.ident[o.pos:end])
 	o.pos = end
 	return &o.view
 }
@@ -747,8 +755,8 @@ type aggOp struct {
 	aggs    []plan.AggSpec
 	schema  *catalog.Schema
 
+	mem     *Account // the statement's, which producers lease run partials from
 	table   *aggTable
-	spare   freeList[aggTable] // merged partials, for the producers' next runs
 	started bool
 	out     aggOutput
 }
@@ -756,9 +764,10 @@ type aggOp struct {
 func (a *aggOp) Schema() *catalog.Schema { return a.schema }
 
 func (a *aggOp) Open(ctx *Ctx) error {
-	a.table = newAggTable(a.groupBy, a.aggs, false)
+	a.mem = &ctx.Mem
+	a.table = ctx.Mem.aggTable(a.groupBy, a.aggs, false)
 	a.started = false
-	a.out = aggOutput{res: *expr.NewBatch(a.schema.NumCols())}
+	a.out = aggOutput{res: ctx.Mem.batch(a.schema.NumCols())}
 	return openInput(ctx, a.input, &a.pump)
 }
 
@@ -788,8 +797,7 @@ func (a *aggOp) consume(ctx *Ctx) error {
 			}
 			if res.part != nil {
 				a.table.merge(res.part)
-				res.part.reset()
-				a.spare.put(res.part)
+				a.mem.merged(res.part)
 			}
 		}
 	} else {
@@ -807,7 +815,7 @@ func (a *aggOp) consume(ctx *Ctx) error {
 			ctx.ChargeExpr(&meter)
 		}
 	}
-	a.table.emit(&a.out.res)
+	a.table.emit(a.out.res)
 	ctx.Cost.AggEmit(ctx, float64(a.out.res.N))
 	ctx.Flush()
 	return nil
@@ -815,7 +823,7 @@ func (a *aggOp) consume(ctx *Ctx) error {
 
 func (a *aggOp) Close(ctx *Ctx) error {
 	err := closeInput(ctx, a.input, &a.pump)
-	a.table, a.out = nil, aggOutput{}
+	a.mem, a.table, a.out = nil, nil, aggOutput{}
 	return err
 }
 
@@ -871,12 +879,19 @@ func (b *sortBound) after(in *expr.Batch, i int32, ord int64) bool {
 	return c > 0 || (c == 0 && ord > b.run.ord[b.row])
 }
 
-func newSortedRun(keys []plan.SortKey, limit, width int) *sortedRun {
-	r := &sortedRun{keys: keys, limit: limit, buf: *expr.NewBatch(width)}
-	if limit >= 0 {
-		r.spare = *expr.NewBatch(width)
+// shape empties r and forms it for keys, limit and rows width columns
+// wide, keeping every buffer it holds: a leased run (Account) may come
+// from any statement.
+func (r *sortedRun) shape(keys []plan.SortKey, limit, width int) {
+	r.keys, r.limit, r.bound = keys, limit, nil
+	r.buf.SetWidth(width)
+	r.buf.Reset()
+	if limit >= 0 { // compact gathers into spare
+		r.spare.SetWidth(width)
+		r.spare.Reset()
 	}
-	return r
+	r.ord, r.perm, r.ords, r.keep = r.ord[:0], r.perm[:0], r.ords[:0], r.keep[:0]
+	r.pos, r.rows = 0, 0
 }
 
 // add consumes one batch. Logical row li's ordinal is base plus its
@@ -1015,7 +1030,7 @@ func (r *sortedRun) siftDown(k int) {
 // buffer is final by now, so the comparator is built for its payloads.
 func (r *sortedRun) seal() {
 	if r.limit < 0 {
-		r.perm = make([]int32, r.buf.N)
+		r.perm = expr.Resize(r.perm, r.buf.N)
 		for i := range r.perm {
 			r.perm[i] = int32(i)
 		}
@@ -1052,10 +1067,11 @@ type sortOp struct {
 	mu        sync.Mutex
 	cut, cut2 []sortBound // cut2: the merge's other half
 	bound     atomic.Pointer[sortBound]
+	mem       *Account // the statement's, which producers lease sorted runs from
 	runs      []*sortedRun
 	lt        *loserTree
 	served    int
-	out       expr.Batch
+	out       *expr.Batch // leased
 }
 
 func (s *sortOp) Schema() *catalog.Schema { return s.schema }
@@ -1063,7 +1079,8 @@ func (s *sortOp) Schema() *catalog.Schema { return s.schema }
 func (s *sortOp) Open(ctx *Ctx) error {
 	s.runs, s.lt, s.served, s.cut, s.cut2 = nil, nil, 0, nil, nil
 	s.bound.Store(nil)
-	s.out = *expr.NewBatch(s.schema.NumCols())
+	s.mem = &ctx.Mem
+	s.out = ctx.Mem.batch(s.schema.NumCols())
 	return openInput(ctx, s.input, &s.pump)
 }
 
@@ -1082,7 +1099,7 @@ func (s *sortOp) consume(ctx *Ctx) error {
 			}
 		}
 	} else {
-		run := newSortedRun(s.keys, s.limit, s.schema.NumCols())
+		run := ctx.Mem.sortedRun(s.keys, s.limit, s.schema.NumCols())
 		base := int64(0)
 		for {
 			in, err := s.input.Next(ctx)
@@ -1137,12 +1154,17 @@ func (s *sortOp) Next(ctx *Ctx) (*expr.Batch, error) {
 		return nil, nil
 	}
 	s.served += s.out.N
-	return &s.out, nil
+	return s.out, nil
 }
 
+// Close drops every pointer into the runs — the cutoff and its bound
+// included — since the runs are leased and, once the statement is
+// released, another statement's.
 func (s *sortOp) Close(ctx *Ctx) error {
 	err := closeInput(ctx, s.input, &s.pump)
 	s.runs, s.lt, s.cut, s.cut2 = nil, nil, nil, nil
+	s.bound.Store(nil)
+	s.mem, s.out = nil, nil
 	return err
 }
 
@@ -1160,14 +1182,14 @@ type limitOp struct {
 	done      bool
 	identSel  []int32 // identity selection for prefix views of dense input
 	out       expr.Batch
-	final     expr.Batch
+	final     *expr.Batch // leased
 }
 
 func (l *limitOp) Schema() *catalog.Schema { return l.input.Schema() }
 
 func (l *limitOp) Open(ctx *Ctx) error {
 	l.remaining, l.done = l.n, false
-	l.final = *expr.NewBatch(l.input.Schema().NumCols())
+	l.final = ctx.Mem.batch(l.input.Schema().NumCols())
 	return l.input.Open(ctx)
 }
 
@@ -1219,10 +1241,11 @@ func (l *limitOp) Next(ctx *Ctx) (*expr.Batch, error) {
 			}
 		}
 		l.done = true
-		return &l.final, nil
+		return l.final, nil
 	}
 }
 
 func (l *limitOp) Close(ctx *Ctx) error {
+	l.final = nil
 	return l.input.Close(ctx)
 }

@@ -622,6 +622,9 @@ func (p *morselPump) open(ctx *Ctx) {
 	} else {
 		p.src = storage.NewMorselSource(heap)
 	}
+	if poisoning {
+		ctx.Mem.pumps++
+	}
 	p.total = p.src.NumMorsels()
 	p.nextIdx, p.run = 0, storage.MorselRun{}
 	runs := (p.total + storage.DefaultMorselRunLength - 1) / storage.DefaultMorselRunLength
@@ -828,6 +831,9 @@ func (p *morselPump) next(ctx *Ctx) *morselResult {
 // rows before draining its input, and the engine drains a stream before
 // closing it.
 func (p *morselPump) close(ctx *Ctx) {
+	if poisoning && p.src != nil {
+		ctx.Mem.pumps--
+	}
 	if p.stop != nil {
 		close(p.stop)
 		p.wg.Wait()
@@ -876,36 +882,4 @@ func closeInput(ctx *Ctx, input Operator, pump *morselPump) error {
 		return nil
 	}
 	return input.Close(ctx)
-}
-
-// freeList parks the buffers of merged items — an aggregation's run
-// partials — for producers to fill again, so a steady stream of pages
-// allocates none. The zero value is ready to use. It belongs to one
-// operator execution and is garbage with it: a partial is sized to its
-// statement's groups and aggregates, so a sync.Pool would only keep every
-// finished statement's tables reachable until the collector's next cycles.
-// Page records, whose buffers any fragment can refill, are pooled across
-// statements instead (records).
-type freeList[T any] struct {
-	mu    sync.Mutex
-	items []*T
-}
-
-// get returns a parked buffer, or nil when there is none.
-func (f *freeList[T]) get() *T {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := len(f.items)
-	if n == 0 {
-		return nil
-	}
-	x := f.items[n-1]
-	f.items = f.items[:n-1]
-	return x
-}
-
-func (f *freeList[T]) put(x *T) {
-	f.mu.Lock()
-	f.items = append(f.items, x)
-	f.mu.Unlock()
 }

@@ -51,13 +51,10 @@ import "ecodb/internal/storage"
 // row counts, argument-evaluation cycles) stays on each page's own record.
 func (a *aggOp) sink() func(*morselResult, storage.MorselRun) {
 	var part *aggTable
-	fresh := false // part is new and its row vectors not yet sized
+	fresh := false // part is new to the statement and its row vectors not yet sized
 	return func(res *morselResult, run storage.MorselRun) {
 		if part == nil {
-			part = a.spare.get()
-			if fresh = part == nil; fresh {
-				part = newAggTable(a.groupBy, a.aggs, true)
-			}
+			part, fresh = a.mem.partial(a.groupBy, a.aggs)
 		}
 		if res.rows > 0 {
 			if fresh {

@@ -54,7 +54,7 @@ func (s *sortOp) sink() func(*morselResult, storage.MorselRun) {
 	var sr *sortedRun
 	return func(res *morselResult, run storage.MorselRun) {
 		if sr == nil {
-			sr = newSortedRun(s.keys, s.limit, s.schema.NumCols())
+			sr = s.mem.sortedRun(s.keys, s.limit, s.schema.NumCols())
 		}
 		sr.bound = s.bound.Load()
 		sr.add(&res.batch, int64(res.idx)<<32)

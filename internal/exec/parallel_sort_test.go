@@ -218,7 +218,7 @@ func TestSortMergeServesNaiveMergeBatches(t *testing.T) {
 			}
 			ctx, _ := testCtx()
 			ctx.BatchSize = batch
-			s := &sortOp{keys: keys, limit: limit, out: *expr.NewBatch(2), runs: runs, lt: newLoserTree(runs)}
+			s := &sortOp{keys: keys, limit: limit, out: expr.NewBatch(2), runs: runs, lt: newLoserTree(runs)}
 			for i := 0; ; i++ {
 				b, err := s.Next(ctx)
 				if err != nil {

@@ -398,3 +398,13 @@ func (sc *scratch) markNull(n, li int) {
 	}
 	sc.nulls[li] = true
 }
+
+// CapBytes is the payload capacity b holds, over every vector it keeps,
+// including those past its width.
+func (b *Batch) CapBytes() int {
+	n, cols := 4*cap(b.Sel), b.Cols[:cap(b.Cols)]
+	for i := range cols {
+		n += cols[i].CapBytes()
+	}
+	return n
+}

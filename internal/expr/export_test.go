@@ -30,7 +30,7 @@ var PresenceSpan = presenceSpan
 // Layout names the way the table finds a probe key: "bitmap" (hashed
 // behind a presence bitmap) or "hashed".
 func (t *JoinTable) Layout() string {
-	if t.present != nil {
+	if len(t.present) > 0 {
 		return "bitmap"
 	}
 	return "hashed"

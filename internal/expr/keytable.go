@@ -55,12 +55,18 @@ func (t *KeyTable) reserve(n int) {
 
 // grow moves the keys into the fewest slots that leave room for n more. A
 // slot keeps its hash's top 32 bits, all a table of up to 2^32 slots needs
-// to place it.
+// to place it. An empty table has no key to move, so it lays its slots out
+// in the array it holds when that is long enough.
 func (t *KeyTable) grow(n int) {
 	size := max(minKeySlots, 1<<bits.Len(uint(2*(t.n+n)-1)))
+	t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+	if t.n == 0 && cap(t.slots) >= size {
+		t.slots = t.slots[:size]
+		clear(t.slots)
+		return
+	}
 	old := t.slots
 	t.slots = make([]uint64, size)
-	t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
 	for _, s := range old {
 		if s != 0 {
 			t.place(s)
@@ -352,3 +358,6 @@ func at(sel []int32, li int) int {
 	}
 	return int(sel[li])
 }
+
+// CapBytes is the capacity the table's slots and hash scratch hold.
+func (t *KeyTable) CapBytes() int { return 8*cap(t.slots) + 8*cap(t.hashes) }

@@ -80,16 +80,26 @@ func joinMatchesNestedLoop(t *testing.T, build, probe *ColVec, sel []int32) *Joi
 	for _, i := range sel {
 		each(int(i))
 	}
-	table := BuildJoinTable(build)
-	gotB, gotP := table.Probe(probe, sel, &ProbeScratch{}, nil, nil)
-	if len(gotB) != len(wantB) {
-		t.Fatalf("%s table: %d matches, want %d", table.Layout(), len(gotB), len(wantB))
-	}
-	for m := range gotB {
-		if gotB[m] != wantB[m] || gotP[m] != wantP[m] {
-			t.Fatalf("%s table, match %d: (build %d, probe %d), want (%d, %d)", table.Layout(), m, gotB[m], gotP[m], wantB[m], wantP[m])
+	check := func(what string, table *JoinTable) {
+		gotB, gotP := table.Probe(probe, sel, &ProbeScratch{}, nil, nil)
+		if len(gotB) != len(wantB) {
+			t.Fatalf("%s %s table: %d matches, want %d", what, table.Layout(), len(gotB), len(wantB))
+		}
+		for m := range gotB {
+			if gotB[m] != wantB[m] || gotP[m] != wantP[m] {
+				t.Fatalf("%s %s table, match %d: (build %d, probe %d), want (%d, %d)", what, table.Layout(), m, gotB[m], gotP[m], wantB[m], wantP[m])
+			}
 		}
 	}
+	table := new(JoinTable)
+	table.Build(build)
+	check("fresh", table)
+	// A table rebuilt after indexing other keys — the probe side's, in
+	// whichever layout they take — keeps its buffers and answers the same.
+	reused := new(JoinTable)
+	reused.Build(probe)
+	reused.Build(build)
+	check("reused", reused)
 	return table
 }
 

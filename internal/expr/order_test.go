@@ -256,7 +256,8 @@ func TestJoinTableMatchesNestedLoopOnValueEquality(t *testing.T) {
 		for _, i := range sel {
 			each(int(i))
 		}
-		table := BuildJoinTable(build)
+		table := new(JoinTable)
+		table.Build(build)
 		if table.Slots() >= MinKeySlots<<3 {
 			large++
 		}

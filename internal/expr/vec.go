@@ -375,3 +375,8 @@ func gather[T any](dst, src []T, sel []int32) []T {
 	}
 	return dst
 }
+
+// CapBytes is the payload capacity v holds.
+func (v *ColVec) CapBytes() int {
+	return cap(v.Nulls) + 8*cap(v.I) + 8*cap(v.F) + 16*cap(v.S) + 4*cap(v.Codes)
+}

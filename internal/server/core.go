@@ -551,19 +551,9 @@ func newResult(width int) *expr.Batch {
 // read it again; nil is a no-op. A batch past maxPooledResultBytes is left
 // to the collector.
 func releaseResult(b *expr.Batch) {
-	if b != nil && resultBytes(b) <= maxPooledResultBytes {
+	if b != nil && b.CapBytes() <= maxPooledResultBytes {
 		results.Put(b)
 	}
-}
-
-// resultBytes is the payload capacity b holds, over every vector it keeps,
-// including those past its current width.
-func resultBytes(b *expr.Batch) int {
-	n := 0
-	for _, v := range b.Cols[:cap(b.Cols)] {
-		n += cap(v.Nulls) + 8*cap(v.I) + 8*cap(v.F) + 16*cap(v.S) + 4*cap(v.Codes)
-	}
-	return n
 }
 
 // columnNames extracts the result schema's column names.

@@ -1103,8 +1103,8 @@ func TestOversizeResultIsNotPooled(t *testing.T) {
 	src := expr.IntVec(expr.KindInt, xs)
 	big.Cols[0].AppendFrom(&src, nil)
 	big.N = len(xs)
-	if resultBytes(big) <= maxPooledResultBytes {
-		t.Fatalf("the batch holds %d bytes, not past the %d-byte bound", resultBytes(big), maxPooledResultBytes)
+	if big.CapBytes() <= maxPooledResultBytes {
+		t.Fatalf("the batch holds %d bytes, not past the %d-byte bound", big.CapBytes(), maxPooledResultBytes)
 	}
 	releaseResult(big)
 	for i := 0; i < 100; i++ {
