@@ -46,8 +46,9 @@ func RunQED(sys *System, queries []workload.Query, strategy mqo.MergeStrategy) w
 	// batch routed by the application-side splitter as it arrives.
 	split := merged.NewSplitter()
 	sys.Engine.RunWindow(nil, []engine.Stmt{{Plan: merged.Plan}},
-		func(_ int, b *expr.Batch) { split.Add(b) },
-		func(_ int, _ *engine.Rows, err error) {
+		func(_ int, _ *engine.Rows, b *expr.Batch) { split.Add(b) },
+		func(_ int, r *engine.Rows, err error) {
+			defer r.Release()
 			if err != nil {
 				// No operator errors exist today; a partial split would
 				// silently corrupt the measurement, so fail loudly.

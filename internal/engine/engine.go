@@ -194,8 +194,7 @@ type Stmt struct {
 
 // Query starts executing a plan and returns a streaming result iterator.
 // Statement overhead is charged up front; per-batch work is charged as the
-// consumer pulls. The old fully-materialized Exec is a thin wrapper over
-// this.
+// consumer pulls.
 func (e *Engine) Query(p plan.Node) *Rows { return e.start(nil, Stmt{Plan: p}) }
 
 // start is the one statement entry — Query, SharedSession.Query,
@@ -298,11 +297,9 @@ func (r *Rows) Schema() *catalog.Schema { return r.op.Schema() }
 func (r *Rows) Start() sim.Time { return r.start }
 
 // Next returns the next result batch — columnar, read-only — or nil when
-// the stream is exhausted. The batch is owned by the executor and valid
-// until the following call. To keep its rows, gather them into a batch of
-// your own (expr.NewBatch, then Batch.AppendBatch), which copies payload to
-// payload and keeps dictionary codes; materialize them as expr.Rows
-// (Batch.AppendRowsTo) only where row-at-a-time values are what is wanted.
+// the stream is exhausted, valid until the following call. To keep its
+// rows, gather them into an Answer (Batch.AppendBatch: payload to payload,
+// dictionary codes kept), or materialize them (Batch.AppendRowsTo).
 func (r *Rows) Next() (*expr.Batch, error) {
 	if r.finished {
 		return nil, nil
@@ -349,17 +346,22 @@ func (r *Rows) Stats() ExecStats {
 	return r.stats
 }
 
-// finish closes the operator tree, ends the statement's leases
-// (exec.Account), charges the result path (exec.CostModel.Result) and
-// freezes the statistics. The consumer has read the last batch by now:
-// nothing an operator handed out is read after the release.
+// Answer leases a batch width columns wide to gather the answer into.
+func (r *Rows) Answer(width int) *expr.Batch { return r.ctx.Mem.Answer(width) }
+
+// Release ends the finished statement's leases (exec.Account), Answers
+// included. The consumer calls it once nothing it read is read again;
+// Close, Stats and Profile do not release.
+func (r *Rows) Release() { r.ctx.Mem.Release() }
+
+// finish closes the operator tree, charges the result path
+// (exec.CostModel.Result) and freezes the statistics.
 func (r *Rows) finish() {
 	if r.finished {
 		return
 	}
 	r.finished = true
 	r.op.Close(r.ctx)
-	r.ctx.Mem.Release()
 
 	e, ctx := r.e, r.ctx
 	c := e.mach.CPUModel()
@@ -409,6 +411,7 @@ func (e *Engine) Exec(p plan.Node) (*Result, ExecStats) {
 		}
 		res.Rows = b.AppendRowsTo(res.Rows)
 	}
+	defer rows.Release()
 	return res, rows.Stats()
 }
 

@@ -83,6 +83,7 @@ func TestLeasedStateCrossesStatementShapes(t *testing.T) {
 			rows = b.AppendRowsTo(rows)
 		}
 		st := r.Stats()
+		r.Release()
 		return outcome{rows, st.Duration.Seconds(), m.CPUModel().Trace().Energy(r.Start(), r.Start().Add(st.Duration))}
 	}
 	same := func(what string, got, want outcome) error {
@@ -163,7 +164,7 @@ func TestLeasedStateCrossesStatementShapes(t *testing.T) {
 			stmts[k] = Stmt{Plan: p}
 		}
 		out := make([]outcome, len(stmts))
-		e.RunWindow(e.NewSharedSession(), stmts, func(k int, b *expr.Batch) {
+		e.RunWindow(e.NewSharedSession(), stmts, func(k int, _ *Rows, b *expr.Batch) {
 			out[k].rows = b.AppendRowsTo(out[k].rows)
 		}, func(k int, r *Rows, err error) {
 			if err != nil {
@@ -172,6 +173,7 @@ func TestLeasedStateCrossesStatementShapes(t *testing.T) {
 			st := r.Stats()
 			out[k].response = st.Duration.Seconds()
 			out[k].joules = m.CPUModel().Trace().Energy(r.Start(), r.Start().Add(st.Duration))
+			r.Release()
 		})
 		return out
 	}

@@ -161,7 +161,7 @@ func TestRecycledRecordsCrossFragmentShapes(t *testing.T) {
 			}
 		}
 		rows := make([][]expr.Row, len(stmts))
-		e.RunWindow(e.NewSharedSession(), stmts, func(i int, b *expr.Batch) {
+		e.RunWindow(e.NewSharedSession(), stmts, func(i int, _ *Rows, b *expr.Batch) {
 			rows[i] = b.AppendRowsTo(rows[i])
 		}, func(i int, _ *Rows, err error) {
 			if err != nil {

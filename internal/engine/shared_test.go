@@ -29,7 +29,7 @@ func stmtsOf(plans []plan.Node) []Stmt {
 func driveShared(t *testing.T, e *Engine, plans []plan.Node) [][]expr.Row {
 	t.Helper()
 	out := make([][]expr.Row, len(plans))
-	e.RunWindow(e.NewSharedSession(), stmtsOf(plans), func(i int, b *expr.Batch) {
+	e.RunWindow(e.NewSharedSession(), stmtsOf(plans), func(i int, _ *Rows, b *expr.Batch) {
 		out[i] = b.AppendRowsTo(out[i])
 	}, func(i int, _ *Rows, err error) {
 		if err != nil {

@@ -119,7 +119,7 @@ func runPassCase(t *testing.T, workers int, pruning, late bool, q passQuery) str
 	t0 := m.Clock.Now()
 	if !late {
 		e.RunWindow(sess, []Stmt{{Plan: q.plan(e)}, {Plan: passNeighbour(e)}},
-			func(i int, batch *expr.Batch) { digests[i].add(batch) }, done)
+			func(i int, _ *Rows, batch *expr.Batch) { digests[i].add(batch) }, done)
 	} else {
 		streams := [2]*Rows{1: sess.Query(passNeighbour(e))}
 		for k := 0; k < 5; k++ {

@@ -176,7 +176,7 @@ func TestRunWindowOfOneEqualsQuery(t *testing.T) {
 				o.joules, o.plan = p.Joules, p.Plan
 			}
 			if side == 0 {
-				e.RunWindow(sess, []Stmt{{Plan: spec.plan(e), Pulls: spec.pulls}}, func(_ int, b *expr.Batch) {
+				e.RunWindow(sess, []Stmt{{Plan: spec.plan(e), Pulls: spec.pulls}}, func(_ int, _ *Rows, b *expr.Batch) {
 					o.rows = b.AppendRowsTo(o.rows)
 				}, func(_ int, r *Rows, err error) {
 					if err != nil {

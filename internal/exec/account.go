@@ -8,65 +8,75 @@ import (
 	"ecodb/internal/plan"
 )
 
-// Account is one statement's lease on the state its blocking operators
-// hold past one page: a hash join's build side and join table, an
-// aggregation's global table and run partials, a sort's sorted runs, and
-// the output batches those operators and a limit fill. Operators lease
-// them as they open, and their producers as they claim runs; the
-// engine (Rows.finish) calls Release once, after the operator tree's Close,
-// and every lease goes back to a process-wide pool for a later statement
-// to fill. That is the rule page records keep (morselPump.close): nothing
-// an operator holds is read after its close. A Ctx that is never released
-// leaves its leases to the collector.
-//
-// The zero value is ready to use. Producers lease concurrently with the
-// coordinator, so the lists are guarded.
+// Account is one statement's hold on every buffer that outlives the call
+// that took it, and the only code that ends such a buffer's life: the state
+// blocking operators hold past one page, and the answer a consumer gathers.
+// All of it ends in one Release, once nothing read from the statement is
+// read again (engine.Rows.Release), and goes back to its role's pool,
+// poisoned under the ecodbpoison tag; an account never released leaves it
+// to the collector. Page records take the record role's pool lock-free and
+// go back at their pump's close. Producers lease concurrently with the
+// coordinator, so the lists are guarded. The zero value is ready to use.
 type Account struct {
-	mu     sync.Mutex
-	outs   []*expr.Batch // operators' output batches
-	builds []*joinBuild
-	tables []*aggTable // global tables and run partials
-	runs   []*sortedRun
-	// free holds partials the coordinator has merged, leased still, for
-	// the producers' next runs: a statement leases about as many partials
-	// as its claim windows hold runs, not one per run.
-	free []*aggTable
-
-	pumps int // pumps open; counted only when poisoning
+	mu    sync.Mutex
+	l     *leases // nil until the first lease; pooled with the release
+	pumps int     // pumps open; counted only when poisoning
 }
 
-// What one lease may hold, in bytes of capacity, and go back to its pool:
-// a lease past its bound goes to the collector, so one large statement
-// cannot pin its buffers for the process's lifetime.
+// leases are an account's lists, pooled so a warm statement allocates none.
+type leases struct {
+	held []lease
+	// free holds merged partials, leased still, for the producers' next
+	// runs: a statement leases as many partials as its windows hold runs.
+	free []*aggTable
+}
+
+var leaseLists = sync.Pool{New: func() any { return new(leases) }}
+
+// lease is one lease and the pool it goes back to.
+type lease struct {
+	to interface{ putAny(any) }
+	x  any
+}
+
+func (p *leasePool[T]) putAny(x any) { p.put(x.(*T)) }
+
+// role is what a lease is for. Each role has one pool and one bound in
+// maxPooledBytes, past which a lease goes to the collector instead.
+type role int
+
 const (
-	maxPooledOutBytes   = 256 << 10 // an output batch: one batch of rows
-	maxPooledBuildBytes = 1 << 20   // a join's build side and table
-	maxPooledTableBytes = 1 << 20   // a global table or run partial
-	maxPooledRunBytes   = 1 << 20   // a sorted run
+	roleOut    role = iota // an operator's output batch: one batch of rows
+	roleAnswer             // an answer a consumer gathers
+	roleBuild              // a join's build side and table
+	roleTable              // a global table or run partial
+	roleRun                // a sorted run
+	roleRecord             // a pump's page record: one page of rows
 )
 
+var maxPooledBytes = [...]int{roleOut: 256 << 10, roleAnswer: 1 << 20, roleBuild: 1 << 20, roleTable: 1 << 20, roleRun: 1 << 20, roleRecord: 256 << 10}
+
 // leasePool is the process-wide pool of one role's leases, on shelves by
-// shape: a lease grows to the largest input it ever serves, in every
-// column and kind it ever held, so a build batch that held orders' columns
-// reused for nation's would keep orders' capacity for nation's work. A
-// shape — a batch's width, a table's aggregate count — mostly names one
-// operator of one statement shape, whose next statement needs the same.
+// shape (a batch's width, a table's aggregate count): a lease keeps what
+// its largest input grew, so a shelf mostly serves one operator of one
+// statement shape, whose next statement needs the same.
 type leasePool[T any] struct {
-	max     int          // bytes of capacity a pooled lease may hold
+	role    role
 	bytes   func(*T) int // the capacity a lease holds
 	shape   func(*T) int // the shelf a lease goes back to
+	poison  func(*T)     // overwrites what a lease holds, when poisoning
 	shelves [leaseShelves]sync.Pool
 }
 
-// leaseShelves is how many shapes a pool tells apart; larger shapes share
-// its last shelf.
-const leaseShelves = 32
+const leaseShelves = 32 // shapes a pool tells apart; larger ones share the last
 
 var (
-	outBatches = leasePool[expr.Batch]{max: maxPooledOutBytes, bytes: (*expr.Batch).CapBytes, shape: (*expr.Batch).Width}
-	joinBuilds = leasePool[joinBuild]{max: maxPooledBuildBytes, bytes: (*joinBuild).capBytes, shape: func(b *joinBuild) int { return b.rows.Width() }}
-	aggTables  = leasePool[aggTable]{max: maxPooledTableBytes, bytes: (*aggTable).capBytes, shape: (*aggTable).class}
-	sortedRuns = leasePool[sortedRun]{max: maxPooledRunBytes, bytes: (*sortedRun).capBytes, shape: func(r *sortedRun) int { return r.buf.Width() }}
+	outBatches = leasePool[expr.Batch]{role: roleOut, bytes: (*expr.Batch).CapBytes, shape: (*expr.Batch).Width, poison: (*expr.Batch).Poison}
+	answers    = leasePool[expr.Batch]{role: roleAnswer, bytes: (*expr.Batch).CapBytes, shape: (*expr.Batch).Width, poison: (*expr.Batch).Poison}
+	joinBuilds = leasePool[joinBuild]{role: roleBuild, bytes: (*joinBuild).capBytes, shape: func(b *joinBuild) int { return b.rows.Width() }, poison: (*joinBuild).poison}
+	aggTables  = leasePool[aggTable]{role: roleTable, bytes: (*aggTable).capBytes, shape: (*aggTable).class, poison: (*aggTable).poison}
+	sortedRuns = leasePool[sortedRun]{role: roleRun, bytes: (*sortedRun).capBytes, shape: func(r *sortedRun) int { return r.buf.Width() }, poison: (*sortedRun).poison}
+	records    = leasePool[morselResult]{role: roleRecord, bytes: (*morselResult).capBytes, shape: func(*morselResult) int { return 0 }, poison: (*morselResult).poison}
 )
 
 // get returns a lease of the given shape from its shelf, or a new one.
@@ -77,23 +87,38 @@ func (p *leasePool[T]) get(shape int) *T {
 	return new(T)
 }
 
+// put hands x back to its shelf, poisoned first when poisoning; past its
+// role's bound it goes to the collector.
 func (p *leasePool[T]) put(x *T) {
-	if p.bytes(x) <= p.max {
+	if poisoning {
+		p.poison(x)
+	}
+	if p.bytes(x) <= maxPooledBytes[p.role] {
 		p.shelves[min(p.shape(x), leaseShelves-1)].Put(x)
 	}
 }
 
-// lease records x on list and returns it.
-func lease[T any](a *Account, list *[]*T, x *T) *T {
+// take leases one of p's leases of the given shape on a's account.
+func take[T any](a *Account, p *leasePool[T], shape int) *T {
+	x := p.get(shape)
 	a.mu.Lock()
-	*list = append(*list, x)
+	if a.l == nil {
+		a.l = leaseLists.Get().(*leases)
+	}
+	a.l.held = append(a.l.held, lease{p, x})
 	a.mu.Unlock()
 	return x
 }
 
 // batch leases an empty output batch width columns wide.
 func (a *Account) batch(width int) *expr.Batch {
-	return lease(a, &a.outs, emptyBatch(outBatches.get(width), width))
+	return emptyBatch(take(a, &outBatches, width), width)
+}
+
+// Answer leases an empty batch width columns wide for the statement's
+// consumer to gather its answer into, valid until Release.
+func (a *Account) Answer(width int) *expr.Batch {
+	return emptyBatch(take(a, &answers, width), width)
 }
 
 // joinBuild is a hash join's build side, in arrival order, and the table
@@ -106,7 +131,7 @@ type joinBuild struct {
 
 // joinBuild leases an empty build side width columns wide, with its table.
 func (a *Account) joinBuild(width int) *joinBuild {
-	b := lease(a, &a.builds, joinBuilds.get(width))
+	b := take(a, &joinBuilds, width)
 	emptyBatch(&b.rows, width)
 	return b
 }
@@ -119,24 +144,23 @@ func emptyBatch(b *expr.Batch, width int) *expr.Batch {
 
 // aggTable leases an empty group table for groupBy and aggs.
 func (a *Account) aggTable(groupBy []int, aggs []plan.AggSpec, deferSums bool) *aggTable {
-	t := lease(a, &a.tables, aggTables.get(tableClass(groupBy, aggs, deferSums)))
+	t := take(a, &aggTables, tableClass(groupBy, aggs, deferSums))
 	t.shape(groupBy, aggs, deferSums)
 	return t
 }
 
 // partial leases an empty run partial for groupBy and aggs: one this
-// statement has merged already when there is one, else one from the pool,
-// which is fresh to the statement: its row vectors are not yet sized for
-// the statement's runs.
+// statement has merged already if any, else a fresh one from the pool,
+// whose row vectors are not yet sized for the statement's runs.
 func (a *Account) partial(groupBy []int, aggs []plan.AggSpec) (t *aggTable, fresh bool) {
 	a.mu.Lock()
-	if n := len(a.free); n > 0 {
-		t, a.free = a.free[n-1], a.free[:n-1]
-	} else {
-		t, fresh = aggTables.get(tableClass(groupBy, aggs, true)), true
-		a.tables = append(a.tables, t)
+	if l := a.l; l != nil && len(l.free) > 0 {
+		t, l.free = l.free[len(l.free)-1], l.free[:len(l.free)-1]
 	}
 	a.mu.Unlock()
+	if t == nil {
+		t, fresh = take(a, &aggTables, tableClass(groupBy, aggs, true)), true
+	}
 	t.shape(groupBy, aggs, true)
 	return t, fresh
 }
@@ -145,46 +169,77 @@ func (a *Account) partial(groupBy []int, aggs []plan.AggSpec) (t *aggTable, fres
 // next run. It stays leased until Release.
 func (a *Account) merged(t *aggTable) {
 	a.mu.Lock()
-	a.free = append(a.free, t)
+	a.l.free = append(a.l.free, t)
 	a.mu.Unlock()
 }
 
 // sortedRun leases an empty sorted run.
 func (a *Account) sortedRun(keys []plan.SortKey, limit, width int) *sortedRun {
-	r := lease(a, &a.runs, sortedRuns.get(width))
+	r := take(a, &sortedRuns, width)
 	r.shape(keys, limit, width)
 	return r
 }
 
-// Release ends every lease, handing each back to its pool. The engine
-// calls it once the statement's operator tree is closed — its pumps'
-// producers stopped — and reads nothing the operators handed out after
-// it. The account may lease again afterwards.
+// Release hands every lease back to its pool, and the lists with them. The
+// operator tree must be closed, and nothing it or Answer handed out is read
+// after. The account may lease again afterwards.
 func (a *Account) Release() {
 	if poisoning && a.pumps > 0 {
 		panic("exec: Release with a pump open: its producers may still write into leased state")
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	release(&a.outs, &outBatches, (*expr.Batch).Poison)
-	release(&a.builds, &joinBuilds, (*joinBuild).poison)
-	release(&a.tables, &aggTables, (*aggTable).poison)
-	release(&a.runs, &sortedRuns, (*sortedRun).poison)
-	clear(a.free)
-	a.free = a.free[:0]
+	l := a.l
+	if l == nil {
+		return
+	}
+	for _, h := range l.held {
+		h.to.putAny(h.x)
+	}
+	clear(l.held)
+	clear(l.free)
+	l.held, l.free, a.l = l.held[:0], l.free[:0], nil
+	leaseLists.Put(l)
 }
 
-// release hands every lease on list back to pool, poisoned first when
-// poisoning, and empties the list.
-func release[T any](list *[]*T, pool *leasePool[T], poison func(*T)) {
-	for _, x := range *list {
-		if poisoning {
-			poison(x)
-		}
-		pool.put(x)
+// release hands a chain of records linked through next back to the record
+// pool, dropping what they point into and keeping their buffers.
+func (res *morselResult) release() {
+	for res != nil {
+		next := res.next
+		res.reset()
+		records.put(res)
+		res = next
 	}
-	clear(*list)
-	*list = (*list)[:0]
+}
+
+// capBytes is the capacity res keeps from page to page.
+func (res *morselResult) capBytes() int {
+	n := int(unsafe.Sizeof(expr.Cost{})) * cap(res.meters)
+	if ws := res.own; ws != nil {
+		n += 4 * cap(ws.sel)
+		for _, b := range ws.proj {
+			n += b.CapBytes()
+		}
+	}
+	if ps := res.ps; ps != nil {
+		n += 4 * (cap(ps.buildIdx) + cap(ps.probeIdx))
+	}
+	return n
+}
+
+// poison overwrites res's selection, projection vectors and match pairs.
+func (res *morselResult) poison() {
+	if ws := res.own; ws != nil {
+		expr.PoisonIDs(ws.sel)
+		for _, b := range ws.proj {
+			b.Poison()
+		}
+	}
+	if ps := res.ps; ps != nil {
+		expr.PoisonIDs(ps.buildIdx)
+		expr.PoisonIDs(ps.probeIdx)
+	}
 }
 
 func (b *joinBuild) capBytes() int { return b.rows.CapBytes() + b.table.CapBytes() }

@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"runtime"
 	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"ecodb/internal/catalog"
 	"ecodb/internal/expr"
@@ -15,7 +17,8 @@ import (
 // Q5 at workers=4 makes no join build side or table, group table, sorted
 // run or output batch, and a second grouped aggregation over lineitem no
 // run partial (inline, so that it leases one partial whatever the
-// goroutines do).
+// goroutines do). Neither allocates a list to hold its leases in: the
+// account's lists come back with the same arrays under them.
 func TestWarmStatementLeasesNothingNew(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -28,8 +31,11 @@ func TestWarmStatementLeasesNothingNew(t *testing.T) {
 		{Func: plan.Avg, Arg: li.Schema.Col("l_discount"), Name: "avg_disc"},
 		{Func: plan.Count, Name: "n"},
 	})
-	// A collection between the two runs would drop pooled leases.
+	// A collection between the two runs would drop pooled leases, and a
+	// lease put back on one P's shelf is out of reach of a get on another
+	// until it leaves the P's private slot.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, c := range []struct {
 		name    string
 		p       plan.Node
@@ -40,16 +46,26 @@ func TestWarmStatementLeasesNothingNew(t *testing.T) {
 		{"grouped aggregation", grouped, 1, []string{"table", "partial", "batch"}},
 	} {
 		emptyLeasePools()
-		run := func() map[any]string {
+		// lists names the arrays under the account's lists.
+		type lists struct {
+			l          *leases
+			held, free unsafe.Pointer
+		}
+		run := func() (map[any]string, lists) {
 			ctx, _ := testCtx()
 			if err := Drain(ctx, CompileParallel(c.p, c.workers), nil); err != nil {
 				t.Fatal(err)
 			}
-			leased := leasesOf(&ctx.Mem)
+			kinds, l := leasesOf(&ctx.Mem), ctx.Mem.l
+			arrays := lists{l, unsafe.Pointer(unsafe.SliceData(l.held)), unsafe.Pointer(unsafe.SliceData(l.free))}
 			ctx.Mem.Release()
-			return leased
+			return kinds, arrays
 		}
-		first, second := run(), run()
+		first, firstLists := run()
+		second, secondLists := run()
+		if secondLists != firstLists {
+			t.Errorf("%s: the second run allocated a list", c.name)
+		}
 		kinds := map[string]bool{}
 		for _, kind := range first {
 			kinds[kind] = true
@@ -84,21 +100,23 @@ func newSortedRun(keys []plan.SortKey, limit, width int) *sortedRun {
 // leasesOf names each of the account's leases by its kind.
 func leasesOf(a *Account) map[any]string {
 	leased := map[any]string{}
-	for _, b := range a.outs {
-		leased[b] = "batch"
-	}
-	for _, b := range a.builds {
-		leased[b] = "build"
-	}
-	for _, t := range a.tables {
-		if t.deferSums {
-			leased[t] = "partial"
-		} else {
-			leased[t] = "table"
+	for _, h := range a.l.held {
+		switch x := h.x.(type) {
+		case *expr.Batch:
+			leased[x] = "batch"
+			if h.to == &answers {
+				leased[x] = "answer"
+			}
+		case *joinBuild:
+			leased[x] = "build"
+		case *aggTable:
+			leased[x] = "table"
+			if x.deferSums {
+				leased[x] = "partial"
+			}
+		case *sortedRun:
+			leased[x] = "run"
 		}
-	}
-	for _, r := range a.runs {
-		leased[r] = "run"
 	}
 	return leased
 }
@@ -158,4 +176,76 @@ func TestReshapedTableAggregatesAsNew(t *testing.T) {
 			}
 		}
 	}
+}
+
+// A lease past its role's bound goes to the collector, so one large
+// statement cannot pin its buffers for the process's lifetime: for every
+// role in maxPooledBytes, a lease holding one byte more than the bound
+// never comes back out of its pool, and one holding exactly the bound does.
+// A NULL bitmap takes a byte of capacity per row, so each lease is sized to
+// the byte.
+func TestLeasesPastTheirBoundAreNotPooled(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	nulls := func(b *expr.Batch, n int) {
+		b.SetWidth(1)
+		b.Cols[0].Nulls = make([]bool, 0, n)
+	}
+	cases := []struct {
+		name      string
+		role      role
+		comesBack func(n int) bool
+	}{
+		{"output batch", roleOut, func(n int) bool { return comesBack(t, &outBatches, n, nulls) }},
+		{"answer", roleAnswer, func(n int) bool { return comesBack(t, &answers, n, nulls) }},
+		{"join build", roleBuild, func(n int) bool {
+			return comesBack(t, &joinBuilds, n, func(b *joinBuild, n int) { nulls(&b.rows, n) })
+		}},
+		{"group table", roleTable, func(n int) bool {
+			return comesBack(t, &aggTables, n, func(tb *aggTable, n int) {
+				tb.argVecs = []*expr.ColVec{{Nulls: make([]bool, 0, n)}}
+			})
+		}},
+		{"sorted run", roleRun, func(n int) bool {
+			return comesBack(t, &sortedRuns, n, func(r *sortedRun, n int) { nulls(&r.buf, n) })
+		}},
+		{"page record", roleRecord, func(n int) bool {
+			return comesBack(t, &records, n, func(res *morselResult, n int) {
+				res.scratch().proj = []*expr.Batch{new(expr.Batch)}
+				nulls(res.own.proj[0], n)
+			})
+		}},
+	}
+	if len(cases) != len(maxPooledBytes) {
+		t.Fatalf("%d cases for %d roles", len(cases), len(maxPooledBytes))
+	}
+	for _, c := range cases {
+		bound := maxPooledBytes[c.role]
+		if !c.comesBack(bound) {
+			t.Errorf("%s: a lease of %d bytes, the bound, did not come back; the test would pin nothing", c.name, bound)
+		}
+		if c.comesBack(bound + 1) {
+			t.Errorf("%s: a lease of %d bytes, past the %d-byte bound, came back out of its pool", c.name, bound+1, bound)
+		}
+	}
+}
+
+// comesBack puts a lease that fill sizes to n bytes of capacity into p and
+// reports whether it comes back out in a hundred gets from its shelf.
+func comesBack[T any](t *testing.T, p *leasePool[T], n int, fill func(*T, int)) bool {
+	x := new(T)
+	fill(x, n)
+	if got := p.bytes(x); got != n {
+		t.Fatalf("the lease holds %d bytes, want %d", got, n)
+	}
+	p.put(x)
+	for i := 0; i < 100; i++ {
+		if p.get(p.shape(x)) == x {
+			return true
+		}
+	}
+	return false
 }

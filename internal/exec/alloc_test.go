@@ -110,7 +110,12 @@ func TestGlobalAggregateBuildsNoHashTable(t *testing.T) {
 		if err := a.Close(ctx); err != nil {
 			t.Fatal(err)
 		}
-		tables := ctx.Mem.tables
+		var tables []*aggTable
+		for _, h := range ctx.Mem.l.held {
+			if tb, ok := h.x.(*aggTable); ok {
+				tables = append(tables, tb)
+			}
+		}
 		if len(tables) < 2 {
 			t.Fatalf("workers=%d: no run partial was leased", workers)
 		}

@@ -257,12 +257,12 @@ type fragStage struct {
 // stageScratch is what one runner of a stage chain reuses from batch to
 // batch: the selection vector every filter narrows, the working memory the
 // compiled filters run in, and the output vectors of the projection
-// stages. A page record's scratch outlives the statement (records), so it
-// may come in holding another chain's projections.
+// stages. A page record's scratch is leased (account.go), so it may come in
+// holding another chain's projections.
 type stageScratch struct {
 	sel    []int32
 	filter expr.FilterScratch
-	proj   []*expr.Batch // per stage; nil until the stage first projects
+	proj   []*expr.Batch // per stage, once the chain first projects
 }
 
 // apply runs stages over b in place, metering stage i into meters[i]:
@@ -279,13 +279,10 @@ func (ws *stageScratch) apply(stages []fragStage, b *expr.Batch, meters []expr.C
 			b.Sel = ws.sel
 			continue
 		}
-		// A recycled scratch may have run a chain with fewer stages, or
+		// A leased scratch may have run a chain with fewer stages, or
 		// projected another width at this one.
-		if len(ws.proj) < len(stages) {
-			ws.proj = append(ws.proj, make([]*expr.Batch, len(stages)-len(ws.proj))...)
-		}
-		if ws.proj[i] == nil {
-			ws.proj[i] = new(expr.Batch)
+		for len(ws.proj) < len(stages) {
+			ws.proj = append(ws.proj, new(expr.Batch))
 		}
 		out := ws.proj[i]
 		out.SetWidth(len(st.exprs))
@@ -399,13 +396,9 @@ func heapFragment(n plan.Node, leaf ScanLeaf) *fragment {
 // same whoever produced the page — and whatever the operator's sink made of
 // the rows. The page's byte and row counts are read off the page itself.
 //
-// Records come from one process-wide pool (records) and go back to it when
-// their pump closes, so a record keeps its buffers from page to page and
-// from statement to statement: its meters, its probe scratch and, once it
-// has carried a batch to the coordinator, a selection buffer and projection
-// vectors of its own for that batch. That is safe because no batch a pump
-// hands out is read after the pump's close (see close). The record stays
-// within the 160-byte allocation size class.
+// Records are the record role's leases (account.go), keeping their
+// meters, probe scratch, selection and projection vectors across pages and
+// statements. A record stays within the 160-byte allocation size class.
 type morselResult struct {
 	idx    int         // the page's position in the pump's lap (storage.MorselSource)
 	pruned bool        // page skipped by zone maps: replay charges the check only
@@ -415,10 +408,9 @@ type morselResult struct {
 	// vectors, or projected vectors. It reaches the sink, and — with no
 	// sink, or for a probe with matches — the pump's consumer.
 	batch expr.Batch
-	// own holds batch's selection and projection vectors once the batch
-	// crosses from a pooled producer to the coordinator (adopt); nil until
-	// the record first carries one. An inline record, and a producer's
-	// spare, run the fragment in it.
+	// own holds batch's selection and projection vectors once it crosses
+	// from a pooled producer to the coordinator (adopt), and the scratch an
+	// inline record or a producer's spare runs the fragment in.
 	own *stageScratch
 
 	// What a sink leaves for its coordinator.
@@ -434,26 +426,9 @@ type morselResult struct {
 	next *morselResult
 }
 
-// records is the pool every pump draws its page records from. Unlike the
-// operators' free lists it outlives statements: each statement's records
-// are the previous one's, buffers and all.
-var records = sync.Pool{New: func() any { return new(morselResult) }}
-
 // reset empties res for its next page, keeping its buffers.
 func (res *morselResult) reset() {
 	*res = morselResult{meters: res.meters[:0], own: res.own, ps: res.ps}
-}
-
-// recycle returns a chain of records linked through next to the pool,
-// dropping what they point into — pages, partials, runs — and keeping their
-// buffers.
-func recycle(res *morselResult) {
-	for res != nil {
-		next := res.next
-		res.reset()
-		records.Put(res)
-		res = next
-	}
 }
 
 // scratch returns res's own stage scratch, made on first use.
@@ -562,15 +537,13 @@ type morselPump struct {
 	stop    chan struct{}
 	wg      sync.WaitGroup
 
-	// cur is the rest of the run being taken, and taken the whole of it.
-	// The run's last record stays the coordinator's until the take after
-	// it, which refunds the run's ticket with its records.
+	// cur is the rest of the run being taken, and taken the whole of it,
+	// the coordinator's until the take after it refunds its ticket.
 	cur, taken *morselResult
 }
 
 // producer is the state one producer keeps across pages: the scratch it
-// runs the fragment in — a record's, so it is recycled with the record —
-// and its sink's page function.
+// runs the fragment in (a record's) and its sink's page function.
 type producer struct {
 	ws   *stageScratch
 	sink func(res *morselResult, run storage.MorselRun)
@@ -630,7 +603,7 @@ func (p *morselPump) open(ctx *Ctx) {
 	runs := (p.total + storage.DefaultMorselRunLength - 1) / storage.DefaultMorselRunLength
 	pool := min(p.workers, runs)
 	if pool <= 1 {
-		p.rec = records.Get().(*morselResult)
+		p.rec = records.get(0)
 		p.inline = p.newProducer(p.rec.scratch())
 		return
 	}
@@ -648,17 +621,16 @@ func (p *morselPump) open(ctx *Ctx) {
 	}
 }
 
-// worker is one pooled producer. It runs the fragment in the scratch of a
-// spare record, so its working vectors are recycled too; it fills the
-// records refunded tickets bring back before drawing from the pool, and
-// returns to the pool what it still holds when it exits.
+// worker is one pooled producer. It runs the fragment in a spare record's
+// scratch, fills the records refunded tickets bring back before drawing
+// from the pool, and gives back what it still holds as it exits.
 func (p *morselPump) worker() {
-	spare := records.Get().(*morselResult)
+	spare := records.get(0)
 	w := p.newProducer(spare.scratch())
 	var free *morselResult // records to fill before drawing more, linked through next
 	defer func() {
-		recycle(free)
-		recycle(spare)
+		free.release()
+		spare.release()
 		p.wg.Done()
 	}()
 	for {
@@ -690,7 +662,7 @@ func (p *morselPump) worker() {
 			if res != nil {
 				free, res.next = res.next, nil
 			} else {
-				res = records.Get().(*morselResult)
+				res = records.get(0)
 			}
 			p.produce(w, res, idx, run)
 			if res.rows == 0 || w.sink != nil && res.matches == 0 {
@@ -817,19 +789,12 @@ func (p *morselPump) next(ctx *Ctx) *morselResult {
 	return res
 }
 
-// close stops the producers and waits for them to exit, then detaches a
-// shared-pass consumer, recording its pass detail — where it joined the
-// pass, how many steps it took, how many it pruned — on the pump's leaf
-// span, or on the current span for a pump without one. It is idempotent.
-//
-// Every record goes back to the pool here: the inline record; the run
-// being taken, the runs parked in the ring or still in the results
-// channel, and the records riding refunded tickets (producers recycle
-// their free lists as they exit). So no batch the pump handed out may be
-// read after close. The executor keeps that contract already: an
-// operator's batch is valid until its next Next, limitOp copies its final
-// rows before draining its input, and the engine drains a stream before
-// closing it.
+// close stops the producers, gives every record back once they have exited,
+// and detaches a shared-pass consumer, recording where it joined the pass
+// and how many steps it took and pruned on the pump's leaf span, or on the
+// current span for a pump without one. It is idempotent. No batch the pump
+// handed out may be read after close: an operator's batch is valid until
+// its next Next, and limitOp copies its final rows before draining.
 func (p *morselPump) close(ctx *Ctx) {
 	if poisoning && p.src != nil {
 		ctx.Mem.pumps--
@@ -837,20 +802,20 @@ func (p *morselPump) close(ctx *Ctx) {
 	if p.stop != nil {
 		close(p.stop)
 		p.wg.Wait()
-		recycle(p.taken)
+		p.taken.release()
 		for _, run := range p.ring {
-			recycle(run)
+			run.release()
 		}
 		close(p.results)
 		for run := range p.results {
-			recycle(run)
+			run.release()
 		}
 		close(p.tickets)
 		for recs := range p.tickets {
-			recycle(recs)
+			recs.release()
 		}
 	}
-	recycle(p.rec)
+	p.rec.release()
 	if p.cons != nil {
 		if ctx.Obs != nil {
 			sp := p.span

@@ -141,9 +141,10 @@ func runCoAdmitted(e *engine.Engine, plans []plan.Node) [][]expr.Row {
 		stmts[i] = engine.Stmt{Plan: p}
 	}
 	out := make([][]expr.Row, len(plans))
-	e.RunWindow(e.NewSharedSession(), stmts, func(i int, b *expr.Batch) {
+	e.RunWindow(e.NewSharedSession(), stmts, func(i int, _ *engine.Rows, b *expr.Batch) {
 		out[i] = b.AppendRowsTo(out[i])
-	}, func(i int, _ *engine.Rows, err error) {
+	}, func(i int, r *engine.Rows, err error) {
+		defer r.Release()
 		if err != nil {
 			panic(fmt.Sprintf("experiments: optimizer batch query %d failed: %v", i, err))
 		}

@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"ecodb/internal/core"
 	"ecodb/internal/engine"
@@ -175,13 +174,10 @@ type Response struct {
 	ID      string
 	Columns []string
 	// Result is the answer of a CollectRows request, gathered payload to
-	// payload into one owned columnar batch (dictionary columns keep their
-	// codes); nil when no row came back. The batch comes from a pool the
-	// scheduler shares with every answer it gathers: the handler encodes
-	// it as is and gives it back once the body is written, and RunOpenLoop
-	// gives it back once it has materialized Rows, leaving Result nil. A
-	// batch an in-process caller of Do receives is its own; it never goes
-	// back.
+	// payload (dictionary codes kept) into a batch leased from the
+	// statement (engine.Rows.Answer); nil when no row came back. The
+	// handler releases it once the body is written, RunOpenLoop once it
+	// has materialized Rows; Do's in-process callers leave it to the collector.
 	Result *expr.Batch
 	// Rows is Result materialized as rows, for in-process callers of
 	// RunOpenLoop. Live Do leaves it nil.
@@ -204,6 +200,16 @@ type Response struct {
 	// DeadlineMiss reports a statement that completed after its deadline.
 	DeadlineMiss bool
 	Err          error
+
+	rows *engine.Rows // a CollectRows statement, whose leases release ends
+}
+
+// release ends the leases of the statement that answered r, Result's too.
+func (r *Response) release() {
+	if r.rows != nil {
+		r.rows.Release()
+	}
+	r.rows, r.Result = nil, nil
 }
 
 // ErrOverloaded rejects a statement arriving at a full admission queue.
@@ -285,12 +291,6 @@ func NewCore(cfg Config, sys *core.System) *Core {
 			[]float64{1e-4, 1e-3, 1e-2, 0.1, 1, 10}),
 	}
 }
-
-// Config returns the scheduler's configuration.
-func (c *Core) Config() Config { return c.cfg }
-
-// System returns the simulated system the scheduler drives.
-func (c *Core) System() *core.System { return c.sys }
 
 // enqueue accepts or rejects one statement against the admission bound; a
 // rejected statement's response is ErrOverloaded. Scheduler goroutine only.
@@ -482,19 +482,24 @@ func (c *Core) execute(window []*pending, sess *engine.SharedSession) {
 	if executed == 0 {
 		return
 	}
-	c.eng.RunWindow(sess, stmts, func(i int, b *expr.Batch) {
+	c.eng.RunWindow(sess, stmts, func(i int, r *engine.Rows, b *expr.Batch) {
 		p := window[i]
 		if !p.req.CollectRows || b.Len() == 0 {
 			return
 		}
 		if p.resp.Result == nil {
-			p.resp.Result = newResult(b.Width())
+			p.resp.Result = r.Answer(b.Width())
 		}
 		p.resp.Result.AppendBatch(b, b.Len())
 	}, func(i int, r *engine.Rows, err error) {
 		// Fires on the pull that ended the stream: the clock is the
-		// statement's completion instant.
+		// statement's completion instant. A statement whose answer nobody
+		// collects is released at once.
 		p := window[i]
+		p.resp.rows = r
+		if !p.req.CollectRows {
+			defer p.resp.release()
+		}
 		p.resp.QueueWait = r.Start().Sub(p.arrive)
 		p.resp.Response = c.clock.Now().Sub(p.arrive)
 		if p.resp.Err = err; err != nil {
@@ -527,32 +532,6 @@ func (c *Core) execute(window []*pending, sess *engine.SharedSession) {
 				p.resp.Joules = share
 			}
 		}
-	}
-}
-
-// maxPooledResultBytes is the most payload capacity a result batch may hold
-// and go back to the pool, so one huge answer cannot pin its vectors in the
-// process.
-const maxPooledResultBytes = 1 << 20
-
-// results holds the owned batches answers are gathered into: a steady
-// stream of answers reuses the same few, vectors and all.
-var results = sync.Pool{New: func() any { return new(expr.Batch) }}
-
-// newResult returns an empty owned batch width columns wide, from the pool.
-func newResult(width int) *expr.Batch {
-	b := results.Get().(*expr.Batch)
-	b.SetWidth(width)
-	b.Reset()
-	return b
-}
-
-// releaseResult gives an answer's batch back to the pool once nothing will
-// read it again; nil is a no-op. A batch past maxPooledResultBytes is left
-// to the collector.
-func releaseResult(b *expr.Batch) {
-	if b != nil && b.CapBytes() <= maxPooledResultBytes {
-		results.Put(b)
 	}
 }
 

@@ -135,9 +135,8 @@ func (c *Core) RunOpenLoop(arrivals []Arrival) OpenLoopResult {
 	for j, p := range pend {
 		if p.resp.Result != nil {
 			p.resp.Rows = p.resp.Result.Rows()
-			releaseResult(p.resp.Result)
-			p.resp.Result = nil
 		}
+		p.resp.release()
 		out.Responses[j] = p.resp
 		if p.resp.Err != nil {
 			continue

@@ -986,11 +986,11 @@ func TestProfilingIsBitNeutral(t *testing.T) {
 	}
 }
 
-// TestPooledResultsCarryNothingBetweenAnswers: answers are gathered into
-// batches drawn from a process-wide pool, and each goes back once its body
-// is written, so one answer's batch — its width, kinds, NULL bitmaps,
-// dictionaries and payload capacity — is what the next answer is gathered
-// into. Four clients send one server a sequence that alternates wide
+// TestPooledResultsCarryNothingBetweenAnswers: answers are leases of their
+// statement (engine.Rows.Answer), shelved by width, and each goes back once
+// its body is written, so one answer's batch — its kinds, NULL bitmaps,
+// dictionaries and payload capacity — is what the next answer of its width
+// is gathered into. Four clients send one server a sequence that alternates wide
 // answers of ints, floats and dates, a two-column arithmetic projection,
 // dictionary-encoded string columns and NULL-bearing answers; every body's
 // result — columns, rows and row count — is byte-identical to the one the
@@ -1091,25 +1091,5 @@ func TestPooledResultsCarryNothingBetweenAnswers(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-// TestOversizeResultIsNotPooled: a result batch holding more payload than
-// maxPooledResultBytes goes to the collector, not back to the pool, so one
-// huge answer cannot pin its vectors for the process's lifetime.
-func TestOversizeResultIsNotPooled(t *testing.T) {
-	big := newResult(1)
-	xs := make([]int64, maxPooledResultBytes/8+1)
-	src := expr.IntVec(expr.KindInt, xs)
-	big.Cols[0].AppendFrom(&src, nil)
-	big.N = len(xs)
-	if big.CapBytes() <= maxPooledResultBytes {
-		t.Fatalf("the batch holds %d bytes, not past the %d-byte bound", big.CapBytes(), maxPooledResultBytes)
-	}
-	releaseResult(big)
-	for i := 0; i < 100; i++ {
-		if b := newResult(1); b == big {
-			t.Fatal("an oversize result batch came back out of the pool")
-		}
 	}
 }

@@ -91,7 +91,9 @@ func RunSequential(e *engine.Engine, clock *sim.Clock, queries []Query) RunResul
 		// Stream the result without materializing it: measurement loops
 		// only need cardinalities, and the simulated result-path cost is
 		// charged by the iterator either way.
-		st := e.Query(q.Plan).Stats()
+		rows := e.Query(q.Plan)
+		st := rows.Stats()
+		rows.Release()
 		out.Queries = append(out.Queries, QueryResult{
 			ID:    q.ID,
 			Start: start,
@@ -131,6 +133,7 @@ func RunShared(e *engine.Engine, clock *sim.Clock, queries []Query) RunResult {
 		}
 		out.Queries[i].End = clock.Now().Sub(issue)
 		out.Queries[i].Rows = r.Stats().RowsOut
+		r.Release()
 	})
 	out.Total = clock.Now().Sub(issue)
 	return out
