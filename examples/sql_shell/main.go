@@ -107,7 +107,6 @@ func main() {
 			}
 		}
 		st := rows.Stats()
-		rows.Release()
 		energy := m.CPU.Trace().Energy(t0, m.Clock.Now())
 		fmt.Printf("(%d rows, %v simulated, %.2f J CPU)\n\n", st.RowsOut, st.Duration, float64(energy))
 	}

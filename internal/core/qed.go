@@ -47,8 +47,7 @@ func RunQED(sys *System, queries []workload.Query, strategy mqo.MergeStrategy) w
 	split := merged.NewSplitter()
 	sys.Engine.RunWindow(nil, []engine.Stmt{{Plan: merged.Plan}},
 		func(_ int, _ *engine.Rows, b *expr.Batch) { split.Add(b) },
-		func(_ int, r *engine.Rows, err error) {
-			defer r.Release()
+		func(_ int, _ *engine.Rows, err error) {
 			if err != nil {
 				// No operator errors exist today; a partial split would
 				// silently corrupt the measurement, so fail loudly.

@@ -144,10 +144,11 @@ func (e *Engine) ColdStart() {
 // closed — Close drains any unconsumed input first, because the simulated
 // engines under study never terminate a statement early.
 type Rows struct {
-	e   *Engine
-	op  exec.Operator
-	ctx *exec.Ctx
-	par int // simulated cores this statement runs on
+	e      *Engine
+	op     exec.Operator
+	ctx    *exec.Ctx
+	answer exec.Account // the consumer's answer, released apart (Release)
+	par    int          // simulated cores this statement runs on
 
 	start      sim.Time
 	poolBefore storage.PoolStats
@@ -346,22 +347,25 @@ func (r *Rows) Stats() ExecStats {
 	return r.stats
 }
 
-// Answer leases a batch width columns wide to gather the answer into.
-func (r *Rows) Answer(width int) *expr.Batch { return r.ctx.Mem.Answer(width) }
+// Answer leases a batch width columns wide to gather the statement's answer
+// into, valid until Release.
+func (r *Rows) Answer(width int) *expr.Batch { return r.answer.Answer(width) }
 
-// Release ends the finished statement's leases (exec.Account), Answers
-// included. The consumer calls it once nothing it read is read again;
-// Close, Stats and Profile do not release.
-func (r *Rows) Release() { r.ctx.Mem.Release() }
+// Release ends the statement's Answers, once nothing read from them is read
+// again. The operators' leases end when the statement finishes.
+func (r *Rows) Release() { r.answer.Release() }
 
-// finish closes the operator tree, charges the result path
-// (exec.CostModel.Result) and freezes the statistics.
+// finish closes the operator tree, ends the operators' leases
+// (exec.Account), charges the result path (exec.CostModel.Result) and
+// freezes the statistics. The consumer has read the last batch by now:
+// nothing an operator handed out is read after the release.
 func (r *Rows) finish() {
 	if r.finished {
 		return
 	}
 	r.finished = true
 	r.op.Close(r.ctx)
+	r.ctx.Mem.Release()
 
 	e, ctx := r.e, r.ctx
 	c := e.mach.CPUModel()
@@ -411,7 +415,6 @@ func (e *Engine) Exec(p plan.Node) (*Result, ExecStats) {
 		}
 		res.Rows = b.AppendRowsTo(res.Rows)
 	}
-	defer rows.Release()
 	return res, rows.Stats()
 }
 

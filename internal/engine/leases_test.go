@@ -83,7 +83,6 @@ func TestLeasedStateCrossesStatementShapes(t *testing.T) {
 			rows = b.AppendRowsTo(rows)
 		}
 		st := r.Stats()
-		r.Release()
 		return outcome{rows, st.Duration.Seconds(), m.CPUModel().Trace().Energy(r.Start(), r.Start().Add(st.Duration))}
 	}
 	same := func(what string, got, want outcome) error {
@@ -173,7 +172,6 @@ func TestLeasedStateCrossesStatementShapes(t *testing.T) {
 			st := r.Stats()
 			out[k].response = st.Duration.Seconds()
 			out[k].joules = m.CPUModel().Trace().Energy(r.Start(), r.Start().Add(st.Duration))
-			r.Release()
 		})
 		return out
 	}

@@ -15,7 +15,6 @@ import (
 // them — because the profile is an observation of the run, not an estimate.
 func (e *Engine) AnalyzeQuery(p plan.Node) (*obsv.Profile, error) {
 	rows := e.start(nil, Stmt{Plan: p, Profile: true})
-	defer rows.Release()
 	if err := rows.Close(); err != nil {
 		return nil, err
 	}

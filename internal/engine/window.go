@@ -18,8 +18,8 @@ import "ecodb/internal/expr"
 //
 // batch, when not nil, sees each result batch before the next pull
 // invalidates it. done fires on the pull that ends a stream — exhaustion, or
-// the error that stopped it — so the clock read there is its completion
-// instant, r.Stats and r.Profile are final, and the caller may Release it.
+// the error that stopped it — so the clock read there is the statement's
+// completion instant, and r.Stats and r.Profile are final.
 func (e *Engine) RunWindow(sess *SharedSession, stmts []Stmt, batch func(i int, r *Rows, b *expr.Batch), done func(i int, r *Rows, err error)) {
 	if sess != nil {
 		sess.expected = len(stmts)

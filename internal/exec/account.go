@@ -11,12 +11,14 @@ import (
 // Account is one statement's hold on every buffer that outlives the call
 // that took it, and the only code that ends such a buffer's life: the state
 // blocking operators hold past one page, and the answer a consumer gathers.
-// All of it ends in one Release, once nothing read from the statement is
-// read again (engine.Rows.Release), and goes back to its role's pool,
-// poisoned under the ecodbpoison tag; an account never released leaves it
-// to the collector. Page records take the record role's pool lock-free and
-// go back at their pump's close. Producers lease concurrently with the
-// coordinator, so the lists are guarded. The zero value is ready to use.
+// A statement has two: its operators' (Ctx.Mem), released once the operator
+// tree is closed (engine.Rows.finish), and its answer's, released once the
+// consumer has read it (engine.Rows.Release). Release hands each lease back
+// to its role's pool, poisoned under the ecodbpoison tag; what is never
+// released is left to the collector. Page records take the record role's
+// pool lock-free and go back at their pump's close. Producers lease
+// concurrently with the coordinator, so the lists are guarded. The zero
+// value is ready to use.
 type Account struct {
 	mu    sync.Mutex
 	l     *leases // nil until the first lease; pooled with the release
@@ -115,8 +117,8 @@ func (a *Account) batch(width int) *expr.Batch {
 	return emptyBatch(take(a, &outBatches, width), width)
 }
 
-// Answer leases an empty batch width columns wide for the statement's
-// consumer to gather its answer into, valid until Release.
+// Answer leases an empty batch width columns wide for a consumer to gather
+// an answer into.
 func (a *Account) Answer(width int) *expr.Batch {
 	return emptyBatch(take(a, &answers, width), width)
 }

@@ -104,9 +104,6 @@ func leasesOf(a *Account) map[any]string {
 		switch x := h.x.(type) {
 		case *expr.Batch:
 			leased[x] = "batch"
-			if h.to == &answers {
-				leased[x] = "answer"
-			}
 		case *joinBuild:
 			leased[x] = "build"
 		case *aggTable:

@@ -221,7 +221,7 @@ type Ctx struct {
 	// reads, so simulated results and charges are identical either way.
 	Obs *obsv.Collector
 
-	Mem Account // the statement's leases, until its consumer releases them
+	Mem Account // the statement's leases
 
 	acc [3]float64 // indexed by cpu.WorkKind
 }

@@ -143,8 +143,7 @@ func runCoAdmitted(e *engine.Engine, plans []plan.Node) [][]expr.Row {
 	out := make([][]expr.Row, len(plans))
 	e.RunWindow(e.NewSharedSession(), stmts, func(i int, _ *engine.Rows, b *expr.Batch) {
 		out[i] = b.AppendRowsTo(out[i])
-	}, func(i int, r *engine.Rows, err error) {
-		defer r.Release()
+	}, func(i int, _ *engine.Rows, err error) {
 		if err != nil {
 			panic(fmt.Sprintf("experiments: optimizer batch query %d failed: %v", i, err))
 		}

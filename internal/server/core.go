@@ -176,8 +176,8 @@ type Response struct {
 	// Result is the answer of a CollectRows request, gathered payload to
 	// payload (dictionary codes kept) into a batch leased from the
 	// statement (engine.Rows.Answer); nil when no row came back. The
-	// handler releases it once the body is written, RunOpenLoop once it
-	// has materialized Rows; Do's in-process callers leave it to the collector.
+	// handler gives it back once the body is written, RunOpenLoop once it
+	// has materialized Rows; in-process callers of Do keep it.
 	Result *expr.Batch
 	// Rows is Result materialized as rows, for in-process callers of
 	// RunOpenLoop. Live Do leaves it nil.
@@ -201,15 +201,7 @@ type Response struct {
 	DeadlineMiss bool
 	Err          error
 
-	rows *engine.Rows // a CollectRows statement, whose leases release ends
-}
-
-// release ends the leases of the statement that answered r, Result's too.
-func (r *Response) release() {
-	if r.rows != nil {
-		r.rows.Release()
-	}
-	r.rows, r.Result = nil, nil
+	rows *engine.Rows // the statement Result is leased from
 }
 
 // ErrOverloaded rejects a statement arriving at a full admission queue.
@@ -291,6 +283,12 @@ func NewCore(cfg Config, sys *core.System) *Core {
 			[]float64{1e-4, 1e-3, 1e-2, 0.1, 1, 10}),
 	}
 }
+
+// Config returns the scheduler's configuration.
+func (c *Core) Config() Config { return c.cfg }
+
+// System returns the simulated system the scheduler drives.
+func (c *Core) System() *core.System { return c.sys }
 
 // enqueue accepts or rejects one statement against the admission bound; a
 // rejected statement's response is ErrOverloaded. Scheduler goroutine only.
@@ -488,18 +486,13 @@ func (c *Core) execute(window []*pending, sess *engine.SharedSession) {
 			return
 		}
 		if p.resp.Result == nil {
-			p.resp.Result = r.Answer(b.Width())
+			p.resp.Result, p.resp.rows = r.Answer(b.Width()), r
 		}
 		p.resp.Result.AppendBatch(b, b.Len())
 	}, func(i int, r *engine.Rows, err error) {
 		// Fires on the pull that ended the stream: the clock is the
-		// statement's completion instant. A statement whose answer nobody
-		// collects is released at once.
+		// statement's completion instant.
 		p := window[i]
-		p.resp.rows = r
-		if !p.req.CollectRows {
-			defer p.resp.release()
-		}
 		p.resp.QueueWait = r.Start().Sub(p.arrive)
 		p.resp.Response = c.clock.Now().Sub(p.arrive)
 		if p.resp.Err = err; err != nil {

@@ -237,7 +237,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusBadRequest
 	}
 	writeResponse(w, status, &resp)
-	resp.release()
+	if resp.Result != nil {
+		resp.rows.Release()
+	}
 }
 
 // The two bounds on what a client may send: the statement's size, and the

@@ -135,8 +135,9 @@ func (c *Core) RunOpenLoop(arrivals []Arrival) OpenLoopResult {
 	for j, p := range pend {
 		if p.resp.Result != nil {
 			p.resp.Rows = p.resp.Result.Rows()
+			p.resp.rows.Release()
+			p.resp.Result, p.resp.rows = nil, nil
 		}
-		p.resp.release()
 		out.Responses[j] = p.resp
 		if p.resp.Err != nil {
 			continue

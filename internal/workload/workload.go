@@ -91,9 +91,7 @@ func RunSequential(e *engine.Engine, clock *sim.Clock, queries []Query) RunResul
 		// Stream the result without materializing it: measurement loops
 		// only need cardinalities, and the simulated result-path cost is
 		// charged by the iterator either way.
-		rows := e.Query(q.Plan)
-		st := rows.Stats()
-		rows.Release()
+		st := e.Query(q.Plan).Stats()
 		out.Queries = append(out.Queries, QueryResult{
 			ID:    q.ID,
 			Start: start,
@@ -133,7 +131,6 @@ func RunShared(e *engine.Engine, clock *sim.Clock, queries []Query) RunResult {
 		}
 		out.Queries[i].End = clock.Now().Sub(issue)
 		out.Queries[i].Rows = r.Stats().RowsOut
-		r.Release()
 	})
 	out.Total = clock.Now().Sub(issue)
 	return out
