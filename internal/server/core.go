@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"ecodb/internal/core"
 	"ecodb/internal/engine"
@@ -89,19 +90,17 @@ func (p Policy) String() string {
 type Config struct {
 	// Policy is the admission policy.
 	Policy Policy
-	// MaxInflight bounds the admission queue: statements accepted but not
-	// yet responded to. A statement arriving at the bound is rejected with
-	// ErrOverloaded. Zero means zero capacity — every statement is
-	// rejected — which is the honest reading, not a default; use
-	// DefaultConfig for sensible values.
+	// MaxInflight bounds the statements submitted but not yet responded
+	// to, counted as they are submitted. A statement arriving at the bound
+	// is rejected with ErrOverloaded. Zero means zero capacity — every
+	// statement is rejected — which is the honest reading, not a default;
+	// use DefaultConfig for sensible values.
 	MaxInflight int
 	// FlushThreshold flushes a co-admission window as soon as this many
 	// statements are waiting (shared and deadline policies).
 	FlushThreshold int
 	// FlushWait bounds how long a statement waits for co-admission before
-	// its window flushes anyway. In the open-loop harness this is
-	// simulated time; in live serving the scheduler waits the same span of
-	// real time (the simulated clock does not advance between batches).
+	// its window flushes anyway, on the window clock (see Core.step).
 	FlushWait sim.Duration
 	// UrgentSlack is the deadline policy's bypass threshold: a statement
 	// whose remaining budget is ≤ UrgentSlack (or already negative)
@@ -228,15 +227,17 @@ type pending struct {
 	tenant      string
 	seq         int64
 	arrive      sim.Time // queue-entry instant, simulated
+	queued      sim.Time // queue-entry instant on the window clock (see step)
 	deadline    sim.Time // absolute; valid when hasDeadline
 	hasDeadline bool
 	done        chan Response // live path; nil in the open-loop harness
-	resp        Response      // the response, filled by enqueue or flush
+	resp        Response      // the response, filled by submit or flush
 }
 
 // Core is the admission scheduler. All methods that touch the engine —
-// enqueue, flush, RunOpenLoop — must run on one goroutine (the scheduler
-// loop in live serving, the caller in the open-loop harness).
+// enqueue, step, RunOpenLoop — must run on one goroutine (the scheduler
+// loop in live serving, the caller in the open-loop harness); submit is
+// safe from any.
 type Core struct {
 	cfg   Config
 	sys   *core.System
@@ -246,10 +247,10 @@ type Core struct {
 
 	queue    []*pending
 	seq      int64
-	inflight int // accepted, not yet responded
+	inflight atomic.Int64 // submitted, not yet responded
 
 	// Live-serving machinery (see http.go).
-	submit  chan *pending
+	handoff chan *pending
 	stopc   chan struct{}
 	stopped chan struct{}
 
@@ -269,7 +270,7 @@ func NewCore(cfg Config, sys *core.System) *Core {
 		eng:       sys.Engine,
 		clock:     sys.Machine.Clock,
 		sess:      sys.Engine.NewSharedSession(),
-		submit:    make(chan *pending), // unbuffered: an accepted send means the loop has it
+		handoff:   make(chan *pending), // unbuffered: an accepted send means the loop has it
 		stopc:     make(chan struct{}),
 		stopped:   make(chan struct{}),
 		mSessions: r.Counter(obsv.MetricServerSessions),
@@ -284,20 +285,23 @@ func NewCore(cfg Config, sys *core.System) *Core {
 	}
 }
 
-// Config returns the scheduler's configuration.
-func (c *Core) Config() Config { return c.cfg }
-
-// System returns the simulated system the scheduler drives.
-func (c *Core) System() *core.System { return c.sys }
-
-// enqueue accepts or rejects one statement against the admission bound; a
-// rejected statement's response is ErrOverloaded. Scheduler goroutine only.
-func (c *Core) enqueue(p *pending) bool {
-	if c.inflight >= c.cfg.MaxInflight {
+// submit counts one statement against MaxInflight before it is handed to the
+// scheduler, so the bound holds however many callers wait for the hand-off;
+// past the bound it fills p's response with ErrOverloaded and reports false.
+// Both drivers call it, Do from any goroutine; finishStmt takes the count back.
+func (c *Core) submit(p *pending) bool {
+	if c.inflight.Add(1) > int64(c.cfg.MaxInflight) {
+		c.inflight.Add(-1)
 		c.mRejected.Inc()
 		p.resp = Response{ID: p.id, Err: ErrOverloaded}
 		return false
 	}
+	return true
+}
+
+// enqueue puts one submitted statement in the admission queue, stamped now on
+// the window clock. Scheduler goroutine only.
+func (c *Core) enqueue(p *pending, now sim.Time) {
 	c.seq++
 	p.seq = c.seq
 	if p.id == "" {
@@ -306,17 +310,15 @@ func (c *Core) enqueue(p *pending) bool {
 	if p.tenant == "" {
 		p.tenant = "default"
 	}
-	p.arrive = c.clock.Now()
+	p.arrive, p.queued = c.clock.Now(), now
 	if p.req.Deadline > 0 {
 		p.deadline = p.arrive.Add(p.req.Deadline)
 		p.hasDeadline = true
 	}
-	c.inflight++
 	c.queue = append(c.queue, p)
 	c.mSessions.Inc()
 	c.gDepth.Set(float64(len(c.queue)))
-	c.gActive.Set(float64(c.inflight))
-	return true
+	c.gActive.Set(float64(c.inflight.Load()))
 }
 
 // urgent reports whether some queued statement's remaining deadline
@@ -334,21 +336,22 @@ func (c *Core) urgent() bool {
 	return false
 }
 
-// oldestArrival returns the earliest queue-entry instant in the queue.
-func (c *Core) oldestArrival() sim.Time {
-	t := c.queue[0].arrive
+// oldestQueued returns the earliest window-clock instant in the queue.
+func (c *Core) oldestQueued() sim.Time {
+	t := c.queue[0].queued
 	for _, p := range c.queue[1:] {
-		if p.arrive < t {
-			t = p.arrive
+		if p.queued < t {
+			t = p.queued
 		}
 	}
 	return t
 }
 
-// shouldFlush reports whether the queue is ready to flush without waiting
-// for more arrivals. more reports whether the caller can still deliver
-// future arrivals (false forces a flush of whatever is queued).
-func (c *Core) shouldFlush(more bool) bool {
+// shouldFlush reports whether the queue is ready to flush at now without
+// waiting for more arrivals. more reports whether the caller can still
+// deliver future arrivals (false forces a flush of whatever is queued). A
+// wait has run out under either reading, as (t+w)-t can come out under w.
+func (c *Core) shouldFlush(now sim.Time, more bool) bool {
 	if len(c.queue) == 0 {
 		return false
 	}
@@ -361,7 +364,22 @@ func (c *Core) shouldFlush(more bool) bool {
 	if c.urgent() {
 		return true
 	}
-	return c.clock.Now().Sub(c.oldestArrival()) >= c.cfg.FlushWait
+	oldest := c.oldestQueued()
+	return now.Sub(oldest) >= c.cfg.FlushWait || oldest.Add(c.cfg.FlushWait) <= now
+}
+
+// step is the scheduler's one decision for both drivers. now is the window
+// clock: simulated time in RunOpenLoop, real time since loop started in live
+// serving. A ready queue flushes one window, returned with every response
+// filled in; otherwise a waiting queue returns when its oldest wait runs out.
+func (c *Core) step(now sim.Time, more bool) (batch []*pending, wake sim.Time, waiting bool) {
+	if c.shouldFlush(now, more) {
+		return c.flush(), 0, false
+	}
+	if len(c.queue) == 0 {
+		return nil, 0, false
+	}
+	return nil, c.oldestQueued().Add(c.cfg.FlushWait), true
 }
 
 // maxWindow caps how many statements one shared or deadline flush batch
@@ -369,7 +387,8 @@ func (c *Core) shouldFlush(more bool) bool {
 const maxWindow = 64
 
 // takeBatch removes and returns the next flush batch in admission order
-// under the configured policy.
+// under the configured policy: one statement under the private policy, at
+// most maxWindow under the others.
 func (c *Core) takeBatch() []*pending {
 	switch c.cfg.Policy {
 	case PolicyShared:
@@ -395,9 +414,9 @@ func (c *Core) takeBatch() []*pending {
 			return pi.seq < pj.seq
 		})
 	}
-	n := len(c.queue)
-	if c.cfg.Policy != PolicyPrivate && n > maxWindow {
-		n = maxWindow
+	n := min(len(c.queue), maxWindow)
+	if c.cfg.Policy == PolicyPrivate {
+		n = 1
 	}
 	batch := make([]*pending, n)
 	copy(batch, c.queue)
@@ -406,22 +425,16 @@ func (c *Core) takeBatch() []*pending {
 	return batch
 }
 
-// flush admits and executes one batch and returns it, every response
-// filled in. Scheduler goroutine only.
+// flush admits and executes one batch from a non-empty queue and returns
+// it, every response filled in. Scheduler goroutine only.
 func (c *Core) flush() []*pending {
 	batch := c.takeBatch()
-	if len(batch) == 0 {
-		return nil
-	}
 	c.mBatches.Inc()
+	sess := c.sess
 	if c.cfg.Policy == PolicyPrivate {
-		// The private policy is windows of one on private scans.
-		for i := range batch {
-			c.execute(batch[i:i+1], nil)
-		}
-	} else {
-		c.execute(batch, c.sess)
+		sess = nil // the private policy is windows of one on private scans
 	}
+	c.execute(batch, sess)
 	c.refreshGauges()
 	for _, p := range batch {
 		c.finishStmt(p)
@@ -445,8 +458,7 @@ func (c *Core) finishStmt(p *pending) {
 	reg := obsv.Default()
 	reg.Counter(obsv.MetricServerTenantQueries + p.tenant).Inc()
 	reg.FloatCounter(obsv.MetricServerTenantJoules + p.tenant).Add(r.Joules)
-	c.inflight--
-	c.gActive.Set(float64(c.inflight))
+	c.gActive.Set(float64(c.inflight.Add(-1)))
 }
 
 // execute runs one co-admission window through engine.RunWindow — on the

@@ -54,75 +54,64 @@ func (c *Core) Shutdown(ctx context.Context) error {
 }
 
 // Do submits one statement and blocks until its response. Safe to call
-// from any number of goroutines.
+// from any number of goroutines; past MaxInflight it answers ErrOverloaded
+// at once.
 func (c *Core) Do(req Request) Response {
 	p := &pending{req: req, id: req.ID, tenant: req.Tenant, done: make(chan Response, 1)}
+	if !c.submit(p) {
+		return p.resp
+	}
 	select {
-	case c.submit <- p:
+	case c.handoff <- p:
 		return <-p.done
 	case <-c.stopped:
+		c.inflight.Add(-1)
 		return Response{ID: req.ID, Err: ErrDraining}
 	}
 }
 
 // loop is the scheduler: the one goroutine that touches the engine during
-// live serving. It gathers submissions into flush batches, times
-// co-admission windows in real time (the simulated clock only advances
-// while statements execute), and drains the queue on shutdown.
+// live serving. Its window clock is real time since it started; it flushes
+// through step, sets its timer to the wake-up step returns, and on shutdown
+// steps with no more arrivals until the queue is empty.
 func (c *Core) loop() {
 	defer close(c.stopped)
-	flushWait := time.Duration(c.cfg.FlushWait.Seconds() * float64(time.Second))
+	start := time.Now()
+	now := func() sim.Time { return sim.Time(time.Since(start).Seconds()) }
 	timer := time.NewTimer(time.Hour)
 	timer.Stop()
 	defer timer.Stop()
-	armed := false
-	for {
+	for more := true; more; {
 		select {
-		case p := <-c.submit:
-			if !c.enqueue(p) {
-				p.done <- p.resp
-			}
-			// The simulated clock stands still while a statement waits, so
-			// shouldFlush's wait clause is false here unless FlushWait is
-			// not positive; a waiting window's timeout is the timer's job.
-			for c.shouldFlush(true) {
-				c.serve()
-			}
-			if len(c.queue) > 0 && !armed {
-				timer.Reset(flushWait)
-				armed = true
-			} else if len(c.queue) == 0 && armed {
-				if !timer.Stop() {
-					<-timer.C
-				}
-				armed = false
-			}
+		case p := <-c.handoff:
+			c.enqueue(p, now())
 		case <-timer.C:
-			armed = false
-			for len(c.queue) > 0 {
-				c.serve()
-			}
 		case <-c.stopc:
 			// Drain: everything accepted gets executed and answered. A
-			// sender blocked on the unbuffered submit channel has not been
+			// sender blocked on the unbuffered hand-off has not been
 			// accepted and unblocks via the stopped channel in Do.
-			for len(c.queue) > 0 {
-				c.serve()
+			more = false
+		}
+		for {
+			batch, wake, waiting := c.step(now(), more)
+			if batch == nil {
+				if waiting {
+					timer.Reset(time.Duration(wake.Sub(now()).Seconds() * float64(time.Second)))
+				}
+				break
 			}
-			return
+			c.answer(batch)
 		}
 	}
 }
 
-// serve flushes one batch and answers every statement in it. A live
-// server's footprint must not grow with the number of statements it has
-// served, so the CPU's power trace before now is dropped — response joules
-// and profile attribution were read as the window ran, and nothing asks
-// about that draw again. That happens before the first reply: once a client
-// has its answer the scheduler touches the machine no more until the next
-// statement arrives. Scheduler goroutine only.
-func (c *Core) serve() {
-	batch := c.flush()
+// answer replies to every statement of an executed batch. A live server's
+// footprint must not grow with the number of statements it has served, so
+// the CPU's power trace before now is dropped first — response joules and
+// profile attribution were read as the window ran, and nothing asks about
+// that draw again. Once a client has its answer the scheduler touches the
+// machine no more until the next statement arrives. Scheduler goroutine only.
+func (c *Core) answer(batch []*pending) {
 	c.sys.Machine.CPU.Trace().DiscardBefore(c.clock.Now())
 	for _, p := range batch {
 		p.done <- p.resp

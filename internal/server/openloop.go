@@ -51,7 +51,9 @@ type OpenLoopResult struct {
 	// MeanResponse and MaxResponse aggregate completed statements'
 	// queue-entry-to-completion times.
 	MeanResponse, MaxResponse sim.Duration
-	Responses                 []Response
+	// Responses holds one response per arrival, in arrival order; a
+	// rejected arrival's carries ErrOverloaded.
+	Responses []Response
 	// Batches is every flush batch the run admitted, in order: replaying
 	// them reproduces the run's simulated energy exactly.
 	Batches []AdmittedBatch
@@ -86,46 +88,37 @@ func (c *Core) RunOpenLoop(arrivals []Arrival) OpenLoopResult {
 	if len(arr) > 0 && arr[0].At > out.Start {
 		out.Start = arr[0].At
 	}
-	pend := make([]*pending, 0, len(arr))
-	i := 0
-	for i < len(arr) || len(c.queue) > 0 {
+	pend := make([]*pending, len(arr))
+	for i := 0; ; {
 		now := c.clock.Now()
-		for i < len(arr) && arr[i].At <= now {
+		for ; i < len(arr) && arr[i].At <= now; i++ {
 			p := &pending{req: arr[i].Req, id: arr[i].Req.ID, tenant: arr[i].Req.Tenant}
-			if c.enqueue(p) {
-				pend = append(pend, p)
+			pend[i] = p
+			if c.submit(p) {
+				c.enqueue(p, now)
 			} else {
 				out.Rejected++
 			}
-			i++
 		}
-		if len(c.queue) == 0 {
-			if i >= len(arr) {
-				// Everything left was rejected at the bound; nothing to run.
-				break
+		more := i < len(arr)
+		batch, wake, waiting := c.step(now, more)
+		if batch != nil {
+			ids := make([]string, len(batch))
+			for j, p := range batch {
+				ids[j] = p.id
 			}
-			c.clock.AdvanceTo(arr[i].At)
+			out.Batches = append(out.Batches, AdmittedBatch{At: now, Policy: c.cfg.Policy, IDs: ids})
 			continue
 		}
-		// Unless the window is full or timed out, sleep to whichever comes
-		// first, its expiry or the next arrival. A wake-up instant that is not
-		// strictly in the future means the window has expired to within
-		// float rounding ((t+w)-t can come out a hair under w), so flush
-		// rather than spin on a no-op clock advance.
-		next := c.oldestArrival().Add(c.cfg.FlushWait)
-		if i < len(arr) && arr[i].At < next {
-			next = arr[i].At
+		if !more {
+			break
 		}
-		if !c.shouldFlush(i < len(arr)) && next > now {
-			c.clock.AdvanceTo(next)
-			continue
+		// Sleep to whichever comes first, the waiting window's expiry or
+		// the next arrival.
+		if !waiting || arr[i].At < wake {
+			wake = arr[i].At
 		}
-		batch := c.flush()
-		ids := make([]string, len(batch))
-		for j, p := range batch {
-			ids[j] = p.id
-		}
-		out.Batches = append(out.Batches, AdmittedBatch{At: now, Policy: c.cfg.Policy, IDs: ids})
+		c.clock.AdvanceTo(wake)
 	}
 
 	out.End = c.clock.Now()

@@ -84,6 +84,14 @@ func TestZeroCapacityQueue(t *testing.T) {
 	if len(res.Batches) != 0 {
 		t.Fatalf("zero-capacity queue admitted %d batches", len(res.Batches))
 	}
+	if len(res.Responses) != 3 {
+		t.Fatalf("%d responses for 3 arrivals, want one each", len(res.Responses))
+	}
+	for i, r := range res.Responses {
+		if want := fmt.Sprintf("q%02d", i); r.ID != want || r.Err != ErrOverloaded {
+			t.Fatalf("response %d = {%q, %v}, want {%q, ErrOverloaded}", i, r.ID, r.Err, want)
+		}
+	}
 	c.Start()
 	if r := c.Do(Request{Plan: plans[0]}); r.Err != ErrOverloaded {
 		t.Fatalf("live submission error = %v, want ErrOverloaded", r.Err)
@@ -163,6 +171,75 @@ func TestDrainDuringInflight(t *testing.T) {
 	}
 	if r := c.Do(Request{Plan: plans[0]}); r.Err != ErrDraining {
 		t.Fatalf("post-drain submission error = %v, want ErrDraining", r.Err)
+	}
+}
+
+// TestAdmissionBoundHoldsAtSubmit: MaxInflight counts statements where they
+// are submitted, not where the scheduler receives them. Before Start nothing
+// receives the hand-off — as when the scheduler is busy with a window — yet
+// with two statements waiting there a third is rejected at once:
+// ErrOverloaded from Do, 429 over POST /query, each rejection counted. Both
+// waiting statements are answered on drain.
+func TestAdmissionBoundHoldsAtSubmit(t *testing.T) {
+	sys, plans := newTestSystem(t)
+	cfg := DefaultConfig()
+	cfg.MaxInflight = 2
+	cfg.FlushThreshold = 100 // nothing flushes on its own...
+	cfg.FlushWait = 10       // ...for 10 real seconds of window wait
+	c := NewCore(cfg, sys)
+	ts := httptest.NewServer(NewServer(c, "unused").Handler())
+	defer ts.Close()
+
+	var wg sync.WaitGroup
+	accepted := make([]Response, 2)
+	for i := range accepted {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			accepted[i] = c.Do(Request{ID: fmt.Sprintf("a%d", i), Plan: plans[i]})
+		}(i)
+	}
+	for start := time.Now(); c.inflight.Load() < 2; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 5*time.Second {
+			t.Fatalf("the two statements were never counted (%d)", c.inflight.Load())
+		}
+	}
+
+	rejected := obsv.Default().Counter(obsv.MetricServerRejected)
+	before := rejected.Load()
+	if r := c.Do(Request{ID: "third", Plan: plans[2]}); r.Err != ErrOverloaded || r.ID != "third" {
+		t.Fatalf("third submission = {%q, %v}, want {third, ErrOverloaded}", r.ID, r.Err)
+	}
+	if got := rejected.Load() - before; got != 1 {
+		t.Fatalf("rejected counter advanced by %d for one rejection, want 1", got)
+	}
+	resp, err := http.Post(ts.URL+"/query", "text/plain", strings.NewReader("SELECT COUNT(*) FROM lineitem"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("POST /query at the bound = %d, want 429", resp.StatusCode)
+	}
+	if got := rejected.Load() - before; got != 2 {
+		t.Fatalf("rejected counter advanced by %d for two rejections, want 2", got)
+	}
+
+	c.Start()
+	depth := obsv.Default().Gauge(obsv.MetricServerQueueDepth)
+	for start := time.Now(); depth.Load() < 2; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 5*time.Second {
+			t.Fatalf("queue never reached depth 2 (at %v)", depth.Load())
+		}
+	}
+	if err := c.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	wg.Wait()
+	for i, r := range accepted {
+		if r.Err != nil || r.RowsOut == 0 {
+			t.Fatalf("accepted statement %d on drain: rows %d, err %v", i, r.RowsOut, r.Err)
+		}
 	}
 }
 
@@ -279,6 +356,40 @@ func TestPrivatePolicyIsWindowsOfOne(t *testing.T) {
 		if endA, endB := sysA.Machine.Clock.Now(), clock.Now(); endA != endB {
 			t.Fatalf("profiling %v: clocks diverge: server %v vs embedded %v", profiling, endA, endB)
 		}
+		if len(res.Batches) != n {
+			t.Fatalf("profiling %v: %d statements in %d batches, want one each", profiling, n, len(res.Batches))
+		}
+		for i, b := range res.Batches {
+			if want := fmt.Sprintf("q%02d", i); len(b.IDs) != 1 || b.IDs[0] != want {
+				t.Fatalf("profiling %v: batch %d admits %v, want [%s]", profiling, i, b.IDs, want)
+			}
+		}
+	}
+}
+
+// TestMidWindowArrivalIsStampedAfterTheRunningWindow: an arrival during a
+// running window enters the queue when the scheduler next gets to it, after
+// that window — not after the backlog queued behind it. Under the private
+// policy a window is one statement: q2 arrives while q0 runs, is stamped
+// when q0 ends, and so waits while q1 runs.
+func TestMidWindowArrivalIsStampedAfterTheRunningWindow(t *testing.T) {
+	sys, plans := newTestSystem(t)
+	cfg := DefaultConfig()
+	cfg.Policy = PolicyPrivate
+	c := NewCore(cfg, sys)
+	start := sys.Machine.Clock.Now()
+	reqs := queryRequests(plans, 3)
+	arr := []Arrival{{At: start, Req: reqs[0]}, {At: start, Req: reqs[1]}, {At: start.Add(1e-9), Req: reqs[2]}}
+	res := c.RunOpenLoop(arr)
+	if res.Completed != 3 {
+		t.Fatalf("completed %d of 3", res.Completed)
+	}
+	q0, q1, q2 := res.Responses[0], res.Responses[1], res.Responses[2]
+	if q0.Response <= 1e-9 {
+		t.Fatalf("q0 ran %v, want it still running when q2 arrives", q0.Response)
+	}
+	if q2.QueueWait <= 0 || q2.QueueWait > q1.Duration {
+		t.Fatalf("q2 queue wait %v, want q1's run (%v): stamped when q0 ended", q2.QueueWait, q1.Duration)
 	}
 }
 
